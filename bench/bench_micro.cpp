@@ -130,7 +130,8 @@ void BM_ExecuteTileSpecialized(benchmark::State& state) {
   // Dispatch lookup and panel packing happen once per (GEMM, strategy) in
   // the executors; keep them outside the timed loop to isolate the kernel.
   const MicrokernelFn fn = microkernel_for(s);
-  const PackedGemm pk = pack_gemm(s, f.g);
+  const SharedPack packed = pack_gemm(s, f.g);
+  const PackedGemm& pk = packed.view;
   for (auto _ : state) {
     for (int ty = 0; ty < pk.ty_count; ++ty)
       for (int tx = 0; tx < pk.tx_count; ++tx)
@@ -158,7 +159,8 @@ void BM_ExecuteTileSimd(benchmark::State& state) {
     state.SkipWithError("no packed kernel for this strategy");
     return;
   }
-  const PackedGemm pk = pack_gemm(s, f.g);
+  const SharedPack packed = pack_gemm(s, f.g);
+  const PackedGemm& pk = packed.view;
   for (auto _ : state) {
     for (int ty = 0; ty < pk.ty_count; ++ty)
       for (int tx = 0; tx < pk.tx_count; ++tx)
@@ -193,20 +195,30 @@ void BM_SingleGemmPackCache(benchmark::State& state) {
 BENCHMARK(BM_SingleGemmPackCache)->Arg(0)->Arg(1)->UseRealTime();
 
 // Amortized cost of the packing pass itself (the one-off per (GEMM,
-// strategy) work the specialized path adds before its first tile).
+// strategy) work the specialized path adds before its first tile): both
+// panel sets packed into reused buffers, as the executors' per-thread arena
+// does. Arg 1 selects the storage layout of both operands (0 = N, 1 = T;
+// the square fixture reads either way), covering all four fp32 copy paths.
 void BM_PackPanels(benchmark::State& state) {
   const auto& s = batched_strategy_by_id(static_cast<int>(state.range(0)));
   const GemmDims d{256, 256, 256};
   MicroAbFixture f(d);
+  f.g.op_a = f.g.op_b = state.range(1) != 0 ? Op::kT : Op::kN;
+  std::vector<float> a(panel_set_floats(PanelSide::kA, s, d));
+  std::vector<float> b(panel_set_floats(PanelSide::kB, s, d));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pack_gemm(s, f.g));
+    pack_panel_set(PanelSide::kA, s, f.g, a.data());
+    pack_panel_set(PanelSide::kB, s, f.g, b.data());
+    benchmark::DoNotOptimize(a.data());
+    benchmark::DoNotOptimize(b.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(
       state.iterations() *
       static_cast<long long>(pack_footprint_bytes(s, d)));
-  state.SetLabel(s.name());
+  state.SetLabel(s.name() + (state.range(1) != 0 ? " TT" : " NN"));
 }
-BENCHMARK(BM_PackPanels)->Arg(0)->Arg(5)->Arg(11);
+BENCHMARK(BM_PackPanels)->ArgsProduct({{0, 5, 11}, {0, 1}});
 
 void BM_ReferenceGemmBlocked(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

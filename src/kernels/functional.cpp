@@ -4,6 +4,7 @@
 #include <array>
 #include <map>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -50,60 +51,13 @@ struct SharedTiles {
 };
 
 /// Per-call packing decision for one GEMM: the dispatched kernel (with the
-/// ISA that selected it) and the packed panels it reads — shared with the
-/// cross-call cache, so panels a concurrent invalidate evicts stay alive
-/// for the rest of this call. `kernel.fn == nullptr` means generic.
+/// ISA that selected it) and the packed panels it reads. `kernel.fn ==
+/// nullptr` means generic.
 struct PackedDispatch {
   TileKernel kernel;
-  std::shared_ptr<const PackedGemm> pack;
-  bool need_pack = false;  ///< admitted but not in the cache: materialize
-  bool specialized() const {
-    return kernel.fn != nullptr && pack != nullptr && pack->valid();
-  }
+  PackedGemm pack;
+  bool specialized() const { return kernel.fn != nullptr && pack.valid(); }
 };
-
-/// Serial half of the packing decision for one GEMM: kernel lookup, budget
-/// admission, and cache probe. Admission requires the footprint to fit both
-/// the per-GEMM cap (one oversized GEMM falls back to generic without
-/// starving the rest of the batch) and the call's remaining cumulative
-/// arena budget; `used` accumulates in batch order, keeping the decision
-/// deterministic. A cache hit charges `used` exactly like a fresh pack, so
-/// which GEMMs are admitted never depends on what the cache happens to
-/// hold. The panel materialization itself (pack_gemm) is deferred so the
-/// batched paths can run it for many GEMMs concurrently.
-PackedDispatch pack_decision(const TilingStrategy& s, const GemmOperands& g,
-                             std::size_t& used) {
-  PackedDispatch d;
-  d.kernel = tile_kernel_for(s);
-  if (d.kernel.fn == nullptr) return d;
-  const std::size_t bytes = pack_footprint_bytes(s, g.dims);
-  const std::size_t budget = pack_arena_budget();
-  if (bytes > pack_gemm_budget() || bytes > budget ||
-      used > budget - bytes) {
-    d.kernel = {};
-    return d;
-  }
-  used += bytes;
-  d.pack = pack_cache_lookup(s, g);
-  d.need_pack = d.pack == nullptr;
-  return d;
-}
-
-/// Deferred materialization for one admitted cache miss. Safe inside a
-/// parallel_for worker: pack_gemm only reads `g` and fills the fresh
-/// buffers. Publication to the cache stays with the caller (serial, batch
-/// order) so eviction order is deterministic.
-void materialize_pack(const TilingStrategy& s, const GemmOperands& g,
-                      PackedDispatch& d) {
-  if (d.need_pack) d.pack = std::make_shared<PackedGemm>(pack_gemm(s, g));
-}
-
-/// Serial tail of the decision: publishes a freshly packed miss to the
-/// cross-call cache (no-op when the cache is off or `g` is uncacheable).
-void publish_pack(const TilingStrategy& s, const GemmOperands& g,
-                  PackedDispatch& d) {
-  if (d.need_pack) pack_cache_insert(s, g, d.pack);
-}
 
 /// Per-ISA tile accounting: exec.simd.* partitions every executed tile by
 /// the ISA that ran it (generic-executor tiles count as scalar), so the
@@ -125,20 +79,217 @@ void count_simd_tiles(SimdIsa isa, long long tiles) {
   CTB_TEL_COUNT("exec.simd.scalar", tiles);
 }
 
-/// Dispatch + staging-reuse accounting for `tiles` tiles of one GEMM that
-/// resolved to `d`. Each tile reads one A and one B panel; panels were
-/// packed (or fetched from the cache) once, so all but one read per panel
-/// is a staging the generic path would have repeated.
+/// Dispatch accounting for `tiles` tiles of one GEMM that resolved to `d`.
 void count_dispatch(const PackedDispatch& d, long long tiles) {
   if (d.specialized()) {
     CTB_TEL_COUNT("exec.dispatch.specialized", tiles);
-    CTB_TEL_COUNT("exec.pack.reuse",
-                  2 * tiles - d.pack->ty_count - d.pack->tx_count);
     count_simd_tiles(d.kernel.isa, tiles);
   } else {
     CTB_TEL_COUNT("exec.dispatch.generic", tiles);
     count_simd_tiles(SimdIsa::kScalar, tiles);
   }
+}
+
+/// Per-thread panel arena: every panel set an executor call packs is carved
+/// from the calling thread's arena, which grows to the largest call and is
+/// then reused — no per-call allocation and no zero-fill (packing writes
+/// every float). It holds at most the admitted bytes of one call, so it
+/// never exceeds the budget in force when it last grew; a budget lowered
+/// since then frees the excess at the next packing call.
+struct PackArena {
+  std::unique_ptr<float[]> buf;
+  std::size_t capacity = 0;  // floats
+  bool leased = false;       // an executor call on this thread is using it
+
+  float* reserve(std::size_t floats) {
+    if (floats > capacity || capacity * sizeof(float) > pack_arena_budget()) {
+      buf.reset();  // free first: the peak stays one arena, not two
+      buf = std::make_unique_for_overwrite<float[]>(floats);
+      capacity = floats;
+    }
+    return buf.get();
+  }
+};
+
+/// Holds the calling thread's PackArena for the length of one executor
+/// call (its tiles read the panels until the call returns). A nested call
+/// on the same thread — say from a gather the outer call's packing invokes
+/// — finds the arena held and gets a private one instead.
+class ArenaLease {
+ public:
+  ArenaLease() {
+    static thread_local PackArena mine;
+    arena_ = mine.leased ? &local_ : &mine;
+    arena_->leased = true;
+  }
+  ~ArenaLease() { arena_->leased = false; }
+  ArenaLease(const ArenaLease&) = delete;
+  ArenaLease& operator=(const ArenaLease&) = delete;
+
+  PackArena& arena() { return *arena_; }
+
+ private:
+  PackArena local_;
+  PackArena* arena_ = nullptr;
+};
+
+/// The packed operands of one executor call: decides, packs and publishes
+/// in one place for every executor entry point.
+///
+/// Admission is per GEMM, serial in batch order: the footprint must fit both
+/// the per-GEMM cap (one oversized GEMM falls back to generic without
+/// starving the rest of the batch) and the call's remaining cumulative
+/// arena budget. A cache hit charges the budget exactly like a fresh pack,
+/// so which GEMMs are admitted never depends on what the cache holds.
+///
+/// Each admitted GEMM then resolves its A and B panel sets by PanelKey: a
+/// set an earlier GEMM of the call already resolved is shared, so an
+/// operand several GEMMs read under one geometry is packed once. New sets
+/// are carved from the thread's PackArena — or, while the cross-call cache
+/// is on, allocated on the heap so cache entries can own them — and packed
+/// one set per parallel_for task (disjoint storage, order-independent
+/// contents: bit-exact at any thread count). Misses are published to the
+/// cache serially in batch order, keeping eviction deterministic.
+class CallPacks {
+ public:
+  /// `strategy[z] == nullptr` marks a GEMM the call does not run; `tiles[z]`
+  /// is how many tiles the call executes for GEMM z.
+  CallPacks(std::span<const GemmOperands> batch,
+            std::span<const TilingStrategy* const> strategy,
+            std::span<const long long> tiles);
+
+  const PackedDispatch& operator[](std::size_t z) const {
+    return dispatch_[z];
+  }
+
+ private:
+  std::vector<PackedDispatch> dispatch_;
+  /// Heap panel sets this call reads: cache hits and cache-bound packs.
+  std::vector<std::shared_ptr<const float[]>> owners_;
+  ArenaLease lease_;
+};
+
+CallPacks::CallPacks(std::span<const GemmOperands> batch,
+                     std::span<const TilingStrategy* const> strategy,
+                     std::span<const long long> tiles)
+    : dispatch_(batch.size()) {
+  // One distinct panel set of the call, packed from the first GEMM that
+  // needs it (any GEMM with a matching key yields the same bytes).
+  struct Slot {
+    PanelKey key;
+    const TilingStrategy* s = nullptr;
+    const GemmOperands* g = nullptr;
+    int panels = 0;
+    std::shared_ptr<const float[]> owner;  // heap storage, else arena
+    float* dst = nullptr;  // non-null: this call packs the set here
+    const float* data = nullptr;
+  };
+  std::vector<Slot> slots;
+  std::vector<std::array<int, 2>> slot_of(batch.size(), {-1, -1});
+  std::vector<char> publish(batch.size(), 0);
+  // Read once: storage and publication must agree for the whole call.
+  const bool cache = pack_cache_enabled();
+  const std::size_t budget = pack_arena_budget();
+  std::size_t used = 0;
+  for (std::size_t z = 0; z < batch.size(); ++z) {
+    if (strategy[z] == nullptr) continue;
+    const TilingStrategy& s = *strategy[z];
+    const GemmOperands& g = batch[z];
+    PackedDispatch& d = dispatch_[z];
+    d.kernel = tile_kernel_for(s);
+    if (d.kernel.fn == nullptr) continue;
+    const std::size_t bytes = pack_footprint_bytes(s, g.dims);
+    if (bytes > pack_gemm_budget() || bytes > budget ||
+        used > budget - bytes) {
+      d.kernel = {};
+      continue;
+    }
+    used += bytes;
+    const std::optional<SharedPack> hit =
+        cache ? pack_cache_lookup(s, g) : std::nullopt;
+    publish[z] = cache && !hit;
+    d.pack = packed_view(s, g.dims, nullptr, nullptr);
+    for (const PanelSide side : {PanelSide::kA, PanelSide::kB}) {
+      const PanelKey key = panel_key(side, s, g);
+      std::size_t idx = 0;
+      while (idx < slots.size() && !slots[idx].key.matches(key)) ++idx;
+      if (idx == slots.size()) {
+        Slot& slot = slots.emplace_back();
+        slot.key = key;
+        slot.s = &s;
+        slot.g = &g;
+        slot.panels = side == PanelSide::kA ? d.pack.ty_count
+                                            : d.pack.tx_count;
+        if (hit) slot.owner = side == PanelSide::kA ? hit->a : hit->b;
+      }
+      slot_of[z][static_cast<std::size_t>(side)] = static_cast<int>(idx);
+    }
+  }
+
+  // Storage for the sets this call packs: one arena block, or (cache on)
+  // one heap block per set.
+  std::size_t arena_floats = 0;
+  for (const Slot& slot : slots)
+    if (slot.owner == nullptr && !cache)
+      arena_floats += panel_set_floats(slot.key.side, *slot.s, slot.g->dims);
+  float* next =
+      arena_floats > 0 ? lease_.arena().reserve(arena_floats) : nullptr;
+  long long distinct_panels = 0;
+  for (Slot& slot : slots) {
+    distinct_panels += slot.panels;
+    if (slot.owner == nullptr) {
+      const std::size_t floats =
+          panel_set_floats(slot.key.side, *slot.s, slot.g->dims);
+      if (cache) {
+        auto heap = std::make_shared_for_overwrite<float[]>(floats);
+        slot.dst = heap.get();
+        slot.owner = std::move(heap);
+      } else {
+        slot.dst = next;
+        next += floats;
+      }
+    }
+    slot.data = slot.owner != nullptr ? slot.owner.get() : slot.dst;
+  }
+  parallel_for(static_cast<long long>(slots.size()), [&](long long i) {
+    const Slot& slot = slots[static_cast<std::size_t>(i)];
+    if (slot.dst != nullptr)
+      pack_panel_set(slot.key.side, *slot.s, *slot.g, slot.dst);
+  });
+
+  long long packed_tiles = 0;
+  for (std::size_t z = 0; z < batch.size(); ++z) {
+    if (strategy[z] == nullptr) continue;
+    PackedDispatch& d = dispatch_[z];
+    if (d.kernel.fn != nullptr) {
+      const Slot& a = slots[static_cast<std::size_t>(slot_of[z][0])];
+      const Slot& b = slots[static_cast<std::size_t>(slot_of[z][1])];
+      d.pack.a = a.data;
+      d.pack.b = b.data;
+      packed_tiles += tiles[z];
+      if (publish[z])
+        pack_cache_insert(*strategy[z], batch[z],
+                          SharedPack{d.pack, a.owner, b.owner});
+    }
+    count_dispatch(d, tiles[z]);
+  }
+  // Each packed tile reads one A and one B panel; every read past the first
+  // of each distinct panel is a staging the generic path would repeat.
+  if (packed_tiles > 0)
+    CTB_TEL_COUNT("exec.pack.reuse", 2 * packed_tiles - distinct_panels);
+  for (Slot& slot : slots)
+    if (slot.owner != nullptr) owners_.push_back(std::move(slot.owner));
+}
+
+/// CallPacks for a batch that runs every GEMM under `s`, one tile per C
+/// tile (the single-GEMM and vbatch executors).
+CallPacks uniform_packs(const TilingStrategy& s,
+                        std::span<const GemmOperands> batch) {
+  const std::vector<const TilingStrategy*> strategy(batch.size(), &s);
+  std::vector<long long> tiles(batch.size());
+  for (std::size_t z = 0; z < batch.size(); ++z)
+    tiles[z] = s.tiles_for(batch[z].dims.m, batch[z].dims.n);
+  return CallPacks(batch, strategy, tiles);
 }
 
 /// Conventional useful-FLOP count of one pass over the batch (2*m*n*k per
@@ -267,7 +418,7 @@ void accumulate_tile_range(const TilingStrategy& s, const GemmOperands& g,
                            const PackedDispatch& d, int ty, int tx, int k_lo,
                            int k_hi, bool first, float* acc) {
   if (d.specialized()) {
-    const PackedGemm& pk = *d.pack;
+    const PackedGemm& pk = d.pack;
     const int step_lo = k_lo / s.bk;
     const int step_hi = k_hi >= g.dims.k ? pk.nsteps : k_hi / s.bk;
     if (d.kernel.isa != SimdIsa::kScalar) {
@@ -560,11 +711,8 @@ void run_single_gemm(const TilingStrategy& s, const GemmOperands& g,
                 2LL * g.dims.m * g.dims.n * g.dims.k);
   CTB_TEL_COUNT("exec.c.passes", 1);
 
-  std::size_t used = 0;
-  PackedDispatch d = pack_decision(s, g, used);
-  materialize_pack(s, g, d);
-  publish_pack(s, g, d);
-  count_dispatch(d, tiles);
+  const CallPacks packs = uniform_packs(s, {&g, 1});
+  const PackedDispatch& d = packs[0];
   if (g.epilogue != 0) {
     // Fused GEMM: the compile-time microkernels store without the epilogue,
     // so every tile runs the dispatched accumulation (SIMD loop, scalar
@@ -581,7 +729,7 @@ void run_single_gemm(const TilingStrategy& s, const GemmOperands& g,
   }
   if (d.specialized()) {
     parallel_for(tiles, [&](long long block) {
-      d.kernel.fn(g, *d.pack, static_cast<int>(block / tx_count),
+      d.kernel.fn(g, d.pack, static_cast<int>(block / tx_count),
                   static_cast<int>(block % tx_count), alpha, beta);
     });
     return;
@@ -610,11 +758,8 @@ void run_single_gemm(const TilingStrategy& s, const GemmOperands& g,
                 tiles * static_cast<long long>(slices.size()));
   CTB_TEL_COUNT("exec.splitk.groups", tiles);
 
-  std::size_t used = 0;
-  PackedDispatch d = pack_decision(s, g, used);
-  materialize_pack(s, g, d);
-  publish_pack(s, g, d);
-  count_dispatch(d, tiles);
+  const CallPacks packs = uniform_packs(s, {&g, 1});
+  const PackedDispatch& d = packs[0];
   parallel_for(tiles, [&](long long block) {
     execute_tile_sliced(s, g, d, static_cast<int>(block / tx_count),
                         static_cast<int>(block % tx_count), slices, alpha,
@@ -637,24 +782,7 @@ void run_vbatch(const TilingStrategy& s, std::span<const GemmOperands> batch,
   CTB_TEL_COUNT("exec.flops", flops_of(batch));
   CTB_TEL_COUNT("exec.c.passes", batch.size());
 
-  // One uniform strategy: budget decisions stay serial in batch order
-  // (deterministic accounting), then the panel materialization fans out one
-  // GEMM per parallel_for task. Each pack_gemm writes only its own
-  // PackedGemm buffers and resolves every panel element identically
-  // regardless of which worker runs it, so results are bit-exact across
-  // thread counts.
-  std::vector<PackedDispatch> packs(batch.size());
-  std::size_t used = 0;
-  for (std::size_t z = 0; z < batch.size(); ++z)
-    packs[z] = pack_decision(s, batch[z], used);
-  parallel_for(static_cast<long long>(batch.size()), [&](long long z) {
-    materialize_pack(s, batch[static_cast<std::size_t>(z)],
-                     packs[static_cast<std::size_t>(z)]);
-  });
-  for (std::size_t z = 0; z < batch.size(); ++z) {
-    publish_pack(s, batch[z], packs[z]);
-    count_dispatch(packs[z], s.tiles_for(batch[z].dims.m, batch[z].dims.n));
-  }
+  const CallPacks packs = uniform_packs(s, batch);
 
   // Every (z, ty, tx) grid block is independent — each GEMM has its own C
   // and the tiles within a GEMM are disjoint — so the whole grid runs as
@@ -675,7 +803,7 @@ void run_vbatch(const TilingStrategy& s, std::span<const GemmOperands> batch,
       const KSlice full{0, g.dims.k};
       execute_tile_sliced(s, g, d, ty, tx, {&full, 1}, alpha, beta);
     } else if (d.specialized()) {
-      d.kernel.fn(g, *d.pack, ty, tx, alpha, beta);
+      d.kernel.fn(g, d.pack, ty, tx, alpha, beta);
     } else {
       execute_tile(s, g, ty, tx, alpha, beta);
     }
@@ -698,19 +826,10 @@ void run_vbatch(const TilingStrategy& s, std::span<const GemmOperands> batch,
   CTB_TEL_COUNT("exec.flops", flops_of(batch));
   CTB_TEL_COUNT("exec.c.passes", batch.size());
 
-  std::vector<PackedDispatch> packs(batch.size());
-  std::size_t used = 0;
-  for (std::size_t z = 0; z < batch.size(); ++z)
-    packs[z] = pack_decision(s, batch[z], used);
-  parallel_for(static_cast<long long>(batch.size()), [&](long long z) {
-    materialize_pack(s, batch[static_cast<std::size_t>(z)],
-                     packs[static_cast<std::size_t>(z)]);
-  });
+  const CallPacks packs = uniform_packs(s, batch);
   std::vector<std::vector<KSlice>> slices(batch.size());
   for (std::size_t z = 0; z < batch.size(); ++z) {
-    publish_pack(s, batch[z], packs[z]);
     const long long tiles = s.tiles_for(batch[z].dims.m, batch[z].dims.n);
-    count_dispatch(packs[z], tiles);
     slices[z] = k_slices(batch[z].dims.k, s.bk, splitk);
     if (slices[z].size() > 1) {
       CTB_TEL_COUNT("exec.splitk.tiles",
@@ -736,7 +855,7 @@ void run_vbatch(const TilingStrategy& s, std::span<const GemmOperands> batch,
       const KSlice full{0, g.dims.k};
       execute_tile_sliced(s, g, d, ty, tx, {&full, 1}, alpha, beta);
     } else if (d.specialized()) {
-      d.kernel.fn(g, *d.pack, ty, tx, alpha, beta);
+      d.kernel.fn(g, d.pack, ty, tx, alpha, beta);
     } else {
       execute_tile(s, g, ty, tx, alpha, beta);
     }
@@ -930,42 +1049,23 @@ void run_batched_plan(const BatchPlan& plan,
   CTB_TEL_COUNT("exec.flops", flops_of(batch));
   CTB_TEL_COUNT("exec.c.passes", batch.size());
 
-  // Packing pass: a validated plan assigns each GEMM a single strategy, but
-  // strategies vary across GEMMs, so packs are keyed by (gemm, strategy).
-  // Walk the tile array once to find each GEMM's strategy and tile count,
-  // make the budget decisions serially in GEMM order (deterministic
-  // accounting), then materialize the panels one GEMM per parallel_for task
-  // — disjoint PackedGemm buffers and order-independent panel contents keep
-  // the pass bit-exact across thread counts.
+  // Packing pass: a validated plan assigns each GEMM a single strategy,
+  // though strategies vary across GEMMs. Walk the tile array once to find
+  // each GEMM's strategy and tile count (GEMMs the plan never names stay
+  // unpacked).
   std::vector<int> strategy_of_gemm(batch.size(), -1);
-  std::vector<PackedDispatch> packs(batch.size());
-  {
-    CTB_TEL_SPAN("exec.pack");
-    std::vector<long long> tiles_of_gemm(batch.size(), 0);
-    for (std::size_t t = 0; t < plan.gemm_of_tile.size(); ++t) {
-      const auto gi = static_cast<std::size_t>(plan.gemm_of_tile[t]);
-      strategy_of_gemm[gi] = plan.strategy_of_tile[t];
-      ++tiles_of_gemm[gi];
-    }
-    std::size_t used = 0;
-    for (std::size_t gi = 0; gi < batch.size(); ++gi) {
-      if (strategy_of_gemm[gi] < 0) continue;  // GEMM unused by the plan
-      packs[gi] = pack_decision(batched_strategy_by_id(strategy_of_gemm[gi]),
-                                batch[gi], used);
-    }
-    parallel_for(static_cast<long long>(batch.size()), [&](long long z) {
-      const auto gi = static_cast<std::size_t>(z);
-      if (strategy_of_gemm[gi] >= 0)
-        materialize_pack(batched_strategy_by_id(strategy_of_gemm[gi]),
-                         batch[gi], packs[gi]);
-    });
-    for (std::size_t gi = 0; gi < batch.size(); ++gi) {
-      if (strategy_of_gemm[gi] < 0) continue;
-      publish_pack(batched_strategy_by_id(strategy_of_gemm[gi]), batch[gi],
-                   packs[gi]);
-      count_dispatch(packs[gi], tiles_of_gemm[gi]);
-    }
+  std::vector<const TilingStrategy*> strategy(batch.size(), nullptr);
+  std::vector<long long> tiles_of_gemm(batch.size(), 0);
+  for (std::size_t t = 0; t < plan.gemm_of_tile.size(); ++t) {
+    const auto gi = static_cast<std::size_t>(plan.gemm_of_tile[t]);
+    strategy_of_gemm[gi] = plan.strategy_of_tile[t];
+    strategy[gi] = &batched_strategy_by_id(plan.strategy_of_tile[t]);
+    ++tiles_of_gemm[gi];
   }
+  const CallPacks packs = [&] {
+    CTB_TEL_SPAN("exec.pack");
+    return CallPacks(batch, strategy, tiles_of_gemm);
+  }();
 
   // Split-K discovery: a tile whose K range does not cover its GEMM's full
   // K extent belongs to a fix-up group keyed (gemm, ty, tx). Each group
@@ -1062,7 +1162,7 @@ void run_batched_plan(const BatchPlan& plan,
                             {&full, 1}, alpha, beta);
       } else if (d.specialized() &&
                  sid == strategy_of_gemm[static_cast<std::size_t>(g)]) {
-        d.kernel.fn(batch[static_cast<std::size_t>(g)], *d.pack, ty, tx,
+        d.kernel.fn(batch[static_cast<std::size_t>(g)], d.pack, ty, tx,
                     alpha, beta);
       } else {
         execute_tile(batched_strategy_by_id(sid),

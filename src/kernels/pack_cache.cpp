@@ -31,7 +31,7 @@ struct CacheKey {
 
 struct CacheEntry {
   CacheKey key;
-  std::shared_ptr<const PackedGemm> pack;
+  SharedPack pack;
 };
 
 struct CacheState {
@@ -151,50 +151,53 @@ std::uint64_t pack_cache_generation() {
   return state().generation.load(std::memory_order_relaxed);
 }
 
-std::shared_ptr<const PackedGemm> pack_cache_lookup(const TilingStrategy& s,
-                                                    const GemmOperands& g) {
+std::optional<SharedPack> pack_cache_lookup(const TilingStrategy& s,
+                                            const GemmOperands& g) {
   CacheState& st = state();
   if (!st.enabled.load(std::memory_order_relaxed) || !cacheable(g))
-    return nullptr;
+    return std::nullopt;
   const CacheKey key = key_of(s, g);
   std::lock_guard<std::mutex> lock(st.mu);
   for (auto it = st.entries.begin(); it != st.entries.end(); ++it) {
     if (!(it->key == key)) continue;
-    if (!probe_fresh(g, *it->pack)) {
+    if (!probe_fresh(g, it->pack.view)) {
       CTB_TEL_COUNT("exec.pack.cache.stale", 1);
       CTB_TEL_COUNT("exec.pack.cache.miss", 1);
       CTB_TEL_FLIGHT(kPackStale, "operand mutated since pack",
-                     static_cast<std::int64_t>(it->pack->bytes()), 0);
-      st.resident_bytes -= it->pack->bytes();
+                     static_cast<std::int64_t>(it->pack.view.bytes()), 0);
+      st.resident_bytes -= it->pack.view.bytes();
       st.entries.erase(it);
-      return nullptr;
+      return std::nullopt;
     }
     CTB_TEL_COUNT("exec.pack.cache.hit", 1);
     return it->pack;
   }
   CTB_TEL_COUNT("exec.pack.cache.miss", 1);
-  return nullptr;
+  return std::nullopt;
 }
 
 void pack_cache_insert(const TilingStrategy& s, const GemmOperands& g,
-                       std::shared_ptr<const PackedGemm> pk) {
+                       SharedPack pk) {
   CacheState& st = state();
   if (!st.enabled.load(std::memory_order_relaxed) || !cacheable(g)) return;
-  if (pk == nullptr || !pk->valid()) return;
-  const std::size_t bytes = pk->bytes();
+  // Only heap-owned sets may outlive the call: a view into an executor
+  // arena is never admitted.
+  if (!pk.view.valid() || pk.view.a != pk.a.get() || pk.view.b != pk.b.get())
+    return;
+  const std::size_t bytes = pk.view.bytes();
   const std::size_t budget = pack_arena_budget();
   if (bytes > budget) return;  // would evict everything and still not fit
   const CacheKey key = key_of(s, g);
   std::lock_guard<std::mutex> lock(st.mu);
   for (auto it = st.entries.begin(); it != st.entries.end(); ++it) {
     if (it->key == key) {  // replace (e.g. repack after explicit mutation)
-      st.resident_bytes -= it->pack->bytes();
+      st.resident_bytes -= it->pack.view.bytes();
       st.entries.erase(it);
       break;
     }
   }
   while (!st.entries.empty() && st.resident_bytes + bytes > budget) {
-    st.resident_bytes -= st.entries.front().pack->bytes();
+    st.resident_bytes -= st.entries.front().pack.view.bytes();
     st.entries.pop_front();
     CTB_TEL_COUNT("exec.pack.cache.evict", 1);
   }

@@ -22,11 +22,12 @@
 // unobservable.
 //
 // Budget: resident bytes are charged against the same pack arena the
-// per-call packing pass uses (pack_arena_budget); inserting past the budget
-// evicts oldest-first (deterministic FIFO, counted as
-// exec.pack.cache.evict). Entries are handed out as shared_ptr, so an
-// executor mid-call keeps its panels alive even if they are evicted or
-// invalidated concurrently.
+// per-call packing pass uses (pack_arena_budget), each entry at its GEMM's
+// full footprint even when it shares a panel set with another entry;
+// inserting past the budget evicts oldest-first (deterministic FIFO,
+// counted as exec.pack.cache.evict). Entries hold their panel sets as
+// shared_ptr (SharedPack), so an executor mid-call keeps its panels alive
+// even if they are evicted or invalidated concurrently.
 //
 // Enable with CTB_PACK_CACHE=1 in the environment, set_pack_cache_enabled(),
 // or ScopedPackCache (tests/benchmarks).
@@ -34,7 +35,7 @@
 
 #include <cstdint>
 #include <cstddef>
-#include <memory>
+#include <optional>
 
 #include "core/tiling_strategy.hpp"
 #include "kernels/functional.hpp"
@@ -55,18 +56,18 @@ std::size_t pack_cache_entries();
 std::size_t pack_cache_bytes();
 std::uint64_t pack_cache_generation();
 
-/// Cached panels for (s, g), or nullptr on miss. A hit revalidates via the
-/// staleness probe; counts exec.pack.cache.{hit,miss,stale}. Returns nullptr
+/// Cached panels for (s, g), or nullopt on miss. A hit revalidates via the
+/// staleness probe; counts exec.pack.cache.{hit,miss,stale}. Returns nullopt
 /// without counting anything when the cache is disabled or `g` is uncacheable
 /// (b_gather).
-std::shared_ptr<const PackedGemm> pack_cache_lookup(const TilingStrategy& s,
-                                                    const GemmOperands& g);
+std::optional<SharedPack> pack_cache_lookup(const TilingStrategy& s,
+                                            const GemmOperands& g);
 
 /// Inserts freshly packed panels, evicting oldest-first to keep resident
 /// bytes within pack_arena_budget(). No-op when the cache is disabled, `g`
 /// is uncacheable, or the entry alone exceeds the budget.
 void pack_cache_insert(const TilingStrategy& s, const GemmOperands& g,
-                       std::shared_ptr<const PackedGemm> pk);
+                       SharedPack pk);
 
 /// RAII enable (or disable) for tests and benchmarks. Enabling starts from
 /// an invalidated cache and invalidates again on exit, so scopes are

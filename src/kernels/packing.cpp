@@ -1,7 +1,9 @@
 #include "kernels/packing.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <utility>
 
 #include "telemetry/telemetry.hpp"
 #include "util/assert.hpp"
@@ -53,60 +55,159 @@ void set_pack_gemm_budget(std::size_t bytes) {
   pack_gemm_budget_atomic().store(bytes, std::memory_order_relaxed);
 }
 
-std::size_t pack_footprint_bytes(const TilingStrategy& s, const GemmDims& d) {
-  const long long ty = (d.m + s.by - 1) / s.by;
-  const long long tx = (d.n + s.bx - 1) / s.bx;
-  const long long steps = (d.k + s.bk - 1) / s.bk;
-  const long long floats =
-      ty * steps * (s.by * s.bk) + tx * steps * (s.bk * s.bx);
-  return static_cast<std::size_t>(floats) * sizeof(float);
+namespace {
+
+int ceil_div(int a, int b) { return (a + b - 1) / b; }
+
+int panel_count(PanelSide side, const TilingStrategy& s, const GemmDims& d) {
+  return side == PanelSide::kA ? ceil_div(d.m, s.by) : ceil_div(d.n, s.bx);
 }
 
-PackedGemm pack_gemm(const TilingStrategy& s, const GemmOperands& g) {
+// Branch-free fp32 block copies, one per {N, T} storage layout of each
+// operand. The in-range rectangle is copied; a block that crosses an M, N or
+// K edge is zero-filled first, which writes the same +0.0f staged_*_value
+// returns past the edge.
+
+/// A block at (row0, k0): staged A(row0 + i, k0 + p) to blk[i * BK + p].
+void copy_a_block(const GemmOperands& g, int by, int bk, int row0, int k0,
+                  float* blk) {
+  const auto& d = g.dims;
+  const int rows = std::min(by, d.m - row0);
+  const int cols = std::min(bk, d.k - k0);
+  if (rows < by || cols < bk) std::fill_n(blk, by * bk, 0.0f);
+  if (g.op_a == Op::kN) {  // storage M x K: row i is contiguous along k
+    const float* src = g.a + static_cast<std::size_t>(row0) * d.k + k0;
+    for (int i = 0; i < rows; ++i)
+      std::copy_n(src + static_cast<std::size_t>(i) * d.k, cols,
+                  blk + i * bk);
+  } else {  // storage K x M: row p is contiguous along i
+    const float* src = g.a + static_cast<std::size_t>(k0) * d.m + row0;
+    for (int p = 0; p < cols; ++p) {
+      const float* row = src + static_cast<std::size_t>(p) * d.m;
+      for (int i = 0; i < rows; ++i) blk[i * bk + p] = row[i];
+    }
+  }
+}
+
+/// B block at (k0, col0): staged B(k0 + p, col0 + j) to blk[p * BX + j].
+void copy_b_block(const GemmOperands& g, int bk, int bx, int k0, int col0,
+                  float* blk) {
+  const auto& d = g.dims;
+  const int rows = std::min(bk, d.k - k0);
+  const int cols = std::min(bx, d.n - col0);
+  if (rows < bk || cols < bx) std::fill_n(blk, bk * bx, 0.0f);
+  if (g.op_b == Op::kN) {  // storage K x N: row p is contiguous along j
+    const float* src = g.b + static_cast<std::size_t>(k0) * d.n + col0;
+    for (int p = 0; p < rows; ++p)
+      std::copy_n(src + static_cast<std::size_t>(p) * d.n, cols,
+                  blk + p * bx);
+  } else {  // storage N x K: row j is contiguous along p
+    const float* src = g.b + static_cast<std::size_t>(col0) * d.k + k0;
+    for (int j = 0; j < cols; ++j) {
+      const float* row = src + static_cast<std::size_t>(j) * d.k;
+      for (int p = 0; p < rows; ++p) blk[p * bx + j] = row[p];
+    }
+  }
+}
+
+}  // namespace
+
+PanelKey panel_key(PanelSide side, const TilingStrategy& s,
+                   const GemmOperands& g) {
+  PanelKey key;
+  key.side = side;
+  key.k = g.dims.k;
+  key.bk = s.bk;
+  key.precision = g.precision;
+  if (side == PanelSide::kA) {
+    key.operand = g.a;
+    key.op = g.op_a;
+    key.extent = g.dims.m;
+    key.tile = s.by;
+  } else {
+    key.operand = g.b;
+    key.op = g.op_b;
+    key.extent = g.dims.n;
+    key.tile = s.bx;
+    key.gather = static_cast<bool>(g.b_gather);
+  }
+  return key;
+}
+
+std::size_t panel_set_floats(PanelSide side, const TilingStrategy& s,
+                             const GemmDims& d) {
+  return static_cast<std::size_t>(panel_count(side, s, d)) *
+         static_cast<std::size_t>(ceil_div(d.k, s.bk)) *
+         static_cast<std::size_t>(side == PanelSide::kA ? s.by : s.bx) *
+         static_cast<std::size_t>(s.bk);
+}
+
+std::size_t pack_footprint_bytes(const TilingStrategy& s, const GemmDims& d) {
+  return (panel_set_floats(PanelSide::kA, s, d) +
+          panel_set_floats(PanelSide::kB, s, d)) *
+         sizeof(float);
+}
+
+void pack_panel_set(PanelSide side, const TilingStrategy& s,
+                    const GemmOperands& g, float* out) {
   CTB_CHECK(g.a != nullptr && g.dims.valid());
   CTB_CHECK_MSG(g.b != nullptr || g.b_gather,
                 "B operand needs storage or a gather");
-  const auto& d = g.dims;
+  const bool a_side = side == PanelSide::kA;
+  const int panels = panel_count(side, s, g.dims);
+  const int nsteps = ceil_div(g.dims.k, s.bk);
+  const int rows = a_side ? s.by : s.bk;  // block rows x cols, row-major
+  const int cols = a_side ? s.bk : s.bx;
+  const bool copy = g.precision == Precision::kFp32 &&
+                    (a_side || !g.b_gather);
+  float* blk = out;
+  for (int t = 0; t < panels; ++t) {
+    for (int step = 0; step < nsteps; ++step, blk += rows * cols) {
+      const int k0 = step * s.bk;
+      const int origin = t * (a_side ? s.by : s.bx);
+      if (copy) {
+        if (a_side)
+          copy_a_block(g, s.by, s.bk, origin, k0, blk);
+        else
+          copy_b_block(g, s.bk, s.bx, k0, origin, blk);
+        continue;
+      }
+      // fp16 and gather: per-element staging (rounding, gather call).
+      for (int r = 0; r < rows; ++r)
+        for (int c = 0; c < cols; ++c)
+          blk[r * cols + c] = a_side
+                                  ? staged_a_value(g, origin + r, k0 + c)
+                                  : staged_b_value(g, k0 + r, origin + c);
+    }
+  }
+  CTB_TEL_COUNT("exec.pack.panels", panels);
+  CTB_TEL_COUNT("exec.pack.bytes",
+                panel_set_floats(side, s, g.dims) * sizeof(float));
+}
+
+PackedGemm packed_view(const TilingStrategy& s, const GemmDims& d,
+                       const float* a, const float* b) {
   PackedGemm pk;
   pk.by = s.by;
   pk.bx = s.bx;
   pk.bk = s.bk;
-  pk.nsteps = (d.k + s.bk - 1) / s.bk;
-  pk.ty_count = (d.m + s.by - 1) / s.by;
-  pk.tx_count = (d.n + s.bx - 1) / s.bx;
-  pk.a.resize(static_cast<std::size_t>(pk.ty_count) * pk.nsteps *
-              (s.by * s.bk));
-  pk.b.resize(static_cast<std::size_t>(pk.tx_count) * pk.nsteps *
-              (s.bk * s.bx));
-
-  // A panels: the write side walks the buffer sequentially; the staged
-  // value resolves bounds/transpose/fp16 once, here, instead of once per
-  // consuming tile x K-step in the generic path.
-  float* out = pk.a.data();
-  for (int ty = 0; ty < pk.ty_count; ++ty) {
-    const int row0 = ty * s.by;
-    for (int step = 0; step < pk.nsteps; ++step) {
-      const int k0 = step * s.bk;
-      for (int i = 0; i < s.by; ++i)
-        for (int p = 0; p < s.bk; ++p)
-          *out++ = staged_a_value(g, row0 + i, k0 + p);
-    }
-  }
-  // B panels, including the one-time materialization of b_gather.
-  out = pk.b.data();
-  for (int tx = 0; tx < pk.tx_count; ++tx) {
-    const int col0 = tx * s.bx;
-    for (int step = 0; step < pk.nsteps; ++step) {
-      const int k0 = step * s.bk;
-      for (int p = 0; p < s.bk; ++p)
-        for (int j = 0; j < s.bx; ++j)
-          *out++ = staged_b_value(g, k0 + p, col0 + j);
-    }
-  }
-
-  CTB_TEL_COUNT("exec.pack.panels", pk.ty_count + pk.tx_count);
-  CTB_TEL_COUNT("exec.pack.bytes", pk.bytes());
+  pk.nsteps = ceil_div(d.k, s.bk);
+  pk.ty_count = panel_count(PanelSide::kA, s, d);
+  pk.tx_count = panel_count(PanelSide::kB, s, d);
+  pk.a = a;
+  pk.b = b;
   return pk;
+}
+
+SharedPack pack_gemm(const TilingStrategy& s, const GemmOperands& g) {
+  auto a = std::make_shared_for_overwrite<float[]>(
+      panel_set_floats(PanelSide::kA, s, g.dims));
+  auto b = std::make_shared_for_overwrite<float[]>(
+      panel_set_floats(PanelSide::kB, s, g.dims));
+  pack_panel_set(PanelSide::kA, s, g, a.get());
+  pack_panel_set(PanelSide::kB, s, g, b.get());
+  return {packed_view(s, g.dims, a.get(), b.get()), std::move(a),
+          std::move(b)};
 }
 
 }  // namespace ctb

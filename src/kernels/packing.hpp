@@ -3,28 +3,34 @@
 // The generic executor re-stages the same A row-panel for every tile in a
 // C-tile row and the same B column-panel for every tile in a C-tile column,
 // paying per-element bounds/transpose/fp16/gather branches each time. The
-// packing pass resolves all of that exactly once per (GEMM, strategy): A is
-// laid out as ty_count row panels and B as tx_count column panels, each
-// panel a sequence of K-step blocks in precisely the layout the emulated
-// shared memory uses (A block `a[i * BK + p]`, B block `b[p * BX + j]`,
-// zero-padded past the matrix edges, values rounded through binary16 on the
-// fp16 path, `b_gather` materialized). Interior K-loop iterations of the
-// microkernel then read branch-free contiguous memory.
+// packing pass resolves all of that once per operand: a *panel set* holds
+// one operand of one GEMM under one tile geometry — A as ty_count row
+// panels, B as tx_count column panels — each panel a sequence of K-step
+// blocks in precisely the layout the emulated shared memory uses (A block
+// `a[i * BK + p]`, B block `b[p * BX + j]`, zero-padded past the matrix
+// edges, values rounded through binary16 on the fp16 path, `b_gather`
+// materialized). Interior K-loop iterations of the microkernel then read
+// branch-free contiguous memory. A set is identified by its PanelKey, so
+// the GEMMs of one executor call that read the same operand under the same
+// geometry share one set (DESIGN.md §9).
 //
 // Bit-exactness: `staged_a_value` / `staged_b_value` are the single source
 // of truth for staged operand values — the generic executor's SharedTiles
-// staging calls the same functions — so a packed panel block is byte-
-// identical to the tile the generic path would have staged, and the FMA
-// chains downstream see identical inputs.
+// staging calls the same functions. fp32 operands in memory are copied by
+// branch-free row copies instead, which read the same elements and write
+// the same +0.0f padding, so a packed panel block is byte-identical to the
+// tile the generic path would have staged, and the FMA chains downstream
+// see identical inputs.
 //
-// Packed buffers are transient per executor call, bounded by the pack-arena
-// budget (see `pack_arena_budget`): a call packs eligible GEMMs in batch
-// order until the budget is exhausted, and every GEMM past that point runs
-// through the generic unpacked staging path instead.
+// Panel storage is transient per executor call, carved from a per-thread
+// arena and bounded by the pack-arena budget (see `pack_arena_budget`): a
+// call admits eligible GEMMs in batch order until the budget is exhausted,
+// and every GEMM past that point runs through the generic unpacked staging
+// path instead.
 #pragma once
 
 #include <cstddef>
-#include <vector>
+#include <memory>
 
 #include "core/tiling_strategy.hpp"
 #include "kernels/functional.hpp"
@@ -63,7 +69,53 @@ inline float staged_b_value(const GemmOperands& g, int gk, int gj) {
   return v;
 }
 
-/// Packed operand panels for one (GEMM, strategy) pair.
+/// The operand a panel set holds.
+enum class PanelSide { kA, kB };
+
+/// Identity of one panel set: everything that determines its bytes except
+/// the operand values behind the pointer (operand pointer, side, op,
+/// extent — M for A, N for B — K, tile extent — BY for A, BX for B — BK,
+/// precision). Two GEMMs whose keys match read byte-identical panels. A
+/// gather B never matches anything, itself included: the callable's
+/// identity is unobservable.
+struct PanelKey {
+  const float* operand = nullptr;
+  PanelSide side = PanelSide::kA;
+  Op op = Op::kN;
+  int extent = 0;
+  int k = 0;
+  int tile = 0;
+  int bk = 0;
+  Precision precision = Precision::kFp32;
+  bool gather = false;
+
+  bool matches(const PanelKey& o) const {
+    return !gather && !o.gather && operand == o.operand && side == o.side &&
+           op == o.op && extent == o.extent && k == o.k && tile == o.tile &&
+           bk == o.bk && precision == o.precision;
+  }
+};
+
+/// The key of the `side` panel set of `g` under `s`.
+PanelKey panel_key(PanelSide side, const TilingStrategy& s,
+                   const GemmOperands& g);
+
+/// Floats in the `side` set of a GEMM with dims `d` under `s`: ty_count
+/// (A) or tx_count (B) panels of ceil(K / BK) blocks of BY*BK or BK*BX.
+std::size_t panel_set_floats(PanelSide side, const TilingStrategy& s,
+                             const GemmDims& d);
+
+/// Writes the `side` panel set of `g` under `s` to `out`, which holds
+/// panel_set_floats(side, s, g.dims) floats of any prior content. Counts
+/// `exec.pack.panels` and `exec.pack.bytes` for the one set. Safe to call
+/// from inside a parallel_for worker (it only reads `g` and writes `out`).
+void pack_panel_set(PanelSide side, const TilingStrategy& s,
+                    const GemmOperands& g, float* out);
+
+/// Packed panels of one GEMM as the tile kernels read them: the geometry
+/// plus its A and B panel sets. A view — the sets belong to the executor
+/// call's arena or to pack-cache entries, and may be shared with other
+/// GEMMs of the call.
 ///
 /// Layout: A panel `ty` holds `nsteps` consecutive BY x BK blocks, block
 /// `step` storing staged A(ty*BY + i, step*BK + p) at `[i * BK + p]`;
@@ -75,29 +127,43 @@ struct PackedGemm {
   int nsteps = 0;    ///< K-steps: ceil(K / BK)
   int ty_count = 0;  ///< A (row) panels
   int tx_count = 0;  ///< B (column) panels
-  std::vector<float> a;
-  std::vector<float> b;
+  const float* a = nullptr;
+  const float* b = nullptr;
 
-  bool valid() const { return nsteps > 0; }
-  std::size_t bytes() const { return (a.size() + b.size()) * sizeof(float); }
+  bool valid() const { return nsteps > 0 && a != nullptr && b != nullptr; }
+  std::size_t bytes() const {
+    return static_cast<std::size_t>(nsteps) *
+           (static_cast<std::size_t>(ty_count) * by * bk +
+            static_cast<std::size_t>(tx_count) * bk * bx) *
+           sizeof(float);
+  }
   const float* a_panel(int ty) const {
-    return a.data() +
-           static_cast<std::size_t>(ty) * nsteps * (by * bk);
+    return a + static_cast<std::size_t>(ty) * nsteps * (by * bk);
   }
   const float* b_panel(int tx) const {
-    return b.data() +
-           static_cast<std::size_t>(tx) * nsteps * (bk * bx);
+    return b + static_cast<std::size_t>(tx) * nsteps * (bk * bx);
   }
 };
 
-/// Bytes `pack_gemm` would allocate for this (strategy, dims) pair — used
-/// against the pack-arena budget before committing to a pack.
+/// The PackedGemm view of `s` over dims `d` reading the given sets.
+PackedGemm packed_view(const TilingStrategy& s, const GemmDims& d,
+                       const float* a, const float* b);
+
+/// Bytes of both panel sets of one (strategy, dims) pair — the per-GEMM
+/// figure admission charges against the pack-arena budget, whether or not
+/// the GEMM's sets end up shared.
 std::size_t pack_footprint_bytes(const TilingStrategy& s, const GemmDims& d);
 
-/// Packs all A and B panels of `g` for `s`. Counts `exec.pack.panels` and
-/// `exec.pack.bytes`. Safe to call from inside a parallel_for worker (it
-/// only reads `g` and writes its own buffers).
-PackedGemm pack_gemm(const TilingStrategy& s, const GemmOperands& g);
+/// Heap-owned panels of one GEMM: what a pack-cache entry holds, because it
+/// outlives the call that packed it. `view` reads `a` and `b`.
+struct SharedPack {
+  PackedGemm view;
+  std::shared_ptr<const float[]> a;
+  std::shared_ptr<const float[]> b;
+};
+
+/// Packs both panel sets of `g` onto the heap (one pack_panel_set each).
+SharedPack pack_gemm(const TilingStrategy& s, const GemmOperands& g);
 
 /// Pack-arena budget in bytes for a single executor call (default 256 MiB,
 /// overridable at startup with CTB_PACK_BUDGET=<bytes>). GEMMs whose packs

@@ -3,16 +3,24 @@
 // panels must reproduce the exact guarded staged values (transpose, fp16
 // rounding, implicit-GEMM gather, zero padding), and the specialized path
 // must be bit-identical to the generic executor for edge and interior
-// tiles across all executors. ScopedPackArenaBudget(0) is the lever that
-// forces the generic unpacked path for the A/B comparisons.
+// tiles across all executors — also when GEMMs of one call share a panel
+// set, and when calls reuse, or run concurrently on, per-thread pack
+// arenas. ScopedPackArenaBudget(0) is the lever that forces the generic
+// unpacked path for the A/B comparisons.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/api.hpp"
 #include "kernels/functional.hpp"
 #include "kernels/microkernel.hpp"
+#include "kernels/pack_cache.hpp"
 #include "kernels/packing.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/parallel.hpp"
@@ -65,6 +73,16 @@ struct GemmCase {
   }
 };
 
+#ifdef CTB_TELEMETRY_ENABLED
+std::int64_t counter_value(const telemetry::MetricsSnapshot& snap,
+                           const std::string& name) {
+  for (const auto& c : snap.counters)
+    if (c.name == name) return c.value;
+  ADD_FAILURE() << "counter " << name << " missing from snapshot";
+  return -1;
+}
+#endif
+
 // Ragged dims relative to a strategy: interior tiles plus an edge tile in
 // every direction, K not a multiple of BK.
 GemmDims ragged_dims(const TilingStrategy& s) {
@@ -112,33 +130,60 @@ TEST(MicrokernelDispatch, UnknownGeometryFallsBackToNull) {
 }
 
 // The packed panel blocks must hold exactly the values the guarded staging
-// produces — including the zero padding past M/N/K edges and fp16 rounding.
+// produces — including the zero padding past M/N/K edges, fp16 rounding and
+// gather — for every storage layout and tile geometry. The output buffers
+// start out NaN-filled, as the reused pack arena holds stale floats, so a
+// float the packer fails to write shows up; values compare as bits, so a
+// -0.0f padding would too.
 TEST(Packing, PanelsReproduceStagedValuesIncludingPadding) {
-  for (Precision prec : {Precision::kFp32, Precision::kFp16}) {
-    const TilingStrategy& s = batched_strategy_by_id(3);  // medium/256
-    const GemmDims d = ragged_dims(s);
-    const GemmCase gc(d, Op::kN, Op::kT, prec, false, 77);
-    const PackedGemm pk = pack_gemm(s, gc.ops);
-    ASSERT_EQ(pk.ty_count, (d.m + s.by - 1) / s.by);
-    ASSERT_EQ(pk.tx_count, (d.n + s.bx - 1) / s.bx);
-    ASSERT_EQ(pk.nsteps, (d.k + s.bk - 1) / s.bk);
-    for (int ty = 0; ty < pk.ty_count; ++ty) {
-      const float* panel = pk.a_panel(ty);
-      for (int step = 0; step < pk.nsteps; ++step)
-        for (int i = 0; i < s.by; ++i)
-          for (int p = 0; p < s.bk; ++p)
-            ASSERT_EQ(panel[(step * s.by + i) * s.bk + p],
-                      staged_a_value(gc.ops, ty * s.by + i, step * s.bk + p))
-                << "A panel " << ty << " step " << step;
-    }
-    for (int tx = 0; tx < pk.tx_count; ++tx) {
-      const float* panel = pk.b_panel(tx);
-      for (int step = 0; step < pk.nsteps; ++step)
-        for (int p = 0; p < s.bk; ++p)
-          for (int j = 0; j < s.bx; ++j)
-            ASSERT_EQ(panel[(step * s.bk + p) * s.bx + j],
-                      staged_b_value(gc.ops, step * s.bk + p, tx * s.bx + j))
-                << "B panel " << tx << " step " << step;
+  const auto bits = [](float v) { return std::bit_cast<std::uint32_t>(v); };
+  for (int id : {0, 2, 4, 6, 8, 10}) {  // one strategy per tile geometry
+    const TilingStrategy& s = batched_strategy_by_id(id);
+    for (const GemmDims& d :
+         {ragged_dims(s), GemmDims{s.by - 5, s.bx - 3, s.bk + 5}}) {
+      for (Op op_a : {Op::kN, Op::kT})
+        for (Op op_b : {Op::kN, Op::kT})
+          for (Precision prec : {Precision::kFp32, Precision::kFp16})
+            for (bool gather : {false, true}) {
+              const GemmCase gc(d, op_a, op_b, prec, gather, 77 + id);
+              const std::string what =
+                  s.name() + "/op_a=" + to_string(op_a) +
+                  "/op_b=" + to_string(op_b) +
+                  (prec == Precision::kFp16 ? "/fp16" : "/fp32") +
+                  (gather ? "/gather" : "");
+              std::vector<float> a(panel_set_floats(PanelSide::kA, s, d),
+                                   std::nanf("1"));
+              std::vector<float> b(panel_set_floats(PanelSide::kB, s, d),
+                                   std::nanf("1"));
+              pack_panel_set(PanelSide::kA, s, gc.ops, a.data());
+              pack_panel_set(PanelSide::kB, s, gc.ops, b.data());
+              const PackedGemm pk = packed_view(s, d, a.data(), b.data());
+              ASSERT_EQ(pk.ty_count, (d.m + s.by - 1) / s.by);
+              ASSERT_EQ(pk.tx_count, (d.n + s.bx - 1) / s.bx);
+              ASSERT_EQ(pk.nsteps, (d.k + s.bk - 1) / s.bk);
+              for (int ty = 0; ty < pk.ty_count; ++ty) {
+                const float* panel = pk.a_panel(ty);
+                for (int step = 0; step < pk.nsteps; ++step)
+                  for (int i = 0; i < s.by; ++i)
+                    for (int p = 0; p < s.bk; ++p)
+                      ASSERT_EQ(bits(panel[(step * s.by + i) * s.bk + p]),
+                                bits(staged_a_value(gc.ops, ty * s.by + i,
+                                                    step * s.bk + p)))
+                          << what << " A panel " << ty << " step " << step
+                          << " (" << i << ", " << p << ")";
+              }
+              for (int tx = 0; tx < pk.tx_count; ++tx) {
+                const float* panel = pk.b_panel(tx);
+                for (int step = 0; step < pk.nsteps; ++step)
+                  for (int p = 0; p < s.bk; ++p)
+                    for (int j = 0; j < s.bx; ++j)
+                      ASSERT_EQ(bits(panel[(step * s.bk + p) * s.bx + j]),
+                                bits(staged_b_value(gc.ops, step * s.bk + p,
+                                                    tx * s.bx + j)))
+                          << what << " B panel " << tx << " step " << step
+                          << " (" << p << ", " << j << ")";
+              }
+            }
     }
   }
 }
@@ -147,8 +192,43 @@ TEST(Packing, FootprintMatchesAllocation) {
   const TilingStrategy& s = batched_strategy_by_id(10);  // huge/128
   const GemmDims d{200, 150, 100};
   const GemmCase gc(d, Op::kN, Op::kN, Precision::kFp32, false, 3);
-  const PackedGemm pk = pack_gemm(s, gc.ops);
-  EXPECT_EQ(pk.bytes(), pack_footprint_bytes(s, d));
+  EXPECT_EQ(pack_gemm(s, gc.ops).view.bytes(), pack_footprint_bytes(s, d));
+  EXPECT_EQ((panel_set_floats(PanelSide::kA, s, d) +
+             panel_set_floats(PanelSide::kB, s, d)) *
+                sizeof(float),
+            pack_footprint_bytes(s, d));
+}
+
+// Panel-set identity: equal keys exactly when the operand, side, op,
+// extent, K, tile extent, BK and precision agree — and never for a gather.
+TEST(Packing, PanelKeysMatchOnlyIdenticalSets) {
+  const TilingStrategy& large = batched_strategy_by_id(4);  // 64x64
+  const TilingStrategy& tall = batched_strategy_by_id(6);   // 128x64
+  const GemmCase gc({100, 90, 40}, Op::kN, Op::kN, Precision::kFp32, false,
+                    5);
+  const PanelKey b = panel_key(PanelSide::kB, large, gc.ops);
+  EXPECT_TRUE(b.matches(panel_key(PanelSide::kB, tall, gc.ops)));  // BX 64
+  EXPECT_FALSE(panel_key(PanelSide::kA, large, gc.ops)
+                   .matches(panel_key(PanelSide::kA, tall, gc.ops)));  // BY
+  EXPECT_FALSE(b.matches(panel_key(PanelSide::kB, batched_strategy_by_id(2),
+                                   gc.ops)));  // BX 32
+  GemmOperands other = gc.ops;
+  other.op_b = Op::kT;
+  EXPECT_FALSE(b.matches(panel_key(PanelSide::kB, large, other)));
+  other = gc.ops;
+  other.precision = Precision::kFp16;
+  EXPECT_FALSE(b.matches(panel_key(PanelSide::kB, large, other)));
+  other = gc.ops;
+  other.dims.n = 89;
+  EXPECT_FALSE(b.matches(panel_key(PanelSide::kB, large, other)));
+  other = gc.ops;
+  other.dims.k = 39;
+  EXPECT_FALSE(b.matches(panel_key(PanelSide::kB, large, other)));
+  EXPECT_FALSE(b.matches(panel_key(PanelSide::kA, large, gc.ops)));
+  const GemmCase gathered({100, 90, 40}, Op::kN, Op::kN, Precision::kFp32,
+                          true, 5);
+  const PanelKey g = panel_key(PanelSide::kB, large, gathered.ops);
+  EXPECT_FALSE(g.matches(g));
 }
 
 // Core bit-exactness sweep: all 12 Table-2 strategies x {fp32, fp16} x
@@ -510,15 +590,207 @@ TEST(SimdDispatch, BatchedExecutorsBitExactUnderVectorIsa) {
                          "simd-plan/gemm" + std::to_string(i));
 }
 
-#ifdef CTB_TELEMETRY_ENABLED
 
-std::int64_t counter_value(const telemetry::MetricsSnapshot& snap,
-                           const std::string& name) {
-  for (const auto& c : snap.counters)
-    if (c.name == name) return c.value;
-  ADD_FAILURE() << "counter " << name << " missing from snapshot";
-  return -1;
+// --------------------------------------- shared panel sets and arenas ----
+// GEMMs of one call that read the same operand under the same geometry
+// share one panel set; every set of a call is carved from the calling
+// thread's reused arena. Sharing and reuse must change nothing but the
+// exec.pack.{panels,bytes,reuse} counts.
+
+/// One tile per block over explicit per-GEMM strategies (all of one thread
+/// variant), optionally split along K into `splitk` slices.
+BatchPlan explicit_plan(std::span<const GemmDims> dims,
+                        std::span<const TilingStrategy* const> strategies,
+                        int splitk = 1) {
+  const std::vector<Tile> tiles =
+      split_tiles_k(enumerate_tiles(dims, strategies), splitk);
+  std::vector<std::vector<Tile>> blocks;
+  for (const Tile& t : tiles) blocks.push_back({t});
+  return build_plan(blocks, strategies[0]->threads);
 }
+
+/// A batch whose GEMMs all read one B — the im2col matrix an inception
+/// stage 1 feeds its four branch convs, or x in a weight-gradient step —
+/// each with its own A and C. Every GEMM has dims[0]'s N and K.
+struct SharedBCase {
+  Matrixf b;
+  std::vector<Matrixf> a, c;
+  std::vector<GemmOperands> ops;
+
+  SharedBCase(std::span<const GemmDims> dims, Op op_a, Op op_b,
+              std::uint64_t seed) {
+    Rng rng(seed);
+    const int n = dims[0].n, k = dims[0].k;
+    b = op_b == Op::kN ? rand_mat(k, n, rng) : rand_mat(n, k, rng);
+    for (const GemmDims& d : dims) {
+      a.push_back(op_a == Op::kN ? rand_mat(d.m, k, rng)
+                                 : rand_mat(k, d.m, rng));
+      c.push_back(rand_mat(d.m, n, rng));
+    }
+    for (std::size_t i = 0; i < dims.size(); ++i)
+      ops.push_back(operands(a[i], b, c[i], op_a, op_b));
+  }
+};
+
+struct SharingCase {
+  std::string name;
+  std::vector<GemmDims> dims;
+  std::vector<const TilingStrategy*> strategies;
+  Op op_a, op_b;
+  int splitk;
+};
+
+std::vector<SharingCase> sharing_cases() {
+  const TilingStrategy* small = &batched_strategy_by_id(0);    // 16x16
+  const TilingStrategy* medium = &batched_strategy_by_id(2);   // 32x32
+  const TilingStrategy* large = &batched_strategy_by_id(4);    // 64x64
+  const TilingStrategy* tall = &batched_strategy_by_id(6);     // 128x64
+  const TilingStrategy* large256 = &batched_strategy_by_id(5); // 64x64
+  const TilingStrategy* tall256 = &batched_strategy_by_id(7);  // 128x64
+  // Inception 3a stage 1 at 14x14: four 1x1 branch convs over one im2col.
+  const std::vector<GemmDims> stage1 = {
+      {64, 196, 96}, {96, 196, 96}, {16, 196, 96}, {32, 196, 96}};
+  // Inception 3b weight gradient: dW_i = dY_i x^T, x stored C_in x NHW.
+  const std::vector<GemmDims> wgrad = {
+      {128, 96, 203}, {128, 96, 203}, {32, 96, 203}, {64, 96, 203}};
+  return {
+      {"stage1/bx-agree", stage1, {large, tall, large, large}, Op::kN,
+       Op::kN, 1},
+      {"stage1/bx-disagree", stage1, {large, tall, medium, small}, Op::kN,
+       Op::kN, 1},
+      {"wgrad-nt/split", wgrad, {tall256, tall256, large256, large256},
+       Op::kN, Op::kT, 3},
+  };
+}
+
+TEST(PackSharing, DistinctPanelSetsPackedOnceBitExact) {
+  for (const SharingCase& sc : sharing_cases()) {
+    const BatchPlan plan = explicit_plan(sc.dims, sc.strategies, sc.splitk);
+    // The distinct sets: one A per GEMM, one B per distinct BX.
+    std::int64_t panels = 0, bytes = 0;
+    std::vector<int> bxs;
+    for (std::size_t i = 0; i < sc.dims.size(); ++i) {
+      const TilingStrategy& s = *sc.strategies[i];
+      const GemmDims& d = sc.dims[i];
+      panels += (d.m + s.by - 1) / s.by;
+      bytes += static_cast<std::int64_t>(
+          panel_set_floats(PanelSide::kA, s, d) * sizeof(float));
+      if (std::find(bxs.begin(), bxs.end(), s.bx) != bxs.end()) continue;
+      bxs.push_back(s.bx);
+      panels += (d.n + s.bx - 1) / s.bx;
+      bytes += static_cast<std::int64_t>(
+          panel_set_floats(PanelSide::kB, s, d) * sizeof(float));
+    }
+    ASSERT_EQ(bxs.size() == 1, sc.name.find("disagree") == std::string::npos);
+
+    SharedBCase generic(sc.dims, sc.op_a, sc.op_b, 1100);
+    {
+      ScopedPackArenaBudget budget(0);
+      run_batched_plan(plan, generic.ops, 1.5f, 0.0f);
+    }
+    for (SimdIsa isa : runnable_isas()) {
+      ScopedSimdIsa isa_guard(isa);
+      for (int threads : {1, 4}) {
+        ScopedParallelThreads par(threads);
+        for (bool cache : {false, true}) {
+          ScopedPackCache cache_scope(cache);  // starts empty
+          const std::string what = sc.name + "/" + simd_isa_name(isa) +
+                                   (cache ? "/cache" : "/no-cache") +
+                                   "/threads" + std::to_string(threads);
+          SharedBCase packed(sc.dims, sc.op_a, sc.op_b, 1100);
+#ifdef CTB_TELEMETRY_ENABLED
+          telemetry::reset();
+          telemetry::set_enabled(true);
+#endif
+          run_batched_plan(plan, packed.ops, 1.5f, 0.0f);
+#ifdef CTB_TELEMETRY_ENABLED
+          const auto snap = telemetry::snapshot();
+          EXPECT_EQ(counter_value(snap, "exec.pack.panels"), panels) << what;
+          EXPECT_EQ(counter_value(snap, "exec.pack.bytes"), bytes) << what;
+          EXPECT_EQ(counter_value(snap, "exec.pack.reuse"),
+                    2 * plan.num_tiles() - panels)
+              << what;
+          EXPECT_EQ(counter_value(snap, "exec.dispatch.specialized"),
+                    plan.num_tiles())
+              << what;
+          telemetry::set_enabled(false);
+          telemetry::reset();
+#endif
+          for (std::size_t i = 0; i < sc.dims.size(); ++i)
+            expect_bitwise_equal(packed.c[i], generic.c[i],
+                                 what + "/gemm" + std::to_string(i));
+          // A second call reuses the arena (or, cache on, hits every
+          // entry and shares the hit's B set): same bits again.
+          run_batched_plan(plan, packed.ops, 1.5f, 0.0f);
+          for (std::size_t i = 0; i < sc.dims.size(); ++i)
+            expect_bitwise_equal(packed.c[i], generic.c[i],
+                                 what + "/rerun/gemm" + std::to_string(i));
+        }
+      }
+    }
+  }
+}
+
+// Two threads executing plans at once: each packs into its own arena, and
+// the calls alternate between a small and a large batch so every arena
+// grows and is reused mid-stream. Outputs are disjoint; each must match
+// its serial run bit for bit. The TSan and ASan legs run this binary.
+TEST(PackArena, ConcurrentCallsUseSeparateArenas) {
+  const std::vector<SharingCase> cases = sharing_cases();
+  std::vector<BatchPlan> plans;
+  for (const SharingCase& sc : cases)
+    plans.push_back(explicit_plan(sc.dims, sc.strategies, sc.splitk));
+  auto run_all = [&](std::vector<SharedBCase>& out, std::uint64_t seed) {
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      out.emplace_back(cases[i].dims, cases[i].op_a, cases[i].op_b,
+                       seed + i);
+      run_batched_plan(plans[i], out.back().ops, 1.0f, 0.0f);
+    }
+  };
+  std::vector<SharedBCase> ref[2], got[2];
+  run_all(ref[0], 1200);
+  run_all(ref[1], 1300);
+  std::thread t0([&] { run_all(got[0], 1200); });
+  std::thread t1([&] { run_all(got[1], 1300); });
+  t0.join();
+  t1.join();
+  for (int t = 0; t < 2; ++t)
+    for (std::size_t i = 0; i < cases.size(); ++i)
+      for (std::size_t g = 0; g < got[t][i].c.size(); ++g)
+        expect_bitwise_equal(got[t][i].c[g], ref[t][i].c[g],
+                             "thread" + std::to_string(t) + "/" +
+                                 cases[i].name + "/gemm" + std::to_string(g));
+}
+
+// An executor call made from inside another one on the same thread (here
+// from a gather the outer call's packing invokes) must not repack into the
+// arena the outer call is still reading: it gets an arena of its own.
+TEST(PackArena, NestedCallKeepsOuterPanels) {
+  ScopedParallelThreads serial(1);  // the gather runs on the calling thread
+  const TilingStrategy& s = batched_strategy_by_id(4);  // large/128
+  const GemmDims d{70, 90, 40};
+  GemmCase inner(d, Op::kN, Op::kN, Precision::kFp32, false, 1400);
+  GemmCase inner_ref(d, Op::kN, Op::kN, Precision::kFp32, false, 1400);
+  run_single_gemm(s, inner_ref.ops, 1.0f, 0.0f);
+  GemmCase outer(d, Op::kN, Op::kN, Precision::kFp32, true, 1401);
+  GemmCase outer_ref(d, Op::kN, Op::kN, Precision::kFp32, true, 1401);
+  run_single_gemm(s, outer_ref.ops, 1.0f, 0.0f);
+  bool nested = false;
+  const auto gather = outer.ops.b_gather;
+  outer.ops.b_gather = [&](int k, int j) {
+    if (!nested) {
+      nested = true;
+      run_single_gemm(s, inner.ops, 1.0f, 0.0f);
+    }
+    return gather(k, j);
+  };
+  run_single_gemm(s, outer.ops, 1.0f, 0.0f);
+  ASSERT_TRUE(nested);
+  expect_bitwise_equal(inner.c, inner_ref.c, "nested/inner");
+  expect_bitwise_equal(outer.c, outer_ref.c, "nested/outer");
+}
+
+#ifdef CTB_TELEMETRY_ENABLED
 
 // Dispatch and pack counters: a specialized run counts every tile as
 // specialized plus the packed panels/bytes/reuse; a zero-budget run counts

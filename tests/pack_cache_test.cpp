@@ -56,13 +56,13 @@ TEST(PackCache, DisabledByDefaultAndLookupIsInert) {
   // it on, which the test suite does not).
   const TilingStrategy& s = batched_strategy_by_id(5);
   GemmCase gc({64, 64, 32}, 1);
-  if (!pack_cache_enabled())
-    EXPECT_EQ(pack_cache_lookup(s, gc.ops), nullptr);
+  if (!pack_cache_enabled()) {
+    EXPECT_FALSE(pack_cache_lookup(s, gc.ops));
+  }
   ScopedPackCache off(false);
   EXPECT_FALSE(pack_cache_enabled());
-  EXPECT_EQ(pack_cache_lookup(s, gc.ops), nullptr);
-  pack_cache_insert(s, gc.ops,
-                    std::make_shared<PackedGemm>(pack_gemm(s, gc.ops)));
+  EXPECT_FALSE(pack_cache_lookup(s, gc.ops));
+  pack_cache_insert(s, gc.ops, pack_gemm(s, gc.ops));
   EXPECT_EQ(pack_cache_entries(), 0u);
 }
 
@@ -70,20 +70,24 @@ TEST(PackCache, HitReturnsInsertedPanelsAndMissesOnDifferentKey) {
   ScopedPackCache scope;
   const TilingStrategy& s = batched_strategy_by_id(5);  // large/256
   GemmCase gc({100, 80, 50}, 2);
-  EXPECT_EQ(pack_cache_lookup(s, gc.ops), nullptr);  // cold: miss
-  auto pk = std::make_shared<PackedGemm>(pack_gemm(s, gc.ops));
+  EXPECT_FALSE(pack_cache_lookup(s, gc.ops));  // cold: miss
+  const SharedPack pk = pack_gemm(s, gc.ops);
   pack_cache_insert(s, gc.ops, pk);
   EXPECT_EQ(pack_cache_entries(), 1u);
-  EXPECT_EQ(pack_cache_bytes(), pk->bytes());
-  EXPECT_EQ(pack_cache_lookup(s, gc.ops), pk);  // hit: same panels
+  EXPECT_EQ(pack_cache_bytes(), pk.view.bytes());
+  const auto hit = pack_cache_lookup(s, gc.ops);  // hit: same panels
+  ASSERT_TRUE(hit);
+  EXPECT_EQ(hit->a, pk.a);
+  EXPECT_EQ(hit->b, pk.b);
+  EXPECT_EQ(hit->view.a, pk.view.a);
 
   // Different strategy, dims, or operand pointers -> different key.
-  EXPECT_EQ(pack_cache_lookup(batched_strategy_by_id(0), gc.ops), nullptr);
+  EXPECT_FALSE(pack_cache_lookup(batched_strategy_by_id(0), gc.ops));
   GemmCase other({100, 80, 50}, 3);
-  EXPECT_EQ(pack_cache_lookup(s, other.ops), nullptr);
+  EXPECT_FALSE(pack_cache_lookup(s, other.ops));
   GemmOperands transposed = gc.ops;
   transposed.op_a = Op::kT;
-  EXPECT_EQ(pack_cache_lookup(s, transposed), nullptr);
+  EXPECT_FALSE(pack_cache_lookup(s, transposed));
 }
 
 TEST(PackCache, GatherOperandsAreNeverCached) {
@@ -95,25 +99,39 @@ TEST(PackCache, GatherOperandsAreNeverCached) {
   gc.ops.b_gather = [data](int k, int j) {
     return data[static_cast<std::size_t>(k) * 64 + j];
   };
-  pack_cache_insert(s, gc.ops,
-                    std::make_shared<PackedGemm>(pack_gemm(s, gc.ops)));
+  pack_cache_insert(s, gc.ops, pack_gemm(s, gc.ops));
   EXPECT_EQ(pack_cache_entries(), 0u);
-  EXPECT_EQ(pack_cache_lookup(s, gc.ops), nullptr);
+  EXPECT_FALSE(pack_cache_lookup(s, gc.ops));
+}
+
+// Entries outlive the call that packed them, so only heap-owned panel sets
+// are admitted: a view into storage the entry does not own (an executor's
+// arena, say) is rejected.
+TEST(PackCache, UnownedViewsAreNeverAdmitted) {
+  ScopedPackCache scope;
+  const TilingStrategy& s = batched_strategy_by_id(5);
+  GemmCase gc({64, 64, 32}, 8);
+  const SharedPack owned = pack_gemm(s, gc.ops);
+  SharedPack unowned = owned;
+  unowned.b = nullptr;  // the view still reads owned.b's panels
+  pack_cache_insert(s, gc.ops, unowned);
+  EXPECT_EQ(pack_cache_entries(), 0u);
+  pack_cache_insert(s, gc.ops, owned);
+  EXPECT_EQ(pack_cache_entries(), 1u);
 }
 
 TEST(PackCache, InvalidateDropsEntriesAndBumpsGeneration) {
   ScopedPackCache scope;
   const TilingStrategy& s = batched_strategy_by_id(5);
   GemmCase gc({64, 64, 32}, 5);
-  pack_cache_insert(s, gc.ops,
-                    std::make_shared<PackedGemm>(pack_gemm(s, gc.ops)));
+  pack_cache_insert(s, gc.ops, pack_gemm(s, gc.ops));
   ASSERT_EQ(pack_cache_entries(), 1u);
   const std::uint64_t gen = pack_cache_generation();
   invalidate_pack_cache();
   EXPECT_EQ(pack_cache_entries(), 0u);
   EXPECT_EQ(pack_cache_bytes(), 0u);
   EXPECT_GT(pack_cache_generation(), gen);
-  EXPECT_EQ(pack_cache_lookup(s, gc.ops), nullptr);
+  EXPECT_FALSE(pack_cache_lookup(s, gc.ops));
 }
 
 // The invalidation contract's safety net: mutating an operand value that the
@@ -123,12 +141,11 @@ TEST(PackCache, StalenessProbeDetectsProbedMutation) {
   ScopedPackCache scope;
   const TilingStrategy& s = batched_strategy_by_id(5);
   GemmCase gc({64, 64, 32}, 6);
-  pack_cache_insert(s, gc.ops,
-                    std::make_shared<PackedGemm>(pack_gemm(s, gc.ops)));
-  ASSERT_NE(pack_cache_lookup(s, gc.ops), nullptr);
+  pack_cache_insert(s, gc.ops, pack_gemm(s, gc.ops));
+  ASSERT_TRUE(pack_cache_lookup(s, gc.ops));
   // Mutate A(0, 0) — a probed sample — WITHOUT calling invalidate.
   gc.a(0, 0) += 1.0f;
-  EXPECT_EQ(pack_cache_lookup(s, gc.ops), nullptr);  // stale -> miss
+  EXPECT_FALSE(pack_cache_lookup(s, gc.ops));  // stale -> miss
   EXPECT_EQ(pack_cache_entries(), 0u);  // the stale entry was dropped
 }
 
@@ -139,20 +156,18 @@ TEST(PackCache, UnprobedMutationRequiresExplicitInvalidate) {
   ScopedPackCache scope;
   const TilingStrategy& s = batched_strategy_by_id(5);  // 128x64 tiles
   GemmCase gc({128, 64, 32}, 7);
-  pack_cache_insert(s, gc.ops,
-                    std::make_shared<PackedGemm>(pack_gemm(s, gc.ops)));
+  pack_cache_insert(s, gc.ops, pack_gemm(s, gc.ops));
   // An interior element away from the probed corners/centers.
   gc.a(3, 5) += 1.0f;
-  auto hit = pack_cache_lookup(s, gc.ops);
-  if (hit != nullptr) {
+  if (pack_cache_lookup(s, gc.ops)) {
     // Undetected (expected): the panels are stale. The contract call fixes
     // the next lookup.
     invalidate_pack_cache();
-    EXPECT_EQ(pack_cache_lookup(s, gc.ops), nullptr);
+    EXPECT_FALSE(pack_cache_lookup(s, gc.ops));
   }
   // Either way the caller repacks and the fresh panels reflect the mutation.
-  const PackedGemm fresh = pack_gemm(s, gc.ops);
-  EXPECT_EQ(fresh.a_panel(0)[3 * s.bk + 5], gc.a(3, 5));
+  const SharedPack fresh = pack_gemm(s, gc.ops);
+  EXPECT_EQ(fresh.view.a_panel(0)[3 * s.bk + 5], gc.a(3, 5));
 }
 
 TEST(PackCache, FifoEvictionKeepsResidentBytesWithinArenaBudget) {
@@ -165,20 +180,17 @@ TEST(PackCache, FifoEvictionKeepsResidentBytesWithinArenaBudget) {
 
   // Budget fits exactly two entries: inserting the third evicts the OLDEST.
   ScopedPackArenaBudget budget(2 * one);
-  for (auto& gc : cases)
-    pack_cache_insert(s, gc.ops,
-                      std::make_shared<PackedGemm>(pack_gemm(s, gc.ops)));
+  for (auto& gc : cases) pack_cache_insert(s, gc.ops, pack_gemm(s, gc.ops));
   EXPECT_EQ(pack_cache_entries(), 2u);
   EXPECT_LE(pack_cache_bytes(), 2 * one);
-  EXPECT_EQ(pack_cache_lookup(s, cases[0].ops), nullptr);  // evicted
-  EXPECT_NE(pack_cache_lookup(s, cases[1].ops), nullptr);
-  EXPECT_NE(pack_cache_lookup(s, cases[2].ops), nullptr);
+  EXPECT_FALSE(pack_cache_lookup(s, cases[0].ops));  // evicted
+  EXPECT_TRUE(pack_cache_lookup(s, cases[1].ops));
+  EXPECT_TRUE(pack_cache_lookup(s, cases[2].ops));
 
   // An entry alone above the budget is rejected outright.
   invalidate_pack_cache();
   ScopedPackArenaBudget tiny(one - 1);
-  pack_cache_insert(s, cases[0].ops,
-                    std::make_shared<PackedGemm>(pack_gemm(s, cases[0].ops)));
+  pack_cache_insert(s, cases[0].ops, pack_gemm(s, cases[0].ops));
   EXPECT_EQ(pack_cache_entries(), 0u);
 }
 
