@@ -4,6 +4,7 @@
 // negligible — "7-8 comparisons on average").
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "baselines/baselines.hpp"
 #include "core/api.hpp"
 #include "core/rf_policy.hpp"
+#include "dnn/googlenet.hpp"
 #include "dnn/im2col.hpp"
 #include "kernels/microkernel.hpp"
 #include "kernels/pack_cache.hpp"
@@ -199,9 +201,13 @@ BENCHMARK(BM_SingleGemmPackCache)->Arg(0)->Arg(1)->UseRealTime();
 // panel sets packed into reused buffers, as the executors' per-thread arena
 // does. Arg 1 selects the storage layout of both operands (0 = N, 1 = T;
 // the square fixture reads either way), covering all four fp32 copy paths.
+// Arg 2 selects the GEMM: 0 = 256^3, 1 = 208x196x864 (inception 4a's 3x3
+// conv at batch 1, an inception-infer stage-2 GEMM), whose M and N leave a
+// ragged edge under the 16x16 and 32x32 tiles that workload's plans use.
 void BM_PackPanels(benchmark::State& state) {
   const auto& s = batched_strategy_by_id(static_cast<int>(state.range(0)));
-  const GemmDims d{256, 256, 256};
+  const GemmDims d = state.range(2) != 0 ? GemmDims{208, 196, 864}
+                                         : GemmDims{256, 256, 256};
   MicroAbFixture f(d);
   f.g.op_a = f.g.op_b = state.range(1) != 0 ? Op::kT : Op::kN;
   std::vector<float> a(panel_set_floats(PanelSide::kA, s, d));
@@ -216,9 +222,14 @@ void BM_PackPanels(benchmark::State& state) {
   state.SetBytesProcessed(
       state.iterations() *
       static_cast<long long>(pack_footprint_bytes(s, d)));
-  state.SetLabel(s.name() + (state.range(1) != 0 ? " TT" : " NN"));
+  state.SetLabel(s.name() + (state.range(1) != 0 ? " TT " : " NN ") +
+                 std::to_string(d.m) + "x" + std::to_string(d.n) + "x" +
+                 std::to_string(d.k));
 }
-BENCHMARK(BM_PackPanels)->ArgsProduct({{0, 5, 11}, {0, 1}});
+BENCHMARK(BM_PackPanels)
+    ->ArgsProduct({{0, 5, 11}, {0, 1}, {0}})
+    ->Args({1, 0, 1})
+    ->Args({3, 0, 1});
 
 void BM_ReferenceGemmBlocked(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -236,23 +247,30 @@ void BM_ReferenceGemmBlocked(benchmark::State& state) {
 }
 BENCHMARK(BM_ReferenceGemmBlocked)->Arg(64)->Arg(256);
 
+// im2col of one image on real GoogLeNet shapes: the inception 3a 1x1, 3x3
+// and 5x5 convs, inception 4e's 3x3 and the stride-2 7x7 conv1. Bytes are
+// those of the column matrix written.
 void BM_Im2col(benchmark::State& state) {
-  ConvShape s;
-  s.in_c = 64;
-  s.out_c = 64;
-  s.kernel = 3;
-  s.stride = 1;
-  s.pad = 1;
-  s.in_h = 28;
-  s.in_w = 28;
+  const auto& m3a = googlenet_inception_modules().front();
+  const auto& m4e = googlenet_inception_modules().at(6);
+  const std::array<const ConvShape*, 5> shapes = {
+      &m3a.conv1x1, &m3a.conv3x3, &m3a.conv5x5, &m4e.conv3x3,
+      &googlenet_stem_convs().front()};
+  const ConvShape& s = *shapes.at(static_cast<std::size_t>(state.range(0)));
   Rng rng(3);
   Tensor4 input(1, s.in_c, s.in_h, s.in_w);
   fill_random(input, rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(im2col(s, input));
+    const Matrixf cols = im2col(s, input);
+    benchmark::DoNotOptimize(cols.data());
+    benchmark::ClobberMemory();
   }
+  const GemmDims d = s.gemm_dims(1);
+  state.SetBytesProcessed(state.iterations() * static_cast<long long>(d.k) *
+                          d.n * static_cast<long long>(sizeof(float)));
+  state.SetLabel(s.name);
 }
-BENCHMARK(BM_Im2col);
+BENCHMARK(BM_Im2col)->DenseRange(0, 4);
 
 void BM_ForestPredict(benchmark::State& state) {
   RfTrainingConfig config;

@@ -10,6 +10,18 @@
 
 namespace ctb {
 
+void check_conv_shape(const ConvShape& s) {
+  CTB_CHECK_MSG(s.in_c >= 1 && s.out_c >= 1 && s.in_h >= 1 && s.in_w >= 1 &&
+                    s.kernel >= 1 && s.stride >= 1 && s.pad >= 0 &&
+                    s.kernel <= s.in_h + 2 * s.pad &&
+                    s.kernel <= s.in_w + 2 * s.pad,
+                "degenerate conv shape '"
+                    << s.name << "': " << s.in_c << "x" << s.in_h << "x"
+                    << s.in_w << " input, " << s.out_c << " filters of "
+                    << s.kernel << "x" << s.kernel << ", stride " << s.stride
+                    << ", pad " << s.pad);
+}
+
 Matrixf random_filters(const ConvShape& s, Rng& rng) {
   Matrixf f(static_cast<std::size_t>(s.out_c),
             static_cast<std::size_t>(s.in_c * s.kernel * s.kernel));
@@ -19,6 +31,7 @@ Matrixf random_filters(const ConvShape& s, Rng& rng) {
 
 Tensor4 conv_forward_direct(const ConvShape& s, const Tensor4& input,
                             const Matrixf& filters) {
+  check_conv_shape(s);
   CTB_CHECK(static_cast<int>(filters.rows()) == s.out_c);
   CTB_CHECK(static_cast<int>(filters.cols()) ==
             s.in_c * s.kernel * s.kernel);

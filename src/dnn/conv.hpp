@@ -41,6 +41,13 @@ struct ConvShape {
   long long flops(int batch = 1) const { return gemm_dims(batch).flops(); }
 };
 
+/// Rejects a shape no convolution can run: kernel, stride, channel counts
+/// and input extents below 1, negative padding, or a kernel wider or taller
+/// than the padded input (out_h() / out_w() below 1; integer division alone
+/// would round some of those up to 1). The message names the shape. Every
+/// lowering and conv entry point calls it before allocating.
+void check_conv_shape(const ConvShape& shape);
+
 /// Filter matrix layout for the GEMM path: out_c x (in_c * k * k), row
 /// per filter, columns in (c, kh, kw) order — matching im2col's row order.
 Matrixf random_filters(const ConvShape& shape, Rng& rng);

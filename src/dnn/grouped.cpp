@@ -7,11 +7,24 @@
 
 namespace ctb {
 
+namespace {
+
+/// Whether two convs unroll the same tensor into the same column matrix.
+bool same_lowering(const GroupedConv& a, const GroupedConv& b) {
+  const ConvShape& x = *a.shape;
+  const ConvShape& y = *b.shape;
+  return a.input == b.input && x.in_c == y.in_c && x.in_h == y.in_h &&
+         x.in_w == y.in_w && x.kernel == y.kernel && x.stride == y.stride &&
+         x.pad == y.pad;
+}
+
+}  // namespace
+
 std::vector<Tensor4> grouped_conv_forward(std::span<const GroupedConv> convs,
                                           const PlannerConfig& config) {
   CTB_CHECK_MSG(!convs.empty(), "empty grouped dispatch");
   const std::size_t n = convs.size();
-  std::vector<Matrixf> cols(n);
+  std::vector<Matrixf> cols(n);  // empty where an earlier lowering is reused
   std::vector<Matrixf> outs(n);
   std::vector<GemmEntry> entries(n);
   long long fused_ops = 0;
@@ -20,13 +33,18 @@ std::vector<Tensor4> grouped_conv_forward(std::span<const GroupedConv> convs,
     CTB_CHECK_MSG(gc.shape != nullptr && gc.input != nullptr &&
                       gc.filters != nullptr,
                   "grouped conv " << i << " has a null member");
-    cols[i] = im2col(*gc.shape, *gc.input);
+    // Convs that unroll one input the same way read one lowering, so their
+    // GEMMs share a B operand and the executor packs its panels once.
+    // The first match is always the conv that lowered.
+    std::size_t src = 0;
+    while (src < i && !same_lowering(convs[src], gc)) ++src;
+    if (src == i) cols[i] = im2col(*gc.shape, *gc.input);
     const GemmDims d = gc.shape->gemm_dims(gc.input->n());
     outs[i] = Matrixf(static_cast<std::size_t>(d.m),
                       static_cast<std::size_t>(d.n));
     GemmEntry& e = entries[i];
     e.a = gc.filters;
-    e.b = &cols[i];
+    e.b = &cols[src];
     e.c = &outs[i];
     if (!gc.bias.empty()) {
       // GEMM rows are output channels (M = out_c), so the per-channel bias

@@ -35,8 +35,10 @@ struct GroupedConv {
 };
 
 /// Lowers every conv via im2col, executes the whole group as one batched
-/// GEMM with fused epilogues, and reshapes each output back to NCHW.
-/// Counts the dispatch under plan.grouped.* telemetry.
+/// GEMM with fused epilogues, and reshapes each output back to NCHW. Convs
+/// with the same input pointer, input extents, kernel, stride and pad share
+/// one lowering (their GEMMs read one B). Counts the dispatch under
+/// plan.grouped.* telemetry.
 std::vector<Tensor4> grouped_conv_forward(std::span<const GroupedConv> convs,
                                           const PlannerConfig& config = {});
 

@@ -9,6 +9,7 @@ namespace ctb {
 GemmOperands implicit_conv_operands(const ConvShape& shape,
                                     const Tensor4& input,
                                     const Matrixf& filters, Matrixf& out) {
+  check_conv_shape(shape);
   CTB_CHECK_MSG(input.c() == shape.in_c && input.h() == shape.in_h &&
                     input.w() == shape.in_w,
                 "input tensor does not match conv shape " << shape.name);
@@ -49,6 +50,7 @@ GemmOperands implicit_conv_operands(const ConvShape& shape,
 
 Tensor4 conv_forward_implicit(const ConvShape& shape, const Tensor4& input,
                               const Matrixf& filters) {
+  check_conv_shape(shape);
   const GemmDims d = shape.gemm_dims(input.n());
   Matrixf out(static_cast<std::size_t>(d.m), static_cast<std::size_t>(d.n));
   const GemmOperands g = implicit_conv_operands(shape, input, filters, out);
@@ -73,6 +75,7 @@ std::vector<Tensor4> conv_batch_implicit(
   std::vector<Matrixf> outs(shapes.size());
   std::vector<GemmOperands> ops(shapes.size());
   for (std::size_t i = 0; i < shapes.size(); ++i) {
+    check_conv_shape(*shapes[i]);
     dims[i] = shapes[i]->gemm_dims(inputs[i]->n());
     outs[i] = Matrixf(static_cast<std::size_t>(dims[i].m),
                       static_cast<std::size_t>(dims[i].n));

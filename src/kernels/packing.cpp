@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <utility>
 
 #include "telemetry/telemetry.hpp"
@@ -68,6 +69,39 @@ int panel_count(PanelSide side, const TilingStrategy& s, const GemmDims& d) {
 // K edge is zero-filled first, which writes the same +0.0f staged_*_value
 // returns past the edge.
 
+/// `rows` rows of W floats, `ld` apart in storage, to a dense W-wide block.
+/// W is a compile-time constant, so each row is a fixed run of vector moves
+/// rather than a memmove call sized at run time. Rows go in chunks of at
+/// most 64 floats: GCC expands a longer fixed-size memcpy to `rep movs`,
+/// whose start-up costs more than the vector moves.
+template <int W>
+void copy_rows(const float* src, std::size_t ld, int rows, float* dst) {
+  constexpr int kChunk = W < 64 ? W : 64;
+  for (int r = 0; r < rows; ++r)
+    for (int j = 0; j < W; j += kChunk)
+      std::memcpy(dst + r * W + j, src + r * ld + j, kChunk * sizeof(float));
+}
+
+/// `rows` rows of `width` floats, `ld` apart in storage, to a block whose
+/// rows are `stride` floats apart. Full rows of the tile extents in use (BK
+/// for A, BX for B) take a fixed-width copy; ragged edge rows and any other
+/// extent keep the runtime-length one.
+void copy_rows(const float* src, std::size_t ld, int rows, int width,
+               int stride, float* dst) {
+  if (width == stride) {
+    switch (width) {
+      case 8: return copy_rows<8>(src, ld, rows, dst);
+      case 16: return copy_rows<16>(src, ld, rows, dst);
+      case 32: return copy_rows<32>(src, ld, rows, dst);
+      case 64: return copy_rows<64>(src, ld, rows, dst);
+      case 128: return copy_rows<128>(src, ld, rows, dst);
+    }
+  }
+  for (int r = 0; r < rows; ++r)
+    std::copy_n(src + static_cast<std::size_t>(r) * ld, width,
+                dst + r * stride);
+}
+
 /// A block at (row0, k0): staged A(row0 + i, k0 + p) to blk[i * BK + p].
 void copy_a_block(const GemmOperands& g, int by, int bk, int row0, int k0,
                   float* blk) {
@@ -76,10 +110,8 @@ void copy_a_block(const GemmOperands& g, int by, int bk, int row0, int k0,
   const int cols = std::min(bk, d.k - k0);
   if (rows < by || cols < bk) std::fill_n(blk, by * bk, 0.0f);
   if (g.op_a == Op::kN) {  // storage M x K: row i is contiguous along k
-    const float* src = g.a + static_cast<std::size_t>(row0) * d.k + k0;
-    for (int i = 0; i < rows; ++i)
-      std::copy_n(src + static_cast<std::size_t>(i) * d.k, cols,
-                  blk + i * bk);
+    copy_rows(g.a + static_cast<std::size_t>(row0) * d.k + k0,
+              static_cast<std::size_t>(d.k), rows, cols, bk, blk);
   } else {  // storage K x M: row p is contiguous along i
     const float* src = g.a + static_cast<std::size_t>(k0) * d.m + row0;
     for (int p = 0; p < cols; ++p) {
@@ -97,10 +129,8 @@ void copy_b_block(const GemmOperands& g, int bk, int bx, int k0, int col0,
   const int cols = std::min(bx, d.n - col0);
   if (rows < bk || cols < bx) std::fill_n(blk, bk * bx, 0.0f);
   if (g.op_b == Op::kN) {  // storage K x N: row p is contiguous along j
-    const float* src = g.b + static_cast<std::size_t>(k0) * d.n + col0;
-    for (int p = 0; p < rows; ++p)
-      std::copy_n(src + static_cast<std::size_t>(p) * d.n, cols,
-                  blk + p * bx);
+    copy_rows(g.b + static_cast<std::size_t>(k0) * d.n + col0,
+              static_cast<std::size_t>(d.n), rows, cols, bx, blk);
   } else {  // storage N x K: row j is contiguous along p
     const float* src = g.b + static_cast<std::size_t>(col0) * d.k + k0;
     for (int j = 0; j < cols; ++j) {

@@ -2,10 +2,15 @@
 
 #include <array>
 #include <cmath>
+#include <cstring>
+#include <span>
+#include <string>
 
 #include "dnn/conv.hpp"
 #include "dnn/im2col.hpp"
+#include "dnn/implicit_gemm.hpp"
 #include "dnn/tensor.hpp"
+#include "util/parallel.hpp"
 
 namespace ctb {
 namespace {
@@ -154,6 +159,190 @@ TEST(Col2Im, RoundTripsGemmOutput) {
   EXPECT_EQ(t.c(), 2);
   EXPECT_EQ(t.at(1, 1, 0, 1), out(1, static_cast<std::size_t>(1 * 6 + 1)));
 }
+
+// The per-element lowering loops im2col and col2im_output replaced: one
+// guarded read per matrix element. Kept as the oracle the span copies must
+// reproduce bit for bit.
+Matrixf im2col_oracle(const ConvShape& s, const Tensor4& input) {
+  const int oh = s.out_h();
+  const int ow = s.out_w();
+  Matrixf m(static_cast<std::size_t>(s.in_c * s.kernel * s.kernel),
+            static_cast<std::size_t>(oh * ow * input.n()));
+  for (std::size_t row = 0; row < m.rows(); ++row) {
+    const int kw = static_cast<int>(row) % s.kernel;
+    const int kh = (static_cast<int>(row) / s.kernel) % s.kernel;
+    const int c = static_cast<int>(row) / (s.kernel * s.kernel);
+    for (int n = 0; n < input.n(); ++n)
+      for (int y = 0; y < oh; ++y)
+        for (int x = 0; x < ow; ++x) {
+          const int iy = y * s.stride - s.pad + kh;
+          const int ix = x * s.stride - s.pad + kw;
+          const bool in_range =
+              iy >= 0 && iy < s.in_h && ix >= 0 && ix < s.in_w;
+          m(row, static_cast<std::size_t>((n * oh + y) * ow + x)) =
+              in_range ? input.at(n, c, iy, ix) : 0.0f;
+        }
+  }
+  return m;
+}
+
+Tensor4 col2im_oracle(const ConvShape& s, int batch, const Matrixf& out) {
+  const int oh = s.out_h();
+  const int ow = s.out_w();
+  Tensor4 t(batch, s.out_c, oh, ow);
+  for (int n = 0; n < batch; ++n)
+    for (int c = 0; c < s.out_c; ++c)
+      for (int y = 0; y < oh; ++y)
+        for (int x = 0; x < ow; ++x)
+          t.at(n, c, y, x) = out(static_cast<std::size_t>(c),
+                                 static_cast<std::size_t>((n * oh + y) * ow +
+                                                          x));
+  return t;
+}
+
+bool same_bits(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// Random values with every fifth one replaced by -0.0f, which a lowering
+/// must copy as -0.0f while writing +0.0f for padding.
+void fill_with_negative_zeros(std::span<float> flat, Rng& rng) {
+  for (std::size_t i = 0; i < flat.size(); ++i)
+    flat[i] = i % 5 == 0 ? -0.0f : rng.uniform_float(-1.0f, 1.0f);
+}
+
+TEST(Lowering, SpanCopiesMatchPerElementOracleBitwise) {
+  // Non-square inputs; the 2x3 one is smaller than the larger kernels, so
+  // whole filter taps (rows and columns) miss the image entirely.
+  const std::array<std::array<int, 2>, 2> extents = {{{9, 6}, {2, 3}}};
+  int lowered = 0;
+  for (int threads : {1, 4}) {
+    ScopedParallelThreads par(threads);
+    for (const auto& [h, w] : extents)
+      for (int kernel : {1, 3, 5, 7})
+        for (int stride : {1, 2, 3})
+          for (int pad : {0, 1, 2, 3})
+            for (int batch : {1, 2}) {
+              ConvShape s;
+              s.in_c = 3;
+              s.out_c = 4;
+              s.kernel = kernel;
+              s.stride = stride;
+              s.pad = pad;
+              s.in_h = h;
+              s.in_w = w;
+              const std::string what =
+                  std::to_string(h) + "x" + std::to_string(w) + " k" +
+                  std::to_string(kernel) + " s" + std::to_string(stride) +
+                  " p" + std::to_string(pad) + " n" + std::to_string(batch) +
+                  " threads " + std::to_string(threads);
+              Rng rng(static_cast<std::uint64_t>(lowered + 1));
+              Tensor4 input(batch, s.in_c, h, w);
+              fill_with_negative_zeros(input.flat(), rng);
+              if (kernel > h + 2 * pad || kernel > w + 2 * pad) {
+                EXPECT_THROW(im2col(s, input), CheckError) << what;
+                continue;
+              }
+              const Matrixf cols = im2col(s, input);
+              const Matrixf expect = im2col_oracle(s, input);
+              ASSERT_EQ(cols.rows(), expect.rows()) << what;
+              ASSERT_EQ(cols.cols(), expect.cols()) << what;
+              EXPECT_TRUE(same_bits(cols.flat(), expect.flat())) << what;
+
+              Matrixf out(static_cast<std::size_t>(s.out_c),
+                          static_cast<std::size_t>(s.gemm_dims(batch).n));
+              fill_with_negative_zeros(out.flat(), rng);
+              const Tensor4 t = col2im_output(s, batch, out);
+              const Tensor4 t_expect = col2im_oracle(s, batch, out);
+              ASSERT_TRUE(t.same_shape(t_expect)) << what;
+              EXPECT_TRUE(same_bits(t.flat(), t_expect.flat())) << what;
+              ++lowered;
+            }
+  }
+  // 25 of the 32 (extent, kernel, pad) triples fit, x 3 strides x 2
+  // batches, at two thread counts.
+  EXPECT_EQ(lowered, 2 * 25 * 3 * 2);
+}
+
+// A shape no convolution can run: every lowering and conv entry point
+// rejects it before allocating, naming the shape.
+struct DegenerateCase {
+  int kernel, stride, pad, in_h, in_w;
+};
+
+class DegenerateConvShape : public ::testing::TestWithParam<DegenerateCase> {
+ protected:
+  ConvShape shape() const {
+    const DegenerateCase& p = GetParam();
+    ConvShape s;
+    s.name = "probe/conv";
+    s.in_c = 2;
+    s.out_c = 3;
+    s.kernel = p.kernel;
+    s.stride = p.stride;
+    s.pad = p.pad;
+    s.in_h = p.in_h;
+    s.in_w = p.in_w;
+    return s;
+  }
+};
+
+/// Runs `f` and expects a CheckError whose message names the shape.
+template <typename F>
+void expect_shape_rejected(F&& f) {
+  try {
+    f();
+    ADD_FAILURE() << "degenerate shape accepted";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("probe/conv"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_P(DegenerateConvShape, Im2colThrows) {
+  const ConvShape s = shape();
+  const Tensor4 input(1, s.in_c, s.in_h, s.in_w);
+  expect_shape_rejected([&] { (void)im2col(s, input); });
+}
+
+TEST_P(DegenerateConvShape, Col2imThrows) {
+  const ConvShape s = shape();
+  const Matrixf out(static_cast<std::size_t>(s.out_c), 9);
+  expect_shape_rejected([&] { (void)col2im_output(s, 1, out); });
+}
+
+TEST_P(DegenerateConvShape, ImplicitOperandsThrow) {
+  const ConvShape s = shape();
+  const Tensor4 input(1, s.in_c, s.in_h, s.in_w);
+  const Matrixf filters(static_cast<std::size_t>(s.out_c),
+                        static_cast<std::size_t>(s.in_c * 25));
+  Matrixf out(static_cast<std::size_t>(s.out_c), 9);
+  expect_shape_rejected(
+      [&] { (void)implicit_conv_operands(s, input, filters, out); });
+  expect_shape_rejected(
+      [&] { (void)conv_forward_implicit(s, input, filters); });
+}
+
+TEST_P(DegenerateConvShape, DirectConvThrows) {
+  const ConvShape s = shape();
+  const Tensor4 input(1, s.in_c, s.in_h, s.in_w);
+  const Matrixf filters(
+      static_cast<std::size_t>(s.out_c),
+      static_cast<std::size_t>(s.in_c * s.kernel * s.kernel));
+  expect_shape_rejected([&] { (void)conv_forward_direct(s, input, filters); });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, DegenerateConvShape,
+    //                      kernel stride pad in_h in_w
+    ::testing::Values(DegenerateCase{5, 1, 0, 1, 1},   // out_h = -3
+                      DegenerateCase{5, 2, 0, 4, 4},   // (4-5)/2+1 = 1
+                      DegenerateCase{3, 1, 0, 2, 8},   // too tall only
+                      DegenerateCase{3, 1, 0, 8, 2},   // too wide only
+                      DegenerateCase{3, 0, 1, 4, 4},   // stride 0
+                      DegenerateCase{1, 1, -1, 4, 4},  // negative pad
+                      DegenerateCase{0, 1, 0, 4, 4})); // empty kernel
 
 // ------------------------------------------------------------- conv paths --
 

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
+#include <string>
+
 #include "dnn/googlenet.hpp"
+#include "dnn/grouped.hpp"
 #include "dnn/inference.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace ctb {
 namespace {
@@ -187,6 +193,89 @@ TEST(InceptionForward, RealInception3aShapes) {
   EXPECT_EQ(out.c(), m.out_c());
   EXPECT_EQ(out.h(), 28);
   EXPECT_EQ(out.w(), 28);
+}
+
+// --------------------------------------------------- grouped conv dispatch --
+
+#ifdef CTB_TELEMETRY_ENABLED
+std::int64_t counter_value(const telemetry::MetricsSnapshot& snap,
+                           const std::string& name) {
+  for (const auto& c : snap.counters)
+    if (c.name == name) return c.value;
+  ADD_FAILURE() << "counter " << name << " missing from snapshot";
+  return -1;
+}
+#endif
+
+TEST(GroupedConv, SharedInputIsLoweredAndPackedOnce) {
+  // Inception 3a stage 1's three 1x1 branch convs over the module input,
+  // which share one lowering, plus two 3x3 convs over the same input that
+  // differ from them in kernel and from each other in pad, which must not.
+  // One group reads the input itself, the other one copy of it per conv,
+  // which the grouped dispatch must lower (and the executor pack)
+  // separately.
+  const InceptionModule& m = googlenet_inception_modules().front();
+  ConvShape same_pad = m.conv1x1;
+  same_pad.name = "3x3/pad1";
+  same_pad.out_c = 8;
+  same_pad.kernel = 3;
+  same_pad.pad = 1;
+  ConvShape valid = same_pad;
+  valid.name = "3x3/pad0";
+  valid.pad = 0;
+  Rng rng(17);
+  Tensor4 input(1, m.in_c, m.hw, m.hw);
+  fill_random(input, rng);
+  const InceptionWeights w = random_inception_weights(m, rng);
+  const Matrixf w3 = random_filters(same_pad, rng);
+  const std::array<const ConvShape*, 5> shapes = {
+      &m.conv1x1, &m.reduce3, &m.reduce5, &same_pad, &valid};
+  const std::array<const Matrixf*, 5> filters = {&w.w1x1, &w.wr3, &w.wr5,
+                                                 &w3, &w3};
+  const std::array<Tensor4, 5> copies = {input, input, input, input, input};
+
+  struct Run {
+    std::vector<Tensor4> out;
+    std::int64_t pack_bytes = 0, pack_reuse = 0;
+  };
+  auto run = [&](bool shared) {
+    std::vector<GroupedConv> group(shapes.size());
+    for (std::size_t i = 0; i < shapes.size(); ++i) {
+      group[i].shape = shapes[i];
+      group[i].input = shared ? &input : &copies[i];
+      group[i].filters = filters[i];
+      group[i].relu = true;
+    }
+    Run r;
+#ifdef CTB_TELEMETRY_ENABLED
+    telemetry::reset();
+    telemetry::set_enabled(true);
+#endif
+    r.out = grouped_conv_forward(group);
+#ifdef CTB_TELEMETRY_ENABLED
+    const auto snap = telemetry::snapshot();
+    r.pack_bytes = counter_value(snap, "exec.pack.bytes");
+    r.pack_reuse = counter_value(snap, "exec.pack.reuse");
+    telemetry::set_enabled(false);
+    telemetry::reset();
+#endif
+    return r;
+  };
+  const Run shared = run(true);
+  const Run separate = run(false);
+  ASSERT_EQ(shared.out.size(), separate.out.size());
+  for (std::size_t i = 0; i < shared.out.size(); ++i) {
+    ASSERT_TRUE(shared.out[i].same_shape(separate.out[i]));
+    EXPECT_EQ(std::memcmp(shared.out[i].flat().data(),
+                          separate.out[i].flat().data(),
+                          shared.out[i].size() * sizeof(float)),
+              0)
+        << shapes[i]->name;
+  }
+#ifdef CTB_TELEMETRY_ENABLED
+  EXPECT_LT(shared.pack_bytes, separate.pack_bytes);
+  EXPECT_GT(shared.pack_reuse, separate.pack_reuse);
+#endif
 }
 
 }  // namespace

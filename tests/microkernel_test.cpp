@@ -134,13 +134,15 @@ TEST(MicrokernelDispatch, UnknownGeometryFallsBackToNull) {
 // gather — for every storage layout and tile geometry. The output buffers
 // start out NaN-filled, as the reused pack arena holds stale floats, so a
 // float the packer fails to write shows up; values compare as bits, so a
-// -0.0f padding would too.
+// -0.0f padding would too. The third shape's N edge is BX/2 wide, itself a
+// width the fp32 copies move at a compile-time width when it is a full row.
 TEST(Packing, PanelsReproduceStagedValuesIncludingPadding) {
   const auto bits = [](float v) { return std::bit_cast<std::uint32_t>(v); };
   for (int id : {0, 2, 4, 6, 8, 10}) {  // one strategy per tile geometry
     const TilingStrategy& s = batched_strategy_by_id(id);
     for (const GemmDims& d :
-         {ragged_dims(s), GemmDims{s.by - 5, s.bx - 3, s.bk + 5}}) {
+         {ragged_dims(s), GemmDims{s.by - 5, s.bx - 3, s.bk + 5},
+          GemmDims{s.by + 1, s.bx + s.bx / 2, 2 * s.bk}}) {
       for (Op op_a : {Op::kN, Op::kT})
         for (Op op_b : {Op::kN, Op::kT})
           for (Precision prec : {Precision::kFp32, Precision::kFp16})
