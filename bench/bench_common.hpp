@@ -207,7 +207,7 @@ class TelemetryScope {
 /// functionally (host matrices, real executors) either through the planner
 /// under `policy`, or — when `fixed_strategy_id` >= 0 — through a hand-built
 /// one-tile-per-block plan pinned to that Table-2 strategy, so each
-/// specialized microkernel has a workload exercising exactly it.
+/// strategy's packed tile loop has a workload exercising exactly it.
 struct BenchWorkload {
   std::string name;
   std::vector<GemmDims> dims;
@@ -260,7 +260,7 @@ inline void add_workload(std::vector<BenchWorkload>& out, BenchWorkload w) {
 /// container): four fig8/fig9 sweep cells spanning the grid corners, three
 /// GoogLeNet inception stages and two SqueezeNet expand fans (the paper's
 /// Section-7.3 DNN batches, auto-offline policy), one pinned workload per
-/// Table-2 batched strategy so every specialized microkernel is covered,
+/// Table-2 batched strategy so every packed tile geometry is covered,
 /// the cached A/B pair, and a tall-skinny split-K A/B pair.
 inline std::vector<BenchWorkload> perf_quick_suite() {
   std::vector<BenchWorkload> out;

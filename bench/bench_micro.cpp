@@ -14,7 +14,6 @@
 #include "core/rf_policy.hpp"
 #include "dnn/googlenet.hpp"
 #include "dnn/im2col.hpp"
-#include "kernels/microkernel.hpp"
 #include "kernels/pack_cache.hpp"
 #include "kernels/packing.hpp"
 #include "kernels/simd.hpp"
@@ -87,13 +86,13 @@ void BM_FunctionalTileGemm(benchmark::State& state) {
 }
 BENCHMARK(BM_FunctionalTileGemm)->Arg(1)->Arg(5)->Arg(11);
 
-// ----------------------------------- microkernel specialization A/B ------
-// Paired same-process A/B of the generic staged tile executor vs the
-// specialized packed microkernel, per Table-2 strategy id (DenseRange 0-11),
-// over the full tile grid of a Fig. 8-style M=N=K=256 GEMM. Both variants
-// run serially over the identical grid so the ratio generic/specialized is
-// the tile-level speedup; on the 1-core container expect +/-50% run-to-run
-// noise, so compare medians of repeated runs.
+// ---------------------------------------------- tile pipeline A/B ------
+// Same-process A/B of the generic staged tile executor vs the executors'
+// dispatched pipeline, per Table-2 strategy id (DenseRange 0-11), over the
+// full tile grid of a Fig. 8-style M=N=K=256 GEMM. Both variants run
+// serially over the identical grid, so the ratio generic/dispatched is the
+// tile-level speedup of packing plus the tile loop; on a shared host expect
+// +/-50% run-to-run noise, so compare medians of repeated runs.
 struct MicroAbFixture {
   Matrixf a, b, c;
   GemmOperands g;
@@ -125,55 +124,38 @@ void BM_ExecuteTileGeneric(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecuteTileGeneric)->DenseRange(0, 11);
 
-void BM_ExecuteTileSpecialized(benchmark::State& state) {
+// The B side: every tile of the same grid through the dispatched
+// accumulate -> store, under the ISA of arg 1 (0 scalar, 1 neon, 2 avx2,
+// 3 avx512; ISAs the host cannot run are skipped) — the SIMD tile loop for
+// the geometry, or the scalar packed loop under "scalar". Panels come from
+// a warm pack cache and one worker runs the grid, so packing stays outside
+// the timed loop. The label carries the ISA that ran.
+void BM_ExecuteTileDispatched(benchmark::State& state) {
   const auto& s = batched_strategy_by_id(static_cast<int>(state.range(0)));
-  const GemmDims d{256, 256, 256};
-  MicroAbFixture f(d);
-  // Dispatch lookup and panel packing happen once per (GEMM, strategy) in
-  // the executors; keep them outside the timed loop to isolate the kernel.
-  const MicrokernelFn fn = microkernel_for(s);
-  const SharedPack packed = pack_gemm(s, f.g);
-  const PackedGemm& pk = packed.view;
-  for (auto _ : state) {
-    for (int ty = 0; ty < pk.ty_count; ++ty)
-      for (int tx = 0; tx < pk.tx_count; ++tx)
-        fn(f.g, pk, ty, tx, 1.0f, 0.0f);
-    benchmark::DoNotOptimize(f.c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * d.flops());
-  state.SetLabel(s.name());
-}
-BENCHMARK(BM_ExecuteTileSpecialized)->DenseRange(0, 11);
-
-// The B side of the tile-level SIMD A/B: same grid, same packed panels, but
-// dispatched through tile_kernel_for — the explicit-SIMD microkernel for the
-// active ISA when one covers the geometry, the scalar template otherwise.
-// BM_ExecuteTileSpecialized above deliberately stays pinned to
-// microkernel_for (the scalar packed path of the previous perf PR), so
-// Specialized/Simd medians give the tile-level SIMD speedup directly. The
-// label carries the ISA the kernel actually ran with.
-void BM_ExecuteTileSimd(benchmark::State& state) {
-  const auto& s = batched_strategy_by_id(static_cast<int>(state.range(0)));
-  const GemmDims d{256, 256, 256};
-  MicroAbFixture f(d);
-  const TileKernel kernel = tile_kernel_for(s);
-  if (!kernel) {
-    state.SkipWithError("no packed kernel for this strategy");
+  const auto isa = static_cast<SimdIsa>(state.range(1));
+  ScopedSimdIsa isa_scope(isa);
+  // A request above the host clamps; one it cannot run (neon on x86-64)
+  // has an empty loop table.
+  if (active_simd_isa() != isa ||
+      (isa != SimdIsa::kScalar && simd_tile_loop(isa, s.by, s.bx, s.bk) ==
+                                      nullptr)) {
+    state.SkipWithError("ISA not runnable on this host");
     return;
   }
-  const SharedPack packed = pack_gemm(s, f.g);
-  const PackedGemm& pk = packed.view;
+  const GemmDims d{256, 256, 256};
+  MicroAbFixture f(d);
+  ScopedParallelThreads serial(1);
+  ScopedPackCache cache(true);
+  run_single_gemm(s, f.g, 1.0f, 0.0f);  // packs once; every rerun hits
   for (auto _ : state) {
-    for (int ty = 0; ty < pk.ty_count; ++ty)
-      for (int tx = 0; tx < pk.tx_count; ++tx)
-        kernel.fn(f.g, pk, ty, tx, 1.0f, 0.0f);
+    run_single_gemm(s, f.g, 1.0f, 0.0f);
     benchmark::DoNotOptimize(f.c.data());
   }
   state.SetItemsProcessed(state.iterations() * d.flops());
-  state.SetLabel(s.name() + std::string(" isa=") +
-                 simd_isa_name(kernel.isa));
+  state.SetLabel(s.name() + " isa=" + simd_isa_name(isa));
 }
-BENCHMARK(BM_ExecuteTileSimd)->DenseRange(0, 11);
+BENCHMARK(BM_ExecuteTileDispatched)
+    ->ArgsProduct({{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, {0, 1, 2, 3}});
 
 // Whole-GEMM repeated-plan A/B of the cross-call packed-panel cache:
 // Arg(0) reruns run_single_gemm with the cache disabled (panels repacked

@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "kernels/microkernel.hpp"
 #include "kernels/pack_cache.hpp"
 #include "kernels/packing.hpp"
 #include "kernels/simd.hpp"
@@ -30,6 +29,25 @@ constexpr int kMaxBk = 8;
 // Widest per-thread sub-tile across Tables 1 and 2.
 constexpr int kMaxSubX = 8;
 
+/// Rejects a strategy the staging and accumulator scratch cannot hold, or
+/// whose per-thread sub-tiles do not tile its C tile exactly (the generic
+/// loop walks the threads' sub-tiles). Every Table-1/2 strategy passes; a
+/// caller-built one is checked before any memory is touched.
+void check_geometry(const TilingStrategy& s) {
+  CTB_CHECK_MSG(s.by >= 1 && s.by <= kMaxBy && s.bx >= 1 && s.bx <= kMaxBx &&
+                    s.bk >= 1 && s.bk <= kMaxBk && s.sub_y >= 1 &&
+                    s.sub_x >= 1 && s.sub_x <= kMaxSubX &&
+                    s.by % s.sub_y == 0 && s.bx % s.sub_x == 0 &&
+                    s.threads == (s.by / s.sub_y) * (s.bx / s.sub_x),
+                "strategy " << s.name() << " has unsupported geometry BY="
+                            << s.by << " BX=" << s.bx << " BK=" << s.bk
+                            << " sub-tile " << s.sub_y << 'x' << s.sub_x
+                            << " over " << s.threads
+                            << " threads (limits BY, BX <= " << kMaxBy
+                            << ", BK <= " << kMaxBk << ", sub_x <= "
+                            << kMaxSubX << ")");
+}
+
 /// Emulated shared memory for one block: the staged A tile (BY x BK) and
 /// B tile (BK x BX). The per-element values come from staged_a_value /
 /// staged_b_value (packing.hpp) — the same functions the packing pass
@@ -50,13 +68,16 @@ struct SharedTiles {
   }
 };
 
-/// Per-call packing decision for one GEMM: the dispatched kernel (with the
-/// ISA that selected it) and the packed panels it reads. `kernel.fn ==
-/// nullptr` means generic.
+/// How one GEMM's tiles run in one executor call, resolved once per GEMM:
+/// the packed panels (invalid: the budget left the GEMM unpacked, so its
+/// tiles stage through SharedTiles), the ISA's tile loops for the geometry
+/// (null: the scalar packed loop), and the vector row store (null: the
+/// scalar per-element store).
 struct PackedDispatch {
-  TileKernel kernel;
   PackedGemm pack;
-  bool specialized() const { return kernel.fn != nullptr && pack.valid(); }
+  SimdTileLoopFn loop = nullptr;      ///< accumulate from zero
+  SimdTileLoopFn loop_acc = nullptr;  ///< continue a carried chain
+  SimdEpilogueRowFn store_row = nullptr;
 };
 
 /// Per-ISA tile accounting: exec.simd.* partitions every executed tile by
@@ -79,11 +100,12 @@ void count_simd_tiles(SimdIsa isa, long long tiles) {
   CTB_TEL_COUNT("exec.simd.scalar", tiles);
 }
 
-/// Dispatch accounting for `tiles` tiles of one GEMM that resolved to `d`.
-void count_dispatch(const PackedDispatch& d, long long tiles) {
-  if (d.specialized()) {
+/// Dispatch accounting for `tiles` tiles of one GEMM that resolved to `d`
+/// in a call under `isa`.
+void count_dispatch(const PackedDispatch& d, SimdIsa isa, long long tiles) {
+  if (d.pack.valid()) {
     CTB_TEL_COUNT("exec.dispatch.specialized", tiles);
-    count_simd_tiles(d.kernel.isa, tiles);
+    count_simd_tiles(d.loop != nullptr ? isa : SimdIsa::kScalar, tiles);
   } else {
     CTB_TEL_COUNT("exec.dispatch.generic", tiles);
     count_simd_tiles(SimdIsa::kScalar, tiles);
@@ -134,13 +156,15 @@ class ArenaLease {
 };
 
 /// The packed operands of one executor call: decides, packs and publishes
-/// in one place for every executor entry point.
+/// in one place, and resolves each GEMM's PackedDispatch.
 ///
 /// Admission is per GEMM, serial in batch order: the footprint must fit both
 /// the per-GEMM cap (one oversized GEMM falls back to generic without
 /// starving the rest of the batch) and the call's remaining cumulative
-/// arena budget. A cache hit charges the budget exactly like a fresh pack,
-/// so which GEMMs are admitted never depends on what the cache holds.
+/// arena budget. Any geometry packs; the active ISA's tile loop runs it when
+/// one exists for the geometry, the scalar packed loop otherwise. A cache
+/// hit charges the budget exactly like a fresh pack, so which GEMMs are
+/// admitted never depends on what the cache holds.
 ///
 /// Each admitted GEMM then resolves its A and B panel sets by PanelKey: a
 /// set an earlier GEMM of the call already resolved is shared, so an
@@ -187,24 +211,26 @@ CallPacks::CallPacks(std::span<const GemmOperands> batch,
   std::vector<Slot> slots;
   std::vector<std::array<int, 2>> slot_of(batch.size(), {-1, -1});
   std::vector<char> publish(batch.size(), 0);
-  // Read once: storage and publication must agree for the whole call.
+  // Read once: storage and publication must agree for the whole call, and
+  // every tile of the call runs under one ISA.
   const bool cache = pack_cache_enabled();
   const std::size_t budget = pack_arena_budget();
+  const SimdIsa isa = active_simd_isa();
+  const SimdEpilogueRowFn store_row = simd_epilogue_row(isa);
   std::size_t used = 0;
   for (std::size_t z = 0; z < batch.size(); ++z) {
     if (strategy[z] == nullptr) continue;
     const TilingStrategy& s = *strategy[z];
     const GemmOperands& g = batch[z];
     PackedDispatch& d = dispatch_[z];
-    d.kernel = tile_kernel_for(s);
-    if (d.kernel.fn == nullptr) continue;
+    d.store_row = store_row;
     const std::size_t bytes = pack_footprint_bytes(s, g.dims);
     if (bytes > pack_gemm_budget() || bytes > budget ||
-        used > budget - bytes) {
-      d.kernel = {};
+        used > budget - bytes)
       continue;
-    }
     used += bytes;
+    d.loop = simd_tile_loop(isa, s.by, s.bx, s.bk);
+    d.loop_acc = simd_tile_loop_acc(isa, s.by, s.bx, s.bk);
     const std::optional<SharedPack> hit =
         cache ? pack_cache_lookup(s, g) : std::nullopt;
     publish[z] = cache && !hit;
@@ -261,7 +287,7 @@ CallPacks::CallPacks(std::span<const GemmOperands> batch,
   for (std::size_t z = 0; z < batch.size(); ++z) {
     if (strategy[z] == nullptr) continue;
     PackedDispatch& d = dispatch_[z];
-    if (d.kernel.fn != nullptr) {
+    if (slot_of[z][0] >= 0) {
       const Slot& a = slots[static_cast<std::size_t>(slot_of[z][0])];
       const Slot& b = slots[static_cast<std::size_t>(slot_of[z][1])];
       d.pack.a = a.data;
@@ -271,7 +297,7 @@ CallPacks::CallPacks(std::span<const GemmOperands> batch,
         pack_cache_insert(*strategy[z], batch[z],
                           SharedPack{d.pack, a.owner, b.owner});
     }
-    count_dispatch(d, tiles[z]);
+    count_dispatch(d, isa, tiles[z]);
   }
   // Each packed tile reads one A and one B panel; every read past the first
   // of each distinct panel is a staging the generic path would repeat.
@@ -279,17 +305,6 @@ CallPacks::CallPacks(std::span<const GemmOperands> batch,
     CTB_TEL_COUNT("exec.pack.reuse", 2 * packed_tiles - distinct_panels);
   for (Slot& slot : slots)
     if (slot.owner != nullptr) owners_.push_back(std::move(slot.owner));
-}
-
-/// CallPacks for a batch that runs every GEMM under `s`, one tile per C
-/// tile (the single-GEMM and vbatch executors).
-CallPacks uniform_packs(const TilingStrategy& s,
-                        std::span<const GemmOperands> batch) {
-  const std::vector<const TilingStrategy*> strategy(batch.size(), &s);
-  std::vector<long long> tiles(batch.size());
-  for (std::size_t z = 0; z < batch.size(); ++z)
-    tiles[z] = s.tiles_for(batch[z].dims.m, batch[z].dims.n);
-  return CallPacks(batch, strategy, tiles);
 }
 
 /// Conventional useful-FLOP count of one pass over the batch (2*m*n*k per
@@ -302,50 +317,26 @@ CallPacks uniform_packs(const TilingStrategy& s,
   return total;
 }
 
-// ----------------------------------------------------------- split-K ----
+// ------------------------------------------------------ tile pipeline ----
 //
-// A split tile executes only the K range [k_lo, k_hi) of its coordinate.
-// Bit-exactness with the unsplit path demands that every C element still
-// accumulate as ONE ascending (k0, p) chain, and float addition is not
-// associative, so zero-based per-slice partials cannot be recombined.
-// Instead the chain is *carried*: the k_begin == 0 slice accumulates from
-// zero into a row-major BY x BX workspace (the exact prefix value of the
-// unsplit chain — float store/reload is bit-preserving), and the fix-up
-// reduction walks the remaining slices in ascending k order, continuing
-// the same accumulator, before applying the standard alpha/beta epilogue.
-// The reduction tree is thus the unique order-preserving (left-spine)
-// tree; no atomics, one deterministic owner per C tile.
+// Every tile runs accumulate_tile_range over its K range into a row-major
+// BY x BX accumulator, then store_tile. Per C element each of the three
+// accumulation loops adds the same staged values in ascending (k0, p)
+// order, so which loop ran never shows in the bits.
+//
+// Split-K: a split tile executes only the K range [k_lo, k_hi) of its
+// coordinate. Float addition is not associative, so zero-based per-slice
+// partials cannot be recombined bit-exactly. Instead the chain is
+// *carried*: the k_begin == 0 slice accumulates from zero into a workspace
+// accumulator (the exact prefix value of the unsplit chain — float
+// store/reload is bit-preserving), and the fix-up reduction walks the
+// remaining slices in ascending k order, continuing the same accumulator,
+// before the store. The reduction tree is thus the unique order-preserving
+// (left-spine) tree; no atomics, one deterministic owner per C tile.
 
-/// One K-slice of a tile's K loop, [k_lo, k_hi).
-struct KSlice {
-  int k_lo = 0;
-  int k_hi = 0;
-};
-
-/// Even BK-aligned partition of [0, K) into up to `splitk` slices (the
-/// in-executor analogue of split_tiles_k's per-tile split).
-std::vector<KSlice> k_slices(int K, int bk, int splitk) {
-  const int nsteps = (K + bk - 1) / bk;
-  const int n = std::min(splitk, nsteps);
-  if (n <= 1) return {{0, K}};
-  std::vector<KSlice> out;
-  out.reserve(static_cast<std::size_t>(n));
-  const int q = nsteps / n;
-  const int r = nsteps % n;
-  int step = 0;
-  for (int s = 0; s < n; ++s) {
-    const int take = q + (s < r ? 1 : 0);
-    out.push_back({step * bk, std::min((step + take) * bk, K)});
-    step += take;
-  }
-  return out;
-}
-
-/// Generic staged accumulation of K range [k_lo, k_hi) of tile (ty, tx)
-/// into a row-major BY x BX accumulator. Identical arithmetic to
-/// execute_tile's main loop — same staged values, same per-element
-/// ascending (k0, p) chain — only the accumulator layout is canonical
-/// row-major so slices can hand the chain across workers.
+/// Generic staged accumulation of K range [k_lo, k_hi) of tile (ty, tx):
+/// the Fig. 2 skeleton, each emulated thread walking its register sub-tile
+/// over the staged tiles. The reference the packed loops must match.
 void accumulate_tile_generic(const TilingStrategy& s, const GemmOperands& g,
                              int ty, int tx, int k_lo, int k_hi, bool first,
                              float* acc) {
@@ -357,8 +348,10 @@ void accumulate_tile_generic(const TilingStrategy& s, const GemmOperands& g,
     shared.stage(s, g, row0, col0, k0);
     for (int t = 0; t < s.threads; ++t) {
       const SubTileOrigin o = thread_sub_tile(s, t);
-      CTB_DCHECK(s.sub_x <= kMaxSubX);
       if (s.sub_x == 1) {
+        // One C element per row: the j-inner form would pay a degenerate
+        // inner loop per FMA, so reduce to a plain dot product (same
+        // ascending-p order, so still bit-identical).
         const float* sbcol = &shared.b[o.col];
         for (int i = 0; i < s.sub_y; ++i) {
           const float* sa = &shared.a[(o.row + i) * s.bk];
@@ -371,6 +364,8 @@ void accumulate_tile_generic(const TilingStrategy& s, const GemmOperands& g,
       for (int i = 0; i < s.sub_y; ++i) {
         const float* sa = &shared.a[(o.row + i) * s.bk];
         float* arow = &acc[(o.row + i) * s.bx + o.col];
+        // The thread's "registers": a local row that cannot alias the
+        // staged tiles, so the BK step stays in vector registers.
         float row[kMaxSubX];
         for (int j = 0; j < s.sub_x; ++j) row[j] = arow[j];
         for (int p = 0; p < s.bk; ++p) {
@@ -385,9 +380,9 @@ void accumulate_tile_generic(const TilingStrategy& s, const GemmOperands& g,
 }
 
 /// Scalar packed-panel accumulation of panel steps [step_lo, step_hi) —
-/// the runtime-bound twin of packed_microkernel's interior loop: per C
-/// element the adds arrive in ascending (step, p) order over the same
-/// packed values, so the bits match the compile-time kernels exactly.
+/// the runtime-bound twin of the SIMD tile loop for geometries (or ISAs)
+/// without one: per C element the adds arrive in ascending (step, p) order
+/// over the same packed values, so the bits match exactly.
 void accumulate_tile_packed_scalar(const PackedGemm& pk,
                                    const TilingStrategy& s, int ty, int tx,
                                    int step_lo, int step_hi, bool first,
@@ -410,29 +405,23 @@ void accumulate_tile_packed_scalar(const PackedGemm& pk,
 }
 
 /// Accumulates K range [k_lo, k_hi) of tile (ty, tx) into `acc` through
-/// the GEMM's dispatched path: SIMD tile loop (overwrite for the first
-/// slice, accumulate-in continuation after), the scalar packed loop, or
-/// the generic staged kernel. All paths produce bit-identical chains, so
-/// a slice sequence ending at K equals one unsplit pass exactly.
+/// the GEMM's dispatched loop: the SIMD tile loop (overwrite for the first
+/// slice, accumulate-in continuation after), else the scalar packed loop,
+/// else — the GEMM was left unpacked — the generic staged loop. A slice
+/// sequence ending at K equals one unsplit pass exactly.
 void accumulate_tile_range(const TilingStrategy& s, const GemmOperands& g,
                            const PackedDispatch& d, int ty, int tx, int k_lo,
                            int k_hi, bool first, float* acc) {
-  if (d.specialized()) {
+  if (d.pack.valid()) {
     const PackedGemm& pk = d.pack;
     const int step_lo = k_lo / s.bk;
     const int step_hi = k_hi >= g.dims.k ? pk.nsteps : k_hi / s.bk;
-    if (d.kernel.isa != SimdIsa::kScalar) {
-      const SimdTileLoopFn loop =
-          first ? simd_tile_loop(d.kernel.isa, s.by, s.bx, s.bk)
-                : simd_tile_loop_acc(d.kernel.isa, s.by, s.bx, s.bk);
-      if (loop != nullptr) {
-        loop(pk.a_panel(ty) +
-                 static_cast<std::size_t>(step_lo) * (s.by * s.bk),
-             pk.b_panel(tx) +
-                 static_cast<std::size_t>(step_lo) * (s.bk * s.bx),
-             step_hi - step_lo, acc);
-        return;
-      }
+    const SimdTileLoopFn loop = first ? d.loop : d.loop_acc;
+    if (loop != nullptr) {
+      loop(pk.a_panel(ty) + static_cast<std::size_t>(step_lo) * (s.by * s.bk),
+           pk.b_panel(tx) + static_cast<std::size_t>(step_lo) * (s.bk * s.bx),
+           step_hi - step_lo, acc);
+      return;
     }
     accumulate_tile_packed_scalar(pk, s, ty, tx, step_lo, step_hi, first,
                                   acc);
@@ -440,8 +429,6 @@ void accumulate_tile_range(const TilingStrategy& s, const GemmOperands& g,
   }
   accumulate_tile_generic(s, g, ty, tx, k_lo, k_hi, first, acc);
 }
-
-// ---------------------------------------------------- fused epilogue ----
 
 /// Scalar application of the value-op chain to one element's base value at
 /// logical (gi, gj). fp16 rounds after every value op — the fused chain
@@ -480,94 +467,67 @@ void check_epilogue_beta(const GemmOperands& g, float beta, std::size_t i) {
                         << ": beta != 0 with a permuted epilogue store");
 }
 
-/// Runtime-bound twin of store_tile_rowmajor (microkernel.hpp): the
-/// alpha/beta epilogue over a row-major accumulator with edge guards,
-/// beta == 0 short-circuit, and fp16 rounding — the identical per-element
-/// expression every other executor path applies. When `g` carries a fused
-/// epilogue chain it is applied here, per element, before the (possibly
-/// permuted) store; this function is also the split-K fix-up reduction's
-/// final store, which is exactly what puts the epilogue strictly after the
-/// join at any thread count.
-void store_tile_rowmajor_rt(const TilingStrategy& s, const GemmOperands& g,
-                            int ty, int tx, float alpha, float beta,
-                            const float* acc) {
-  const auto& d = g.dims;
+/// The one tile store: C = alpha * acc + beta * C over the tile's in-range
+/// rows and columns (beta == 0 never reads C; fp16 rounds the result), then
+/// the fused epilogue chain, if any, into the (possibly permuted)
+/// destination. fp32 rows without a column permutation go through the
+/// vector row kernel — a plain tile is its empty chain, and a row
+/// permutation only relocates whole rows; fp16 rows, column permutations
+/// and builds without a vector unit take the scalar per-element chain. The
+/// two are bit-identical. This is also the split-K fix-up's store, which
+/// puts the epilogue strictly after the join at any thread count.
+void store_tile(const TilingStrategy& s, const GemmOperands& g,
+                const PackedDispatch& d, int ty, int tx, float alpha,
+                float beta, const float* acc) {
+  const GemmDims& dims = g.dims;
   const int row0 = ty * s.by;
   const int col0 = tx * s.bx;
-  const bool fp16 = g.precision == Precision::kFp16;
+  const int rows = std::min(s.by, dims.m - row0);
+  const int cols = std::min(s.bx, dims.n - col0);
   const int spec = g.epilogue;
-  if (spec == 0) {
-    for (int i = 0; i < s.by; ++i) {
-      const int gi = row0 + i;
-      if (gi >= d.m) break;
-      const float* arow = acc + static_cast<std::size_t>(i) * s.bx;
-      for (int j = 0; j < s.bx; ++j) {
-        const int gj = col0 + j;
-        if (gj >= d.n) break;
-        float* cell = &g.c[static_cast<std::size_t>(gi) * d.n + gj];
-        if (fp16) {
-          const float prior =
-              beta == 0.0f ? 0.0f : beta * round_to_half(*cell);
-          *cell = round_to_half(alpha * arow[j] + prior);
-        } else {
-          const float prior = beta == 0.0f ? 0.0f : beta * *cell;
-          *cell = alpha * arow[j] + prior;
-        }
-      }
-    }
+  const int nops = epilogue_num_ops(spec);
+  const EpilogueArgs& ea = g.epilogue_args;
+  const bool fp16 = g.precision == Precision::kFp16;
+  const bool bias = epilogue_has_op(spec, EpilogueOp::kBias);
+  const bool residual = epilogue_has_op(spec, EpilogueOp::kResidual);
+  const bool rowperm = epilogue_has_op(spec, EpilogueOp::kRowPerm);
+  const bool colperm = epilogue_has_op(spec, EpilogueOp::kColPerm);
+  if (spec != 0) {
+    CTB_TEL_COUNT("exec.epilogue.fused", 1);
+    CTB_TEL_COUNT("exec.epilogue.ops", nops);
+  }
+
+  if (!fp16 && !colperm && d.store_row != nullptr) {
+    EpilogueRowArgs r;
+    r.acc = acc;
+    r.acc_stride = s.bx;
+    r.rows = rows;
+    r.row0 = row0;
+    r.n = cols;
+    r.c = g.c + col0;
+    r.ldc = dims.n;
+    if (rowperm) r.row_perm = ea.row_perm;
+    if (residual) r.residual = ea.residual + col0;
+    if (bias) r.bias = ea.bias;
+    r.alpha = alpha;
+    r.beta = beta;
+    r.nops = nops;
+    for (int o = 0; o < nops; ++o)
+      r.ops[o] = static_cast<int>(epilogue_op_at(spec, o));
+    d.store_row(r);
     return;
   }
 
-  const EpilogueArgs& ea = g.epilogue_args;
-  const int nops = epilogue_num_ops(spec);
-  const bool rowperm = epilogue_has_op(spec, EpilogueOp::kRowPerm);
-  const bool colperm = epilogue_has_op(spec, EpilogueOp::kColPerm);
-  const int rows = std::min(s.by, d.m - row0);
-  const int cols = std::min(s.bx, d.n - col0);
-  CTB_TEL_COUNT("exec.epilogue.fused", 1);
-  CTB_TEL_COUNT("exec.epilogue.ops", nops);
-
-  // Vector path: fp32 rows with contiguous destinations (a row permutation
-  // only relocates whole rows, so it stays eligible; a column permutation
-  // scatters within the row and drops to the scalar chain). Ragged border
-  // columns are masked tail chunks inside the row kernel, not a fallback.
-  if (!fp16 && !colperm) {
-    const SimdEpilogueRowFn rowfn = simd_epilogue_row(active_simd_isa());
-    if (rowfn != nullptr) {
-      EpilogueRowArgs r;
-      r.n = cols;
-      r.alpha = alpha;
-      r.beta = beta;
-      r.nops = nops;
-      for (int o = 0; o < nops; ++o)
-        r.ops[o] = static_cast<int>(epilogue_op_at(spec, o));
-      for (int i = 0; i < rows; ++i) {
-        const int gi = row0 + i;
-        const int di = rowperm ? ea.row_perm[gi] : gi;
-        r.acc = acc + static_cast<std::size_t>(i) * s.bx;
-        r.c = g.c + static_cast<std::size_t>(di) * d.n + col0;
-        r.residual =
-            ea.residual != nullptr
-                ? ea.residual + static_cast<std::size_t>(gi) * d.n + col0
-                : nullptr;
-        r.bias = ea.bias != nullptr ? ea.bias[gi] : 0.0f;
-        rowfn(r);
-      }
-      return;
-    }
-  }
-
-  // Scalar fused chain (fp16, column permutations, or no vector unit).
   for (int i = 0; i < rows; ++i) {
     const int gi = row0 + i;
     const int di = rowperm ? ea.row_perm[gi] : gi;
     const float* arow = acc + static_cast<std::size_t>(i) * s.bx;
+    float* crow = g.c + static_cast<std::size_t>(di) * dims.n;
     for (int j = 0; j < cols; ++j) {
       const int gj = col0 + j;
-      const int dj = colperm ? ea.col_perm[gj] : gj;
-      float* cell = &g.c[static_cast<std::size_t>(di) * d.n + dj];
       // check_epilogue_beta rejected beta != 0 for permuted stores, so the
       // prior read below always hits the logical == destination cell.
+      float* cell = crow + (colperm ? ea.col_perm[gj] : gj);
       float v;
       if (fp16) {
         const float prior = beta == 0.0f ? 0.0f : beta * round_to_half(*cell);
@@ -576,290 +536,180 @@ void store_tile_rowmajor_rt(const TilingStrategy& s, const GemmOperands& g,
         const float prior = beta == 0.0f ? 0.0f : beta * *cell;
         v = alpha * arow[j] + prior;
       }
-      *cell = apply_epilogue_value(v, spec, ea, fp16, gi, gj, d.n);
+      *cell = spec == 0 ? v
+                        : apply_epilogue_value(v, spec, ea, fp16, gi, gj,
+                                               dims.n);
     }
   }
 }
 
-/// Executes one C tile as a chain of K slices through a thread-local
-/// workspace: the degenerate single-owner form of the fix-up reduction
-/// used by the single-GEMM and vbatch split-K paths.
-void execute_tile_sliced(const TilingStrategy& s, const GemmOperands& g,
-                         const PackedDispatch& d, int ty, int tx,
-                         std::span<const KSlice> slices, float alpha,
-                         float beta) {
-  static thread_local float acc[kMaxBy * kMaxBx];
-  bool first = true;
-  for (const KSlice& sl : slices) {
-    accumulate_tile_range(s, g, d, ty, tx, sl.k_lo, sl.k_hi, first, acc);
-    first = false;
+/// One whole tile: the full K range, then the store.
+void run_tile(const TilingStrategy& s, const GemmOperands& g,
+              const PackedDispatch& d, int ty, int tx, float alpha,
+              float beta) {
+  alignas(64) static thread_local float acc[kMaxBy * kMaxBx];
+  accumulate_tile_range(s, g, d, ty, tx, 0, g.dims.k, /*first=*/true, acc);
+  store_tile(s, g, d, ty, tx, alpha, beta, acc);
+}
+
+/// The one executor (Fig. 7): runs every block of `plan` over `batch`,
+/// GEMM z under `*strategy[z]` (null for a GEMM the plan never names; the
+/// sweep reads these, not plan.strategy_of_tile). Blocks run concurrently —
+/// the plan covers each C tile once, so no two blocks touch the same tile —
+/// while each block's tile chain stays serial, exactly like persistent
+/// thread blocks on the device. Split tiles with k_begin == 0 seed their
+/// group's workspace accumulator (one writer per group); later slices are
+/// deferred to the fix-up reduction past the parallel_for join.
+/// `plan_spans` records the exec.pack and per-block exec.block spans.
+void sweep(const BatchPlan& plan, std::span<const GemmOperands> batch,
+           std::span<const TilingStrategy* const> strategy, float alpha,
+           float beta, [[maybe_unused]] bool plan_spans) {
+  CTB_TEL_COUNT("exec.flops", flops_of(batch));
+  CTB_TEL_COUNT("exec.c.passes", batch.size());
+  std::vector<long long> tiles_of_gemm(batch.size(), 0);
+  for (const int g : plan.gemm_of_tile)
+    ++tiles_of_gemm[static_cast<std::size_t>(g)];
+  const CallPacks packs = [&] {
+    CTB_TEL_SPAN(plan_spans ? "exec.pack" : nullptr);
+    return CallPacks(batch, strategy, tiles_of_gemm);
+  }();
+
+  // Split-K discovery: a tile whose K range does not cover its GEMM's full
+  // K extent belongs to a fix-up group keyed (gemm, ty, tx). Each group
+  // gets one row-major BY x BX accumulator in a shared workspace arena;
+  // groups are enumerated in key order and slices within a group in
+  // ascending k_begin order, so ownership and arithmetic order are
+  // deterministic regardless of thread count.
+  struct SplitGroup {
+    int gemm = 0, ty = 0, tx = 0;
+    std::size_t acc_offset = 0;
+    std::vector<int> fixup;  ///< non-first slices, ascending k_begin.
+  };
+  std::vector<int> group_of_tile;  // -1 = full-K tile
+  std::vector<SplitGroup> groups;
+  std::vector<float> workspace;
+  if (plan.has_split()) {
+    group_of_tile.assign(static_cast<std::size_t>(plan.num_tiles()), -1);
+    std::map<std::array<int, 3>, std::vector<int>> keyed;
+    for (int t = 0; t < plan.num_tiles(); ++t) {
+      const auto ti = static_cast<std::size_t>(t);
+      const int g = plan.gemm_of_tile[ti];
+      const int k = batch[static_cast<std::size_t>(g)].dims.k;
+      const auto [kb, ke] = plan.tile_k_range(t, k);
+      if (kb == 0 && ke == k) continue;
+      keyed[{g, plan.y_coord[ti], plan.x_coord[ti]}].push_back(t);
+    }
+    std::size_t arena = 0;
+    long long split_tiles = 0;
+    for (auto& [key, tiles] : keyed) {
+      std::sort(tiles.begin(), tiles.end(), [&](int a, int b) {
+        return plan.k_begin[static_cast<std::size_t>(a)] <
+               plan.k_begin[static_cast<std::size_t>(b)];
+      });
+      split_tiles += static_cast<long long>(tiles.size());
+      SplitGroup grp{key[0], key[1], key[2], arena, {}};
+      const TilingStrategy& s = *strategy[static_cast<std::size_t>(key[0])];
+      arena += static_cast<std::size_t>(s.by) * s.bx;
+      for (std::size_t i = 0; i < tiles.size(); ++i) {
+        group_of_tile[static_cast<std::size_t>(tiles[i])] =
+            static_cast<int>(groups.size());
+        if (i > 0) grp.fixup.push_back(tiles[i]);
+      }
+      groups.push_back(std::move(grp));
+    }
+    workspace.resize(arena);
+    CTB_TEL_COUNT("exec.splitk.tiles", split_tiles);
+    CTB_TEL_COUNT("exec.splitk.groups", groups.size());
   }
-  store_tile_rowmajor_rt(s, g, ty, tx, alpha, beta, acc);
+
+  parallel_for(plan.num_blocks(), [&](long long b) {
+    CTB_TEL_SPAN(plan_spans ? "exec.block" : nullptr);
+    const auto [begin, end] = plan.block_tiles(static_cast<int>(b));
+    for (int t = begin; t < end; ++t) {
+      const auto ti = static_cast<std::size_t>(t);
+      const auto z = static_cast<std::size_t>(plan.gemm_of_tile[ti]);
+      const int ty = plan.y_coord[ti];
+      const int tx = plan.x_coord[ti];
+      const int grp = group_of_tile.empty() ? -1 : group_of_tile[ti];
+      if (grp < 0) {
+        run_tile(*strategy[z], batch[z], packs[z], ty, tx, alpha, beta);
+      } else if (plan.k_begin[ti] == 0) {
+        // Seed the carried chain; fix-up slices wait for the join.
+        float* acc = workspace.data() +
+                     groups[static_cast<std::size_t>(grp)].acc_offset;
+        accumulate_tile_range(*strategy[z], batch[z], packs[z], ty, tx, 0,
+                              plan.k_end[ti], /*first=*/true, acc);
+      }
+    }
+  });
+
+  // Deterministic fix-up reduction: one owner per split group continues the
+  // carried chain through the remaining slices in ascending k order (the
+  // left-spine tree — the unique order preserving unsplit bit-identity) and
+  // stores. The parallel_for join above makes every seeded accumulator
+  // visible; groups write disjoint C tiles, so no atomics.
+  if (!groups.empty()) {
+    CTB_TEL_SPAN("exec.splitk.reduce");
+    parallel_for(static_cast<long long>(groups.size()), [&](long long i) {
+      const SplitGroup& grp = groups[static_cast<std::size_t>(i)];
+      const auto z = static_cast<std::size_t>(grp.gemm);
+      const TilingStrategy& s = *strategy[z];
+      float* acc = workspace.data() + grp.acc_offset;
+      for (const int t : grp.fixup)
+        accumulate_tile_range(s, batch[z], packs[z], grp.ty, grp.tx,
+                              plan.k_begin[static_cast<std::size_t>(t)],
+                              plan.k_end[static_cast<std::size_t>(t)],
+                              /*first=*/false, acc);
+      store_tile(s, batch[z], packs[z], grp.ty, grp.tx, alpha, beta, acc);
+    });
+  }
 }
 
 }  // namespace
 
 void execute_tile(const TilingStrategy& s, const GemmOperands& g, int ty,
                   int tx, float alpha, float beta) {
-  CTB_CHECK(g.a != nullptr && g.c != nullptr);
-  CTB_CHECK_MSG(g.b != nullptr || g.b_gather,
-                "B operand needs storage or a gather");
-  CTB_CHECK(g.dims.valid());
-  const int row0 = ty * s.by;
-  const int col0 = tx * s.bx;
-  CTB_CHECK_MSG(row0 < g.dims.m && col0 < g.dims.n,
+  audit_operands({&g, 1});
+  check_geometry(s);
+  CTB_CHECK_MSG(ty >= 0 && tx >= 0 &&
+                    static_cast<long long>(ty) * s.by < g.dims.m &&
+                    static_cast<long long>(tx) * s.bx < g.dims.n,
                 "tile (" << ty << "," << tx << ") outside GEMM");
-  if (g.epilogue != 0) {
-    // Fused tiles route through the sliced path: same staged accumulation,
-    // but the store goes through the epilogue-aware row-major store.
-    check_epilogue_beta(g, beta, 0);
-    const KSlice full{0, g.dims.k};
-    execute_tile_sliced(s, g, PackedDispatch{}, ty, tx, {&full, 1}, alpha,
-                        beta);
-    return;
-  }
-
-  // Per-thread C accumulators ("reg_C" in Fig. 2), zero-initialized. The
-  // block's threads together cover the whole BY x BX tile, so the combined
-  // footprint never exceeds the largest tile; a thread-local scratch sized
-  // for that maximum (mirroring SharedTiles) makes the executor
-  // allocation-free per tile.
-  const int acc_per_thread = s.sub_y * s.sub_x;
-  const int acc_total = s.threads * acc_per_thread;
-  CTB_DCHECK(acc_total <= kMaxBy * kMaxBx);
-  static thread_local float reg_c[kMaxBy * kMaxBx];
-  std::fill_n(reg_c, acc_total, 0.0f);
-
-  static thread_local SharedTiles shared;
-
-  // Main loop along the K dimension in BK steps.
-  for (int k0 = 0; k0 < g.dims.k; k0 += s.bk) {
-    shared.stage(s, g, row0, col0, k0);
-    // All threads of the block consume the staged tiles. The j-innermost
-    // loop walks a contiguous row of the staged B tile so the compiler can
-    // vectorize it; each C element still accumulates its FMAs in ascending
-    // p order, so results are bit-identical to the p-innermost chain of the
-    // real kernel.
-    for (int t = 0; t < s.threads; ++t) {
-      const SubTileOrigin o = thread_sub_tile(s, t);
-      float* acc = &reg_c[static_cast<std::size_t>(t) * acc_per_thread];
-      CTB_DCHECK(s.sub_x <= kMaxSubX);
-      if (s.sub_x == 1) {
-        // One C element per row: the j-inner form would pay a degenerate
-        // inner loop per FMA, so reduce to a plain dot product (same
-        // ascending-p order, so still bit-identical).
-        const float* sbcol = &shared.b[o.col];
-        for (int i = 0; i < s.sub_y; ++i) {
-          const float* sa = &shared.a[(o.row + i) * s.bk];
-          float sum = acc[i];
-          for (int p = 0; p < s.bk; ++p) sum += sa[p] * sbcol[p * s.bx];
-          acc[i] = sum;
-        }
-        continue;
-      }
-      for (int i = 0; i < s.sub_y; ++i) {
-        const float* sa = &shared.a[(o.row + i) * s.bk];
-        float* arow = &acc[i * s.sub_x];
-        // Accumulate the row in a local block (the per-thread "registers"):
-        // it cannot alias the staged tiles, so the whole BK-step stays in
-        // vector registers instead of round-tripping through reg_c.
-        float row[kMaxSubX];
-        for (int j = 0; j < s.sub_x; ++j) row[j] = arow[j];
-        for (int p = 0; p < s.bk; ++p) {
-          const float av = sa[p];
-          const float* sb = &shared.b[p * s.bx + o.col];
-          for (int j = 0; j < s.sub_x; ++j) row[j] += av * sb[j];
-        }
-        for (int j = 0; j < s.sub_x; ++j) arow[j] = row[j];
-      }
-    }
-  }
-
-  // Epilogue: C = alpha * acc + beta * C, guarded against the matrix edge.
-  for (int t = 0; t < s.threads; ++t) {
-    const SubTileOrigin o = thread_sub_tile(s, t);
-    const float* acc = &reg_c[static_cast<std::size_t>(t) * acc_per_thread];
-    for (int i = 0; i < s.sub_y; ++i) {
-      const int gi = row0 + o.row + i;
-      if (gi >= g.dims.m) continue;
-      for (int j = 0; j < s.sub_x; ++j) {
-        const int gj = col0 + o.col + j;
-        if (gj >= g.dims.n) continue;
-        float* cell = &g.c[static_cast<std::size_t>(gi) * g.dims.n + gj];
-        if (g.precision == Precision::kFp16) {
-          const float prior =
-              beta == 0.0f ? 0.0f : beta * round_to_half(*cell);
-          *cell = round_to_half(alpha * acc[i * s.sub_x + j] + prior);
-        } else {
-          const float prior = beta == 0.0f ? 0.0f : beta * *cell;
-          *cell = alpha * acc[i * s.sub_x + j] + prior;
-        }
-      }
-    }
-  }
+  check_epilogue_beta(g, beta, 0);
+  PackedDispatch generic;
+  generic.store_row = simd_epilogue_row(active_simd_isa());
+  run_tile(s, g, generic, ty, tx, alpha, beta);
 }
 
 void run_single_gemm(const TilingStrategy& s, const GemmOperands& g,
                      float alpha, float beta) {
-  // Blocks write disjoint C tiles, so they run concurrently; each tile's
-  // per-element FMA chain is untouched, keeping results bit-identical to
-  // the serial walk.
-  const int ty_count = (g.dims.m + s.by - 1) / s.by;
-  const int tx_count = (g.dims.n + s.bx - 1) / s.bx;
-  const long long tiles = static_cast<long long>(ty_count) * tx_count;
-  CTB_TEL_COUNT("exec.flops",
-                2LL * g.dims.m * g.dims.n * g.dims.k);
-  CTB_TEL_COUNT("exec.c.passes", 1);
-
-  const CallPacks packs = uniform_packs(s, {&g, 1});
-  const PackedDispatch& d = packs[0];
-  if (g.epilogue != 0) {
-    // Fused GEMM: the compile-time microkernels store without the epilogue,
-    // so every tile runs the dispatched accumulation (SIMD loop, scalar
-    // packed, or generic — unchanged arithmetic) through the sliced path,
-    // whose store applies the fused chain.
-    check_epilogue_beta(g, beta, 0);
-    const KSlice full{0, g.dims.k};
-    parallel_for(tiles, [&](long long block) {
-      execute_tile_sliced(s, g, d, static_cast<int>(block / tx_count),
-                          static_cast<int>(block % tx_count), {&full, 1},
-                          alpha, beta);
-    });
-    return;
-  }
-  if (d.specialized()) {
-    parallel_for(tiles, [&](long long block) {
-      d.kernel.fn(g, d.pack, static_cast<int>(block / tx_count),
-                  static_cast<int>(block % tx_count), alpha, beta);
-    });
-    return;
-  }
-  parallel_for(tiles, [&](long long block) {
-    const int ty = static_cast<int>(block / tx_count);
-    const int tx = static_cast<int>(block % tx_count);
-    execute_tile(s, g, ty, tx, alpha, beta);
-  });
-}
-
-void run_single_gemm(const TilingStrategy& s, const GemmOperands& g,
-                     float alpha, float beta, int splitk) {
-  const auto slices = k_slices(g.dims.k, s.bk, splitk);
-  if (slices.size() <= 1) {
-    run_single_gemm(s, g, alpha, beta);
-    return;
-  }
-  const int ty_count = (g.dims.m + s.by - 1) / s.by;
-  const int tx_count = (g.dims.n + s.bx - 1) / s.bx;
-  const long long tiles = static_cast<long long>(ty_count) * tx_count;
-  check_epilogue_beta(g, beta, 0);
-  CTB_TEL_COUNT("exec.flops", 2LL * g.dims.m * g.dims.n * g.dims.k);
-  CTB_TEL_COUNT("exec.c.passes", 1);
-  CTB_TEL_COUNT("exec.splitk.tiles",
-                tiles * static_cast<long long>(slices.size()));
-  CTB_TEL_COUNT("exec.splitk.groups", tiles);
-
-  const CallPacks packs = uniform_packs(s, {&g, 1});
-  const PackedDispatch& d = packs[0];
-  parallel_for(tiles, [&](long long block) {
-    execute_tile_sliced(s, g, d, static_cast<int>(block / tx_count),
-                        static_cast<int>(block % tx_count), slices, alpha,
-                        beta);
-  });
+  run_vbatch(s, {&g, 1}, alpha, beta);
 }
 
 void run_vbatch(const TilingStrategy& s, std::span<const GemmOperands> batch,
                 float alpha, float beta) {
-  // Grid X/Y sized by the largest GEMM (paper Fig. 3a); smaller GEMMs leave
-  // bubble blocks, which the guard below skips.
-  int max_ty = 0, max_tx = 0;
+  check_geometry(s);
+  audit_operands(batch);
+  for (std::size_t z = 0; z < batch.size(); ++z)
+    check_epilogue_beta(batch[z], beta, z);
+  // MAGMA vbatch as a plan (paper §6): one uniform strategy and one tile
+  // per block, every tile of every GEMM. The grid's bubble blocks are a
+  // timing artefact that work_vbatch models; they would execute nothing.
+  BatchPlan grid;
+  grid.tile_offsets.push_back(0);
   for (std::size_t z = 0; z < batch.size(); ++z) {
-    const auto& g = batch[z];
-    check_epilogue_beta(g, beta, z);
-    max_ty = std::max(max_ty, (g.dims.m + s.by - 1) / s.by);
-    max_tx = std::max(max_tx, (g.dims.n + s.bx - 1) / s.bx);
+    const int ty_count = (batch[z].dims.m + s.by - 1) / s.by;
+    const int tx_count = (batch[z].dims.n + s.bx - 1) / s.bx;
+    for (int ty = 0; ty < ty_count; ++ty)
+      for (int tx = 0; tx < tx_count; ++tx) {
+        grid.gemm_of_tile.push_back(static_cast<int>(z));
+        grid.y_coord.push_back(ty);
+        grid.x_coord.push_back(tx);
+        grid.tile_offsets.push_back(grid.num_tiles());
+      }
   }
-
-  CTB_TEL_COUNT("exec.flops", flops_of(batch));
-  CTB_TEL_COUNT("exec.c.passes", batch.size());
-
-  const CallPacks packs = uniform_packs(s, batch);
-
-  // Every (z, ty, tx) grid block is independent — each GEMM has its own C
-  // and the tiles within a GEMM are disjoint — so the whole grid runs as
-  // one parallel-for. The z divisor is hoisted as long long: max_ty *
-  // max_tx as an int product could overflow before widening on large grids.
-  const long long zdiv = static_cast<long long>(max_ty) * max_tx;
-  const long long grid = static_cast<long long>(batch.size()) * zdiv;
-  parallel_for(grid, [&](long long block) {
-    const std::size_t z = static_cast<std::size_t>(block / zdiv);
-    const int ty = static_cast<int>(block / max_tx % max_ty);
-    const int tx = static_cast<int>(block % max_tx);
-    const auto& g = batch[z];
-    const int ty_count = (g.dims.m + s.by - 1) / s.by;
-    const int tx_count = (g.dims.n + s.bx - 1) / s.bx;
-    if (ty >= ty_count || tx >= tx_count) return;  // bubble block
-    const PackedDispatch& d = packs[z];
-    if (g.epilogue != 0) {
-      const KSlice full{0, g.dims.k};
-      execute_tile_sliced(s, g, d, ty, tx, {&full, 1}, alpha, beta);
-    } else if (d.specialized()) {
-      d.kernel.fn(g, d.pack, ty, tx, alpha, beta);
-    } else {
-      execute_tile(s, g, ty, tx, alpha, beta);
-    }
-  });
-}
-
-void run_vbatch(const TilingStrategy& s, std::span<const GemmOperands> batch,
-                float alpha, float beta, int splitk) {
-  if (splitk <= 1) {
-    run_vbatch(s, batch, alpha, beta);
-    return;
-  }
-  int max_ty = 0, max_tx = 0;
-  for (std::size_t z = 0; z < batch.size(); ++z) {
-    const auto& g = batch[z];
-    check_epilogue_beta(g, beta, z);
-    max_ty = std::max(max_ty, (g.dims.m + s.by - 1) / s.by);
-    max_tx = std::max(max_tx, (g.dims.n + s.bx - 1) / s.bx);
-  }
-  CTB_TEL_COUNT("exec.flops", flops_of(batch));
-  CTB_TEL_COUNT("exec.c.passes", batch.size());
-
-  const CallPacks packs = uniform_packs(s, batch);
-  std::vector<std::vector<KSlice>> slices(batch.size());
-  for (std::size_t z = 0; z < batch.size(); ++z) {
-    const long long tiles = s.tiles_for(batch[z].dims.m, batch[z].dims.n);
-    slices[z] = k_slices(batch[z].dims.k, s.bk, splitk);
-    if (slices[z].size() > 1) {
-      CTB_TEL_COUNT("exec.splitk.tiles",
-                    tiles * static_cast<long long>(slices[z].size()));
-      CTB_TEL_COUNT("exec.splitk.groups", tiles);
-    }
-  }
-
-  const long long zdiv = static_cast<long long>(max_ty) * max_tx;
-  const long long grid = static_cast<long long>(batch.size()) * zdiv;
-  parallel_for(grid, [&](long long block) {
-    const std::size_t z = static_cast<std::size_t>(block / zdiv);
-    const int ty = static_cast<int>(block / max_tx % max_ty);
-    const int tx = static_cast<int>(block % max_tx);
-    const auto& g = batch[z];
-    const int ty_count = (g.dims.m + s.by - 1) / s.by;
-    const int tx_count = (g.dims.n + s.bx - 1) / s.bx;
-    if (ty >= ty_count || tx >= tx_count) return;  // bubble block
-    const PackedDispatch& d = packs[z];
-    if (slices[z].size() > 1) {
-      execute_tile_sliced(s, g, d, ty, tx, slices[z], alpha, beta);
-    } else if (g.epilogue != 0) {
-      const KSlice full{0, g.dims.k};
-      execute_tile_sliced(s, g, d, ty, tx, {&full, 1}, alpha, beta);
-    } else if (d.specialized()) {
-      d.kernel.fn(g, d.pack, ty, tx, alpha, beta);
-    } else {
-      execute_tile(s, g, ty, tx, alpha, beta);
-    }
-  });
+  const std::vector<const TilingStrategy*> strategy(batch.size(), &s);
+  sweep(grid, batch, strategy, alpha, beta, /*plan_spans=*/false);
 }
 
 namespace {
@@ -1046,157 +896,15 @@ void run_batched_plan(const BatchPlan& plan,
   CTB_TEL_COUNT("exec.plan_runs", 1);
   CTB_TEL_COUNT("exec.blocks", plan.num_blocks());
   CTB_TEL_COUNT("exec.tiles", plan.num_tiles());
-  CTB_TEL_COUNT("exec.flops", flops_of(batch));
-  CTB_TEL_COUNT("exec.c.passes", batch.size());
 
-  // Packing pass: a validated plan assigns each GEMM a single strategy,
-  // though strategies vary across GEMMs. Walk the tile array once to find
-  // each GEMM's strategy and tile count (GEMMs the plan never names stay
-  // unpacked).
-  std::vector<int> strategy_of_gemm(batch.size(), -1);
+  // A validated plan tiles each GEMM with one Table-2 strategy (which always
+  // passes check_geometry), though strategies vary across GEMMs; GEMMs the
+  // plan never names stay null and unpacked.
   std::vector<const TilingStrategy*> strategy(batch.size(), nullptr);
-  std::vector<long long> tiles_of_gemm(batch.size(), 0);
-  for (std::size_t t = 0; t < plan.gemm_of_tile.size(); ++t) {
-    const auto gi = static_cast<std::size_t>(plan.gemm_of_tile[t]);
-    strategy_of_gemm[gi] = plan.strategy_of_tile[t];
-    strategy[gi] = &batched_strategy_by_id(plan.strategy_of_tile[t]);
-    ++tiles_of_gemm[gi];
-  }
-  const CallPacks packs = [&] {
-    CTB_TEL_SPAN("exec.pack");
-    return CallPacks(batch, strategy, tiles_of_gemm);
-  }();
-
-  // Split-K discovery: a tile whose K range does not cover its GEMM's full
-  // K extent belongs to a fix-up group keyed (gemm, ty, tx). Each group
-  // gets one row-major BY x BX accumulator in a shared workspace arena;
-  // groups are enumerated in key order and slices within a group in
-  // ascending k_begin order, so ownership and arithmetic order are
-  // deterministic regardless of thread count.
-  struct SplitGroup {
-    int gemm = 0, ty = 0, tx = 0;
-    std::size_t acc_offset = 0;
-    std::vector<int> fixup;  ///< non-first slices, ascending k_begin.
-  };
-  std::vector<int> group_of_tile;  // -1 = full-K tile, executes as always
-  std::vector<SplitGroup> groups;
-  std::vector<float> workspace;
-  if (plan.has_split()) {
-    group_of_tile.assign(static_cast<std::size_t>(plan.num_tiles()), -1);
-    std::map<std::array<int, 3>, std::vector<int>> keyed;
-    for (int t = 0; t < plan.num_tiles(); ++t) {
-      const int g = plan.gemm_of_tile[static_cast<std::size_t>(t)];
-      const auto [kb, ke] = plan.tile_k_range(t, batch[static_cast<std::size_t>(g)].dims.k);
-      if (kb == 0 && ke == batch[static_cast<std::size_t>(g)].dims.k)
-        continue;
-      keyed[{g, plan.y_coord[static_cast<std::size_t>(t)],
-             plan.x_coord[static_cast<std::size_t>(t)]}]
-          .push_back(t);
-    }
-    std::size_t arena = 0;
-    long long split_tiles = 0;
-    for (auto& [key, tiles] : keyed) {
-      std::sort(tiles.begin(), tiles.end(), [&](int a, int b) {
-        return plan.k_begin[static_cast<std::size_t>(a)] <
-               plan.k_begin[static_cast<std::size_t>(b)];
-      });
-      split_tiles += static_cast<long long>(tiles.size());
-      SplitGroup grp;
-      grp.gemm = key[0];
-      grp.ty = key[1];
-      grp.tx = key[2];
-      grp.acc_offset = arena;
-      const TilingStrategy& s = batched_strategy_by_id(
-          plan.strategy_of_tile[static_cast<std::size_t>(tiles.front())]);
-      arena += static_cast<std::size_t>(s.by) * s.bx;
-      for (int i = 0; i < static_cast<int>(tiles.size()); ++i) {
-        group_of_tile[static_cast<std::size_t>(tiles[static_cast<std::size_t>(i)])] =
-            static_cast<int>(groups.size());
-        if (i > 0) grp.fixup.push_back(tiles[static_cast<std::size_t>(i)]);
-      }
-      groups.push_back(std::move(grp));
-    }
-    workspace.resize(arena);
-    CTB_TEL_COUNT("exec.splitk.tiles", split_tiles);
-    CTB_TEL_COUNT("exec.splitk.groups", groups.size());
-  }
-
-  // Fig. 7: each block walks its tile range from the aux arrays. Blocks run
-  // concurrently — validate_plan guarantees complete single coverage, so no
-  // two blocks touch the same C tile — while each block's tile chain stays
-  // serial, exactly like persistent thread blocks on the device. Per-block
-  // spans land in parallel_for-safe thread-local buffers. Split tiles with
-  // k_begin == 0 seed their group's workspace accumulator (one writer per
-  // group in this pass); later slices are deferred to the fix-up reduction
-  // below, past the parallel_for join.
-  parallel_for(plan.num_blocks(), [&](long long b) {
-    CTB_TEL_SPAN("exec.block");
-    const auto [begin, end] = plan.block_tiles(static_cast<int>(b));
-    for (int t = begin; t < end; ++t) {
-      const int g = plan.gemm_of_tile[static_cast<std::size_t>(t)];
-      CTB_CHECK_MSG(g >= 0 && g < static_cast<int>(batch.size()),
-                    "plan references GEMM " << g << " beyond the batch");
-      const int sid = plan.strategy_of_tile[static_cast<std::size_t>(t)];
-      const int ty = plan.y_coord[static_cast<std::size_t>(t)];
-      const int tx = plan.x_coord[static_cast<std::size_t>(t)];
-      const PackedDispatch& d = packs[static_cast<std::size_t>(g)];
-      if (!group_of_tile.empty() &&
-          group_of_tile[static_cast<std::size_t>(t)] >= 0) {
-        const int kb = plan.k_begin[static_cast<std::size_t>(t)];
-        if (kb != 0) continue;  // fix-up entry: reduced after the join
-        const SplitGroup& grp = groups[static_cast<std::size_t>(
-            group_of_tile[static_cast<std::size_t>(t)])];
-        accumulate_tile_range(batched_strategy_by_id(sid),
-                              batch[static_cast<std::size_t>(g)], d, ty, tx,
-                              kb, plan.k_end[static_cast<std::size_t>(t)],
-                              /*first=*/true,
-                              workspace.data() + grp.acc_offset);
-        continue;
-      }
-      if (batch[static_cast<std::size_t>(g)].epilogue != 0) {
-        // Fused tile: dispatched accumulation + the epilogue-aware store
-        // (the microkernels' own store has no epilogue hook).
-        const KSlice full{0, batch[static_cast<std::size_t>(g)].dims.k};
-        execute_tile_sliced(batched_strategy_by_id(sid),
-                            batch[static_cast<std::size_t>(g)], d, ty, tx,
-                            {&full, 1}, alpha, beta);
-      } else if (d.specialized() &&
-                 sid == strategy_of_gemm[static_cast<std::size_t>(g)]) {
-        d.kernel.fn(batch[static_cast<std::size_t>(g)], d.pack, ty, tx,
-                    alpha, beta);
-      } else {
-        execute_tile(batched_strategy_by_id(sid),
-                     batch[static_cast<std::size_t>(g)], ty, tx, alpha,
-                     beta);
-      }
-    }
-  });
-
-  // Deterministic fix-up reduction: one owner per split group continues the
-  // carried chain through the remaining slices in ascending k order (the
-  // left-spine tree — the unique order preserving unsplit bit-identity) and
-  // applies the epilogue. The parallel_for join above makes every seeded
-  // accumulator visible; groups write disjoint C tiles, so no atomics.
-  if (!groups.empty()) {
-    CTB_TEL_SPAN("exec.splitk.reduce");
-    parallel_for(static_cast<long long>(groups.size()), [&](long long i) {
-      const SplitGroup& grp = groups[static_cast<std::size_t>(i)];
-      const auto gz = static_cast<std::size_t>(grp.gemm);
-      float* acc = workspace.data() + grp.acc_offset;
-      for (int t : grp.fixup) {
-        const TilingStrategy& s = batched_strategy_by_id(
-            plan.strategy_of_tile[static_cast<std::size_t>(t)]);
-        accumulate_tile_range(s, batch[gz], packs[gz], grp.ty, grp.tx,
-                              plan.k_begin[static_cast<std::size_t>(t)],
-                              plan.k_end[static_cast<std::size_t>(t)],
-                              /*first=*/false, acc);
-      }
-      const TilingStrategy& s =
-          batched_strategy_by_id(strategy_of_gemm[gz]);
-      store_tile_rowmajor_rt(s, batch[gz], grp.ty, grp.tx, alpha, beta,
-                             acc);
-    });
-  }
+  for (std::size_t t = 0; t < plan.gemm_of_tile.size(); ++t)
+    strategy[static_cast<std::size_t>(plan.gemm_of_tile[t])] =
+        &batched_strategy_by_id(plan.strategy_of_tile[t]);
+  sweep(plan, batch, strategy, alpha, beta, /*plan_spans=*/true);
 }
 
 GemmOperands operands(const Matrixf& a, const Matrixf& b, Matrixf& c) {

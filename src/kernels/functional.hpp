@@ -1,33 +1,32 @@
 // Functional executors for the simulated device kernels.
 //
-// These run the exact code skeletons of the paper on the CPU, thread block
-// by thread block: the single-GEMM kernel of Fig. 2 (shared-memory staged
-// A/B tiles, per-thread register sub-tiles, K-loop in BK steps), the MAGMA
-// vbatch kernel (gridDim.z slices with bubble-block guards), and the
-// persistent-threads batched kernel of Fig. 7 driven by the five auxiliary
-// arrays. Double buffering changes only timing, not values, so the
-// functional path uses single buffers; the timing model accounts for the
-// pipeline.
+// These run the paper's code skeletons on the CPU, thread block by thread
+// block. There is one executor: the persistent-threads block sweep of
+// Fig. 7 driven by the five auxiliary arrays. The MAGMA vbatch kernel is a
+// plan with one uniform strategy and one tile per block (paper §6), and the
+// single-GEMM kernel of Fig. 2 is vbatch over one GEMM. Double buffering
+// changes only timing, not values, so the functional path uses single
+// buffers; the timing model accounts for the pipeline.
 //
-// All results are bit-exact across executors for a given strategy because
-// every executor accumulates in the same (k0, p) order.
+// Every tile runs one pipeline: accumulate its K range into a row-major
+// accumulator, then one store (alpha/beta, fp16 rounding, the fused
+// epilogue chain). The accumulation loop is resolved once per GEMM and call:
+// a GEMM whose packed-panel footprint fits the pack arena budget
+// (packing.hpp) is packed once, and its tiles run the active ISA's SIMD
+// tile loop for the geometry (simd.hpp) or else the scalar packed loop; a
+// GEMM the budget leaves unpacked stages its operands per tile through the
+// generic Fig. 2 loop (emulated shared memory, per-thread register
+// sub-tiles). All three add the same staged values in the same (k0, p)
+// order, so results are bit-exact across paths and executors;
+// `exec.dispatch.{specialized,generic}` count packed and unpacked tiles.
 //
-// Dispatch: when a strategy has a compile-time-specialized microkernel
-// (microkernel.hpp — all Table-1 and Table-2 geometries do) and the GEMM's
-// packed-panel footprint fits the pack arena budget (packing.hpp), the
-// executors pack A/B panels once per (GEMM, strategy) and run every tile of
-// that GEMM through the specialized kernel; otherwise the generic
-// `execute_tile` stages tiles per block exactly as before. Both paths are
-// bit-identical; `exec.dispatch.{specialized,generic}` count the choice.
-//
-// Execution is block-parallel on the host: the executors fan independent
-// thread blocks out over ctb::parallel_for (OpenMP, serial fallback). This
-// is safe and bit-exact because blocks write disjoint C tiles — one tile
-// per block for the single/vbatch grids, and complete single coverage
-// guaranteed by validate_plan for batched plans — while each block's tile
-// chain and per-element FMA order stay serial. set_parallel_threads(1)
-// forces the serial path; parallel_exec_test asserts bit-identical C either
-// way.
+// Execution is block-parallel on the host: blocks fan out over
+// ctb::parallel_for (OpenMP, serial fallback). This is safe and bit-exact
+// because blocks write disjoint C tiles — complete single coverage is
+// guaranteed by validate_plan, and by construction for the vbatch grid —
+// while each block's tile chain and per-element FMA order stay serial.
+// set_parallel_threads(1) forces the serial path; parallel_exec_test
+// asserts bit-identical C either way.
 #pragma once
 
 #include <functional>
@@ -80,36 +79,25 @@ struct GemmOperands {
   EpilogueArgs epilogue_args;
 };
 
-/// Executes one C tile (ty, tx) of `g` under `strategy`: stages A/B tiles
-/// through an emulated shared memory, accumulates per-thread register
-/// sub-tiles over the K loop, and applies the alpha/beta epilogue with
-/// boundary guards.
+/// Executes one C tile (ty, tx) of `g` under `strategy` through the generic
+/// path: stages A/B tiles through an emulated shared memory, accumulates
+/// per-thread register sub-tiles over the K loop, and applies the tile
+/// store. Audits `g` (audit_operands) and rejects a geometry the scratch
+/// cannot hold or a tile outside the GEMM before touching memory.
 void execute_tile(const TilingStrategy& strategy, const GemmOperands& g,
                   int ty, int tx, float alpha, float beta);
 
-/// Fig. 2: classic one-tile-per-block single GEMM.
+/// Fig. 2: classic one-tile-per-block single GEMM — run_vbatch over one
+/// GEMM.
 void run_single_gemm(const TilingStrategy& strategy, const GemmOperands& g,
                      float alpha, float beta);
 
-/// Split-K single GEMM: each C tile's K loop is partitioned into up to
-/// `splitk` BK-aligned slices executed as a carried chain through a
-/// workspace accumulator (the deterministic fix-up reduction — see
-/// run_batched_plan), so C is bitwise identical to the unsplit call at any
-/// thread count and SIMD ISA. `splitk <= 1` (or a single-step K loop)
-/// degrades to the unsplit path.
-void run_single_gemm(const TilingStrategy& strategy, const GemmOperands& g,
-                     float alpha, float beta, int splitk);
-
-/// MAGMA vbatch: one uniform strategy, grid sized by the largest GEMM's tile
-/// count, gridDim.z = batch; out-of-range (bubble) blocks return immediately.
+/// MAGMA vbatch: one uniform strategy, one tile per block, every tile of
+/// every GEMM. The device grid's bubble blocks (sized by the largest GEMM)
+/// are modelled by work_vbatch and execute nothing here. Audits the
+/// operands and the strategy geometry first.
 void run_vbatch(const TilingStrategy& strategy,
                 std::span<const GemmOperands> batch, float alpha, float beta);
-
-/// Split-K vbatch: per-GEMM K slicing with the same carried-chain fix-up
-/// reduction and bit-exactness guarantee as the split-K single-GEMM path.
-void run_vbatch(const TilingStrategy& strategy,
-                std::span<const GemmOperands> batch, float alpha, float beta,
-                int splitk);
 
 /// Audits the operand array alone: every GEMM has valid dims, an A pointer,
 /// a B pointer or gather, and a C pointer; any fused-epilogue spec is a

@@ -1,4 +1,4 @@
-// Operand panel packing for the specialized microkernels.
+// Operand panel packing for the packed tile loops.
 //
 // The generic executor re-stages the same A row-panel for every tile in a
 // C-tile row and the same B column-panel for every tile in a C-tile column,
@@ -9,7 +9,7 @@
 // blocks in precisely the layout the emulated shared memory uses (A block
 // `a[i * BK + p]`, B block `b[p * BX + j]`, zero-padded past the matrix
 // edges, values rounded through binary16 on the fp16 path, `b_gather`
-// materialized). Interior K-loop iterations of the microkernel then read
+// materialized). Interior K-loop iterations of the tile loops then read
 // branch-free contiguous memory. A set is identified by its PanelKey, so
 // the GEMMs of one executor call that read the same operand under the same
 // geometry share one set (DESIGN.md §9).

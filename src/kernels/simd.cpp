@@ -97,7 +97,7 @@ const SimdLoopEntry* find_simd_loop(SimdIsa isa, int by, int bx, int bk) {
       table = simd_detail::avx512_loops(&count);
       break;
     case SimdIsa::kScalar:
-      break;  // scalar tiles run the compile-time microkernels instead
+      break;  // scalar tiles run the scalar packed loop instead
   }
   for (int i = 0; i < count; ++i) {
     if (table[i].by == by && table[i].bx == bx && table[i].bk == bk)

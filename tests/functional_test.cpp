@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "kernels/functional.hpp"
 #include "linalg/gemm_ref.hpp"
@@ -108,6 +109,81 @@ TEST(Functional, ExecuteTileOutsideGemmThrows) {
   Matrixf c(16, 16);
   const GemmOperands g = operands(a, b, c);
   EXPECT_THROW(execute_tile(s, g, 1, 0, 1.0f, 0.0f), CheckError);
+}
+
+// Negative tile coordinates used to pass the upper-bound check and write a
+// full tile before C; the guard floats in front of C must stay untouched.
+TEST(Functional, ExecuteTileNegativeCoordinatesThrow) {
+  const auto& s = batched_strategy(TileShape::kSmall, ThreadVariant::k256);
+  Rng rng(1010);
+  const Matrixf a = rand_mat(32, 8, rng);
+  const Matrixf b = rand_mat(8, 32, rng);
+  constexpr float kGuard = 12345.0f;
+  std::vector<float> storage(16 * 32 + 32 * 32, kGuard);
+  Matrixf c(32, 32);
+  GemmOperands g = operands(a, b, c);
+  g.c = storage.data() + 16 * 32;  // 16 guard rows before C
+  EXPECT_THROW(execute_tile(s, g, -1, 0, 1.0f, 0.0f), CheckError);
+  EXPECT_THROW(execute_tile(s, g, 0, -1, 1.0f, 0.0f), CheckError);
+  for (std::size_t i = 0; i < storage.size(); ++i)
+    ASSERT_EQ(storage[i], kGuard) << "float " << i << " was written";
+}
+
+// A caller-built strategy must fit the executors' staging and accumulator
+// scratch (BY, BX <= 128, BK <= 8, sub_x <= 8) with sub-tiles covering its
+// tile; anything else is rejected by every entry point before C is touched.
+TEST(Functional, OversizedStrategyGeometryThrows) {
+  TilingStrategy tall = batched_strategy(TileShape::kHuge, ThreadVariant::k256);
+  tall.by = 256;  // 256x128 over 8x8 sub-tiles needs 512 threads
+  tall.threads = 512;
+  TilingStrategy deep =
+      batched_strategy(TileShape::kSmall, ThreadVariant::k256);
+  deep.bk = 16;
+  TilingStrategy wide_sub =
+      batched_strategy(TileShape::kMedium, ThreadVariant::k128);
+  wide_sub.sub_x = 16;  // 32x32 over 4x16 sub-tiles: 16 threads
+  wide_sub.threads = 16;
+  TilingStrategy uncovered =
+      batched_strategy(TileShape::kMedium, ThreadVariant::k128);
+  uncovered.threads = 64;  // 4x2 sub-tiles need 128 threads for 32x32
+  Rng rng(1020);
+  const Matrixf a = rand_mat(256, 24, rng);
+  const Matrixf b = rand_mat(24, 128, rng);
+  const Matrixf c_init = rand_mat(256, 128, rng);
+  for (const TilingStrategy& s : {tall, deep, wide_sub, uncovered}) {
+    Matrixf c = c_init;
+    const GemmOperands g = operands(a, b, c);
+    EXPECT_THROW(run_single_gemm(s, g, 1.0f, 0.0f), CheckError) << s.name();
+    EXPECT_THROW(run_vbatch(s, {&g, 1}, 1.0f, 0.0f), CheckError) << s.name();
+    EXPECT_THROW(execute_tile(s, g, 0, 0, 1.0f, 0.0f), CheckError)
+        << s.name();
+    for (std::size_t i = 0; i < c.flat().size(); ++i)
+      ASSERT_EQ(c.flat()[i], c_init.flat()[i]) << s.name() << " wrote C";
+  }
+}
+
+// Both grid entry points audit their operands like run_batched_plan: a bias
+// epilogue shorter than M, or a missing A, throws before any tile runs.
+TEST(Functional, GridEntryPointsAuditOperands) {
+  const auto& s = single_gemm_strategy(TileShape::kSmall);
+  Rng rng(1030);
+  const Matrixf a = rand_mat(40, 16, rng);
+  const Matrixf b = rand_mat(16, 24, rng);
+  const Matrixf c_init = rand_mat(40, 24, rng);
+  const std::vector<float> bias(8, 1.0f);  // M = 40 needs 40 values
+  Matrixf c = c_init;
+  GemmOperands short_bias = operands(a, b, c);
+  short_bias.epilogue = epilogue_push(0, EpilogueOp::kBias);
+  short_bias.epilogue_args.bias = bias.data();
+  short_bias.epilogue_args.bias_len = static_cast<int>(bias.size());
+  GemmOperands null_a = operands(a, b, c);
+  null_a.a = nullptr;
+  for (const GemmOperands& g : {short_bias, null_a}) {
+    EXPECT_THROW(run_single_gemm(s, g, 1.0f, 0.0f), CheckError);
+    EXPECT_THROW(run_vbatch(s, {&g, 1}, 1.0f, 0.0f), CheckError);
+  }
+  for (std::size_t i = 0; i < c.flat().size(); ++i)
+    ASSERT_EQ(c.flat()[i], c_init.flat()[i]) << "C written at " << i;
 }
 
 TEST(Functional, OperandsValidateShapes) {

@@ -173,7 +173,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomFp16Cases, ::testing::Range(0, 10));
 TEST(Integration, AllExecutorsAgreeBitExactly) {
   // The same strategy produces bit-identical results through the
   // single-GEMM kernel, the vbatch kernel, and the plan kernel, because all
-  // three share execute_tile and the accumulation order.
+  // three are the one block sweep and share its tile pipeline.
   Rng rng(555);
   const std::vector<GemmDims> dims = {{48, 80, 72}};
   const Matrixf a = rand_mat(48, 72, rng);

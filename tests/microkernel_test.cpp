@@ -1,27 +1,29 @@
-// Specialized packed microkernels (kernels/microkernel.hpp + packing.hpp):
-// every Table-2 strategy id must resolve to a compile-time kernel, packed
-// panels must reproduce the exact guarded staged values (transpose, fp16
-// rounding, implicit-GEMM gather, zero padding), and the specialized path
-// must be bit-identical to the generic executor for edge and interior
-// tiles across all executors — also when GEMMs of one call share a panel
-// set, and when calls reuse, or run concurrently on, per-thread pack
-// arenas. ScopedPackArenaBudget(0) is the lever that forces the generic
-// unpacked path for the A/B comparisons.
+// Packed tile paths (kernels/packing.hpp + the SIMD and scalar packed
+// loops in functional.cpp): every strategy the pack budget admits packs,
+// whatever its geometry; packed panels must reproduce the exact guarded
+// staged values (transpose, fp16 rounding, implicit-GEMM gather, zero
+// padding); and packed tiles must be bit-identical to the generic staged
+// executor and to reference_gemm for edge and interior tiles across all
+// executors — also when GEMMs of one call share a panel set, and when
+// calls reuse, or run concurrently on, per-thread pack arenas.
+// ScopedPackArenaBudget(0) is the lever that forces the generic unpacked
+// path for the A/B comparisons.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/api.hpp"
 #include "kernels/functional.hpp"
-#include "kernels/microkernel.hpp"
 #include "kernels/pack_cache.hpp"
 #include "kernels/packing.hpp"
+#include "kernels/simd.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/parallel.hpp"
 
@@ -89,44 +91,101 @@ GemmDims ragged_dims(const TilingStrategy& s) {
   return GemmDims{2 * s.by + 3, 2 * s.bx + 5, 2 * s.bk + 3};
 }
 
-// Runs `run` twice on fresh copies — packed/specialized (default budget)
-// and generic (budget 0) — and asserts bitwise-identical C.
-template <typename MakeCase, typename Run>
-void expect_specialized_matches_generic(MakeCase&& make, Run&& run,
-                                        const std::string& what) {
+// Runs one GEMM three ways on fresh copies — packed (default budget),
+// generic (budget 0) and reference_gemm — and asserts bitwise-identical C.
+// Every path ends in the same tile store, so the reference arm is the one
+// that checks the store.
+template <typename MakeCase>
+void expect_paths_agree(MakeCase&& make, const TilingStrategy& s, float alpha,
+                        float beta, const std::string& what) {
   auto packed_case = make();
-  run(packed_case);
+  run_single_gemm(s, packed_case.ops, alpha, beta);
   auto generic_case = make();
   {
     ScopedPackArenaBudget budget(0);
-    run(generic_case);
+    run_single_gemm(s, generic_case.ops, alpha, beta);
   }
-  expect_bitwise_equal(packed_case.c, generic_case.c, what);
+  auto reference_case = make();
+  reference_gemm(reference_case.ops, alpha, beta);
+  expect_bitwise_equal(packed_case.c, generic_case.c, what + " vs generic");
+  expect_bitwise_equal(packed_case.c, reference_case.c,
+                       what + " vs reference_gemm");
 }
 
-TEST(MicrokernelDispatch, EveryTable2IdResolvesToSpecializedKernel) {
+#ifdef CTB_TELEMETRY_ENABLED
+// The exec.dispatch.* and exec.simd.* counters, which partition a call's
+// tiles by path and by ISA.
+const char* const kDispatchCounters[] = {
+    "exec.dispatch.specialized", "exec.dispatch.generic", "exec.simd.scalar",
+    "exec.simd.neon",            "exec.simd.avx2",        "exec.simd.avx512"};
+
+using Counts = std::map<std::string, std::int64_t>;
+
+// What a call counts when all of its `tiles` tiles packed and ran under
+// `isa`.
+Counts packed_counts(long long tiles, SimdIsa isa) {
+  Counts c;
+  for (const char* name : kDispatchCounters) c[name] = 0;
+  c["exec.dispatch.specialized"] = tiles;
+  c[std::string("exec.simd.") + simd_isa_name(isa)] = tiles;
+  return c;
+}
+#endif
+
+// Runs `s` over ragged dims, checks C bitwise against reference_gemm, and
+// checks the dispatch counts the call added against packed_counts(isa)
+// (telemetry builds).
+void expect_packs_under(const TilingStrategy& s, SimdIsa isa,
+                        const std::string& what) {
+  const GemmDims d = ragged_dims(s);
+  GemmCase run(d, Op::kN, Op::kT, Precision::kFp32, false, 1500);
+  GemmCase reference(d, Op::kN, Op::kT, Precision::kFp32, false, 1500);
+#ifdef CTB_TELEMETRY_ENABLED
+  telemetry::reset();
+  telemetry::set_enabled(true);
+#endif
+  run_single_gemm(s, run.ops, 1.25f, 0.5f);
+#ifdef CTB_TELEMETRY_ENABLED
+  const auto snap = telemetry::snapshot();
+  Counts got;
+  for (const char* name : kDispatchCounters)
+    got[name] = counter_value(snap, name);
+  telemetry::set_enabled(false);
+  telemetry::reset();
+  EXPECT_EQ(got, packed_counts(s.tiles_for(d.m, d.n), isa)) << what;
+#else
+  (void)isa;
+#endif
+  reference_gemm(reference.ops, 1.25f, 0.5f);
+  expect_bitwise_equal(run.c, reference.c, what);
+}
+
+// The packing rule: under the default budget every strategy packs, and its
+// tiles run the active ISA's tile loop when one covers the geometry.
+TEST(MicrokernelDispatch, EveryTable2IdPacks) {
   for (int id = 0; id < 12; ++id) {
     const TilingStrategy& s = batched_strategy_by_id(id);
-    EXPECT_NE(microkernel_for_id(id), nullptr) << s.name();
-    EXPECT_EQ(microkernel_for_id(id), microkernel_for(s)) << s.name();
+    expect_packs_under(s, active_simd_isa(), s.name());
   }
-  EXPECT_EQ(microkernel_for_id(-1), nullptr);
-  EXPECT_EQ(microkernel_for_id(12), nullptr);
 }
 
-TEST(MicrokernelDispatch, Table1SuiteResolvesByGeometry) {
+TEST(MicrokernelDispatch, Table1SuitePacks) {
   for (const TilingStrategy& s : single_gemm_strategies())
-    EXPECT_NE(microkernel_for(s), nullptr) << s.name();
+    expect_packs_under(s, active_simd_isa(), "table1/" + s.name());
 }
 
-TEST(MicrokernelDispatch, UnknownGeometryFallsBackToNull) {
-  TilingStrategy s = batched_strategy_by_id(0);
-  s.bk = 4;  // no strategy table carries BK != 8
-  EXPECT_EQ(microkernel_for(s), nullptr);
-  s = batched_strategy_by_id(2);
-  s.sub_x = 8;  // geometry not in any table
-  s.bk = 8;
-  EXPECT_EQ(microkernel_for(s), nullptr);
+// Geometry no longer decides packing: a BK = 4 strategy (no tile loop
+// under any ISA) packs and runs the scalar packed loop, and a 32x32
+// strategy with 4x8 sub-tiles packs and runs the 32x32 tile loop
+// (sub-tiles only partition the generic loop's emulated threads).
+TEST(MicrokernelDispatch, UnknownGeometryPacksBitExact) {
+  TilingStrategy bk4 = batched_strategy_by_id(0);
+  bk4.bk = 4;
+  expect_packs_under(bk4, SimdIsa::kScalar, "bk4");
+  TilingStrategy sub4x8 = batched_strategy_by_id(2);
+  sub4x8.sub_x = 8;
+  sub4x8.threads = 32;
+  expect_packs_under(sub4x8, active_simd_isa(), "sub4x8");
 }
 
 // The packed panel blocks must hold exactly the values the guarded staging
@@ -243,33 +302,31 @@ TEST(Microkernel, SpecializedMatchesGenericAllStrategies) {
     for (Precision prec : {Precision::kFp32, Precision::kFp16}) {
       for (Op op_a : {Op::kN, Op::kT}) {
         for (Op op_b : {Op::kN, Op::kT}) {
-          expect_specialized_matches_generic(
+          expect_paths_agree(
               [&] { return GemmCase(d, op_a, op_b, prec, false, 100 + id); },
-              [&](GemmCase& gc) {
-                run_single_gemm(s, gc.ops, 1.25f, 0.5f);
-              },
+              s, 1.25f, 0.5f,
               s.name() + (prec == Precision::kFp16 ? "/fp16" : "/fp32") +
                   "/op_a=" + to_string(op_a) + "/op_b=" + to_string(op_b));
         }
       }
-      expect_specialized_matches_generic(
+      expect_paths_agree(
           [&] { return GemmCase(d, Op::kN, Op::kN, prec, true, 200 + id); },
-          [&](GemmCase& gc) { run_single_gemm(s, gc.ops, 1.0f, 0.0f); },
+          s, 1.0f, 0.0f,
           s.name() + "/gather");
     }
   }
 }
 
-// Dims exact multiples of the tile: every tile takes the full-tile fast
-// path (no edge guards). Also pins beta == 0 (prior skipped entirely).
-TEST(Microkernel, FullTileFastPathBitExact) {
+// Dims exact multiples of the tile: every tile is full, so no row store
+// takes a masked tail. Also pins beta == 0 (prior skipped entirely).
+TEST(Microkernel, FullTilesBitExact) {
   for (int id : {0, 5, 11}) {
     const TilingStrategy& s = batched_strategy_by_id(id);
     const GemmDims d{2 * s.by, 2 * s.bx, 3 * s.bk};
-    expect_specialized_matches_generic(
+    expect_paths_agree(
         [&] { return GemmCase(d, Op::kN, Op::kN, Precision::kFp32, false,
                               300 + id); },
-        [&](GemmCase& gc) { run_single_gemm(s, gc.ops, 1.0f, 0.0f); },
+        s, 1.0f, 0.0f,
         s.name() + "/full-tile");
   }
 }
@@ -277,10 +334,10 @@ TEST(Microkernel, FullTileFastPathBitExact) {
 TEST(Microkernel, Table1SingleGemmSuiteBitExact) {
   for (const TilingStrategy& s : single_gemm_strategies()) {
     const GemmDims d = ragged_dims(s);
-    expect_specialized_matches_generic(
+    expect_paths_agree(
         [&] { return GemmCase(d, Op::kN, Op::kN, Precision::kFp32, false,
                               400); },
-        [&](GemmCase& gc) { run_single_gemm(s, gc.ops, 2.0f, 1.0f); },
+        s, 2.0f, 1.0f,
         "table1/" + s.name());
   }
 }
@@ -437,8 +494,8 @@ TEST(Microkernel, PartialBudgetMixesPathsBitExact) {
 
 // ---------------------------------------------------------- SIMD dispatch --
 // The explicit-SIMD layer (kernels/simd.hpp) must be bit-identical to the
-// generic executor under every ISA the host can run, and the dispatcher
-// must fall back to the scalar microkernels cleanly everywhere else.
+// generic executor under every ISA the host can run, and dispatch must fall
+// back to the scalar packed loop cleanly everywhere else.
 
 // The ISAs this host can actually execute: always kScalar, plus every level
 // up to detected_simd_isa() that has a non-empty kernel table.
@@ -451,34 +508,28 @@ std::vector<SimdIsa> runnable_isas() {
   return isas;
 }
 
+// Every Table-1/2 geometry has a tile loop under every vector ISA, so all
+// of its tiles count under that ISA; scalar runs the scalar packed loop.
 TEST(SimdDispatch, EveryTable2IdResolvesUnderEveryRunnableIsa) {
   for (SimdIsa isa : runnable_isas()) {
     ScopedSimdIsa guard(isa);
+    const std::string tag = std::string("/") + simd_isa_name(isa);
     for (int id = 0; id < 12; ++id) {
       const TilingStrategy& s = batched_strategy_by_id(id);
-      const TileKernel k = tile_kernel_for(s);
-      ASSERT_TRUE(static_cast<bool>(k)) << s.name();
-      EXPECT_EQ(k.isa, isa) << s.name() << " under " << simd_isa_name(isa);
-      if (isa == SimdIsa::kScalar)
-        EXPECT_EQ(k.fn, microkernel_for(s)) << s.name();
-      else
-        EXPECT_NE(k.fn, microkernel_for(s)) << s.name();
+      expect_packs_under(s, isa, s.name() + tag);
     }
-    for (const TilingStrategy& s : single_gemm_strategies()) {
-      const TileKernel k = tile_kernel_for(s);
-      ASSERT_TRUE(static_cast<bool>(k)) << "table1/" << s.name();
-      EXPECT_EQ(k.isa, isa) << "table1/" << s.name();
-    }
+    for (const TilingStrategy& s : single_gemm_strategies())
+      expect_packs_under(s, isa, "table1/" + s.name() + tag);
   }
 }
 
 TEST(SimdDispatch, UnknownGeometryAndUnavailableIsaFallBackToScalar) {
+  // No ISA has a BK = 4 tile loop: the packed tiles run the scalar loop.
   TilingStrategy s = batched_strategy_by_id(0);
-  s.bk = 4;  // no SIMD loop carries BK != 8
+  s.bk = 4;
   {
     ScopedSimdIsa guard(detected_simd_isa());
-    EXPECT_EQ(tile_kernel_for(s).fn, nullptr);
-    EXPECT_EQ(tile_kernel_for(s).isa, SimdIsa::kScalar);
+    expect_packs_under(s, SimdIsa::kScalar, "bk4");
   }
   // Requesting an ISA beyond the host clamps rather than dispatching a
   // kernel the CPU cannot execute.
@@ -502,34 +553,34 @@ TEST(SimdDispatch, BitExactVsGenericAllStrategiesAllIsas) {
       for (Precision prec : {Precision::kFp32, Precision::kFp16}) {
         for (Op op_a : {Op::kN, Op::kT}) {
           for (Op op_b : {Op::kN, Op::kT}) {
-            expect_specialized_matches_generic(
+            expect_paths_agree(
                 [&] { return GemmCase(d, op_a, op_b, prec, false, 100 + id); },
-                [&](GemmCase& gc) { run_single_gemm(s, gc.ops, 1.25f, 0.5f); },
+                s, 1.25f, 0.5f,
                 s.name() + (prec == Precision::kFp16 ? "/fp16" : "/fp32") +
                     "/op_a=" + to_string(op_a) + "/op_b=" + to_string(op_b) +
                     tag);
           }
         }
-        expect_specialized_matches_generic(
+        expect_paths_agree(
             [&] { return GemmCase(d, Op::kN, Op::kN, prec, true, 200 + id); },
-            [&](GemmCase& gc) { run_single_gemm(s, gc.ops, 1.0f, 0.0f); },
+            s, 1.0f, 0.0f,
             s.name() + "/gather" + tag);
       }
     }
     for (const TilingStrategy& s : single_gemm_strategies()) {
       const GemmDims d = ragged_dims(s);
-      expect_specialized_matches_generic(
+      expect_paths_agree(
           [&] {
             return GemmCase(d, Op::kN, Op::kN, Precision::kFp32, false, 400);
           },
-          [&](GemmCase& gc) { run_single_gemm(s, gc.ops, 2.0f, 1.0f); },
+          s, 2.0f, 1.0f,
           "table1/" + s.name() + tag);
     }
   }
 }
 
-// Cross-ISA: the vectorized kernels must agree bitwise with the SCALAR
-// microkernels directly (not just transitively via the generic path), and
+// Cross-ISA: the vector tile loops must agree bitwise with the scalar
+// packed loop directly (not just transitively via the generic path), and
 // stay bit-exact at any thread count.
 TEST(SimdDispatch, VectorIsaMatchesScalarIsaAtAnyThreadCount) {
   for (SimdIsa isa : runnable_isas()) {
@@ -830,7 +881,7 @@ TEST(Microkernel, DispatchCountersTrackPaths) {
 }
 
 // exec.simd.* partitions ALL executed tiles by the ISA that ran them:
-// vector-kernel tiles under the active vector ISA, scalar-microkernel and
+// vector-loop tiles under the active vector ISA, scalar-packed-loop and
 // generic-executor tiles under exec.simd.scalar.
 TEST(Microkernel, SimdCountersPartitionTilesByIsa) {
   const TilingStrategy& s = batched_strategy_by_id(4);  // large/128

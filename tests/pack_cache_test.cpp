@@ -13,7 +13,6 @@
 
 #include "core/api.hpp"
 #include "kernels/functional.hpp"
-#include "kernels/microkernel.hpp"
 #include "kernels/pack_cache.hpp"
 #include "kernels/packing.hpp"
 #include "service/plan_service.hpp"

@@ -267,7 +267,7 @@ TEST(PerfReportCompare, TimingDeltasClassifyAgainstNoiseBand) {
 
 TEST(PerfReportCompare, DispatchMixRegressionHardFails) {
   // Synthetic regression: the same tiles now run generic instead of
-  // specialized (e.g. a broken microkernel lookup). Timing is identical —
+  // specialized (e.g. a broken packing decision). Timing is identical —
   // only the deterministic counters catch it, and they must gate.
   const PerfReport baseline =
       make_report({make_workload("w", 100.0, 12, 0)});

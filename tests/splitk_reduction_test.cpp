@@ -5,9 +5,10 @@
 // ascending (k0, p) accumulation chain through the slices in K order (a
 // carried chain — the left-spine of the reduction tree), so the result is
 // BITWISE identical to the unsplit execution. This test pins that contract
-// where it can break: under parallel_for at 1/2/4/8 threads, across all
-// three executors, fp32 and fp16, N/T transpose variants, the gather
-// (implicit-GEMM) path, and every SIMD ISA reachable on the host.
+// where it can break: under parallel_for at 1/2/4/8 threads, for one GEMM
+// and mixed batches under hand-built uniform plans and planner-made plans,
+// fp32 and fp16, N/T transpose variants, the gather (implicit-GEMM) path,
+// every Table-2 strategy, and every SIMD ISA reachable on the host.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -85,14 +86,16 @@ TEST(SplitKSingleGemm, ThreadAndSliceSweepBitExact) {
   auto reference = make_batch(dims, 42);
   {
     ScopedParallelThreads guard(1);
-    run_single_gemm(s, reference.ops[0], 1.5f, -0.5f);
+    run_batched_plan(uniform_plan(dims, s, 1), reference.ops, 1.5f, -0.5f);
   }
   for (int slices : kSliceCounts) {
+    const BatchPlan split = uniform_plan(dims, s, slices);
+    ASSERT_TRUE(split.has_split());
     for (int threads : kThreadCounts) {
-      auto split = make_batch(dims, 42);
+      auto split_case = make_batch(dims, 42);
       ScopedParallelThreads guard(threads);
-      run_single_gemm(s, split.ops[0], 1.5f, -0.5f, slices);
-      expect_bitwise_equal(reference.c[0], split.c[0],
+      run_batched_plan(split, split_case.ops, 1.5f, -0.5f);
+      expect_bitwise_equal(reference.c[0], split_case.c[0],
                            "single splitk=" + std::to_string(slices) +
                                " threads=" + std::to_string(threads));
     }
@@ -108,12 +111,12 @@ TEST_P(SplitKAllStrategies, SingleGemmBitExact) {
   auto reference = make_batch(dims, 51);
   {
     ScopedParallelThreads guard(1);
-    run_single_gemm(s, reference.ops[0], 1.0f, 0.25f);
+    run_batched_plan(uniform_plan(dims, s, 1), reference.ops, 1.0f, 0.25f);
   }
   auto split = make_batch(dims, 51);
   {
     ScopedParallelThreads guard(4);
-    run_single_gemm(s, split.ops[0], 1.0f, 0.25f, 4);
+    run_batched_plan(uniform_plan(dims, s, 4), split.ops, 1.0f, 0.25f);
   }
   expect_bitwise_equal(reference.c[0], split.c[0],
                        "all-strategies " + s.name());
@@ -127,13 +130,14 @@ TEST(SplitKSingleGemm, Fp16BitExact) {
   auto reference = make_batch(dims, 99, Precision::kFp16);
   {
     ScopedParallelThreads guard(1);
-    run_single_gemm(s, reference.ops[0], 1.0f, 0.5f);
+    run_batched_plan(uniform_plan(dims, s, 1), reference.ops, 1.0f, 0.5f);
   }
+  const BatchPlan split = uniform_plan(dims, s, 4);
   for (int threads : kThreadCounts) {
-    auto split = make_batch(dims, 99, Precision::kFp16);
+    auto split_case = make_batch(dims, 99, Precision::kFp16);
     ScopedParallelThreads guard(threads);
-    run_single_gemm(s, split.ops[0], 1.0f, 0.5f, 4);
-    expect_bitwise_equal(reference.c[0], split.c[0],
+    run_batched_plan(split, split_case.ops, 1.0f, 0.5f);
+    expect_bitwise_equal(reference.c[0], split_case.c[0],
                          "fp16 threads=" + std::to_string(threads));
   }
 }
@@ -141,6 +145,9 @@ TEST(SplitKSingleGemm, Fp16BitExact) {
 TEST(SplitKSingleGemm, TransposeVariantsBitExact) {
   const auto& s = batched_strategy(TileShape::kMedium, ThreadVariant::k256);
   const int m = 70, n = 45, k = 100;
+  const std::vector<GemmDims> dims = {{m, n, k}};
+  const BatchPlan unsplit = uniform_plan(dims, s, 1);
+  const BatchPlan split = uniform_plan(dims, s, 4);
   for (const Op op_a : {Op::kN, Op::kT}) {
     for (const Op op_b : {Op::kN, Op::kT}) {
       const int ar = op_a == Op::kN ? m : k;
@@ -158,17 +165,17 @@ TEST(SplitKSingleGemm, TransposeVariantsBitExact) {
       TCase reference = make();
       {
         ScopedParallelThreads guard(1);
-        run_single_gemm(
-            s, operands(reference.a, reference.b, reference.c, op_a, op_b),
-            1.0f, 0.25f);
+        const GemmOperands g =
+            operands(reference.a, reference.b, reference.c, op_a, op_b);
+        run_batched_plan(unsplit, {&g, 1}, 1.0f, 0.25f);
       }
       for (int threads : kThreadCounts) {
-        TCase split = make();
+        TCase split_case = make();
         ScopedParallelThreads guard(threads);
-        run_single_gemm(s,
-                        operands(split.a, split.b, split.c, op_a, op_b),
-                        1.0f, 0.25f, 4);
-        expect_bitwise_equal(reference.c, split.c,
+        const GemmOperands g =
+            operands(split_case.a, split_case.b, split_case.c, op_a, op_b);
+        run_batched_plan(split, {&g, 1}, 1.0f, 0.25f);
+        expect_bitwise_equal(reference.c, split_case.c,
                              std::string("transpose op_a=") +
                                  (op_a == Op::kT ? "T" : "N") + " op_b=" +
                                  (op_b == Op::kT ? "T" : "N") + " threads=" +
@@ -197,24 +204,25 @@ TEST(SplitKSingleGemm, GatherPathBitExact) {
     return t;
   }();
   const Matrixf filters = random_filters(shape, rng);
-  const GemmDims d = shape.gemm_dims(input.n());
+  const std::vector<GemmDims> dims = {shape.gemm_dims(input.n())};
   const auto& s = batched_strategy(TileShape::kSmall, ThreadVariant::k128);
 
-  Matrixf reference_out(static_cast<std::size_t>(d.m),
-                        static_cast<std::size_t>(d.n));
+  Matrixf reference_out(static_cast<std::size_t>(dims[0].m),
+                        static_cast<std::size_t>(dims[0].n));
   {
     ScopedParallelThreads guard(1);
-    run_single_gemm(
-        s, implicit_conv_operands(shape, input, filters, reference_out),
-        1.0f, 0.0f);
+    const GemmOperands g =
+        implicit_conv_operands(shape, input, filters, reference_out);
+    run_batched_plan(uniform_plan(dims, s, 1), {&g, 1}, 1.0f, 0.0f);
   }
+  const BatchPlan split = uniform_plan(dims, s, 3);
   for (int threads : kThreadCounts) {
-    Matrixf split_out(static_cast<std::size_t>(d.m),
-                      static_cast<std::size_t>(d.n));
+    Matrixf split_out(static_cast<std::size_t>(dims[0].m),
+                      static_cast<std::size_t>(dims[0].n));
     ScopedParallelThreads guard(threads);
-    run_single_gemm(s,
-                    implicit_conv_operands(shape, input, filters, split_out),
-                    1.0f, 0.0f, 3);
+    const GemmOperands g =
+        implicit_conv_operands(shape, input, filters, split_out);
+    run_batched_plan(split, {&g, 1}, 1.0f, 0.0f);
     expect_bitwise_equal(reference_out, split_out,
                          "gather threads=" + std::to_string(threads));
   }
@@ -223,21 +231,22 @@ TEST(SplitKSingleGemm, GatherPathBitExact) {
 // --------------------------------------------------------------- vbatch --
 
 TEST(SplitKVbatch, MixedSizesBitExact) {
-  const auto& s = single_gemm_strategy(TileShape::kMedium);
-  // Includes K=3 (a single BK step: must degrade to unsplit) and ragged Ks.
+  const auto& s = batched_strategy(TileShape::kMedium, ThreadVariant::k256);
+  // Includes K=3 (a single BK step: stays unsplit) and ragged Ks.
   const std::vector<GemmDims> dims = {
       {33, 65, 19}, {128, 128, 64}, {100, 40, 77}, {16, 16, 3}};
   auto reference = make_batch(dims, 123);
   {
     ScopedParallelThreads guard(1);
-    run_vbatch(s, reference.ops, 1.25f, 0.5f);
+    run_batched_plan(uniform_plan(dims, s, 1), reference.ops, 1.25f, 0.5f);
   }
+  const BatchPlan split = uniform_plan(dims, s, 4);
   for (int threads : kThreadCounts) {
-    auto split = make_batch(dims, 123);
+    auto split_case = make_batch(dims, 123);
     ScopedParallelThreads guard(threads);
-    run_vbatch(s, split.ops, 1.25f, 0.5f, 4);
+    run_batched_plan(split, split_case.ops, 1.25f, 0.5f);
     for (std::size_t i = 0; i < dims.size(); ++i)
-      expect_bitwise_equal(reference.c[i], split.c[i],
+      expect_bitwise_equal(reference.c[i], split_case.c[i],
                            "vbatch gemm " + std::to_string(i) + " threads=" +
                                std::to_string(threads));
   }
@@ -376,13 +385,13 @@ TEST(SplitKSimd, BestIsaSplitMatchesScalarUnsplit) {
   {
     ScopedSimdIsa isa_guard(SimdIsa::kScalar);
     ScopedParallelThreads guard(1);
-    run_single_gemm(s, reference.ops[0], 1.0f, 0.0f);
+    run_batched_plan(uniform_plan(dims, s, 1), reference.ops, 1.0f, 0.0f);
   }
   auto split = make_batch(dims, 67);
   {
     ScopedSimdIsa isa_guard(detected_simd_isa());
     ScopedParallelThreads guard(8);
-    run_single_gemm(s, split.ops[0], 1.0f, 0.0f, 8);
+    run_batched_plan(uniform_plan(dims, s, 8), split.ops, 1.0f, 0.0f);
   }
   expect_bitwise_equal(reference.c[0], split.c[0], "best-isa-vs-scalar");
 }
