@@ -10,7 +10,6 @@
 #include <cstdlib>
 #include <ctime>
 #include <fstream>
-#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -20,7 +19,6 @@
 #include "core/plan_io.hpp"
 #include "dnn/googlenet.hpp"
 #include "dnn/squeezenet.hpp"
-#include "kernels/pack_cache.hpp"
 #include "kernels/simd.hpp"
 #include "service/plan_service.hpp"
 #include "telemetry/perf_report.hpp"
@@ -213,11 +211,6 @@ struct BenchWorkload {
   std::vector<GemmDims> dims;
   BatchingPolicy policy = BatchingPolicy::kThresholdOnly;
   int fixed_strategy_id = -1;
-  /// Run with the cross-call packed-panel cache enabled (from a cold,
-  /// invalidated cache, so the counters are deterministic): the first repeat
-  /// packs and every later repeat hits, which is the repeated-plan
-  /// amortization the cache exists for.
-  bool use_pack_cache = false;
   /// Planner split-K mode for planner-policy workloads (kForce/kOff form
   /// the paired A/B below; kAuto is the production default).
   SplitKMode splitk = SplitKMode::kAuto;
@@ -225,7 +218,7 @@ struct BenchWorkload {
   /// plan-service lookups drawn from `replay_pool` (each entry one batch)
   /// through a fresh inline-mode PlanService per repeat, measuring
   /// per-request latency and hit rate. `policy` configures the service's
-  /// full planner; dims/fixed_strategy_id/use_pack_cache are unused.
+  /// full planner; dims/fixed_strategy_id are unused.
   int replay_requests = 0;
   /// Index skew of the request stream: 1 = uniform over the pool, 2 =
   /// quadratic hot-set bias (front of the pool dominates).
@@ -256,12 +249,12 @@ inline void add_workload(std::vector<BenchWorkload>& out, BenchWorkload w) {
 
 }  // namespace detail
 
-/// The quick suite (~23 workloads, a few seconds on the 1-core reference
+/// The quick suite (25 workloads, a few seconds on the 1-core reference
 /// container): four fig8/fig9 sweep cells spanning the grid corners, three
 /// GoogLeNet inception stages and two SqueezeNet expand fans (the paper's
 /// Section-7.3 DNN batches, auto-offline policy), one pinned workload per
-/// Table-2 batched strategy so every packed tile geometry is covered,
-/// the cached A/B pair, and a tall-skinny split-K A/B pair.
+/// Table-2 batched strategy so every packed tile geometry is covered, a
+/// tall-skinny split-K A/B pair, and a fused-epilogue A/B pair.
 inline std::vector<BenchWorkload> perf_quick_suite() {
   std::vector<BenchWorkload> out;
   for (const SweepCell& c : {SweepCell{128, 4, 64}, SweepCell{128, 16, 256},
@@ -289,20 +282,6 @@ inline std::vector<BenchWorkload> perf_quick_suite() {
         out, {"tile/" + s.name(),
               {GemmDims{2 * s.by, 2 * s.bx, 96}},
               BatchingPolicy::kTilingOnly, s.id});
-  }
-  // Paired A/B for the cross-call pack cache: same dims and plans as their
-  // uncached counterparts, run with the cache enabled, so a report diff (or
-  // the per-workload counters alone) shows packing amortized to the first
-  // repeat — exec.pack.cache.hit > 0 and exec.pack.bytes collapsing to one
-  // repeat's worth.
-  {
-    const TilingStrategy& large = batched_strategy_by_id(4);  // large/128
-    detail::add_workload(out, {"cached/tile/" + large.name(),
-                               {GemmDims{2 * large.by, 2 * large.bx, 96}},
-                               BatchingPolicy::kTilingOnly, large.id, true});
-    detail::add_workload(out, {"cached/sweep/mn128/b16/k256",
-                               equal_case(16, 128, 256),
-                               BatchingPolicy::kThresholdOnly, -1, true});
   }
   // Paired A/B for the split-K axis: the same tall-skinny batch (few C
   // tiles, deep K — far too little TLP to fill the simulated machine)
@@ -530,43 +509,33 @@ inline perfreport::WorkloadResult run_perf_workload(const BenchWorkload& w,
     samples.push_back(
         std::chrono::duration<double, std::micro>(clock::now() - t0).count());
   };
-  {
-    // Cached workloads run against a cold, scope-local pack cache (the
-    // ScopedPackCache invalidates on entry and exit), so their cache
-    // counters are a pure function of the workload: repeat 1 misses and
-    // packs, repeats 2..k hit. The scope closes before the `after` snapshot
-    // so both invalidations land inside this workload's delta; uncached
-    // workloads construct nothing and keep all cache counters at zero.
-    std::optional<ScopedPackCache> pack_cache;
-    if (w.use_pack_cache) pack_cache.emplace(true);
-    if (w.fixed_strategy_id >= 0) {
-      const TilingStrategy& s = batched_strategy_by_id(w.fixed_strategy_id);
-      const std::vector<const TilingStrategy*> strategies(w.dims.size(), &s);
-      std::vector<std::vector<Tile>> blocks;
-      for (const Tile& t : enumerate_tiles(w.dims, strategies))
-        blocks.push_back({t});
-      const BatchPlan plan = build_plan(blocks, s.threads);
-      for (int r = 0; r < repeats; ++r) {
-        // Each repeat is one "request": a fresh trace id ties this repeat's
-        // executor flight events together in dumps (replay workloads get
-        // their ids from the plan service instead).
-        const telemetry::ScopedTraceContext trace_scope(
-            "bench", static_cast<std::int32_t>(w.dims.size()));
-        timed_execute(plan);
-      }
-    } else {
-      PlannerConfig config;
-      config.policy = w.policy;
-      config.splitk = w.splitk;
-      PlanCache cache(config);
-      for (int r = 0; r < repeats; ++r) {
-        // The trace scope covers planning AND execution, so repeat 1's
-        // trail reads plan.decision -> cache.miss -> exec and repeats
-        // 2..k read cache.hit -> exec, each under its own id.
-        const telemetry::ScopedTraceContext trace_scope(
-            "bench", static_cast<std::int32_t>(w.dims.size()));
-        timed_execute(cache.plan(w.dims, epilogues).plan);
-      }
+  if (w.fixed_strategy_id >= 0) {
+    const TilingStrategy& s = batched_strategy_by_id(w.fixed_strategy_id);
+    const std::vector<const TilingStrategy*> strategies(w.dims.size(), &s);
+    std::vector<std::vector<Tile>> blocks;
+    for (const Tile& t : enumerate_tiles(w.dims, strategies))
+      blocks.push_back({t});
+    const BatchPlan plan = build_plan(blocks, s.threads);
+    for (int r = 0; r < repeats; ++r) {
+      // Each repeat is one "request": a fresh trace id ties this repeat's
+      // executor flight events together in dumps (replay workloads get
+      // their ids from the plan service instead).
+      const telemetry::ScopedTraceContext trace_scope(
+          "bench", static_cast<std::int32_t>(w.dims.size()));
+      timed_execute(plan);
+    }
+  } else {
+    PlannerConfig config;
+    config.policy = w.policy;
+    config.splitk = w.splitk;
+    PlanCache cache(config);
+    for (int r = 0; r < repeats; ++r) {
+      // The trace scope covers planning AND execution, so repeat 1's
+      // trail reads plan.decision -> cache.miss -> exec and repeats
+      // 2..k read cache.hit -> exec, each under its own id.
+      const telemetry::ScopedTraceContext trace_scope(
+          "bench", static_cast<std::int32_t>(w.dims.size()));
+      timed_execute(cache.plan(w.dims, epilogues).plan);
     }
   }
   const telemetry::MetricsSnapshot after = telemetry::snapshot();

@@ -14,7 +14,6 @@
 #include "core/rf_policy.hpp"
 #include "dnn/googlenet.hpp"
 #include "dnn/im2col.hpp"
-#include "kernels/pack_cache.hpp"
 #include "kernels/packing.hpp"
 #include "kernels/simd.hpp"
 #include "kernels/work_builder.hpp"
@@ -124,12 +123,13 @@ void BM_ExecuteTileGeneric(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecuteTileGeneric)->DenseRange(0, 11);
 
-// The B side: every tile of the same grid through the dispatched
-// accumulate -> store, under the ISA of arg 1 (0 scalar, 1 neon, 2 avx2,
-// 3 avx512; ISAs the host cannot run are skipped) — the SIMD tile loop for
-// the geometry, or the scalar packed loop under "scalar". Panels come from
-// a warm pack cache and one worker runs the grid, so packing stays outside
-// the timed loop. The label carries the ISA that ran.
+// The B side: the same grid through run_single_gemm, which packs both
+// operands and then runs every tile's dispatched accumulate -> store, under
+// the ISA of arg 1 (0 scalar, 1 neon, 2 avx2, 3 avx512; ISAs the host
+// cannot run are skipped) — the SIMD tile loop for the geometry, or the
+// scalar packed loop under "scalar". Packing is inside the timed loop, as
+// in every executor call (BM_PackPanels times it alone); one worker runs
+// the call. The label carries the ISA that ran.
 void BM_ExecuteTileDispatched(benchmark::State& state) {
   const auto& s = batched_strategy_by_id(static_cast<int>(state.range(0)));
   const auto isa = static_cast<SimdIsa>(state.range(1));
@@ -145,44 +145,21 @@ void BM_ExecuteTileDispatched(benchmark::State& state) {
   const GemmDims d{256, 256, 256};
   MicroAbFixture f(d);
   ScopedParallelThreads serial(1);
-  ScopedPackCache cache(true);
-  run_single_gemm(s, f.g, 1.0f, 0.0f);  // packs once; every rerun hits
   for (auto _ : state) {
     run_single_gemm(s, f.g, 1.0f, 0.0f);
     benchmark::DoNotOptimize(f.c.data());
   }
   state.SetItemsProcessed(state.iterations() * d.flops());
-  state.SetLabel(s.name() + " isa=" + simd_isa_name(isa));
+  state.SetLabel(s.name() + " isa=" + simd_isa_name(isa) + " +pack");
 }
 BENCHMARK(BM_ExecuteTileDispatched)
     ->ArgsProduct({{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, {0, 1, 2, 3}});
 
-// Whole-GEMM repeated-plan A/B of the cross-call packed-panel cache:
-// Arg(0) reruns run_single_gemm with the cache disabled (panels repacked
-// every call, the default), Arg(1) inside a ScopedPackCache so every
-// iteration after the first hits the cache and skips packing entirely.
-// The ratio off/on is the amortized packing overhead the cache removes.
-void BM_SingleGemmPackCache(benchmark::State& state) {
-  const bool cached = state.range(0) != 0;
-  const GemmDims d{256, 256, 256};
-  MicroAbFixture f(d);
-  const auto& s = batched_strategy(TileShape::kLarge, ThreadVariant::k256);
-  ScopedPackCache scope(cached);
-  if (cached) run_single_gemm(s, f.g, 1.0f, 0.0f);  // warm the cache
-  for (auto _ : state) {
-    run_single_gemm(s, f.g, 1.0f, 0.0f);
-    benchmark::DoNotOptimize(f.c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * d.flops());
-  state.SetLabel(cached ? "pack cache on" : "pack cache off");
-}
-BENCHMARK(BM_SingleGemmPackCache)->Arg(0)->Arg(1)->UseRealTime();
-
-// Amortized cost of the packing pass itself (the one-off per (GEMM,
-// strategy) work the specialized path adds before its first tile): both
-// panel sets packed into reused buffers, as the executors' per-thread arena
-// does. Arg 1 selects the storage layout of both operands (0 = N, 1 = T;
-// the square fixture reads either way), covering all four fp32 copy paths.
+// Cost of the packing pass itself (the per-call work the specialized path
+// adds before a GEMM's first tile): both panel sets packed into reused
+// buffers, as the executors' per-thread arena does. Arg 1 selects the
+// storage layout of both operands (0 = N, 1 = T; the square fixture reads
+// either way), covering all four fp32 copy paths.
 // Arg 2 selects the GEMM: 0 = 256^3, 1 = 208x196x864 (inception 4a's 3x3
 // conv at batch 1, an inception-infer stage-2 GEMM), whose M and N leave a
 // ragged edge under the 16x16 and 32x32 tiles that workload's plans use.

@@ -4,11 +4,9 @@
 #include <array>
 #include <map>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
-#include "kernels/pack_cache.hpp"
 #include "kernels/packing.hpp"
 #include "kernels/simd.hpp"
 #include "kernels/thread_map.hpp"
@@ -155,25 +153,22 @@ class ArenaLease {
   PackArena* arena_ = nullptr;
 };
 
-/// The packed operands of one executor call: decides, packs and publishes
-/// in one place, and resolves each GEMM's PackedDispatch.
+/// The packed operands of one executor call: decides and packs in one
+/// place, and resolves each GEMM's PackedDispatch.
 ///
 /// Admission is per GEMM, serial in batch order: the footprint must fit both
 /// the per-GEMM cap (one oversized GEMM falls back to generic without
 /// starving the rest of the batch) and the call's remaining cumulative
 /// arena budget. Any geometry packs; the active ISA's tile loop runs it when
-/// one exists for the geometry, the scalar packed loop otherwise. A cache
-/// hit charges the budget exactly like a fresh pack, so which GEMMs are
-/// admitted never depends on what the cache holds.
+/// one exists for the geometry, the scalar packed loop otherwise.
 ///
 /// Each admitted GEMM then resolves its A and B panel sets by PanelKey: a
 /// set an earlier GEMM of the call already resolved is shared, so an
-/// operand several GEMMs read under one geometry is packed once. New sets
-/// are carved from the thread's PackArena — or, while the cross-call cache
-/// is on, allocated on the heap so cache entries can own them — and packed
-/// one set per parallel_for task (disjoint storage, order-independent
-/// contents: bit-exact at any thread count). Misses are published to the
-/// cache serially in batch order, keeping eviction deterministic.
+/// operand several GEMMs read under one geometry is packed once. Every
+/// distinct set is carved from the thread's PackArena, packed one set per
+/// parallel_for task (disjoint storage, order-independent contents:
+/// bit-exact at any thread count), and dies with the call: nothing packed
+/// survives to the next call, so operands may change freely between calls.
 class CallPacks {
  public:
   /// `strategy[z] == nullptr` marks a GEMM the call does not run; `tiles[z]`
@@ -188,8 +183,6 @@ class CallPacks {
 
  private:
   std::vector<PackedDispatch> dispatch_;
-  /// Heap panel sets this call reads: cache hits and cache-bound packs.
-  std::vector<std::shared_ptr<const float[]>> owners_;
   ArenaLease lease_;
 };
 
@@ -203,21 +196,17 @@ CallPacks::CallPacks(std::span<const GemmOperands> batch,
     PanelKey key;
     const TilingStrategy* s = nullptr;
     const GemmOperands* g = nullptr;
-    int panels = 0;
-    std::shared_ptr<const float[]> owner;  // heap storage, else arena
-    float* dst = nullptr;  // non-null: this call packs the set here
-    const float* data = nullptr;
+    std::size_t offset = 0;  // floats into the call's arena block
   };
   std::vector<Slot> slots;
   std::vector<std::array<int, 2>> slot_of(batch.size(), {-1, -1});
-  std::vector<char> publish(batch.size(), 0);
-  // Read once: storage and publication must agree for the whole call, and
-  // every tile of the call runs under one ISA.
-  const bool cache = pack_cache_enabled();
+  // Read once: every tile of the call runs under one ISA.
   const std::size_t budget = pack_arena_budget();
   const SimdIsa isa = active_simd_isa();
   const SimdEpilogueRowFn store_row = simd_epilogue_row(isa);
   std::size_t used = 0;
+  std::size_t arena_floats = 0;
+  long long distinct_panels = 0;
   for (std::size_t z = 0; z < batch.size(); ++z) {
     if (strategy[z] == nullptr) continue;
     const TilingStrategy& s = *strategy[z];
@@ -231,56 +220,26 @@ CallPacks::CallPacks(std::span<const GemmOperands> batch,
     used += bytes;
     d.loop = simd_tile_loop(isa, s.by, s.bx, s.bk);
     d.loop_acc = simd_tile_loop_acc(isa, s.by, s.bx, s.bk);
-    const std::optional<SharedPack> hit =
-        cache ? pack_cache_lookup(s, g) : std::nullopt;
-    publish[z] = cache && !hit;
     d.pack = packed_view(s, g.dims, nullptr, nullptr);
     for (const PanelSide side : {PanelSide::kA, PanelSide::kB}) {
       const PanelKey key = panel_key(side, s, g);
       std::size_t idx = 0;
       while (idx < slots.size() && !slots[idx].key.matches(key)) ++idx;
       if (idx == slots.size()) {
-        Slot& slot = slots.emplace_back();
-        slot.key = key;
-        slot.s = &s;
-        slot.g = &g;
-        slot.panels = side == PanelSide::kA ? d.pack.ty_count
-                                            : d.pack.tx_count;
-        if (hit) slot.owner = side == PanelSide::kA ? hit->a : hit->b;
+        slots.push_back({key, &s, &g, arena_floats});
+        arena_floats += panel_set_floats(side, s, g.dims);
+        distinct_panels += side == PanelSide::kA ? d.pack.ty_count
+                                                 : d.pack.tx_count;
       }
       slot_of[z][static_cast<std::size_t>(side)] = static_cast<int>(idx);
     }
   }
 
-  // Storage for the sets this call packs: one arena block, or (cache on)
-  // one heap block per set.
-  std::size_t arena_floats = 0;
-  for (const Slot& slot : slots)
-    if (slot.owner == nullptr && !cache)
-      arena_floats += panel_set_floats(slot.key.side, *slot.s, slot.g->dims);
-  float* next =
+  float* const arena =
       arena_floats > 0 ? lease_.arena().reserve(arena_floats) : nullptr;
-  long long distinct_panels = 0;
-  for (Slot& slot : slots) {
-    distinct_panels += slot.panels;
-    if (slot.owner == nullptr) {
-      const std::size_t floats =
-          panel_set_floats(slot.key.side, *slot.s, slot.g->dims);
-      if (cache) {
-        auto heap = std::make_shared_for_overwrite<float[]>(floats);
-        slot.dst = heap.get();
-        slot.owner = std::move(heap);
-      } else {
-        slot.dst = next;
-        next += floats;
-      }
-    }
-    slot.data = slot.owner != nullptr ? slot.owner.get() : slot.dst;
-  }
   parallel_for(static_cast<long long>(slots.size()), [&](long long i) {
     const Slot& slot = slots[static_cast<std::size_t>(i)];
-    if (slot.dst != nullptr)
-      pack_panel_set(slot.key.side, *slot.s, *slot.g, slot.dst);
+    pack_panel_set(slot.key.side, *slot.s, *slot.g, arena + slot.offset);
   });
 
   long long packed_tiles = 0;
@@ -288,14 +247,9 @@ CallPacks::CallPacks(std::span<const GemmOperands> batch,
     if (strategy[z] == nullptr) continue;
     PackedDispatch& d = dispatch_[z];
     if (slot_of[z][0] >= 0) {
-      const Slot& a = slots[static_cast<std::size_t>(slot_of[z][0])];
-      const Slot& b = slots[static_cast<std::size_t>(slot_of[z][1])];
-      d.pack.a = a.data;
-      d.pack.b = b.data;
+      d.pack.a = arena + slots[static_cast<std::size_t>(slot_of[z][0])].offset;
+      d.pack.b = arena + slots[static_cast<std::size_t>(slot_of[z][1])].offset;
       packed_tiles += tiles[z];
-      if (publish[z])
-        pack_cache_insert(*strategy[z], batch[z],
-                          SharedPack{d.pack, a.owner, b.owner});
     }
     count_dispatch(d, isa, tiles[z]);
   }
@@ -303,8 +257,6 @@ CallPacks::CallPacks(std::span<const GemmOperands> batch,
   // of each distinct panel is a staging the generic path would repeat.
   if (packed_tiles > 0)
     CTB_TEL_COUNT("exec.pack.reuse", 2 * packed_tiles - distinct_panels);
-  for (Slot& slot : slots)
-    if (slot.owner != nullptr) owners_.push_back(std::move(slot.owner));
 }
 
 /// Conventional useful-FLOP count of one pass over the batch (2*m*n*k per

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
-#include <utility>
 
 #include "telemetry/telemetry.hpp"
 #include "util/assert.hpp"
@@ -227,17 +226,6 @@ PackedGemm packed_view(const TilingStrategy& s, const GemmDims& d,
   pk.a = a;
   pk.b = b;
   return pk;
-}
-
-SharedPack pack_gemm(const TilingStrategy& s, const GemmOperands& g) {
-  auto a = std::make_shared_for_overwrite<float[]>(
-      panel_set_floats(PanelSide::kA, s, g.dims));
-  auto b = std::make_shared_for_overwrite<float[]>(
-      panel_set_floats(PanelSide::kB, s, g.dims));
-  pack_panel_set(PanelSide::kA, s, g, a.get());
-  pack_panel_set(PanelSide::kB, s, g, b.get());
-  return {packed_view(s, g.dims, a.get(), b.get()), std::move(a),
-          std::move(b)};
 }
 
 }  // namespace ctb

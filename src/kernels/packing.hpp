@@ -30,7 +30,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 
 #include "core/tiling_strategy.hpp"
 #include "kernels/functional.hpp"
@@ -114,8 +113,8 @@ void pack_panel_set(PanelSide side, const TilingStrategy& s,
 
 /// Packed panels of one GEMM as the tile kernels read them: the geometry
 /// plus its A and B panel sets. A view — the sets belong to the executor
-/// call's arena or to pack-cache entries, and may be shared with other
-/// GEMMs of the call.
+/// call's arena, live only as long as that call, and may be shared with
+/// other GEMMs of the call.
 ///
 /// Layout: A panel `ty` holds `nsteps` consecutive BY x BK blocks, block
 /// `step` storing staged A(ty*BY + i, step*BK + p) at `[i * BK + p]`;
@@ -131,12 +130,6 @@ struct PackedGemm {
   const float* b = nullptr;
 
   bool valid() const { return nsteps > 0 && a != nullptr && b != nullptr; }
-  std::size_t bytes() const {
-    return static_cast<std::size_t>(nsteps) *
-           (static_cast<std::size_t>(ty_count) * by * bk +
-            static_cast<std::size_t>(tx_count) * bk * bx) *
-           sizeof(float);
-  }
   const float* a_panel(int ty) const {
     return a + static_cast<std::size_t>(ty) * nsteps * (by * bk);
   }
@@ -153,17 +146,6 @@ PackedGemm packed_view(const TilingStrategy& s, const GemmDims& d,
 /// figure admission charges against the pack-arena budget, whether or not
 /// the GEMM's sets end up shared.
 std::size_t pack_footprint_bytes(const TilingStrategy& s, const GemmDims& d);
-
-/// Heap-owned panels of one GEMM: what a pack-cache entry holds, because it
-/// outlives the call that packed it. `view` reads `a` and `b`.
-struct SharedPack {
-  PackedGemm view;
-  std::shared_ptr<const float[]> a;
-  std::shared_ptr<const float[]> b;
-};
-
-/// Packs both panel sets of `g` onto the heap (one pack_panel_set each).
-SharedPack pack_gemm(const TilingStrategy& s, const GemmOperands& g);
 
 /// Pack-arena budget in bytes for a single executor call (default 256 MiB,
 /// overridable at startup with CTB_PACK_BUDGET=<bytes>). GEMMs whose packs

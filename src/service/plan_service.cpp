@@ -8,7 +8,6 @@
 #include <string>
 #include <utility>
 
-#include "kernels/pack_cache.hpp"
 #include "service/failpoint.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace.hpp"
@@ -230,11 +229,6 @@ void PlanService::note_upgrade() {
   stats_.upgraded.fetch_add(1, std::memory_order_relaxed);
   CTB_TEL_COUNT("service.upgraded", 1);
   CTB_TEL_FLIGHT(kUpgrade, "degraded entry replaced", 0, 0);
-  generation_.fetch_add(1, std::memory_order_acq_rel);
-  // Panels in the pack cache may have been packed while executing the
-  // degraded plan; the upgraded plan tiles the batch differently, so drop
-  // them all rather than risk serving a stale panel.
-  invalidate_pack_cache();
 }
 
 // ---------------------------------------------------------------------------

@@ -197,13 +197,6 @@ class PlanService {
   /// Total cached entries across shards (degraded entries included).
   std::size_t size() const;
 
-  /// Upgrade generation: bumped once per degraded->full upgrade (the same
-  /// event invalidates the process-wide pack cache, so packed panels can
-  /// never outlive the plan they were packed for).
-  std::uint64_t generation() const {
-    return generation_.load(std::memory_order_acquire);
-  }
-
   ServiceStats stats() const;
 
   bool is_quarantined(std::span<const GemmDims> dims) const;
@@ -304,7 +297,6 @@ class PlanService {
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::atomic<std::uint64_t>> filter_;
-  std::atomic<std::uint64_t> generation_{0};
   std::atomic<std::uint64_t> epoch_{0};
 
   // Background upgrade worker (started lazily; only when deadline_us_ > 0).

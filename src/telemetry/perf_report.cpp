@@ -86,11 +86,6 @@ const std::vector<std::string>& deterministic_counter_names() {
       "exec.fallback",
       "exec.flops",
       "exec.pack.bytes",
-      "exec.pack.cache.evict",
-      "exec.pack.cache.hit",
-      "exec.pack.cache.invalidate",
-      "exec.pack.cache.miss",
-      "exec.pack.cache.stale",
       "exec.pack.panels",
       "exec.pack.reuse",
       "exec.plan_runs",

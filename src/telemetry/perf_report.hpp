@@ -31,8 +31,8 @@ namespace ctb::perfreport {
 
 /// Bumped whenever the JSON schema changes shape; load_perf_report rejects
 /// reports from other versions (a baseline must be regenerated knowingly).
-/// v2: added the report-level "simd_isa" field and the exec.simd.* /
-/// exec.pack.cache.* counters to the gated allowlist.
+/// v2: added the report-level "simd_isa" field and the exec.simd.* and
+/// cross-call pack-cache counters to the gated allowlist.
 /// v3: added the service.* counters (plan-service state machine) to the
 /// gated allowlist and the optional per-workload "lookup" latency object
 /// (count + p50/p95/p99 µs, advisory — wall-clock, never gated) emitted by
@@ -49,7 +49,10 @@ namespace ctb::perfreport {
 /// overflow was previously invisible in reports; the expected value in any
 /// healthy suite run is exactly 0, so a regression means an instrumented
 /// loop outgrew the per-thread buffer cap.
-inline constexpr int kSchemaVersion = 6;
+/// v7: removed the five pack-cache counters from the gated allowlist along
+/// with the cross-call pack cache they counted; packed panels now live
+/// exactly one executor call.
+inline constexpr int kSchemaVersion = 7;
 
 /// Wall-clock statistics over one workload's k repeats. Median-of-k with
 /// interquartile range: the median resists the reference container's timing
@@ -193,8 +196,8 @@ struct CompareResult {
   std::vector<WorkloadDelta> workloads;  ///< union of both reports, by name
   /// The two reports' simd_isa fields. When they differ, exec.simd.*
   /// counters were excluded from gating (advisory note in the printout);
-  /// every other gated counter — including exec.pack.cache.* — is
-  /// ISA-independent and still compared exactly.
+  /// every other gated counter is ISA-independent and still compared
+  /// exactly.
   std::string baseline_simd_isa;
   std::string current_simd_isa;
   bool simd_isa_matches() const {

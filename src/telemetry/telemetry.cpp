@@ -54,11 +54,6 @@ constexpr const char* kCoreCounters[] = {
     "exec.pack.panels",
     "exec.pack.bytes",
     "exec.pack.reuse",
-    "exec.pack.cache.hit",
-    "exec.pack.cache.miss",
-    "exec.pack.cache.evict",
-    "exec.pack.cache.stale",
-    "exec.pack.cache.invalidate",
     "exec.simd.avx512",
     "exec.simd.avx2",
     "exec.simd.neon",

@@ -37,8 +37,6 @@ const char* to_string(FlightKind kind) {
       return "guard.reject";
     case FlightKind::kFallback:
       return "fallback";
-    case FlightKind::kPackStale:
-      return "pack.stale";
     case FlightKind::kExec:
       return "exec";
     case FlightKind::kUpgrade:

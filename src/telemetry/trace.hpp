@@ -12,7 +12,7 @@
 // The flight recorder is the postmortem half: a fixed-size, lock-free
 // per-thread ring of recent structured events (plan decisions, deadline
 // misses, quarantine transitions, validate/audit rejections, fallback
-// activations, pack-cache staleness hits). Unlike counters and spans it is
+// activations, executor runs). Unlike counters and spans it is
 // *always on* while compiled in — it does not consult set_enabled(), because
 // its whole purpose is to still hold the last moments when something fails
 // unexpectedly. Each record is a handful of relaxed atomic stores (O(ns));
@@ -41,8 +41,9 @@ struct TraceContext {
   bool active() const { return id != 0; }
 };
 
-/// The structured event kinds the flight recorder understands. The catalog
-/// is append-only (DESIGN.md §13 documents each kind's detail/a0/a1).
+/// The structured event kinds the flight recorder understands (DESIGN.md
+/// §13 documents each kind's detail/a0/a1). Dumps and ctb_trace name a kind
+/// by its to_string name, never by its number.
 enum class FlightKind : std::int32_t {
   kServe = 0,           ///< service response; detail = serve state
   kPlanDecision,        ///< planner chose a heuristic; a0=blocks a1=tiles
@@ -54,7 +55,6 @@ enum class FlightKind : std::int32_t {
   kQuarantineRelease,   ///< quarantine lifted
   kGuardReject,         ///< validate/audit rejected a plan; detail = which
   kFallback,            ///< reference-GEMM fallback activated
-  kPackStale,           ///< pack-cache staleness probe evicted an entry
   kExec,                ///< executor ran a plan; a0=blocks a1=tiles
   kUpgrade,             ///< degraded entry replaced by a full plan
 };

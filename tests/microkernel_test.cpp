@@ -21,7 +21,6 @@
 
 #include "core/api.hpp"
 #include "kernels/functional.hpp"
-#include "kernels/pack_cache.hpp"
 #include "kernels/packing.hpp"
 #include "kernels/simd.hpp"
 #include "telemetry/telemetry.hpp"
@@ -252,8 +251,6 @@ TEST(Packing, PanelsReproduceStagedValuesIncludingPadding) {
 TEST(Packing, FootprintMatchesAllocation) {
   const TilingStrategy& s = batched_strategy_by_id(10);  // huge/128
   const GemmDims d{200, 150, 100};
-  const GemmCase gc(d, Op::kN, Op::kN, Precision::kFp32, false, 3);
-  EXPECT_EQ(pack_gemm(s, gc.ops).view.bytes(), pack_footprint_bytes(s, d));
   EXPECT_EQ((panel_set_floats(PanelSide::kA, s, d) +
              panel_set_floats(PanelSide::kB, s, d)) *
                 sizeof(float),
@@ -745,40 +742,35 @@ TEST(PackSharing, DistinctPanelSetsPackedOnceBitExact) {
       ScopedSimdIsa isa_guard(isa);
       for (int threads : {1, 4}) {
         ScopedParallelThreads par(threads);
-        for (bool cache : {false, true}) {
-          ScopedPackCache cache_scope(cache);  // starts empty
-          const std::string what = sc.name + "/" + simd_isa_name(isa) +
-                                   (cache ? "/cache" : "/no-cache") +
-                                   "/threads" + std::to_string(threads);
-          SharedBCase packed(sc.dims, sc.op_a, sc.op_b, 1100);
+        const std::string what = sc.name + "/" + simd_isa_name(isa) +
+                                 "/threads" + std::to_string(threads);
+        SharedBCase packed(sc.dims, sc.op_a, sc.op_b, 1100);
 #ifdef CTB_TELEMETRY_ENABLED
-          telemetry::reset();
-          telemetry::set_enabled(true);
+        telemetry::reset();
+        telemetry::set_enabled(true);
 #endif
-          run_batched_plan(plan, packed.ops, 1.5f, 0.0f);
+        run_batched_plan(plan, packed.ops, 1.5f, 0.0f);
 #ifdef CTB_TELEMETRY_ENABLED
-          const auto snap = telemetry::snapshot();
-          EXPECT_EQ(counter_value(snap, "exec.pack.panels"), panels) << what;
-          EXPECT_EQ(counter_value(snap, "exec.pack.bytes"), bytes) << what;
-          EXPECT_EQ(counter_value(snap, "exec.pack.reuse"),
-                    2 * plan.num_tiles() - panels)
-              << what;
-          EXPECT_EQ(counter_value(snap, "exec.dispatch.specialized"),
-                    plan.num_tiles())
-              << what;
-          telemetry::set_enabled(false);
-          telemetry::reset();
+        const auto snap = telemetry::snapshot();
+        EXPECT_EQ(counter_value(snap, "exec.pack.panels"), panels) << what;
+        EXPECT_EQ(counter_value(snap, "exec.pack.bytes"), bytes) << what;
+        EXPECT_EQ(counter_value(snap, "exec.pack.reuse"),
+                  2 * plan.num_tiles() - panels)
+            << what;
+        EXPECT_EQ(counter_value(snap, "exec.dispatch.specialized"),
+                  plan.num_tiles())
+            << what;
+        telemetry::set_enabled(false);
+        telemetry::reset();
 #endif
-          for (std::size_t i = 0; i < sc.dims.size(); ++i)
-            expect_bitwise_equal(packed.c[i], generic.c[i],
-                                 what + "/gemm" + std::to_string(i));
-          // A second call reuses the arena (or, cache on, hits every
-          // entry and shares the hit's B set): same bits again.
-          run_batched_plan(plan, packed.ops, 1.5f, 0.0f);
-          for (std::size_t i = 0; i < sc.dims.size(); ++i)
-            expect_bitwise_equal(packed.c[i], generic.c[i],
-                                 what + "/rerun/gemm" + std::to_string(i));
-        }
+        for (std::size_t i = 0; i < sc.dims.size(); ++i)
+          expect_bitwise_equal(packed.c[i], generic.c[i],
+                               what + "/gemm" + std::to_string(i));
+        // A second call repacks into the reused arena: same bits again.
+        run_batched_plan(plan, packed.ops, 1.5f, 0.0f);
+        for (std::size_t i = 0; i < sc.dims.size(); ++i)
+          expect_bitwise_equal(packed.c[i], generic.c[i],
+                               what + "/rerun/gemm" + std::to_string(i));
       }
     }
   }

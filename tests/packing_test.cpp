@@ -1,0 +1,288 @@
+// Per-call panel packing (kernels/packing.hpp): the per-GEMM admission cap,
+// one pack per GEMM per call (never per K-slice, and the same bytes on every
+// call), and the lifetime rule the bit-exactness contract rests on — packed
+// panels die with the executor call that packed them, so operands changed in
+// place between two calls are always seen by the second.
+#include <gtest/gtest.h>
+
+#include <functional>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "core/api.hpp"
+#include "kernels/functional.hpp"
+#include "kernels/packing.hpp"
+#include "kernels/simd.hpp"
+#include "telemetry/telemetry.hpp"
+
+namespace ctb {
+namespace {
+
+Matrixf rand_mat(int r, int c, Rng& rng) {
+  Matrixf m(static_cast<std::size_t>(r), static_cast<std::size_t>(c));
+  fill_random(m, rng);
+  return m;
+}
+
+struct GemmCase {
+  Matrixf a, b, c;
+  GemmOperands ops;
+
+  explicit GemmCase(const GemmDims& d, std::uint64_t seed) {
+    Rng rng(seed);
+    a = rand_mat(d.m, d.k, rng);
+    b = rand_mat(d.k, d.n, rng);
+    c = rand_mat(d.m, d.n, rng);
+    ops = operands(a, b, c);
+  }
+};
+
+std::vector<GemmCase> make_batch(std::span<const GemmDims> dims,
+                                 std::uint64_t seed) {
+  std::vector<GemmCase> gemms;
+  gemms.reserve(dims.size());
+  for (std::size_t i = 0; i < dims.size(); ++i)
+    gemms.emplace_back(dims[i], seed + i);
+  return gemms;
+}
+
+std::vector<GemmOperands> ops_of(const std::vector<GemmCase>& gemms) {
+  std::vector<GemmOperands> ops;
+  for (const GemmCase& g : gemms) ops.push_back(g.ops);
+  return ops;
+}
+
+void expect_bitwise_equal(const Matrixf& lhs, const Matrixf& rhs,
+                          const std::string& what) {
+  ASSERT_EQ(lhs.rows(), rhs.rows());
+  ASSERT_EQ(lhs.cols(), rhs.cols());
+  const auto l = lhs.flat();
+  const auto r = rhs.flat();
+  for (std::size_t i = 0; i < l.size(); ++i)
+    ASSERT_EQ(l[i], r[i]) << what << " diverges at flat index " << i;
+}
+
+/// One tile per block over `tiles`, every tile under strategy `s`.
+BatchPlan one_tile_blocks(const std::vector<Tile>& tiles,
+                          const TilingStrategy& s) {
+  std::vector<std::vector<Tile>> blocks;
+  for (const Tile& t : tiles) blocks.push_back({t});
+  return build_plan(blocks, s.threads);
+}
+
+// The ISAs this host can actually execute: always kScalar, plus every level
+// up to detected_simd_isa() that has a non-empty kernel table.
+std::vector<SimdIsa> runnable_isas() {
+  std::vector<SimdIsa> isas{SimdIsa::kScalar};
+  for (SimdIsa isa : {SimdIsa::kNeon, SimdIsa::kAvx2, SimdIsa::kAvx512})
+    if (static_cast<int>(isa) <= static_cast<int>(detected_simd_isa()) &&
+        simd_tile_loop(isa, 64, 64, 8) != nullptr)
+      isas.push_back(isa);
+  return isas;
+}
+
+// ------------------------------------------- per-GEMM admission cap ------
+// A batch where one GEMM exceeds the per-GEMM cap: that GEMM runs generic,
+// the others still pack — and the mix is bit-exact vs all-generic.
+TEST(PackGemmBudget, MixedAdmissionSplitsPathsBitExact) {
+  const TilingStrategy& s = single_gemm_strategy(TileShape::kLarge);
+  const std::vector<GemmDims> dims = {{64, 64, 32}, {256, 256, 128},
+                                      {48, 80, 24}};
+  // Cap between the small and the large footprints.
+  const std::size_t small_fp = pack_footprint_bytes(s, dims[0]);
+  const std::size_t large_fp = pack_footprint_bytes(s, dims[1]);
+  ASSERT_LT(small_fp, large_fp);
+  const std::size_t cap = (small_fp + large_fp) / 2;
+
+  auto mixed = make_batch(dims, 30);
+  {
+    ScopedPackGemmBudget cap_guard(cap);
+    run_vbatch(s, ops_of(mixed), 1.0f, 0.5f);
+  }
+  auto generic = make_batch(dims, 30);
+  {
+    ScopedPackArenaBudget budget(0);
+    run_vbatch(s, ops_of(generic), 1.0f, 0.5f);
+  }
+  for (std::size_t i = 0; i < mixed.size(); ++i)
+    expect_bitwise_equal(mixed[i].c, generic[i].c,
+                         "mixed-admission/gemm" + std::to_string(i));
+}
+
+TEST(PackGemmBudget, ZeroCapDisablesPackingEntirely) {
+  const TilingStrategy& s = batched_strategy_by_id(5);
+  GemmCase packed_case({64, 64, 32}, 31);
+  GemmCase capped_case({64, 64, 32}, 31);
+  run_single_gemm(s, packed_case.ops, 1.0f, 0.0f);
+  {
+    ScopedPackGemmBudget cap(0);
+    run_single_gemm(s, capped_case.ops, 1.0f, 0.0f);
+  }
+  expect_bitwise_equal(packed_case.c, capped_case.c, "zero-cap");
+}
+
+#ifdef CTB_TELEMETRY_ENABLED
+std::int64_t counter_value(const telemetry::MetricsSnapshot& snap,
+                           const std::string& name) {
+  for (const auto& c : snap.counters)
+    if (c.name == name) return c.value;
+  ADD_FAILURE() << "counter " << name << " missing from snapshot";
+  return -1;
+}
+
+/// exec.pack.bytes charged by one call of `run`.
+std::int64_t pack_bytes_of(const std::function<void()>& run) {
+  telemetry::reset();
+  telemetry::set_enabled(true);
+  run();
+  const std::int64_t bytes =
+      counter_value(telemetry::snapshot(), "exec.pack.bytes");
+  telemetry::set_enabled(false);
+  telemetry::reset();
+  return bytes;
+}
+
+// Nothing carries over between calls: every run of the same GEMM over the
+// same operands packs it afresh and charges its full footprint.
+TEST(PackPerCall, EveryRunChargesTheSamePackBytes) {
+  const TilingStrategy& s = batched_strategy_by_id(5);
+  const GemmDims d{128, 128, 64};
+  GemmCase gc(d, 40);
+  for (int iter = 0; iter < 3; ++iter)
+    EXPECT_EQ(pack_bytes_of([&] { run_single_gemm(s, gc.ops, 1.0f, 0.0f); }),
+              static_cast<std::int64_t>(pack_footprint_bytes(s, d)))
+        << "run " << iter;
+}
+#endif
+
+// Split-K slices of one GEMM share its packed panels: each call of a split
+// plan packs (and charges exec.pack.bytes for) each GEMM exactly once, not
+// once per K-slice, and the split execution stays bit-exact against the
+// unsplit plan.
+TEST(PackPerCall, SplitKSlicesSharePackedPanels) {
+  const TilingStrategy& s = batched_strategy_by_id(5);  // large/256
+  const std::vector<GemmDims> dims = {{64, 64, 256}, {64, 128, 192}};
+  const std::vector<const TilingStrategy*> strategies(dims.size(), &s);
+  const std::vector<Tile> tiles = enumerate_tiles(dims, strategies);
+  const std::vector<Tile> split = split_tiles_k(tiles, 4);
+  ASSERT_GT(split.size(), tiles.size());
+  const BatchPlan split_plan = one_tile_blocks(split, s);
+  const BatchPlan unsplit_plan = one_tile_blocks(tiles, s);
+  ASSERT_TRUE(split_plan.has_split());
+
+  // Two runs each with the same beta chain.
+  auto split_case = make_batch(dims, 80);
+  const std::vector<GemmOperands> split_ops = ops_of(split_case);
+  for (int iter = 0; iter < 2; ++iter) {
+#ifdef CTB_TELEMETRY_ENABLED
+    EXPECT_EQ(pack_bytes_of([&] {
+                run_batched_plan(split_plan, split_ops, 1.0f, 0.5f);
+              }),
+              static_cast<std::int64_t>(pack_footprint_bytes(s, dims[0]) +
+                                        pack_footprint_bytes(s, dims[1])))
+        << "run " << iter;
+#else
+    run_batched_plan(split_plan, split_ops, 1.0f, 0.5f);
+#endif
+  }
+  auto unsplit_case = make_batch(dims, 80);
+  const std::vector<GemmOperands> unsplit_ops = ops_of(unsplit_case);
+  run_batched_plan(unsplit_plan, unsplit_ops, 1.0f, 0.5f);
+  run_batched_plan(unsplit_plan, unsplit_ops, 1.0f, 0.5f);
+  for (std::size_t i = 0; i < dims.size(); ++i)
+    expect_bitwise_equal(split_case[i].c, unsplit_case[i].c,
+                         "splitk-vs-unsplit/gemm" + std::to_string(i));
+}
+
+// ------------------------------------------ mutation between calls ------
+// Every entry point runs twice over the same operand pointers, and between
+// the runs A(3, 5) and B(7, 9) of every GEMM are raised by 1 in place —
+// interior elements, away from each operand's corners and centre, so a
+// check that samples only those points cannot see the change. The second
+// output must equal reference_gemm over the mutated operands bit for bit,
+// under every runnable ISA.
+
+using BatchRun = std::function<void(std::span<const GemmOperands>)>;
+
+constexpr float kAlpha = 1.5f;
+
+void mutate(GemmCase& g) {
+  g.a(3, 5) += 1.0f;
+  g.b(7, 9) += 1.0f;
+}
+
+void expect_second_call_sees_mutation(const std::vector<GemmDims>& dims,
+                                      const BatchRun& run,
+                                      const std::string& what) {
+  std::vector<GemmCase> expected = make_batch(dims, 90);
+  for (GemmCase& g : expected) {
+    mutate(g);
+    reference_gemm(g.ops, kAlpha, 0.0f);
+  }
+  for (SimdIsa isa : runnable_isas()) {
+    ScopedSimdIsa guard(isa);
+    std::vector<GemmCase> gemms = make_batch(dims, 90);
+    const std::vector<GemmOperands> ops = ops_of(gemms);
+    run(ops);
+    for (GemmCase& g : gemms) mutate(g);
+    run(ops);
+    for (std::size_t i = 0; i < dims.size(); ++i)
+      expect_bitwise_equal(gemms[i].c, expected[i].c,
+                           what + "/" + simd_isa_name(isa) + "/gemm" +
+                               std::to_string(i));
+  }
+}
+
+const std::vector<GemmDims> kMutationBatch = {
+    {128, 64, 32}, {96, 80, 48}, {40, 136, 24}};
+
+TEST(PanelLifetime, MutationBetweenCallsRunSingleGemm) {
+  const TilingStrategy& s = batched_strategy_by_id(5);
+  expect_second_call_sees_mutation(
+      {{128, 64, 32}},
+      [&](std::span<const GemmOperands> ops) {
+        run_single_gemm(s, ops[0], kAlpha, 0.0f);
+      },
+      "run_single_gemm");
+}
+
+TEST(PanelLifetime, MutationBetweenCallsRunVbatch) {
+  const TilingStrategy& s = batched_strategy_by_id(5);
+  expect_second_call_sees_mutation(
+      kMutationBatch,
+      [&](std::span<const GemmOperands> ops) {
+        run_vbatch(s, ops, kAlpha, 0.0f);
+      },
+      "run_vbatch");
+}
+
+TEST(PanelLifetime, MutationBetweenCallsRunBatchedPlan) {
+  const TilingStrategy& s = batched_strategy_by_id(5);
+  const std::vector<const TilingStrategy*> strategies(kMutationBatch.size(),
+                                                      &s);
+  const std::vector<Tile> tiles = enumerate_tiles(kMutationBatch, strategies);
+  const BatchPlan unsplit = one_tile_blocks(tiles, s);
+  const BatchPlan split = one_tile_blocks(split_tiles_k(tiles, 3), s);
+  ASSERT_TRUE(split.has_split());
+  for (const BatchPlan* plan : {&unsplit, &split})
+    expect_second_call_sees_mutation(
+        kMutationBatch,
+        [&](std::span<const GemmOperands> ops) {
+          run_batched_plan(*plan, ops, kAlpha, 0.0f);
+        },
+        plan->has_split() ? "run_batched_plan/split" : "run_batched_plan");
+}
+
+TEST(PanelLifetime, MutationBetweenCallsExecutePlan) {
+  const PlanSummary summary = BatchedGemmPlanner().plan(kMutationBatch);
+  expect_second_call_sees_mutation(
+      kMutationBatch,
+      [&](std::span<const GemmOperands> ops) {
+        execute_plan(summary.plan, ops, kAlpha, 0.0f);
+      },
+      "execute_plan");
+}
+
+}  // namespace
+}  // namespace ctb

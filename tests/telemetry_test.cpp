@@ -122,11 +122,6 @@ TEST_F(TelemetryTest, CountersAccumulateAndSnapshot) {
   EXPECT_EQ(counter_value(snap, "exec.pack.panels"), 0);
   EXPECT_EQ(counter_value(snap, "exec.pack.bytes"), 0);
   EXPECT_EQ(counter_value(snap, "exec.pack.reuse"), 0);
-  EXPECT_EQ(counter_value(snap, "exec.pack.cache.hit"), 0);
-  EXPECT_EQ(counter_value(snap, "exec.pack.cache.miss"), 0);
-  EXPECT_EQ(counter_value(snap, "exec.pack.cache.evict"), 0);
-  EXPECT_EQ(counter_value(snap, "exec.pack.cache.stale"), 0);
-  EXPECT_EQ(counter_value(snap, "exec.pack.cache.invalidate"), 0);
   EXPECT_EQ(counter_value(snap, "exec.simd.scalar"), 0);
   EXPECT_EQ(counter_value(snap, "exec.simd.neon"), 0);
   EXPECT_EQ(counter_value(snap, "exec.simd.avx2"), 0);
@@ -366,11 +361,9 @@ TEST_F(TelemetryTest, MetricsJsonSchema) {
         "\"cache.hit\":0", "\"cache.miss\":0", "\"exec.fallback\":0",
         "\"exec.dispatch.specialized\":0", "\"exec.dispatch.generic\":0",
         "\"exec.pack.panels\":0", "\"exec.pack.bytes\":0",
-        "\"exec.pack.reuse\":0", "\"exec.pack.cache.hit\":0",
-        "\"exec.pack.cache.miss\":0", "\"exec.pack.cache.evict\":0",
-        "\"exec.pack.cache.stale\":0", "\"exec.pack.cache.invalidate\":0",
-        "\"exec.simd.scalar\":0", "\"exec.simd.neon\":0",
-        "\"exec.simd.avx2\":0", "\"exec.simd.avx512\":0"})
+        "\"exec.pack.reuse\":0", "\"exec.simd.scalar\":0",
+        "\"exec.simd.neon\":0", "\"exec.simd.avx2\":0",
+        "\"exec.simd.avx512\":0"})
     EXPECT_NE(json.find(needle), std::string::npos) << needle << "\n" << json;
 }
 
