@@ -168,8 +168,9 @@ class CsvSink {
 
 /// Turns telemetry on for a figure sweep when CTB_BENCH_TELEMETRY names a
 /// directory; on destruction drops <dir>/<name>.metrics.json and
-/// <dir>/<name>.trace.json. A no-op (and zero files) when the variable is
-/// unset or telemetry is compiled out, so default bench runs are unaffected.
+/// <dir>/<name>.trace.json (the sweep's spans, as far as the flight rings
+/// still hold them). A no-op (and zero files) when the variable is unset or
+/// telemetry is compiled out, so default bench runs are unaffected.
 class TelemetryScope {
  public:
   explicit TelemetryScope(std::string name) : name_(std::move(name)) {
@@ -177,6 +178,7 @@ class TelemetryScope {
     if (dir != nullptr && *dir != '\0' && telemetry::snapshot().compiled_in) {
       dir_ = dir;
       telemetry::reset();
+      telemetry::flight_clear();
       telemetry::set_enabled(true);
     }
   }
@@ -186,7 +188,8 @@ class TelemetryScope {
     std::ofstream metrics(dir_ + "/" + name_ + ".metrics.json");
     if (metrics.good()) telemetry::write_metrics_json(metrics, snap);
     std::ofstream trace(dir_ + "/" + name_ + ".trace.json");
-    if (trace.good()) telemetry::write_chrome_trace(trace, snap);
+    if (trace.good())
+      telemetry::write_chrome_trace(trace, telemetry::flight_events());
     telemetry::set_enabled(false);
   }
   TelemetryScope(const TelemetryScope&) = delete;

@@ -17,6 +17,8 @@
 #include "kernels/packing.hpp"
 #include "kernels/simd.hpp"
 #include "kernels/work_builder.hpp"
+#include "telemetry/telemetry.hpp"
+#include "telemetry/trace.hpp"
 #include "util/parallel.hpp"
 
 namespace {
@@ -357,6 +359,31 @@ void BM_MagmaVbatchSim(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MagmaVbatchSim)->Arg(16)->Arg(256);
+
+// The price of one stage span: Arg 0 with telemetry disabled (the default
+// path: one enabled() check), Arg 1 enabled (two clock reads, one
+// `<name>_ns` histogram record and one flight event). This is the number to
+// weigh before stage spans become always-on.
+void BM_ScopedSpan(benchmark::State& state) {
+  const bool was_enabled = telemetry::enabled();
+  telemetry::set_enabled(state.range(0) != 0);
+  for (auto _ : state) {
+    CTB_TEL_SPAN("bench.span");
+    benchmark::ClobberMemory();
+  }
+  telemetry::set_enabled(was_enabled);
+}
+BENCHMARK(BM_ScopedSpan)->Arg(0)->Arg(1);
+
+// One always-on flight-recorder event (one clock read plus the ring write).
+void BM_FlightRecord(benchmark::State& state) {
+  std::int64_t i = 0;
+  for (auto _ : state) {
+    telemetry::flight_record(telemetry::FlightKind::kExec, "bench", i++, 0);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_FlightRecord);
 
 // Minimal CSV file reporter: when CTB_BENCH_CSV names a file, one row per
 // benchmark run lands there alongside the normal console output. (The

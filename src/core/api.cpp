@@ -144,18 +144,7 @@ PlanSummary BatchedGemmPlanner::plan(std::span<const GemmDims> dims) const {
 
 PlanSummary BatchedGemmPlanner::plan(std::span<const GemmDims> dims,
                                      std::span<const int> epilogues) const {
-  // Normalize so "no chain anywhere" plans identically to the plain form.
-  bool any_epilogue = false;
-  for (int e : epilogues) any_epilogue = any_epilogue || e != 0;
-  if (!any_epilogue) epilogues = {};
-  CTB_CHECK_MSG(epilogues.empty() || epilogues.size() == dims.size(),
-                "epilogue stream holds " << epilogues.size()
-                                         << " entries for " << dims.size()
-                                         << " GEMMs");
-  for (std::size_t i = 0; i < epilogues.size(); ++i)
-    CTB_CHECK_MSG(epilogue_packed_valid(epilogues[i]),
-                  "GEMM " << i << " has malformed epilogue spec "
-                          << epilogues[i]);
+  epilogues = normalize_epilogues(epilogues, dims.size());
   PlanSummary summary = plan(dims);
   if (!epilogues.empty())
     summary.plan.epilogue_of_gemm.assign(epilogues.begin(), epilogues.end());

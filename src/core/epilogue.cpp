@@ -36,6 +36,22 @@ bool epilogue_packed_valid(int spec) {
   return true;
 }
 
+std::span<const int> normalize_epilogues(std::span<const int> epilogues,
+                                         std::size_t gemms) {
+  bool any_epilogue = false;
+  for (int e : epilogues) any_epilogue = any_epilogue || e != 0;
+  if (!any_epilogue) return {};
+  CTB_CHECK_MSG(epilogues.size() == gemms,
+                "epilogue stream holds " << epilogues.size()
+                                         << " entries for " << gemms
+                                         << " GEMMs");
+  for (std::size_t i = 0; i < epilogues.size(); ++i)
+    CTB_CHECK_MSG(epilogue_packed_valid(epilogues[i]),
+                  "GEMM " << i << " has malformed epilogue spec "
+                          << epilogues[i]);
+  return epilogues;
+}
+
 int epilogue_push(int spec, EpilogueOp op) {
   CTB_CHECK(epilogue_packed_valid(spec));
   const int id = static_cast<int>(op);

@@ -32,7 +32,9 @@
 //   general scatter is not expressible as a tile-local chain).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 
 namespace ctb {
@@ -65,6 +67,14 @@ EpilogueOp epilogue_op_at(int spec, int i);
 /// the nibble area, every nibble a valid op id or zero, and no nonzero
 /// nibble after a zero one (zero-terminated).
 bool epilogue_packed_valid(int spec);
+
+/// The one normalization of a batch's per-GEMM epilogue stream, shared by
+/// every planning and serving entry point: an all-zero stream becomes empty
+/// (so it plans, caches and hashes exactly like no stream); otherwise the
+/// stream must hold one spec per GEMM and every spec must pass
+/// epilogue_packed_valid, else CheckError. Returns the normalized view.
+std::span<const int> normalize_epilogues(std::span<const int> epilogues,
+                                         std::size_t gemms);
 
 /// Appends `op` to the chain; CTB_CHECKs the spec is canonical with a free
 /// slot and `op` is a real op id.

@@ -187,19 +187,7 @@ const PlanSummary& PlanCache::plan(std::span<const GemmDims> dims,
     CTB_CHECK_MSG(dims[i].valid(), "GEMM " << i << " has degenerate dims "
                                            << dims[i].m << 'x' << dims[i].n
                                            << 'x' << dims[i].k);
-  // Normalize: an all-zero epilogue stream plans (and caches, and hashes)
-  // exactly like no epilogues at all.
-  bool any_epilogue = false;
-  for (int e : epilogues) any_epilogue = any_epilogue || e != 0;
-  if (!any_epilogue) epilogues = {};
-  CTB_CHECK_MSG(epilogues.empty() || epilogues.size() == dims.size(),
-                "epilogue stream holds " << epilogues.size()
-                                         << " entries for " << dims.size()
-                                         << " GEMMs");
-  for (std::size_t i = 0; i < epilogues.size(); ++i)
-    CTB_CHECK_MSG(epilogue_packed_valid(epilogues[i]),
-                  "GEMM " << i << " has malformed epilogue spec "
-                          << epilogues[i]);
+  epilogues = normalize_epilogues(epilogues, dims.size());
   const std::uint64_t key =
       batch_signature(dims, planner_.config(), epilogues);
   auto it = cache_.find(key);

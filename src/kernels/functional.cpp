@@ -512,17 +512,16 @@ void run_tile(const TilingStrategy& s, const GemmOperands& g,
 /// thread blocks on the device. Split tiles with k_begin == 0 seed their
 /// group's workspace accumulator (one writer per group); later slices are
 /// deferred to the fix-up reduction past the parallel_for join.
-/// `plan_spans` records the exec.pack and per-block exec.block spans.
 void sweep(const BatchPlan& plan, std::span<const GemmOperands> batch,
            std::span<const TilingStrategy* const> strategy, float alpha,
-           float beta, [[maybe_unused]] bool plan_spans) {
+           float beta) {
   CTB_TEL_COUNT("exec.flops", flops_of(batch));
   CTB_TEL_COUNT("exec.c.passes", batch.size());
   std::vector<long long> tiles_of_gemm(batch.size(), 0);
   for (const int g : plan.gemm_of_tile)
     ++tiles_of_gemm[static_cast<std::size_t>(g)];
   const CallPacks packs = [&] {
-    CTB_TEL_SPAN(plan_spans ? "exec.pack" : nullptr);
+    CTB_TEL_SPAN("exec.pack");
     return CallPacks(batch, strategy, tiles_of_gemm);
   }();
 
@@ -574,26 +573,28 @@ void sweep(const BatchPlan& plan, std::span<const GemmOperands> batch,
     CTB_TEL_COUNT("exec.splitk.groups", groups.size());
   }
 
-  parallel_for(plan.num_blocks(), [&](long long b) {
-    CTB_TEL_SPAN(plan_spans ? "exec.block" : nullptr);
-    const auto [begin, end] = plan.block_tiles(static_cast<int>(b));
-    for (int t = begin; t < end; ++t) {
-      const auto ti = static_cast<std::size_t>(t);
-      const auto z = static_cast<std::size_t>(plan.gemm_of_tile[ti]);
-      const int ty = plan.y_coord[ti];
-      const int tx = plan.x_coord[ti];
-      const int grp = group_of_tile.empty() ? -1 : group_of_tile[ti];
-      if (grp < 0) {
-        run_tile(*strategy[z], batch[z], packs[z], ty, tx, alpha, beta);
-      } else if (plan.k_begin[ti] == 0) {
-        // Seed the carried chain; fix-up slices wait for the join.
-        float* acc = workspace.data() +
-                     groups[static_cast<std::size_t>(grp)].acc_offset;
-        accumulate_tile_range(*strategy[z], batch[z], packs[z], ty, tx, 0,
-                              plan.k_end[ti], /*first=*/true, acc);
+  {
+    CTB_TEL_SPAN("exec.sweep");
+    parallel_for(plan.num_blocks(), [&](long long b) {
+      const auto [begin, end] = plan.block_tiles(static_cast<int>(b));
+      for (int t = begin; t < end; ++t) {
+        const auto ti = static_cast<std::size_t>(t);
+        const auto z = static_cast<std::size_t>(plan.gemm_of_tile[ti]);
+        const int ty = plan.y_coord[ti];
+        const int tx = plan.x_coord[ti];
+        const int grp = group_of_tile.empty() ? -1 : group_of_tile[ti];
+        if (grp < 0) {
+          run_tile(*strategy[z], batch[z], packs[z], ty, tx, alpha, beta);
+        } else if (plan.k_begin[ti] == 0) {
+          // Seed the carried chain; fix-up slices wait for the join.
+          float* acc = workspace.data() +
+                       groups[static_cast<std::size_t>(grp)].acc_offset;
+          accumulate_tile_range(*strategy[z], batch[z], packs[z], ty, tx, 0,
+                                plan.k_end[ti], /*first=*/true, acc);
+        }
       }
-    }
-  });
+    });
+  }
 
   // Deterministic fix-up reduction: one owner per split group continues the
   // carried chain through the remaining slices in ascending k order (the
@@ -661,7 +662,7 @@ void run_vbatch(const TilingStrategy& s, std::span<const GemmOperands> batch,
       }
   }
   const std::vector<const TilingStrategy*> strategy(batch.size(), &s);
-  sweep(grid, batch, strategy, alpha, beta, /*plan_spans=*/false);
+  sweep(grid, batch, strategy, alpha, beta);
 }
 
 namespace {
@@ -856,7 +857,7 @@ void run_batched_plan(const BatchPlan& plan,
   for (std::size_t t = 0; t < plan.gemm_of_tile.size(); ++t)
     strategy[static_cast<std::size_t>(plan.gemm_of_tile[t])] =
         &batched_strategy_by_id(plan.strategy_of_tile[t]);
-  sweep(plan, batch, strategy, alpha, beta, /*plan_spans=*/true);
+  sweep(plan, batch, strategy, alpha, beta);
 }
 
 GemmOperands operands(const Matrixf& a, const Matrixf& b, Matrixf& c) {

@@ -246,19 +246,7 @@ ServedPlan PlanService::get(std::span<const GemmDims> dims,
     CTB_CHECK_MSG(dims[i].valid(), "GEMM " << i << " has degenerate dims "
                                            << dims[i].m << 'x' << dims[i].n
                                            << 'x' << dims[i].k);
-  // Normalize (as PlanCache does) so an all-zero stream shares the plain
-  // batch's signature, cache entry, and plan.
-  bool any_epilogue = false;
-  for (int e : epilogues) any_epilogue = any_epilogue || e != 0;
-  if (!any_epilogue) epilogues = {};
-  CTB_CHECK_MSG(epilogues.empty() || epilogues.size() == dims.size(),
-                "epilogue stream holds " << epilogues.size()
-                                         << " entries for " << dims.size()
-                                         << " GEMMs");
-  for (std::size_t i = 0; i < epilogues.size(); ++i)
-    CTB_CHECK_MSG(epilogue_packed_valid(epilogues[i]),
-                  "GEMM " << i << " has malformed epilogue spec "
-                          << epilogues[i]);
+  epilogues = normalize_epilogues(epilogues, dims.size());
   // Request-scoped trace: adopt the caller's context when one is active
   // (explicit propagation), otherwise mint a fresh id for this lookup.
   // Everything downstream — planner spans, cache flight events, the
@@ -658,8 +646,10 @@ ServiceStats PlanService::stats() const {
   return s;
 }
 
-bool PlanService::is_quarantined(std::span<const GemmDims> dims) const {
-  const std::uint64_t sig = batch_signature(dims, config_.planner);
+bool PlanService::is_quarantined(std::span<const GemmDims> dims,
+                                 std::span<const int> epilogues) const {
+  const std::uint64_t sig = batch_signature(
+      dims, config_.planner, normalize_epilogues(epilogues, dims.size()));
   Shard& sh = shard_for(sig);
   std::lock_guard<std::mutex> lock(sh.mu);
   auto it = sh.meta.find(sig);

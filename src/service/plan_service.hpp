@@ -199,7 +199,10 @@ class PlanService {
 
   ServiceStats stats() const;
 
-  bool is_quarantined(std::span<const GemmDims> dims) const;
+  /// Whether the batch's signature — shapes plus epilogue stream, hashed
+  /// exactly as get() hashes them — is quarantined.
+  bool is_quarantined(std::span<const GemmDims> dims,
+                      std::span<const int> epilogues = {}) const;
 
   /// Lifts quarantine everywhere (operator action after a planner fix):
   /// quarantined signatures keep their fallback entries but become eligible

@@ -51,10 +51,7 @@ TimingStats TimingStats::from_samples(std::vector<double> samples_us) {
 // policy, arch model): planning and the functional executors perform only
 // integer and IEEE float arithmetic (no libm), so these deltas are identical
 // on every host and thread count. Timing-derived metrics (sim.busy_pct,
-// span durations) are deliberately excluded. tel.spans.dropped is gated
-// even though drop *onset* depends on buffer occupancy: the suites record
-// far fewer spans than the per-thread cap, so its deterministic expected
-// value is 0 and any nonzero delta is a real instrumentation regression.
+// the span-duration <name>_ns histograms) are deliberately excluded.
 
 LatencyStats LatencyStats::from_samples(std::vector<double> samples_us) {
   LatencyStats s;
@@ -137,7 +134,6 @@ const std::vector<std::string>& deterministic_counter_names() {
       "service.quarantined",
       "service.retried",
       "service.upgraded",
-      "tel.spans.dropped",
       "tiling.candidates",
       "tiling.fallback_128",
       "tiling.iterations",

@@ -45,14 +45,17 @@ namespace ctb::perfreport {
 /// exec.epilogue.ops, exec.c.passes) and the grouped-dispatch counters
 /// (plan.grouped.*) to the gated allowlist, plus the report-level
 /// "created_unix" timestamp that `ctb_bench --fold` orders artifacts by.
-/// v6: added tel.spans.dropped to the gated allowlist — span-buffer
-/// overflow was previously invisible in reports; the expected value in any
-/// healthy suite run is exactly 0, so a regression means an instrumented
-/// loop outgrew the per-thread buffer cap.
+/// v6: added the span-drop counter (tel.spans.*) to the gated allowlist —
+/// span-buffer overflow was previously invisible in reports; the expected
+/// value in any healthy suite run is exactly 0, so a regression means an
+/// instrumented loop outgrew the per-thread buffer cap.
 /// v7: removed the five pack-cache counters from the gated allowlist along
 /// with the cross-call pack cache they counted; packed panels now live
 /// exactly one executor call.
-inline constexpr int kSchemaVersion = 7;
+/// v8: removed the span-drop counter from the gated allowlist along with
+/// the span buffers it counted; spans are flight-recorder events now, and
+/// their durations are the ungated `<name>_ns` histograms.
+inline constexpr int kSchemaVersion = 8;
 
 /// Wall-clock statistics over one workload's k repeats. Median-of-k with
 /// interquartile range: the median resists the reference container's timing

@@ -77,7 +77,6 @@ constexpr const char* kCoreCounters[] = {
     "sim.kernels",
     "sim.blocks",
     "sim.bubble_blocks",
-    "tel.spans.dropped",
 };
 
 constexpr const char* kCoreHistograms[] = {
@@ -119,40 +118,20 @@ void write_json_escaped(std::ostream& os, const std::string& s) {
 
 namespace {
 
-// Per-thread span storage. Buffers are owned by the registry (shared_ptr)
-// and only borrowed by threads, so snapshots after a worker thread exits —
-// common with the std::thread parallel_for backend under TSan — still see
-// its spans. A buffer freed by a dying thread returns to a free list and is
-// adopted by the next new thread; events carry their own tid, so adoption
-// never misattributes an already-recorded span.
-struct SpanBuffer {
-  std::mutex mu;  // uncontended in steady state: only the owner pushes
-  std::vector<SpanEvent> events;
-};
-
-// Hard cap per buffer so an instrumented inner loop cannot grow memory
-// without bound; overflow is counted, never silent (DESIGN.md §8).
-constexpr std::size_t kMaxSpansPerBuffer = 1 << 16;
-
 struct Registry {
   std::atomic<bool> enabled{false};
   std::chrono::steady_clock::time_point epoch =
       std::chrono::steady_clock::now();
 
-  std::mutex mu;  // guards the three containers below
+  std::mutex mu;  // guards the two maps below
   std::map<std::string, std::unique_ptr<Counter>> counters;
   std::map<std::string, std::unique_ptr<Histogram>> histograms;
-  std::vector<std::shared_ptr<SpanBuffer>> buffers;
-  std::vector<std::shared_ptr<SpanBuffer>> free_buffers;
-  std::atomic<int> next_tid{0};
-  Counter* dropped_spans = nullptr;
 
   Registry() {
     for (const char* name : kCoreCounters)
       counters.emplace(name, std::make_unique<Counter>());
     for (const char* name : kCoreHistograms)
       histograms.emplace(name, std::make_unique<Histogram>());
-    dropped_spans = counters.at("tel.spans.dropped").get();
     const char* env = std::getenv("CTB_TELEMETRY");
     if (env != nullptr) {
       const std::string v(env);
@@ -162,37 +141,12 @@ struct Registry {
   }
 };
 
-// Leaked intentionally: worker threads may record spans (and return their
-// buffers) during static destruction, after main() exits.
+// Leaked intentionally: worker threads may record metrics during static
+// destruction, after main() exits.
 Registry& registry() {
   static Registry* r = new Registry;
   return *r;
 }
-
-// Thread-local handle: acquires a buffer + logical tid on first span of the
-// thread, returns the buffer for adoption on thread exit.
-struct BufferHandle {
-  std::shared_ptr<SpanBuffer> buf;
-  int tid = 0;
-
-  BufferHandle() {
-    Registry& r = registry();
-    const std::lock_guard<std::mutex> lock(r.mu);
-    if (!r.free_buffers.empty()) {
-      buf = std::move(r.free_buffers.back());
-      r.free_buffers.pop_back();
-    } else {
-      buf = std::make_shared<SpanBuffer>();
-      r.buffers.push_back(buf);
-    }
-    tid = r.next_tid.fetch_add(1, std::memory_order_relaxed);
-  }
-  ~BufferHandle() {
-    Registry& r = registry();
-    const std::lock_guard<std::mutex> lock(r.mu);
-    r.free_buffers.push_back(std::move(buf));
-  }
-};
 
 }  // namespace
 
@@ -251,24 +205,11 @@ double now_us() {
   return std::chrono::duration<double, std::micro>(dt).count();
 }
 
-void record_span(const char* literal_name, double start_us, double dur_us) {
-  thread_local BufferHandle handle;
-  SpanBuffer& buf = *handle.buf;
-  const std::lock_guard<std::mutex> lock(buf.mu);
-  if (buf.events.size() >= kMaxSpansPerBuffer) {
-    registry().dropped_spans->add(1);
-    return;
-  }
-  buf.events.push_back(SpanEvent{literal_name, handle.tid, start_us, dur_us,
-                                 current_trace().id});
-}
-
 MetricsSnapshot snapshot() {
   Registry& r = registry();
   MetricsSnapshot snap;
   snap.compiled_in = true;
   snap.enabled = enabled();
-  snap.taken_us = now_us();
   const std::lock_guard<std::mutex> lock(r.mu);
   snap.counters.reserve(r.counters.size());
   for (const auto& [name, c] : r.counters)
@@ -297,15 +238,6 @@ MetricsSnapshot snapshot() {
     }
     snap.histograms.push_back(std::move(s));
   }
-  for (const auto& buf : r.buffers) {
-    const std::lock_guard<std::mutex> buf_lock(buf->mu);
-    snap.spans.insert(snap.spans.end(), buf->events.begin(),
-                      buf->events.end());
-  }
-  std::stable_sort(snap.spans.begin(), snap.spans.end(),
-                   [](const SpanEvent& a, const SpanEvent& b) {
-                     return a.start_us < b.start_us;
-                   });
   return snap;
 }
 
@@ -321,10 +253,6 @@ void reset() {
     for (auto& b : h->buckets_) b.store(0, std::memory_order_relaxed);
     for (auto& v : h->ex_value_) v.store(0, std::memory_order_relaxed);
     for (auto& t : h->ex_trace_) t.store(0, std::memory_order_relaxed);
-  }
-  for (const auto& buf : r.buffers) {
-    const std::lock_guard<std::mutex> buf_lock(buf->mu);
-    buf->events.clear();
   }
 }
 
@@ -367,7 +295,6 @@ MetricsSnapshot delta(const MetricsSnapshot& before,
   MetricsSnapshot d;
   d.compiled_in = after.compiled_in;
   d.enabled = after.enabled;
-  d.taken_us = after.taken_us;
 
   auto counter_before = [&](const std::string& name) -> std::int64_t {
     for (const CounterSample& c : before.counters)
@@ -425,15 +352,11 @@ MetricsSnapshot delta(const MetricsSnapshot& before,
     out.exemplars = std::move(kept);
     d.histograms.push_back(std::move(out));
   }
-
-  d.spans.reserve(after.spans.size());
-  for (const SpanEvent& s : after.spans)
-    if (s.start_us >= before.taken_us) d.spans.push_back(s);
   return d;
 }
 
 void write_metrics_json(std::ostream& os, const MetricsSnapshot& snap) {
-  os << "{\n\"version\":3,\n\"compiled_in\":"
+  os << "{\n\"version\":4,\n\"compiled_in\":"
      << (snap.compiled_in ? "true" : "false")
      << ",\n\"enabled\":" << (snap.enabled ? "true" : "false")
      << ",\n\"counters\":{";
@@ -467,50 +390,7 @@ void write_metrics_json(std::ostream& os, const MetricsSnapshot& snap) {
     }
     os << "]}";
   }
-  os << "\n},\n\"spans\":{";
-  // Aggregate spans per name; the raw events belong in the chrome trace.
-  std::map<std::string, std::pair<std::int64_t, std::pair<double, double>>>
-      agg;  // name -> {count, {total_us, max_us}}
-  for (const SpanEvent& e : snap.spans) {
-    auto& slot = agg[e.name];
-    slot.first += 1;
-    slot.second.first += e.dur_us;
-    slot.second.second = std::max(slot.second.second, e.dur_us);
-  }
-  first = true;
-  for (const auto& [name, slot] : agg) {
-    os << (first ? "\n" : ",\n");
-    first = false;
-    write_json_escaped(os, name);
-    os << ":{\"count\":" << slot.first
-       << ",\"total_us\":" << slot.second.first
-       << ",\"max_us\":" << slot.second.second << "}";
-  }
   os << "\n}\n}\n";
-}
-
-void append_chrome_trace_events(std::ostream& os, const MetricsSnapshot& snap,
-                                int pid) {
-  os << ",\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-     << ",\"args\":{\"name\":\"ctb host\"}}";
-  for (const SpanEvent& e : snap.spans) {
-    os << ",\n{\"name\":";
-    write_json_escaped(os, e.name);
-    os << ",\"ph\":\"X\",\"cat\":\"ctb\",\"pid\":" << pid
-       << ",\"tid\":" << e.tid << ",\"ts\":" << e.start_us
-       << ",\"dur\":" << e.dur_us;
-    if (e.trace != 0)
-      os << ",\"args\":{\"trace\":\"" << trace_id_hex(e.trace) << "\"}";
-    os << "}";
-  }
-}
-
-void write_chrome_trace(std::ostream& os, const MetricsSnapshot& snap) {
-  os << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n"
-     << "{\"name\":\"clock_sync\",\"ph\":\"M\",\"pid\":0,"
-        "\"args\":{\"source\":\"ctb.telemetry\"}}";
-  append_chrome_trace_events(os, snap, 0);
-  os << "\n]}\n";
 }
 
 // ---- OpenMetrics/Prometheus text exposition (DESIGN.md §13) ----

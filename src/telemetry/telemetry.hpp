@@ -11,14 +11,16 @@
 //   * compiled in, runtime-disabled (the default) — every instrumentation
 //     site costs one relaxed atomic load and a predictable branch.
 //   * enabled (set_enabled(true) or CTB_TELEMETRY=1 in the environment) —
-//     counters are relaxed atomic adds; spans cost two steady_clock reads
-//     and one push into a per-thread buffer, safe under parallel_for.
+//     counters are relaxed atomic adds; a span costs two steady_clock reads,
+//     one histogram record and one flight-recorder event (trace.hpp), safe
+//     under parallel_for.
 //
 // Metric names are dotted string literals ("cache.hit", "plan.tiling").
-// Span names must be string literals (or otherwise outlive the registry):
-// events store the pointer, not a copy. The canonical names are
-// pre-registered at startup so a snapshot always carries the full taxonomy,
-// zero-valued where nothing fired.
+// Span names must be string literals: the flight event stores the pointer,
+// not a copy, and the span's duration histogram is named by appending
+// "_ns" to the literal. The canonical names are pre-registered at startup
+// so a snapshot always carries the full taxonomy, zero-valued where
+// nothing fired.
 #pragma once
 
 #include <cstdint>
@@ -71,23 +73,12 @@ struct HistogramSample {
   double p99() const { return percentile(99.0); }
 };
 
-/// One completed span. `name` points at the instrumentation site's literal.
-struct SpanEvent {
-  const char* name = nullptr;
-  int tid = 0;          ///< registry-assigned logical thread id
-  double start_us = 0;  ///< relative to process telemetry epoch
-  double dur_us = 0;
-  std::uint64_t trace = 0;  ///< trace id active at record time (0 = none)
-};
-
 /// Point-in-time copy of everything the registry holds.
 struct MetricsSnapshot {
   bool compiled_in = false;
   bool enabled = false;
-  double taken_us = 0;  ///< now_us() when the snapshot was taken
   std::vector<CounterSample> counters;    // sorted by name
   std::vector<HistogramSample> histograms;  // sorted by name
-  std::vector<SpanEvent> spans;           // sorted by start time
 };
 
 /// Copies the current registry state. Always safe to call (returns an empty
@@ -100,22 +91,20 @@ MetricsSnapshot snapshot();
 /// as the bucket envelope of the delta'd counts (lifetime watermarks cannot
 /// be subtracted, and keeping them would let history outside the window
 /// leak into percentile()'s clamp) — so every delta statistic, percentiles
-/// included, is a pure function of the window's own observations; spans are
-/// the `after` spans that started at or after `before.taken_us`. This is
+/// included, is a pure function of the window's own observations. This is
 /// how the perf-report runner isolates one workload's deterministic work
 /// counters without resetting global state.
 MetricsSnapshot delta(const MetricsSnapshot& before,
                       const MetricsSnapshot& after);
 
-/// Zeroes every counter and histogram and drops all recorded spans, keeping
-/// registrations. Tests isolate themselves with this; no-op when compiled
-/// out.
+/// Zeroes every counter and histogram, keeping registrations. Tests isolate
+/// themselves with this; no-op when compiled out.
 void reset();
 
-/// JSON object {"version","enabled","counters","histograms","spans"} where
+/// JSON object {"version","enabled","counters","histograms"} where
 /// histograms carry deterministic p50/p95/p99 percentile estimates plus
-/// per-bucket trace exemplars (schema version 3) and spans are aggregated
-/// per name (count / total_us / max_us). Schema in DESIGN.md §8.
+/// per-bucket trace exemplars (schema version 4); span durations are the
+/// `<name>_ns` histograms. Schema in DESIGN.md §8.
 void write_metrics_json(std::ostream& os, const MetricsSnapshot& snap);
 
 /// OpenMetrics/Prometheus text exposition of the snapshot: every counter as
@@ -132,15 +121,6 @@ void write_openmetrics(std::ostream& os, const MetricsSnapshot& snap);
 /// Tolerant of unrelated lines; used by tests to prove the export
 /// round-trips the taxonomy and by ctb_trace to ingest metrics files.
 std::vector<CounterSample> read_openmetrics_counters(std::istream& is);
-
-/// Appends one chrome-trace event per span (plus a process_name metadata
-/// record) under the given pid, each prefixed with ",\n" — for embedding in
-/// an already-open "traceEvents" array alongside the simulator's schedule.
-void append_chrome_trace_events(std::ostream& os, const MetricsSnapshot& snap,
-                                int pid);
-
-/// Standalone chrome://tracing file of the snapshot's spans.
-void write_chrome_trace(std::ostream& os, const MetricsSnapshot& snap);
 
 #ifdef CTB_TELEMETRY_ENABLED
 
@@ -198,30 +178,32 @@ Histogram& histogram(const char* name);
 /// Microseconds since the telemetry epoch (registry construction).
 double now_us();
 
-/// Records a completed span into the calling thread's buffer. Prefer
-/// CTB_TEL_SPAN; exposed for tests and for spans whose lifetime does not
-/// match a C++ scope.
-void record_span(const char* literal_name, double start_us, double dur_us);
-
 /// RAII span. Does nothing (one relaxed load) when telemetry is disabled at
 /// construction; a span started while enabled is recorded even if telemetry
-/// is disabled before it closes, keeping trace files self-consistent.
+/// is disabled before it closes, keeping trace files self-consistent. On
+/// close it records its duration in ns into `hist` and writes one `span`
+/// flight event (detail = name, t_us = end, a0 = duration in ns) under the
+/// current trace. Prefer CTB_TEL_SPAN, which names `hist` `<name>_ns`.
 class ScopedSpan {
  public:
-  explicit ScopedSpan(const char* literal_name) {
+  ScopedSpan(const char* literal_name, Histogram& hist) {
     if (enabled()) {
       name_ = literal_name;
+      hist_ = &hist;
       start_us_ = now_us();
     }
   }
   ~ScopedSpan() {
-    if (name_ != nullptr) record_span(name_, start_us_, now_us() - start_us_);
+    if (name_ != nullptr) close();
   }
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
  private:
+  void close();  // trace.cpp, beside the ring it writes
+
   const char* name_ = nullptr;
+  Histogram* hist_ = nullptr;
   double start_us_ = 0;
 };
 
@@ -250,11 +232,10 @@ inline Histogram& histogram(const char*) {
   return stub;
 }
 constexpr double now_us() { return 0.0; }
-inline void record_span(const char*, double, double) {}
 
 class ScopedSpan {
  public:
-  explicit ScopedSpan(const char*) {}
+  ScopedSpan(const char*, Histogram&) {}
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 };
@@ -263,16 +244,22 @@ class ScopedSpan {
 
 }  // namespace ctb::telemetry
 
-// Instrumentation macros. All three are statements; under CTB_TELEMETRY=OFF
-// they vanish entirely.
+// Instrumentation macros. CTB_TEL_COUNT and CTB_TEL_HIST are statements and
+// CTB_TEL_SPAN is a pair of declarations; under CTB_TELEMETRY=OFF they all
+// vanish.
 #ifdef CTB_TELEMETRY_ENABLED
 
 #define CTB_TEL_CONCAT_INNER(a, b) a##b
 #define CTB_TEL_CONCAT(a, b) CTB_TEL_CONCAT_INNER(a, b)
 
-/// Opens a span covering the rest of the enclosing scope.
-#define CTB_TEL_SPAN(name) \
-  ::ctb::telemetry::ScopedSpan CTB_TEL_CONCAT(ctb_tel_span_, __LINE__)(name)
+/// Opens a span covering the rest of the enclosing scope. `name` must be a
+/// string literal; its duration histogram `name "_ns"` is looked up once per
+/// site, unconditionally, like CTB_TEL_COUNT's counter.
+#define CTB_TEL_SPAN(name)                                                 \
+  static ::ctb::telemetry::Histogram& CTB_TEL_CONCAT(ctb_tel_sh_, __LINE__) = \
+      ::ctb::telemetry::histogram(name "_ns");                             \
+  ::ctb::telemetry::ScopedSpan CTB_TEL_CONCAT(ctb_tel_span_, __LINE__)(     \
+      name, CTB_TEL_CONCAT(ctb_tel_sh_, __LINE__))
 
 /// Adds `delta` to the named counter. The registry lookup happens once per
 /// site (static local), unconditionally, so a counter appears in snapshots

@@ -41,6 +41,8 @@ const char* to_string(FlightKind kind) {
       return "exec";
     case FlightKind::kUpgrade:
       return "upgrade";
+    case FlightKind::kSpan:
+      return "span";
   }
   return "?";
 }
@@ -85,6 +87,33 @@ void write_flight_json(std::ostream& os,
        << ",\"a0\":" << e.a0 << ",\"a1\":" << e.a1 << "}";
   }
   os << "\n]\n}\n";
+}
+
+void append_chrome_trace_events(std::ostream& os,
+                                const std::vector<FlightEventView>& events,
+                                int pid) {
+  os << ",\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
+     << ",\"args\":{\"name\":\"ctb host\"}}";
+  for (const FlightEventView& e : events) {
+    if (e.kind != FlightKind::kSpan) continue;
+    const double dur_us = static_cast<double>(e.a0) / 1000.0;
+    os << ",\n{\"name\":\"" << e.detail
+       << "\",\"ph\":\"X\",\"cat\":\"ctb\",\"pid\":" << pid
+       << ",\"tid\":" << e.tid << ",\"ts\":" << e.t_us - dur_us
+       << ",\"dur\":" << dur_us;
+    if (e.trace != 0)
+      os << ",\"args\":{\"trace\":\"" << trace_id_hex(e.trace) << "\"}";
+    os << "}";
+  }
+}
+
+void write_chrome_trace(std::ostream& os,
+                        const std::vector<FlightEventView>& events) {
+  os << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n"
+     << "{\"name\":\"clock_sync\",\"ph\":\"M\",\"pid\":0,"
+        "\"args\":{\"source\":\"ctb.telemetry\"}}";
+  append_chrome_trace_events(os, events, 0);
+  os << "\n]}\n";
 }
 
 #ifdef CTB_TELEMETRY_ENABLED
@@ -137,7 +166,6 @@ struct FlightRing {
 
 struct FlightRegistry {
   std::atomic<std::uint64_t> next_trace{0};
-  std::atomic<int> next_tid{0};
   std::atomic<int> dump_budget{32};
   std::atomic<int> dump_seq{0};
 
@@ -153,12 +181,12 @@ FlightRegistry& flight_registry() {
   return *r;
 }
 
-// Thread-local ring handle with the same adopt-on-exit protocol as the span
-// buffers: rings outlive their thread (snapshots after a worker exits still
-// see its events) and are reused by the next new thread.
+// Thread-local ring handle: rings are owned by the registry and only
+// borrowed by threads, so snapshots after a worker exits (common with the
+// std::thread parallel_for backend under TSan) still see its events, and a
+// ring freed by a dying thread is adopted by the next new thread.
 struct RingHandle {
   std::shared_ptr<FlightRing> ring;
-  int tid = 0;
 
   RingHandle() {
     FlightRegistry& r = flight_registry();
@@ -170,7 +198,6 @@ struct RingHandle {
       ring = std::make_shared<FlightRing>();
       r.rings.push_back(ring);
     }
-    tid = r.next_tid.fetch_add(1, std::memory_order_relaxed);
   }
   ~RingHandle() {
     FlightRegistry& r = flight_registry();
@@ -178,6 +205,23 @@ struct RingHandle {
     r.free_rings.push_back(std::move(ring));
   }
 };
+
+void record_at(FlightKind kind, const char* detail_literal, std::int64_t a0,
+               std::int64_t a1, double t_us) {
+  thread_local RingHandle handle;
+  FlightRing& ring = *handle.ring;
+  const std::uint64_t g = ring.head++;
+  FlightSlot& slot = ring.slots[g % kFlightSlots];
+  slot.seq.store(2 * g + 1, std::memory_order_release);
+  slot.trace.store(t_current.id, std::memory_order_relaxed);
+  slot.a0.store(a0, std::memory_order_relaxed);
+  slot.a1.store(a1, std::memory_order_relaxed);
+  slot.t_us.store(t_us, std::memory_order_relaxed);
+  slot.kind.store(static_cast<std::int32_t>(kind),
+                  std::memory_order_relaxed);
+  slot.detail.store(detail_literal, std::memory_order_relaxed);
+  slot.seq.store(2 * g + 2, std::memory_order_release);
+}
 
 }  // namespace
 
@@ -209,21 +253,16 @@ ScopedTraceContext::~ScopedTraceContext() {
 
 void flight_record(FlightKind kind, const char* detail_literal,
                    std::int64_t a0, std::int64_t a1) {
-  thread_local RingHandle handle;
-  FlightRing& ring = *handle.ring;
-  const std::uint64_t g = ring.head++;
-  FlightSlot& slot = ring.slots[g % kFlightSlots];
-  slot.seq.store(2 * g + 1, std::memory_order_release);
-  slot.trace.store(t_current.id, std::memory_order_relaxed);
-  slot.a0.store(a0, std::memory_order_relaxed);
-  slot.a1.store(a1, std::memory_order_relaxed);
-  slot.t_us.store(now_us(), std::memory_order_relaxed);
-  slot.kind.store(static_cast<std::int32_t>(kind),
-                  std::memory_order_relaxed);
-  slot.detail.store(detail_literal, std::memory_order_relaxed);
-  slot.seq.store(2 * g + 2, std::memory_order_release);
-  // tid rides in the ring handle; see flight_events().
-  (void)handle.tid;
+  record_at(kind, detail_literal, a0, a1, now_us());
+}
+
+// The event is stamped with the very clock read that ends the span, so a
+// reader recovers the span as [t_us - a0/1000, t_us] and nested spans nest.
+void ScopedSpan::close() {
+  const double end_us = now_us();
+  const auto ns = static_cast<std::int64_t>((end_us - start_us_) * 1e3);
+  hist_->record(ns);
+  record_at(FlightKind::kSpan, name_, ns, 0, end_us);
 }
 
 std::vector<FlightEventView> flight_events() {

@@ -6,19 +6,21 @@
 // lookup (adopting the caller's context when one is already active), the
 // bench runners install one per request, and everything downstream —
 // planner, PlanCache, split-K sweep, executors — reads the thread-current
-// context when it records spans, histogram exemplars, or flight events.
+// context when it records histogram exemplars or flight events.
 // Propagation costs one thread-local read; there is no global lookup.
 //
-// The flight recorder is the postmortem half: a fixed-size, lock-free
-// per-thread ring of recent structured events (plan decisions, deadline
+// The flight recorder is the one per-thread event stream: a fixed-size,
+// lock-free ring of recent structured events (plan decisions, deadline
 // misses, quarantine transitions, validate/audit rejections, fallback
-// activations, executor runs). Unlike counters and spans it is
-// *always on* while compiled in — it does not consult set_enabled(), because
-// its whole purpose is to still hold the last moments when something fails
-// unexpectedly. Each record is a handful of relaxed atomic stores (O(ns));
-// readers never block writers. Dumps happen on demand (flight_events /
-// write_flight_json) and automatically on guard rejections and service
-// quarantines when CTB_FLIGHT_DUMP_DIR names a directory.
+// activations, executor runs, and the stage spans of telemetry.hpp). Its
+// decision events are *always on* while compiled in — they do not consult
+// set_enabled(), because their whole purpose is to still hold the last
+// moments when something fails unexpectedly; spans share the ring only
+// while telemetry is enabled. Each record is a handful of relaxed atomic
+// stores (O(ns)); readers never block writers. Dumps happen on demand
+// (flight_events / write_flight_json / write_chrome_trace) and
+// automatically on guard rejections and service quarantines when
+// CTB_FLIGHT_DUMP_DIR names a directory.
 //
 // Under -DCTB_TELEMETRY=OFF everything here compiles out to no-op stubs,
 // exactly like telemetry.hpp: trace ids are 0, rings do not exist, and the
@@ -57,6 +59,7 @@ enum class FlightKind : std::int32_t {
   kFallback,            ///< reference-GEMM fallback activated
   kExec,                ///< executor ran a plan; a0=blocks a1=tiles
   kUpgrade,             ///< degraded entry replaced by a full plan
+  kSpan,                ///< a stage closed; detail = name, a0 = ns, t_us = end
 };
 
 const char* to_string(FlightKind kind);
@@ -66,7 +69,7 @@ const char* to_string(FlightKind kind);
 struct FlightEventView {
   std::uint64_t trace = 0;
   FlightKind kind = FlightKind::kServe;
-  int tid = 0;
+  int tid = 0;  ///< index of the recording thread's ring
   double t_us = 0;  ///< now_us() at record time (telemetry epoch)
   std::int64_t a0 = 0;
   std::int64_t a1 = 0;
@@ -83,6 +86,19 @@ std::uint64_t parse_trace_id(const std::string& hex);
 /// ordered by t_us. Works in every build (empty list -> empty document).
 void write_flight_json(std::ostream& os,
                        const std::vector<FlightEventView>& events);
+
+/// Appends one chrome-trace "X" event per `span` event (plus a process_name
+/// metadata record) under the given pid, each prefixed with ",\n" — for
+/// embedding in an already-open "traceEvents" array alongside the
+/// simulator's schedule. ts = t_us - a0/1000, dur = a0/1000, tid = the
+/// ring's index, and the trace id rides in args.
+void append_chrome_trace_events(std::ostream& os,
+                                const std::vector<FlightEventView>& events,
+                                int pid);
+
+/// Standalone chrome://tracing file of the events' spans.
+void write_chrome_trace(std::ostream& os,
+                        const std::vector<FlightEventView>& events);
 
 #ifdef CTB_TELEMETRY_ENABLED
 

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/api.hpp"
+#include "core/epilogue.hpp"
 #include "core/plan_io.hpp"
 #include "kernels/functional.hpp"
 #include "service/failpoint.hpp"
@@ -45,6 +46,9 @@ constexpr bool kTelemetryCompiledIn = true;
 #else
 constexpr bool kTelemetryCompiledIn = false;
 #endif
+
+const int kBiasRelu =
+    epilogue_push(epilogue_push(0, EpilogueOp::kBias), EpilogueOp::kRelu);
 
 std::vector<GemmDims> small_batch(int seed) {
   // Distinct per seed so tests control hits vs misses precisely.
@@ -138,6 +142,43 @@ TEST(PlanService, DegenerateInputsThrowCheckError) {
   EXPECT_THROW(svc.get({}), CheckError);
   const std::vector<GemmDims> bad = {GemmDims{0, 4, 4}};
   EXPECT_THROW(svc.get(bad), CheckError);
+}
+
+// The planner, the plan cache and the service share one epilogue-stream
+// normalization: a short stream and a malformed spec are rejected alike,
+// and an all-zero stream is the plain batch (same signature, same plan).
+TEST(PlanService, EpilogueStreamsNormalizeAlikeAtEveryEntryPoint) {
+  const auto batch = small_batch(4);
+  const std::vector<int> short_stream{kBiasRelu};
+  const std::vector<int> malformed{0x10, 0};  // an op after the terminator
+  const std::vector<int> zeros(batch.size(), 0);
+  PlanServiceConfig cfg;
+  cfg.deadline_us = 0;
+  const BatchedGemmPlanner planner(cfg.planner);
+  PlanCache cache(cfg.planner);
+  PlanService svc(cfg);
+  for (const std::vector<int>* bad : {&short_stream, &malformed}) {
+    EXPECT_THROW(planner.plan(batch, *bad), CheckError);
+    EXPECT_THROW(cache.plan(batch, *bad), CheckError);
+    EXPECT_THROW(svc.get(batch, *bad), CheckError);
+  }
+
+  EXPECT_EQ(batch_signature(batch, cfg.planner, zeros),
+            batch_signature(batch, cfg.planner));
+  auto bytes = [](const BatchPlan& plan) {
+    std::ostringstream os;
+    save_plan(os, plan);
+    return os.str();
+  };
+  EXPECT_EQ(bytes(planner.plan(batch, zeros).plan),
+            bytes(planner.plan(batch).plan));
+  const std::string plain_bytes = bytes(cache.plan(batch).plan);
+  EXPECT_EQ(bytes(cache.plan(batch, zeros).plan), plain_bytes);
+  EXPECT_EQ(cache.misses(), 1);
+  const ServedPlan plain = svc.get(batch);
+  const ServedPlan zeroed = svc.get(batch, zeros);
+  EXPECT_EQ(zeroed.state, ServeState::kHit);
+  EXPECT_EQ(zeroed.summary.get(), plain.summary.get());
 }
 
 // ---------------------------------------------------------------------------
@@ -522,6 +563,30 @@ TEST_F(FailpointTest, ServiceSlowFailpointTripsDeadline) {
   svc.drain();
   EXPECT_EQ(svc.stats().upgraded, 1);
   EXPECT_EQ(svc.get(batch).state, ServeState::kHit);
+}
+
+// is_quarantined hashes a batch's epilogue stream exactly as get() does, so
+// a quarantined fused batch reads as quarantined until released.
+TEST_F(FailpointTest, QuarantinedFusedBatchReadsQuarantined) {
+  PlanServiceConfig cfg;
+  cfg.deadline_us = 0;
+  cfg.max_retries = 0;
+  cfg.quarantine_threshold = 2;
+  PlanService svc(cfg);
+  const auto batch = small_batch(12);
+  const std::vector<int> epilogues(batch.size(), kBiasRelu);
+  {
+    service::ScopedFailpoint broken("service.planner.throw",
+                                    {FailAction::kThrow, 0, -1});
+    EXPECT_EQ(svc.get(batch, epilogues).state, ServeState::kDegraded);
+    EXPECT_FALSE(svc.is_quarantined(batch, epilogues));
+    EXPECT_EQ(svc.get(batch, epilogues).state, ServeState::kDegraded);
+  }
+  EXPECT_EQ(svc.stats().quarantined, 1);
+  EXPECT_TRUE(svc.is_quarantined(batch, epilogues));
+  EXPECT_EQ(svc.get(batch, epilogues).state, ServeState::kQuarantined);
+  EXPECT_EQ(svc.release_quarantined(), 1u);
+  EXPECT_FALSE(svc.is_quarantined(batch, epilogues));
 }
 
 TEST_F(FailpointTest, ChaosQuarantineLeavesAFlightDumpForTheTrace) {

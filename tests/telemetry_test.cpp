@@ -1,9 +1,10 @@
 // ctb::telemetry unit tests: counter and histogram correctness, span
-// recording and nesting, the JSON / chrome-trace export schemas, and
-// race-cleanliness of concurrent instrumentation under parallel_for (the
-// TSan CI leg runs this binary). The export and snapshot entry points are
-// also exercised in the compiled-out configuration, where they must degrade
-// to empty-but-well-formed output.
+// recording (flight events plus `<name>_ns` histograms) and nesting, the
+// JSON / chrome-trace export schemas, and race-cleanliness of concurrent
+// instrumentation under parallel_for (the TSan CI leg runs this binary).
+// The export and snapshot entry points are also exercised in the
+// compiled-out configuration, where they must degrade to
+// empty-but-well-formed output.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -72,10 +73,10 @@ TEST(TelemetryExport, EmptySnapshotIsWellFormedJson) {
   const telemetry::MetricsSnapshot snap;  // compiled_in == false
   std::ostringstream metrics, trace;
   telemetry::write_metrics_json(metrics, snap);
-  telemetry::write_chrome_trace(trace, snap);
+  telemetry::write_chrome_trace(trace, {});
   EXPECT_TRUE(json_balanced(metrics.str())) << metrics.str();
   EXPECT_TRUE(json_balanced(trace.str())) << trace.str();
-  EXPECT_NE(metrics.str().find("\"version\":3"), std::string::npos);
+  EXPECT_NE(metrics.str().find("\"version\":4"), std::string::npos);
   EXPECT_NE(trace.str().find("\"traceEvents\""), std::string::npos);
 }
 
@@ -97,13 +98,31 @@ class TelemetryTest : public ::testing::Test {
  protected:
   void SetUp() override {
     telemetry::reset();
+    telemetry::flight_clear();
     telemetry::set_enabled(true);
   }
   void TearDown() override {
     telemetry::set_enabled(false);
     telemetry::reset();
+    telemetry::flight_clear();
   }
 };
+
+const telemetry::HistogramSample* find_hist(
+    const telemetry::MetricsSnapshot& snap, const std::string& name) {
+  for (const auto& h : snap.histograms)
+    if (h.name == name) return &h;
+  return nullptr;
+}
+
+// The `span` flight events named `name`, across every thread's ring.
+std::vector<telemetry::FlightEventView> span_events(const std::string& name) {
+  std::vector<telemetry::FlightEventView> out;
+  for (const auto& e : telemetry::flight_events())
+    if (e.kind == telemetry::FlightKind::kSpan && name == e.detail)
+      out.push_back(e);
+  return out;
+}
 
 TEST_F(TelemetryTest, CountersAccumulateAndSnapshot) {
   telemetry::counter("test.counter").add(3);
@@ -136,9 +155,6 @@ TEST_F(TelemetryTest, CountersAccumulateAndSnapshot) {
   EXPECT_EQ(counter_value(snap, "service.retried"), 0);
   EXPECT_EQ(counter_value(snap, "service.quarantined"), 0);
   EXPECT_EQ(counter_value(snap, "service.deadline_miss"), 0);
-  // Telemetry self-observation: span-buffer overflow is part of the
-  // canonical taxonomy so reports can gate on it staying zero.
-  EXPECT_EQ(counter_value(snap, "tel.spans.dropped"), 0);
 }
 
 TEST_F(TelemetryTest, DisabledSitesRegisterButDoNotCount) {
@@ -283,14 +299,15 @@ TEST_F(TelemetryTest, SnapshotDeltaSubtractsCountersAndHistograms) {
   EXPECT_EQ(h->max, 32);
   EXPECT_DOUBLE_EQ(h->percentile(50.0), 4.0);
   EXPECT_DOUBLE_EQ(h->percentile(99.0), 32.0);
-  // Spans: only those started after `before` was taken survive.
-  bool saw_before = false, saw_after = false;
-  for (const auto& s : d.spans) {
-    if (std::string(s.name) == "test.delta.before") saw_before = true;
-    if (std::string(s.name) == "test.delta.after") saw_after = true;
-  }
-  EXPECT_FALSE(saw_before);
-  EXPECT_TRUE(saw_after);
+  // Span durations are histograms, so they window like any other.
+  const telemetry::HistogramSample* before_span =
+      find_hist(d, "test.delta.before_ns");
+  const telemetry::HistogramSample* after_span =
+      find_hist(d, "test.delta.after_ns");
+  ASSERT_NE(before_span, nullptr);
+  ASSERT_NE(after_span, nullptr);
+  EXPECT_EQ(before_span->count, 0);
+  EXPECT_EQ(after_span->count, 1);
 }
 
 TEST_F(TelemetryTest, SpansNestAndCarryDurations) {
@@ -298,37 +315,50 @@ TEST_F(TelemetryTest, SpansNestAndCarryDurations) {
     CTB_TEL_SPAN("test.outer");
     CTB_TEL_SPAN("test.inner");
   }
+  const auto outer = span_events("test.outer");
+  const auto inner = span_events("test.inner");
+  ASSERT_EQ(outer.size(), 1u);
+  ASSERT_EQ(inner.size(), 1u);
+  // A span event is stamped at its end with its duration in ns, so
+  // [t_us - a0/1000, t_us] is its interval; the inner one nests (to within
+  // the ns truncation of a0).
+  EXPECT_GE(inner[0].a0, 0);
+  EXPECT_GE(outer[0].a0, inner[0].a0);
+  EXPECT_LE(inner[0].t_us, outer[0].t_us);
+  EXPECT_LE(outer[0].t_us - outer[0].a0 / 1e3,
+            inner[0].t_us - inner[0].a0 / 1e3 + 1e-3);
+  // The same durations land in the `<name>_ns` histograms.
   const auto snap = telemetry::snapshot();
-  const telemetry::SpanEvent* outer = nullptr;
-  const telemetry::SpanEvent* inner = nullptr;
-  for (const auto& s : snap.spans) {
-    if (std::string(s.name) == "test.outer") outer = &s;
-    if (std::string(s.name) == "test.inner") inner = &s;
-  }
-  ASSERT_NE(outer, nullptr);
-  ASSERT_NE(inner, nullptr);
-  EXPECT_LE(outer->start_us, inner->start_us);
-  EXPECT_GE(outer->dur_us, inner->dur_us);
-  EXPECT_GE(outer->start_us + outer->dur_us, inner->start_us + inner->dur_us);
+  const telemetry::HistogramSample* h = find_hist(snap, "test.outer_ns");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count, 1);
+  EXPECT_EQ(h->sum, outer[0].a0);
 }
 
 TEST_F(TelemetryTest, SpanArmedAtConstructionRecordsAfterDisable) {
   {
-    telemetry::ScopedSpan span("test.armed");
+    telemetry::ScopedSpan span("test.armed",
+                               telemetry::histogram("test.armed_ns"));
     telemetry::set_enabled(false);
   }
-  bool found = false;
-  for (const auto& s : telemetry::snapshot().spans)
-    if (std::string(s.name) == "test.armed") found = true;
-  EXPECT_TRUE(found);
+  EXPECT_EQ(span_events("test.armed").size(), 1u);
+  const auto snap = telemetry::snapshot();
+  const telemetry::HistogramSample* h = find_hist(snap, "test.armed_ns");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count, 1);
 }
 
 TEST_F(TelemetryTest, SpanSkippedWhenDisabledAtConstruction) {
   telemetry::set_enabled(false);
-  { telemetry::ScopedSpan span("test.skipped"); }
+  { CTB_TEL_SPAN("test.skipped"); }
   telemetry::set_enabled(true);
-  for (const auto& s : telemetry::snapshot().spans)
-    EXPECT_STRNE(s.name, "test.skipped");
+  // Neither a flight event nor a histogram sample: the site registers its
+  // histogram, like a disabled CTB_TEL_COUNT registers its counter.
+  EXPECT_TRUE(span_events("test.skipped").empty());
+  const auto snap = telemetry::snapshot();
+  const telemetry::HistogramSample* h = find_hist(snap, "test.skipped_ns");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count, 0);
 }
 
 TEST_F(TelemetryTest, ResetZeroesButKeepsRegistrations) {
@@ -338,9 +368,11 @@ TEST_F(TelemetryTest, ResetZeroesButKeepsRegistrations) {
   telemetry::reset();
   const auto snap = telemetry::snapshot();
   EXPECT_EQ(counter_value(snap, "test.reset"), 0);
-  for (const auto& h : snap.histograms)
-    if (h.name == "test.reset.h") EXPECT_EQ(h.count, 0);
-  EXPECT_TRUE(snap.spans.empty());
+  for (const auto& h : snap.histograms) {
+    if (h.name == "test.reset.h" || h.name == "test.reset.span_ns") {
+      EXPECT_EQ(h.count, 0) << h.name;
+    }
+  }
 }
 
 TEST_F(TelemetryTest, MetricsJsonSchema) {
@@ -352,12 +384,12 @@ TEST_F(TelemetryTest, MetricsJsonSchema) {
   const std::string json = os.str();
   EXPECT_TRUE(json_balanced(json)) << json;
   for (const char* needle :
-       {"\"version\":3", "\"compiled_in\":true", "\"enabled\":true",
-        "\"counters\":{", "\"histograms\":{", "\"spans\":{",
+       {"\"version\":4", "\"compiled_in\":true", "\"enabled\":true",
+        "\"counters\":{", "\"histograms\":{",
         "\"test.json\":2", "\"test.json.h\":{", "\"buckets\":[",
         "\"exemplars\":[",
         "\"p50\":3", "\"p95\":3", "\"p99\":3",
-        "\"test.json.span\":{", "\"count\":", "\"total_us\":", "\"max_us\":",
+        "\"test.json.span_ns\":{\"count\":1,",
         "\"cache.hit\":0", "\"cache.miss\":0", "\"exec.fallback\":0",
         "\"exec.dispatch.specialized\":0", "\"exec.dispatch.generic\":0",
         "\"exec.pack.panels\":0", "\"exec.pack.bytes\":0",
@@ -365,27 +397,41 @@ TEST_F(TelemetryTest, MetricsJsonSchema) {
         "\"exec.simd.neon\":0", "\"exec.simd.avx2\":0",
         "\"exec.simd.avx512\":0"})
     EXPECT_NE(json.find(needle), std::string::npos) << needle << "\n" << json;
+  // v4 has no separate span section: durations are histograms.
+  EXPECT_EQ(json.find("\"spans\""), std::string::npos) << json;
 }
 
 TEST_F(TelemetryTest, ChromeTraceSchema) {
-  { CTB_TEL_SPAN("test.trace.span"); }
-  const auto snap = telemetry::snapshot();
+  std::uint64_t id = 0;
+  {
+    const telemetry::ScopedTraceContext scope("test", 1);
+    id = telemetry::current_trace().id;
+    CTB_TEL_SPAN("test.trace.span");
+    // A decision event shares the ring but is not a span: not exported.
+    telemetry::flight_record(telemetry::FlightKind::kExec, "test.not.span",
+                             1, 2);
+  }
+  const auto events = telemetry::flight_events();
   std::ostringstream os;
-  telemetry::write_chrome_trace(os, snap);
+  telemetry::write_chrome_trace(os, events);
   const std::string trace = os.str();
   EXPECT_TRUE(json_balanced(trace)) << trace;
   EXPECT_EQ(trace.front(), '{');
   for (const char* needle :
        {"\"traceEvents\":[", "\"ph\":\"X\"", "\"test.trace.span\"",
-        "\"ts\":", "\"dur\":", "\"pid\":"})
+        "\"ts\":", "\"dur\":", "\"pid\":", "\"tid\":"})
     EXPECT_NE(trace.find(needle), std::string::npos) << needle << "\n"
                                                      << trace;
+  EXPECT_NE(trace.find("\"trace\":\"" + telemetry::trace_id_hex(id) + "\""),
+            std::string::npos)
+      << trace;
+  EXPECT_EQ(trace.find("test.not.span"), std::string::npos) << trace;
 
   // Embedding form: events must splice into a foreign traceEvents array.
   std::ostringstream combined;
   combined << "{\"traceEvents\":[\n{\"name\":\"probe\",\"ph\":\"M\","
               "\"pid\":0,\"args\":{}}";
-  telemetry::append_chrome_trace_events(combined, snap, 7);
+  telemetry::append_chrome_trace_events(combined, events, 7);
   combined << "\n]}\n";
   EXPECT_TRUE(json_balanced(combined.str())) << combined.str();
   EXPECT_NE(combined.str().find("\"pid\":7"), std::string::npos);
@@ -406,20 +452,11 @@ TEST_F(TelemetryTest, ConcurrentInstrumentationIsRaceFreeAndLossless) {
     if (h.name == "test.par.hist") sample = &h;
   ASSERT_NE(sample, nullptr);
   EXPECT_EQ(sample->count, kIters);
-  long long spans = 0;
-  for (const auto& s : snap.spans)
-    if (std::string(s.name) == "test.par.span") ++spans;
-  EXPECT_EQ(spans, kIters);
-  EXPECT_EQ(counter_value(snap, "tel.spans.dropped"), 0);
-}
-
-TEST_F(TelemetryTest, SpanBufferCapCountsDroppedSpans) {
-  constexpr int kOverCap = (1 << 16) + 100;
-  for (int i = 0; i < kOverCap; ++i)
-    telemetry::record_span("test.cap", 0.0, 0.0);
-  const auto snap = telemetry::snapshot();
-  EXPECT_GE(counter_value(snap, "tel.spans.dropped"), 100);
-  EXPECT_LE(static_cast<int>(snap.spans.size()), 1 << 16);
+  // Span aggregates are lossless even though each thread's flight ring
+  // keeps only its latest 256 events.
+  const telemetry::HistogramSample* spans = find_hist(snap, "test.par.span_ns");
+  ASSERT_NE(spans, nullptr);
+  EXPECT_EQ(spans->count, kIters);
 }
 
 TEST_F(TelemetryTest, HistogramExemplarsCarryTheActiveTraceId) {
@@ -509,12 +546,11 @@ TEST_F(TelemetryTest, OpenMetricsRoundTripsTheCounterTaxonomy) {
     EXPECT_EQ(parsed[i].name, snap.counters[i].name);
     EXPECT_EQ(parsed[i].value, snap.counters[i].value);
   }
-  // The canonical taxonomy is present by dotted name, including the
-  // self-observation counter.
-  bool saw_dropped = false;
+  // The canonical taxonomy is present by dotted name.
+  bool saw_hit = false;
   for (const auto& c : parsed)
-    if (c.name == "tel.spans.dropped") saw_dropped = true;
-  EXPECT_TRUE(saw_dropped);
+    if (c.name == "cache.hit") saw_hit = true;
+  EXPECT_TRUE(saw_hit);
 }
 
 #else  // !CTB_TELEMETRY_ENABLED
@@ -524,14 +560,14 @@ TEST(TelemetryCompiledOut, StubsAreInertAndSnapshotsEmpty) {
   EXPECT_FALSE(telemetry::enabled());
   telemetry::counter("test.off").add(5);
   telemetry::histogram("test.off.h").record(5);
-  telemetry::record_span("test.off.span", 0.0, 1.0);
+  { CTB_TEL_SPAN("test.off.span"); }
   CTB_TEL_COUNT("test.off.macro", 1);
   const auto snap = telemetry::snapshot();
   EXPECT_FALSE(snap.compiled_in);
   EXPECT_FALSE(snap.enabled);
   EXPECT_TRUE(snap.counters.empty());
   EXPECT_TRUE(snap.histograms.empty());
-  EXPECT_TRUE(snap.spans.empty());
+  EXPECT_TRUE(telemetry::flight_events().empty());
 }
 
 #endif  // CTB_TELEMETRY_ENABLED

@@ -2,13 +2,15 @@
 // codecs, context scoping and adoption, lock-free ring recording (wrap,
 // clear, concurrent dump-while-record — the TSan CI leg runs this binary),
 // env-gated autodumps, and the end-to-end contract that one request's
-// planner, cache, and executor flight events share one trace id. The
-// compiled-out configuration pins the stub behavior instead.
+// planner, cache, and executor flight events — stage spans included —
+// share one trace id. The compiled-out configuration pins the stub
+// behavior instead.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -276,13 +278,65 @@ TEST_F(TraceTest, ServedPlanCarriesItsTraceId) {
 TEST_F(TraceTest, SpansRecordTheActiveTraceId) {
   const telemetry::ScopedTraceContext scope("test", 1);
   { CTB_TEL_SPAN("test.trace.span"); }
-  bool found = false;
-  for (const auto& s : telemetry::snapshot().spans)
-    if (std::string(s.name) == "test.trace.span") {
-      found = true;
-      EXPECT_EQ(s.trace, telemetry::current_trace().id);
-    }
-  EXPECT_TRUE(found);
+  const auto trail = trail_of(telemetry::current_trace().id);
+  ASSERT_EQ(trail.size(), 1u);
+  EXPECT_EQ(trail[0].kind, telemetry::FlightKind::kSpan);
+  EXPECT_STREQ(trail[0].detail, "test.trace.span");
+  EXPECT_GE(trail[0].a0, 0);
+}
+
+// One request's stages, in its own flight trail: a service miss plans
+// (plan.total and its sub-steps), then the split-K plan executes with one
+// span per executor stage — no per-block events — and every span nests in
+// the planner's or the executor's top-level span.
+TEST_F(TraceTest, StageSpansJoinTheRequestTrail) {
+  const std::vector<GemmDims> dims{{128, 128, 4096}};
+  Matrixf a(128, 4096), b(4096, 128), c(128, 128);
+  for (auto* m : {&a, &b})
+    for (std::size_t i = 0; i < m->size(); ++i)
+      m->data()[i] = static_cast<float>(i % 7) * 0.5f;
+  const std::vector<GemmOperands> ops{operands(a, b, c)};
+
+  service::PlanServiceConfig cfg;
+  cfg.deadline_us = 0;  // inline mode: the miss plans on this thread
+  cfg.planner.policy = BatchingPolicy::kThresholdOnly;
+  service::PlanService svc(cfg);
+  std::uint64_t id = 0;
+  {
+    const telemetry::ScopedTraceContext scope("test", 1);
+    id = telemetry::current_trace().id;
+    const service::ServedPlan served = svc.get(dims);
+    ASSERT_EQ(served.state, service::ServeState::kPlanned);
+    ASSERT_TRUE(served.summary->plan.has_split());
+    execute_plan(served.summary->plan, ops, 1.0f, 0.0f);
+  }
+
+  std::map<std::string, std::vector<telemetry::FlightEventView>> spans;
+  for (const auto& e : trail_of(id))
+    if (e.kind == telemetry::FlightKind::kSpan) spans[e.detail].push_back(e);
+  for (const char* stage : {"exec.run_batched_plan", "exec.audit",
+                            "exec.pack", "exec.sweep", "exec.splitk.reduce"})
+    ASSERT_EQ(spans[stage].size(), 1u) << stage;
+  ASSERT_EQ(spans["plan.total"].size(), 1u);
+  std::size_t exec_spans = 0;
+  for (const auto& [name, events] : spans)
+    if (name.rfind("exec.", 0) == 0) exec_spans += events.size();
+  EXPECT_EQ(exec_spans, 5u);
+
+  // [t_us - a0/1000, t_us] is a span's interval; allow the 1 ns that the
+  // integer a0 truncates.
+  auto begin_us = [](const telemetry::FlightEventView& e) {
+    return e.t_us - static_cast<double>(e.a0) / 1e3;
+  };
+  auto inside = [&](const telemetry::FlightEventView& e,
+                    const telemetry::FlightEventView& outer) {
+    return begin_us(e) >= begin_us(outer) - 1e-3 && e.t_us <= outer.t_us;
+  };
+  const telemetry::FlightEventView run = spans["exec.run_batched_plan"][0];
+  const telemetry::FlightEventView plan = spans["plan.total"][0];
+  for (const auto& [name, events] : spans)
+    for (const auto& e : events)
+      EXPECT_TRUE(inside(e, run) || inside(e, plan)) << name;
 }
 
 #else  // !CTB_TELEMETRY_ENABLED

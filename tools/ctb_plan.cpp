@@ -18,6 +18,7 @@
 #include "kernels/work_builder.hpp"
 #include "core/rf_policy.hpp"
 #include "telemetry/telemetry.hpp"
+#include "telemetry/trace.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -189,7 +190,7 @@ int main(int argc, char** argv) {
             "{\"name\":\"clock_sync\",\"ph\":\"M\",\"pid\":0,"
             "\"args\":{\"source\":\"ctb_plan\"}}";
       append_chrome_trace_events(os, trace, arch, 0);
-      telemetry::append_chrome_trace_events(os, telemetry::snapshot(), 1);
+      telemetry::append_chrome_trace_events(os, telemetry::flight_events(), 1);
       os << "\n]}\n";
       std::cout << "\nschedule trace written to " << trace_path
                 << " (open in chrome://tracing)\n";

@@ -1,6 +1,6 @@
 // ctb_trace — offline reader for the observability artifacts the rest of
 // the stack emits (DESIGN.md §13): flight-recorder dumps (flight.json /
-// ctb_flight_*.json), metrics.json (schema v3, with histogram exemplars),
+// ctb_flight_*.json), metrics.json (schema v4, with histogram exemplars),
 // and metrics.prom (OpenMetrics). Input files are positional and
 // autodetected by content, so a whole --trace-dir can be passed at once:
 //

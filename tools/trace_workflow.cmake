@@ -53,6 +53,29 @@ if(NOT prom MATCHES "trace_id=")
   message(FATAL_ERROR "metrics.prom carries no exemplars")
 endif()
 
+# Stage spans are flight events in the request's trail: the dump holds a
+# plan.total span under a nonzero trace id, and ctb_trace resolves that id
+# to a trail that prints the span.
+file(READ ${WORK_DIR}/tracecheck/flight.json flight)
+string(REGEX MATCH
+       "\"trace\":\"(0*[1-9a-f][0-9a-f]*)\",\"kind\":\"span\",\"detail\":\"plan\\.total\""
+       plan_span "${flight}")
+if(NOT plan_span)
+  message(FATAL_ERROR "flight.json holds no span event (plan.total) with a "
+                      "trace id")
+endif()
+set(plan_trace ${CMAKE_MATCH_1})
+execute_process(
+  COMMAND ${CTB_TRACE} --trace ${plan_trace}
+          ${WORK_DIR}/tracecheck/flight.json
+  RESULT_VARIABLE span_rc
+  OUTPUT_VARIABLE span_out
+  ERROR_VARIABLE span_err)
+if(NOT span_rc EQUAL 0 OR NOT span_out MATCHES "span \\(plan\\.total\\)")
+  message(FATAL_ERROR "ctb_trace --trace ${plan_trace} does not show its "
+                      "plan.total span (${span_rc}):\n${span_out}${span_err}")
+endif()
+
 # The p99-outlier workflow: rank the lookup exemplars, resolve their traces.
 execute_process(
   COMMAND ${CTB_TRACE} --top-latency 3
