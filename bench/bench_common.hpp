@@ -208,7 +208,7 @@ class TelemetryScope {
 /// functionally (host matrices, real executors) either through the planner
 /// under `policy`, or — when `fixed_strategy_id` >= 0 — through a hand-built
 /// one-tile-per-block plan pinned to that Table-2 strategy, so each
-/// strategy's packed tile loop has a workload exercising exactly it.
+/// strategy's packed tile grid has a workload exercising exactly it.
 struct BenchWorkload {
   std::string name;
   std::vector<GemmDims> dims;

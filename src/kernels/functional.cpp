@@ -66,16 +66,34 @@ struct SharedTiles {
   }
 };
 
+/// One GEMM's fused epilogue chain, decoded once per executor call so the
+/// tile store does not re-read the packed spec for every tile.
+struct EpilogueChain {
+  int nops = 0;
+  int ops[kMaxEpilogueOps] = {};  ///< EpilogueOp values in chain order
+  bool bias = false, residual = false, rowperm = false, colperm = false;
+
+  explicit EpilogueChain(int spec = 0) : nops(epilogue_num_ops(spec)) {
+    for (int o = 0; o < nops; ++o) {
+      const EpilogueOp op = epilogue_op_at(spec, o);
+      ops[o] = static_cast<int>(op);
+      bias = bias || op == EpilogueOp::kBias;
+      residual = residual || op == EpilogueOp::kResidual;
+      rowperm = rowperm || op == EpilogueOp::kRowPerm;
+      colperm = colperm || op == EpilogueOp::kColPerm;
+    }
+  }
+};
+
 /// How one GEMM's tiles run in one executor call, resolved once per GEMM:
-/// the packed panels (invalid: the budget left the GEMM unpacked, so its
-/// tiles stage through SharedTiles), the ISA's tile loops for the geometry
-/// (null: the scalar packed loop), and the vector row store (null: the
-/// scalar per-element store).
+/// the packed panels (invalid: the GEMM runs unpacked, so its tiles stage
+/// through SharedTiles), the call's micro-kernel, the vector row store
+/// (null: the scalar per-element store) and the decoded epilogue chain.
 struct PackedDispatch {
   PackedGemm pack;
-  SimdTileLoopFn loop = nullptr;      ///< accumulate from zero
-  SimdTileLoopFn loop_acc = nullptr;  ///< continue a carried chain
+  SimdMicroKernelFn kernel = nullptr;
   SimdEpilogueRowFn store_row = nullptr;
+  EpilogueChain epilogue;
 };
 
 /// Per-ISA tile accounting: exec.simd.* partitions every executed tile by
@@ -99,11 +117,11 @@ void count_simd_tiles(SimdIsa isa, long long tiles) {
 }
 
 /// Dispatch accounting for `tiles` tiles of one GEMM that resolved to `d`
-/// in a call under `isa`.
+/// in a call whose micro-kernel belongs to `isa`.
 void count_dispatch(const PackedDispatch& d, SimdIsa isa, long long tiles) {
   if (d.pack.valid()) {
     CTB_TEL_COUNT("exec.dispatch.specialized", tiles);
-    count_simd_tiles(d.loop != nullptr ? isa : SimdIsa::kScalar, tiles);
+    count_simd_tiles(isa, tiles);
   } else {
     CTB_TEL_COUNT("exec.dispatch.generic", tiles);
     count_simd_tiles(SimdIsa::kScalar, tiles);
@@ -156,26 +174,26 @@ class ArenaLease {
 /// The packed operands of one executor call: decides and packs in one
 /// place, and resolves each GEMM's PackedDispatch.
 ///
-/// Admission is per GEMM, serial in batch order: the footprint must fit both
-/// the per-GEMM cap (one oversized GEMM falls back to generic without
-/// starving the rest of the batch) and the call's remaining cumulative
-/// arena budget. Any geometry packs; the active ISA's tile loop runs it when
-/// one exists for the geometry, the scalar packed loop otherwise.
+/// The packing rule: a GEMM packs when its strategy's BY and BX are
+/// multiples of kMicroTile (every Table-1/2 strategy; a caller-built 24x24
+/// tile runs generic) and the pack budgets admit it. Admission is per GEMM,
+/// serial in batch order: the footprint must fit both the per-GEMM cap (one
+/// oversized GEMM falls back to generic without starving the rest of the
+/// batch) and the call's remaining cumulative arena budget.
 ///
 /// Each admitted GEMM then resolves its A and B panel sets by PanelKey: a
 /// set an earlier GEMM of the call already resolved is shared, so an
-/// operand several GEMMs read under one geometry is packed once. Every
-/// distinct set is carved from the thread's PackArena, packed one set per
-/// parallel_for task (disjoint storage, order-independent contents:
+/// operand several GEMMs read is packed once, whatever their strategies.
+/// Every distinct set is carved from the thread's PackArena, packed one set
+/// per parallel_for task (disjoint storage, order-independent contents:
 /// bit-exact at any thread count), and dies with the call: nothing packed
 /// survives to the next call, so operands may change freely between calls.
 class CallPacks {
  public:
-  /// `strategy[z] == nullptr` marks a GEMM the call does not run; `tiles[z]`
-  /// is how many tiles the call executes for GEMM z.
-  CallPacks(std::span<const GemmOperands> batch,
-            std::span<const TilingStrategy* const> strategy,
-            std::span<const long long> tiles);
+  /// `strategy[z] == nullptr` marks a GEMM the call does not run; `plan`
+  /// holds the tiles the call executes.
+  CallPacks(const BatchPlan& plan, std::span<const GemmOperands> batch,
+            std::span<const TilingStrategy* const> strategy);
 
   const PackedDispatch& operator[](std::size_t z) const {
     return dispatch_[z];
@@ -186,23 +204,42 @@ class CallPacks {
   ArenaLease lease_;
 };
 
-CallPacks::CallPacks(std::span<const GemmOperands> batch,
-                     std::span<const TilingStrategy* const> strategy,
-                     std::span<const long long> tiles)
+CallPacks::CallPacks(const BatchPlan& plan,
+                     std::span<const GemmOperands> batch,
+                     std::span<const TilingStrategy* const> strategy)
     : dispatch_(batch.size()) {
+  // Per GEMM: tiles the call runs, and the micro-panels they read (one A
+  // panel per 16 in-range rows and one B panel per 16 in-range columns).
+  const auto micro_tiles = [](int extent) {
+    return (extent + kMicroTile - 1) / kMicroTile;
+  };
+  std::vector<long long> tiles(batch.size(), 0), reads(batch.size(), 0);
+  for (std::size_t t = 0; t < plan.gemm_of_tile.size(); ++t) {
+    const auto z = static_cast<std::size_t>(plan.gemm_of_tile[t]);
+    const TilingStrategy& s = *strategy[z];
+    const GemmDims& d = batch[z].dims;
+    ++tiles[z];
+    reads[z] += micro_tiles(std::min(s.by, d.m - plan.y_coord[t] * s.by)) +
+                micro_tiles(std::min(s.bx, d.n - plan.x_coord[t] * s.bx));
+  }
   // One distinct panel set of the call, packed from the first GEMM that
   // needs it (any GEMM with a matching key yields the same bytes).
   struct Slot {
     PanelKey key;
-    const TilingStrategy* s = nullptr;
     const GemmOperands* g = nullptr;
     std::size_t offset = 0;  // floats into the call's arena block
   };
   std::vector<Slot> slots;
   std::vector<std::array<int, 2>> slot_of(batch.size(), {-1, -1});
-  // Read once: every tile of the call runs under one ISA.
+  // Read once: every tile of the call runs under one ISA. An ISA without a
+  // kernel on this host (neon on x86-64) runs the scalar one.
   const std::size_t budget = pack_arena_budget();
-  const SimdIsa isa = active_simd_isa();
+  SimdIsa isa = active_simd_isa();
+  SimdMicroKernelFn kernel = simd_micro_kernel(isa);
+  if (kernel == nullptr) {
+    isa = SimdIsa::kScalar;
+    kernel = simd_micro_kernel(isa);
+  }
   const SimdEpilogueRowFn store_row = simd_epilogue_row(isa);
   std::size_t used = 0;
   std::size_t arena_floats = 0;
@@ -213,23 +250,22 @@ CallPacks::CallPacks(std::span<const GemmOperands> batch,
     const GemmOperands& g = batch[z];
     PackedDispatch& d = dispatch_[z];
     d.store_row = store_row;
-    const std::size_t bytes = pack_footprint_bytes(s, g.dims);
-    if (bytes > pack_gemm_budget() || bytes > budget ||
-        used > budget - bytes)
+    d.epilogue = EpilogueChain(g.epilogue);
+    const std::size_t bytes = pack_footprint_bytes(g.dims);
+    if (s.by % kMicroTile != 0 || s.bx % kMicroTile != 0 ||
+        bytes > pack_gemm_budget() || bytes > budget || used > budget - bytes)
       continue;
     used += bytes;
-    d.loop = simd_tile_loop(isa, s.by, s.bx, s.bk);
-    d.loop_acc = simd_tile_loop_acc(isa, s.by, s.bx, s.bk);
-    d.pack = packed_view(s, g.dims, nullptr, nullptr);
+    d.kernel = kernel;
+    d.pack = packed_view(g.dims, nullptr, nullptr);
     for (const PanelSide side : {PanelSide::kA, PanelSide::kB}) {
-      const PanelKey key = panel_key(side, s, g);
+      const PanelKey key = panel_key(side, g);
       std::size_t idx = 0;
       while (idx < slots.size() && !slots[idx].key.matches(key)) ++idx;
       if (idx == slots.size()) {
-        slots.push_back({key, &s, &g, arena_floats});
-        arena_floats += panel_set_floats(side, s, g.dims);
-        distinct_panels += side == PanelSide::kA ? d.pack.ty_count
-                                                 : d.pack.tx_count;
+        slots.push_back({key, &g, arena_floats});
+        arena_floats += panel_set_floats(side, g.dims);
+        distinct_panels += micro_panel_count(side, g.dims);
       }
       slot_of[z][static_cast<std::size_t>(side)] = static_cast<int>(idx);
     }
@@ -239,24 +275,24 @@ CallPacks::CallPacks(std::span<const GemmOperands> batch,
       arena_floats > 0 ? lease_.arena().reserve(arena_floats) : nullptr;
   parallel_for(static_cast<long long>(slots.size()), [&](long long i) {
     const Slot& slot = slots[static_cast<std::size_t>(i)];
-    pack_panel_set(slot.key.side, *slot.s, *slot.g, arena + slot.offset);
+    pack_panel_set(slot.key.side, *slot.g, arena + slot.offset);
   });
 
-  long long packed_tiles = 0;
+  long long packed_reads = 0;
   for (std::size_t z = 0; z < batch.size(); ++z) {
     if (strategy[z] == nullptr) continue;
     PackedDispatch& d = dispatch_[z];
     if (slot_of[z][0] >= 0) {
       d.pack.a = arena + slots[static_cast<std::size_t>(slot_of[z][0])].offset;
       d.pack.b = arena + slots[static_cast<std::size_t>(slot_of[z][1])].offset;
-      packed_tiles += tiles[z];
+      packed_reads += reads[z];
     }
     count_dispatch(d, isa, tiles[z]);
   }
-  // Each packed tile reads one A and one B panel; every read past the first
-  // of each distinct panel is a staging the generic path would repeat.
-  if (packed_tiles > 0)
-    CTB_TEL_COUNT("exec.pack.reuse", 2 * packed_tiles - distinct_panels);
+  // Every micro-panel read past the first of each distinct micro-panel is a
+  // staging the generic path would repeat.
+  if (packed_reads > 0)
+    CTB_TEL_COUNT("exec.pack.reuse", packed_reads - distinct_panels);
 }
 
 /// Conventional useful-FLOP count of one pass over the batch (2*m*n*k per
@@ -272,9 +308,10 @@ CallPacks::CallPacks(std::span<const GemmOperands> batch,
 // ------------------------------------------------------ tile pipeline ----
 //
 // Every tile runs accumulate_tile_range over its K range into a row-major
-// BY x BX accumulator, then store_tile. Per C element each of the three
-// accumulation loops adds the same staged values in ascending (k0, p)
-// order, so which loop ran never shows in the bits.
+// BY x BX accumulator, then store_tile. Per C element both accumulation
+// loops — the generic staged loop and the micro-kernel walk over packed
+// micro-panels — add the same staged values in ascending (k0, p) order, so
+// which loop ran never shows in the bits.
 //
 // Split-K: a split tile executes only the K range [k_lo, k_hi) of its
 // coordinate. Float addition is not associative, so zero-based per-slice
@@ -288,7 +325,7 @@ CallPacks::CallPacks(std::span<const GemmOperands> batch,
 
 /// Generic staged accumulation of K range [k_lo, k_hi) of tile (ty, tx):
 /// the Fig. 2 skeleton, each emulated thread walking its register sub-tile
-/// over the staged tiles. The reference the packed loops must match.
+/// over the staged tiles. The reference the micro-kernels must match.
 void accumulate_tile_generic(const TilingStrategy& s, const GemmOperands& g,
                              int ty, int tx, int k_lo, int k_hi, bool first,
                              float* acc) {
@@ -331,52 +368,23 @@ void accumulate_tile_generic(const TilingStrategy& s, const GemmOperands& g,
   }
 }
 
-/// Scalar packed-panel accumulation of panel steps [step_lo, step_hi) —
-/// the runtime-bound twin of the SIMD tile loop for geometries (or ISAs)
-/// without one: per C element the adds arrive in ascending (step, p) order
-/// over the same packed values, so the bits match exactly.
-void accumulate_tile_packed_scalar(const PackedGemm& pk,
-                                   const TilingStrategy& s, int ty, int tx,
-                                   int step_lo, int step_hi, bool first,
-                                   float* acc) {
-  if (first) std::fill_n(acc, s.by * s.bx, 0.0f);
-  const float* pa = pk.a_panel(ty);
-  const float* pb = pk.b_panel(tx);
-  for (int step = step_lo; step < step_hi; ++step) {
-    const float* sa_blk = pa + static_cast<std::size_t>(step) * (s.by * s.bk);
-    const float* sb_blk = pb + static_cast<std::size_t>(step) * (s.bk * s.bx);
-    for (int i = 0; i < s.by; ++i) {
-      float* arow = acc + static_cast<std::size_t>(i) * s.bx;
-      for (int p = 0; p < s.bk; ++p) {
-        const float av = sa_blk[i * s.bk + p];
-        const float* sb = sb_blk + p * s.bx;
-        for (int j = 0; j < s.bx; ++j) arow[j] += av * sb[j];
-      }
-    }
-  }
-}
-
-/// Accumulates K range [k_lo, k_hi) of tile (ty, tx) into `acc` through
-/// the GEMM's dispatched loop: the SIMD tile loop (overwrite for the first
-/// slice, accumulate-in continuation after), else the scalar packed loop,
-/// else — the GEMM was left unpacked — the generic staged loop. A slice
-/// sequence ending at K equals one unsplit pass exactly.
+/// Accumulates K range [k_lo, k_hi) of tile (ty, tx) into `acc`: a packed
+/// GEMM's tile runs the call's micro-kernel over the micro-tiles that
+/// intersect the matrix (overwrite for the first slice, continue the
+/// carried chain after), an unpacked one the generic staged loop. A slice
+/// sequence ending at K equals one unsplit pass exactly. Split slices of a
+/// validated plan start at multiples of BK = 8 = kMicroK, so every slice
+/// covers whole micro-panel steps.
 void accumulate_tile_range(const TilingStrategy& s, const GemmOperands& g,
                            const PackedDispatch& d, int ty, int tx, int k_lo,
                            int k_hi, bool first, float* acc) {
   if (d.pack.valid()) {
-    const PackedGemm& pk = d.pack;
-    const int step_lo = k_lo / s.bk;
-    const int step_hi = k_hi >= g.dims.k ? pk.nsteps : k_hi / s.bk;
-    const SimdTileLoopFn loop = first ? d.loop : d.loop_acc;
-    if (loop != nullptr) {
-      loop(pk.a_panel(ty) + static_cast<std::size_t>(step_lo) * (s.by * s.bk),
-           pk.b_panel(tx) + static_cast<std::size_t>(step_lo) * (s.bk * s.bx),
-           step_hi - step_lo, acc);
-      return;
-    }
-    accumulate_tile_packed_scalar(pk, s, ty, tx, step_lo, step_hi, first,
-                                  acc);
+    const GemmDims& dims = g.dims;
+    accumulate_micro_tiles(
+        d.kernel, d.pack, ty * s.by / kMicroTile, tx * s.bx / kMicroTile,
+        std::min(s.by, dims.m - ty * s.by), std::min(s.bx, dims.n - tx * s.bx),
+        k_lo / kMicroK, k_hi >= dims.k ? d.pack.nsteps : k_hi / kMicroK,
+        !first, acc, s.bx);
     return;
   }
   accumulate_tile_generic(s, g, ty, tx, k_lo, k_hi, first, acc);
@@ -386,11 +394,11 @@ void accumulate_tile_range(const TilingStrategy& s, const GemmOperands& g,
 /// logical (gi, gj). fp16 rounds after every value op — the fused chain
 /// emulates a sequence of binary16 stores, so it stays bit-identical to
 /// running the same ops as separate passes over a half-precision C.
-float apply_epilogue_value(float v, int spec, const EpilogueArgs& ea,
-                           bool fp16, int gi, int gj, int n) {
-  const int nops = epilogue_num_ops(spec);
-  for (int o = 0; o < nops; ++o) {
-    switch (epilogue_op_at(spec, o)) {
+float apply_epilogue_value(float v, const EpilogueChain& chain,
+                           const EpilogueArgs& ea, bool fp16, int gi, int gj,
+                           int n) {
+  for (int o = 0; o < chain.nops; ++o) {
+    switch (static_cast<EpilogueOp>(chain.ops[o])) {
       case EpilogueOp::kBias:
         v += ea.bias[gi];
         break;
@@ -436,20 +444,15 @@ void store_tile(const TilingStrategy& s, const GemmOperands& g,
   const int col0 = tx * s.bx;
   const int rows = std::min(s.by, dims.m - row0);
   const int cols = std::min(s.bx, dims.n - col0);
-  const int spec = g.epilogue;
-  const int nops = epilogue_num_ops(spec);
+  const EpilogueChain& chain = d.epilogue;
   const EpilogueArgs& ea = g.epilogue_args;
   const bool fp16 = g.precision == Precision::kFp16;
-  const bool bias = epilogue_has_op(spec, EpilogueOp::kBias);
-  const bool residual = epilogue_has_op(spec, EpilogueOp::kResidual);
-  const bool rowperm = epilogue_has_op(spec, EpilogueOp::kRowPerm);
-  const bool colperm = epilogue_has_op(spec, EpilogueOp::kColPerm);
-  if (spec != 0) {
+  if (chain.nops > 0) {
     CTB_TEL_COUNT("exec.epilogue.fused", 1);
-    CTB_TEL_COUNT("exec.epilogue.ops", nops);
+    CTB_TEL_COUNT("exec.epilogue.ops", chain.nops);
   }
 
-  if (!fp16 && !colperm && d.store_row != nullptr) {
+  if (!fp16 && !chain.colperm && d.store_row != nullptr) {
     EpilogueRowArgs r;
     r.acc = acc;
     r.acc_stride = s.bx;
@@ -458,28 +461,27 @@ void store_tile(const TilingStrategy& s, const GemmOperands& g,
     r.n = cols;
     r.c = g.c + col0;
     r.ldc = dims.n;
-    if (rowperm) r.row_perm = ea.row_perm;
-    if (residual) r.residual = ea.residual + col0;
-    if (bias) r.bias = ea.bias;
+    if (chain.rowperm) r.row_perm = ea.row_perm;
+    if (chain.residual) r.residual = ea.residual + col0;
+    if (chain.bias) r.bias = ea.bias;
     r.alpha = alpha;
     r.beta = beta;
-    r.nops = nops;
-    for (int o = 0; o < nops; ++o)
-      r.ops[o] = static_cast<int>(epilogue_op_at(spec, o));
+    r.nops = chain.nops;
+    std::copy_n(chain.ops, chain.nops, r.ops);
     d.store_row(r);
     return;
   }
 
   for (int i = 0; i < rows; ++i) {
     const int gi = row0 + i;
-    const int di = rowperm ? ea.row_perm[gi] : gi;
+    const int di = chain.rowperm ? ea.row_perm[gi] : gi;
     const float* arow = acc + static_cast<std::size_t>(i) * s.bx;
     float* crow = g.c + static_cast<std::size_t>(di) * dims.n;
     for (int j = 0; j < cols; ++j) {
       const int gj = col0 + j;
       // check_epilogue_beta rejected beta != 0 for permuted stores, so the
       // prior read below always hits the logical == destination cell.
-      float* cell = crow + (colperm ? ea.col_perm[gj] : gj);
+      float* cell = crow + (chain.colperm ? ea.col_perm[gj] : gj);
       float v;
       if (fp16) {
         const float prior = beta == 0.0f ? 0.0f : beta * round_to_half(*cell);
@@ -488,9 +490,9 @@ void store_tile(const TilingStrategy& s, const GemmOperands& g,
         const float prior = beta == 0.0f ? 0.0f : beta * *cell;
         v = alpha * arow[j] + prior;
       }
-      *cell = spec == 0 ? v
-                        : apply_epilogue_value(v, spec, ea, fp16, gi, gj,
-                                               dims.n);
+      *cell = chain.nops == 0
+                  ? v
+                  : apply_epilogue_value(v, chain, ea, fp16, gi, gj, dims.n);
     }
   }
 }
@@ -517,12 +519,9 @@ void sweep(const BatchPlan& plan, std::span<const GemmOperands> batch,
            float beta) {
   CTB_TEL_COUNT("exec.flops", flops_of(batch));
   CTB_TEL_COUNT("exec.c.passes", batch.size());
-  std::vector<long long> tiles_of_gemm(batch.size(), 0);
-  for (const int g : plan.gemm_of_tile)
-    ++tiles_of_gemm[static_cast<std::size_t>(g)];
   const CallPacks packs = [&] {
     CTB_TEL_SPAN("exec.pack");
-    return CallPacks(batch, strategy, tiles_of_gemm);
+    return CallPacks(plan, batch, strategy);
   }();
 
   // Split-K discovery: a tile whose K range does not cover its GEMM's full
@@ -631,6 +630,7 @@ void execute_tile(const TilingStrategy& s, const GemmOperands& g, int ty,
   check_epilogue_beta(g, beta, 0);
   PackedDispatch generic;
   generic.store_row = simd_epilogue_row(active_simd_isa());
+  generic.epilogue = EpilogueChain(g.epilogue);
   run_tile(s, g, generic, ty, tx, alpha, beta);
 }
 
@@ -786,10 +786,8 @@ void reference_gemm(const GemmOperands& g, float alpha, float beta) {
                             : g.b[static_cast<std::size_t>(j) * d.k + k];
   };
   const bool fp16 = g.precision == Precision::kFp16;
-  const int spec = g.epilogue;
+  const EpilogueChain chain(g.epilogue);
   const EpilogueArgs& ea = g.epilogue_args;
-  const bool rowperm = epilogue_has_op(spec, EpilogueOp::kRowPerm);
-  const bool colperm = epilogue_has_op(spec, EpilogueOp::kColPerm);
   check_epilogue_beta(g, beta, 0);
   for (int i = 0; i < d.m; ++i) {
     for (int j = 0; j < d.n; ++j) {
@@ -812,10 +810,10 @@ void reference_gemm(const GemmOperands& g, float alpha, float beta) {
         const float prior = beta == 0.0f ? 0.0f : beta * *cell;
         v = alpha * acc + prior;
       }
-      if (spec != 0) {
-        v = apply_epilogue_value(v, spec, ea, fp16, i, j, d.n);
-        const int di = rowperm ? ea.row_perm[i] : i;
-        const int dj = colperm ? ea.col_perm[j] : j;
+      if (chain.nops > 0) {
+        v = apply_epilogue_value(v, chain, ea, fp16, i, j, d.n);
+        const int di = chain.rowperm ? ea.row_perm[i] : i;
+        const int dj = chain.colperm ? ea.col_perm[j] : j;
         g.c[static_cast<std::size_t>(di) * d.n + dj] = v;
       } else {
         *cell = v;

@@ -11,12 +11,12 @@
 // Every tile runs one pipeline: accumulate its K range into a row-major
 // accumulator, then one store (alpha/beta, fp16 rounding, the fused
 // epilogue chain). The accumulation loop is resolved once per GEMM and call:
-// a GEMM whose packed-panel footprint fits the pack arena budget
-// (packing.hpp) is packed once, and its tiles run the active ISA's SIMD
-// tile loop for the geometry (simd.hpp) or else the scalar packed loop; a
-// GEMM the budget leaves unpacked stages its operands per tile through the
-// generic Fig. 2 loop (emulated shared memory, per-thread register
-// sub-tiles). All three add the same staged values in the same (k0, p)
+// a GEMM whose tile extents are whole 16x16 micro-tiles and whose packed
+// footprint fits the pack arena budget is packed once as micro-panels
+// (packing.hpp), and its tiles run the active ISA's one micro-kernel
+// (simd.hpp) over their micro-tiles; any other GEMM stages its operands per
+// tile through the generic Fig. 2 loop (emulated shared memory, per-thread
+// register sub-tiles). Both add the same staged values in the same (k0, p)
 // order, so results are bit-exact across paths and executors;
 // `exec.dispatch.{specialized,generic}` count packed and unpacked tiles.
 //

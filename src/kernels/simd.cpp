@@ -1,7 +1,8 @@
-// ISA detection and tile-loop dispatch for the explicit-SIMD layer.
+// ISA detection, the scalar micro-kernel, and kernel dispatch.
 #include "kernels/simd.hpp"
 
 #include <atomic>
+#include <cstddef>
 #include <cstdlib>
 #include <cstring>
 
@@ -12,7 +13,7 @@ namespace {
 SimdIsa probe_host() {
 #if defined(CTB_SIMD_ENABLED)
 #if defined(__x86_64__) || defined(_M_X64)
-  // avx512f covers every instruction the fp32 tile loop emits; the finer
+  // avx512f covers every instruction the fp32 kernels emit; the finer
   // subsets (dq/bw/vl) are irrelevant here.
   if (__builtin_cpu_supports("avx512f")) return SimdIsa::kAvx512;
   if (__builtin_cpu_supports("avx2")) return SimdIsa::kAvx2;
@@ -83,39 +84,54 @@ SimdIsa parse_simd_isa(const char* name) {
 
 namespace {
 
-const SimdLoopEntry* find_simd_loop(SimdIsa isa, int by, int bx, int bk) {
-  int count = 0;
-  const SimdLoopEntry* table = nullptr;
-  switch (isa) {
-    case SimdIsa::kNeon:
-      table = simd_detail::neon_loops(&count);
-      break;
-    case SimdIsa::kAvx2:
-      table = simd_detail::avx2_loops(&count);
-      break;
-    case SimdIsa::kAvx512:
-      table = simd_detail::avx512_loops(&count);
-      break;
-    case SimdIsa::kScalar:
-      break;  // scalar tiles run the scalar packed loop instead
+/// The scalar ISA's micro-kernel (see SimdMicroKernelFn): fixed bounds, so
+/// the compiler may vectorize the j loop at the baseline ISA and keep each
+/// kRows x 16 block of sums in registers across the step range; per C
+/// element the adds still arrive in ascending (step, p) order.
+void scalar_micro_kernel(const float* a_panel, const float* b_panel,
+                         int nsteps, float* acc, int ld_acc,
+                         bool accumulate) {
+  constexpr int kRows = 4;
+  // Fresh tiles load their initial sums from a zero row (see the vector
+  // kernel in simd_kernels.inl).
+  static constexpr float kZeroRow[kMicroTile] = {};
+  const std::size_t init_ld = accumulate ? ld_acc : 0;
+  for (int i0 = 0; i0 < kMicroTile; i0 += kRows) {
+    float* acc_blk = acc + static_cast<std::size_t>(i0) * ld_acc;
+    const float* init = accumulate ? acc_blk : kZeroRow;
+    float r[kRows][kMicroTile];
+    for (int i = 0; i < kRows; ++i)
+      for (int j = 0; j < kMicroTile; ++j) r[i][j] = init[i * init_ld + j];
+    for (int step = 0; step < nsteps; ++step) {
+      const float* a = a_panel + static_cast<std::size_t>(step) * kMicroBlock +
+                       i0 * kMicroK;
+      const float* b = b_panel + static_cast<std::size_t>(step) * kMicroBlock;
+      for (int p = 0; p < kMicroK; ++p)
+        for (int i = 0; i < kRows; ++i) {
+          const float av = a[i * kMicroK + p];
+          for (int j = 0; j < kMicroTile; ++j)
+            r[i][j] += av * b[p * kMicroTile + j];
+        }
+    }
+    for (int i = 0; i < kRows; ++i)
+      for (int j = 0; j < kMicroTile; ++j) acc_blk[i * ld_acc + j] = r[i][j];
   }
-  for (int i = 0; i < count; ++i) {
-    if (table[i].by == by && table[i].bx == bx && table[i].bk == bk)
-      return &table[i];
-  }
-  return nullptr;
 }
 
 }  // namespace
 
-SimdTileLoopFn simd_tile_loop(SimdIsa isa, int by, int bx, int bk) {
-  const SimdLoopEntry* e = find_simd_loop(isa, by, bx, bk);
-  return e == nullptr ? nullptr : e->fn;
-}
-
-SimdTileLoopFn simd_tile_loop_acc(SimdIsa isa, int by, int bx, int bk) {
-  const SimdLoopEntry* e = find_simd_loop(isa, by, bx, bk);
-  return e == nullptr ? nullptr : e->fn_acc;
+SimdMicroKernelFn simd_micro_kernel(SimdIsa isa) {
+  switch (isa) {
+    case SimdIsa::kNeon:
+      return simd_detail::neon_micro_kernel();
+    case SimdIsa::kAvx2:
+      return simd_detail::avx2_micro_kernel();
+    case SimdIsa::kAvx512:
+      return simd_detail::avx512_micro_kernel();
+    case SimdIsa::kScalar:
+      break;
+  }
+  return &scalar_micro_kernel;
 }
 
 SimdEpilogueRowFn simd_epilogue_row(SimdIsa isa) {

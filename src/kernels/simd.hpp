@@ -1,27 +1,28 @@
-// Runtime-dispatched explicit-SIMD tile loops for packed tiles.
+// Runtime-dispatched packed micro-kernels.
 //
-// The scalar packed loop (functional.cpp) leaves vectorization to the
-// compiler over runtime trip counts. This layer is the hand-vectorized K
-// loop instead: per-ISA translation units (simd_avx2.cpp,
-// simd_avx512.cpp, simd_neon.cpp) instantiate one shared tile-loop template
-// (simd_kernels.inl) per distinct Table-1/2 tile geometry, vectorizing along
-// the j (x) axis so every vector lane owns exactly one C element.
+// Every packed tile runs as a grid of kMicroTile x kMicroTile micro-tiles
+// (packing.hpp), and each ISA has exactly one micro-kernel for them: the
+// per-ISA translation units (simd_avx2.cpp, simd_avx512.cpp,
+// simd_neon.cpp) instantiate the shared kernel (simd_kernels.inl) at their
+// vector width, and simd.cpp holds the fixed-bound plain C++ kernel of the
+// scalar ISA. The kernels vectorize along the j (x) axis, so every vector
+// lane owns exactly one C element.
 //
 // Determinism (DESIGN.md §6): lanes are independent C elements, so each
 // element's accumulation chain is still scalar-ordered — ascending (k0, p)
 // over the staged panel values — and the multiply and add are written as
 // separate statements under the global -ffp-contract=off, so no lane ever
-// sees a fused or reassociated operation. The SIMD result is bit-identical
-// to the scalar packed loop and the generic executor for every geometry,
-// precision, transpose mode, and gather.
+// sees a fused or reassociated operation. Every ISA's kernel is
+// bit-identical to the generic executor for every strategy, precision,
+// transpose mode, and gather.
 //
 // Dispatch: `detected_simd_isa()` probes the host once (CPUID on x86-64,
 // NEON is baseline on aarch64); `active_simd_isa()` starts from the
 // detection, optionally overridden by CTB_SIMD_ISA=scalar|neon|avx2|avx512
 // in the environment, and is clamped so it never exceeds what the host
-// supports. Building with -DCTB_SIMD=OFF compiles every per-ISA table to an
-// empty stub and detection reports kScalar, so the scalar packed loop
-// carries every packed tile.
+// supports. Building with -DCTB_SIMD=OFF compiles every vector kernel to a
+// null stub and detection reports kScalar, so the scalar kernel carries
+// every packed tile.
 //
 // This header deliberately defines no inline functions: it is included by
 // translation units compiled with different target flags (-mavx2, -mavx512f),
@@ -35,29 +36,28 @@ namespace ctb {
 /// order (the order set_simd_isa clamps against).
 enum class SimdIsa { kScalar = 0, kNeon = 1, kAvx2 = 2, kAvx512 = 3 };
 
-/// Interior K loop over the packed panels of one (ty, tx) tile: accumulates
-/// `nsteps` BY x BK / BK x BX panel blocks into a row-major BY x BX
-/// accumulator (`acc[i * BX + j]`), fully overwriting it (every element is
-/// the sum-from-zero, so callers need not clear the scratch). The caller
-/// applies the alpha/beta epilogue; the loop touches nothing else.
-///
-/// Each table entry also carries an accumulate-in variant with the same
-/// signature (`fn_acc`): instead of starting from zero it loads the vector
-/// accumulators from `acc` and continues the chain — the split-K fix-up
-/// reduction continues a tile's ascending (k0, p) chain across K slices
-/// through it. Pass `a_panel`/`b_panel` pre-offset to the slice's first
-/// step and `nsteps` = the slice's step count.
-using SimdTileLoopFn = void (*)(const float* a_panel, const float* b_panel,
-                                int nsteps, float* acc);
+/// Micro-panel geometry (packing.hpp): A packs as kMicroTile-row panels
+/// and B as kMicroTile-column panels, both in blocks kMicroK deep along K.
+/// kMicroTile must divide 16, the smallest Table-1/2 tile extent, so that
+/// every Table-1/2 tile is a whole grid of micro-tiles.
+inline constexpr int kMicroTile = 16;
+inline constexpr int kMicroK = 8;
+/// Floats in one micro-panel block (16 x 8 of A, 8 x 16 of B).
+inline constexpr int kMicroBlock = kMicroTile * kMicroK;
 
-/// One geometry's tile loops in a per-ISA table. BK is 8 for every suite
-/// entry (paper §4.2.2); it is part of the key anyway so a future suite
-/// cannot silently match the wrong kernel.
-struct SimdLoopEntry {
-  int by, bx, bk;
-  SimdTileLoopFn fn;
-  SimdTileLoopFn fn_acc;
-};
+/// The packed micro-kernel: accumulates `nsteps` consecutive blocks of one
+/// A micro-panel (block `step` at `a_panel[step * kMicroBlock]`, element
+/// (i, p) at `[i * kMicroK + p]`) and one B micro-panel (element (p, j) at
+/// `[p * kMicroTile + j]`) into the 16 x 16 micro-tile at `acc`, whose rows
+/// are `ld_acc` floats apart. With `accumulate` false the micro-tile is
+/// overwritten with the sums from +0; with it true the kernel continues the
+/// chains already in `acc` (an exact reload: float round-trips through
+/// memory are bit-preserving), which is how the split-K fix-up extends a
+/// tile's ascending (k0, p) chain across K slices. The flag is read once,
+/// outside the K loop. Nothing outside the micro-tile is touched.
+using SimdMicroKernelFn = void (*)(const float* a_panel, const float* b_panel,
+                                   int nsteps, float* acc, int ld_acc,
+                                   bool accumulate);
 
 /// One tile's rows of store work (DESIGN.md §9, §12): C = alpha * acc +
 /// beta * C, then the fused epilogue chain, for `rows` C rows starting at
@@ -97,13 +97,12 @@ struct EpilogueRowArgs {
 using SimdEpilogueRowFn = void (*)(const EpilogueRowArgs& rows);
 
 namespace simd_detail {
-/// Per-ISA geometry tables, defined in their own translation units so each
-/// can be compiled with the matching target flags. On hosts (or builds)
-/// without the ISA they return an empty table (*count == 0).
-const SimdLoopEntry* avx2_loops(int* count);
-const SimdLoopEntry* avx512_loops(int* count);
-const SimdLoopEntry* neon_loops(int* count);
-/// Per-ISA tile-store row kernels; nullptr when the ISA is unavailable.
+/// Per-ISA kernels, defined in their own translation units so each can be
+/// compiled with the matching target flags; nullptr when the ISA is
+/// unavailable on this host/build.
+SimdMicroKernelFn avx2_micro_kernel();
+SimdMicroKernelFn avx512_micro_kernel();
+SimdMicroKernelFn neon_micro_kernel();
 SimdEpilogueRowFn avx2_epilogue_row();
 SimdEpilogueRowFn avx512_epilogue_row();
 SimdEpilogueRowFn neon_epilogue_row();
@@ -114,8 +113,8 @@ SimdIsa detected_simd_isa();
 
 /// The ISA the executors dispatch on: detection clamped by CTB_SIMD_ISA and
 /// any set_simd_isa() call. Never exceeds detected_simd_isa(); requesting an
-/// ISA the host lacks (e.g. neon on x86-64) selects an empty table, and the
-/// dispatcher falls back to the scalar packed loop — still bit-exact.
+/// ISA the host lacks (e.g. neon on x86-64) finds no kernel, and the
+/// dispatcher falls back to the scalar kernel — still bit-exact.
 SimdIsa active_simd_isa();
 
 /// Overrides the active ISA (clamped to the detected one). For in-process
@@ -131,15 +130,11 @@ const char* simd_isa_name(SimdIsa isa);
 /// anything unrecognized.
 SimdIsa parse_simd_isa(const char* name);
 
-/// The `isa` tile loop for the given geometry, or nullptr when that ISA has
-/// no kernel for it (unknown geometry, ISA unavailable on this host/build,
-/// or isa == kScalar, which by design has no entries here — scalar tiles run
-/// the scalar packed loop).
-SimdTileLoopFn simd_tile_loop(SimdIsa isa, int by, int bx, int bk);
-
-/// The accumulate-in (chain-continuation) variant of simd_tile_loop; same
-/// availability: non-null exactly when simd_tile_loop is.
-SimdTileLoopFn simd_tile_loop_acc(SimdIsa isa, int by, int bx, int bk);
+/// The `isa` micro-kernel: the plain C++ kernel for kScalar, the vector
+/// kernel for a vector ISA, or nullptr when that ISA is unavailable on this
+/// host/build — the caller then runs the scalar kernel, which is
+/// bit-identical.
+SimdMicroKernelFn simd_micro_kernel(SimdIsa isa);
 
 /// The `isa` tile-store row kernel, or nullptr (isa == kScalar, or the
 /// ISA is unavailable on this host/build) — the caller then runs the scalar

@@ -1,6 +1,6 @@
-// AVX-512 instantiation of the shared SIMD tile loop (16 fp32 lanes). This
+// AVX-512 instantiation of the shared SIMD kernels (16 fp32 lanes). This
 // file is compiled with -mavx512f on x86-64; on other targets, or under
-// -DCTB_SIMD=OFF, it degrades to an empty table and the dispatcher never
+// -DCTB_SIMD=OFF, its kernels are null stubs and the dispatcher never
 // selects AVX-512.
 #include "kernels/simd.hpp"
 
@@ -11,10 +11,7 @@
 
 namespace ctb::simd_detail {
 
-const SimdLoopEntry* avx512_loops(int* count) {
-  *count = kSimdLoopCount;
-  return kSimdLoops;
-}
+SimdMicroKernelFn avx512_micro_kernel() { return &micro_kernel; }
 
 SimdEpilogueRowFn avx512_epilogue_row() { return &simd_epilogue_row_impl; }
 
@@ -24,10 +21,7 @@ SimdEpilogueRowFn avx512_epilogue_row() { return &simd_epilogue_row_impl; }
 
 namespace ctb::simd_detail {
 
-const SimdLoopEntry* avx512_loops(int* count) {
-  *count = 0;
-  return nullptr;
-}
+SimdMicroKernelFn avx512_micro_kernel() { return nullptr; }
 
 SimdEpilogueRowFn avx512_epilogue_row() { return nullptr; }
 

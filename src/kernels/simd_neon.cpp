@@ -1,6 +1,6 @@
-// NEON instantiation of the shared SIMD tile loop (4 fp32 lanes). NEON is
+// NEON instantiation of the shared SIMD kernels (4 fp32 lanes). NEON is
 // baseline on aarch64, so no extra target flags are needed; on other
-// targets, or under -DCTB_SIMD=OFF, this degrades to an empty table and the
+// targets, or under -DCTB_SIMD=OFF, its kernels are null stubs and the
 // dispatcher never selects NEON.
 #include "kernels/simd.hpp"
 
@@ -11,10 +11,7 @@
 
 namespace ctb::simd_detail {
 
-const SimdLoopEntry* neon_loops(int* count) {
-  *count = kSimdLoopCount;
-  return kSimdLoops;
-}
+SimdMicroKernelFn neon_micro_kernel() { return &micro_kernel; }
 
 SimdEpilogueRowFn neon_epilogue_row() { return &simd_epilogue_row_impl; }
 
@@ -24,10 +21,7 @@ SimdEpilogueRowFn neon_epilogue_row() { return &simd_epilogue_row_impl; }
 
 namespace ctb::simd_detail {
 
-const SimdLoopEntry* neon_loops(int* count) {
-  *count = 0;
-  return nullptr;
-}
+SimdMicroKernelFn neon_micro_kernel() { return nullptr; }
 
 SimdEpilogueRowFn neon_epilogue_row() { return nullptr; }
 

@@ -55,7 +55,12 @@ namespace ctb::perfreport {
 /// v8: removed the span-drop counter from the gated allowlist along with
 /// the span buffers it counted; spans are flight-recorder events now, and
 /// their durations are the ungated `<name>_ns` histograms.
-inline constexpr int kSchemaVersion = 8;
+/// v9: exec.pack.{panels,bytes,reuse} count 16x16 micro-panels: operands
+/// pack as strategy-independent micro-panel sets, so `panels` and `bytes`
+/// add up the distinct micro-panel sets a call packed and `reuse` is the
+/// micro-panels its packed tiles read minus the distinct ones packed. The
+/// names and every other counter are unchanged.
+inline constexpr int kSchemaVersion = 9;
 
 /// Wall-clock statistics over one workload's k repeats. Median-of-k with
 /// interquartile range: the median resists the reference container's timing

@@ -1,11 +1,13 @@
-// Packed tile paths (kernels/packing.hpp + the SIMD and scalar packed
-// loops in functional.cpp): every strategy the pack budget admits packs,
-// whatever its geometry; packed panels must reproduce the exact guarded
-// staged values (transpose, fp16 rounding, implicit-GEMM gather, zero
-// padding); and packed tiles must be bit-identical to the generic staged
-// executor and to reference_gemm for edge and interior tiles across all
-// executors — also when GEMMs of one call share a panel set, and when
-// calls reuse, or run concurrently on, per-thread pack arenas.
+// Packed tile paths (kernels/packing.hpp micro-panels + the per-ISA
+// micro-kernels of kernels/simd.hpp): every strategy whose BY and BX are
+// multiples of 16 packs when the budget admits it, whatever its BK or
+// sub-tiles; packed micro-panels must reproduce the exact guarded staged
+// values (transpose, fp16 rounding, implicit-GEMM gather, zero padding);
+// and packed tiles must be bit-identical to the generic staged executor and
+// to reference_gemm for edge and interior tiles across all executors —
+// also when GEMMs of one call share a panel set under different
+// strategies, and when calls reuse, or run concurrently on, per-thread
+// pack arenas.
 // ScopedPackArenaBudget(0) is the lever that forces the generic unpacked
 // path for the A/B comparisons.
 #include <gtest/gtest.h>
@@ -120,22 +122,23 @@ const char* const kDispatchCounters[] = {
 
 using Counts = std::map<std::string, std::int64_t>;
 
-// What a call counts when all of its `tiles` tiles packed and ran under
-// `isa`.
-Counts packed_counts(long long tiles, SimdIsa isa) {
+// What a call counts when all of its `tiles` tiles ran under `isa`, packed
+// or (generic) unpacked.
+Counts dispatch_counts(long long tiles, SimdIsa isa, bool packed) {
   Counts c;
   for (const char* name : kDispatchCounters) c[name] = 0;
-  c["exec.dispatch.specialized"] = tiles;
+  c[packed ? "exec.dispatch.specialized" : "exec.dispatch.generic"] = tiles;
   c[std::string("exec.simd.") + simd_isa_name(isa)] = tiles;
   return c;
 }
 #endif
 
 // Runs `s` over ragged dims, checks C bitwise against reference_gemm, and
-// checks the dispatch counts the call added against packed_counts(isa)
-// (telemetry builds).
+// checks the dispatch counts the call added against dispatch_counts
+// (telemetry builds): packed under `isa`, or generic (scalar) when
+// `packed` is false.
 void expect_packs_under(const TilingStrategy& s, SimdIsa isa,
-                        const std::string& what) {
+                        const std::string& what, bool packed = true) {
   const GemmDims d = ragged_dims(s);
   GemmCase run(d, Op::kN, Op::kT, Precision::kFp32, false, 1500);
   GemmCase reference(d, Op::kN, Op::kT, Precision::kFp32, false, 1500);
@@ -151,16 +154,19 @@ void expect_packs_under(const TilingStrategy& s, SimdIsa isa,
     got[name] = counter_value(snap, name);
   telemetry::set_enabled(false);
   telemetry::reset();
-  EXPECT_EQ(got, packed_counts(s.tiles_for(d.m, d.n), isa)) << what;
+  EXPECT_EQ(got, dispatch_counts(s.tiles_for(d.m, d.n),
+                                 packed ? isa : SimdIsa::kScalar, packed))
+      << what;
 #else
   (void)isa;
+  (void)packed;
 #endif
   reference_gemm(reference.ops, 1.25f, 0.5f);
   expect_bitwise_equal(run.c, reference.c, what);
 }
 
-// The packing rule: under the default budget every strategy packs, and its
-// tiles run the active ISA's tile loop when one covers the geometry.
+// The packing rule: under the default budget every Table-1/2 strategy
+// packs, and its tiles run the active ISA's micro-kernel.
 TEST(MicrokernelDispatch, EveryTable2IdPacks) {
   for (int id = 0; id < 12; ++id) {
     const TilingStrategy& s = batched_strategy_by_id(id);
@@ -173,119 +179,135 @@ TEST(MicrokernelDispatch, Table1SuitePacks) {
     expect_packs_under(s, active_simd_isa(), "table1/" + s.name());
 }
 
-// Geometry no longer decides packing: a BK = 4 strategy (no tile loop
-// under any ISA) packs and runs the scalar packed loop, and a 32x32
-// strategy with 4x8 sub-tiles packs and runs the 32x32 tile loop
-// (sub-tiles only partition the generic loop's emulated threads).
-TEST(MicrokernelDispatch, UnknownGeometryPacksBitExact) {
+// A caller-built BY x BX x 24 x 24 tile with 3x3 sub-tiles: it passes
+// check_geometry, but 24 is not a whole number of micro-tiles.
+TilingStrategy tile_24x24() {
+  TilingStrategy s = batched_strategy_by_id(2);
+  s.by = s.bx = 24;
+  s.sub_y = s.sub_x = 3;
+  s.threads = 64;
+  return s;
+}
+
+// Only BY and BX decide packing: a BK = 4 strategy (micro-panels pad K to
+// 8, adding only +0 products) and a 32x32 strategy with 4x8 sub-tiles
+// (sub-tiles only partition the generic loop's emulated threads) pack and
+// run the active micro-kernel; a 24x24 tile runs the generic loop.
+TEST(MicrokernelDispatch, PackingRuleIsTileExtentsOnly) {
   TilingStrategy bk4 = batched_strategy_by_id(0);
   bk4.bk = 4;
-  expect_packs_under(bk4, SimdIsa::kScalar, "bk4");
+  expect_packs_under(bk4, active_simd_isa(), "bk4");
   TilingStrategy sub4x8 = batched_strategy_by_id(2);
   sub4x8.sub_x = 8;
   sub4x8.threads = 32;
   expect_packs_under(sub4x8, active_simd_isa(), "sub4x8");
+  expect_packs_under(tile_24x24(), active_simd_isa(), "24x24",
+                     /*packed=*/false);
 }
 
-// The packed panel blocks must hold exactly the values the guarded staging
-// produces — including the zero padding past M/N/K edges, fp16 rounding and
-// gather — for every storage layout and tile geometry. The output buffers
-// start out NaN-filled, as the reused pack arena holds stale floats, so a
-// float the packer fails to write shows up; values compare as bits, so a
-// -0.0f padding would too. The third shape's N edge is BX/2 wide, itself a
-// width the fp32 copies move at a compile-time width when it is a full row.
+// The packed micro-panel blocks must hold exactly the values the guarded
+// staging produces — including the zero padding past M/N/K edges, fp16
+// rounding and gather — for every storage layout. The shapes cover full
+// blocks (the fixed-width copies and transposes), edges in every direction
+// and a GEMM smaller than one block. The output buffers start out
+// NaN-filled, as the reused pack arena holds stale floats, so a float the
+// packer fails to write shows up; values compare as bits, so a -0.0f
+// padding would too.
 TEST(Packing, PanelsReproduceStagedValuesIncludingPadding) {
   const auto bits = [](float v) { return std::bit_cast<std::uint32_t>(v); };
-  for (int id : {0, 2, 4, 6, 8, 10}) {  // one strategy per tile geometry
-    const TilingStrategy& s = batched_strategy_by_id(id);
-    for (const GemmDims& d :
-         {ragged_dims(s), GemmDims{s.by - 5, s.bx - 3, s.bk + 5},
-          GemmDims{s.by + 1, s.bx + s.bx / 2, 2 * s.bk}}) {
-      for (Op op_a : {Op::kN, Op::kT})
-        for (Op op_b : {Op::kN, Op::kT})
-          for (Precision prec : {Precision::kFp32, Precision::kFp16})
-            for (bool gather : {false, true}) {
-              const GemmCase gc(d, op_a, op_b, prec, gather, 77 + id);
-              const std::string what =
-                  s.name() + "/op_a=" + to_string(op_a) +
-                  "/op_b=" + to_string(op_b) +
-                  (prec == Precision::kFp16 ? "/fp16" : "/fp32") +
-                  (gather ? "/gather" : "");
-              std::vector<float> a(panel_set_floats(PanelSide::kA, s, d),
-                                   std::nanf("1"));
-              std::vector<float> b(panel_set_floats(PanelSide::kB, s, d),
-                                   std::nanf("1"));
-              pack_panel_set(PanelSide::kA, s, gc.ops, a.data());
-              pack_panel_set(PanelSide::kB, s, gc.ops, b.data());
-              const PackedGemm pk = packed_view(s, d, a.data(), b.data());
-              ASSERT_EQ(pk.ty_count, (d.m + s.by - 1) / s.by);
-              ASSERT_EQ(pk.tx_count, (d.n + s.bx - 1) / s.bx);
-              ASSERT_EQ(pk.nsteps, (d.k + s.bk - 1) / s.bk);
-              for (int ty = 0; ty < pk.ty_count; ++ty) {
-                const float* panel = pk.a_panel(ty);
-                for (int step = 0; step < pk.nsteps; ++step)
-                  for (int i = 0; i < s.by; ++i)
-                    for (int p = 0; p < s.bk; ++p)
-                      ASSERT_EQ(bits(panel[(step * s.by + i) * s.bk + p]),
-                                bits(staged_a_value(gc.ops, ty * s.by + i,
-                                                    step * s.bk + p)))
-                          << what << " A panel " << ty << " step " << step
-                          << " (" << i << ", " << p << ")";
-              }
-              for (int tx = 0; tx < pk.tx_count; ++tx) {
-                const float* panel = pk.b_panel(tx);
-                for (int step = 0; step < pk.nsteps; ++step)
-                  for (int p = 0; p < s.bk; ++p)
-                    for (int j = 0; j < s.bx; ++j)
-                      ASSERT_EQ(bits(panel[(step * s.bk + p) * s.bx + j]),
-                                bits(staged_b_value(gc.ops, step * s.bk + p,
-                                                    tx * s.bx + j)))
-                          << what << " B panel " << tx << " step " << step
-                          << " (" << p << ", " << j << ")";
-              }
+  for (const GemmDims& d : {GemmDims{35, 37, 19}, GemmDims{11, 13, 5},
+                            GemmDims{48, 32, 24}, GemmDims{40, 72, 23}}) {
+    for (Op op_a : {Op::kN, Op::kT})
+      for (Op op_b : {Op::kN, Op::kT})
+        for (Precision prec : {Precision::kFp32, Precision::kFp16})
+          for (bool gather : {false, true}) {
+            const GemmCase gc(d, op_a, op_b, prec, gather, 77 + d.m);
+            const std::string what =
+                std::to_string(d.m) + "x" + std::to_string(d.n) + "x" +
+                std::to_string(d.k) + "/op_a=" + to_string(op_a) +
+                "/op_b=" + to_string(op_b) +
+                (prec == Precision::kFp16 ? "/fp16" : "/fp32") +
+                (gather ? "/gather" : "");
+            std::vector<float> a(panel_set_floats(PanelSide::kA, d),
+                                 std::nanf("1"));
+            std::vector<float> b(panel_set_floats(PanelSide::kB, d),
+                                 std::nanf("1"));
+            pack_panel_set(PanelSide::kA, gc.ops, a.data());
+            pack_panel_set(PanelSide::kB, gc.ops, b.data());
+            const PackedGemm pk = packed_view(d, a.data(), b.data());
+            ASSERT_EQ(micro_panel_count(PanelSide::kA, d), (d.m + 15) / 16);
+            ASSERT_EQ(micro_panel_count(PanelSide::kB, d), (d.n + 15) / 16);
+            ASSERT_EQ(pk.nsteps, (d.k + 7) / 8);
+            for (int r = 0; r < micro_panel_count(PanelSide::kA, d); ++r) {
+              const float* panel = pk.a_panel(r);
+              for (int step = 0; step < pk.nsteps; ++step)
+                for (int i = 0; i < 16; ++i)
+                  for (int p = 0; p < 8; ++p)
+                    ASSERT_EQ(bits(panel[(step * 16 + i) * 8 + p]),
+                              bits(staged_a_value(gc.ops, r * 16 + i,
+                                                  step * 8 + p)))
+                        << what << " A panel " << r << " step " << step
+                        << " (" << i << ", " << p << ")";
             }
-    }
+            for (int c = 0; c < micro_panel_count(PanelSide::kB, d); ++c) {
+              const float* panel = pk.b_panel(c);
+              for (int step = 0; step < pk.nsteps; ++step)
+                for (int p = 0; p < 8; ++p)
+                  for (int j = 0; j < 16; ++j)
+                    ASSERT_EQ(bits(panel[(step * 8 + p) * 16 + j]),
+                              bits(staged_b_value(gc.ops, step * 8 + p,
+                                                  c * 16 + j)))
+                        << what << " B panel " << c << " step " << step
+                        << " (" << p << ", " << j << ")";
+            }
+          }
   }
 }
 
 TEST(Packing, FootprintMatchesAllocation) {
-  const TilingStrategy& s = batched_strategy_by_id(10);  // huge/128
   const GemmDims d{200, 150, 100};
-  EXPECT_EQ((panel_set_floats(PanelSide::kA, s, d) +
-             panel_set_floats(PanelSide::kB, s, d)) *
+  EXPECT_EQ((panel_set_floats(PanelSide::kA, d) +
+             panel_set_floats(PanelSide::kB, d)) *
                 sizeof(float),
-            pack_footprint_bytes(s, d));
+            pack_footprint_bytes(d));
+  EXPECT_EQ(pack_footprint_bytes(d), (13u + 10u) * 13u * 128u * 4u);
 }
 
-// Panel-set identity: equal keys exactly when the operand, side, op,
-// extent, K, tile extent, BK and precision agree — and never for a gather.
+// Panel-set identity: the strategy is no part of it, so the B of two GEMMs
+// that read it under different strategies matches (as does an A two GEMMs
+// read with different N); keys that differ in operand, side, op, extent,
+// K or precision never match, and a gather matches nothing.
 TEST(Packing, PanelKeysMatchOnlyIdenticalSets) {
-  const TilingStrategy& large = batched_strategy_by_id(4);  // 64x64
-  const TilingStrategy& tall = batched_strategy_by_id(6);   // 128x64
   const GemmCase gc({100, 90, 40}, Op::kN, Op::kN, Precision::kFp32, false,
                     5);
-  const PanelKey b = panel_key(PanelSide::kB, large, gc.ops);
-  EXPECT_TRUE(b.matches(panel_key(PanelSide::kB, tall, gc.ops)));  // BX 64
-  EXPECT_FALSE(panel_key(PanelSide::kA, large, gc.ops)
-                   .matches(panel_key(PanelSide::kA, tall, gc.ops)));  // BY
-  EXPECT_FALSE(b.matches(panel_key(PanelSide::kB, batched_strategy_by_id(2),
-                                   gc.ops)));  // BX 32
-  GemmOperands other = gc.ops;
+  const PanelKey a = panel_key(PanelSide::kA, gc.ops);
+  const PanelKey b = panel_key(PanelSide::kB, gc.ops);
+  GemmOperands other = gc.ops;  // another GEMM over the same B
+  other.dims.m = 64;
+  other.a = gc.c.data();
+  EXPECT_TRUE(b.matches(panel_key(PanelSide::kB, other)));
+  other = gc.ops;  // another GEMM over the same A
+  other.dims.n = 31;
+  EXPECT_TRUE(a.matches(panel_key(PanelSide::kA, other)));
+  other = gc.ops;
+  other.b = gc.c.data();
+  EXPECT_FALSE(b.matches(panel_key(PanelSide::kB, other)));  // operand
+  other = gc.ops;
   other.op_b = Op::kT;
-  EXPECT_FALSE(b.matches(panel_key(PanelSide::kB, large, other)));
+  EXPECT_FALSE(b.matches(panel_key(PanelSide::kB, other)));
   other = gc.ops;
   other.precision = Precision::kFp16;
-  EXPECT_FALSE(b.matches(panel_key(PanelSide::kB, large, other)));
+  EXPECT_FALSE(b.matches(panel_key(PanelSide::kB, other)));
   other = gc.ops;
   other.dims.n = 89;
-  EXPECT_FALSE(b.matches(panel_key(PanelSide::kB, large, other)));
+  EXPECT_FALSE(b.matches(panel_key(PanelSide::kB, other)));
   other = gc.ops;
   other.dims.k = 39;
-  EXPECT_FALSE(b.matches(panel_key(PanelSide::kB, large, other)));
-  EXPECT_FALSE(b.matches(panel_key(PanelSide::kA, large, gc.ops)));
+  EXPECT_FALSE(b.matches(panel_key(PanelSide::kB, other)));
+  EXPECT_FALSE(b.matches(a));  // side
   const GemmCase gathered({100, 90, 40}, Op::kN, Op::kN, Precision::kFp32,
                           true, 5);
-  const PanelKey g = panel_key(PanelSide::kB, large, gathered.ops);
+  const PanelKey g = panel_key(PanelSide::kB, gathered.ops);
   EXPECT_FALSE(g.matches(g));
 }
 
@@ -470,9 +492,7 @@ TEST(Microkernel, PartialBudgetMixesPathsBitExact) {
   const PlanSummary summary = planner.plan(dims);
 
   // Budget covering the first GEMM's footprint only.
-  const TilingStrategy& s0 =
-      batched_strategy_by_id(summary.plan.strategy_of_tile.at(0));
-  const std::size_t first = pack_footprint_bytes(s0, dims[0]);
+  const std::size_t first = pack_footprint_bytes(dims[0]);
 
   auto mixed_case = BatchCase(dims, 800);
   {
@@ -490,23 +510,23 @@ TEST(Microkernel, PartialBudgetMixesPathsBitExact) {
 }
 
 // ---------------------------------------------------------- SIMD dispatch --
-// The explicit-SIMD layer (kernels/simd.hpp) must be bit-identical to the
-// generic executor under every ISA the host can run, and dispatch must fall
-// back to the scalar packed loop cleanly everywhere else.
+// The micro-kernels (kernels/simd.hpp) must be bit-identical to the generic
+// executor under every ISA the host can run, and dispatch must fall back to
+// the scalar kernel cleanly everywhere else.
 
 // The ISAs this host can actually execute: always kScalar, plus every level
-// up to detected_simd_isa() that has a non-empty kernel table.
+// up to detected_simd_isa() that has a micro-kernel.
 std::vector<SimdIsa> runnable_isas() {
   std::vector<SimdIsa> isas{SimdIsa::kScalar};
   for (SimdIsa isa : {SimdIsa::kNeon, SimdIsa::kAvx2, SimdIsa::kAvx512})
     if (static_cast<int>(isa) <= static_cast<int>(detected_simd_isa()) &&
-        simd_tile_loop(isa, 64, 64, 8) != nullptr)
+        simd_micro_kernel(isa) != nullptr)
       isas.push_back(isa);
   return isas;
 }
 
-// Every Table-1/2 geometry has a tile loop under every vector ISA, so all
-// of its tiles count under that ISA; scalar runs the scalar packed loop.
+// Every Table-1/2 strategy packs under every ISA, so all of its tiles count
+// under the ISA whose micro-kernel ran them.
 TEST(SimdDispatch, EveryTable2IdResolvesUnderEveryRunnableIsa) {
   for (SimdIsa isa : runnable_isas()) {
     ScopedSimdIsa guard(isa);
@@ -520,13 +540,23 @@ TEST(SimdDispatch, EveryTable2IdResolvesUnderEveryRunnableIsa) {
   }
 }
 
-TEST(SimdDispatch, UnknownGeometryAndUnavailableIsaFallBackToScalar) {
-  // No ISA has a BK = 4 tile loop: the packed tiles run the scalar loop.
-  TilingStrategy s = batched_strategy_by_id(0);
-  s.bk = 4;
-  {
-    ScopedSimdIsa guard(detected_simd_isa());
-    expect_packs_under(s, SimdIsa::kScalar, "bk4");
+TEST(SimdDispatch, OddGeometriesAndKernellessIsas) {
+  // BK = 4 packs and runs each ISA's micro-kernel; 24x24 runs generic.
+  TilingStrategy bk4 = batched_strategy_by_id(0);
+  bk4.bk = 4;
+  for (SimdIsa isa : runnable_isas()) {
+    ScopedSimdIsa guard(isa);
+    expect_packs_under(bk4, isa, std::string("bk4/") + simd_isa_name(isa));
+    expect_packs_under(tile_24x24(), isa,
+                       std::string("24x24/") + simd_isa_name(isa),
+                       /*packed=*/false);
+  }
+  // An ISA the host reaches but has no kernel for (neon on x86-64) runs
+  // the scalar micro-kernel, and its tiles count as scalar.
+  if (detected_simd_isa() >= SimdIsa::kNeon &&
+      simd_micro_kernel(SimdIsa::kNeon) == nullptr) {
+    ScopedSimdIsa guard(SimdIsa::kNeon);
+    expect_packs_under(bk4, SimdIsa::kScalar, "bk4/kernelless-neon");
   }
   // Requesting an ISA beyond the host clamps rather than dispatching a
   // kernel the CPU cannot execute.
@@ -576,8 +606,8 @@ TEST(SimdDispatch, BitExactVsGenericAllStrategiesAllIsas) {
   }
 }
 
-// Cross-ISA: the vector tile loops must agree bitwise with the scalar
-// packed loop directly (not just transitively via the generic path), and
+// Cross-ISA: the vector micro-kernels must agree bitwise with the scalar
+// one directly (not just transitively via the generic path), and
 // stay bit-exact at any thread count.
 TEST(SimdDispatch, VectorIsaMatchesScalarIsaAtAnyThreadCount) {
   for (SimdIsa isa : runnable_isas()) {
@@ -642,8 +672,8 @@ TEST(SimdDispatch, BatchedExecutorsBitExactUnderVectorIsa) {
 
 
 // --------------------------------------- shared panel sets and arenas ----
-// GEMMs of one call that read the same operand under the same geometry
-// share one panel set; every set of a call is carved from the calling
+// GEMMs of one call that read the same operand share one panel set,
+// whatever their strategies; every set of a call is carved from the calling
 // thread's reused arena. Sharing and reuse must change nothing but the
 // exec.pack.{panels,bytes,reuse} counts.
 
@@ -713,25 +743,38 @@ std::vector<SharingCase> sharing_cases() {
   };
 }
 
+/// Micro-panel reads of every tile of `plan`: one A panel per 16 in-range
+/// rows and one B panel per 16 in-range columns — what exec.pack.reuse
+/// counts before subtracting the distinct panels packed.
+std::int64_t micro_panel_reads(const BatchPlan& plan,
+                               std::span<const GemmDims> dims,
+                               std::span<const TilingStrategy* const> s) {
+  std::int64_t reads = 0;
+  for (int t = 0; t < plan.num_tiles(); ++t) {
+    const auto ti = static_cast<std::size_t>(t);
+    const auto z = static_cast<std::size_t>(plan.gemm_of_tile[ti]);
+    const int rows = std::min(s[z]->by, dims[z].m - plan.y_coord[ti] * s[z]->by);
+    const int cols = std::min(s[z]->bx, dims[z].n - plan.x_coord[ti] * s[z]->bx);
+    reads += (rows + 15) / 16 + (cols + 15) / 16;
+  }
+  return reads;
+}
+
 TEST(PackSharing, DistinctPanelSetsPackedOnceBitExact) {
   for (const SharingCase& sc : sharing_cases()) {
     const BatchPlan plan = explicit_plan(sc.dims, sc.strategies, sc.splitk);
-    // The distinct sets: one A per GEMM, one B per distinct BX.
-    std::int64_t panels = 0, bytes = 0;
-    std::vector<int> bxs;
-    for (std::size_t i = 0; i < sc.dims.size(); ++i) {
-      const TilingStrategy& s = *sc.strategies[i];
-      const GemmDims& d = sc.dims[i];
-      panels += (d.m + s.by - 1) / s.by;
+    // The distinct sets: one A per GEMM and the one shared B, whether or
+    // not the strategies agree on BX.
+    std::int64_t panels = micro_panel_count(PanelSide::kB, sc.dims[0]);
+    std::int64_t bytes = static_cast<std::int64_t>(
+        panel_set_floats(PanelSide::kB, sc.dims[0]) * sizeof(float));
+    for (const GemmDims& d : sc.dims) {
+      panels += micro_panel_count(PanelSide::kA, d);
       bytes += static_cast<std::int64_t>(
-          panel_set_floats(PanelSide::kA, s, d) * sizeof(float));
-      if (std::find(bxs.begin(), bxs.end(), s.bx) != bxs.end()) continue;
-      bxs.push_back(s.bx);
-      panels += (d.n + s.bx - 1) / s.bx;
-      bytes += static_cast<std::int64_t>(
-          panel_set_floats(PanelSide::kB, s, d) * sizeof(float));
+          panel_set_floats(PanelSide::kA, d) * sizeof(float));
     }
-    ASSERT_EQ(bxs.size() == 1, sc.name.find("disagree") == std::string::npos);
+    const std::int64_t reads =
+        micro_panel_reads(plan, sc.dims, sc.strategies);
 
     SharedBCase generic(sc.dims, sc.op_a, sc.op_b, 1100);
     {
@@ -754,14 +797,15 @@ TEST(PackSharing, DistinctPanelSetsPackedOnceBitExact) {
         const auto snap = telemetry::snapshot();
         EXPECT_EQ(counter_value(snap, "exec.pack.panels"), panels) << what;
         EXPECT_EQ(counter_value(snap, "exec.pack.bytes"), bytes) << what;
-        EXPECT_EQ(counter_value(snap, "exec.pack.reuse"),
-                  2 * plan.num_tiles() - panels)
+        EXPECT_EQ(counter_value(snap, "exec.pack.reuse"), reads - panels)
             << what;
         EXPECT_EQ(counter_value(snap, "exec.dispatch.specialized"),
                   plan.num_tiles())
             << what;
         telemetry::set_enabled(false);
         telemetry::reset();
+#else
+        (void)reads;
 #endif
         for (std::size_t i = 0; i < sc.dims.size(); ++i)
           expect_bitwise_equal(packed.c[i], generic.c[i],
@@ -773,6 +817,70 @@ TEST(PackSharing, DistinctPanelSetsPackedOnceBitExact) {
                                what + "/rerun/gemm" + std::to_string(i));
       }
     }
+  }
+}
+
+// Inception-train's forward dispatch at batch 1: four 1x1-conv GEMMs over
+// one x (256 channels x 3136 pixels) whose planned strategies disagree on
+// BX — tall (64), medium (32) and wide (128) — and one filter that two of
+// them read under different BY (tall 128, medium 32). The call packs x
+// once and the shared filter once, and every C matches reference_gemm bit
+// for bit under every runnable ISA.
+TEST(PackSharing, SharedOperandsPackOnceAcrossStrategies) {
+  const TilingStrategy* tall = &batched_strategy_by_id(6);    // 128x64
+  const TilingStrategy* medium = &batched_strategy_by_id(2);  // 32x32
+  const TilingStrategy* wide = &batched_strategy_by_id(8);    // 64x128
+  const std::vector<GemmDims> dims = {
+      {64, 3136, 256}, {96, 3136, 256}, {16, 3136, 256}, {64, 3136, 256}};
+  const std::vector<const TilingStrategy*> strategies = {tall, medium, wide,
+                                                         medium};
+  const BatchPlan plan = explicit_plan(dims, strategies);
+  Rng rng(1500);
+  const Matrixf x = rand_mat(256, 3136, rng);
+  const std::vector<Matrixf> w = {rand_mat(64, 256, rng),
+                                  rand_mat(96, 256, rng),
+                                  rand_mat(16, 256, rng)};
+  const std::size_t w_of[] = {0, 1, 2, 0};  // GEMMs 0 and 3 share w[0]
+  const auto make = [&](std::vector<Matrixf>& c) {
+    std::vector<GemmOperands> ops;
+    for (std::size_t i = 0; i < dims.size(); ++i) {
+      c.emplace_back(static_cast<std::size_t>(dims[i].m), 3136u);
+      ops.push_back(operands(w[w_of[i]], x, c.back()));
+    }
+    return ops;
+  };
+  std::vector<Matrixf> want;
+  want.reserve(dims.size());
+  for (const GemmOperands& g : make(want)) reference_gemm(g, 1.0f, 0.0f);
+
+  for (SimdIsa isa : runnable_isas()) {
+    ScopedSimdIsa isa_guard(isa);
+    const std::string what = simd_isa_name(isa);
+    std::vector<Matrixf> got;
+    got.reserve(dims.size());
+    const std::vector<GemmOperands> ops = make(got);
+#ifdef CTB_TELEMETRY_ENABLED
+    telemetry::reset();
+    telemetry::set_enabled(true);
+#endif
+    run_batched_plan(plan, ops, 1.0f, 0.0f);
+#ifdef CTB_TELEMETRY_ENABLED
+    // x: 196 micro-panels; the filters: 4 + 6 + 1, w[0] packed once. Each
+    // micro-panel is 32 steps of 128 floats.
+    const std::int64_t panels = 196 + 4 + 6 + 1;
+    const auto snap = telemetry::snapshot();
+    EXPECT_EQ(counter_value(snap, "exec.pack.panels"), panels) << what;
+    EXPECT_EQ(counter_value(snap, "exec.pack.bytes"), panels * 32 * 128 * 4)
+        << what;
+    EXPECT_EQ(counter_value(snap, "exec.pack.reuse"),
+              micro_panel_reads(plan, dims, strategies) - panels)
+        << what;
+    telemetry::set_enabled(false);
+    telemetry::reset();
+#endif
+    for (std::size_t i = 0; i < dims.size(); ++i)
+      expect_bitwise_equal(got[i], want[i],
+                           what + "/gemm" + std::to_string(i));
   }
 }
 
@@ -852,11 +960,11 @@ TEST(Microkernel, DispatchCountersTrackPaths) {
   auto snap = telemetry::snapshot();
   EXPECT_EQ(counter_value(snap, "exec.dispatch.specialized"), 6);
   EXPECT_EQ(counter_value(snap, "exec.dispatch.generic"), 0);
-  EXPECT_EQ(counter_value(snap, "exec.pack.panels"), 2 + 3);
+  EXPECT_EQ(counter_value(snap, "exec.pack.panels"), 8 + 12);
   EXPECT_EQ(counter_value(snap, "exec.pack.bytes"),
-            static_cast<std::int64_t>(pack_footprint_bytes(s, d)));
-  // 6 tiles read 2 A + 3 B panels: 12 panel reads, 5 initial packings.
-  EXPECT_EQ(counter_value(snap, "exec.pack.reuse"), 7);
+            static_cast<std::int64_t>(pack_footprint_bytes(d)));
+  // 6 tiles each read 4 A + 4 B micro-panels: 48 reads, 20 packings.
+  EXPECT_EQ(counter_value(snap, "exec.pack.reuse"), 48 - 20);
 
   telemetry::reset();
   {
@@ -873,8 +981,8 @@ TEST(Microkernel, DispatchCountersTrackPaths) {
 }
 
 // exec.simd.* partitions ALL executed tiles by the ISA that ran them:
-// vector-loop tiles under the active vector ISA, scalar-packed-loop and
-// generic-executor tiles under exec.simd.scalar.
+// packed tiles under the ISA of the micro-kernel, generic-executor tiles
+// under exec.simd.scalar.
 TEST(Microkernel, SimdCountersPartitionTilesByIsa) {
   const TilingStrategy& s = batched_strategy_by_id(4);  // large/128
   const GemmDims d{2 * s.by, 3 * s.bx, 64};             // 2x3 tile grid

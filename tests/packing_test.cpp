@@ -72,12 +72,12 @@ BatchPlan one_tile_blocks(const std::vector<Tile>& tiles,
 }
 
 // The ISAs this host can actually execute: always kScalar, plus every level
-// up to detected_simd_isa() that has a non-empty kernel table.
+// up to detected_simd_isa() that has a micro-kernel.
 std::vector<SimdIsa> runnable_isas() {
   std::vector<SimdIsa> isas{SimdIsa::kScalar};
   for (SimdIsa isa : {SimdIsa::kNeon, SimdIsa::kAvx2, SimdIsa::kAvx512})
     if (static_cast<int>(isa) <= static_cast<int>(detected_simd_isa()) &&
-        simd_tile_loop(isa, 64, 64, 8) != nullptr)
+        simd_micro_kernel(isa) != nullptr)
       isas.push_back(isa);
   return isas;
 }
@@ -90,8 +90,8 @@ TEST(PackGemmBudget, MixedAdmissionSplitsPathsBitExact) {
   const std::vector<GemmDims> dims = {{64, 64, 32}, {256, 256, 128},
                                       {48, 80, 24}};
   // Cap between the small and the large footprints.
-  const std::size_t small_fp = pack_footprint_bytes(s, dims[0]);
-  const std::size_t large_fp = pack_footprint_bytes(s, dims[1]);
+  const std::size_t small_fp = pack_footprint_bytes(dims[0]);
+  const std::size_t large_fp = pack_footprint_bytes(dims[1]);
   ASSERT_LT(small_fp, large_fp);
   const std::size_t cap = (small_fp + large_fp) / 2;
 
@@ -151,7 +151,7 @@ TEST(PackPerCall, EveryRunChargesTheSamePackBytes) {
   GemmCase gc(d, 40);
   for (int iter = 0; iter < 3; ++iter)
     EXPECT_EQ(pack_bytes_of([&] { run_single_gemm(s, gc.ops, 1.0f, 0.0f); }),
-              static_cast<std::int64_t>(pack_footprint_bytes(s, d)))
+              static_cast<std::int64_t>(pack_footprint_bytes(d)))
         << "run " << iter;
 }
 #endif
@@ -179,8 +179,8 @@ TEST(PackPerCall, SplitKSlicesSharePackedPanels) {
     EXPECT_EQ(pack_bytes_of([&] {
                 run_batched_plan(split_plan, split_ops, 1.0f, 0.5f);
               }),
-              static_cast<std::int64_t>(pack_footprint_bytes(s, dims[0]) +
-                                        pack_footprint_bytes(s, dims[1])))
+              static_cast<std::int64_t>(pack_footprint_bytes(dims[0]) +
+                                        pack_footprint_bytes(dims[1])))
         << "run " << iter;
 #else
     run_batched_plan(split_plan, split_ops, 1.0f, 0.5f);

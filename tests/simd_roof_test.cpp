@@ -1,20 +1,23 @@
-// Codegen guard for the explicit-SIMD tile loops (kernels/simd_kernels.inl).
+// Codegen guard for the explicit-SIMD micro-kernels
+// (kernels/simd_kernels.inl).
 //
 // A helper that the compiler lowers badly (a broadcast that becomes a lane
-// loop, an unaligned load that goes through the stack) costs the tile loop
+// loop, an unaligned load that goes through the stack) costs the kernel
 // 2-5x without changing a single output bit, so no bit-exactness test sees
-// it. This test turns the codegen into a number: the tile loop's GFLOP/s
-// over 256-step packed panels divided by the GFLOP/s of an unfused mul+add
-// register loop of the same vector width, compiled for the same ISA, both
-// timed interleaved in one process and each kept at its best of N samples.
-// The ratio cancels the host's clock and load, so nothing is timed in
-// absolute terms.
+// it. This test turns the codegen into a number: the GFLOP/s of what a
+// packed tile runs — the micro-kernel walk (accumulate_micro_tiles) over a
+// 64x64 and a 128x128 tile of 256-step micro-panels — divided by the
+// GFLOP/s of an unfused mul+add register loop of the same vector width,
+// compiled for the same ISA, both timed interleaved in one process and
+// each kept at its best of N samples. The ratio cancels the host's clock
+// and load, so nothing is timed in absolute terms.
 //
 // Floors: AVX-512 0.6 and AVX2 0.3. On a 4-vCPU AVX-512 Xeon VM (GCC 12)
-// the fixed loops measured 0.7-1.0 and 0.4-0.7 in a quiet round, the
-// lane-loop splat and memcpy loadu 0.28-0.33 and 0.12. The test skips ISAs the
-// host lacks, and whole builds where timing says nothing about codegen:
-// unoptimized (-O0 coverage), sanitized, or without the SIMD layer.
+// the walk measured 0.81-1.0 and 0.70-1.08 (best round of each of fifteen
+// runs), while a lane-loop splat or a memcpy loadu measured 0.28-0.33 and
+// 0.12. The test skips ISAs the host lacks, and whole builds where timing
+// says nothing about codegen: unoptimized (-O0 coverage), sanitized, or
+// without the SIMD layer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +26,7 @@
 #include <cstring>
 #include <vector>
 
+#include "kernels/packing.hpp"
 #include "kernels/simd.hpp"
 #include "util/rng.hpp"
 
@@ -56,7 +60,7 @@ __attribute__((always_inline)) inline float mul_add_chains(long long iters,
   const V vm = V{} + m;
   const V va = V{} + a;
   // Separate statements under the build's -ffp-contract=off: an unfused
-  // vmulps + vaddps per chain step, the tile loop's own instruction mix.
+  // vmulps + vaddps per chain step, the micro-kernel's own instruction mix.
   for (long long i = 0; i < iters; ++i)
     for (int j = 0; j < kChains; ++j) {
       const V p = acc[j] * vm;
@@ -87,23 +91,27 @@ double seconds_of(const auto& run) {
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
-/// Best-of-`reps` tile-loop GFLOP/s over best-of-`reps` roof GFLOP/s, the
-/// two sampled alternately so both see the same host state.
+/// Best-of-`reps` tile GFLOP/s over best-of-`reps` roof GFLOP/s, the two
+/// sampled alternately so both see the same host state. The tile is
+/// `by` x `bx`, every micro-tile of it inside the matrix.
 double roof_ratio(SimdIsa isa, int lanes, RoofFn roof, int by, int bx) {
-  constexpr int kBk = 8;
   constexpr int kSteps = 256;
   constexpr int kReps = 40;
-  const SimdTileLoopFn loop = simd_tile_loop(isa, by, bx, kBk);
-  EXPECT_NE(loop, nullptr);
-  if (loop == nullptr) return 0.0;
+  const SimdMicroKernelFn kernel = simd_micro_kernel(isa);
+  EXPECT_NE(kernel, nullptr);
+  if (kernel == nullptr) return 0.0;
   Rng rng(by * 1000 + bx);
-  std::vector<float> a(static_cast<std::size_t>(by) * kBk * kSteps);
-  std::vector<float> b(static_cast<std::size_t>(kBk) * bx * kSteps);
+  std::vector<float> a(static_cast<std::size_t>(by) * kMicroK * kSteps);
+  std::vector<float> b(static_cast<std::size_t>(kMicroK) * bx * kSteps);
   for (float& v : a) v = rng.uniform_float(-1.0f, 1.0f);
   for (float& v : b) v = rng.uniform_float(-1.0f, 1.0f);
+  PackedGemm pk;
+  pk.nsteps = kSteps;
+  pk.a = a.data();
+  pk.b = b.data();
   std::vector<float> acc(static_cast<std::size_t>(by) * bx);
 
-  const double tile_flops = 2.0 * by * bx * kBk * kSteps;
+  const double tile_flops = 2.0 * by * bx * kMicroK * kSteps;
   // Roof iterations sized to the same FLOP count as one tile call.
   const long long iters = static_cast<long long>(
       tile_flops / (2.0 * kChains * lanes));
@@ -114,7 +122,8 @@ double roof_ratio(SimdIsa isa, int lanes, RoofFn roof, int by, int bx) {
       g_sink = g_sink + roof(iters, g_mul, g_add);
     });
     const double tt = seconds_of([&] {
-      loop(a.data(), b.data(), kSteps, acc.data());
+      accumulate_micro_tiles(kernel, pk, 0, 0, by, bx, 0, kSteps,
+                             /*accumulate=*/false, acc.data(), bx);
       g_sink = g_sink + acc[static_cast<std::size_t>(rep) % acc.size()];
     });
     best_roof = std::max(best_roof, roof_flops / tr);
@@ -137,7 +146,7 @@ void expect_near_roof(SimdIsa isa, double floor) {
   GTEST_SKIP() << "needs an optimized, unsanitized x86-64 build";
 #else
   if (static_cast<int>(detected_simd_isa()) < static_cast<int>(isa) ||
-      simd_tile_loop(isa, 64, 64, 8) == nullptr)
+      simd_micro_kernel(isa) == nullptr)
     GTEST_SKIP() << simd_isa_name(isa) << " not available on this host/build";
   const bool avx512 = isa == SimdIsa::kAvx512;
   for (const int tile : {64, 128}) {
@@ -151,7 +160,7 @@ void expect_near_roof(SimdIsa isa, double floor) {
                                          tile));
     EXPECT_GE(ratio, floor)
         << simd_isa_name(isa) << ' ' << tile << 'x' << tile
-        << " tile loop runs at " << ratio
+        << " micro-kernel walk runs at " << ratio
         << " of the same-width mul+add loop: check the codegen of splat/"
            "loadu in simd_kernels.inl";
   }

@@ -349,7 +349,7 @@ TEST(SplitKSimd, IsaSweepBitExact) {
   const BatchPlan split = uniform_plan(dims, s, 4);
 
   // Sweep every ISA up to the host's capability: requesting more clamps, so
-  // each scope below genuinely dispatches a different kernel table.
+  // each scope below genuinely dispatches a different micro-kernel.
   std::vector<SimdIsa> isas = {SimdIsa::kScalar};
   for (SimdIsa isa : {SimdIsa::kNeon, SimdIsa::kAvx2, SimdIsa::kAvx512})
     if (static_cast<int>(isa) <= static_cast<int>(detected_simd_isa()))
