@@ -28,7 +28,13 @@ namespace ctb {
 enum class BatchingPolicy {
   kThresholdOnly,  ///< always threshold batching (TLP priority)
   kBinaryOnly,     ///< always binary batching (ILP priority)
-  kAutoOffline,    ///< evaluate both through the simulator, keep the faster
+  kAutoOffline,    ///< time four plans through the simulator at the
+                   ///< configured precision and keep the fastest: the
+                   ///< threshold/binary winner with its split-K decision,
+                   ///< one tile per block over the tiling engine's tiles,
+                   ///< and every GEMM under the uniform vbatch tile
+                   ///< (magma_uniform_strategy) one tile per block; a tie
+                   ///< keeps the earlier. kForce times only the first.
   kRandomForest,   ///< online random-forest selection (paper Section 5)
   kTilingOnly,     ///< one tile per block (tiling engine alone, Fig. 8)
 };
@@ -91,7 +97,10 @@ struct PlannerConfig {
 /// then-unused forest pointer) is preserved.
 PlannerConfig degraded_fallback_config(const PlannerConfig& config);
 
-/// Everything the planner decided, plus the executable plan.
+/// Everything the planner decided, plus the executable plan. `tiling` and
+/// `heuristic` describe the plan that was kept: auto-offline's one-tile-
+/// per-block candidates both read kNone, and the uniform one carries the
+/// vbatch tile in every `tiling.per_gemm` entry.
 struct PlanSummary {
   TilingResult tiling;
   BatchingHeuristic heuristic = BatchingHeuristic::kNone;
@@ -118,13 +127,23 @@ class BatchedGemmPlanner {
   const GpuArch& arch() const { return arch_; }
 
  private:
+  /// kAutoOffline (see BatchingPolicy): fills summary.heuristic and
+  /// summary.plan, and summary.tiling when the uniform plan wins.
+  void plan_auto_offline(PlanSummary& summary, std::span<const GemmDims> dims,
+                         std::span<const Tile> tiles, int threads,
+                         const BatchingConfig& batching_config) const;
+
   /// Split-K candidate generation: when enabled and triggered, sweeps
   /// power-of-two slice counts over the enumerated tiles, batches each
   /// candidate with the already-chosen heuristic, and replaces summary.plan
   /// when the simulator prefers a split plan (always, under kForce).
-  void consider_splitk(PlanSummary& summary, std::span<const Tile> tiles,
-                       int threads, const BatchingConfig& batching_config,
-                       std::span<const GemmDims> dims) const;
+  /// `plan_us` is summary.plan's simulated time if the caller has it, or
+  /// negative; returns summary.plan's simulated time on exit (`plan_us`
+  /// when the sweep does not run).
+  double consider_splitk(PlanSummary& summary, std::span<const Tile> tiles,
+                         int threads, const BatchingConfig& batching_config,
+                         std::span<const GemmDims> dims,
+                         double plan_us = -1.0) const;
 
   PlannerConfig config_;
   GpuArch arch_;

@@ -35,6 +35,8 @@ constexpr const char* kCoreCounters[] = {
     "plan.rf.choice.binary",
     "plan.auto.threshold_wins",
     "plan.auto.binary_wins",
+    "plan.auto.none_wins",
+    "plan.auto.uniform_wins",
     "tiling.candidates",
     "tiling.iterations",
     "tiling.fallback_128",

@@ -5,6 +5,8 @@
 
 #include "core/api.hpp"
 #include "core/rf_policy.hpp"
+#include "dnn/backward.hpp"
+#include "dnn/googlenet.hpp"
 #include "linalg/gemm_ref.hpp"
 
 namespace ctb {
@@ -100,24 +102,99 @@ TEST(Planner, TilingOnlyMeansOneTilePerBlock) {
   EXPECT_EQ(s.plan.num_blocks(), s.plan.num_tiles());
 }
 
-TEST(Planner, AutoOfflinePicksNoWorseThanEitherHeuristic) {
-  PlannerConfig base;
-  const std::vector<GemmDims> dims(64, GemmDims{32, 32, 48});
-  const GpuArch& arch = gpu_arch(GpuModel::kV100);
+/// Auto-offline's four candidates, built the way the planner builds them:
+/// threshold and binary batching and one tile per block over the tiling
+/// engine's tiles, and every GEMM under the vbatch tile one tile per block.
+struct AutoCandidates {
+  BatchPlan threshold, binary, none, uniform;
+};
 
-  base.policy = BatchingPolicy::kThresholdOnly;
-  const double t_thr =
-      time_plan(arch, BatchedGemmPlanner(base).plan(dims).plan, dims)
-          .time_us;
-  base.policy = BatchingPolicy::kBinaryOnly;
-  const double t_bin =
-      time_plan(arch, BatchedGemmPlanner(base).plan(dims).plan, dims)
-          .time_us;
-  base.policy = BatchingPolicy::kAutoOffline;
-  const double t_auto =
-      time_plan(arch, BatchedGemmPlanner(base).plan(dims).plan, dims)
-          .time_us;
-  EXPECT_LE(t_auto, std::min(t_thr, t_bin) + 1e-9);
+AutoCandidates auto_candidates(std::span<const GemmDims> dims) {
+  const TilingResult tiling = select_tiling(dims);
+  const std::vector<Tile> tiles = enumerate_tiles(dims, tiling.per_gemm);
+  const int threads = static_cast<int>(tiling.variant);
+  const TilingStrategy& u = magma_uniform_strategy(dims);
+  const std::vector<const TilingStrategy*> uniform(dims.size(), &u);
+  return {batch_threshold(tiles, threads), batch_binary(tiles, threads),
+          batch_none(tiles, threads),
+          batch_none(enumerate_tiles(dims, uniform), u.threads)};
+}
+
+// Every batch plans no slower than any of the four candidates on the clock
+// of the configured precision, with split-K on (the default) and off.
+TEST(Planner, AutoOfflinePicksNoWorseThanEitherHeuristic) {
+  const GpuArch& arch = gpu_arch(GpuModel::kV100);
+  const std::vector<std::vector<GemmDims>> batches = {
+      std::vector<GemmDims>(64, GemmDims{32, 32, 48}),
+      {{16, 32, 128}, {64, 64, 64}, {256, 256, 64}, {100, 50, 300}},
+      {{512, 64, 1024}, {384, 64, 768}},
+      std::vector<GemmDims>(4, GemmDims{512, 512, 16})};
+  for (const Precision precision : {Precision::kFp32, Precision::kFp16})
+    for (const SplitKMode mode : {SplitKMode::kAuto, SplitKMode::kOff}) {
+      PlannerConfig config;
+      config.precision = precision;
+      config.splitk = mode;
+      const BatchedGemmPlanner planner(config);
+      for (const auto& dims : batches) {
+        const auto us = [&](const BatchPlan& p) {
+          return time_plan(arch, p, dims, precision).time_us;
+        };
+        const double t_auto = us(planner.plan(dims).plan);
+        const AutoCandidates c = auto_candidates(dims);
+        for (const BatchPlan* p :
+             {&c.threshold, &c.binary, &c.none, &c.uniform})
+          EXPECT_LE(t_auto, us(*p))
+              << "fp16=" << (precision == Precision::kFp16)
+              << " splitk=" << to_string(mode) << " gemms=" << dims.size();
+      }
+    }
+}
+
+// perfbench inception-train's three dispatches (GoogLeNet inception 3b's
+// four 1x1 branch convs at 4 images): a mixed plan inherits its largest
+// strategy's launch footprint, so the forward pass runs fastest under the
+// uniform vbatch tile and the data gradient one tile per block, while the
+// deep-K weight gradient keeps its split threshold/binary plan.
+TEST(Planner, AutoOfflineKeepsTheFastestCandidateOnInceptionTrain) {
+  const InceptionModule& m = googlenet_inception_modules().at(1);
+  ASSERT_EQ(m.name, "inception3b");
+  std::vector<GemmDims> fwd, wgrad, dgrad;
+  for (const ConvShape* s : m.stage1()) {
+    fwd.push_back(s->gemm_dims(4));
+    wgrad.push_back(wgrad_gemm_dims(*s, 4));
+    dgrad.push_back(dgrad_gemm_dims(*s, 4));
+  }
+  const BatchedGemmPlanner planner{PlannerConfig{}};
+
+  const PlanSummary f = planner.plan(fwd);
+  const AutoCandidates fc = auto_candidates(fwd);
+  EXPECT_EQ(f.heuristic, BatchingHeuristic::kNone);
+  EXPECT_EQ(f.plan, fc.uniform);
+  for (const TilingStrategy* s : f.tiling.per_gemm)
+    EXPECT_EQ(s, &magma_uniform_strategy(fwd));
+  EXPECT_EQ(f.tiling.tlp, batch_tlp(fwd, f.tiling.per_gemm));
+
+  const PlanSummary d = planner.plan(dgrad);
+  const AutoCandidates dc = auto_candidates(dgrad);
+  EXPECT_EQ(d.heuristic, BatchingHeuristic::kNone);
+  EXPECT_EQ(d.plan, dc.none);
+  EXPECT_EQ(d.tiling.per_gemm, select_tiling(dgrad).per_gemm);
+
+  const PlanSummary w = planner.plan(wgrad);
+  EXPECT_TRUE(w.heuristic == BatchingHeuristic::kThreshold ||
+              w.heuristic == BatchingHeuristic::kBinary);
+  EXPECT_TRUE(w.plan.has_split());
+
+  // kForce skips the one-tile-per-block candidates: a split plan comes
+  // back even where an unsplit candidate is faster.
+  PlannerConfig force;
+  force.splitk = SplitKMode::kForce;
+  const BatchedGemmPlanner forced(force);
+  for (const auto* dims : {&fwd, &wgrad, &dgrad}) {
+    const PlanSummary s = forced.plan(*dims);
+    EXPECT_TRUE(s.plan.has_split()) << dims->front().k;
+    EXPECT_NE(s.heuristic, BatchingHeuristic::kNone);
+  }
 }
 
 TEST(TimePlan, IncludesLaunchOverhead) {

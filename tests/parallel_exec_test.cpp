@@ -191,6 +191,44 @@ TEST(ParallelBatchedPlan, AutoOfflinePolicyBitExact) {
   expect_policy_bit_exact(BatchingPolicy::kAutoOffline);
 }
 
+// Auto-offline also keeps one tile per block over the tiling engine's tiles
+// and the uniform vbatch-tile plan. Both run bit-exactly at any thread count
+// and write the same C as the threshold plan they replace (CI reruns this
+// binary under every ISA).
+TEST(ParallelBatchedPlan, AutoOfflineCandidatePlansBitExact) {
+  const std::vector<GemmDims> none_wins = {{150, 13, 22}, {197, 106, 169},
+                                           {14, 21, 32},  {81, 21, 148},
+                                           {119, 33, 49}, {28, 215, 45}};
+  const std::vector<GemmDims> uniform_wins = {{42, 23, 8}, {18, 124, 15}};
+  PlannerConfig threshold;
+  threshold.policy = BatchingPolicy::kThresholdOnly;
+  for (const auto* dims : {&none_wins, &uniform_wins}) {
+    const PlanSummary summary = BatchedGemmPlanner{}.plan(*dims);
+    ASSERT_EQ(summary.heuristic, BatchingHeuristic::kNone);
+    ASSERT_EQ(summary.plan.num_blocks(), summary.plan.num_tiles());
+    const bool uniform = dims == &uniform_wins;
+    for (const TilingStrategy* s : summary.tiling.per_gemm)
+      ASSERT_EQ(s == &magma_uniform_strategy(*dims), uniform);
+    const std::string what =
+        std::string("auto-offline ") + (uniform ? "uniform" : "none");
+    expect_parallel_matches_serial(
+        [&] { return make_batch(*dims, 21); },
+        [&](BatchCase& bc) {
+          run_batched_plan(summary.plan, bc.ops, 1.5f, 0.5f);
+        },
+        what);
+
+    BatchCase chosen = make_batch(*dims, 21);
+    run_batched_plan(summary.plan, chosen.ops, 1.5f, 0.5f);
+    BatchCase heuristic = make_batch(*dims, 21);
+    run_batched_plan(BatchedGemmPlanner(threshold).plan(*dims).plan,
+                     heuristic.ops, 1.5f, 0.5f);
+    for (std::size_t i = 0; i < dims->size(); ++i)
+      expect_bitwise_equal(heuristic.c[i], chosen.c[i],
+                           what + " vs threshold gemm " + std::to_string(i));
+  }
+}
+
 TEST(ParallelBatchedPlan, TilingOnlyPolicyBitExact) {
   expect_policy_bit_exact(BatchingPolicy::kTilingOnly);
 }

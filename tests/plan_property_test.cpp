@@ -290,6 +290,31 @@ const RandomForest& property_forest() {
   return forest;
 }
 
+/// Auto-offline keeps the fastest of its candidates, so the plan it returns
+/// times no slower, at the planner's precision, than threshold, binary and
+/// one-tile-per-block batching over the tiling engine's tiles, or than the
+/// uniform vbatch-tile plan.
+void expect_no_slower_than_candidates(const BatchedGemmPlanner& planner,
+                                      const BatchPlan& plan,
+                                      std::span<const GemmDims> dims,
+                                      const std::string& what) {
+  const TilingResult tiling = select_tiling(dims);
+  const std::vector<Tile> tiles = enumerate_tiles(dims, tiling.per_gemm);
+  const int threads = static_cast<int>(tiling.variant);
+  const TilingStrategy& u = magma_uniform_strategy(dims);
+  const std::vector<const TilingStrategy*> uniform(dims.size(), &u);
+  const Precision precision = planner.config().precision;
+  const auto us = [&](const BatchPlan& p) {
+    return time_plan(planner.arch(), p, dims, precision).time_us;
+  };
+  const double chosen = us(plan);
+  ASSERT_LE(chosen, us(batch_threshold(tiles, threads))) << what;
+  ASSERT_LE(chosen, us(batch_binary(tiles, threads))) << what;
+  ASSERT_LE(chosen, us(batch_none(tiles, threads))) << what;
+  ASSERT_LE(chosen, us(batch_none(enumerate_tiles(dims, uniform), u.threads)))
+      << what;
+}
+
 void run_policy_property(BatchingPolicy policy) {
   PlannerConfig config;
   config.policy = policy;
@@ -308,6 +333,8 @@ void run_policy_property(BatchingPolicy policy) {
     const PlanSummary summary = planner.plan(pc.dims);
     check_plan_properties(summary.plan, pc.dims, what);
     ASSERT_NO_THROW(validate_plan(summary.plan, pc.dims)) << what;
+    if (policy == BatchingPolicy::kAutoOffline)
+      expect_no_slower_than_candidates(planner, summary.plan, pc.dims, what);
 
     CaseStorage plan_run = materialize(pc);
     run_batched_plan(summary.plan, plan_run.ops, pc.alpha, pc.beta);
