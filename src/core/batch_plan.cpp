@@ -1,8 +1,6 @@
 #include "core/batch_plan.hpp"
 
 #include <algorithm>
-#include <array>
-#include <set>
 #include <sstream>
 
 #include "telemetry/telemetry.hpp"
@@ -230,9 +228,10 @@ void validate_plan(const BatchPlan& plan, std::span<const GemmDims> dims) {
                                           << " entries for " << dims.size()
                                           << " GEMMs");
 
-  // Per-GEMM: one consistent strategy, and complete single coverage.
+  // Per tile: GEMM id in range, one consistent strategy per GEMM,
+  // coordinates inside the GEMM's tile grid, K range inside K.
   std::vector<int> gemm_strategy(dims.size(), -1);
-  std::vector<std::vector<std::pair<int, int>>> seen(dims.size());
+  std::vector<int> tiles_of(dims.size(), 0);
   for (int t = 0; t < plan.num_tiles(); ++t) {
     const int g = plan.gemm_of_tile[static_cast<std::size_t>(t)];
     CTB_CHECK_MSG(g >= 0 && g < static_cast<int>(dims.size()),
@@ -260,78 +259,121 @@ void validate_plan(const BatchPlan& plan, std::span<const GemmDims> dims) {
                     "tile " << t << " interior K boundary " << ke
                             << " not aligned to BK=" << s.bk);
     }
-    seen[static_cast<std::size_t>(g)].push_back({ty, tx});
+    ++tiles_of[static_cast<std::size_t>(g)];
   }
+
+  // Coverage runs over one flat array of (GEMM, ty, tx) cells: GEMM g's tile
+  // grid occupies cells [cell_base[g], cell_base[g] + tiles_for) in
+  // row-major order, so every check below is a linear pass. A GEMM with
+  // fewer tiles than cells cannot be covered and gets no cells, which keeps
+  // the array no larger than the plan whatever dims claim.
+  std::vector<int> cell_base(dims.size(), -1);
+  std::vector<int> grid_x(dims.size(), 0);
+  std::size_t cells = 0;
+  for (std::size_t g = 0; g < dims.size(); ++g) {
+    if (gemm_strategy[g] < 0) continue;
+    const TilingStrategy& s = batched_strategy_by_id(gemm_strategy[g]);
+    grid_x[g] = (dims[g].n + s.bx - 1) / s.bx;
+    const long long expected = s.tiles_for(dims[g].m, dims[g].n);
+    if (expected > tiles_of[g]) continue;
+    cell_base[g] = static_cast<int>(cells);
+    cells += static_cast<std::size_t>(expected);
+  }
+  const auto cell_of = [&](int t) -> int {
+    const auto g = static_cast<std::size_t>(
+        plan.gemm_of_tile[static_cast<std::size_t>(t)]);
+    if (cell_base[g] < 0) return -1;
+    return cell_base[g] +
+           plan.y_coord[static_cast<std::size_t>(t)] * grid_x[g] +
+           plan.x_coord[static_cast<std::size_t>(t)];
+  };
+  const auto expected_tiles = [&](std::size_t g) {
+    return batched_strategy_by_id(gemm_strategy[g])
+        .tiles_for(dims[g].m, dims[g].n);
+  };
+
   if (!plan.has_split()) {
+    std::vector<int> count(cells, 0);
+    for (int t = 0; t < plan.num_tiles(); ++t)
+      if (const int c = cell_of(t); c >= 0)
+        ++count[static_cast<std::size_t>(c)];
     for (std::size_t g = 0; g < dims.size(); ++g) {
       CTB_CHECK_MSG(gemm_strategy[g] >= 0, "GEMM " << g << " has no tiles");
-      auto& tiles = seen[g];
-      std::sort(tiles.begin(), tiles.end());
-      const auto dup = std::adjacent_find(tiles.begin(), tiles.end());
-      CTB_CHECK_MSG(dup == tiles.end(),
-                    "tile (" << (dup == tiles.end() ? 0 : dup->first) << ","
-                             << (dup == tiles.end() ? 0 : dup->second)
-                             << ") of GEMM " << g << " assigned twice");
-      const TilingStrategy& s = batched_strategy_by_id(gemm_strategy[g]);
-      const std::size_t expected =
-          static_cast<std::size_t>(s.tiles_for(dims[g].m, dims[g].n));
-      CTB_CHECK_MSG(tiles.size() == expected,
-                    "GEMM " << g << " covered by " << tiles.size()
+      const long long expected = expected_tiles(g);
+      for (long long c = 0; cell_base[g] >= 0 && c < expected; ++c)
+        CTB_CHECK_MSG(count[static_cast<std::size_t>(cell_base[g] + c)] < 2,
+                      "tile (" << c / grid_x[g] << "," << c % grid_x[g]
+                               << ") of GEMM " << g << " assigned twice");
+      CTB_CHECK_MSG(tiles_of[g] == expected,
+                    "GEMM " << g << " covered by " << tiles_of[g]
                             << " tiles, expected " << expected);
     }
     return;
   }
 
-  // Split-K coverage: the slices of each (GEMM, ty, tx) coordinate must
-  // form an exact, gap-free, non-overlapping ascending partition of [0, K).
-  // Sorting by (coord, k_begin) makes every violation a local adjacency
-  // check: overlap and gap both show up as next.k_begin != prev.k_end.
-  std::vector<std::vector<std::array<int, 4>>> slices(dims.size());
-  for (int t = 0; t < plan.num_tiles(); ++t) {
-    const std::size_t g =
-        static_cast<std::size_t>(plan.gemm_of_tile[static_cast<std::size_t>(t)]);
-    slices[g].push_back({plan.y_coord[static_cast<std::size_t>(t)],
-                         plan.x_coord[static_cast<std::size_t>(t)],
-                         plan.k_begin[static_cast<std::size_t>(t)],
-                         plan.k_end[static_cast<std::size_t>(t)]});
+  // Split-K coverage: the slices of each (GEMM, ty, tx) cell must form an
+  // exact, gap-free, non-overlapping ascending partition of [0, K). Slices
+  // are bucketed by cell and each cell's chain is ordered by K range, so
+  // overlap and gap both show up as next.k_begin != prev.k_end.
+  std::vector<int> cell_start(cells + 1, 0);
+  for (int t = 0; t < plan.num_tiles(); ++t)
+    if (const int c = cell_of(t); c >= 0)
+      ++cell_start[static_cast<std::size_t>(c) + 1];
+  for (std::size_t c = 0; c < cells; ++c) cell_start[c + 1] += cell_start[c];
+  std::vector<int> by_cell(static_cast<std::size_t>(cell_start.back()));
+  {
+    std::vector<int> next(cell_start.begin(), cell_start.end() - 1);
+    for (int t = 0; t < plan.num_tiles(); ++t)
+      if (const int c = cell_of(t); c >= 0)
+        by_cell[static_cast<std::size_t>(next[static_cast<std::size_t>(c)]++)] =
+            t;
   }
+  const auto kb = [&](int t) {
+    return plan.k_begin[static_cast<std::size_t>(t)];
+  };
+  const auto ke = [&](int t) {
+    return plan.k_end[static_cast<std::size_t>(t)];
+  };
   for (std::size_t g = 0; g < dims.size(); ++g) {
     CTB_CHECK_MSG(gemm_strategy[g] >= 0, "GEMM " << g << " has no tiles");
-    auto& sl = slices[g];
-    std::sort(sl.begin(), sl.end());
+    const long long expected = expected_tiles(g);
     const int K = dims[g].k;
-    std::size_t coords = 0;
-    for (std::size_t i = 0; i < sl.size(); ++i) {
-      const bool first_of_coord =
-          i == 0 || sl[i][0] != sl[i - 1][0] || sl[i][1] != sl[i - 1][1];
-      if (first_of_coord) {
-        ++coords;
-        CTB_CHECK_MSG(sl[i][2] == 0, "tile (" << sl[i][0] << "," << sl[i][1]
+    long long coords = 0;
+    if (cell_base[g] < 0) {
+      // Fewer slices than cells: each coordinate that is covered has one
+      // slice starting at 0.
+      for (int t = 0; t < plan.num_tiles(); ++t)
+        coords += plan.gemm_of_tile[static_cast<std::size_t>(t)] ==
+                      static_cast<int>(g) &&
+                  kb(t) == 0;
+    }
+    for (long long c = 0; cell_base[g] >= 0 && c < expected; ++c) {
+      const auto cell = static_cast<std::size_t>(cell_base[g] + c);
+      const auto first = by_cell.begin() + cell_start[cell];
+      const auto last = by_cell.begin() + cell_start[cell + 1];
+      if (first == last) continue;
+      ++coords;
+      std::sort(first, last, [&](int a, int b) {
+        return std::pair(kb(a), ke(a)) < std::pair(kb(b), ke(b));
+      });
+      const long long ty = c / grid_x[g];
+      const long long tx = c % grid_x[g];
+      CTB_CHECK_MSG(kb(*first) == 0, "tile (" << ty << "," << tx
                                               << ") of GEMM " << g
                                               << " K coverage starts at "
-                                              << sl[i][2] << ", not 0");
-        if (i > 0)
-          CTB_CHECK_MSG(sl[i - 1][3] == K,
-                        "tile (" << sl[i - 1][0] << "," << sl[i - 1][1]
-                                 << ") of GEMM " << g
-                                 << " K coverage ends at " << sl[i - 1][3]
-                                 << ", not K=" << K);
-      } else {
-        CTB_CHECK_MSG(sl[i][2] == sl[i - 1][3],
-                      "tile (" << sl[i][0] << "," << sl[i][1] << ") of GEMM "
-                               << g << " K ranges "
-                               << (sl[i][2] < sl[i - 1][3] ? "overlap"
+                                              << kb(*first) << ", not 0");
+      for (auto it = first + 1; it != last; ++it)
+        CTB_CHECK_MSG(kb(*it) == ke(*(it - 1)),
+                      "tile (" << ty << "," << tx << ") of GEMM " << g
+                               << " K ranges "
+                               << (kb(*it) < ke(*(it - 1)) ? "overlap"
                                                            : "leave a gap")
-                               << " at k=" << sl[i][2]);
-      }
+                               << " at k=" << kb(*it));
+      CTB_CHECK_MSG(ke(*(last - 1)) == K,
+                    "tile (" << ty << "," << tx << ") of GEMM " << g
+                             << " K coverage ends at " << ke(*(last - 1))
+                             << ", not K=" << K);
     }
-    CTB_CHECK_MSG(sl.empty() || sl.back()[3] == K,
-                  "tile (" << sl.back()[0] << "," << sl.back()[1]
-                           << ") of GEMM " << g << " K coverage ends at "
-                           << sl.back()[3] << ", not K=" << K);
-    const TilingStrategy& s = batched_strategy_by_id(gemm_strategy[g]);
-    const std::size_t expected =
-        static_cast<std::size_t>(s.tiles_for(dims[g].m, dims[g].n));
     CTB_CHECK_MSG(coords == expected,
                   "GEMM " << g << " covered by " << coords
                           << " tile coordinates, expected " << expected);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -529,46 +528,46 @@ void sweep(const BatchPlan& plan, std::span<const GemmOperands> batch,
   // gets one row-major BY x BX accumulator in a shared workspace arena;
   // groups are enumerated in key order and slices within a group in
   // ascending k_begin order, so ownership and arithmetic order are
-  // deterministic regardless of thread count.
+  // deterministic regardless of thread count. The arena is not cleared: a
+  // group's seed slice (k_begin == 0) overwrites every cell that its fix-up
+  // and its store read.
   struct SplitGroup {
     int gemm = 0, ty = 0, tx = 0;
     std::size_t acc_offset = 0;
-    std::vector<int> fixup;  ///< non-first slices, ascending k_begin.
+    std::size_t begin = 0, end = 0;  ///< its run in `slices`, seed first.
   };
+  // (gemm, ty, tx, k_begin, tile) per partial-K tile; sorted, each group is
+  // one run of equal keys.
+  std::vector<std::array<int, 5>> slices;
   std::vector<int> group_of_tile;  // -1 = full-K tile
   std::vector<SplitGroup> groups;
-  std::vector<float> workspace;
+  std::unique_ptr<float[]> workspace;
   if (plan.has_split()) {
     group_of_tile.assign(static_cast<std::size_t>(plan.num_tiles()), -1);
-    std::map<std::array<int, 3>, std::vector<int>> keyed;
     for (int t = 0; t < plan.num_tiles(); ++t) {
       const auto ti = static_cast<std::size_t>(t);
       const int g = plan.gemm_of_tile[ti];
       const int k = batch[static_cast<std::size_t>(g)].dims.k;
       const auto [kb, ke] = plan.tile_k_range(t, k);
       if (kb == 0 && ke == k) continue;
-      keyed[{g, plan.y_coord[ti], plan.x_coord[ti]}].push_back(t);
+      slices.push_back({g, plan.y_coord[ti], plan.x_coord[ti], kb, t});
     }
+    std::sort(slices.begin(), slices.end());
     std::size_t arena = 0;
-    long long split_tiles = 0;
-    for (auto& [key, tiles] : keyed) {
-      std::sort(tiles.begin(), tiles.end(), [&](int a, int b) {
-        return plan.k_begin[static_cast<std::size_t>(a)] <
-               plan.k_begin[static_cast<std::size_t>(b)];
-      });
-      split_tiles += static_cast<long long>(tiles.size());
-      SplitGroup grp{key[0], key[1], key[2], arena, {}};
-      const TilingStrategy& s = *strategy[static_cast<std::size_t>(key[0])];
-      arena += static_cast<std::size_t>(s.by) * s.bx;
-      for (std::size_t i = 0; i < tiles.size(); ++i) {
-        group_of_tile[static_cast<std::size_t>(tiles[i])] =
-            static_cast<int>(groups.size());
-        if (i > 0) grp.fixup.push_back(tiles[i]);
+    for (std::size_t i = 0; i < slices.size(); ++i) {
+      const auto& [g, ty, tx, kb, t] = slices[i];
+      if (i == 0 || g != slices[i - 1][0] || ty != slices[i - 1][1] ||
+          tx != slices[i - 1][2]) {
+        groups.push_back({g, ty, tx, arena, i, i});
+        const TilingStrategy& s = *strategy[static_cast<std::size_t>(g)];
+        arena += static_cast<std::size_t>(s.by) * s.bx;
       }
-      groups.push_back(std::move(grp));
+      groups.back().end = i + 1;
+      group_of_tile[static_cast<std::size_t>(t)] =
+          static_cast<int>(groups.size()) - 1;
     }
-    workspace.resize(arena);
-    CTB_TEL_COUNT("exec.splitk.tiles", split_tiles);
+    workspace = std::make_unique_for_overwrite<float[]>(arena);
+    CTB_TEL_COUNT("exec.splitk.tiles", slices.size());
     CTB_TEL_COUNT("exec.splitk.groups", groups.size());
   }
 
@@ -586,7 +585,7 @@ void sweep(const BatchPlan& plan, std::span<const GemmOperands> batch,
           run_tile(*strategy[z], batch[z], packs[z], ty, tx, alpha, beta);
         } else if (plan.k_begin[ti] == 0) {
           // Seed the carried chain; fix-up slices wait for the join.
-          float* acc = workspace.data() +
+          float* acc = workspace.get() +
                        groups[static_cast<std::size_t>(grp)].acc_offset;
           accumulate_tile_range(*strategy[z], batch[z], packs[z], ty, tx, 0,
                                 plan.k_end[ti], /*first=*/true, acc);
@@ -606,12 +605,13 @@ void sweep(const BatchPlan& plan, std::span<const GemmOperands> batch,
       const SplitGroup& grp = groups[static_cast<std::size_t>(i)];
       const auto z = static_cast<std::size_t>(grp.gemm);
       const TilingStrategy& s = *strategy[z];
-      float* acc = workspace.data() + grp.acc_offset;
-      for (const int t : grp.fixup)
+      float* acc = workspace.get() + grp.acc_offset;
+      for (std::size_t j = grp.begin + 1; j < grp.end; ++j) {
+        const auto t = static_cast<std::size_t>(slices[j][4]);
         accumulate_tile_range(s, batch[z], packs[z], grp.ty, grp.tx,
-                              plan.k_begin[static_cast<std::size_t>(t)],
-                              plan.k_end[static_cast<std::size_t>(t)],
+                              plan.k_begin[t], plan.k_end[t],
                               /*first=*/false, acc);
+      }
       store_tile(s, batch[z], packs[z], grp.ty, grp.tx, alpha, beta, acc);
     });
   }
