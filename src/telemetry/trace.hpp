@@ -48,7 +48,7 @@ struct TraceContext {
 /// by its to_string name, never by its number.
 enum class FlightKind : std::int32_t {
   kServe = 0,           ///< service response; detail = serve state
-  kPlanDecision,        ///< planner chose a heuristic; a0=blocks a1=tiles
+  kPlanDecision,        ///< planner kept a plan; a0=blocks a1=tiles
   kCacheHit,            ///< plan-cache hit
   kCacheMiss,           ///< plan-cache miss
   kSplitK,              ///< split-K sweep ran; detail = chosen|rejected
