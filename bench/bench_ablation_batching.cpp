@@ -9,7 +9,6 @@
 #include <algorithm>
 
 #include "bench_common.hpp"
-#include "core/tiling_engine.hpp"
 
 int main() {
   using namespace ctb;
@@ -20,33 +19,19 @@ int main() {
   for (int batch : {16, 256}) {
     std::cout << "\n--- batch=" << batch << " ---\n";
     TextTable t;
-    t.set_header({"K", "none(us)", "threshold(us)", "binary(us)",
-                  "packed(us)", "winner"});
+    t.set_header({"K", "none(us)", "threshold(us)", "binary(us)", "winner"});
     for (int k : sweep_k()) {
       const auto dims = equal_case(batch, 128, k);
       const double none = time_ours(arch, dims, BatchingPolicy::kTilingOnly);
       const double thr =
           time_ours(arch, dims, BatchingPolicy::kThresholdOnly);
       const double bin = time_ours(arch, dims, BatchingPolicy::kBinaryOnly);
-      // The packed extension goes through the batching engine directly.
-      PlannerConfig pc;
-      const BatchedGemmPlanner planner(pc);
-      const TilingResult tiling =
-          select_tiling(dims, TilingConfig{pc.tlp_threshold > 0
-                                               ? pc.tlp_threshold
-                                               : 65536});
-      const auto tiles = enumerate_tiles(dims, tiling.per_gemm);
-      const BatchPlan packed = batch_packed(
-          tiles, static_cast<int>(tiling.variant), BatchingConfig{256, 65536});
-      const double pkd = time_plan(arch, packed, dims).time_us;
-      const double best = std::min({none, thr, bin, pkd});
+      const double best = std::min({none, thr, bin});
       const char* winner = best == none  ? "none"
                            : best == thr ? "threshold"
-                           : best == bin ? "binary"
-                                         : "packed";
+                                         : "binary";
       t.add_row({TextTable::fmt(k), TextTable::fmt(none, 1),
-                 TextTable::fmt(thr, 1), TextTable::fmt(bin, 1),
-                 TextTable::fmt(pkd, 1), winner});
+                 TextTable::fmt(thr, 1), TextTable::fmt(bin, 1), winner});
     }
     t.print(std::cout);
   }

@@ -88,11 +88,13 @@ void BM_FunctionalTileGemm(benchmark::State& state) {
 BENCHMARK(BM_FunctionalTileGemm)->Arg(1)->Arg(5)->Arg(11);
 
 // ---------------------------------------------- tile pipeline A/B ------
-// Same-process A/B of the generic staged tile executor vs the executors'
-// dispatched pipeline, per Table-2 strategy id (DenseRange 0-11), over the
-// full tile grid of a Fig. 8-style M=N=K=256 GEMM. Both variants run
-// serially over the identical grid, so the ratio generic/dispatched is the
-// tile-level speedup of packing plus the micro-kernel; on a shared host
+// Same-process A/B of the two ways a tile gets its micro-panels, per
+// Table-2 strategy id (DenseRange 0-11), over the full tile grid of a
+// Fig. 8-style M=N=K=256 GEMM: staged (execute_tile per tile, each tile
+// packing its own micro-panels a chunk of K at a time) vs dispatched
+// (run_single_gemm, which packs each operand once per call). Both run the
+// active ISA's micro-kernel serially over the identical grid, so the ratio
+// is what per-call packing saves over per-tile staging; on a shared host
 // expect +/-50% run-to-run noise, so compare medians of repeated runs.
 struct MicroAbFixture {
   Matrixf a, b, c;
@@ -108,7 +110,7 @@ struct MicroAbFixture {
   }
 };
 
-void BM_ExecuteTileGeneric(benchmark::State& state) {
+void BM_ExecuteTileStaged(benchmark::State& state) {
   const auto& s = batched_strategy_by_id(static_cast<int>(state.range(0)));
   const GemmDims d{256, 256, 256};
   MicroAbFixture f(d);
@@ -121,9 +123,9 @@ void BM_ExecuteTileGeneric(benchmark::State& state) {
     benchmark::DoNotOptimize(f.c.data());
   }
   state.SetItemsProcessed(state.iterations() * d.flops());
-  state.SetLabel(s.name());
+  state.SetLabel(s.name() + " isa=" + simd_isa_name(active_simd_isa()));
 }
-BENCHMARK(BM_ExecuteTileGeneric)->DenseRange(0, 11);
+BENCHMARK(BM_ExecuteTileStaged)->DenseRange(0, 11);
 
 // The B side: the same grid through run_single_gemm, which packs both
 // operands and then runs every tile's dispatched accumulate -> store, under

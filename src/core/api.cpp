@@ -52,6 +52,41 @@ int default_theta(const GpuArch& arch) {
   return 256;
 }
 
+namespace {
+
+/// Planner counters of the plan that BatchedGemmPlanner::plan returns: its
+/// batching heuristic and the shape of its blocks, once per plan rather
+/// than once per candidate the planner built.
+void count_plan(const PlanSummary& summary, std::span<const GemmDims> dims) {
+  if (!telemetry::enabled()) return;
+  switch (summary.heuristic) {
+    case BatchingHeuristic::kThreshold:
+      CTB_TEL_COUNT("plan.heuristic.threshold", 1);
+      break;
+    case BatchingHeuristic::kBinary:
+      CTB_TEL_COUNT("plan.heuristic.binary", 1);
+      break;
+    case BatchingHeuristic::kNone:
+      CTB_TEL_COUNT("plan.heuristic.none", 1);
+      break;
+  }
+  const BatchPlan& plan = summary.plan;
+  for (int b = 0; b < plan.num_blocks(); ++b) {
+    const auto [begin, end] = plan.block_tiles(b);
+    long long sum_k = 0;
+    for (int t = begin; t < end; ++t) {
+      const int g = plan.gemm_of_tile[static_cast<std::size_t>(t)];
+      const auto [kb, ke] =
+          plan.tile_k_range(t, dims[static_cast<std::size_t>(g)].k);
+      sum_k += ke - kb;
+    }
+    CTB_TEL_HIST("batching.tiles_per_block", end - begin);
+    CTB_TEL_HIST("batching.sum_k_per_block", sum_k);
+  }
+}
+
+}  // namespace
+
 PlannerConfig degraded_fallback_config(const PlannerConfig& config) {
   PlannerConfig fallback = config;
   fallback.policy = BatchingPolicy::kThresholdOnly;
@@ -110,6 +145,7 @@ PlanSummary BatchedGemmPlanner::plan(std::span<const GemmDims> dims) const {
       break;
     case BatchingPolicy::kAutoOffline:
       plan_auto_offline(summary, dims, tiles, threads, batching_config);
+      count_plan(summary, dims);
       return summary;
   }
   summary.plan = batch_tiles(summary.heuristic, tiles, threads,
@@ -117,6 +153,7 @@ PlanSummary BatchedGemmPlanner::plan(std::span<const GemmDims> dims) const {
   consider_splitk(summary, tiles, threads, batching_config, dims);
   CTB_TEL_FLIGHT(kPlanDecision, to_string(summary.heuristic),
                  summary.plan.num_blocks(), summary.plan.num_tiles());
+  count_plan(summary, dims);
   return summary;
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "telemetry/telemetry.hpp"
 #include "util/assert.hpp"
 
 namespace ctb {
@@ -56,14 +55,6 @@ BatchPlan build_plan(std::span<const std::vector<Tile>> blocks,
           std::max(plan.regs_per_thread, t.strategy->regs_per_thread());
     }
     plan.tile_offsets.push_back(static_cast<int>(plan.gemm_of_tile.size()));
-  }
-  if (telemetry::enabled()) {
-    for (const auto& block : blocks) {
-      long long sum_k = 0;
-      for (const Tile& t : block) sum_k += t.k;
-      CTB_TEL_HIST("batching.tiles_per_block", block.size());
-      CTB_TEL_HIST("batching.sum_k_per_block", sum_k);
-    }
   }
   return plan;
 }

@@ -15,15 +15,12 @@ const char* to_string(BatchingHeuristic h) {
       return "binary";
     case BatchingHeuristic::kNone:
       return "none";
-    case BatchingHeuristic::kPacked:
-      return "packed";
   }
   return "?";
 }
 
 BatchPlan batch_none(std::span<const Tile> tiles, int block_threads) {
   CTB_TEL_SPAN("plan.batch.none");
-  CTB_TEL_COUNT("plan.heuristic.none", 1);
   std::vector<std::vector<Tile>> blocks;
   blocks.reserve(tiles.size());
   for (const Tile& t : tiles) blocks.push_back({t});
@@ -34,7 +31,6 @@ BatchPlan batch_threshold(std::span<const Tile> tiles, int block_threads,
                           const BatchingConfig& config) {
   CTB_CHECK(config.theta > 0);
   CTB_TEL_SPAN("plan.batch.threshold");
-  CTB_TEL_COUNT("plan.heuristic.threshold", 1);
   std::vector<std::vector<Tile>> blocks;
   std::size_t i = 0;
   while (i < tiles.size()) {
@@ -64,7 +60,6 @@ BatchPlan batch_binary(std::span<const Tile> tiles, int block_threads,
                        const BatchingConfig& config) {
   CTB_CHECK(config.theta > 0);
   CTB_TEL_SPAN("plan.batch.binary");
-  CTB_TEL_COUNT("plan.heuristic.binary", 1);
   std::vector<Tile> sorted(tiles.begin(), tiles.end());
   std::stable_sort(sorted.begin(), sorted.end(),
                    [](const Tile& a, const Tile& b) { return a.k < b.k; });
@@ -95,49 +90,6 @@ BatchPlan batch_binary(std::span<const Tile> tiles, int block_threads,
   return build_plan(blocks, block_threads);
 }
 
-BatchPlan batch_packed(std::span<const Tile> tiles, int block_threads,
-                       const BatchingConfig& config) {
-  CTB_CHECK(config.theta > 0);
-  CTB_TEL_SPAN("plan.batch.packed");
-  CTB_TEL_COUNT("plan.heuristic.packed", 1);
-  // TLP guard: packing below this many blocks would starve the GPU; fall
-  // back to one tile per block exactly like threshold batching's tail.
-  const long long min_blocks =
-      config.tlp_threshold / (2 * block_threads);
-
-  std::vector<Tile> sorted(tiles.begin(), tiles.end());
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const Tile& a, const Tile& b) { return a.k > b.k; });
-
-  std::vector<std::vector<Tile>> blocks;
-  std::vector<long long> load;  // summed K per block
-  // Bounded first fit: scanning a window of recent blocks keeps the pass
-  // O(n * window) while losing almost nothing versus exact FFD.
-  constexpr std::size_t kScanWindow = 256;
-  for (const Tile& t : sorted) {
-    bool placed = false;
-    const std::size_t begin =
-        blocks.size() > kScanWindow ? blocks.size() - kScanWindow : 0;
-    for (std::size_t b = begin; b < blocks.size(); ++b) {
-      if (load[b] + t.k <= config.theta) {
-        blocks[b].push_back(t);
-        load[b] += t.k;
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) {
-      blocks.push_back({t});
-      load.push_back(t.k);
-    }
-  }
-  if (static_cast<long long>(blocks.size()) < min_blocks) {
-    // Packing collapsed the block count below the TLP guard: do not batch.
-    return batch_none(tiles, block_threads);
-  }
-  return build_plan(blocks, block_threads);
-}
-
 BatchPlan batch_tiles(BatchingHeuristic heuristic, std::span<const Tile> tiles,
                       int block_threads, const BatchingConfig& config) {
   switch (heuristic) {
@@ -147,8 +99,6 @@ BatchPlan batch_tiles(BatchingHeuristic heuristic, std::span<const Tile> tiles,
       return batch_binary(tiles, block_threads, config);
     case BatchingHeuristic::kNone:
       return batch_none(tiles, block_threads);
-    case BatchingHeuristic::kPacked:
-      return batch_packed(tiles, block_threads, config);
   }
   CTB_CHECK_MSG(false, "unknown heuristic");
   return {};

@@ -31,11 +31,7 @@ struct BatchingConfig {
   long long tlp_threshold = 65536;
 };
 
-/// kPacked is an extension beyond the paper: first-fit-decreasing bin
-/// packing of tile K values into blocks of capacity theta, combining
-/// threshold batching's depth with binary batching's balance. Evaluated in
-/// bench_ablation_batching; not used by the default policies.
-enum class BatchingHeuristic { kThreshold, kBinary, kNone, kPacked };
+enum class BatchingHeuristic { kThreshold, kBinary, kNone };
 
 const char* to_string(BatchingHeuristic h);
 
@@ -49,11 +45,6 @@ BatchPlan batch_threshold(std::span<const Tile> tiles, int block_threads,
 
 /// Binary batching (ILP priority).
 BatchPlan batch_binary(std::span<const Tile> tiles, int block_threads,
-                       const BatchingConfig& config = {});
-
-/// Extension: first-fit-decreasing packing of K into theta-capacity blocks,
-/// subject to the same TLP guard as threshold batching.
-BatchPlan batch_packed(std::span<const Tile> tiles, int block_threads,
                        const BatchingConfig& config = {});
 
 /// Dispatches on the heuristic enum.

@@ -8,7 +8,6 @@
 
 #include "kernels/packing.hpp"
 #include "kernels/simd.hpp"
-#include "kernels/thread_map.hpp"
 #include "linalg/half.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace.hpp"
@@ -19,19 +18,27 @@ namespace ctb {
 
 namespace {
 
-// Largest tile is 128x128 with BK=8: shared-memory emulation buffers.
+// Largest tile is 128x128: the tile accumulator and a staged tile's
+// micro-panels are sized for it.
 constexpr int kMaxBy = 128;
 constexpr int kMaxBx = 128;
+// Deepest BK step and widest per-thread sub-tile across Tables 1 and 2.
 constexpr int kMaxBk = 8;
-// Widest per-thread sub-tile across Tables 1 and 2.
 constexpr int kMaxSubX = 8;
+// K steps (of kMicroK) a staged tile packs per micro-kernel pass: 32 KiB
+// each of A and B micro-panels at the largest tile.
+constexpr int kStageSteps = 8;
 
-/// Rejects a strategy the staging and accumulator scratch cannot hold, or
-/// whose per-thread sub-tiles do not tile its C tile exactly (the generic
-/// loop walks the threads' sub-tiles). Every Table-1/2 strategy passes; a
-/// caller-built one is checked before any memory is touched.
+int ceil_div(int a, int b) { return (a + b - 1) / b; }
+
+/// Rejects a strategy outside the geometry of Tables 1 and 2 before any
+/// memory is touched: BY and BX must be whole grids of 16x16 micro-tiles
+/// that fit the accumulator, and the per-thread sub-tiles (which the timing
+/// model charges) must tile the C tile exactly. Every Table-1/2 strategy
+/// passes; a caller-built one is checked.
 void check_geometry(const TilingStrategy& s) {
-  CTB_CHECK_MSG(s.by >= 1 && s.by <= kMaxBy && s.bx >= 1 && s.bx <= kMaxBx &&
+  CTB_CHECK_MSG(s.by >= 1 && s.by <= kMaxBy && s.by % kMicroTile == 0 &&
+                    s.bx >= 1 && s.bx <= kMaxBx && s.bx % kMicroTile == 0 &&
                     s.bk >= 1 && s.bk <= kMaxBk && s.sub_y >= 1 &&
                     s.sub_x >= 1 && s.sub_x <= kMaxSubX &&
                     s.by % s.sub_y == 0 && s.bx % s.sub_x == 0 &&
@@ -40,30 +47,11 @@ void check_geometry(const TilingStrategy& s) {
                             << s.by << " BX=" << s.bx << " BK=" << s.bk
                             << " sub-tile " << s.sub_y << 'x' << s.sub_x
                             << " over " << s.threads
-                            << " threads (limits BY, BX <= " << kMaxBy
+                            << " threads (limits BY, BX multiples of "
+                            << kMicroTile << " up to " << kMaxBy
                             << ", BK <= " << kMaxBk << ", sub_x <= "
                             << kMaxSubX << ")");
 }
-
-/// Emulated shared memory for one block: the staged A tile (BY x BK) and
-/// B tile (BK x BX). The per-element values come from staged_a_value /
-/// staged_b_value (packing.hpp) — the same functions the packing pass
-/// resolves once per panel — so the generic and packed paths consume
-/// bit-identical operand values by construction.
-struct SharedTiles {
-  float a[kMaxBy * kMaxBk];
-  float b[kMaxBk * kMaxBx];
-
-  void stage(const TilingStrategy& s, const GemmOperands& g, int row0,
-             int col0, int k0) {
-    for (int i = 0; i < s.by; ++i)
-      for (int p = 0; p < s.bk; ++p)
-        a[i * s.bk + p] = staged_a_value(g, row0 + i, k0 + p);
-    for (int p = 0; p < s.bk; ++p)
-      for (int j = 0; j < s.bx; ++j)
-        b[p * s.bx + j] = staged_b_value(g, k0 + p, col0 + j);
-  }
-};
 
 /// One GEMM's fused epilogue chain, decoded once per executor call so the
 /// tile store does not re-read the packed spec for every tile.
@@ -85,9 +73,9 @@ struct EpilogueChain {
 };
 
 /// How one GEMM's tiles run in one executor call, resolved once per GEMM:
-/// the packed panels (invalid: the GEMM runs unpacked, so its tiles stage
-/// through SharedTiles), the call's micro-kernel, the vector row store
-/// (null: the scalar per-element store) and the decoded epilogue chain.
+/// the packed panels (invalid: each tile stages its own micro-panels), the
+/// call's micro-kernel, the vector row store (null: the scalar per-element
+/// store) and the decoded epilogue chain.
 struct PackedDispatch {
   PackedGemm pack;
   SimdMicroKernelFn kernel = nullptr;
@@ -95,9 +83,27 @@ struct PackedDispatch {
   EpilogueChain epilogue;
 };
 
+/// The ISA every tile of one call runs under, read once per call: the
+/// active one, or scalar when it has no kernel on this host (neon on
+/// x86-64).
+SimdIsa call_isa() {
+  const SimdIsa isa = active_simd_isa();
+  return simd_micro_kernel(isa) != nullptr ? isa : SimdIsa::kScalar;
+}
+
+/// The unpacked dispatch of `g` under `isa`: its tiles stage their own
+/// micro-panels for the ISA's micro-kernel.
+PackedDispatch staged_dispatch(const GemmOperands& g, SimdIsa isa) {
+  PackedDispatch d;
+  d.kernel = simd_micro_kernel(isa);
+  d.store_row = simd_epilogue_row(isa);
+  d.epilogue = EpilogueChain(g.epilogue);
+  return d;
+}
+
 /// Per-ISA tile accounting: exec.simd.* partitions every executed tile by
-/// the ISA that ran it (generic-executor tiles count as scalar), so the
-/// four counters always sum to the call's total tiles.
+/// the ISA whose micro-kernel ran it, so the four counters always sum to
+/// the call's total tiles.
 void count_simd_tiles(SimdIsa isa, long long tiles) {
   switch (isa) {
     case SimdIsa::kAvx512:
@@ -118,28 +124,25 @@ void count_simd_tiles(SimdIsa isa, long long tiles) {
 /// Dispatch accounting for `tiles` tiles of one GEMM that resolved to `d`
 /// in a call whose micro-kernel belongs to `isa`.
 void count_dispatch(const PackedDispatch& d, SimdIsa isa, long long tiles) {
-  if (d.pack.valid()) {
+  if (d.pack.valid())
     CTB_TEL_COUNT("exec.dispatch.specialized", tiles);
-    count_simd_tiles(isa, tiles);
-  } else {
+  else
     CTB_TEL_COUNT("exec.dispatch.generic", tiles);
-    count_simd_tiles(SimdIsa::kScalar, tiles);
-  }
+  count_simd_tiles(isa, tiles);
 }
 
 /// Per-thread panel arena: every panel set an executor call packs is carved
 /// from the calling thread's arena, which grows to the largest call and is
 /// then reused — no per-call allocation and no zero-fill (packing writes
 /// every float). It holds at most the admitted bytes of one call, so it
-/// never exceeds the budget in force when it last grew; a budget lowered
-/// since then frees the excess at the next packing call.
+/// never exceeds kPackCallBudgetBytes.
 struct PackArena {
   std::unique_ptr<float[]> buf;
   std::size_t capacity = 0;  // floats
   bool leased = false;       // an executor call on this thread is using it
 
   float* reserve(std::size_t floats) {
-    if (floats > capacity || capacity * sizeof(float) > pack_arena_budget()) {
+    if (floats > capacity) {
       buf.reset();  // free first: the peak stays one arena, not two
       buf = std::make_unique_for_overwrite<float[]>(floats);
       capacity = floats;
@@ -173,12 +176,10 @@ class ArenaLease {
 /// The packed operands of one executor call: decides and packs in one
 /// place, and resolves each GEMM's PackedDispatch.
 ///
-/// The packing rule: a GEMM packs when its strategy's BY and BX are
-/// multiples of kMicroTile (every Table-1/2 strategy; a caller-built 24x24
-/// tile runs generic) and the pack budgets admit it. Admission is per GEMM,
-/// serial in batch order: the footprint must fit both the per-GEMM cap (one
-/// oversized GEMM falls back to generic without starving the rest of the
-/// batch) and the call's remaining cumulative arena budget.
+/// The packing rule: a GEMM packs when its footprint still fits the call's
+/// budget. Admission is per GEMM, serial in batch order, and a GEMM that
+/// does not fit consumes none of the budget: its tiles stage their own
+/// micro-panels, and the GEMMs after it may still pack.
 ///
 /// Each admitted GEMM then resolves its A and B panel sets by PanelKey: a
 /// set an earlier GEMM of the call already resolved is shared, so an
@@ -209,17 +210,15 @@ CallPacks::CallPacks(const BatchPlan& plan,
     : dispatch_(batch.size()) {
   // Per GEMM: tiles the call runs, and the micro-panels they read (one A
   // panel per 16 in-range rows and one B panel per 16 in-range columns).
-  const auto micro_tiles = [](int extent) {
-    return (extent + kMicroTile - 1) / kMicroTile;
-  };
   std::vector<long long> tiles(batch.size(), 0), reads(batch.size(), 0);
   for (std::size_t t = 0; t < plan.gemm_of_tile.size(); ++t) {
     const auto z = static_cast<std::size_t>(plan.gemm_of_tile[t]);
     const TilingStrategy& s = *strategy[z];
     const GemmDims& d = batch[z].dims;
     ++tiles[z];
-    reads[z] += micro_tiles(std::min(s.by, d.m - plan.y_coord[t] * s.by)) +
-                micro_tiles(std::min(s.bx, d.n - plan.x_coord[t] * s.bx));
+    reads[z] +=
+        ceil_div(std::min(s.by, d.m - plan.y_coord[t] * s.by), kMicroTile) +
+        ceil_div(std::min(s.bx, d.n - plan.x_coord[t] * s.bx), kMicroTile);
   }
   // One distinct panel set of the call, packed from the first GEMM that
   // needs it (any GEMM with a matching key yields the same bytes).
@@ -230,32 +229,18 @@ CallPacks::CallPacks(const BatchPlan& plan,
   };
   std::vector<Slot> slots;
   std::vector<std::array<int, 2>> slot_of(batch.size(), {-1, -1});
-  // Read once: every tile of the call runs under one ISA. An ISA without a
-  // kernel on this host (neon on x86-64) runs the scalar one.
-  const std::size_t budget = pack_arena_budget();
-  SimdIsa isa = active_simd_isa();
-  SimdMicroKernelFn kernel = simd_micro_kernel(isa);
-  if (kernel == nullptr) {
-    isa = SimdIsa::kScalar;
-    kernel = simd_micro_kernel(isa);
-  }
-  const SimdEpilogueRowFn store_row = simd_epilogue_row(isa);
+  const SimdIsa isa = call_isa();
   std::size_t used = 0;
   std::size_t arena_floats = 0;
   long long distinct_panels = 0;
   for (std::size_t z = 0; z < batch.size(); ++z) {
     if (strategy[z] == nullptr) continue;
-    const TilingStrategy& s = *strategy[z];
     const GemmOperands& g = batch[z];
     PackedDispatch& d = dispatch_[z];
-    d.store_row = store_row;
-    d.epilogue = EpilogueChain(g.epilogue);
+    d = staged_dispatch(g, isa);
     const std::size_t bytes = pack_footprint_bytes(g.dims);
-    if (s.by % kMicroTile != 0 || s.bx % kMicroTile != 0 ||
-        bytes > pack_gemm_budget() || bytes > budget || used > budget - bytes)
-      continue;
+    if (bytes > kPackCallBudgetBytes - used) continue;
     used += bytes;
-    d.kernel = kernel;
     d.pack = packed_view(g.dims, nullptr, nullptr);
     for (const PanelSide side : {PanelSide::kA, PanelSide::kB}) {
       const PanelKey key = panel_key(side, g);
@@ -289,7 +274,7 @@ CallPacks::CallPacks(const BatchPlan& plan,
     count_dispatch(d, isa, tiles[z]);
   }
   // Every micro-panel read past the first of each distinct micro-panel is a
-  // staging the generic path would repeat.
+  // staging the staged mode would repeat.
   if (packed_reads > 0)
     CTB_TEL_COUNT("exec.pack.reuse", packed_reads - distinct_panels);
 }
@@ -307,10 +292,10 @@ CallPacks::CallPacks(const BatchPlan& plan,
 // ------------------------------------------------------ tile pipeline ----
 //
 // Every tile runs accumulate_tile_range over its K range into a row-major
-// BY x BX accumulator, then store_tile. Per C element both accumulation
-// loops — the generic staged loop and the micro-kernel walk over packed
-// micro-panels — add the same staged values in ascending (k0, p) order, so
-// which loop ran never shows in the bits.
+// BY x BX accumulator, then store_tile. Accumulation is one loop: the
+// call's micro-kernel over micro-panels, packed per call or staged per
+// tile. Per C element both add the same staged values in ascending
+// (k0, p) order, so which mode ran never shows in the bits.
 //
 // Split-K: a split tile executes only the K range [k_lo, k_hi) of its
 // coordinate. Float addition is not associative, so zero-based per-slice
@@ -322,71 +307,44 @@ CallPacks::CallPacks(const BatchPlan& plan,
 // before the store. The reduction tree is thus the unique order-preserving
 // (left-spine) tree; no atomics, one deterministic owner per C tile.
 
-/// Generic staged accumulation of K range [k_lo, k_hi) of tile (ty, tx):
-/// the Fig. 2 skeleton, each emulated thread walking its register sub-tile
-/// over the staged tiles. The reference the micro-kernels must match.
-void accumulate_tile_generic(const TilingStrategy& s, const GemmOperands& g,
-                             int ty, int tx, int k_lo, int k_hi, bool first,
-                             float* acc) {
-  const int row0 = ty * s.by;
-  const int col0 = tx * s.bx;
-  if (first) std::fill_n(acc, s.by * s.bx, 0.0f);
-  static thread_local SharedTiles shared;
-  for (int k0 = k_lo; k0 < k_hi; k0 += s.bk) {
-    shared.stage(s, g, row0, col0, k0);
-    for (int t = 0; t < s.threads; ++t) {
-      const SubTileOrigin o = thread_sub_tile(s, t);
-      if (s.sub_x == 1) {
-        // One C element per row: the j-inner form would pay a degenerate
-        // inner loop per FMA, so reduce to a plain dot product (same
-        // ascending-p order, so still bit-identical).
-        const float* sbcol = &shared.b[o.col];
-        for (int i = 0; i < s.sub_y; ++i) {
-          const float* sa = &shared.a[(o.row + i) * s.bk];
-          float sum = acc[(o.row + i) * s.bx + o.col];
-          for (int p = 0; p < s.bk; ++p) sum += sa[p] * sbcol[p * s.bx];
-          acc[(o.row + i) * s.bx + o.col] = sum;
-        }
-        continue;
-      }
-      for (int i = 0; i < s.sub_y; ++i) {
-        const float* sa = &shared.a[(o.row + i) * s.bk];
-        float* arow = &acc[(o.row + i) * s.bx + o.col];
-        // The thread's "registers": a local row that cannot alias the
-        // staged tiles, so the BK step stays in vector registers.
-        float row[kMaxSubX];
-        for (int j = 0; j < s.sub_x; ++j) row[j] = arow[j];
-        for (int p = 0; p < s.bk; ++p) {
-          const float av = sa[p];
-          const float* sb = &shared.b[p * s.bx + o.col];
-          for (int j = 0; j < s.sub_x; ++j) row[j] += av * sb[j];
-        }
-        for (int j = 0; j < s.sub_x; ++j) arow[j] = row[j];
-      }
-    }
-  }
-}
-
-/// Accumulates K range [k_lo, k_hi) of tile (ty, tx) into `acc`: a packed
-/// GEMM's tile runs the call's micro-kernel over the micro-tiles that
-/// intersect the matrix (overwrite for the first slice, continue the
-/// carried chain after), an unpacked one the generic staged loop. A slice
-/// sequence ending at K equals one unsplit pass exactly. Split slices of a
-/// validated plan start at multiples of BK = 8 = kMicroK, so every slice
-/// covers whole micro-panel steps.
+/// Accumulates K range [k_lo, k_hi) of tile (ty, tx) into `acc`: the
+/// call's micro-kernel runs over the micro-tiles that intersect the matrix
+/// (overwrite for the first slice, continue the carried chain after). A
+/// packed GEMM's tile reads the call's panel sets. Any other tile packs
+/// its own micro-panels, kStageSteps K steps at a time, into scratch in
+/// this frame and continues the chain across the chunks — an exact reload,
+/// so the bits equal one pass over packed panels. A slice sequence ending
+/// at K equals one unsplit pass exactly. Split slices of a validated plan
+/// start at multiples of BK = 8 = kMicroK, so every slice covers whole
+/// micro-panel steps.
 void accumulate_tile_range(const TilingStrategy& s, const GemmOperands& g,
                            const PackedDispatch& d, int ty, int tx, int k_lo,
                            int k_hi, bool first, float* acc) {
+  const GemmDims& dims = g.dims;
+  const int rows = std::min(s.by, dims.m - ty * s.by);
+  const int cols = std::min(s.bx, dims.n - tx * s.bx);
+  const int row_panel = ty * s.by / kMicroTile;
+  const int col_panel = tx * s.bx / kMicroTile;
+  const int step_lo = k_lo / kMicroK;
+  const int step_hi =
+      k_hi >= dims.k ? ceil_div(dims.k, kMicroK) : k_hi / kMicroK;
   if (d.pack.valid()) {
-    const GemmDims& dims = g.dims;
-    accumulate_micro_tiles(
-        d.kernel, d.pack, ty * s.by / kMicroTile, tx * s.bx / kMicroTile,
-        std::min(s.by, dims.m - ty * s.by), std::min(s.bx, dims.n - tx * s.bx),
-        k_lo / kMicroK, k_hi >= dims.k ? d.pack.nsteps : k_hi / kMicroK,
-        !first, acc, s.bx);
+    accumulate_micro_tiles(d.kernel, d.pack, row_panel, col_panel, rows, cols,
+                           step_lo, step_hi, !first, acc, s.bx);
     return;
   }
-  accumulate_tile_generic(s, g, ty, tx, k_lo, k_hi, first, acc);
+  alignas(64) float a[kMaxBy / kMicroTile * kStageSteps * kMicroBlock];
+  alignas(64) float b[kMaxBx / kMicroTile * kStageSteps * kMicroBlock];
+  for (int lo = step_lo; lo < step_hi; lo += kStageSteps) {
+    const int hi = std::min(step_hi, lo + kStageSteps);
+    pack_panels(PanelSide::kA, g, row_panel, ceil_div(rows, kMicroTile), lo,
+                hi, a);
+    pack_panels(PanelSide::kB, g, col_panel, ceil_div(cols, kMicroTile), lo,
+                hi, b);
+    accumulate_micro_tiles(d.kernel, PackedGemm{hi - lo, a, b}, 0, 0, rows,
+                           cols, 0, hi - lo, !first || lo > step_lo, acc,
+                           s.bx);
+  }
 }
 
 /// Scalar application of the value-op chain to one element's base value at
@@ -496,11 +454,13 @@ void store_tile(const TilingStrategy& s, const GemmOperands& g,
   }
 }
 
-/// One whole tile: the full K range, then the store.
+/// One whole tile: the full K range, then the store. The accumulator lives
+/// in this frame, so an executor call nested in a gather that this tile's
+/// staging invokes cannot overwrite it.
 void run_tile(const TilingStrategy& s, const GemmOperands& g,
               const PackedDispatch& d, int ty, int tx, float alpha,
               float beta) {
-  alignas(64) static thread_local float acc[kMaxBy * kMaxBx];
+  alignas(64) float acc[kMaxBy * kMaxBx];
   accumulate_tile_range(s, g, d, ty, tx, 0, g.dims.k, /*first=*/true, acc);
   store_tile(s, g, d, ty, tx, alpha, beta, acc);
 }
@@ -628,10 +588,7 @@ void execute_tile(const TilingStrategy& s, const GemmOperands& g, int ty,
                     static_cast<long long>(tx) * s.bx < g.dims.n,
                 "tile (" << ty << "," << tx << ") outside GEMM");
   check_epilogue_beta(g, beta, 0);
-  PackedDispatch generic;
-  generic.store_row = simd_epilogue_row(active_simd_isa());
-  generic.epilogue = EpilogueChain(g.epilogue);
-  run_tile(s, g, generic, ty, tx, alpha, beta);
+  run_tile(s, g, staged_dispatch(g, call_isa()), ty, tx, alpha, beta);
 }
 
 void run_single_gemm(const TilingStrategy& s, const GemmOperands& g,

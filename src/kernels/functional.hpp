@@ -8,17 +8,15 @@
 // changes only timing, not values, so the functional path uses single
 // buffers; the timing model accounts for the pipeline.
 //
-// Every tile runs one pipeline: accumulate its K range into a row-major
-// accumulator, then one store (alpha/beta, fp16 rounding, the fused
-// epilogue chain). The accumulation loop is resolved once per GEMM and call:
-// a GEMM whose tile extents are whole 16x16 micro-tiles and whose packed
-// footprint fits the pack arena budget is packed once as micro-panels
-// (packing.hpp), and its tiles run the active ISA's one micro-kernel
-// (simd.hpp) over their micro-tiles; any other GEMM stages its operands per
-// tile through the generic Fig. 2 loop (emulated shared memory, per-thread
-// register sub-tiles). Both add the same staged values in the same (k0, p)
-// order, so results are bit-exact across paths and executors;
-// `exec.dispatch.{specialized,generic}` count packed and unpacked tiles.
+// Every tile runs one pipeline: the active ISA's one micro-kernel
+// (simd.hpp) accumulates its K range over its 16x16 micro-tiles into a
+// row-major accumulator, then one store (alpha/beta, fp16 rounding, the
+// fused epilogue chain). The kernel reads micro-panels (packing.hpp): a
+// GEMM whose footprint fits the call's pack budget is packed once per call,
+// and every other tile stages its own micro-panels a chunk of K at a time.
+// Both modes add the same staged values in the same (k0, p) order, so
+// results are bit-exact across modes, executors and ISAs;
+// `exec.dispatch.{specialized,generic}` count packed and staged tiles.
 //
 // Execution is block-parallel on the host: blocks fan out over
 // ctb::parallel_for (OpenMP, serial fallback). This is safe and bit-exact
@@ -79,11 +77,12 @@ struct GemmOperands {
   EpilogueArgs epilogue_args;
 };
 
-/// Executes one C tile (ty, tx) of `g` under `strategy` through the generic
-/// path: stages A/B tiles through an emulated shared memory, accumulates
-/// per-thread register sub-tiles over the K loop, and applies the tile
-/// store. Audits `g` (audit_operands) and rejects a geometry the scratch
-/// cannot hold or a tile outside the GEMM before touching memory.
+/// Executes one C tile (ty, tx) of `g` under `strategy` in the staged mode:
+/// the tile packs its own micro-panels, runs the active ISA's micro-kernel
+/// over them, and applies the tile store. Audits `g` (audit_operands) and
+/// rejects a geometry outside Tables 1 and 2's (check_geometry: BY and BX
+/// multiples of 16 up to 128, BK <= 8, sub-tiles covering the tile) or a
+/// tile outside the GEMM before touching memory.
 void execute_tile(const TilingStrategy& strategy, const GemmOperands& g,
                   int ty, int tx, float alpha, float beta);
 

@@ -1,59 +1,12 @@
 #include "kernels/packing.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
 
 #include "telemetry/telemetry.hpp"
 #include "util/assert.hpp"
 
 namespace ctb {
-
-namespace {
-
-constexpr std::size_t kDefaultPackArenaBytes = 256u << 20;  // 256 MiB
-constexpr std::size_t kDefaultPackGemmBytes = 64u << 20;    // 64 MiB
-
-std::size_t env_bytes_or(const char* name, std::size_t fallback) {
-  const char* env = std::getenv(name);
-  if (env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end != nullptr && *end == '\0') return static_cast<std::size_t>(v);
-  }
-  return fallback;
-}
-
-std::atomic<std::size_t>& pack_budget_atomic() {
-  static std::atomic<std::size_t> budget{
-      env_bytes_or("CTB_PACK_BUDGET", kDefaultPackArenaBytes)};
-  return budget;
-}
-
-std::atomic<std::size_t>& pack_gemm_budget_atomic() {
-  static std::atomic<std::size_t> budget{
-      env_bytes_or("CTB_PACK_GEMM_BUDGET", kDefaultPackGemmBytes)};
-  return budget;
-}
-
-}  // namespace
-
-std::size_t pack_arena_budget() {
-  return pack_budget_atomic().load(std::memory_order_relaxed);
-}
-
-void set_pack_arena_budget(std::size_t bytes) {
-  pack_budget_atomic().store(bytes, std::memory_order_relaxed);
-}
-
-std::size_t pack_gemm_budget() {
-  return pack_gemm_budget_atomic().load(std::memory_order_relaxed);
-}
-
-void set_pack_gemm_budget(std::size_t bytes) {
-  pack_gemm_budget_atomic().store(bytes, std::memory_order_relaxed);
-}
 
 namespace {
 
@@ -143,21 +96,17 @@ std::size_t pack_footprint_bytes(const GemmDims& d) {
          sizeof(float);
 }
 
-void pack_panel_set(PanelSide side, const GemmOperands& g, float* out) {
-  CTB_CHECK(g.a != nullptr && g.dims.valid());
-  CTB_CHECK_MSG(g.b != nullptr || g.b_gather,
-                "B operand needs storage or a gather");
+void pack_panels(PanelSide side, const GemmOperands& g, int first_panel,
+                 int panels, int step_lo, int step_hi, float* out) {
   const bool a_side = side == PanelSide::kA;
-  const int panels = micro_panel_count(side, g.dims);
-  const int nsteps = ceil_div(g.dims.k, kMicroK);
   const int rows = a_side ? kMicroTile : kMicroK;  // block rows x cols
   const int cols = a_side ? kMicroK : kMicroTile;
   const bool copy = g.precision == Precision::kFp32 &&
                     (a_side || !g.b_gather);
   float* blk = out;
-  for (int t = 0; t < panels; ++t) {
+  for (int t = first_panel; t < first_panel + panels; ++t) {
     const int origin = t * kMicroTile;
-    for (int step = 0; step < nsteps; ++step, blk += kMicroBlock) {
+    for (int step = step_lo; step < step_hi; ++step, blk += kMicroBlock) {
       const int k0 = step * kMicroK;
       if (copy) {
         if (a_side)
@@ -174,6 +123,14 @@ void pack_panel_set(PanelSide side, const GemmOperands& g, float* out) {
                                   : staged_b_value(g, k0 + r, origin + c);
     }
   }
+}
+
+void pack_panel_set(PanelSide side, const GemmOperands& g, float* out) {
+  CTB_CHECK(g.a != nullptr && g.dims.valid());
+  CTB_CHECK_MSG(g.b != nullptr || g.b_gather,
+                "B operand needs storage or a gather");
+  const int panels = micro_panel_count(side, g.dims);
+  pack_panels(side, g, 0, panels, 0, ceil_div(g.dims.k, kMicroK), out);
   CTB_TEL_COUNT("exec.pack.panels", panels);
   CTB_TEL_COUNT("exec.pack.bytes",
                 panel_set_floats(side, g.dims) * sizeof(float));

@@ -1,34 +1,35 @@
-// Operand micro-panel packing for the packed tiles.
+// Operand micro-panel packing for the tile pipeline.
 //
-// The generic executor re-stages the same A row-panel for every tile in a
-// C-tile row and the same B column-panel for every tile in a C-tile column,
-// paying per-element bounds/transpose/fp16/gather branches each time. The
-// packing pass resolves all of that once per operand: a *panel set* holds
-// one operand of one GEMM as micro-panels — A as kMicroTile-row panels, B
-// as kMicroTile-column panels (simd.hpp) — each a sequence of kMicroK-deep
-// blocks (A block `a[i * kMicroK + p]`, B block `b[p * kMicroTile + j]`,
-// zero-padded past the matrix edges, values rounded through binary16 on
-// the fp16 path, `b_gather` materialized). The layout does not depend on
-// the tiling strategy: a packed BY x BX tile is a grid of 16 x 16
-// micro-tiles, each run by the active ISA's one micro-kernel. A set is
-// identified by its PanelKey, so the GEMMs of one executor call that read
-// the same operand share one set whatever their strategies (DESIGN.md §9).
+// Every tile runs the active ISA's one micro-kernel (simd.hpp) over its
+// 16 x 16 micro-tiles, and the kernel reads operands as micro-panels: A as
+// kMicroTile-row panels, B as kMicroTile-column panels, each a sequence of
+// kMicroK-deep blocks (A block `a[i * kMicroK + p]`, B block
+// `b[p * kMicroTile + j]`, zero-padded past the matrix edges, values
+// rounded through binary16 on the fp16 path, `b_gather` materialized).
+// `pack_panels` writes any range of panels and K steps of one operand, so
+// both ways a tile gets its panels read operands through one packer:
+//
+// - A GEMM the call's budget admits is packed once per executor call as
+//   two *panel sets* (every panel, every step — `pack_panel_set`). The
+//   layout does not depend on the tiling strategy, and a set is identified
+//   by its PanelKey, so the GEMMs of one call that read the same operand
+//   share one set whatever their strategies (DESIGN.md §9).
+// - Any other tile stages its own micro-panels, a fixed chunk of K steps at
+//   a time, into scratch on its own stack (functional.cpp).
 //
 // Bit-exactness: `staged_a_value` / `staged_b_value` are the single source
-// of truth for staged operand values — the generic executor's SharedTiles
-// staging calls the same functions. fp32 operands in memory are copied by
+// of truth for staged operand values. fp32 operands in memory are copied by
 // branch-free fixed-width copies instead, which read the same elements and
-// write the same +0.0f padding, so a packed block holds exactly the values
-// the generic path would have staged. K pads to a multiple of kMicroK
-// rather than of the strategy's BK, and that cannot show: past K every
-// product is 0 * 0 = +0, and a chain that starts from +0 is never -0 under
-// round-to-nearest, so adding +0 leaves it unchanged.
+// write the same +0.0f padding, so a block holds exactly the staged values.
+// K pads to a multiple of kMicroK rather than of the strategy's BK, and that
+// cannot show: past K every product is 0 * 0 = +0, and a chain that starts
+// from +0 is never -0 under round-to-nearest, so adding +0 leaves it
+// unchanged.
 //
-// Panel storage is transient per executor call, carved from a per-thread
-// arena and bounded by the pack-arena budget (see `pack_arena_budget`): a
-// call admits eligible GEMMs in batch order until the budget is exhausted,
-// and every GEMM past that point runs through the generic unpacked staging
-// path instead.
+// Panel sets are transient per executor call, carved from a per-thread
+// arena and bounded by kPackCallBudgetBytes: a call admits GEMMs in batch
+// order while their footprints fit, and the tiles of every GEMM past that
+// point stage their own micro-panels instead.
 #pragma once
 
 #include <cstddef>
@@ -106,23 +107,32 @@ int micro_panel_count(PanelSide side, const GemmDims& d);
 /// blocks of kMicroBlock floats.
 std::size_t panel_set_floats(PanelSide side, const GemmDims& d);
 
-/// Writes the `side` panel set of `g` to `out`, which holds
-/// panel_set_floats(side, g.dims) floats of any prior content. Counts
-/// `exec.pack.panels` and `exec.pack.bytes` for the one set. Safe to call
-/// from inside a parallel_for worker (it only reads `g` and writes `out`).
+/// Writes micro-panels [first_panel, first_panel + panels) of the `side`
+/// operand of `g`, K steps [step_lo, step_hi) of each, to `out`: panel by
+/// panel, each (step_hi - step_lo) consecutive kMicroBlock-float blocks.
+/// The panels must intersect the matrix and the steps lie below
+/// ceil(K / kMicroK). Counts nothing; safe to call from inside a
+/// parallel_for worker (it only reads `g` and writes `out`).
+void pack_panels(PanelSide side, const GemmOperands& g, int first_panel,
+                 int panels, int step_lo, int step_hi, float* out);
+
+/// Writes the whole `side` panel set of `g` to `out`, which holds
+/// panel_set_floats(side, g.dims) floats of any prior content, and counts
+/// `exec.pack.panels` and `exec.pack.bytes` for the one set.
 void pack_panel_set(PanelSide side, const GemmOperands& g, float* out);
 
-/// Packed panels of one GEMM as the micro-kernels read them: its A and B
-/// panel sets. A view — the sets belong to the executor call's arena, live
-/// only as long as that call, and may be shared with other GEMMs of the
-/// call.
+/// Micro-panels as the micro-kernel reads them: a GEMM's A and B panel
+/// sets, or the chunk a staged tile packed for itself. A view — panel sets
+/// belong to the executor call's arena, live only as long as that call, and
+/// may be shared with other GEMMs of the call.
 ///
 /// Layout: A micro-panel `r` holds `nsteps` consecutive 16 x 8 blocks,
 /// block `step` storing staged A(16r + i, 8 step + p) at `[i * 8 + p]`;
 /// B micro-panel `c` holds `nsteps` 8 x 16 blocks, block `step` storing
-/// staged B(8 step + p, 16c + j) at `[p * 16 + j]`.
+/// staged B(8 step + p, 16c + j) at `[p * 16 + j]` (a staged chunk numbers
+/// its panels and steps from its first ones).
 struct PackedGemm {
-  int nsteps = 0;  ///< K-steps: ceil(K / kMicroK)
+  int nsteps = 0;  ///< K steps per panel: ceil(K / kMicroK) for a set
   const float* a = nullptr;
   const float* b = nullptr;
 
@@ -139,9 +149,15 @@ struct PackedGemm {
 PackedGemm packed_view(const GemmDims& d, const float* a, const float* b);
 
 /// Bytes of both panel sets of a GEMM with dims `d` — the per-GEMM figure
-/// admission charges against the pack-arena budget, whether or not the
+/// admission charges against kPackCallBudgetBytes, whether or not the
 /// GEMM's sets end up shared.
 std::size_t pack_footprint_bytes(const GemmDims& d);
+
+/// Panel bytes one executor call may pack: GEMMs are admitted in batch order
+/// while their footprints still fit, and the tiles of the rest stage their
+/// own micro-panels. The packed and staged modes are bit-identical, so the
+/// budget bounds memory and never changes a value.
+inline constexpr std::size_t kPackCallBudgetBytes = std::size_t{256} << 20;
 
 /// Runs `kernel` over the micro-tiles of one packed tile that intersect the
 /// matrix: the tile's top-left micro-panels are A panel `row_panel` and B
@@ -154,52 +170,5 @@ void accumulate_micro_tiles(SimdMicroKernelFn kernel, const PackedGemm& pk,
                             int row_panel, int col_panel, int rows, int cols,
                             int step_lo, int step_hi, bool accumulate,
                             float* acc, int ld_acc);
-
-/// Pack-arena budget in bytes for a single executor call (default 256 MiB,
-/// overridable at startup with CTB_PACK_BUDGET=<bytes>). GEMMs whose packs
-/// would push the call's cumulative packed bytes past the budget fall back
-/// to the generic unpacked staging path; 0 disables packing entirely (the
-/// lever the bit-exactness tests use to force the generic path).
-std::size_t pack_arena_budget();
-void set_pack_arena_budget(std::size_t bytes);
-
-/// Per-GEMM pack admission cap in bytes (default 64 MiB, overridable at
-/// startup with CTB_PACK_GEMM_BUDGET=<bytes>). A single GEMM whose pack
-/// footprint exceeds this runs generic without consuming any of the
-/// cumulative arena budget, so one oversized GEMM cannot starve the rest of
-/// the batch out of packing; 0 disables packing for every GEMM (equivalent
-/// to a zero arena budget).
-std::size_t pack_gemm_budget();
-void set_pack_gemm_budget(std::size_t bytes);
-
-/// RAII budget override for tests and benchmarks.
-class ScopedPackArenaBudget {
- public:
-  explicit ScopedPackArenaBudget(std::size_t bytes)
-      : saved_(pack_arena_budget()) {
-    set_pack_arena_budget(bytes);
-  }
-  ~ScopedPackArenaBudget() { set_pack_arena_budget(saved_); }
-  ScopedPackArenaBudget(const ScopedPackArenaBudget&) = delete;
-  ScopedPackArenaBudget& operator=(const ScopedPackArenaBudget&) = delete;
-
- private:
-  std::size_t saved_;
-};
-
-/// RAII per-GEMM cap override for tests and benchmarks.
-class ScopedPackGemmBudget {
- public:
-  explicit ScopedPackGemmBudget(std::size_t bytes)
-      : saved_(pack_gemm_budget()) {
-    set_pack_gemm_budget(bytes);
-  }
-  ~ScopedPackGemmBudget() { set_pack_gemm_budget(saved_); }
-  ScopedPackGemmBudget(const ScopedPackGemmBudget&) = delete;
-  ScopedPackGemmBudget& operator=(const ScopedPackGemmBudget&) = delete;
-
- private:
-  std::size_t saved_;
-};
 
 }  // namespace ctb

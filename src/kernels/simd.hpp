@@ -1,20 +1,20 @@
-// Runtime-dispatched packed micro-kernels.
+// Runtime-dispatched micro-kernels.
 //
-// Every packed tile runs as a grid of kMicroTile x kMicroTile micro-tiles
-// (packing.hpp), and each ISA has exactly one micro-kernel for them: the
-// per-ISA translation units (simd_avx2.cpp, simd_avx512.cpp,
-// simd_neon.cpp) instantiate the shared kernel (simd_kernels.inl) at their
-// vector width, and simd.cpp holds the fixed-bound plain C++ kernel of the
-// scalar ISA. The kernels vectorize along the j (x) axis, so every vector
-// lane owns exactly one C element.
+// Every tile runs as a grid of kMicroTile x kMicroTile micro-tiles over
+// micro-panels (packing.hpp), packed per call or staged per tile, and each
+// ISA has exactly one micro-kernel for them: the per-ISA translation units
+// (simd_avx2.cpp, simd_avx512.cpp, simd_neon.cpp) instantiate the shared
+// kernel (simd_kernels.inl) at their vector width, and simd.cpp holds the
+// fixed-bound plain C++ kernel of the scalar ISA. The kernels vectorize
+// along the j (x) axis, so every vector lane owns exactly one C element.
 //
 // Determinism (DESIGN.md §6): lanes are independent C elements, so each
 // element's accumulation chain is still scalar-ordered — ascending (k0, p)
 // over the staged panel values — and the multiply and add are written as
 // separate statements under the global -ffp-contract=off, so no lane ever
 // sees a fused or reassociated operation. Every ISA's kernel is
-// bit-identical to the generic executor for every strategy, precision,
-// transpose mode, and gather.
+// bit-identical to the scalar one and to reference_gemm for every
+// strategy, precision, transpose mode, and gather, packed or staged.
 //
 // Dispatch: `detected_simd_isa()` probes the host once (CPUID on x86-64,
 // NEON is baseline on aarch64); `active_simd_isa()` starts from the
@@ -22,7 +22,7 @@
 // in the environment, and is clamped so it never exceeds what the host
 // supports. Building with -DCTB_SIMD=OFF compiles every vector kernel to a
 // null stub and detection reports kScalar, so the scalar kernel carries
-// every packed tile.
+// every tile.
 //
 // This header deliberately defines no inline functions: it is included by
 // translation units compiled with different target flags (-mavx2, -mavx512f),

@@ -1,27 +1,15 @@
 // Thread-to-sub-tile mapping inside a C tile.
 //
 // The BY x BX tile is covered by a (BY/sub_y) x (BX/sub_x) grid of per-thread
-// sub-tiles; thread t owns sub-tile (t / cols, t % cols) in row-major order
-// (paper Fig. 5). The mapping is the contract between the functional
-// executor, the work builder's active-thread accounting, and the tests.
+// sub-tiles (paper Fig. 5). The host executor does not walk them (its tiles
+// run 16x16 micro-tiles); the map lives in the timing model, whose work
+// builder charges a clamped edge tile only its active threads.
 #pragma once
 
 #include "core/tiling_strategy.hpp"
 #include "util/assert.hpp"
 
 namespace ctb {
-
-struct SubTileOrigin {
-  int row = 0;  ///< first C-tile row this thread covers.
-  int col = 0;  ///< first C-tile column this thread covers.
-};
-
-/// Origin of thread `t`'s sub-tile. Requires 0 <= t < strategy.threads.
-inline SubTileOrigin thread_sub_tile(const TilingStrategy& s, int t) {
-  CTB_DCHECK(t >= 0 && t < s.threads);
-  const int cols = s.bx / s.sub_x;
-  return SubTileOrigin{(t / cols) * s.sub_y, (t % cols) * s.sub_x};
-}
 
 /// Number of threads with at least one in-range element for a clamped tile
 /// of mc x nc (<= BY x BX) — the "active" threads; the rest idle (paper

@@ -112,7 +112,6 @@ const std::vector<std::string>& deterministic_counter_names() {
       "plan.grouped.gemms",
       "plan.heuristic.binary",
       "plan.heuristic.none",
-      "plan.heuristic.packed",
       "plan.heuristic.threshold",
       "plan.policy.auto-offline",
       "plan.policy.binary-only",

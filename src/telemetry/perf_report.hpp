@@ -65,7 +65,10 @@ namespace ctb::perfreport {
 /// their ratio; V100 preset), gated exactly like a counter, and the
 /// plan.auto.{none,uniform}_wins counters of auto-offline's two
 /// one-tile-per-block candidates to the gated allowlist.
-inline constexpr int kSchemaVersion = 10;
+/// v11: removed plan.heuristic.packed from the gated allowlist along with
+/// the packed batching heuristic; plan.heuristic.* and the batching.*
+/// histograms describe only the plan the planner returns.
+inline constexpr int kSchemaVersion = 11;
 
 /// Wall-clock statistics over one workload's k repeats. Median-of-k with
 /// interquartile range: the median resists the reference container's timing

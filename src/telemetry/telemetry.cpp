@@ -30,7 +30,6 @@ constexpr const char* kCoreCounters[] = {
     "plan.heuristic.threshold",
     "plan.heuristic.binary",
     "plan.heuristic.none",
-    "plan.heuristic.packed",
     "plan.rf.choice.threshold",
     "plan.rf.choice.binary",
     "plan.auto.threshold_wins",

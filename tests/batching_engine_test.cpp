@@ -193,54 +193,6 @@ TEST(BatchBinary, PairSumsClusterNearTheta) {
   }
 }
 
-// ---------------------------------------------------------- batch_packed --
-
-TEST(BatchPacked, RespectsThetaCapacity) {
-  std::vector<GemmDims> dims;
-  for (int k : {100, 200, 60, 90, 150, 40}) dims.push_back({16, 16, k});
-  const auto tiles = tiles_for(dims);
-  const BatchPlan plan = batch_packed(tiles, 256, BatchingConfig{256, 1});
-  validate_plan(plan, dims);
-  for (int b = 0; b < plan.num_blocks(); ++b) {
-    const auto [begin, end] = plan.block_tiles(b);
-    long long sum = 0;
-    for (int t = begin; t < end; ++t)
-      sum += dims[static_cast<std::size_t>(
-                      plan.gemm_of_tile[static_cast<std::size_t>(t)])]
-                 .k;
-    // A block exceeds theta only when a single tile does.
-    if (end - begin > 1) EXPECT_LE(sum, 256);
-  }
-}
-
-TEST(BatchPacked, PacksDenselyWhenTlpAbundant) {
-  // 12 tiles of K=64 pack into 3 blocks of 4 (theta 256).
-  const std::vector<GemmDims> dims(12, GemmDims{16, 16, 64});
-  const auto tiles = tiles_for(dims);
-  const BatchPlan plan = batch_packed(tiles, 256, BatchingConfig{256, 1});
-  validate_plan(plan, dims);
-  EXPECT_EQ(plan.num_blocks(), 3);
-}
-
-TEST(BatchPacked, TlpGuardFallsBackToNone) {
-  // Few tiles with a huge threshold: packing would starve the GPU.
-  const std::vector<GemmDims> dims(8, GemmDims{16, 16, 32});
-  const auto tiles = tiles_for(dims);
-  const BatchPlan plan =
-      batch_packed(tiles, 256, BatchingConfig{256, 1 << 20});
-  validate_plan(plan, dims);
-  EXPECT_EQ(plan.num_blocks(), static_cast<int>(tiles.size()));
-}
-
-TEST(BatchPacked, DeepTilesGetOwnBlocks) {
-  std::vector<GemmDims> dims = {{16, 16, 1024}, {16, 16, 16}, {16, 16, 16}};
-  const auto tiles = tiles_for(dims);
-  const BatchPlan plan = batch_packed(tiles, 256, BatchingConfig{256, 1});
-  validate_plan(plan, dims);
-  // 1024 alone, the two 16s together.
-  EXPECT_EQ(plan.num_blocks(), 2);
-}
-
 // --------------------------------------------------------------- dispatch --
 
 TEST(BatchTiles, DispatchesOnHeuristic) {
@@ -256,7 +208,6 @@ TEST(BatchTiles, HeuristicNames) {
   EXPECT_STREQ(to_string(BatchingHeuristic::kThreshold), "threshold");
   EXPECT_STREQ(to_string(BatchingHeuristic::kBinary), "binary");
   EXPECT_STREQ(to_string(BatchingHeuristic::kNone), "none");
-  EXPECT_STREQ(to_string(BatchingHeuristic::kPacked), "packed");
 }
 
 // ------------------------------------------------------------- validation --

@@ -129,9 +129,11 @@ TEST(Functional, ExecuteTileNegativeCoordinatesThrow) {
     ASSERT_EQ(storage[i], kGuard) << "float " << i << " was written";
 }
 
-// A caller-built strategy must fit the executors' staging and accumulator
-// scratch (BY, BX <= 128, BK <= 8, sub_x <= 8) with sub-tiles covering its
-// tile; anything else is rejected by every entry point before C is touched.
+// A caller-built strategy must stay inside the geometry of Tables 1 and 2
+// (BY, BX multiples of 16 up to 128, BK <= 8, sub_x <= 8) with sub-tiles
+// covering its tile; anything else is rejected by every entry point before
+// C is touched. A 24x24 tile with 3x3 sub-tiles fits every limit but is not
+// a whole grid of 16x16 micro-tiles.
 TEST(Functional, OversizedStrategyGeometryThrows) {
   TilingStrategy tall = batched_strategy(TileShape::kHuge, ThreadVariant::k256);
   tall.by = 256;  // 256x128 over 8x8 sub-tiles needs 512 threads
@@ -146,11 +148,15 @@ TEST(Functional, OversizedStrategyGeometryThrows) {
   TilingStrategy uncovered =
       batched_strategy(TileShape::kMedium, ThreadVariant::k128);
   uncovered.threads = 64;  // 4x2 sub-tiles need 128 threads for 32x32
+  TilingStrategy off_grid = batched_strategy_by_id(2);
+  off_grid.by = off_grid.bx = 24;
+  off_grid.sub_y = off_grid.sub_x = 3;
+  off_grid.threads = 64;
   Rng rng(1020);
   const Matrixf a = rand_mat(256, 24, rng);
   const Matrixf b = rand_mat(24, 128, rng);
   const Matrixf c_init = rand_mat(256, 128, rng);
-  for (const TilingStrategy& s : {tall, deep, wide_sub, uncovered}) {
+  for (const TilingStrategy& s : {tall, deep, wide_sub, uncovered, off_grid}) {
     Matrixf c = c_init;
     const GemmOperands g = operands(a, b, c);
     EXPECT_THROW(run_single_gemm(s, g, 1.0f, 0.0f), CheckError) << s.name();

@@ -1,21 +1,21 @@
-// Packed tile paths (kernels/packing.hpp micro-panels + the per-ISA
-// micro-kernels of kernels/simd.hpp): every strategy whose BY and BX are
-// multiples of 16 packs when the budget admits it, whatever its BK or
-// sub-tiles; packed micro-panels must reproduce the exact guarded staged
-// values (transpose, fp16 rounding, implicit-GEMM gather, zero padding);
-// and packed tiles must be bit-identical to the generic staged executor and
-// to reference_gemm for edge and interior tiles across all executors —
-// also when GEMMs of one call share a panel set under different
-// strategies, and when calls reuse, or run concurrently on, per-thread
-// pack arenas.
-// ScopedPackArenaBudget(0) is the lever that forces the generic unpacked
-// path for the A/B comparisons.
+// The tile pipeline's one accumulation loop (the per-ISA micro-kernels of
+// kernels/simd.hpp over kernels/packing.hpp micro-panels): every strategy
+// packs when the call's budget admits it, whatever its BK or sub-tiles;
+// packed micro-panels must reproduce the exact guarded staged values
+// (transpose, fp16 rounding, implicit-GEMM gather, zero padding); and the
+// executors, whose tiles read per-call panel sets, must be bit-identical to
+// execute_tile, whose tiles stage their own micro-panels, and to
+// reference_gemm for edge and interior tiles — also when GEMMs of one call
+// share a panel set under different strategies, when calls reuse, or run
+// concurrently on, per-thread pack arenas, and when a gather calls an
+// executor from inside another call.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <thread>
@@ -37,14 +37,14 @@ Matrixf rand_mat(int r, int c, Rng& rng) {
   return m;
 }
 
-void expect_bitwise_equal(const Matrixf& packed, const Matrixf& generic,
+void expect_bitwise_equal(const Matrixf& lhs, const Matrixf& rhs,
                           const std::string& what) {
-  ASSERT_EQ(packed.rows(), generic.rows());
-  ASSERT_EQ(packed.cols(), generic.cols());
-  const auto p = packed.flat();
-  const auto g = generic.flat();
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    ASSERT_EQ(p[i], g[i]) << what << " diverges at flat index " << i;
+  ASSERT_EQ(lhs.rows(), rhs.rows());
+  ASSERT_EQ(lhs.cols(), rhs.cols());
+  const auto l = lhs.flat();
+  const auto r = rhs.flat();
+  for (std::size_t i = 0; i < l.size(); ++i) {
+    ASSERT_EQ(l[i], r[i]) << what << " diverges at flat index " << i;
   }
 }
 
@@ -92,23 +92,37 @@ GemmDims ragged_dims(const TilingStrategy& s) {
   return GemmDims{2 * s.by + 3, 2 * s.bx + 5, 2 * s.bk + 3};
 }
 
-// Runs one GEMM three ways on fresh copies — packed (default budget),
-// generic (budget 0) and reference_gemm — and asserts bitwise-identical C.
-// Every path ends in the same tile store, so the reference arm is the one
-// that checks the store.
+// A GEMM past the call's pack budget (m, n <= 16): its one A and one B
+// micro-panel of ceil(K / 8) steps are one step more than
+// kPackCallBudgetBytes holds, so its tiles run staged.
+GemmDims over_budget_dims(int m, int n) {
+  const auto steps = kPackCallBudgetBytes / (2 * kMicroBlock * sizeof(float));
+  return {m, n, static_cast<int>(steps + 1) * kMicroK};
+}
+
+// Runs every tile of `g` through execute_tile: the staged mode, each tile
+// packing its own micro-panels.
+void execute_every_tile(const TilingStrategy& s, const GemmOperands& g,
+                        float alpha, float beta) {
+  for (int ty = 0; ty * s.by < g.dims.m; ++ty)
+    for (int tx = 0; tx * s.bx < g.dims.n; ++tx)
+      execute_tile(s, g, ty, tx, alpha, beta);
+}
+
+// Runs one GEMM three ways on fresh copies — run_single_gemm (packed per
+// call), execute_tile over every tile (staged per tile) and reference_gemm —
+// and asserts bitwise-identical C. Every mode ends in the same tile store,
+// so the reference arm is the one that checks the store.
 template <typename MakeCase>
 void expect_paths_agree(MakeCase&& make, const TilingStrategy& s, float alpha,
                         float beta, const std::string& what) {
   auto packed_case = make();
   run_single_gemm(s, packed_case.ops, alpha, beta);
-  auto generic_case = make();
-  {
-    ScopedPackArenaBudget budget(0);
-    run_single_gemm(s, generic_case.ops, alpha, beta);
-  }
+  auto staged_case = make();
+  execute_every_tile(s, staged_case.ops, alpha, beta);
   auto reference_case = make();
   reference_gemm(reference_case.ops, alpha, beta);
-  expect_bitwise_equal(packed_case.c, generic_case.c, what + " vs generic");
+  expect_bitwise_equal(packed_case.c, staged_case.c, what + " vs staged");
   expect_bitwise_equal(packed_case.c, reference_case.c,
                        what + " vs reference_gemm");
 }
@@ -122,23 +136,21 @@ const char* const kDispatchCounters[] = {
 
 using Counts = std::map<std::string, std::int64_t>;
 
-// What a call counts when all of its `tiles` tiles ran under `isa`, packed
-// or (generic) unpacked.
-Counts dispatch_counts(long long tiles, SimdIsa isa, bool packed) {
+// What a call counts when all of its `tiles` tiles ran packed under `isa`.
+Counts packed_counts(long long tiles, SimdIsa isa) {
   Counts c;
   for (const char* name : kDispatchCounters) c[name] = 0;
-  c[packed ? "exec.dispatch.specialized" : "exec.dispatch.generic"] = tiles;
+  c["exec.dispatch.specialized"] = tiles;
   c[std::string("exec.simd.") + simd_isa_name(isa)] = tiles;
   return c;
 }
 #endif
 
 // Runs `s` over ragged dims, checks C bitwise against reference_gemm, and
-// checks the dispatch counts the call added against dispatch_counts
-// (telemetry builds): packed under `isa`, or generic (scalar) when
-// `packed` is false.
+// checks the dispatch counts the call added against packed_counts
+// (telemetry builds).
 void expect_packs_under(const TilingStrategy& s, SimdIsa isa,
-                        const std::string& what, bool packed = true) {
+                        const std::string& what) {
   const GemmDims d = ragged_dims(s);
   GemmCase run(d, Op::kN, Op::kT, Precision::kFp32, false, 1500);
   GemmCase reference(d, Op::kN, Op::kT, Precision::kFp32, false, 1500);
@@ -154,18 +166,15 @@ void expect_packs_under(const TilingStrategy& s, SimdIsa isa,
     got[name] = counter_value(snap, name);
   telemetry::set_enabled(false);
   telemetry::reset();
-  EXPECT_EQ(got, dispatch_counts(s.tiles_for(d.m, d.n),
-                                 packed ? isa : SimdIsa::kScalar, packed))
-      << what;
+  EXPECT_EQ(got, packed_counts(s.tiles_for(d.m, d.n), isa)) << what;
 #else
   (void)isa;
-  (void)packed;
 #endif
   reference_gemm(reference.ops, 1.25f, 0.5f);
   expect_bitwise_equal(run.c, reference.c, what);
 }
 
-// The packing rule: under the default budget every Table-1/2 strategy
+// The packing rule: within the call's budget every Table-1/2 strategy
 // packs, and its tiles run the active ISA's micro-kernel.
 TEST(MicrokernelDispatch, EveryTable2IdPacks) {
   for (int id = 0; id < 12; ++id) {
@@ -179,21 +188,11 @@ TEST(MicrokernelDispatch, Table1SuitePacks) {
     expect_packs_under(s, active_simd_isa(), "table1/" + s.name());
 }
 
-// A caller-built BY x BX x 24 x 24 tile with 3x3 sub-tiles: it passes
-// check_geometry, but 24 is not a whole number of micro-tiles.
-TilingStrategy tile_24x24() {
-  TilingStrategy s = batched_strategy_by_id(2);
-  s.by = s.bx = 24;
-  s.sub_y = s.sub_x = 3;
-  s.threads = 64;
-  return s;
-}
-
-// Only BY and BX decide packing: a BK = 4 strategy (micro-panels pad K to
-// 8, adding only +0 products) and a 32x32 strategy with 4x8 sub-tiles
-// (sub-tiles only partition the generic loop's emulated threads) pack and
-// run the active micro-kernel; a 24x24 tile runs the generic loop.
-TEST(MicrokernelDispatch, PackingRuleIsTileExtentsOnly) {
+// Neither BK nor the sub-tiles enter the packing rule: a BK = 4 strategy
+// (micro-panels pad K to 8, adding only +0 products) and a 32x32 strategy
+// with 4x8 sub-tiles (sub-tiles exist only in the timing model) pack and
+// run the active micro-kernel.
+TEST(MicrokernelDispatch, PackingIgnoresBkAndSubTiles) {
   TilingStrategy bk4 = batched_strategy_by_id(0);
   bk4.bk = 4;
   expect_packs_under(bk4, active_simd_isa(), "bk4");
@@ -201,8 +200,6 @@ TEST(MicrokernelDispatch, PackingRuleIsTileExtentsOnly) {
   sub4x8.sub_x = 8;
   sub4x8.threads = 32;
   expect_packs_under(sub4x8, active_simd_isa(), "sub4x8");
-  expect_packs_under(tile_24x24(), active_simd_isa(), "24x24",
-                     /*packed=*/false);
 }
 
 // The packed micro-panel blocks must hold exactly the values the guarded
@@ -314,7 +311,7 @@ TEST(Packing, PanelKeysMatchOnlyIdenticalSets) {
 // Core bit-exactness sweep: all 12 Table-2 strategies x {fp32, fp16} x
 // {kN, kT} on both operands x implicit gather, edge tiles included, with a
 // non-trivial alpha/beta epilogue.
-TEST(Microkernel, SpecializedMatchesGenericAllStrategies) {
+TEST(Microkernel, PackedMatchesStagedAllStrategies) {
   for (int id = 0; id < 12; ++id) {
     const TilingStrategy& s = batched_strategy_by_id(id);
     const GemmDims d = ragged_dims(s);
@@ -382,27 +379,54 @@ const std::vector<GemmDims>& ragged_batch() {
   return dims;
 }
 
-TEST(Microkernel, VbatchSpecializedBitExact) {
+// The staged and reference arms of a batch executor's run: GEMM i of fresh
+// copies of `dims` (seed `seed`) through execute_tile over every tile under
+// *strategies[i], and through reference_gemm. `got` must match both bit
+// for bit.
+void expect_batch_matches_staged(const BatchCase& got,
+                                 std::span<const GemmDims> dims,
+                                 std::uint64_t seed,
+                                 std::span<const TilingStrategy* const> s,
+                                 float alpha, float beta,
+                                 const std::string& what) {
+  BatchCase staged(dims, seed), reference(dims, seed);
+  for (std::size_t i = 0; i < dims.size(); ++i) {
+    const std::string gemm = what + "/gemm" + std::to_string(i);
+    execute_every_tile(*s[i], staged.ops[i], alpha, beta);
+    reference_gemm(reference.ops[i], alpha, beta);
+    expect_bitwise_equal(got.gemms[i].c, staged.gemms[i].c,
+                         gemm + " vs staged");
+    expect_bitwise_equal(got.gemms[i].c, reference.gemms[i].c,
+                         gemm + " vs reference_gemm");
+  }
+}
+
+// The strategy each GEMM of `plan` runs under.
+std::vector<const TilingStrategy*> plan_strategies(const BatchPlan& plan,
+                                                   std::size_t gemms) {
+  std::vector<const TilingStrategy*> s(gemms, nullptr);
+  for (std::size_t t = 0; t < plan.gemm_of_tile.size(); ++t)
+    s[static_cast<std::size_t>(plan.gemm_of_tile[t])] =
+        &batched_strategy_by_id(plan.strategy_of_tile[t]);
+  return s;
+}
+
+TEST(Microkernel, VbatchPackedMatchesStaged) {
   for (auto shape : {TileShape::kSmall, TileShape::kLarge}) {
     const TilingStrategy& s = single_gemm_strategy(shape);
     auto packed_case = BatchCase(ragged_batch(), 500);
     run_vbatch(s, packed_case.ops, 1.0f, 0.5f);
-    auto generic_case = BatchCase(ragged_batch(), 500);
-    {
-      ScopedPackArenaBudget budget(0);
-      run_vbatch(s, generic_case.ops, 1.0f, 0.5f);
-    }
-    for (std::size_t i = 0; i < packed_case.gemms.size(); ++i)
-      expect_bitwise_equal(packed_case.gemms[i].c, generic_case.gemms[i].c,
-                           "vbatch/" + s.name() + "/gemm" +
-                               std::to_string(i));
+    const std::vector<const TilingStrategy*> uniform(ragged_batch().size(),
+                                                     &s);
+    expect_batch_matches_staged(packed_case, ragged_batch(), 500, uniform,
+                                1.0f, 0.5f, "vbatch/" + s.name());
   }
 }
 
-// Full pipeline: the planner mixes strategies across GEMMs, so the pack map
-// is keyed per (gemm, strategy); packed and generic plan execution must
-// agree bitwise for every policy.
-TEST(Microkernel, BatchedPlanSpecializedBitExact) {
+// Full pipeline: the planner mixes strategies across GEMMs; plan execution
+// over packed panels must match every GEMM's staged tiles bitwise for every
+// policy.
+TEST(Microkernel, BatchedPlanPackedMatchesStaged) {
   for (BatchingPolicy policy :
        {BatchingPolicy::kTilingOnly, BatchingPolicy::kThresholdOnly,
         BatchingPolicy::kBinaryOnly}) {
@@ -413,19 +437,15 @@ TEST(Microkernel, BatchedPlanSpecializedBitExact) {
 
     auto packed_case = BatchCase(ragged_batch(), 600);
     run_batched_plan(summary.plan, packed_case.ops, 1.5f, 0.25f);
-    auto generic_case = BatchCase(ragged_batch(), 600);
-    {
-      ScopedPackArenaBudget budget(0);
-      run_batched_plan(summary.plan, generic_case.ops, 1.5f, 0.25f);
-    }
-    for (std::size_t i = 0; i < packed_case.gemms.size(); ++i)
-      expect_bitwise_equal(packed_case.gemms[i].c, generic_case.gemms[i].c,
-                           "plan/gemm" + std::to_string(i));
+    expect_batch_matches_staged(
+        packed_case, ragged_batch(), 600,
+        plan_strategies(summary.plan, ragged_batch().size()), 1.5f, 0.25f,
+        std::string("plan/") + to_string(policy));
   }
 }
 
-// The specialized path must stay bit-exact under host block parallelism,
-// like the generic path (parallel_exec_test pins the latter).
+// Packed tiles must stay bit-exact under host block parallelism
+// (parallel_exec_test pins every executor the same way).
 TEST(Microkernel, SpecializedParallelMatchesSerial) {
   const TilingStrategy& s = batched_strategy_by_id(5);
   const GemmDims d = ragged_dims(s);
@@ -481,37 +501,9 @@ TEST(Microkernel, ParallelPackingBitExact) {
                          "parallel-pack/plan/gemm" + std::to_string(i));
 }
 
-// A budget that fits only the first GEMM of a plan must split the batch
-// between the packed and generic paths — and still be bit-exact.
-TEST(Microkernel, PartialBudgetMixesPathsBitExact) {
-  const std::vector<GemmDims> dims = {{64, 64, 32}, {96, 96, 48},
-                                      {40, 72, 23}};
-  PlannerConfig config;
-  config.policy = BatchingPolicy::kThresholdOnly;
-  const BatchedGemmPlanner planner(config);
-  const PlanSummary summary = planner.plan(dims);
-
-  // Budget covering the first GEMM's footprint only.
-  const std::size_t first = pack_footprint_bytes(dims[0]);
-
-  auto mixed_case = BatchCase(dims, 800);
-  {
-    ScopedPackArenaBudget budget(first);
-    run_batched_plan(summary.plan, mixed_case.ops, 1.0f, 0.0f);
-  }
-  auto generic_case = BatchCase(dims, 800);
-  {
-    ScopedPackArenaBudget budget(0);
-    run_batched_plan(summary.plan, generic_case.ops, 1.0f, 0.0f);
-  }
-  for (std::size_t i = 0; i < mixed_case.gemms.size(); ++i)
-    expect_bitwise_equal(mixed_case.gemms[i].c, generic_case.gemms[i].c,
-                         "partial-budget/gemm" + std::to_string(i));
-}
-
 // ---------------------------------------------------------- SIMD dispatch --
-// The micro-kernels (kernels/simd.hpp) must be bit-identical to the generic
-// executor under every ISA the host can run, and dispatch must fall back to
+// The micro-kernels (kernels/simd.hpp) must be bit-identical packed and
+// staged under every ISA the host can run, and dispatch must fall back to
 // the scalar kernel cleanly everywhere else.
 
 // The ISAs this host can actually execute: always kScalar, plus every level
@@ -541,15 +533,12 @@ TEST(SimdDispatch, EveryTable2IdResolvesUnderEveryRunnableIsa) {
 }
 
 TEST(SimdDispatch, OddGeometriesAndKernellessIsas) {
-  // BK = 4 packs and runs each ISA's micro-kernel; 24x24 runs generic.
+  // BK = 4 packs and runs each ISA's micro-kernel.
   TilingStrategy bk4 = batched_strategy_by_id(0);
   bk4.bk = 4;
   for (SimdIsa isa : runnable_isas()) {
     ScopedSimdIsa guard(isa);
     expect_packs_under(bk4, isa, std::string("bk4/") + simd_isa_name(isa));
-    expect_packs_under(tile_24x24(), isa,
-                       std::string("24x24/") + simd_isa_name(isa),
-                       /*packed=*/false);
   }
   // An ISA the host reaches but has no kernel for (neon on x86-64) runs
   // the scalar micro-kernel, and its tiles count as scalar.
@@ -569,8 +558,9 @@ TEST(SimdDispatch, OddGeometriesAndKernellessIsas) {
 
 // The acceptance sweep: every Table-2 strategy x {fp32, fp16} x {N, T} on
 // both operands x implicit gather, ragged dims (edge tiles + padded K),
-// bitwise equal to the generic executor under EVERY runnable ISA.
-TEST(SimdDispatch, BitExactVsGenericAllStrategiesAllIsas) {
+// packed bitwise equal to staged and to reference_gemm under EVERY runnable
+// ISA.
+TEST(SimdDispatch, PackedMatchesStagedAllStrategiesAllIsas) {
   for (SimdIsa isa : runnable_isas()) {
     ScopedSimdIsa guard(isa);
     const std::string tag = std::string("/") + simd_isa_name(isa);
@@ -607,8 +597,8 @@ TEST(SimdDispatch, BitExactVsGenericAllStrategiesAllIsas) {
 }
 
 // Cross-ISA: the vector micro-kernels must agree bitwise with the scalar
-// one directly (not just transitively via the generic path), and
-// stay bit-exact at any thread count.
+// one directly (not just transitively via reference_gemm), and stay
+// bit-exact at any thread count.
 TEST(SimdDispatch, VectorIsaMatchesScalarIsaAtAnyThreadCount) {
   for (SimdIsa isa : runnable_isas()) {
     if (isa == SimdIsa::kScalar) continue;
@@ -645,14 +635,9 @@ TEST(SimdDispatch, BatchedExecutorsBitExactUnderVectorIsa) {
   const TilingStrategy& s = single_gemm_strategy(TileShape::kLarge);
   auto packed_case = BatchCase(ragged_batch(), 500);
   run_vbatch(s, packed_case.ops, 1.0f, 0.5f);
-  auto generic_case = BatchCase(ragged_batch(), 500);
-  {
-    ScopedPackArenaBudget budget(0);
-    run_vbatch(s, generic_case.ops, 1.0f, 0.5f);
-  }
-  for (std::size_t i = 0; i < packed_case.gemms.size(); ++i)
-    expect_bitwise_equal(packed_case.gemms[i].c, generic_case.gemms[i].c,
-                         "simd-vbatch/gemm" + std::to_string(i));
+  const std::vector<const TilingStrategy*> uniform(ragged_batch().size(), &s);
+  expect_batch_matches_staged(packed_case, ragged_batch(), 500, uniform, 1.0f,
+                              0.5f, "simd-vbatch");
 
   PlannerConfig config;
   config.policy = BatchingPolicy::kThresholdOnly;
@@ -660,14 +645,10 @@ TEST(SimdDispatch, BatchedExecutorsBitExactUnderVectorIsa) {
   const PlanSummary summary = planner.plan(ragged_batch());
   auto packed_plan = BatchCase(ragged_batch(), 600);
   run_batched_plan(summary.plan, packed_plan.ops, 1.5f, 0.25f);
-  auto generic_plan = BatchCase(ragged_batch(), 600);
-  {
-    ScopedPackArenaBudget budget(0);
-    run_batched_plan(summary.plan, generic_plan.ops, 1.5f, 0.25f);
-  }
-  for (std::size_t i = 0; i < packed_plan.gemms.size(); ++i)
-    expect_bitwise_equal(packed_plan.gemms[i].c, generic_plan.gemms[i].c,
-                         "simd-plan/gemm" + std::to_string(i));
+  expect_batch_matches_staged(
+      packed_plan, ragged_batch(), 600,
+      plan_strategies(summary.plan, ragged_batch().size()), 1.5f, 0.25f,
+      "simd-plan");
 }
 
 
@@ -776,11 +757,9 @@ TEST(PackSharing, DistinctPanelSetsPackedOnceBitExact) {
     const std::int64_t reads =
         micro_panel_reads(plan, sc.dims, sc.strategies);
 
-    SharedBCase generic(sc.dims, sc.op_a, sc.op_b, 1100);
-    {
-      ScopedPackArenaBudget budget(0);
-      run_batched_plan(plan, generic.ops, 1.5f, 0.0f);
-    }
+    SharedBCase staged(sc.dims, sc.op_a, sc.op_b, 1100);
+    for (std::size_t i = 0; i < sc.dims.size(); ++i)
+      execute_every_tile(*sc.strategies[i], staged.ops[i], 1.5f, 0.0f);
     for (SimdIsa isa : runnable_isas()) {
       ScopedSimdIsa isa_guard(isa);
       for (int threads : {1, 4}) {
@@ -808,12 +787,12 @@ TEST(PackSharing, DistinctPanelSetsPackedOnceBitExact) {
         (void)reads;
 #endif
         for (std::size_t i = 0; i < sc.dims.size(); ++i)
-          expect_bitwise_equal(packed.c[i], generic.c[i],
+          expect_bitwise_equal(packed.c[i], staged.c[i],
                                what + "/gemm" + std::to_string(i));
         // A second call repacks into the reused arena: same bits again.
         run_batched_plan(plan, packed.ops, 1.5f, 0.0f);
         for (std::size_t i = 0; i < sc.dims.size(); ++i)
-          expect_bitwise_equal(packed.c[i], generic.c[i],
+          expect_bitwise_equal(packed.c[i], staged.c[i],
                                what + "/rerun/gemm" + std::to_string(i));
       }
     }
@@ -915,39 +894,63 @@ TEST(PackArena, ConcurrentCallsUseSeparateArenas) {
                                  cases[i].name + "/gemm" + std::to_string(g));
 }
 
-// An executor call made from inside another one on the same thread (here
-// from a gather the outer call's packing invokes) must not repack into the
-// arena the outer call is still reading: it gets an arena of its own.
+// An executor call made from inside another one on the same thread — from
+// a gather the outer call invokes — must leave the outer call's state
+// alone: the panels it packed (the nested call gets an arena of its own)
+// and the tile a staged tile is accumulating (its accumulator and staged
+// micro-panels live in the tile's stack frame). The gather calls
+// run_single_gemm halfway down K, once per micro-panel column, from three
+// outer calls: run_single_gemm while it packs, execute_tile over every tile
+// and run_single_gemm over a GEMM past the pack budget (both in the middle
+// of a tile's K loop). Both C matrices must equal reference_gemm.
 TEST(PackArena, NestedCallKeepsOuterPanels) {
   ScopedParallelThreads serial(1);  // the gather runs on the calling thread
   const TilingStrategy& s = batched_strategy_by_id(4);  // large/128
-  const GemmDims d{70, 90, 40};
-  GemmCase inner(d, Op::kN, Op::kN, Precision::kFp32, false, 1400);
-  GemmCase inner_ref(d, Op::kN, Op::kN, Precision::kFp32, false, 1400);
-  run_single_gemm(s, inner_ref.ops, 1.0f, 0.0f);
-  GemmCase outer(d, Op::kN, Op::kN, Precision::kFp32, true, 1401);
-  GemmCase outer_ref(d, Op::kN, Op::kN, Precision::kFp32, true, 1401);
-  run_single_gemm(s, outer_ref.ops, 1.0f, 0.0f);
-  bool nested = false;
-  const auto gather = outer.ops.b_gather;
-  outer.ops.b_gather = [&](int k, int j) {
-    if (!nested) {
-      nested = true;
-      run_single_gemm(s, inner.ops, 1.0f, 0.0f);
-    }
-    return gather(k, j);
+  const GemmDims inner_dims{70, 90, 40};
+  GemmCase inner_ref(inner_dims, Op::kN, Op::kN, Precision::kFp32, false,
+                     1400);
+  reference_gemm(inner_ref.ops, 1.0f, 0.0f);
+  using Run = std::function<void(const GemmOperands&)>;
+  const auto nest = [&](const GemmDims& d, const std::string& what,
+                        const Run& run) {
+    GemmCase inner(inner_dims, Op::kN, Op::kN, Precision::kFp32, false, 1400);
+    GemmCase outer(d, Op::kN, Op::kN, Precision::kFp32, true, 1401);
+    Matrixf want = outer.c;
+    GemmOperands reference = outer.ops;
+    reference.c = want.data();
+    reference_gemm(reference, 1.0f, 0.0f);
+    int nested = 0;
+    const auto gather = outer.ops.b_gather;
+    outer.ops.b_gather = [&](int k, int j) {
+      if (k == d.k / 2 && j % 16 == 0) {
+        ++nested;
+        run_single_gemm(s, inner.ops, 1.0f, 0.0f);
+      }
+      return gather(k, j);
+    };
+    run(outer.ops);
+    ASSERT_GT(nested, 0) << what;
+    expect_bitwise_equal(inner.c, inner_ref.c, what + "/inner");
+    expect_bitwise_equal(outer.c, want, what + "/outer");
   };
-  run_single_gemm(s, outer.ops, 1.0f, 0.0f);
-  ASSERT_TRUE(nested);
-  expect_bitwise_equal(inner.c, inner_ref.c, "nested/inner");
-  expect_bitwise_equal(outer.c, outer_ref.c, "nested/outer");
+  // K = 200 is 25 micro-panel steps, so a staged tile gathers k = 100 in
+  // its second chunk, with partial sums in its accumulator.
+  const GemmDims d{70, 90, 200};
+  const Run single = [&](const GemmOperands& g) {
+    run_single_gemm(s, g, 1.0f, 0.0f);
+  };
+  nest(d, "run_single_gemm", single);
+  nest(d, "execute_tile", [&](const GemmOperands& g) {
+    execute_every_tile(s, g, 1.0f, 0.0f);
+  });
+  nest(over_budget_dims(5, 3), "over-budget", single);
 }
 
 #ifdef CTB_TELEMETRY_ENABLED
 
-// Dispatch and pack counters: a specialized run counts every tile as
-// specialized plus the packed panels/bytes/reuse; a zero-budget run counts
-// every tile as generic and packs nothing.
+// Dispatch and pack counters: a packed run counts every tile as
+// specialized plus the packed panels/bytes/reuse (packing_test's
+// PackCallBudget cases count the staged mode).
 TEST(Microkernel, DispatchCountersTrackPaths) {
   const TilingStrategy& s = batched_strategy_by_id(4);  // large/128
   const GemmDims d{2 * s.by, 3 * s.bx, 64};  // 2x3 tile grid
@@ -965,24 +968,12 @@ TEST(Microkernel, DispatchCountersTrackPaths) {
             static_cast<std::int64_t>(pack_footprint_bytes(d)));
   // 6 tiles each read 4 A + 4 B micro-panels: 48 reads, 20 packings.
   EXPECT_EQ(counter_value(snap, "exec.pack.reuse"), 48 - 20);
-
-  telemetry::reset();
-  {
-    ScopedPackArenaBudget budget(0);
-    GemmCase gc(d, Op::kN, Op::kN, Precision::kFp32, false, 900);
-    run_single_gemm(s, gc.ops, 1.0f, 0.0f);
-  }
-  snap = telemetry::snapshot();
-  EXPECT_EQ(counter_value(snap, "exec.dispatch.specialized"), 0);
-  EXPECT_EQ(counter_value(snap, "exec.dispatch.generic"), 6);
-  EXPECT_EQ(counter_value(snap, "exec.pack.panels"), 0);
   telemetry::set_enabled(false);
   telemetry::reset();
 }
 
-// exec.simd.* partitions ALL executed tiles by the ISA that ran them:
-// packed tiles under the ISA of the micro-kernel, generic-executor tiles
-// under exec.simd.scalar.
+// exec.simd.* partitions ALL executed tiles by the ISA whose micro-kernel
+// ran them, packed and staged alike.
 TEST(Microkernel, SimdCountersPartitionTilesByIsa) {
   const TilingStrategy& s = batched_strategy_by_id(4);  // large/128
   const GemmDims d{2 * s.by, 3 * s.bx, 64};             // 2x3 tile grid
@@ -1018,15 +1009,21 @@ TEST(Microkernel, SimdCountersPartitionTilesByIsa) {
   snap = telemetry::snapshot();
   EXPECT_EQ(counter_value(snap, "exec.simd.scalar"), 6);
 
-  // The generic (unpacked) path is scalar by definition.
+  // A staged tile (its GEMM is past the pack budget) counts under the ISA
+  // whose kernel ran it, not as scalar.
   telemetry::reset();
   {
-    ScopedPackArenaBudget budget(0);
-    GemmCase gc(d, Op::kN, Op::kN, Precision::kFp32, false, 900);
+    const SimdIsa isa = runnable_isas().back();
+    ScopedSimdIsa guard(isa);
+    GemmCase gc(over_budget_dims(3, 5), Op::kN, Op::kN, Precision::kFp32,
+                false, 901);
     run_single_gemm(s, gc.ops, 1.0f, 0.0f);
+    snap = telemetry::snapshot();
+    EXPECT_EQ(counter_value(snap, "exec.dispatch.generic"), 1);
+    EXPECT_EQ(counter_value(snap, std::string("exec.simd.") +
+                                      simd_isa_name(isa)),
+              1);
   }
-  snap = telemetry::snapshot();
-  EXPECT_EQ(counter_value(snap, "exec.simd.scalar"), 6);
   telemetry::set_enabled(false);
   telemetry::reset();
 }

@@ -1,10 +1,12 @@
-// Per-call panel packing (kernels/packing.hpp): the per-GEMM admission cap,
-// one pack per GEMM per call (never per K-slice, and the same bytes on every
-// call), and the lifetime rule the bit-exactness contract rests on — packed
-// panels die with the executor call that packed them, so operands changed in
-// place between two calls are always seen by the second.
+// Per-call panel packing (kernels/packing.hpp): the call's pack budget (a
+// GEMM past it runs staged, bit-exact, and leaves the budget to the GEMMs
+// after it), one pack per GEMM per call (never per K-slice, and the same
+// bytes on every call), and the lifetime rule the bit-exactness contract
+// rests on — packed panels die with the executor call that packed them, so
+// operands changed in place between two calls are always seen by the second.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <span>
 #include <string>
@@ -15,6 +17,7 @@
 #include "kernels/packing.hpp"
 #include "kernels/simd.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/parallel.hpp"
 
 namespace ctb {
 namespace {
@@ -82,46 +85,6 @@ std::vector<SimdIsa> runnable_isas() {
   return isas;
 }
 
-// ------------------------------------------- per-GEMM admission cap ------
-// A batch where one GEMM exceeds the per-GEMM cap: that GEMM runs generic,
-// the others still pack — and the mix is bit-exact vs all-generic.
-TEST(PackGemmBudget, MixedAdmissionSplitsPathsBitExact) {
-  const TilingStrategy& s = single_gemm_strategy(TileShape::kLarge);
-  const std::vector<GemmDims> dims = {{64, 64, 32}, {256, 256, 128},
-                                      {48, 80, 24}};
-  // Cap between the small and the large footprints.
-  const std::size_t small_fp = pack_footprint_bytes(dims[0]);
-  const std::size_t large_fp = pack_footprint_bytes(dims[1]);
-  ASSERT_LT(small_fp, large_fp);
-  const std::size_t cap = (small_fp + large_fp) / 2;
-
-  auto mixed = make_batch(dims, 30);
-  {
-    ScopedPackGemmBudget cap_guard(cap);
-    run_vbatch(s, ops_of(mixed), 1.0f, 0.5f);
-  }
-  auto generic = make_batch(dims, 30);
-  {
-    ScopedPackArenaBudget budget(0);
-    run_vbatch(s, ops_of(generic), 1.0f, 0.5f);
-  }
-  for (std::size_t i = 0; i < mixed.size(); ++i)
-    expect_bitwise_equal(mixed[i].c, generic[i].c,
-                         "mixed-admission/gemm" + std::to_string(i));
-}
-
-TEST(PackGemmBudget, ZeroCapDisablesPackingEntirely) {
-  const TilingStrategy& s = batched_strategy_by_id(5);
-  GemmCase packed_case({64, 64, 32}, 31);
-  GemmCase capped_case({64, 64, 32}, 31);
-  run_single_gemm(s, packed_case.ops, 1.0f, 0.0f);
-  {
-    ScopedPackGemmBudget cap(0);
-    run_single_gemm(s, capped_case.ops, 1.0f, 0.0f);
-  }
-  expect_bitwise_equal(packed_case.c, capped_case.c, "zero-cap");
-}
-
 #ifdef CTB_TELEMETRY_ENABLED
 std::int64_t counter_value(const telemetry::MetricsSnapshot& snap,
                            const std::string& name) {
@@ -155,6 +118,114 @@ TEST(PackPerCall, EveryRunChargesTheSamePackBytes) {
         << "run " << iter;
 }
 #endif
+
+// ------------------------------------------------- the call's budget ------
+// A GEMM past kPackCallBudgetBytes runs staged: each of its tiles packs its
+// own micro-panels, the call packs none of its bytes, and its tiles count
+// exec.dispatch.generic under the ISA whose kernel ran them. GEMMs after
+// it in the batch still pack. Its C matches reference_gemm on its own,
+// split along K, and beside packed GEMMs in one plan, with 1 worker and
+// with 4.
+
+// A GEMM past the call's pack budget (m, n <= 16): its one A and one B
+// micro-panel of ceil(K / 8) steps are one step more than
+// kPackCallBudgetBytes holds.
+GemmDims over_budget_dims(int m, int n) {
+  const auto steps = kPackCallBudgetBytes / (2 * kMicroBlock * sizeof(float));
+  return {m, n, static_cast<int>(steps + 1) * kMicroK};
+}
+
+TEST(PackCallBudget, OverBudgetGemmRunsStaged) {
+  constexpr float kA = 1.5f, kB = 0.5f;
+  const TilingStrategy& s = batched_strategy_by_id(5);  // large/256
+  const GemmDims big = over_budget_dims(3, 5);
+  ASSERT_GT(pack_footprint_bytes(big), kPackCallBudgetBytes);
+  ASSERT_LE(pack_footprint_bytes({big.m, big.n, big.k - kMicroK}),
+            kPackCallBudgetBytes);
+  const std::vector<GemmDims> dims = {big, {64, 64, 32}, {48, 80, 24}};
+  const std::vector<const TilingStrategy*> strategies(dims.size(), &s);
+  const std::vector<Tile> tiles = enumerate_tiles(dims, strategies);
+  ASSERT_EQ(tiles.front().gemm, 0);
+  const BatchPlan beside = one_tile_blocks(tiles, s);
+  const BatchPlan split =
+      one_tile_blocks(split_tiles_k({tiles.data(), 1}, 3), s);
+  ASSERT_TRUE(split.has_split());
+
+  std::vector<GemmCase> gemms = make_batch(dims, 60);
+  const std::vector<GemmOperands> ops = ops_of(gemms);
+  std::vector<Matrixf> c_init, want;
+  for (const GemmCase& g : gemms) {
+    c_init.push_back(g.c);
+    want.push_back(g.c);
+    GemmOperands reference = g.ops;
+    reference.c = want.back().data();
+    reference_gemm(reference, kA, kB);
+  }
+  const auto reset = [&] {
+    for (std::size_t i = 0; i < gemms.size(); ++i)
+      std::ranges::copy(c_init[i].flat(), gemms[i].c.flat().begin());
+  };
+  const auto expect_outputs = [&](std::size_t n, const std::string& what) {
+    for (std::size_t i = 0; i < n; ++i)
+      expect_bitwise_equal(gemms[i].c, want[i],
+                           what + "/gemm" + std::to_string(i));
+  };
+
+  for (SimdIsa isa : runnable_isas()) {
+    ScopedSimdIsa guard(isa);
+    const std::string what = std::string("alone/") + simd_isa_name(isa);
+    reset();
+#ifdef CTB_TELEMETRY_ENABLED
+    telemetry::reset();
+    telemetry::set_enabled(true);
+#endif
+    run_single_gemm(s, ops[0], kA, kB);
+#ifdef CTB_TELEMETRY_ENABLED
+    const auto snap = telemetry::snapshot();
+    EXPECT_EQ(counter_value(snap, "exec.pack.bytes"), 0) << what;
+    EXPECT_EQ(counter_value(snap, "exec.dispatch.specialized"), 0) << what;
+    EXPECT_EQ(counter_value(snap, "exec.dispatch.generic"), 1) << what;
+    EXPECT_EQ(counter_value(snap, std::string("exec.simd.") +
+                                      simd_isa_name(isa)),
+              1)
+        << what;
+    telemetry::set_enabled(false);
+    telemetry::reset();
+#endif
+    expect_outputs(1, what);
+  }
+
+  for (int threads : {1, 4}) {
+    ScopedParallelThreads par(threads);
+    const std::string t = "/threads" + std::to_string(threads);
+    reset();
+    run_single_gemm(s, ops[0], kA, kB);
+    expect_outputs(1, "alone" + t);
+    reset();
+    run_batched_plan(split, {ops.data(), 1}, kA, kB);
+    expect_outputs(1, "split" + t);
+    reset();
+#ifdef CTB_TELEMETRY_ENABLED
+    telemetry::reset();
+    telemetry::set_enabled(true);
+#endif
+    run_batched_plan(beside, ops, kA, kB);
+#ifdef CTB_TELEMETRY_ENABLED
+    const auto snap = telemetry::snapshot();
+    EXPECT_EQ(counter_value(snap, "exec.pack.bytes"),
+              static_cast<std::int64_t>(pack_footprint_bytes(dims[1]) +
+                                        pack_footprint_bytes(dims[2])))
+        << t;
+    EXPECT_EQ(counter_value(snap, "exec.dispatch.generic"), 1) << t;
+    EXPECT_EQ(counter_value(snap, "exec.dispatch.specialized"),
+              beside.num_tiles() - 1)
+        << t;
+    telemetry::set_enabled(false);
+    telemetry::reset();
+#endif
+    expect_outputs(dims.size(), "beside-packed" + t);
+  }
+}
 
 // Split-K slices of one GEMM share its packed panels: each call of a split
 // plan packs (and charges exec.pack.bytes for) each GEMM exactly once, not
