@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks of the library itself: planner latency,
-// simulator throughput, functional kernel throughput, im2col, and the
-// random-forest predictor (the paper stresses the online selector must be
-// negligible — "7-8 comparisons on average").
+// simulator throughput, functional kernel throughput, im2col and packing a
+// conv's B from its tensor, and the random-forest predictor (the paper
+// stresses the online selector must be negligible — "7-8 comparisons on
+// average").
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -14,6 +15,7 @@
 #include "core/rf_policy.hpp"
 #include "dnn/googlenet.hpp"
 #include "dnn/im2col.hpp"
+#include "dnn/implicit_gemm.hpp"
 #include "kernels/packing.hpp"
 #include "kernels/simd.hpp"
 #include "kernels/work_builder.hpp"
@@ -203,16 +205,21 @@ void BM_ReferenceGemmBlocked(benchmark::State& state) {
 }
 BENCHMARK(BM_ReferenceGemmBlocked)->Arg(64)->Arg(256);
 
-// im2col of one image on real GoogLeNet shapes: the inception 3a 1x1, 3x3
-// and 5x5 convs, inception 4e's 3x3 and the stride-2 7x7 conv1. Bytes are
-// those of the column matrix written.
-void BM_Im2col(benchmark::State& state) {
+// One image on real GoogLeNet shapes: the inception 3a 1x1, 3x3 and 5x5
+// convs, inception 4e's 3x3 and the stride-2 7x7 conv1.
+const ConvShape& googlenet_lowering_shape(std::int64_t i) {
   const auto& m3a = googlenet_inception_modules().front();
   const auto& m4e = googlenet_inception_modules().at(6);
   const std::array<const ConvShape*, 5> shapes = {
       &m3a.conv1x1, &m3a.conv3x3, &m3a.conv5x5, &m4e.conv3x3,
       &googlenet_stem_convs().front()};
-  const ConvShape& s = *shapes.at(static_cast<std::size_t>(state.range(0)));
+  return *shapes.at(static_cast<std::size_t>(i));
+}
+
+// im2col on googlenet_lowering_shape. Bytes are those of the column matrix
+// written.
+void BM_Im2col(benchmark::State& state) {
+  const ConvShape& s = googlenet_lowering_shape(state.range(0));
   Rng rng(3);
   Tensor4 input(1, s.in_c, s.in_h, s.in_w);
   fill_random(input, rng);
@@ -227,6 +234,32 @@ void BM_Im2col(benchmark::State& state) {
   state.SetLabel(s.name);
 }
 BENCHMARK(BM_Im2col)->DenseRange(0, 4);
+
+// The B panel set of an implicit-GEMM conv packed straight from the input
+// tensor, on BM_Im2col's shapes: what the executor does in place of
+// im2col followed by packing the column matrix. Bytes are those of the
+// panel set written.
+void BM_PackConvB(benchmark::State& state) {
+  const ConvShape& s = googlenet_lowering_shape(state.range(0));
+  const GemmDims d = s.gemm_dims(1);
+  Rng rng(3);
+  Tensor4 input(1, s.in_c, s.in_h, s.in_w);
+  fill_random(input, rng);
+  const Matrixf filters = random_filters(s, rng);
+  Matrixf out(static_cast<std::size_t>(d.m), static_cast<std::size_t>(d.n));
+  const GemmOperands g = implicit_conv_operands(s, input, filters, out);
+  std::vector<float> panels(panel_set_floats(PanelSide::kB, d));
+  for (auto _ : state) {
+    pack_panel_set(PanelSide::kB, g, panels.data());
+    benchmark::DoNotOptimize(panels.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<long long>(panels.size() *
+                                                 sizeof(float)));
+  state.SetLabel(s.name);
+}
+BENCHMARK(BM_PackConvB)->DenseRange(0, 4);
 
 void BM_ForestPredict(benchmark::State& state) {
   RfTrainingConfig config;

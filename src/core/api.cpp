@@ -390,13 +390,7 @@ BatchedGemmResult batched_gemm(std::span<const GemmEntry> entries,
   const BatchedGemmPlanner planner(config);
   BatchedGemmResult result;
   result.summary = planner.plan(dims, epilogues);
-  if (config.fallback_to_reference) {
-    result.execution =
-        try_execute_plan(result.summary.plan, ops, alpha, beta);
-    if (result.execution.fell_back) return result;
-  } else {
-    execute_plan(result.summary.plan, ops, alpha, beta);
-  }
+  execute_plan(result.summary.plan, ops, alpha, beta);
   result.timing = time_plan(planner.arch(), result.summary.plan, dims,
                             config.precision);
   return result;

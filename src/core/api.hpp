@@ -82,12 +82,6 @@ struct PlannerConfig {
   /// Upper bound on K slices per tile; candidates sweep powers of two
   /// (2, 4, ..., max_splitk).
   int max_splitk = 8;
-  /// When set, batched_gemm executes through try_execute_plan: a plan that
-  /// fails validation degrades to the bit-exact reference GEMM path instead
-  /// of throwing. Off by default — a planner bug should be loud in
-  /// development; serving loops opt in. Does not affect planning, so it is
-  /// excluded from batch_signature.
-  bool fallback_to_reference = false;
 };
 
 /// The configuration the plan service degrades to when the full planner
@@ -190,17 +184,14 @@ ExecutionReport try_execute_plan(const BatchPlan& plan,
 struct BatchedGemmResult {
   PlanSummary summary;
   TimedResult timing;
-  /// Filled when config.fallback_to_reference is set; default-initialized
-  /// (no fallback) otherwise. Timing is skipped on the fallback path — the
-  /// simulated time of a rejected plan is meaningless.
-  ExecutionReport execution;
 };
 
 /// Degenerate-input contract (both overloads): an empty batch, a null
 /// matrix pointer, any GEMM with m, n, or k == 0, mismatched inner
 /// dimensions, or a C whose shape differs from op(A)*op(B) throws
 /// CheckError deterministically, before any element of any C is written.
-/// These are caller errors, never candidates for the reference fallback.
+/// batched_gemm plans its own batch, so a plan that fails validation is a
+/// planner bug, and it throws too.
 BatchedGemmResult batched_gemm(std::span<const Matrixf* const> a,
                                std::span<const Matrixf* const> b,
                                std::span<Matrixf* const> c, float alpha,

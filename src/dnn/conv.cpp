@@ -11,10 +11,7 @@
 namespace ctb {
 
 void check_conv_shape(const ConvShape& s) {
-  CTB_CHECK_MSG(s.in_c >= 1 && s.out_c >= 1 && s.in_h >= 1 && s.in_w >= 1 &&
-                    s.kernel >= 1 && s.stride >= 1 && s.pad >= 0 &&
-                    s.kernel <= s.in_h + 2 * s.pad &&
-                    s.kernel <= s.in_w + 2 * s.pad,
+  CTB_CHECK_MSG(s.in_c >= 1 && s.out_c >= 1 && s.lowering().valid(),
                 "degenerate conv shape '"
                     << s.name << "': " << s.in_c << "x" << s.in_h << "x"
                     << s.in_w << " input, " << s.out_c << " filters of "

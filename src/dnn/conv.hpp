@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "dnn/tensor.hpp"
+#include "kernels/functional.hpp"
 #include "linalg/gemm_ref.hpp"
 
 namespace ctb {
@@ -26,8 +27,10 @@ struct ConvShape {
   int in_h = 1;
   int in_w = 1;
 
-  int out_h() const { return (in_h + 2 * pad - kernel) / stride + 1; }
-  int out_w() const { return (in_w + 2 * pad - kernel) / stride + 1; }
+  /// The geometry implicit GEMM reads this conv's input with.
+  ConvLowering lowering() const { return {in_h, in_w, kernel, stride, pad}; }
+  int out_h() const { return lowering().out_h(); }
+  int out_w() const { return lowering().out_w(); }
 
   /// GEMM dimensions of the im2col-lowered convolution for `batch` images.
   GemmDims gemm_dims(int batch = 1) const {
@@ -41,11 +44,9 @@ struct ConvShape {
   long long flops(int batch = 1) const { return gemm_dims(batch).flops(); }
 };
 
-/// Rejects a shape no convolution can run: kernel, stride, channel counts
-/// and input extents below 1, negative padding, or a kernel wider or taller
-/// than the padded input (out_h() / out_w() below 1; integer division alone
-/// would round some of those up to 1). The message names the shape. Every
-/// lowering and conv entry point calls it before allocating.
+/// Rejects a shape no convolution can run: channel counts below 1, or a
+/// geometry ConvLowering::valid rejects. The message names the shape.
+/// Every lowering and conv entry point calls it before allocating.
 void check_conv_shape(const ConvShape& shape);
 
 /// Filter matrix layout for the GEMM path: out_c x (in_c * k * k), row

@@ -2,50 +2,33 @@
 
 #include "core/epilogue.hpp"
 #include "dnn/im2col.hpp"
+#include "dnn/implicit_gemm.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/assert.hpp"
 
 namespace ctb {
 
-namespace {
-
-/// Whether two convs unroll the same tensor into the same column matrix.
-bool same_lowering(const GroupedConv& a, const GroupedConv& b) {
-  const ConvShape& x = *a.shape;
-  const ConvShape& y = *b.shape;
-  return a.input == b.input && x.in_c == y.in_c && x.in_h == y.in_h &&
-         x.in_w == y.in_w && x.kernel == y.kernel && x.stride == y.stride &&
-         x.pad == y.pad;
-}
-
-}  // namespace
-
 std::vector<Tensor4> grouped_conv_forward(std::span<const GroupedConv> convs,
                                           const PlannerConfig& config) {
   CTB_CHECK_MSG(!convs.empty(), "empty grouped dispatch");
   const std::size_t n = convs.size();
-  std::vector<Matrixf> cols(n);  // empty where an earlier lowering is reused
   std::vector<Matrixf> outs(n);
-  std::vector<GemmEntry> entries(n);
+  std::vector<GemmOperands> ops(n);
+  std::vector<GemmDims> dims(n);
+  std::vector<int> epilogues(n, 0);
   long long fused_ops = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const GroupedConv& gc = convs[i];
     CTB_CHECK_MSG(gc.shape != nullptr && gc.input != nullptr &&
                       gc.filters != nullptr,
                   "grouped conv " << i << " has a null member");
-    // Convs that unroll one input the same way read one lowering, so their
-    // GEMMs share a B operand and the executor packs its panels once.
-    // The first match is always the conv that lowered.
-    std::size_t src = 0;
-    while (src < i && !same_lowering(convs[src], gc)) ++src;
-    if (src == i) cols[i] = im2col(*gc.shape, *gc.input);
-    const GemmDims d = gc.shape->gemm_dims(gc.input->n());
-    outs[i] = Matrixf(static_cast<std::size_t>(d.m),
-                      static_cast<std::size_t>(d.n));
-    GemmEntry& e = entries[i];
-    e.a = gc.filters;
-    e.b = &cols[src];
-    e.c = &outs[i];
+    check_conv_shape(*gc.shape);
+    dims[i] = gc.shape->gemm_dims(gc.input->n());
+    outs[i] = Matrixf(static_cast<std::size_t>(dims[i].m),
+                      static_cast<std::size_t>(dims[i].n));
+    GemmOperands& g = ops[i];
+    g = implicit_conv_operands(*gc.shape, *gc.input, *gc.filters, outs[i]);
+    g.precision = config.precision;
     if (!gc.bias.empty()) {
       // GEMM rows are output channels (M = out_c), so the per-channel bias
       // is exactly the epilogue's per-row bias vector.
@@ -53,17 +36,22 @@ std::vector<Tensor4> grouped_conv_forward(std::span<const GroupedConv> convs,
                     "grouped conv " << i << " bias holds " << gc.bias.size()
                                     << " values for " << gc.shape->out_c
                                     << " output channels");
-      e.epilogue = epilogue_push(e.epilogue, EpilogueOp::kBias);
-      e.epilogue_args.bias = gc.bias.data();
-      e.epilogue_args.bias_len = static_cast<int>(gc.bias.size());
+      g.epilogue = epilogue_push(g.epilogue, EpilogueOp::kBias);
+      g.epilogue_args.bias = gc.bias.data();
+      g.epilogue_args.bias_len = static_cast<int>(gc.bias.size());
     }
-    if (gc.relu) e.epilogue = epilogue_push(e.epilogue, EpilogueOp::kRelu);
-    fused_ops += epilogue_num_ops(e.epilogue);
+    if (gc.relu) g.epilogue = epilogue_push(g.epilogue, EpilogueOp::kRelu);
+    epilogues[i] = g.epilogue;
+    fused_ops += epilogue_num_ops(g.epilogue);
   }
   CTB_TEL_COUNT("plan.grouped.dispatches", 1);
   CTB_TEL_COUNT("plan.grouped.gemms", static_cast<std::int64_t>(n));
   CTB_TEL_COUNT("plan.grouped.fused_ops", fused_ops);
-  batched_gemm(entries, 1.0f, 0.0f, config);
+  // Convs that lower one input with one geometry read one B: their panel
+  // keys are equal, so the executor packs that B once for all of them.
+  const PlanSummary summary =
+      BatchedGemmPlanner(config).plan(dims, epilogues);
+  execute_plan(summary.plan, ops, 1.0f, 0.0f);
 
   std::vector<Tensor4> tensors;
   tensors.reserve(n);

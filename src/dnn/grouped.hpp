@@ -1,4 +1,4 @@
-// Grouped fused convolution dispatch: several im2col-lowered convolutions
+// Grouped fused convolution dispatch: several implicit-GEMM convolutions
 // — typically one dependency stage of an inception or fire block, or a
 // conv+bias+activation layer — executed as ONE planned batched-GEMM kernel
 // with the per-layer epilogues (bias add, ReLU) fused into the tile store.
@@ -6,10 +6,13 @@
 // This is the dnn-side consumer of the framework's epilogue aux array
 // (core/epilogue.hpp): instead of GEMM -> col2im -> bias pass -> relu pass
 // (three full sweeps over each output), the grouped dispatch runs one GEMM
-// whose stores apply the chain, then a single col2im reshape. Results are
-// bitwise identical to the unfused sequence (the epilogue chain uses the
-// same elementwise definitions as add_bias_inplace / relu_inplace), and
-// exec.c.passes telemetry makes the eliminated sweeps measurable.
+// whose stores apply the chain, then a single col2im reshape. No column
+// matrix is written: each conv's B is its input under its lowering
+// (dnn/implicit_gemm.hpp), packed straight from the tensor. Results are
+// bitwise identical to the unfused im2col sequence (the packer copies
+// im2col's own values, and the epilogue chain uses the same elementwise
+// definitions as add_bias_inplace / relu_inplace), and exec.c.passes
+// telemetry makes the eliminated sweeps measurable.
 #pragma once
 
 #include <span>
@@ -34,11 +37,11 @@ struct GroupedConv {
   bool relu = false;
 };
 
-/// Lowers every conv via im2col, executes the whole group as one batched
-/// GEMM with fused epilogues, and reshapes each output back to NCHW. Convs
-/// with the same input pointer, input extents, kernel, stride and pad share
-/// one lowering (their GEMMs read one B). Counts the dispatch under
-/// plan.grouped.* telemetry.
+/// Builds every conv's implicit-GEMM operands at `config.precision`, plans
+/// the group with its epilogues, executes it as one batched GEMM, and
+/// reshapes each output back to NCHW. Convs over one input tensor with one
+/// geometry (extents, kernel, stride, pad) read one B, which the executor
+/// packs once. Counts the dispatch under plan.grouped.* telemetry.
 std::vector<Tensor4> grouped_conv_forward(std::span<const GroupedConv> convs,
                                           const PlannerConfig& config = {});
 

@@ -135,43 +135,19 @@ void count_dispatch(const PackedDispatch& d, SimdIsa isa, long long tiles) {
 /// from the calling thread's arena, which grows to the largest call and is
 /// then reused — no per-call allocation and no zero-fill (packing writes
 /// every float). It holds at most the admitted bytes of one call, so it
-/// never exceeds kPackCallBudgetBytes.
-struct PackArena {
-  std::unique_ptr<float[]> buf;
-  std::size_t capacity = 0;  // floats
-  bool leased = false;       // an executor call on this thread is using it
-
-  float* reserve(std::size_t floats) {
-    if (floats > capacity) {
-      buf.reset();  // free first: the peak stays one arena, not two
-      buf = std::make_unique_for_overwrite<float[]>(floats);
-      capacity = floats;
-    }
-    return buf.get();
+/// never exceeds kPackCallBudgetBytes. Operands run no code, so a call never
+/// starts inside another one on the same thread, and the call's tiles read
+/// its panels until it returns.
+float* reserve_thread_arena(std::size_t floats) {
+  static thread_local std::unique_ptr<float[]> buf;
+  static thread_local std::size_t capacity = 0;  // floats
+  if (floats > capacity) {
+    buf.reset();  // free first: the peak stays one arena, not two
+    buf = std::make_unique_for_overwrite<float[]>(floats);
+    capacity = floats;
   }
-};
-
-/// Holds the calling thread's PackArena for the length of one executor
-/// call (its tiles read the panels until the call returns). A nested call
-/// on the same thread — say from a gather the outer call's packing invokes
-/// — finds the arena held and gets a private one instead.
-class ArenaLease {
- public:
-  ArenaLease() {
-    static thread_local PackArena mine;
-    arena_ = mine.leased ? &local_ : &mine;
-    arena_->leased = true;
-  }
-  ~ArenaLease() { arena_->leased = false; }
-  ArenaLease(const ArenaLease&) = delete;
-  ArenaLease& operator=(const ArenaLease&) = delete;
-
-  PackArena& arena() { return *arena_; }
-
- private:
-  PackArena local_;
-  PackArena* arena_ = nullptr;
-};
+  return buf.get();
+}
 
 /// The packed operands of one executor call: decides and packs in one
 /// place, and resolves each GEMM's PackedDispatch.
@@ -184,7 +160,7 @@ class ArenaLease {
 /// Each admitted GEMM then resolves its A and B panel sets by PanelKey: a
 /// set an earlier GEMM of the call already resolved is shared, so an
 /// operand several GEMMs read is packed once, whatever their strategies.
-/// Every distinct set is carved from the thread's PackArena, packed one set
+/// Every distinct set is carved from the thread's panel arena, packed one set
 /// per parallel_for task (disjoint storage, order-independent contents:
 /// bit-exact at any thread count), and dies with the call: nothing packed
 /// survives to the next call, so operands may change freely between calls.
@@ -201,7 +177,6 @@ class CallPacks {
 
  private:
   std::vector<PackedDispatch> dispatch_;
-  ArenaLease lease_;
 };
 
 CallPacks::CallPacks(const BatchPlan& plan,
@@ -245,7 +220,7 @@ CallPacks::CallPacks(const BatchPlan& plan,
     for (const PanelSide side : {PanelSide::kA, PanelSide::kB}) {
       const PanelKey key = panel_key(side, g);
       std::size_t idx = 0;
-      while (idx < slots.size() && !slots[idx].key.matches(key)) ++idx;
+      while (idx < slots.size() && slots[idx].key != key) ++idx;
       if (idx == slots.size()) {
         slots.push_back({key, &g, arena_floats});
         arena_floats += panel_set_floats(side, g.dims);
@@ -256,7 +231,7 @@ CallPacks::CallPacks(const BatchPlan& plan,
   }
 
   float* const arena =
-      arena_floats > 0 ? lease_.arena().reserve(arena_floats) : nullptr;
+      arena_floats > 0 ? reserve_thread_arena(arena_floats) : nullptr;
   parallel_for(static_cast<long long>(slots.size()), [&](long long i) {
     const Slot& slot = slots[static_cast<std::size_t>(i)];
     pack_panel_set(slot.key.side, *slot.g, arena + slot.offset);
@@ -455,8 +430,7 @@ void store_tile(const TilingStrategy& s, const GemmOperands& g,
 }
 
 /// One whole tile: the full K range, then the store. The accumulator lives
-/// in this frame, so an executor call nested in a gather that this tile's
-/// staging invokes cannot overwrite it.
+/// in this frame.
 void run_tile(const TilingStrategy& s, const GemmOperands& g,
               const PackedDispatch& d, int ty, int tx, float alpha,
               float beta) {
@@ -647,6 +621,26 @@ void audit_perm(const int* perm, int len, int extent, const char* axis,
   }
 }
 
+/// The audit of a conv B: a geometry a convolution can run with, read
+/// untransposed, whose filter taps and output pixels tile K and N exactly
+/// (whole channels, whole images).
+void audit_lowering(const GemmOperands& g, std::size_t i) {
+  const ConvLowering& l = g.lowering;
+  CTB_CHECK_MSG(l.valid() && g.op_b == Op::kN,
+                "GEMM " << i << " lowers its op " << to_string(g.op_b)
+                        << " B from a " << l.in_h << 'x' << l.in_w
+                        << " input with a " << l.kernel << 'x' << l.kernel
+                        << " kernel, stride " << l.stride << ", pad "
+                        << l.pad << " (needs op N and a runnable geometry)");
+  const long long taps = static_cast<long long>(l.kernel) * l.kernel;
+  const long long pixels = static_cast<long long>(l.out_h()) * l.out_w();
+  CTB_CHECK_MSG(g.dims.k % taps == 0 && g.dims.n % pixels == 0,
+                "GEMM " << i << " K=" << g.dims.k << ", N=" << g.dims.n
+                        << " are not whole channels of " << taps
+                        << " taps and whole images of " << pixels
+                        << " pixels");
+}
+
 /// Epilogue half of the operand audit: the spec is a canonical chain, every
 /// op it names has its operand present with the exact extent, and each
 /// permutation axis appears at most once (a repeated axis would make the
@@ -701,9 +695,9 @@ void audit_operands(std::span<const GemmOperands> batch) {
                                           << g.dims.m << 'x' << g.dims.n
                                           << 'x' << g.dims.k);
     CTB_CHECK_MSG(g.a != nullptr, "GEMM " << i << " has no A storage");
-    CTB_CHECK_MSG(g.b != nullptr || g.b_gather,
-                  "GEMM " << i << " needs B storage or a gather");
+    CTB_CHECK_MSG(g.b != nullptr, "GEMM " << i << " has no B storage");
     CTB_CHECK_MSG(g.c != nullptr, "GEMM " << i << " has no C storage");
+    if (g.lowering.active()) audit_lowering(g, i);
     audit_epilogue(g, i);
   }
 }
@@ -728,20 +722,8 @@ void audit_plan_operands(const BatchPlan& plan,
 }
 
 void reference_gemm(const GemmOperands& g, float alpha, float beta) {
-  CTB_CHECK(g.a != nullptr && g.c != nullptr);
-  CTB_CHECK_MSG(g.b != nullptr || g.b_gather,
-                "B operand needs storage or a gather");
-  CTB_CHECK(g.dims.valid());
+  audit_operands({&g, 1});
   const auto& d = g.dims;
-  auto at_a = [&](int i, int k) {
-    return g.op_a == Op::kN ? g.a[static_cast<std::size_t>(i) * d.k + k]
-                            : g.a[static_cast<std::size_t>(k) * d.m + i];
-  };
-  auto at_b = [&](int k, int j) {
-    if (g.b_gather) return g.b_gather(k, j);
-    return g.op_b == Op::kN ? g.b[static_cast<std::size_t>(k) * d.n + j]
-                            : g.b[static_cast<std::size_t>(j) * d.k + k];
-  };
   const bool fp16 = g.precision == Precision::kFp16;
   const EpilogueChain chain(g.epilogue);
   const EpilogueArgs& ea = g.epilogue_args;
@@ -749,12 +731,8 @@ void reference_gemm(const GemmOperands& g, float alpha, float beta) {
   for (int i = 0; i < d.m; ++i) {
     for (int j = 0; j < d.n; ++j) {
       float acc = 0.0f;
-      if (fp16) {
-        for (int k = 0; k < d.k; ++k)
-          acc += round_to_half(at_a(i, k)) * round_to_half(at_b(k, j));
-      } else {
-        for (int k = 0; k < d.k; ++k) acc += at_a(i, k) * at_b(k, j);
-      }
+      for (int k = 0; k < d.k; ++k)
+        acc += staged_a_value(g, i, k) * staged_b_value(g, k, j);
       // The beta prior reads the logical cell; under a permutation beta is
       // rejected above, so logical == destination whenever it is read.
       float* cell = &g.c[static_cast<std::size_t>(i) * d.n + j];

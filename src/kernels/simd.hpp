@@ -14,7 +14,8 @@
 // separate statements under the global -ffp-contract=off, so no lane ever
 // sees a fused or reassociated operation. Every ISA's kernel is
 // bit-identical to the scalar one and to reference_gemm for every
-// strategy, precision, transpose mode, and gather, packed or staged.
+// strategy, precision, transpose mode, and lowered conv B, packed or
+// staged.
 //
 // Dispatch: `detected_simd_isa()` probes the host once (CPUID on x86-64,
 // NEON is baseline on aarch64); `active_simd_isa()` starts from the

@@ -212,8 +212,8 @@ TEST(GroupedConv, SharedInputIsLoweredAndPackedOnce) {
   // which share one lowering, plus two 3x3 convs over the same input that
   // differ from them in kernel and from each other in pad, which must not.
   // One group reads the input itself, the other one copy of it per conv,
-  // which the grouped dispatch must lower (and the executor pack)
-  // separately.
+  // whose B operands the executor must pack separately: conv Bs share a
+  // panel set exactly when they lower one tensor with one geometry.
   const InceptionModule& m = googlenet_inception_modules().front();
   ConvShape same_pad = m.conv1x1;
   same_pad.name = "3x3/pad1";

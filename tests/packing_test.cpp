@@ -1,12 +1,17 @@
 // Per-call panel packing (kernels/packing.hpp): the call's pack budget (a
 // GEMM past it runs staged, bit-exact, and leaves the budget to the GEMMs
 // after it), one pack per GEMM per call (never per K-slice, and the same
-// bytes on every call), and the lifetime rule the bit-exactness contract
-// rests on — packed panels die with the executor call that packed them, so
-// operands changed in place between two calls are always seen by the second.
+// bytes on every call), the lifetime rule the bit-exactness contract rests
+// on — packed panels die with the executor call that packed them, so
+// operands changed in place between two calls are always seen by the
+// second — and the third block source: a convolution's B copied from its
+// input tensor.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cmath>
 #include <functional>
 #include <span>
 #include <string>
@@ -353,6 +358,78 @@ TEST(PanelLifetime, MutationBetweenCallsExecutePlan) {
         execute_plan(summary.plan, ops, kAlpha, 0.0f);
       },
       "execute_plan");
+}
+
+// A lowered B packs to exactly its staged values, as whole panel sets and
+// as the chunks a staged tile packs (any panel range, any K-step range):
+// every kernel (1, 3, 5, 7) x stride (1, 2) x pad (0-3) over 1-3 images,
+// at output widths under one micro-panel (7, 14), so that a block's rows
+// cross output rows and images, and over it (28, 56); fp32 and fp16. The
+// buffers start NaN-filled and compare as bits, so a float the packer
+// skips, or a -0.0f pad, shows up.
+TEST(PackConvB, PanelsEqualStagedValues) {
+  const auto bits = [](float v) { return std::bit_cast<std::uint32_t>(v); };
+  int cases = 0;
+  for (int kernel : {1, 3, 5, 7})
+    for (int stride : {1, 2})
+      for (int pad = 0; pad <= 3; ++pad)
+        for (int out_w : {7, 14, 28, 56}) {
+          const int images = 1 + cases++ % 3;
+          // The smallest output height of at least 2 whose input is real.
+          int out_h = 2;
+          while ((out_h - 1) * stride + kernel - 2 * pad < 1) ++out_h;
+          const ConvLowering l{(out_h - 1) * stride + kernel - 2 * pad,
+                               (out_w - 1) * stride + kernel - 2 * pad,
+                               kernel, stride, pad};
+          ASSERT_TRUE(l.valid());
+          ASSERT_EQ(l.out_w(), out_w);
+          const int channels = 2;
+          Rng rng(static_cast<std::uint64_t>(cases));
+          const Matrixf input =
+              rand_mat(images * channels, l.in_h * l.in_w, rng);
+          GemmOperands g;
+          g.b = input.data();
+          g.lowering = l;
+          g.dims = {16, out_h * out_w * images, channels * kernel * kernel};
+          const int panels = micro_panel_count(PanelSide::kB, g.dims);
+          const int steps = (g.dims.k + kMicroK - 1) / kMicroK;
+          for (Precision prec : {Precision::kFp32, Precision::kFp16}) {
+            g.precision = prec;
+            const std::string what =
+                std::to_string(kernel) + "x" + std::to_string(kernel) +
+                "/s" + std::to_string(stride) + "/p" + std::to_string(pad) +
+                "/out " + std::to_string(out_h) + "x" +
+                std::to_string(out_w) + "/n" + std::to_string(images) +
+                (prec == Precision::kFp16 ? "/fp16" : "/fp32");
+            // Chunk (first panel, panels, first step, steps): the whole set,
+            // then every 3-panel x 5-step chunk.
+            std::vector<std::array<int, 4>> chunks = {{0, panels, 0, steps}};
+            for (int p0 = 0; p0 < panels; p0 += 3)
+              for (int s0 = 0; s0 < steps; s0 += 5)
+                chunks.push_back({p0, std::min(3, panels - p0), s0,
+                                  std::min(5, steps - s0)});
+            for (const auto& [p0, np, s0, ns] : chunks) {
+              std::vector<float> out(
+                  static_cast<std::size_t>(np) * ns * kMicroBlock,
+                  std::nanf("1"));
+              pack_panels(PanelSide::kB, g, p0, np, s0, s0 + ns, out.data());
+              for (int c = 0; c < np; ++c)
+                for (int step = 0; step < ns; ++step)
+                  for (int p = 0; p < kMicroK; ++p)
+                    for (int j = 0; j < kMicroTile; ++j) {
+                      const int k = (s0 + step) * kMicroK + p;
+                      const int col = (p0 + c) * kMicroTile + j;
+                      ASSERT_EQ(bits(out[((static_cast<std::size_t>(c) * ns +
+                                           step) * kMicroK + p) *
+                                             kMicroTile + j]),
+                                bits(staged_b_value(g, k, col)))
+                          << what << " chunk (" << p0 << ", " << np << ", "
+                          << s0 << ", " << ns << ") B(" << k << ", " << col
+                          << ")";
+                    }
+            }
+          }
+        }
 }
 
 }  // namespace

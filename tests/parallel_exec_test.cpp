@@ -273,9 +273,9 @@ TEST(ParallelBatchedPlan, ForeignGemmIndexThrowsUnderParallelism) {
   EXPECT_THROW(run_batched_plan(plan, ops, 1.0f, 0.0f), CheckError);
 }
 
-// ------------------------------------------------------- implicit gather --
+// ------------------------------------------------------ implicit conv GEMM --
 
-TEST(ParallelImplicitGemm, GatherPathBitExact) {
+TEST(ParallelImplicitGemm, ConvLoweringBitExact) {
   ConvShape shape;
   shape.name = "par_conv";
   shape.in_c = 5;

@@ -1,8 +1,9 @@
 // Property-based coverage of the whole plan pipeline: for seeded random
-// batches — ragged shapes, transposed operands, fp16, gathered B — and for
-// every batching policy, the planner's output must (a) cover every C tile of
-// every GEMM exactly once with per-GEMM-consistent strategies and coherent
-// aux arrays, and (b) execute to bit-identical C against reference_gemm.
+// batches — ragged shapes, transposed operands, fp16, convolution-lowered
+// B — and for every batching policy, the planner's output must (a) cover
+// every C tile of every GEMM exactly once with per-GEMM-consistent
+// strategies and coherent aux arrays, and (b) execute to bit-identical C
+// against reference_gemm.
 // The checks here are written independently of validate_plan so a bug in the
 // shared validator cannot mask a bug in the planner.
 #include <gtest/gtest.h>
@@ -41,7 +42,7 @@ int log_uniform_dim(Rng& rng) {
 struct PropertyCase {
   std::vector<GemmDims> dims;
   std::vector<Op> op_a, op_b;
-  std::vector<bool> gather_b;
+  std::vector<ConvLowering> lowering;  ///< inactive: B is stored
   std::vector<int> epilogue;  ///< per-GEMM packed chains; empty = plain
   Precision precision = Precision::kFp32;
   float alpha = 1.0f;
@@ -57,9 +58,23 @@ PropertyCase random_case(Rng& rng) {
         {log_uniform_dim(rng), log_uniform_dim(rng), log_uniform_dim(rng)});
     pc.op_a.push_back(rng.bernoulli(0.25) ? Op::kT : Op::kN);
     pc.op_b.push_back(rng.bernoulli(0.25) ? Op::kT : Op::kN);
-    // The gather path replaces stored B; it models implicit GEMM, which is
-    // always kN, so only non-transposed B operands may gather.
-    pc.gather_b.push_back(pc.op_b.back() == Op::kN && rng.bernoulli(0.2));
+    // A lowered B is implicit GEMM, which is always kN. Its K and N follow
+    // from a random real geometry: kernel 1/3/5/7, stride 1/2, pad 0-3,
+    // 1-3 channels and 1-3 images of a small input.
+    ConvLowering l;
+    if (pc.op_b.back() == Op::kN && rng.bernoulli(0.2)) {
+      l.kernel = 1 + 2 * static_cast<int>(rng.uniform_int(0, 3));
+      l.stride = static_cast<int>(rng.uniform_int(1, 2));
+      l.pad = static_cast<int>(rng.uniform_int(0, 3));
+      const int lo = std::max(1, l.kernel - 2 * l.pad);
+      l.in_h = static_cast<int>(rng.uniform_int(lo, lo + 5));
+      l.in_w = static_cast<int>(rng.uniform_int(lo, lo + 5));
+      const int channels = static_cast<int>(rng.uniform_int(1, 3));
+      const int images = static_cast<int>(rng.uniform_int(1, 3));
+      pc.dims.back().k = channels * l.kernel * l.kernel;
+      pc.dims.back().n = l.out_h() * l.out_w() * images;
+    }
+    pc.lowering.push_back(l);
   }
   pc.precision = rng.bernoulli(0.25) ? Precision::kFp16 : Precision::kFp32;
   constexpr float kAlphas[] = {1.0f, 1.5f, -0.5f, 0.25f};
@@ -117,23 +132,30 @@ CaseStorage materialize(const PropertyCase& pc) {
   };
   for (std::size_t i = 0; i < pc.dims.size(); ++i) {
     const GemmDims& d = pc.dims[i];
+    const ConvLowering& l = pc.lowering[i];
     const bool ta = pc.op_a[i] == Op::kT;
     const bool tb = pc.op_b[i] == Op::kT;
     cs.a.push_back(rand_mat(ta ? d.k : d.m, ta ? d.m : d.k));
-    cs.b.push_back(rand_mat(tb ? d.n : d.k, tb ? d.k : d.n));
+    if (l.active()) {  // the NCHW input, one row per (image, channel) plane
+      const int channels = d.k / (l.kernel * l.kernel);
+      const int images = d.n / (l.out_h() * l.out_w());
+      cs.b.push_back(rand_mat(images * channels, l.in_h * l.in_w));
+    } else {
+      cs.b.push_back(rand_mat(tb ? d.n : d.k, tb ? d.k : d.n));
+    }
     cs.c.push_back(rand_mat(d.m, d.n));
   }
   for (std::size_t i = 0; i < pc.dims.size(); ++i) {
-    GemmOperands g =
-        operands(cs.a[i], cs.b[i], cs.c[i], pc.op_a[i], pc.op_b[i]);
+    GemmOperands g;
+    g.a = cs.a[i].data();
+    g.b = cs.b[i].data();
+    g.c = cs.c[i].data();
+    g.dims = pc.dims[i];
+    g.op_a = pc.op_a[i];
+    g.op_b = pc.op_b[i];
     g.precision = pc.precision;
-    if (pc.gather_b[i]) {
-      const float* data = cs.b[i].flat().data();
-      const int n = pc.dims[i].n;
-      g.b_gather = [data, n](int k, int j) { return data[k * n + j]; };
-      g.b = nullptr;
-    }
-    cs.ops.push_back(std::move(g));
+    g.lowering = pc.lowering[i];
+    cs.ops.push_back(g);
   }
   // Epilogue operands come from the same deterministic stream, so the plan
   // run and the reference run materialize identical chains.

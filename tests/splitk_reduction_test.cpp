@@ -7,7 +7,7 @@
 // BITWISE identical to the unsplit execution. This test pins that contract
 // where it can break: under parallel_for at 1/2/4/8 threads, for one GEMM
 // and mixed batches under hand-built uniform plans and planner-made plans,
-// fp32 and fp16, N/T transpose variants, the gather (implicit-GEMM) path,
+// fp32 and fp16, N/T transpose variants, the implicit-GEMM conv path,
 // every Table-2 strategy, and every SIMD ISA reachable on the host.
 #include <gtest/gtest.h>
 
@@ -185,9 +185,9 @@ TEST(SplitKSingleGemm, TransposeVariantsBitExact) {
   }
 }
 
-// The gather (implicit-GEMM) path: B is a callable, so slicing must offset
-// the gather coordinates, not a pointer.
-TEST(SplitKSingleGemm, GatherPathBitExact) {
+// The implicit-GEMM path: B is an input tensor under a lowering, so slicing
+// must offset the lowered (k, j) coordinates, not a pointer.
+TEST(SplitKSingleGemm, ConvLoweringBitExact) {
   ConvShape shape;
   shape.name = "splitk_conv";
   shape.in_c = 7;
@@ -224,7 +224,7 @@ TEST(SplitKSingleGemm, GatherPathBitExact) {
         implicit_conv_operands(shape, input, filters, split_out);
     run_batched_plan(split, {&g, 1}, 1.0f, 0.0f);
     expect_bitwise_equal(reference_out, split_out,
-                         "gather threads=" + std::to_string(threads));
+                         "conv threads=" + std::to_string(threads));
   }
 }
 
