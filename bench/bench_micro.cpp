@@ -339,6 +339,40 @@ BENCHMARK(BM_RunBatchedPlanThreads)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
+// Host cost of split-K plans: the same tiles of a tall-skinny, deep-K batch
+// (GEMMs 512x64x1024 and 384x64x768 under the 64x64 strategy), one tile per
+// block, unsplit (arg 1) and split into 2, 4 and 8 K slices, at one
+// worker. The sweep runs a split tile's whole chain at its first slice and
+// skips the rest, so every arg does the same arithmetic; a gap between
+// args is what the split plan's extra entries cost the host.
+void BM_RunSplitPlan(benchmark::State& state) {
+  const std::vector<GemmDims> dims = {{512, 64, 1024}, {384, 64, 768}};
+  const auto& s = batched_strategy(TileShape::kLarge, ThreadVariant::k256);
+  const std::vector<const TilingStrategy*> strategies(dims.size(), &s);
+  std::vector<std::vector<Tile>> blocks;
+  for (const Tile& t : split_tiles_k(enumerate_tiles(dims, strategies),
+                                     static_cast<int>(state.range(0))))
+    blocks.push_back({t});
+  const BatchPlan plan = build_plan(blocks, s.threads);
+  std::vector<MicroAbFixture> gemms;
+  gemms.reserve(dims.size());  // each fixture's operands point into it
+  for (const GemmDims& d : dims) gemms.emplace_back(d);
+  std::vector<GemmOperands> ops;
+  long long flops = 0;
+  for (std::size_t i = 0; i < dims.size(); ++i) {
+    ops.push_back(gemms[i].g);
+    flops += dims[i].flops();
+  }
+  ScopedParallelThreads serial(1);
+  for (auto _ : state) {
+    run_batched_plan(plan, ops, 1.0f, 0.0f);
+    benchmark::DoNotOptimize(gemms.front().c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * flops);
+  state.SetLabel(std::to_string(plan.num_blocks()) + " blocks");
+}
+BENCHMARK(BM_RunSplitPlan)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+
 // Same batch through the vbatch executor (bubble blocks included).
 void BM_RunVbatchThreads(benchmark::State& state) {
   const ExecutorFixture& f = executor_fixture();

@@ -257,8 +257,8 @@ double BatchedGemmPlanner::consider_splitk(
     return plan_us;
   // TLP-scarcity trigger: a plan already launching at least half the TLP
   // threshold's worth of threads fills the machine, so extra split-K blocks
-  // would only add fix-up reduction traffic. Mirrors the batching engine's
-  // own "merge only while TLP exceeds half the threshold" guard.
+  // would only add the slices' workspace traffic. Mirrors the batching
+  // engine's own "merge only while TLP exceeds half the threshold" guard.
   const long long launched =
       static_cast<long long>(summary.plan.num_blocks()) *
       summary.plan.block_threads;

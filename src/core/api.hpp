@@ -74,9 +74,10 @@ struct PlannerConfig {
   /// precision-independent, the strategy tables are the paper's FP32 suite).
   Precision precision = Precision::kFp32;
   /// Split-K scheduling axis: when a batch's tiles cannot fill the machine,
-  /// each tile's K loop may be partitioned into BK-aligned slices executed
-  /// as extra blocks with a deterministic carried-chain fix-up reduction
-  /// (bit-identical to the unsplit plan — see run_batched_plan). Candidate
+  /// each tile's K loop may be partitioned into BK-aligned slices that the
+  /// simulated device runs as extra blocks. The host runs a split tile's
+  /// slices as one carried chain at its first slice, so results are
+  /// bit-identical to the unsplit plan (see run_batched_plan). Candidate
   /// split plans are sim-compared against the unsplit plan via time_plan.
   SplitKMode splitk = SplitKMode::kAuto;
   /// Upper bound on K slices per tile; candidates sweep powers of two

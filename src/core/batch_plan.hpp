@@ -46,7 +46,7 @@ struct Tile {
 ///                                 batch when present. Indexed by GEMM id,
 ///                                 not tile id: every tile of a GEMM shares
 ///                                 one epilogue, applied inside the tile
-///                                 store after the split-K fix-up join.
+///                                 store after the tile's whole K chain.
 ///                                 Empty for epilogue-free plans.
 struct BatchPlan {
   std::vector<int> tile_offsets;

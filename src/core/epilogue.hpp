@@ -4,7 +4,7 @@
 // this module describes *what happens to it* on the way out. A plan may carry
 // one epilogue spec per GEMM — a short, ordered chain of elementwise ops
 // (bias add, ReLU, residual add) and destination permutations (row/col) that
-// the executors apply inside the tile store, after the split-K fix-up join.
+// the executors apply inside the tile store, after the tile's whole K chain.
 // Fusing the epilogue into the store removes the separate read+write pass
 // over C that the dnn layers otherwise pay per elementwise op.
 //

@@ -324,7 +324,7 @@ std::vector<FaultedPlan> inject_plan_fault(const BatchPlan& plan,
       break;
     }
     case PlanFault::kSplitOverlap:
-      // Pull a fix-up slice's start back one BK step: it now overlaps the
+      // Pull a later slice's start back one BK step: it now overlaps the
       // preceding slice of the same coordinate while staying BK-aligned and
       // non-empty, so only the partition check can catch it.
       for (int t = 0; plan.has_split() && t < n; ++t) {
@@ -339,7 +339,7 @@ std::vector<FaultedPlan> inject_plan_fault(const BatchPlan& plan,
       }
       break;
     case PlanFault::kSplitGap:
-      // Push a fix-up slice's start forward one BK step, leaving a hole in
+      // Push a later slice's start forward one BK step, leaving a hole in
       // the coordinate's K coverage (the range stays non-empty).
       for (int t = 0; plan.has_split() && t < n; ++t) {
         const int bk = batched_strategy_by_id(plan.strategy_of_tile[st(t)]).bk;
@@ -368,13 +368,13 @@ std::vector<FaultedPlan> inject_plan_fault(const BatchPlan& plan,
       }
       break;
     case PlanFault::kSplitZeroLength:
-      // Collapse a fix-up entry (k_begin > 0) to a zero-length range: the
-      // tile still appears in the reduction chain but covers nothing.
+      // Collapse a later entry (k_begin > 0) to a zero-length range: the
+      // tile still appears in its coordinate's chain but covers nothing.
       for (int t = 0; plan.has_split() && t < n; ++t) {
         if (plan.k_begin[st(t)] > 0) {
           BatchPlan p = plan;
           p.k_end[st(t)] = p.k_begin[st(t)];
-          add(std::move(p), "fix-up slice " + std::to_string(t) +
+          add(std::move(p), "later slice " + std::to_string(t) +
                                 " collapsed to a zero-length range");
           break;
         }

@@ -57,7 +57,7 @@ enum class PlanFault : int {
   kSplitOverlap,     ///< adjacent slices of one tile overlap by one BK step.
   kSplitGap,         ///< coverage of one tile's K extent leaves a hole.
   kSplitEndPastK,    ///< k_end runs past the owning GEMM's K (+ INT_MAX).
-  kSplitZeroLength,  ///< a fix-up entry (k_begin > 0) with an empty range.
+  kSplitZeroLength,  ///< a later entry (k_begin > 0) with an empty range.
   kSplitUnaligned,   ///< k_begin knocked off the BK grid.
   kSplitTruncated,   ///< K-range arrays shorter than the tile count.
   // Epilogue-array corruption (apply to epilogue-carrying plans only:

@@ -266,59 +266,41 @@ CallPacks::CallPacks(const BatchPlan& plan,
 
 // ------------------------------------------------------ tile pipeline ----
 //
-// Every tile runs accumulate_tile_range over its K range into a row-major
+// Every tile runs accumulate_tile over its whole K chain into a row-major
 // BY x BX accumulator, then store_tile. Accumulation is one loop: the
 // call's micro-kernel over micro-panels, packed per call or staged per
 // tile. Per C element both add the same staged values in ascending
 // (k0, p) order, so which mode ran never shows in the bits.
-//
-// Split-K: a split tile executes only the K range [k_lo, k_hi) of its
-// coordinate. Float addition is not associative, so zero-based per-slice
-// partials cannot be recombined bit-exactly. Instead the chain is
-// *carried*: the k_begin == 0 slice accumulates from zero into a workspace
-// accumulator (the exact prefix value of the unsplit chain — float
-// store/reload is bit-preserving), and the fix-up reduction walks the
-// remaining slices in ascending k order, continuing the same accumulator,
-// before the store. The reduction tree is thus the unique order-preserving
-// (left-spine) tree; no atomics, one deterministic owner per C tile.
 
-/// Accumulates K range [k_lo, k_hi) of tile (ty, tx) into `acc`: the
-/// call's micro-kernel runs over the micro-tiles that intersect the matrix
-/// (overwrite for the first slice, continue the carried chain after). A
+/// Accumulates the K chain of tile (ty, tx) into `acc`: the call's
+/// micro-kernel runs over the micro-tiles that intersect the matrix. A
 /// packed GEMM's tile reads the call's panel sets. Any other tile packs
 /// its own micro-panels, kStageSteps K steps at a time, into scratch in
 /// this frame and continues the chain across the chunks — an exact reload,
-/// so the bits equal one pass over packed panels. A slice sequence ending
-/// at K equals one unsplit pass exactly. Split slices of a validated plan
-/// start at multiples of BK = 8 = kMicroK, so every slice covers whole
-/// micro-panel steps.
-void accumulate_tile_range(const TilingStrategy& s, const GemmOperands& g,
-                           const PackedDispatch& d, int ty, int tx, int k_lo,
-                           int k_hi, bool first, float* acc) {
+/// so the bits equal one pass over packed panels.
+void accumulate_tile(const TilingStrategy& s, const GemmOperands& g,
+                     const PackedDispatch& d, int ty, int tx, float* acc) {
   const GemmDims& dims = g.dims;
   const int rows = std::min(s.by, dims.m - ty * s.by);
   const int cols = std::min(s.bx, dims.n - tx * s.bx);
   const int row_panel = ty * s.by / kMicroTile;
   const int col_panel = tx * s.bx / kMicroTile;
-  const int step_lo = k_lo / kMicroK;
-  const int step_hi =
-      k_hi >= dims.k ? ceil_div(dims.k, kMicroK) : k_hi / kMicroK;
   if (d.pack.valid()) {
     accumulate_micro_tiles(d.kernel, d.pack, row_panel, col_panel, rows, cols,
-                           step_lo, step_hi, !first, acc, s.bx);
+                           /*accumulate=*/false, acc, s.bx);
     return;
   }
   alignas(64) float a[kMaxBy / kMicroTile * kStageSteps * kMicroBlock];
   alignas(64) float b[kMaxBx / kMicroTile * kStageSteps * kMicroBlock];
-  for (int lo = step_lo; lo < step_hi; lo += kStageSteps) {
-    const int hi = std::min(step_hi, lo + kStageSteps);
+  const int steps = ceil_div(dims.k, kMicroK);
+  for (int lo = 0; lo < steps; lo += kStageSteps) {
+    const int hi = std::min(steps, lo + kStageSteps);
     pack_panels(PanelSide::kA, g, row_panel, ceil_div(rows, kMicroTile), lo,
                 hi, a);
     pack_panels(PanelSide::kB, g, col_panel, ceil_div(cols, kMicroTile), lo,
                 hi, b);
     accumulate_micro_tiles(d.kernel, PackedGemm{hi - lo, a, b}, 0, 0, rows,
-                           cols, 0, hi - lo, !first || lo > step_lo, acc,
-                           s.bx);
+                           cols, /*accumulate=*/lo > 0, acc, s.bx);
   }
 }
 
@@ -366,8 +348,7 @@ void check_epilogue_beta(const GemmOperands& g, float beta, std::size_t i) {
 /// vector row kernel — a plain tile is its empty chain, and a row
 /// permutation only relocates whole rows; fp16 rows, column permutations
 /// and builds without a vector unit take the scalar per-element chain. The
-/// two are bit-identical. This is also the split-K fix-up's store, which
-/// puts the epilogue strictly after the join at any thread count.
+/// two are bit-identical.
 void store_tile(const TilingStrategy& s, const GemmOperands& g,
                 const PackedDispatch& d, int ty, int tx, float alpha,
                 float beta, const float* acc) {
@@ -429,14 +410,31 @@ void store_tile(const TilingStrategy& s, const GemmOperands& g,
   }
 }
 
-/// One whole tile: the full K range, then the store. The accumulator lives
-/// in this frame.
+/// One whole tile: its K chain, then the store. The accumulator lives in
+/// this frame.
 void run_tile(const TilingStrategy& s, const GemmOperands& g,
               const PackedDispatch& d, int ty, int tx, float alpha,
               float beta) {
   alignas(64) float acc[kMaxBy * kMaxBx];
-  accumulate_tile_range(s, g, d, ty, tx, 0, g.dims.k, /*first=*/true, acc);
+  accumulate_tile(s, g, d, ty, tx, acc);
   store_tile(s, g, d, ty, tx, alpha, beta, acc);
+}
+
+/// Split-K accounting, evaluated only when telemetry is enabled: the plan's
+/// partial-K tiles, or with `first` only those starting at 0, one per split
+/// C tile.
+[[maybe_unused]] long long partial_k_tiles(const BatchPlan& plan,
+                                           std::span<const GemmOperands> batch,
+                                           bool first) {
+  long long n = 0;
+  for (int t = 0; t < plan.num_tiles(); ++t) {
+    const int k = batch[static_cast<std::size_t>(
+                            plan.gemm_of_tile[static_cast<std::size_t>(t)])]
+                      .dims.k;
+    const auto [kb, ke] = plan.tile_k_range(t, k);
+    n += (kb != 0 || ke != k) && (!first || kb == 0);
+  }
+  return n;
 }
 
 /// The one executor (Fig. 7): runs every block of `plan` over `batch`,
@@ -444,111 +442,41 @@ void run_tile(const TilingStrategy& s, const GemmOperands& g,
 /// sweep reads these, not plan.strategy_of_tile). Blocks run concurrently —
 /// the plan covers each C tile once, so no two blocks touch the same tile —
 /// while each block's tile chain stays serial, exactly like persistent
-/// thread blocks on the device. Split tiles with k_begin == 0 seed their
-/// group's workspace accumulator (one writer per group); later slices are
-/// deferred to the fix-up reduction past the parallel_for join.
+/// thread blocks on the device.
+///
+/// Split-K: the slices of a split C tile form one carried chain, and
+/// float addition is not associative, so they cannot run apart and be
+/// summed. The tile's slice that starts at 0 runs the whole chain and
+/// stores (validate_plan guarantees each C tile exactly one such slice);
+/// its later slices run nothing. Each C tile thus keeps one owner, one
+/// ascending (k0, p) chain and one store, with no atomics: the bits equal
+/// the unsplit plan's at any thread count.
 void sweep(const BatchPlan& plan, std::span<const GemmOperands> batch,
            std::span<const TilingStrategy* const> strategy, float alpha,
            float beta) {
   CTB_TEL_COUNT("exec.flops", flops_of(batch));
   CTB_TEL_COUNT("exec.c.passes", batch.size());
+  if (plan.has_split()) {
+    CTB_TEL_COUNT("exec.splitk.tiles", partial_k_tiles(plan, batch, false));
+    CTB_TEL_COUNT("exec.splitk.groups", partial_k_tiles(plan, batch, true));
+  }
   const CallPacks packs = [&] {
     CTB_TEL_SPAN("exec.pack");
     return CallPacks(plan, batch, strategy);
   }();
 
-  // Split-K discovery: a tile whose K range does not cover its GEMM's full
-  // K extent belongs to a fix-up group keyed (gemm, ty, tx). Each group
-  // gets one row-major BY x BX accumulator in a shared workspace arena;
-  // groups are enumerated in key order and slices within a group in
-  // ascending k_begin order, so ownership and arithmetic order are
-  // deterministic regardless of thread count. The arena is not cleared: a
-  // group's seed slice (k_begin == 0) overwrites every cell that its fix-up
-  // and its store read.
-  struct SplitGroup {
-    int gemm = 0, ty = 0, tx = 0;
-    std::size_t acc_offset = 0;
-    std::size_t begin = 0, end = 0;  ///< its run in `slices`, seed first.
-  };
-  // (gemm, ty, tx, k_begin, tile) per partial-K tile; sorted, each group is
-  // one run of equal keys.
-  std::vector<std::array<int, 5>> slices;
-  std::vector<int> group_of_tile;  // -1 = full-K tile
-  std::vector<SplitGroup> groups;
-  std::unique_ptr<float[]> workspace;
-  if (plan.has_split()) {
-    group_of_tile.assign(static_cast<std::size_t>(plan.num_tiles()), -1);
-    for (int t = 0; t < plan.num_tiles(); ++t) {
+  CTB_TEL_SPAN("exec.sweep");
+  parallel_for(plan.num_blocks(), [&](long long b) {
+    const auto [begin, end] = plan.block_tiles(static_cast<int>(b));
+    for (int t = begin; t < end; ++t) {
       const auto ti = static_cast<std::size_t>(t);
-      const int g = plan.gemm_of_tile[ti];
-      const int k = batch[static_cast<std::size_t>(g)].dims.k;
-      const auto [kb, ke] = plan.tile_k_range(t, k);
-      if (kb == 0 && ke == k) continue;
-      slices.push_back({g, plan.y_coord[ti], plan.x_coord[ti], kb, t});
+      // A later slice: its tile's chain runs at the slice starting at 0.
+      if (plan.has_split() && plan.k_begin[ti] != 0) continue;
+      const auto z = static_cast<std::size_t>(plan.gemm_of_tile[ti]);
+      run_tile(*strategy[z], batch[z], packs[z], plan.y_coord[ti],
+               plan.x_coord[ti], alpha, beta);
     }
-    std::sort(slices.begin(), slices.end());
-    std::size_t arena = 0;
-    for (std::size_t i = 0; i < slices.size(); ++i) {
-      const auto& [g, ty, tx, kb, t] = slices[i];
-      if (i == 0 || g != slices[i - 1][0] || ty != slices[i - 1][1] ||
-          tx != slices[i - 1][2]) {
-        groups.push_back({g, ty, tx, arena, i, i});
-        const TilingStrategy& s = *strategy[static_cast<std::size_t>(g)];
-        arena += static_cast<std::size_t>(s.by) * s.bx;
-      }
-      groups.back().end = i + 1;
-      group_of_tile[static_cast<std::size_t>(t)] =
-          static_cast<int>(groups.size()) - 1;
-    }
-    workspace = std::make_unique_for_overwrite<float[]>(arena);
-    CTB_TEL_COUNT("exec.splitk.tiles", slices.size());
-    CTB_TEL_COUNT("exec.splitk.groups", groups.size());
-  }
-
-  {
-    CTB_TEL_SPAN("exec.sweep");
-    parallel_for(plan.num_blocks(), [&](long long b) {
-      const auto [begin, end] = plan.block_tiles(static_cast<int>(b));
-      for (int t = begin; t < end; ++t) {
-        const auto ti = static_cast<std::size_t>(t);
-        const auto z = static_cast<std::size_t>(plan.gemm_of_tile[ti]);
-        const int ty = plan.y_coord[ti];
-        const int tx = plan.x_coord[ti];
-        const int grp = group_of_tile.empty() ? -1 : group_of_tile[ti];
-        if (grp < 0) {
-          run_tile(*strategy[z], batch[z], packs[z], ty, tx, alpha, beta);
-        } else if (plan.k_begin[ti] == 0) {
-          // Seed the carried chain; fix-up slices wait for the join.
-          float* acc = workspace.get() +
-                       groups[static_cast<std::size_t>(grp)].acc_offset;
-          accumulate_tile_range(*strategy[z], batch[z], packs[z], ty, tx, 0,
-                                plan.k_end[ti], /*first=*/true, acc);
-        }
-      }
-    });
-  }
-
-  // Deterministic fix-up reduction: one owner per split group continues the
-  // carried chain through the remaining slices in ascending k order (the
-  // left-spine tree — the unique order preserving unsplit bit-identity) and
-  // stores. The parallel_for join above makes every seeded accumulator
-  // visible; groups write disjoint C tiles, so no atomics.
-  if (!groups.empty()) {
-    CTB_TEL_SPAN("exec.splitk.reduce");
-    parallel_for(static_cast<long long>(groups.size()), [&](long long i) {
-      const SplitGroup& grp = groups[static_cast<std::size_t>(i)];
-      const auto z = static_cast<std::size_t>(grp.gemm);
-      const TilingStrategy& s = *strategy[z];
-      float* acc = workspace.get() + grp.acc_offset;
-      for (std::size_t j = grp.begin + 1; j < grp.end; ++j) {
-        const auto t = static_cast<std::size_t>(slices[j][4]);
-        accumulate_tile_range(s, batch[z], packs[z], grp.ty, grp.tx,
-                              plan.k_begin[t], plan.k_end[t],
-                              /*first=*/false, acc);
-      }
-      store_tile(s, batch[z], packs[z], grp.ty, grp.tx, alpha, beta, acc);
-    });
-  }
+  });
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 // buffers; the timing model accounts for the pipeline.
 //
 // Every tile runs one pipeline: the active ISA's one micro-kernel
-// (simd.hpp) accumulates its K range over its 16x16 micro-tiles into a
+// (simd.hpp) accumulates its K chain over its 16x16 micro-tiles into a
 // row-major accumulator, then one store (alpha/beta, fp16 rounding, the
 // fused epilogue chain). The kernel reads micro-panels (packing.hpp): a
 // GEMM whose footprint fits the call's pack budget is packed once per call,
@@ -27,7 +27,9 @@
 // ctb::parallel_for (OpenMP, serial fallback). This is safe and bit-exact
 // because blocks write disjoint C tiles — complete single coverage is
 // guaranteed by validate_plan, and by construction for the vbatch grid —
-// while each block's tile chain and per-element FMA order stay serial.
+// while each block's tile chain and per-element FMA order stay serial. A
+// split-K tile runs its slices as one chain at the slice that starts at 0
+// and skips the others, so it too has one owner and one store.
 // set_parallel_threads(1) forces the serial path; parallel_exec_test
 // asserts bit-identical C either way.
 #pragma once
@@ -100,10 +102,11 @@ struct GemmOperands {
   /// address from (k, j), as the real implicit-GEMM kernel does.
   ConvLowering lowering;
   /// Packed fused-epilogue chain (epilogue.hpp), applied inside the tile
-  /// store — after the split-K fix-up join — instead of a separate
-  /// elementwise pass over C. 0 = none (byte-identical to the plain store).
-  /// For plan-driven execution the plan's epilogue_of_gemm entry must match
-  /// this spec; audit_plan_operands enforces the agreement.
+  /// store — after the tile's whole K chain, split or not — instead of a
+  /// separate elementwise pass over C. 0 = none (byte-identical to the
+  /// plain store). For plan-driven execution the plan's epilogue_of_gemm
+  /// entry must match this spec; audit_plan_operands enforces the
+  /// agreement.
   int epilogue = 0;
   /// Operands for the ops named by `epilogue`; audited for presence, extent,
   /// and (for permutations) bijectivity before any matrix memory is touched.

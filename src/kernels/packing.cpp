@@ -248,14 +248,12 @@ PackedGemm packed_view(const GemmDims& d, const float* a, const float* b) {
 
 void accumulate_micro_tiles(SimdMicroKernelFn kernel, const PackedGemm& pk,
                             int row_panel, int col_panel, int rows, int cols,
-                            int step_lo, int step_hi, bool accumulate,
-                            float* acc, int ld_acc) {
-  const auto first_step = static_cast<std::size_t>(step_lo) * kMicroBlock;
+                            bool accumulate, float* acc, int ld_acc) {
   for (int i = 0; i * kMicroTile < rows; ++i) {
-    const float* a = pk.a_panel(row_panel + i) + first_step;
+    const float* a = pk.a_panel(row_panel + i);
     float* acc_row = acc + static_cast<std::size_t>(i) * kMicroTile * ld_acc;
     for (int j = 0; j * kMicroTile < cols; ++j)
-      kernel(a, pk.b_panel(col_panel + j) + first_step, step_hi - step_lo,
+      kernel(a, pk.b_panel(col_panel + j), pk.nsteps,
              acc_row + j * kMicroTile, ld_acc, accumulate);
   }
 }

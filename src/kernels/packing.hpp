@@ -187,13 +187,12 @@ inline constexpr std::size_t kPackCallBudgetBytes = std::size_t{256} << 20;
 /// Runs `kernel` over the micro-tiles of one packed tile that intersect the
 /// matrix: the tile's top-left micro-panels are A panel `row_panel` and B
 /// panel `col_panel`, `rows` x `cols` of it lie inside the matrix, and
-/// micro-tile (i, j) accumulates steps [step_lo, step_hi) into
+/// micro-tile (i, j) accumulates all `pk.nsteps` steps into
 /// `acc + 16 i * ld_acc + 16 j`. `accumulate` as in SimdMicroKernelFn.
 /// Accumulator cells outside the intersecting micro-tiles are left as they
 /// are.
 void accumulate_micro_tiles(SimdMicroKernelFn kernel, const PackedGemm& pk,
                             int row_panel, int col_panel, int rows, int cols,
-                            int step_lo, int step_hi, bool accumulate,
-                            float* acc, int ld_acc);
+                            bool accumulate, float* acc, int ld_acc);
 
 }  // namespace ctb

@@ -53,9 +53,9 @@ inline constexpr int kMicroBlock = kMicroTile * kMicroK;
 /// are `ld_acc` floats apart. With `accumulate` false the micro-tile is
 /// overwritten with the sums from +0; with it true the kernel continues the
 /// chains already in `acc` (an exact reload: float round-trips through
-/// memory are bit-preserving), which is how the split-K fix-up extends a
-/// tile's ascending (k0, p) chain across K slices. The flag is read once,
-/// outside the K loop. Nothing outside the micro-tile is touched.
+/// memory are bit-preserving), which is how a staged tile extends its
+/// ascending (k0, p) chain across the K chunks it packs. The flag is read
+/// once, outside the K loop. Nothing outside the micro-tile is touched.
 using SimdMicroKernelFn = void (*)(const float* a_panel, const float* b_panel,
                                    int nsteps, float* acc, int ld_acc,
                                    bool accumulate);

@@ -23,7 +23,7 @@ TileWork make_tile_work(const TilingStrategy& strategy, const GemmDims& dims,
 /// Split-K variant: the tile executes only the K range [k_begin, k_end) —
 /// its main-loop iterations and flops scale to the slice, while the
 /// epilogue traffic stays whole-tile (a partial tile reads/writes the
-/// fix-up workspace accumulator instead of C; same BY x BX footprint).
+/// split-K workspace accumulator instead of C; same BY x BX footprint).
 /// This is how the occupancy/timing model sees split-K's extra blocks
 /// carry proportionally less work each.
 TileWork make_tile_work(const TilingStrategy& strategy, const GemmDims& dims,

@@ -94,8 +94,8 @@ const std::vector<std::string>& deterministic_counter_names() {
       "exec.simd.avx512",
       "exec.simd.neon",
       "exec.simd.scalar",
-      // exec.splitk.* count partial-K tiles and their fix-up reduction
-      // groups; both are decided by the plan alone, never by thread count.
+      // exec.splitk.* count partial-K tiles and the split C tiles they
+      // cover; both are decided by the plan alone, never by thread count.
       "exec.splitk.groups",
       "exec.splitk.tiles",
       "exec.tiles",

@@ -425,9 +425,9 @@ TEST(PlanProperty, ForcedSplitKPartitionsAndBitExact) {
 }
 
 // Adversarial split plans the planner would never emit: slices shuffled out
-// of K order and packed into random blocks, so the executor's fix-up
-// reduction must reconstruct each tile's ascending chain from the aux
-// arrays alone. Coverage checker + validate_plan + bit-exactness throughout.
+// of K order and packed into random blocks, so the executor must find each
+// tile's first slice wherever it sits and run the tile's ascending chain
+// there. Coverage checker + validate_plan + bit-exactness throughout.
 TEST(PlanProperty, ShuffledHandBuiltSplitPlansBitExact) {
   const TilingStrategy& s =
       batched_strategy(TileShape::kMedium, ThreadVariant::k256);

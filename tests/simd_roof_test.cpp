@@ -122,8 +122,8 @@ double roof_ratio(SimdIsa isa, int lanes, RoofFn roof, int by, int bx) {
       g_sink = g_sink + roof(iters, g_mul, g_add);
     });
     const double tt = seconds_of([&] {
-      accumulate_micro_tiles(kernel, pk, 0, 0, by, bx, 0, kSteps,
-                             /*accumulate=*/false, acc.data(), bx);
+      accumulate_micro_tiles(kernel, pk, 0, 0, by, bx, /*accumulate=*/false,
+                             acc.data(), bx);
       g_sink = g_sink + acc[static_cast<std::size_t>(rep) % acc.size()];
     });
     best_roof = std::max(best_roof, roof_flops / tr);

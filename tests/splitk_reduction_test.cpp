@@ -1,16 +1,21 @@
-// Determinism of the split-K fix-up reduction (DESIGN.md §11).
+// Bit-exactness of split-K plans on the host (DESIGN.md §11).
 //
-// Split-K partitions a tile's K loop into BK-aligned slices executed as
-// separate blocks; the fix-up pass then continues each tile's single
-// ascending (k0, p) accumulation chain through the slices in K order (a
-// carried chain — the left-spine of the reduction tree), so the result is
-// BITWISE identical to the unsplit execution. This test pins that contract
-// where it can break: under parallel_for at 1/2/4/8 threads, for one GEMM
-// and mixed batches under hand-built uniform plans and planner-made plans,
-// fp32 and fp16, N/T transpose variants, the implicit-GEMM conv path,
-// every Table-2 strategy, and every SIMD ISA reachable on the host.
+// Split-K partitions a tile's K loop into BK-aligned slices, which the
+// simulated device runs as separate blocks. Float addition is not
+// associative, so separately computed slices cannot be summed bit-exactly;
+// the block sweep instead runs a split tile's whole ascending (k0, p) chain
+// at the slice that starts at 0 and skips the tile's other slices. The
+// result is BITWISE identical to the unsplit execution wherever the plan
+// places the slices. This test pins that contract under parallel_for at
+// 1/2/4/8 threads, for one GEMM and mixed batches under hand-built uniform
+// plans and planner-made plans, fp32 and fp16, N/T transpose variants, the
+// implicit-GEMM conv path, every Table-2 strategy and every SIMD ISA
+// reachable on the host, and for slice placements where a tile's first
+// slice runs after its later ones, in blocks of their own or beside other
+// GEMMs' tiles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -18,6 +23,7 @@
 #include "dnn/implicit_gemm.hpp"
 #include "kernels/functional.hpp"
 #include "kernels/simd.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/parallel.hpp"
 
 namespace ctb {
@@ -377,7 +383,7 @@ TEST(SplitKSimd, IsaSweepBitExact) {
 
 // Cross-ISA: the split result under the host's best ISA equals the scalar
 // unsplit result — the strongest form of the contract, composing the SIMD
-// determinism guarantee (DESIGN.md §6) with the fix-up reduction's.
+// determinism guarantee (DESIGN.md §6) with the split sweep's.
 TEST(SplitKSimd, BestIsaSplitMatchesScalarUnsplit) {
   const auto& s = batched_strategy(TileShape::kLarge, ThreadVariant::k256);
   const std::vector<GemmDims> dims = {{130, 70, 200}};
@@ -395,6 +401,157 @@ TEST(SplitKSimd, BestIsaSplitMatchesScalarUnsplit) {
   }
   expect_bitwise_equal(reference.c[0], split.c[0], "best-isa-vs-scalar");
 }
+
+// ------------------------------------------------------ slice placement --
+//
+// Plans the planner never emits: the slices of each split tile sit where a
+// sweep that ran slices in plan order would read a chain before its start.
+// The sweep finds each tile's first slice wherever it sits, runs the whole
+// chain there and skips the rest, so every placement matches the unsplit
+// plan and reference_gemm bit for bit, at 1 and 4 workers under every ISA.
+
+enum class Placement { kDescendingK, kLaterSlicesFirst, kBesideOtherGemms };
+
+/// Ragged GEMMs under the 32x32, BK = 8 strategy split 3 ways: GEMM 0 has
+/// 6 tiles of 10 K steps, GEMM 1 4 tiles of 20 and GEMM 2 4 tiles of 3, so
+/// 14 split C tiles carry 42 partial-K slices. GEMM 3's one K step keeps
+/// its single tile full-K.
+const std::vector<GemmDims> kPlacementDims = {
+    {70, 45, 77}, {64, 64, 160}, {33, 33, 24}, {16, 16, 3}};
+constexpr int kPlacementSlices = 42;
+constexpr int kPlacementSplitTiles = 14;
+
+BatchPlan placed_plan(Placement placement, const TilingStrategy& s) {
+  const std::vector<const TilingStrategy*> strategies(kPlacementDims.size(),
+                                                      &s);
+  std::vector<Tile> tiles =
+      split_tiles_k(enumerate_tiles(kPlacementDims, strategies), 3);
+  std::vector<std::vector<Tile>> blocks;
+  const auto chunk = [&](const std::vector<Tile>& list, std::size_t per) {
+    for (std::size_t i = 0; i < list.size(); i += per)
+      blocks.emplace_back(
+          list.begin() + static_cast<std::ptrdiff_t>(i),
+          list.begin() +
+              static_cast<std::ptrdiff_t>(std::min(list.size(), i + per)));
+  };
+  switch (placement) {
+    case Placement::kDescendingK:
+      // The tile list reversed, two entries per block: every tile's slices
+      // run in descending K order, its first slice last — after its later
+      // slices in the same block, or in a later block.
+      std::reverse(tiles.begin(), tiles.end());
+      chunk(tiles, 2);
+      break;
+    case Placement::kLaterSlicesFirst: {
+      // The leading blocks hold only later slices (k_begin > 0), three per
+      // block; each first slice and the full-K tile follow in a block of
+      // its own.
+      std::vector<Tile> later, first;
+      for (const Tile& t : tiles) (t.k_begin > 0 ? later : first).push_back(t);
+      chunk(later, 3);
+      chunk(first, 1);
+      break;
+    }
+    case Placement::kBesideOtherGemms: {
+      // Block j holds entry j of every GEMM's list, and the odd GEMMs'
+      // lists run backwards: each block mixes GEMMs, one GEMM's first
+      // slices beside another's last ones and the full-K tile.
+      std::vector<std::vector<Tile>> per_gemm(kPlacementDims.size());
+      for (const Tile& t : tiles)
+        per_gemm[static_cast<std::size_t>(t.gemm)].push_back(t);
+      for (std::size_t g = 1; g < per_gemm.size(); g += 2)
+        std::reverse(per_gemm[g].begin(), per_gemm[g].end());
+      for (std::size_t j = 0;; ++j) {
+        std::vector<Tile> block;
+        for (const auto& list : per_gemm)
+          if (j < list.size()) block.push_back(list[j]);
+        if (block.empty()) break;
+        blocks.push_back(std::move(block));
+      }
+      break;
+    }
+  }
+  return build_plan(blocks, s.threads);
+}
+
+/// The ISAs with a micro-kernel on this host, scalar first.
+std::vector<SimdIsa> runnable_isas() {
+  std::vector<SimdIsa> isas = {SimdIsa::kScalar};
+  for (SimdIsa isa : {SimdIsa::kNeon, SimdIsa::kAvx2, SimdIsa::kAvx512})
+    if (static_cast<int>(isa) <= static_cast<int>(detected_simd_isa()) &&
+        simd_micro_kernel(isa) != nullptr)
+      isas.push_back(isa);
+  return isas;
+}
+
+#ifdef CTB_TELEMETRY_ENABLED
+std::int64_t counter_value(const std::string& name) {
+  for (const auto& c : telemetry::snapshot().counters)
+    if (c.name == name) return c.value;
+  ADD_FAILURE() << "counter " << name << " missing from snapshot";
+  return -1;
+}
+#endif
+
+class SplitKPlacement : public ::testing::TestWithParam<Placement> {};
+
+TEST_P(SplitKPlacement, MatchesUnsplitAndReferenceBitExact) {
+  const auto& s = batched_strategy(TileShape::kMedium, ThreadVariant::k256);
+  const BatchPlan plan = placed_plan(GetParam(), s);
+  validate_plan(plan, kPlacementDims);
+  ASSERT_EQ(plan.num_tiles(), kPlacementSlices + 1);
+  const BatchPlan unsplit = uniform_plan(kPlacementDims, s, 1);
+  auto reference = make_batch(kPlacementDims, 71);
+  for (const GemmOperands& g : reference.ops) reference_gemm(g, 1.5f, -0.5f);
+
+  for (SimdIsa isa : runnable_isas()) {
+    ScopedSimdIsa isa_guard(isa);
+    auto want = make_batch(kPlacementDims, 71);
+    {
+      ScopedParallelThreads guard(1);
+      run_batched_plan(unsplit, want.ops, 1.5f, -0.5f);
+    }
+    for (int threads : {1, 4}) {
+      const std::string what = std::string("isa=") + simd_isa_name(isa) +
+                               " threads=" + std::to_string(threads);
+      auto got = make_batch(kPlacementDims, 71);
+      ScopedParallelThreads guard(threads);
+#ifdef CTB_TELEMETRY_ENABLED
+      telemetry::reset();
+      telemetry::set_enabled(true);
+#endif
+      run_batched_plan(plan, got.ops, 1.5f, -0.5f);
+#ifdef CTB_TELEMETRY_ENABLED
+      EXPECT_EQ(counter_value("exec.splitk.tiles"), kPlacementSlices) << what;
+      EXPECT_EQ(counter_value("exec.splitk.groups"), kPlacementSplitTiles)
+          << what;
+      telemetry::set_enabled(false);
+      telemetry::reset();
+#endif
+      for (std::size_t i = 0; i < kPlacementDims.size(); ++i) {
+        const std::string gemm = what + " gemm " + std::to_string(i);
+        expect_bitwise_equal(want.c[i], got.c[i], "unsplit " + gemm);
+        expect_bitwise_equal(reference.c[i], got.c[i], "reference " + gemm);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Placements, SplitKPlacement,
+    ::testing::Values(Placement::kDescendingK, Placement::kLaterSlicesFirst,
+                      Placement::kBesideOtherGemms),
+    [](const ::testing::TestParamInfo<Placement>& info) {
+      switch (info.param) {
+        case Placement::kDescendingK:
+          return std::string("DescendingK");
+        case Placement::kLaterSlicesFirst:
+          return std::string("LaterSlicesFirst");
+        case Placement::kBesideOtherGemms:
+          break;
+      }
+      return std::string("BesideOtherGemms");
+    });
 
 }  // namespace
 }  // namespace ctb

@@ -287,8 +287,9 @@ TEST_F(TraceTest, SpansRecordTheActiveTraceId) {
 
 // One request's stages, in its own flight trail: a service miss plans
 // (plan.total and its sub-steps), then the split-K plan executes with one
-// span per executor stage — no per-block events — and every span nests in
-// the planner's or the executor's top-level span.
+// span per executor stage — no per-block events, and a split plan adds
+// none — and every span nests in the planner's or the executor's top-level
+// span.
 TEST_F(TraceTest, StageSpansJoinTheRequestTrail) {
   const std::vector<GemmDims> dims{{128, 128, 4096}};
   Matrixf a(128, 4096), b(4096, 128), c(128, 128);
@@ -314,14 +315,14 @@ TEST_F(TraceTest, StageSpansJoinTheRequestTrail) {
   std::map<std::string, std::vector<telemetry::FlightEventView>> spans;
   for (const auto& e : trail_of(id))
     if (e.kind == telemetry::FlightKind::kSpan) spans[e.detail].push_back(e);
-  for (const char* stage : {"exec.run_batched_plan", "exec.audit",
-                            "exec.pack", "exec.sweep", "exec.splitk.reduce"})
+  for (const char* stage :
+       {"exec.run_batched_plan", "exec.audit", "exec.pack", "exec.sweep"})
     ASSERT_EQ(spans[stage].size(), 1u) << stage;
   ASSERT_EQ(spans["plan.total"].size(), 1u);
   std::size_t exec_spans = 0;
   for (const auto& [name, events] : spans)
     if (name.rfind("exec.", 0) == 0) exec_spans += events.size();
-  EXPECT_EQ(exec_spans, 5u);
+  EXPECT_EQ(exec_spans, 4u);
 
   // [t_us - a0/1000, t_us] is a span's interval; allow the 1 ns that the
   // integer a0 truncates.
