@@ -355,9 +355,9 @@ inline std::vector<BenchWorkload> perf_full_suite() {
 /// regimes: a hot working set every request re-hits, a mixed stream over a
 /// medium pool with a hot-biased skew, and a churn stream whose pool is
 /// larger than its request budget (mostly cold misses). Pools and request
-/// order are seeded deterministically, and the service runs in inline mode
-/// (deadline 0, no worker thread), so every service.*/cache.* counter in
-/// the report is a bit-deterministic function of the suite definition.
+/// order are seeded deterministically, and the service plans inline on the
+/// requesting thread, so every service.*/cache.* counter in the report is a
+/// bit-deterministic function of the suite definition.
 inline std::vector<BenchWorkload> perf_replay_suite() {
   auto pool_of = [](int distinct, std::uint64_t seed) {
     Rng rng(seed);
@@ -561,9 +561,8 @@ inline perfreport::WorkloadResult run_perf_workload(const BenchWorkload& w,
 }
 
 /// Executes one replay workload: `replay_requests` plan-service lookups per
-/// repeat, each repeat against a fresh inline-mode service (deadline 0, no
-/// worker thread) so hit/miss counters are identical across repeats and
-/// hosts. Per-request wall latency feeds the advisory "lookup" percentiles;
+/// repeat, each repeat against a fresh service so hit/miss counters are
+/// identical across repeats and hosts. Per-request wall latency feeds the advisory "lookup" percentiles;
 /// the whole-replay wall time is the workload timing sample. No GEMM is
 /// executed — this measures the serving front door, not the kernels.
 inline perfreport::WorkloadResult run_replay_workload(const BenchWorkload& w,
@@ -583,7 +582,6 @@ inline perfreport::WorkloadResult run_replay_workload(const BenchWorkload& w,
   for (int r = 0; r < repeats; ++r) {
     service::PlanServiceConfig cfg;
     cfg.planner.policy = w.policy;
-    cfg.deadline_us = 0;
     service::PlanService svc(cfg);
     // Same seed every repeat: the request sequence (and therefore every
     // deterministic counter) is a function of the workload alone.

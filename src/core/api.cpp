@@ -91,8 +91,8 @@ PlannerConfig degraded_fallback_config(const PlannerConfig& config) {
   PlannerConfig fallback = config;
   fallback.policy = BatchingPolicy::kThresholdOnly;
   fallback.forest = nullptr;
-  // Split-K candidates need a simulator sweep per slice count — exactly the
-  // kind of work a deadline-bounded fallback cannot afford.
+  // Split-K candidates need a simulator sweep per slice count; the fallback
+  // keeps to the one linear batching pass.
   fallback.splitk = SplitKMode::kOff;
   return fallback;
 }

@@ -86,10 +86,10 @@ struct PlannerConfig {
 };
 
 /// The configuration the plan service degrades to when the full planner
-/// cannot answer within its deadline: threshold batching needs one linear
-/// pass over the batch (no simulator sweep, no forest), so a fallback plan
-/// is always computable "now". Everything but the selection policy (and the
-/// then-unused forest pointer) is preserved.
+/// fails: threshold batching needs one linear pass over the batch (no
+/// simulator sweep, no forest), so a fallback plan stays computable when
+/// the full planner is down. Everything but the selection policy, split-K
+/// (off) and the then-unused forest pointer is preserved.
 PlannerConfig degraded_fallback_config(const PlannerConfig& config);
 
 /// Everything the planner decided, plus the executable plan. `tiling` and

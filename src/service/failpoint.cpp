@@ -4,7 +4,6 @@
 #include <map>
 #include <mutex>
 #include <utility>
-#include <vector>
 
 namespace ctb::service {
 
@@ -12,8 +11,6 @@ const char* to_string(FailAction action) {
   switch (action) {
     case FailAction::kOff:
       return "off";
-    case FailAction::kDelay:
-      return "delay";
     case FailAction::kThrow:
       return "throw";
     case FailAction::kBadAlloc:
@@ -24,13 +21,10 @@ const char* to_string(FailAction action) {
   return "?";
 }
 
-#ifdef CTB_FAILPOINTS_ENABLED
-
 namespace {
 
 bool parse_action(const std::string& token, FailAction& out) {
   if (token == "off") out = FailAction::kOff;
-  else if (token == "delay") out = FailAction::kDelay;
   else if (token == "throw") out = FailAction::kThrow;
   else if (token == "badalloc") out = FailAction::kBadAlloc;
   else if (token == "corrupt") out = FailAction::kCorrupt;
@@ -47,32 +41,21 @@ bool parse_int64(const std::string& token, std::int64_t& out) {
   return true;
 }
 
-/// One entry of the spec grammar: name=action[:arg[:count]].
+/// One entry of the spec grammar: name=action[:count].
 bool parse_entry(const std::string& entry, std::string& name,
                  FailpointSpec& spec) {
   const std::size_t eq = entry.find('=');
   if (eq == std::string::npos || eq == 0) return false;
   name = entry.substr(0, eq);
-  std::vector<std::string> fields;
-  std::size_t pos = eq + 1;
-  while (pos <= entry.size()) {
-    const std::size_t colon = entry.find(':', pos);
-    if (colon == std::string::npos) {
-      fields.push_back(entry.substr(pos));
-      break;
-    }
-    fields.push_back(entry.substr(pos, colon - pos));
-    pos = colon + 1;
-  }
-  if (fields.empty() || fields.size() > 3) return false;
+  const std::size_t colon = entry.find(':', eq + 1);
   spec = FailpointSpec{};
-  if (!parse_action(fields[0], spec.action)) return false;
-  if (fields.size() >= 2 && !parse_int64(fields[1], spec.arg)) return false;
-  if (fields.size() == 3) {
-    std::int64_t count = 0;
-    if (!parse_int64(fields[2], count)) return false;
-    spec.remaining = static_cast<int>(count);
-  }
+  // Without a colon the length wraps past the end: the action runs to it.
+  if (!parse_action(entry.substr(eq + 1, colon - eq - 1), spec.action))
+    return false;
+  if (colon == std::string::npos) return true;
+  std::int64_t count = 0;
+  if (!parse_int64(entry.substr(colon + 1), count)) return false;
+  spec.remaining = static_cast<int>(count);
   return true;
 }
 
@@ -135,17 +118,17 @@ void clear_failpoints() {
   r.points.clear();
 }
 
-FailpointSpec consume_failpoint(const char* name) {
+FailAction consume_failpoint(const char* name) {
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mu);
   auto it = r.points.find(name);
-  if (it == r.points.end()) return {};
+  if (it == r.points.end()) return FailAction::kOff;
   FailpointSpec& spec = it->second.first;
-  if (spec.action == FailAction::kOff || spec.remaining == 0) return {};
+  if (spec.action == FailAction::kOff || spec.remaining == 0)
+    return FailAction::kOff;
   ++it->second.second;
-  const FailpointSpec fired = spec;
   if (spec.remaining > 0) --spec.remaining;
-  return fired;
+  return spec.action;
 }
 
 std::int64_t failpoint_hits(const std::string& name) {
@@ -160,7 +143,5 @@ int load_failpoints_from_string(const std::string& spec) {
   std::lock_guard<std::mutex> lock(r.mu);
   return arm_from_string(spec, r.points);
 }
-
-#endif  // CTB_FAILPOINTS_ENABLED
 
 }  // namespace ctb::service

@@ -1,37 +1,33 @@
 // ctb::service failpoints — programmatic fault injection at service
 // boundaries (DESIGN.md §10).
 //
-// A failpoint is a named site in the plan service ("service.planner.slow",
-// "service.planner.throw", "service.planner.corrupt",
-// "service.fallback.alloc") that consults a process-wide registry every time
-// it is reached. Tests and chaos drills arm a site with an action (delay,
-// throw, bad_alloc, corrupt) and an optional remaining-fires budget; the
-// site then injects that fault as if the underlying component had failed.
+// A failpoint is a named site in the plan service ("service.planner.throw",
+// "service.planner.corrupt", "service.fallback.alloc") that consults a
+// process-wide registry every time it is reached. Tests and chaos drills arm
+// a site with an action (throw, bad_alloc, corrupt) and an optional
+// remaining-fires budget; the site then injects that fault as if the
+// underlying component had failed. Sites sit only on the planning path,
+// never on a cache hit.
 //
 // Armed either programmatically (set_failpoint / ScopedFailpoint) or through
 // the CTB_FAILPOINTS environment variable, parsed once at first use:
 //
-//   CTB_FAILPOINTS="service.planner.slow=delay:5000:2,service.planner.throw=throw"
+//   CTB_FAILPOINTS="service.planner.throw=throw:2,service.fallback.alloc=badalloc"
 //
-// spec grammar per entry: name=action[:arg[:count]] with action one of
-// off|delay|throw|badalloc|corrupt, arg the action parameter (microseconds
-// for delay), count the number of fires (-1 / absent = unlimited). Entries
-// are separated by ',' or ';'.
-//
-// The whole registry compiles out under -DCTB_FAILPOINTS=OFF: every probe
-// becomes a constant-folded no-op, so production builds carry zero cost and
-// the chaos tests skip themselves via failpoints_compiled_in().
+// spec grammar per entry: name=action[:count] with action one of
+// off|throw|badalloc|corrupt and count the number of fires (-1 / absent =
+// unlimited). Entries are separated by ',' or ';'.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 namespace ctb::service {
 
 /// What an armed failpoint injects when its site is reached.
 enum class FailAction {
   kOff,       ///< disarmed: the site behaves normally
-  kDelay,     ///< stall the site for `arg` microseconds (virtual or real)
   kThrow,     ///< throw CheckError from the site
   kBadAlloc,  ///< throw std::bad_alloc from the site
   kCorrupt,   ///< corrupt the site's product (e.g. truncate an aux array)
@@ -41,13 +37,8 @@ const char* to_string(FailAction action);
 
 struct FailpointSpec {
   FailAction action = FailAction::kOff;
-  std::int64_t arg = 0;  ///< action parameter; microseconds for kDelay
-  int remaining = -1;    ///< fires left before auto-disarm; -1 = unlimited
+  int remaining = -1;  ///< fires left before auto-disarm; -1 = unlimited
 };
-
-#ifdef CTB_FAILPOINTS_ENABLED
-
-constexpr bool failpoints_compiled_in() { return true; }
 
 /// Arms (or, with FailAction::kOff, disarms) the named site. Thread-safe.
 void set_failpoint(const std::string& name, FailpointSpec spec);
@@ -57,10 +48,10 @@ void set_failpoint(const std::string& name, FailpointSpec spec);
 void clear_failpoint(const std::string& name);
 void clear_failpoints();
 
-/// Called by the instrumented site: returns the armed spec (consuming one
-/// fire from a finite budget) or a kOff spec when the site is disarmed or
+/// Called by the instrumented site: returns the armed action (consuming one
+/// fire from a finite budget) or kOff when the site is disarmed or
 /// exhausted. Thread-safe; the first call parses CTB_FAILPOINTS.
-FailpointSpec consume_failpoint(const char* name);
+FailAction consume_failpoint(const char* name);
 
 /// Times the named site fired an armed action (diagnostics for chaos tests).
 std::int64_t failpoint_hits(const std::string& name);
@@ -71,21 +62,8 @@ std::int64_t failpoint_hits(const std::string& name);
 /// down). Exposed for tests; the env var goes through this exact path.
 int load_failpoints_from_string(const std::string& spec);
 
-#else  // !CTB_FAILPOINTS_ENABLED
-
-constexpr bool failpoints_compiled_in() { return false; }
-
-inline void set_failpoint(const std::string&, FailpointSpec) {}
-inline void clear_failpoint(const std::string&) {}
-inline void clear_failpoints() {}
-inline FailpointSpec consume_failpoint(const char*) { return {}; }
-inline std::int64_t failpoint_hits(const std::string&) { return 0; }
-inline int load_failpoints_from_string(const std::string&) { return 0; }
-
-#endif  // CTB_FAILPOINTS_ENABLED
-
 /// RAII arming for tests: arms `name` on construction, disarms on scope
-/// exit. Harmless no-op when failpoints are compiled out.
+/// exit.
 class ScopedFailpoint {
  public:
   ScopedFailpoint(std::string name, FailpointSpec spec)

@@ -125,13 +125,10 @@ const std::vector<std::string>& deterministic_counter_names() {
       "plan.splitk.chosen",
       "plan.splitk.considered",
       // service.* counters are pure functions of the replayed request
-      // sequence (hit/miss mix, state-machine transitions) as long as the
-      // suite runs the service in inline deterministic mode, which the
-      // replay suite does.
+      // sequence (hit/miss mix, state-machine transitions): the service
+      // plans inline, on the requesting thread.
       "service.admitted",
-      "service.deadline_miss",
       "service.degraded",
-      "service.filter.reject",
       "service.hit",
       "service.miss",
       "service.quarantined",

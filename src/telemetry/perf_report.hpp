@@ -68,7 +68,11 @@ namespace ctb::perfreport {
 /// v11: removed plan.heuristic.packed from the gated allowlist along with
 /// the packed batching heuristic; plan.heuristic.* and the batching.*
 /// histograms describe only the plan the planner returns.
-inline constexpr int kSchemaVersion = 11;
+/// v12: removed service.filter.reject and service.deadline_miss from the
+/// gated allowlist along with the plan service's membership filter and
+/// deadline worker. Every service probe is now a PlanCache::lookup, so
+/// cache.miss counts service misses too.
+inline constexpr int kSchemaVersion = 12;
 
 /// Wall-clock statistics over one workload's k repeats. Median-of-k with
 /// interquartile range: the median resists the reference container's timing

@@ -69,12 +69,10 @@ constexpr const char* kCoreCounters[] = {
     "service.admitted",
     "service.hit",
     "service.miss",
-    "service.filter.reject",
     "service.degraded",
     "service.upgraded",
     "service.retried",
     "service.quarantined",
-    "service.deadline_miss",
     "sim.kernels",
     "sim.blocks",
     "sim.bubble_blocks",

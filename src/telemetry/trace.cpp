@@ -27,8 +27,6 @@ const char* to_string(FlightKind kind) {
       return "cache.miss";
     case FlightKind::kSplitK:
       return "splitk";
-    case FlightKind::kDeadlineMiss:
-      return "deadline.miss";
     case FlightKind::kQuarantine:
       return "quarantine";
     case FlightKind::kQuarantineRelease:

@@ -10,8 +10,8 @@
 // Propagation costs one thread-local read; there is no global lookup.
 //
 // The flight recorder is the one per-thread event stream: a fixed-size,
-// lock-free ring of recent structured events (plan decisions, deadline
-// misses, quarantine transitions, validate/audit rejections, fallback
+// lock-free ring of recent structured events (plan decisions, degraded
+// serves, quarantine transitions, validate/audit rejections, fallback
 // activations, executor runs, and the stage spans of telemetry.hpp). Its
 // decision events are *always on* while compiled in — they do not consult
 // set_enabled(), because their whole purpose is to still hold the last
@@ -52,7 +52,6 @@ enum class FlightKind : std::int32_t {
   kCacheHit,            ///< plan-cache hit
   kCacheMiss,           ///< plan-cache miss
   kSplitK,              ///< split-K sweep ran; detail = chosen|rejected
-  kDeadlineMiss,        ///< service deadline expired; a0 = deadline_us
   kQuarantine,          ///< signature quarantined; a0 = failure count
   kQuarantineRelease,   ///< quarantine lifted
   kGuardReject,         ///< validate/audit rejected a plan; detail = which

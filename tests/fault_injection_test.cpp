@@ -400,7 +400,7 @@ TEST(FaultInjection, EpilogueOperandFaultsRejectedBeforeMemoryAccess) {
 }
 
 // ---------------------------------------------------------------------------
-// Service-level chaos (DESIGN.md §10): the four injected failure classes the
+// Service-level chaos (DESIGN.md §10): the three injected failure classes the
 // plan service must survive. Every class either serves a plan that executes
 // bit-exactly against the naive host oracle, or throws the typed
 // PlanServiceError — never a crash, a wedged service, or corrupt output.
@@ -408,13 +408,14 @@ TEST(FaultInjection, EpilogueOperandFaultsRejectedBeforeMemoryAccess) {
 // ---------------------------------------------------------------------------
 
 using service::FailAction;
+using service::kMaxRetries;
+using service::kQuarantineThreshold;
 using service::PlanService;
 using service::PlanServiceConfig;
 using service::PlanServiceError;
 using service::ScopedFailpoint;
 using service::ServedPlan;
 using service::ServeState;
-using service::VirtualClock;
 
 /// Executes a served plan and checks C bit-exact against gemm_naive over an
 /// identically seeded workspace. Both sides start from the same sentinel C,
@@ -433,77 +434,38 @@ void expect_served_plan_bit_exact(const ServedPlan& served,
   }
 }
 
-// Chaos class 1: the planner stalls past the deadline. The service must
-// serve the fallback immediately, and the (late) full plan must upgrade the
-// entry — both plans executing bit-exactly.
-TEST(ServiceChaos, SlowPlannerPastDeadline) {
-  if (!service::failpoints_compiled_in())
-    GTEST_SKIP() << "built with -DCTB_FAILPOINTS=OFF";
-  VirtualClock clock;
-  PlanServiceConfig cfg;
-  cfg.deadline_us = 300;
-  cfg.clock = &clock;
-  PlanService svc(cfg);
-  ScopedFailpoint slow("service.planner.slow",
-                       {FailAction::kDelay, 50'000, -1});
-  const std::vector<GemmDims> dims = {{40, 24, 96}, {64, 64, 64}};
-
-  const ServedPlan degraded = svc.get(dims);
-  EXPECT_EQ(degraded.state, ServeState::kDegraded);
-  expect_served_plan_bit_exact(degraded, dims, 61);
-
-  svc.drain();
-  EXPECT_EQ(svc.stats().upgraded, 1);
-  const ServedPlan upgraded = svc.get(dims);
-  EXPECT_EQ(upgraded.state, ServeState::kHit);
-  expect_served_plan_bit_exact(upgraded, dims, 61);
-}
-
-// Chaos class 2: the planner throws mid-flight. Transient -> retried to a
+// Chaos class 1: the planner throws mid-flight. Transient -> retried to a
 // full plan; persistent -> degraded serving, still bit-exact.
 TEST(ServiceChaos, PlannerThrowingMidFlight) {
-  if (!service::failpoints_compiled_in())
-    GTEST_SKIP() << "built with -DCTB_FAILPOINTS=OFF";
   const std::vector<GemmDims> dims = {{16, 32, 48}, {100, 50, 60}};
   {
-    PlanServiceConfig cfg;
-    cfg.deadline_us = 0;
-    PlanService svc(cfg);
-    ScopedFailpoint transient("service.planner.throw",
-                              {FailAction::kThrow, 0, 1});
+    PlanService svc;
+    ScopedFailpoint transient("service.planner.throw", {FailAction::kThrow, 1});
     const ServedPlan served = svc.get(dims);
     EXPECT_EQ(served.state, ServeState::kPlanned);
     EXPECT_EQ(svc.stats().retried, 1);
     expect_served_plan_bit_exact(served, dims, 67);
   }
   {
-    PlanServiceConfig cfg;
-    cfg.deadline_us = 0;
-    PlanService svc(cfg);
+    PlanService svc;
     ScopedFailpoint persistent("service.planner.throw",
-                               {FailAction::kThrow, 0, -1});
+                               {FailAction::kThrow, -1});
     const ServedPlan served = svc.get(dims);
     EXPECT_EQ(served.state, ServeState::kDegraded);
     expect_served_plan_bit_exact(served, dims, 71);
   }
 }
 
-// Chaos class 3: allocation failure while computing the fallback, with the
+// Chaos class 2: allocation failure while computing the fallback, with the
 // full planner down too. The only correct outcome is the typed error — and
 // the service must serve normally once the faults lift (no wedged state).
 TEST(ServiceChaos, AllocationFailureDuringFallback) {
-  if (!service::failpoints_compiled_in())
-    GTEST_SKIP() << "built with -DCTB_FAILPOINTS=OFF";
-  PlanServiceConfig cfg;
-  cfg.deadline_us = 0;
-  cfg.max_retries = 0;
-  PlanService svc(cfg);
+  PlanService svc;
   const std::vector<GemmDims> dims = {{64, 64, 32}, {40, 24, 96}};
   {
-    ScopedFailpoint down("service.planner.throw",
-                         {FailAction::kThrow, 0, -1});
+    ScopedFailpoint down("service.planner.throw", {FailAction::kThrow, -1});
     ScopedFailpoint oom("service.fallback.alloc",
-                        {FailAction::kBadAlloc, 0, -1});
+                        {FailAction::kBadAlloc, -1});
     try {
       (void)svc.get(dims);
       FAIL() << "expected PlanServiceError";
@@ -518,17 +480,15 @@ TEST(ServiceChaos, AllocationFailureDuringFallback) {
   expect_served_plan_bit_exact(served, dims, 73);
 }
 
-// Chaos class 4: an injected PlannerFn emits structurally corrupt plans.
+// Chaos class 3: an injected PlannerFn emits structurally corrupt plans.
 // Validation inside the service must reject every one (the corrupt plan is
 // never served), degrade, quarantine after repeats, and recover after
-// release. Runs even when failpoints are compiled out — the injection is a
-// config-level PlannerFn, not a failpoint.
+// release. The injection is a config-level PlannerFn, not a failpoint.
 TEST(ServiceChaos, CorruptPlanFromInjectedPlannerFn) {
   PlanServiceConfig cfg;
-  cfg.deadline_us = 0;
-  cfg.max_retries = 0;
-  cfg.quarantine_threshold = 2;
-  auto corrupt_calls = std::make_shared<std::atomic<int>>(2);
+  // Every attempt of the episodes up to quarantine is corrupt.
+  auto corrupt_calls = std::make_shared<std::atomic<int>>(
+      kQuarantineThreshold * (kMaxRetries + 1));
   const BatchedGemmPlanner planner(cfg.planner);
   cfg.planner_fn = [&planner,
                     corrupt_calls](std::span<const GemmDims> d) {
@@ -547,9 +507,12 @@ TEST(ServiceChaos, CorruptPlanFromInjectedPlannerFn) {
   EXPECT_EQ(degraded.state, ServeState::kDegraded);
   expect_served_plan_bit_exact(degraded, dims, 79);
 
-  // Second corrupt episode crosses the quarantine threshold.
-  EXPECT_EQ(svc.get(dims).state, ServeState::kDegraded);
+  // Every later corrupt episode is a degraded hit; the last one crosses the
+  // quarantine threshold.
+  for (int episode = 1; episode < kQuarantineThreshold; ++episode)
+    EXPECT_EQ(svc.get(dims).state, ServeState::kDegraded);
   EXPECT_TRUE(svc.is_quarantined(dims));
+  EXPECT_EQ(corrupt_calls->load(), 0);
   EXPECT_EQ(svc.get(dims).state, ServeState::kQuarantined);
 
   // Planner healed + quarantine lifted -> the entry upgrades and the full

@@ -182,9 +182,9 @@ TEST(PerfReportTaxonomy, AllowlistCarriesSimdCountersSorted) {
 TEST(PerfReportTaxonomy, AllowlistCarriesServiceCounters) {
   const auto& names = perfreport::deterministic_counter_names();
   for (const char* required :
-       {"service.admitted", "service.deadline_miss", "service.degraded",
-        "service.filter.reject", "service.hit", "service.miss",
-        "service.quarantined", "service.retried", "service.upgraded"}) {
+       {"service.admitted", "service.degraded", "service.hit",
+        "service.miss", "service.quarantined", "service.retried",
+        "service.upgraded"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), required), names.end())
         << required;
   }

@@ -474,18 +474,19 @@ TEST(PlanProperty, ShuffledHandBuiltSplitPlansBitExact) {
 }
 
 // Degraded-then-upgraded serving through the plan service: for random cases,
-// the instantly-served fallback plan AND the upgraded full plan must both
-// satisfy every structural property and execute bit-identically to
-// reference_gemm. This is the acceptance property of DESIGN.md §10 — a
-// deadline miss may cost plan quality, never correctness.
+// the fallback plan served while the full planner is down AND the full plan
+// that upgrades it must both satisfy every structural property and execute
+// bit-identically to reference_gemm. This is the acceptance property of
+// DESIGN.md §10 — a planner outage may cost plan quality, never
+// correctness.
 TEST(PlanProperty, ServiceDegradedThenUpgradedBitExact) {
-  service::VirtualClock clock;
+  service::VirtualClock clock;  // the retry backoff advances it, no sleeps
   service::PlanServiceConfig cfg;
-  cfg.deadline_us = 250;
   cfg.clock = &clock;
   const BatchedGemmPlanner real_planner(cfg.planner);
+  bool planner_down = false;
   cfg.planner_fn = [&](std::span<const GemmDims> dims) {
-    clock.advance(5'000);  // every full planning misses the deadline
+    if (planner_down) throw CheckError("planner down");
     return real_planner.plan(dims);
   };
   service::PlanService svc(cfg);
@@ -500,7 +501,10 @@ TEST(PlanProperty, ServiceDegradedThenUpgradedBitExact) {
     if (!seen.insert(batch_signature(pc.dims, cfg.planner)).second) continue;
     const std::string what = "service iter=" + std::to_string(iter);
 
+    // The planner fails every attempt of each signature's first episode.
+    planner_down = true;
     const service::ServedPlan degraded = svc.get(pc.dims);
+    planner_down = false;
     ASSERT_TRUE(degraded.summary != nullptr) << what;
     ASSERT_EQ(degraded.state, service::ServeState::kDegraded) << what;
     check_plan_properties(degraded.summary->plan, pc.dims, what + " degraded");
@@ -516,10 +520,9 @@ TEST(PlanProperty, ServiceDegradedThenUpgradedBitExact) {
                              what + " degraded gemm " + std::to_string(i));
     }
 
-    svc.drain();  // let the background upgrade land
     const service::ServedPlan upgraded = svc.get(pc.dims);
     ASSERT_TRUE(upgraded.summary != nullptr) << what;
-    ASSERT_EQ(upgraded.state, service::ServeState::kHit) << what;
+    ASSERT_EQ(upgraded.state, service::ServeState::kUpgraded) << what;
     check_plan_properties(upgraded.summary->plan, pc.dims, what + " upgraded");
     {
       CaseStorage plan_run = materialize(pc);

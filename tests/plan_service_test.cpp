@@ -1,10 +1,9 @@
 // Chaos and correctness suite for ctb::service::PlanService (DESIGN.md §10):
-// inline and deadline-bounded serving, degraded-mode fallback, deterministic
-// retry/backoff on the virtual clock, quarantine lifecycle, the membership
-// filter, env knobs, concurrent shard hammering, and the failpoint registry
-// itself. Execution-level bit-exactness of degraded/upgraded plans is
-// covered in plan_property_test and fault_injection_test; this file owns
-// the service state machine.
+// inline serving, degraded-mode fallback and inline upgrade, deterministic
+// retry/backoff on the virtual clock, quarantine lifecycle, concurrent shard
+// hammering, and the failpoint registry itself. Execution-level
+// bit-exactness of degraded/upgraded plans is covered in plan_property_test
+// and fault_injection_test; this file owns the service state machine.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -31,7 +30,8 @@ namespace ctb {
 namespace {
 
 using service::FailAction;
-using service::FailpointSpec;
+using service::kMaxRetries;
+using service::kQuarantineThreshold;
 using service::PlanService;
 using service::PlanServiceConfig;
 using service::PlanServiceError;
@@ -76,14 +76,15 @@ bool trail_has(const std::vector<FlightEventView>& trail, FlightKind kind,
   return false;
 }
 
+// Full-planning attempts per failed episode (the first try plus retries).
+constexpr int kAttempts = kMaxRetries + 1;
+
 // ---------------------------------------------------------------------------
 // Inline serving basics
 // ---------------------------------------------------------------------------
 
 TEST(PlanService, ColdMissPlansInlineThenHits) {
-  PlanServiceConfig cfg;
-  cfg.deadline_us = 0;
-  PlanService svc(cfg);
+  PlanService svc;
   const auto batch = small_batch(1);
 
   const ServedPlan first = svc.get(batch);
@@ -106,25 +107,8 @@ TEST(PlanService, ColdMissPlansInlineThenHits) {
   EXPECT_EQ(svc.size(), 1u);
 }
 
-TEST(PlanService, FilterShortCircuitsDefiniteMisses) {
-  PlanServiceConfig cfg;
-  cfg.deadline_us = 0;
-  PlanService svc(cfg);
-  // A fresh service has an empty filter: every cold lookup is a definite
-  // miss decided without touching a shard lock.
-  (void)svc.get(small_batch(1));
-  (void)svc.get(small_batch(2));
-  EXPECT_EQ(svc.stats().filter_rejects, 2);
-  // Hits never consult the reject path.
-  (void)svc.get(small_batch(1));
-  EXPECT_EQ(svc.stats().filter_rejects, 2);
-  EXPECT_EQ(svc.stats().hits, 1);
-}
-
-TEST(PlanService, ClearDropsEntriesAndFilterBits) {
-  PlanServiceConfig cfg;
-  cfg.deadline_us = 0;
-  PlanService svc(cfg);
+TEST(PlanService, ClearDropsEntriesAndMetadata) {
+  PlanService svc;
   const auto batch = small_batch(3);
   (void)svc.get(batch);
   ASSERT_EQ(svc.size(), 1u);
@@ -132,9 +116,20 @@ TEST(PlanService, ClearDropsEntriesAndFilterBits) {
   EXPECT_EQ(svc.size(), 0u);
   const ServedPlan again = svc.get(batch);
   EXPECT_EQ(again.state, ServeState::kPlanned);
-  // The filter was reset too, so the second cold pass is again a definite
-  // miss, not a false positive from stale bits.
-  EXPECT_EQ(svc.stats().filter_rejects, 2);
+  EXPECT_EQ(svc.stats().misses, 2);
+}
+
+// Inline planning is the only serving mode; the deadline field stays for
+// source compatibility and accepts nothing but 0.
+TEST(PlanService, NonZeroDeadlineThrows) {
+  for (const std::int64_t deadline_us : {std::int64_t{-1}, std::int64_t{300}}) {
+    PlanServiceConfig cfg;
+    cfg.deadline_us = deadline_us;
+    EXPECT_THROW(PlanService{cfg}, CheckError) << deadline_us;
+  }
+  PlanServiceConfig cfg;
+  cfg.deadline_us = 0;
+  EXPECT_NO_THROW(PlanService{cfg});
 }
 
 TEST(PlanService, DegenerateInputsThrowCheckError) {
@@ -153,7 +148,6 @@ TEST(PlanService, EpilogueStreamsNormalizeAlikeAtEveryEntryPoint) {
   const std::vector<int> malformed{0x10, 0};  // an op after the terminator
   const std::vector<int> zeros(batch.size(), 0);
   PlanServiceConfig cfg;
-  cfg.deadline_us = 0;
   const BatchedGemmPlanner planner(cfg.planner);
   PlanCache cache(cfg.planner);
   PlanService svc(cfg);
@@ -182,110 +176,15 @@ TEST(PlanService, EpilogueStreamsNormalizeAlikeAtEveryEntryPoint) {
 }
 
 // ---------------------------------------------------------------------------
-// Env knobs
-// ---------------------------------------------------------------------------
-
-TEST(PlanService, EnvKnobsConfigureShardsAndDeadline) {
-  ::setenv("CTB_PLAN_SHARDS", "4", 1);
-  ::setenv("CTB_PLAN_DEADLINE_US", "1234", 1);
-  {
-    PlanService svc;  // defaults: shards/deadline from the environment
-    EXPECT_EQ(svc.shard_count(), 4);
-    EXPECT_EQ(svc.deadline_us(), 1234);
-  }
-  {
-    PlanServiceConfig cfg;
-    cfg.shards = 3;
-    cfg.deadline_us = 0;  // explicit config wins over the environment
-    PlanService svc(cfg);
-    EXPECT_EQ(svc.shard_count(), 3);
-    EXPECT_EQ(svc.deadline_us(), 0);
-  }
-  ::unsetenv("CTB_PLAN_SHARDS");
-  ::unsetenv("CTB_PLAN_DEADLINE_US");
-  PlanService svc;
-  EXPECT_EQ(svc.shard_count(), 8);  // documented defaults
-  EXPECT_EQ(svc.deadline_us(), 0);
-}
-
-// ---------------------------------------------------------------------------
-// Deadline-bounded serving on the virtual clock
-// ---------------------------------------------------------------------------
-
-TEST(PlanService, DeadlineMissServesFallbackNowAndUpgradesAsync) {
-  VirtualClock clock;
-  PlanServiceConfig cfg;
-  cfg.deadline_us = 500;
-  cfg.clock = &clock;
-  const BatchedGemmPlanner slow_planner(cfg.planner);
-  cfg.planner_fn = [&](std::span<const GemmDims> dims) {
-    clock.advance(10'000);  // every full planning blows the deadline
-    return slow_planner.plan(dims);
-  };
-  PlanService svc(cfg);
-  const auto batch = small_batch(5);
-
-  const ServedPlan degraded = svc.get(batch);
-  ASSERT_TRUE(degraded.summary != nullptr);
-  EXPECT_EQ(degraded.state, ServeState::kDegraded);
-  validate_plan(degraded.summary->plan, batch);
-  // The fallback is the threshold-only heuristic, served immediately.
-  EXPECT_EQ(degraded.summary->heuristic, BatchingHeuristic::kThreshold);
-  // The degraded response carries its trace id, and that trace's flight
-  // trail records both the serve and the deadline miss that caused it.
-  if (kTelemetryCompiledIn) {
-    ASSERT_NE(degraded.trace_id, 0u);
-    const auto trail = trail_of(degraded.trace_id);
-    EXPECT_TRUE(trail_has(trail, FlightKind::kServe, "degraded"));
-    EXPECT_TRUE(trail_has(trail, FlightKind::kDeadlineMiss));
-  }
-
-  svc.drain();
-  const ServedPlan upgraded = svc.get(batch);
-  ASSERT_TRUE(upgraded.summary != nullptr);
-  EXPECT_EQ(upgraded.state, ServeState::kHit);
-  validate_plan(upgraded.summary->plan, batch);
-
-  const service::ServiceStats stats = svc.stats();
-  EXPECT_EQ(stats.admitted, 2);
-  EXPECT_EQ(stats.misses, 1);
-  EXPECT_EQ(stats.hits, 1);
-  EXPECT_EQ(stats.degraded, 1);
-  EXPECT_EQ(stats.deadline_misses, 1);
-  EXPECT_EQ(stats.upgraded, 1);
-}
-
-TEST(PlanService, FastPlannerMeetsDeadlineNoDegradation) {
-  VirtualClock clock;
-  PlanServiceConfig cfg;
-  cfg.deadline_us = 500;
-  cfg.clock = &clock;  // nothing advances it: the planner is "instant"
-  PlanService svc(cfg);
-  const auto batch = small_batch(6);
-
-  const ServedPlan first = svc.get(batch);
-  ASSERT_TRUE(first.summary != nullptr);
-  EXPECT_EQ(first.state, ServeState::kPlanned);
-  svc.drain();
-  const service::ServiceStats stats = svc.stats();
-  EXPECT_EQ(stats.degraded, 0);
-  EXPECT_EQ(stats.deadline_misses, 0);
-  EXPECT_EQ(stats.upgraded, 0);
-  EXPECT_EQ(svc.get(batch).state, ServeState::kHit);
-}
-
-// ---------------------------------------------------------------------------
 // Retry with deterministic backoff
 // ---------------------------------------------------------------------------
 
 TEST(PlanService, TransientFailuresRetryWithDeterministicBackoff) {
   VirtualClock clock;
   PlanServiceConfig cfg;
-  cfg.deadline_us = 0;
   cfg.clock = &clock;
-  cfg.max_retries = 2;
-  cfg.backoff_base_us = 100;
-  auto failures_left = std::make_shared<std::atomic<int>>(2);
+  // Fail every attempt but the last of the episode.
+  auto failures_left = std::make_shared<std::atomic<int>>(kMaxRetries);
   const BatchedGemmPlanner planner(cfg.planner);
   cfg.planner_fn = [&planner,
                     failures_left](std::span<const GemmDims> dims) {
@@ -299,7 +198,7 @@ TEST(PlanService, TransientFailuresRetryWithDeterministicBackoff) {
   const ServedPlan served = svc.get(batch);
   ASSERT_TRUE(served.summary != nullptr);
   EXPECT_EQ(served.state, ServeState::kPlanned);
-  EXPECT_EQ(svc.stats().retried, 2);
+  EXPECT_EQ(svc.stats().retried, kMaxRetries);
   EXPECT_EQ(svc.stats().degraded, 0);
   // Exponential backoff on the virtual clock: 100 << 0 then 100 << 1.
   EXPECT_EQ(clock.now_us(), 300);
@@ -311,9 +210,6 @@ TEST(PlanService, TransientFailuresRetryWithDeterministicBackoff) {
 
 TEST(PlanService, RepeatedFailuresQuarantineThenReleaseRecovers) {
   PlanServiceConfig cfg;
-  cfg.deadline_us = 0;
-  cfg.max_retries = 0;
-  cfg.quarantine_threshold = 2;
   auto broken = std::make_shared<std::atomic<bool>>(true);
   auto calls = std::make_shared<std::atomic<int>>(0);
   const BatchedGemmPlanner planner(cfg.planner);
@@ -326,17 +222,21 @@ TEST(PlanService, RepeatedFailuresQuarantineThenReleaseRecovers) {
   PlanService svc(cfg);
   const auto batch = small_batch(8);
 
-  // Episode 1: cold miss fails -> degraded entry.
-  EXPECT_EQ(svc.get(batch).state, ServeState::kDegraded);
-  EXPECT_FALSE(svc.is_quarantined(batch));
-  // Episode 2: the degraded hit re-attempts the upgrade, fails again ->
-  // the signature crosses the threshold and is quarantined. In inline mode
-  // the failing upgrade runs on the request thread, so the quarantine
-  // transition lands in the requesting trace's flight trail.
+  // Episode 1: cold miss fails -> degraded entry. Each later episode is a
+  // degraded hit whose upgrade fails again, until the last one crosses the
+  // threshold and quarantines the signature. The failing upgrade runs on
+  // the request thread, so the quarantine transition lands in the
+  // requesting trace's flight trail.
+  for (int episode = 1; episode < kQuarantineThreshold; ++episode) {
+    EXPECT_EQ(svc.get(batch).state, ServeState::kDegraded);
+    EXPECT_FALSE(svc.is_quarantined(batch));
+  }
   const ServedPlan crossing = svc.get(batch);
   EXPECT_EQ(crossing.state, ServeState::kDegraded);
   EXPECT_TRUE(svc.is_quarantined(batch));
   EXPECT_EQ(svc.stats().quarantined, 1);
+  EXPECT_EQ(calls->load(), kQuarantineThreshold * kAttempts);
+  EXPECT_EQ(svc.stats().retried, kQuarantineThreshold * kMaxRetries);
   if (kTelemetryCompiledIn) {
     ASSERT_NE(crossing.trace_id, 0u);
     const auto trail = trail_of(crossing.trace_id);
@@ -378,10 +278,7 @@ TEST(PlanService, RepeatedFailuresQuarantineThenReleaseRecovers) {
 TEST(PlanService, ConcurrentInlineHammeringStaysConsistent) {
   constexpr int kRequests = 96;
   constexpr int kDistinct = 12;
-  PlanServiceConfig cfg;
-  cfg.deadline_us = 0;
-  cfg.shards = 4;
-  PlanService svc(cfg);
+  PlanService svc;
   std::vector<std::vector<GemmDims>> pool;
   for (int i = 0; i < kDistinct; ++i) pool.push_back(small_batch(i));
 
@@ -404,36 +301,6 @@ TEST(PlanService, ConcurrentInlineHammeringStaysConsistent) {
   // Concurrent misses on one signature may each plan (they race to upsert),
   // but the cache converges to exactly one entry per distinct batch.
   EXPECT_EQ(svc.size(), static_cast<std::size_t>(kDistinct));
-}
-
-TEST(PlanService, ConcurrentDeadlineMissesJoinOneUpgradeJob) {
-  constexpr int kCallers = 8;
-  VirtualClock clock;
-  PlanServiceConfig cfg;
-  cfg.deadline_us = 200;
-  cfg.clock = &clock;
-  const BatchedGemmPlanner planner(cfg.planner);
-  cfg.planner_fn = [&](std::span<const GemmDims> dims) {
-    clock.advance(5'000);
-    return planner.plan(dims);
-  };
-  PlanService svc(cfg);
-  const auto batch = small_batch(2);
-
-  std::vector<ServedPlan> results(kCallers);
-  ScopedParallelThreads guard(4);
-  parallel_for(kCallers, [&](long long i) {
-    results[static_cast<std::size_t>(i)] = svc.get(batch);
-  });
-  svc.drain();
-
-  for (int i = 0; i < kCallers; ++i) {
-    ASSERT_TRUE(results[i].summary != nullptr) << "caller " << i;
-    validate_plan(results[i].summary->plan, batch);
-  }
-  // After the dust settles the entry is fully upgraded and serves as a hit.
-  EXPECT_EQ(svc.get(batch).state, ServeState::kHit);
-  EXPECT_EQ(svc.size(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -476,110 +343,68 @@ TEST(PlanCacheService, LookupPeekUpsertContract) {
 // Failpoint registry
 // ---------------------------------------------------------------------------
 
-TEST(Failpoint, CompiledOutProbesAreInert) {
-  if (service::failpoints_compiled_in()) GTEST_SKIP();
-  service::set_failpoint("x", {FailAction::kThrow, 0, -1});
-  EXPECT_EQ(service::consume_failpoint("x").action, FailAction::kOff);
-  EXPECT_EQ(service::failpoint_hits("x"), 0);
-  EXPECT_EQ(service::load_failpoints_from_string("x=throw"), 0);
-}
-
 class FailpointTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    if (!service::failpoints_compiled_in())
-      GTEST_SKIP() << "built with -DCTB_FAILPOINTS=OFF";
-    service::clear_failpoints();
-  }
+  void SetUp() override { service::clear_failpoints(); }
   void TearDown() override { service::clear_failpoints(); }
 };
 
 TEST_F(FailpointTest, ConsumeRespectsFireBudget) {
-  service::set_failpoint("svc.x", {FailAction::kThrow, 0, 2});
-  EXPECT_EQ(service::consume_failpoint("svc.x").action, FailAction::kThrow);
-  EXPECT_EQ(service::consume_failpoint("svc.x").action, FailAction::kThrow);
-  EXPECT_EQ(service::consume_failpoint("svc.x").action, FailAction::kOff);
+  service::set_failpoint("svc.x", {FailAction::kThrow, 2});
+  EXPECT_EQ(service::consume_failpoint("svc.x"), FailAction::kThrow);
+  EXPECT_EQ(service::consume_failpoint("svc.x"), FailAction::kThrow);
+  EXPECT_EQ(service::consume_failpoint("svc.x"), FailAction::kOff);
   EXPECT_EQ(service::failpoint_hits("svc.x"), 2);
 }
 
 TEST_F(FailpointTest, UnlimitedBudgetKeepsFiring) {
-  service::set_failpoint("svc.y", {FailAction::kDelay, 750, -1});
-  for (int i = 0; i < 5; ++i) {
-    const FailpointSpec fired = service::consume_failpoint("svc.y");
-    EXPECT_EQ(fired.action, FailAction::kDelay);
-    EXPECT_EQ(fired.arg, 750);
-  }
+  service::set_failpoint("svc.y", {FailAction::kBadAlloc, -1});
+  for (int i = 0; i < 5; ++i)
+    EXPECT_EQ(service::consume_failpoint("svc.y"), FailAction::kBadAlloc);
   EXPECT_EQ(service::failpoint_hits("svc.y"), 5);
   service::clear_failpoint("svc.y");
-  EXPECT_EQ(service::consume_failpoint("svc.y").action, FailAction::kOff);
+  EXPECT_EQ(service::consume_failpoint("svc.y"), FailAction::kOff);
   // clear_failpoint disarms but keeps the hit count for diagnostics.
   EXPECT_EQ(service::failpoint_hits("svc.y"), 5);
 }
 
 TEST_F(FailpointTest, SpecStringParsesValidEntriesAndSkipsJunk) {
   const int armed = service::load_failpoints_from_string(
-      "a=delay:500:1;b=throw,not-an-entry,=throw,c=bogus,d=badalloc");
-  EXPECT_EQ(armed, 3);  // a, b, d; junk and unknown actions are skipped
-  FailpointSpec a = service::consume_failpoint("a");
-  EXPECT_EQ(a.action, FailAction::kDelay);
-  EXPECT_EQ(a.arg, 500);
-  EXPECT_EQ(service::consume_failpoint("a").action, FailAction::kOff);
-  EXPECT_EQ(service::consume_failpoint("b").action, FailAction::kThrow);
-  EXPECT_EQ(service::consume_failpoint("c").action, FailAction::kOff);
-  EXPECT_EQ(service::consume_failpoint("d").action, FailAction::kBadAlloc);
+      "a=corrupt:1;b=throw,not-an-entry,=throw,c=bogus,d=badalloc,"
+      "e=throw:1:2,f=delay:500");
+  // a, b, d; junk, unknown actions and the old name=action:arg:count form
+  // are skipped.
+  EXPECT_EQ(armed, 3);
+  EXPECT_EQ(service::consume_failpoint("a"), FailAction::kCorrupt);
+  EXPECT_EQ(service::consume_failpoint("a"), FailAction::kOff);
+  EXPECT_EQ(service::consume_failpoint("b"), FailAction::kThrow);
+  EXPECT_EQ(service::consume_failpoint("c"), FailAction::kOff);
+  EXPECT_EQ(service::consume_failpoint("d"), FailAction::kBadAlloc);
+  EXPECT_EQ(service::consume_failpoint("e"), FailAction::kOff);
+  EXPECT_EQ(service::consume_failpoint("f"), FailAction::kOff);
 }
 
 TEST_F(FailpointTest, ScopedFailpointDisarmsOnExit) {
   {
-    service::ScopedFailpoint scoped("svc.scoped",
-                                    {FailAction::kCorrupt, 0, -1});
-    EXPECT_EQ(service::consume_failpoint("svc.scoped").action,
-              FailAction::kCorrupt);
+    service::ScopedFailpoint scoped("svc.scoped", {FailAction::kCorrupt, -1});
+    EXPECT_EQ(service::consume_failpoint("svc.scoped"), FailAction::kCorrupt);
   }
-  EXPECT_EQ(service::consume_failpoint("svc.scoped").action, FailAction::kOff);
-}
-
-TEST_F(FailpointTest, ServiceSlowFailpointTripsDeadline) {
-  VirtualClock clock;
-  PlanServiceConfig cfg;
-  cfg.deadline_us = 400;
-  cfg.clock = &clock;
-  PlanService svc(cfg);
-  service::ScopedFailpoint slow("service.planner.slow",
-                                {FailAction::kDelay, 9'000, -1});
-  const auto batch = small_batch(9);
-  const ServedPlan served = svc.get(batch);
-  ASSERT_TRUE(served.summary != nullptr);
-  EXPECT_EQ(served.state, ServeState::kDegraded);
-  EXPECT_EQ(svc.stats().deadline_misses, 1);
-  // Chaos-injected degradation is indistinguishable from the real thing:
-  // the response's trace still resolves to a trail with the deadline miss.
-  if (kTelemetryCompiledIn) {
-    ASSERT_NE(served.trace_id, 0u);
-    const auto trail = trail_of(served.trace_id);
-    EXPECT_TRUE(trail_has(trail, FlightKind::kServe, "degraded"));
-    EXPECT_TRUE(trail_has(trail, FlightKind::kDeadlineMiss));
-  }
-  svc.drain();
-  EXPECT_EQ(svc.stats().upgraded, 1);
-  EXPECT_EQ(svc.get(batch).state, ServeState::kHit);
+  EXPECT_EQ(service::consume_failpoint("svc.scoped"), FailAction::kOff);
 }
 
 // is_quarantined hashes a batch's epilogue stream exactly as get() does, so
 // a quarantined fused batch reads as quarantined until released.
 TEST_F(FailpointTest, QuarantinedFusedBatchReadsQuarantined) {
-  PlanServiceConfig cfg;
-  cfg.deadline_us = 0;
-  cfg.max_retries = 0;
-  cfg.quarantine_threshold = 2;
-  PlanService svc(cfg);
+  PlanService svc;
   const auto batch = small_batch(12);
   const std::vector<int> epilogues(batch.size(), kBiasRelu);
   {
     service::ScopedFailpoint broken("service.planner.throw",
-                                    {FailAction::kThrow, 0, -1});
-    EXPECT_EQ(svc.get(batch, epilogues).state, ServeState::kDegraded);
-    EXPECT_FALSE(svc.is_quarantined(batch, epilogues));
+                                    {FailAction::kThrow, -1});
+    for (int episode = 1; episode < kQuarantineThreshold; ++episode) {
+      EXPECT_EQ(svc.get(batch, epilogues).state, ServeState::kDegraded);
+      EXPECT_FALSE(svc.is_quarantined(batch, epilogues));
+    }
     EXPECT_EQ(svc.get(batch, epilogues).state, ServeState::kDegraded);
   }
   EXPECT_EQ(svc.stats().quarantined, 1);
@@ -587,6 +412,56 @@ TEST_F(FailpointTest, QuarantinedFusedBatchReadsQuarantined) {
   EXPECT_EQ(svc.get(batch, epilogues).state, ServeState::kQuarantined);
   EXPECT_EQ(svc.release_quarantined(), 1u);
   EXPECT_FALSE(svc.is_quarantined(batch, epilogues));
+}
+
+// A signature can be quarantined without a cache entry: when the fallback
+// fails as well, every episode throws and nothing is cached. Once the
+// fallback works again, the quarantined miss is served the fallback without
+// another full-planner call, and the entry is cached as degraded so that
+// release_quarantined() lets a later hit upgrade it.
+TEST_F(FailpointTest, QuarantinedMissServesFallbackWithoutPlanning) {
+  PlanServiceConfig cfg;
+  auto broken = std::make_shared<std::atomic<bool>>(true);
+  auto calls = std::make_shared<std::atomic<int>>(0);
+  const BatchedGemmPlanner planner(cfg.planner);
+  cfg.planner_fn = [&planner, broken,
+                    calls](std::span<const GemmDims> dims) {
+    calls->fetch_add(1);
+    if (broken->load()) throw CheckError("planner down");
+    return planner.plan(dims);
+  };
+  PlanService svc(cfg);
+  const auto batch = small_batch(13);
+  {
+    service::ScopedFailpoint oom("service.fallback.alloc",
+                                 {FailAction::kBadAlloc, -1});
+    for (int episode = 0; episode < kQuarantineThreshold; ++episode) {
+      try {
+        (void)svc.get(batch);
+        FAIL() << "expected PlanServiceError";
+      } catch (const PlanServiceError& e) {
+        EXPECT_EQ(e.kind(), PlanServiceError::Kind::kFallbackFailed);
+      }
+    }
+  }
+  EXPECT_TRUE(svc.is_quarantined(batch));
+  EXPECT_EQ(svc.size(), 0u);
+  EXPECT_EQ(calls->load(), kQuarantineThreshold * kAttempts);
+
+  const ServedPlan held = svc.get(batch);
+  ASSERT_TRUE(held.summary != nullptr);
+  EXPECT_EQ(held.state, ServeState::kQuarantined);
+  validate_plan(held.summary->plan, batch);
+  EXPECT_EQ(held.summary->heuristic, BatchingHeuristic::kThreshold);
+  EXPECT_EQ(calls->load(), kQuarantineThreshold * kAttempts);
+  EXPECT_EQ(svc.size(), 1u);
+  EXPECT_EQ(svc.get(batch).state, ServeState::kQuarantined);
+  EXPECT_EQ(calls->load(), kQuarantineThreshold * kAttempts);
+
+  broken->store(false);
+  EXPECT_EQ(svc.release_quarantined(), 1u);
+  EXPECT_EQ(svc.get(batch).state, ServeState::kUpgraded);
+  EXPECT_EQ(svc.get(batch).state, ServeState::kHit);
 }
 
 TEST_F(FailpointTest, ChaosQuarantineLeavesAFlightDumpForTheTrace) {
@@ -601,21 +476,15 @@ TEST_F(FailpointTest, ChaosQuarantineLeavesAFlightDumpForTheTrace) {
 
   VirtualClock clock;
   PlanServiceConfig cfg;
-  cfg.deadline_us = 400;
   cfg.clock = &clock;
-  cfg.max_retries = 0;
-  cfg.quarantine_threshold = 2;
   PlanService svc(cfg);
-  service::ScopedFailpoint slow("service.planner.slow",
-                                {FailAction::kDelay, 9'000, -1});
   service::ScopedFailpoint broken("service.planner.throw",
-                                  {FailAction::kThrow, 0, -1});
+                                  {FailAction::kThrow, -1});
   const auto batch = small_batch(11);
 
   // The whole episode runs under one explicitly-propagated trace, the way a
-  // caller threads its request context through the service. The worker
-  // adopts the requester's trace via the job, so the deadline miss (request
-  // thread) and the quarantine transition (worker thread) share one id.
+  // caller threads its request context through the service: every
+  // response, and the quarantine transition, carry its id.
   std::uint64_t id = 0;
   {
     const telemetry::ScopedTraceContext scope(
@@ -623,30 +492,25 @@ TEST_F(FailpointTest, ChaosQuarantineLeavesAFlightDumpForTheTrace) {
     id = telemetry::current_trace().id;
     ASSERT_NE(id, 0u);
 
-    // Failure 1: the worker blows the deadline and throws; the requester
-    // records the miss and serves the fallback.
-    const ServedPlan first = svc.get(batch);
-    EXPECT_EQ(first.state, ServeState::kDegraded);
-    EXPECT_EQ(first.trace_id, id);
-    svc.drain();
-    EXPECT_FALSE(svc.is_quarantined(batch));
-
-    // Failure 2: the degraded hit re-enqueues the upgrade; the worker's
-    // second failure crosses the threshold, quarantines the signature, and
-    // autodumps the flight recorder (CTB_FLIGHT_DUMP_DIR is set).
-    EXPECT_EQ(svc.get(batch).state, ServeState::kDegraded);
-    svc.drain();
+    // Every failed episode serves the fallback. The last one crosses the
+    // threshold, quarantines the signature, and autodumps the flight
+    // recorder (CTB_FLIGHT_DUMP_DIR is set) before its own serve event.
+    for (int episode = 0; episode < kQuarantineThreshold; ++episode) {
+      const ServedPlan served = svc.get(batch);
+      EXPECT_EQ(served.state, ServeState::kDegraded);
+      EXPECT_EQ(served.trace_id, id);
+    }
     EXPECT_TRUE(svc.is_quarantined(batch));
   }
   ::unsetenv("CTB_FLIGHT_DUMP_DIR");
 
   // Both halves of the story are in the live trail under the one trace id.
   const auto trail = trail_of(id);
-  EXPECT_TRUE(trail_has(trail, FlightKind::kDeadlineMiss));
+  EXPECT_TRUE(trail_has(trail, FlightKind::kServe, "degraded"));
   EXPECT_TRUE(trail_has(trail, FlightKind::kQuarantine));
 
   // ... and the quarantine transition persisted a postmortem dump naming
-  // the same trace.
+  // the same trace, with the degraded serves that preceded it.
   fs::path dump;
   for (const auto& entry : fs::directory_iterator(dir))
     if (entry.path().filename().string().find("_quarantine.json") !=
@@ -654,12 +518,20 @@ TEST_F(FailpointTest, ChaosQuarantineLeavesAFlightDumpForTheTrace) {
       dump = entry.path();
   ASSERT_FALSE(dump.empty()) << "no quarantine autodump in " << dir;
   std::ifstream in(dump);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string dump_text = buf.str();
-  EXPECT_NE(dump_text.find("\"kind\":\"deadline.miss\""), std::string::npos);
-  EXPECT_NE(dump_text.find("\"kind\":\"quarantine\""), std::string::npos);
-  EXPECT_NE(dump_text.find(telemetry::trace_id_hex(id)), std::string::npos);
+  const std::string trace_field =
+      "\"trace\":\"" + telemetry::trace_id_hex(id) + "\"";
+  bool dumped_serve = false;
+  bool dumped_quarantine = false;
+  for (std::string line; std::getline(in, line);) {
+    if (line.find(trace_field) == std::string::npos) continue;
+    if (line.find("\"kind\":\"serve\",\"detail\":\"degraded\"") !=
+        std::string::npos)
+      dumped_serve = true;
+    if (line.find("\"kind\":\"quarantine\"") != std::string::npos)
+      dumped_quarantine = true;
+  }
+  EXPECT_TRUE(dumped_serve);
+  EXPECT_TRUE(dumped_quarantine);
   fs::remove_all(dir, ec);
 }
 

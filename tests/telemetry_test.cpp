@@ -149,12 +149,10 @@ TEST_F(TelemetryTest, CountersAccumulateAndSnapshot) {
   EXPECT_EQ(counter_value(snap, "service.admitted"), 0);
   EXPECT_EQ(counter_value(snap, "service.hit"), 0);
   EXPECT_EQ(counter_value(snap, "service.miss"), 0);
-  EXPECT_EQ(counter_value(snap, "service.filter.reject"), 0);
   EXPECT_EQ(counter_value(snap, "service.degraded"), 0);
   EXPECT_EQ(counter_value(snap, "service.upgraded"), 0);
   EXPECT_EQ(counter_value(snap, "service.retried"), 0);
   EXPECT_EQ(counter_value(snap, "service.quarantined"), 0);
-  EXPECT_EQ(counter_value(snap, "service.deadline_miss"), 0);
 }
 
 TEST_F(TelemetryTest, DisabledSitesRegisterButDoNotCount) {

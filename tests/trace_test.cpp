@@ -259,9 +259,7 @@ TEST_F(TraceTest, PlannerCacheAndExecutorShareOneTraceId) {
 }
 
 TEST_F(TraceTest, ServedPlanCarriesItsTraceId) {
-  service::PlanServiceConfig cfg;
-  cfg.deadline_us = 0;  // inline mode: everything on this thread
-  service::PlanService svc(cfg);
+  service::PlanService svc;
   const std::vector<GemmDims> dims{{64, 64, 64}};
   const service::ServedPlan served = svc.get(dims);
   ASSERT_NE(served.trace_id, 0u);
@@ -299,7 +297,6 @@ TEST_F(TraceTest, StageSpansJoinTheRequestTrail) {
   const std::vector<GemmOperands> ops{operands(a, b, c)};
 
   service::PlanServiceConfig cfg;
-  cfg.deadline_us = 0;  // inline mode: the miss plans on this thread
   cfg.planner.policy = BatchingPolicy::kThresholdOnly;
   service::PlanService svc(cfg);
   std::uint64_t id = 0;

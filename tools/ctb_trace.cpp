@@ -188,7 +188,7 @@ bool load_file(const std::string& path, Loaded& out, std::ostream& err) {
 /// The two --only predicates, over one trace's events.
 bool is_degraded(const std::vector<const Event*>& trail) {
   for (const Event* e : trail) {
-    if (e->kind == "deadline.miss" || e->kind == "quarantine") return true;
+    if (e->kind == "quarantine") return true;
     if (e->kind == "serve" &&
         (e->detail == "degraded" || e->detail == "quarantined"))
       return true;
@@ -230,9 +230,9 @@ int run(int argc, char** argv) {
   ctb::CliFlags flags;
   flags.define("trace", "", "print the full event trail of one trace id");
   flags.define("only", "",
-               "restrict the summary to flagged traces: degraded (deadline "
-               "miss / quarantine / degraded serve) | rejected (guard "
-               "rejection / fallback)");
+               "restrict the summary to flagged traces: degraded "
+               "(quarantine / degraded serve) | rejected (guard rejection / "
+               "fallback)");
   flags.define("top-latency", "0",
                "rank the lookup-latency exemplars by value and resolve each "
                "one's flight trail (needs metrics.* and ideally flight.json)");
