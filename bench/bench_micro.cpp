@@ -373,6 +373,44 @@ void BM_RunSplitPlan(benchmark::State& state) {
 }
 BENCHMARK(BM_RunSplitPlan)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
+// inception-train's data-gradient dispatch as perfbench runs it: four TN
+// GEMMs dx = w^T dy of 256 x 3136 x {128, 128, 32, 64}, planned once by the
+// default planner and run at one worker. Every dx is a 3.2 MB C whose rows
+// are whole cache lines, so under AVX2 and AVX-512 its tile stores stream
+// past the cache (kStreamStoreBytes): this prices the store outside
+// perfbench.
+void BM_RunLargeOutput(benchmark::State& state) {
+  constexpr int kInC = 256, kCols = 3136;
+  constexpr std::array<int, 4> kOutC = {128, 128, 32, 64};
+  Rng rng(11);
+  std::vector<Matrixf> w, dy, dx;
+  for (const int oc : kOutC) {
+    w.emplace_back(oc, kInC);
+    dy.emplace_back(oc, kCols);
+    dx.emplace_back(kInC, kCols);
+    fill_random(w.back(), rng);
+    fill_random(dy.back(), rng);
+  }
+  std::vector<GemmOperands> ops;
+  std::vector<GemmDims> dims;
+  long long flops = 0;
+  for (std::size_t i = 0; i < kOutC.size(); ++i) {
+    ops.push_back(operands(w[i], dy[i], dx[i], Op::kT, Op::kN));
+    dims.push_back(ops.back().dims);
+    flops += dims.back().flops();
+  }
+  const PlanSummary summary = BatchedGemmPlanner{}.plan(dims);
+  ScopedParallelThreads serial(1);
+  for (auto _ : state) {
+    run_batched_plan(summary.plan, ops, 1.0f, 0.0f);
+    benchmark::DoNotOptimize(dx.front().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * flops);
+  state.SetLabel(std::to_string(summary.plan.num_blocks()) + " blocks");
+}
+BENCHMARK(BM_RunLargeOutput)->Unit(benchmark::kMillisecond);
+
 // Same batch through the vbatch executor (bubble blocks included).
 void BM_RunVbatchThreads(benchmark::State& state) {
   const ExecutorFixture& f = executor_fixture();

@@ -15,14 +15,28 @@ Matrixf im2col(const ConvShape& s, const Tensor4& input) {
   const GemmDims d = s.gemm_dims(input.n());
   const ConvLowering l = s.lowering();
   // Value-initialized: every out-of-image tap already holds the +0.0f the
-  // lowering defines, so only the in-image spans are written. Each
-  // (c, kh, kw) filter tap fills exactly one row, so the rows parallelize
-  // without overlap.
+  // lowering defines, so only the in-image spans are written. conv_b_rows
+  // walks each filter tap's span once for all the rows of a call that share
+  // the tap (one per channel), so each task lowers a block of consecutive
+  // rows in one call: at least a few blocks per worker, and at most
+  // kBlockBytes of column matrix per block, so the rows a tap's walk writes
+  // stay in cache (inception3a's 3x3 read 2% slower than per-row calls with
+  // 216-row blocks, 5% faster with 20-row ones). Blocks may start
+  // mid-channel, so a conv with fewer channels than blocks (conv1's 3)
+  // still spreads over every worker.
   Matrixf m(static_cast<std::size_t>(d.k), static_cast<std::size_t>(d.n));
-  parallel_for(d.k, [&](long long r) {
-    const int row = static_cast<int>(r);
-    conv_b_rows(l, input.flat().data(), d.k, row, 1, 0, d.n,
-                m.data() + static_cast<std::size_t>(row) * d.n, d.n);
+  constexpr int kBlocksPerWorker = 4;
+  constexpr std::size_t kBlockBytes = std::size_t{64} << 10;
+  const int block_rows = static_cast<int>(std::max<std::size_t>(
+      1, kBlockBytes / (static_cast<std::size_t>(d.n) * sizeof(float))));
+  const int blocks =
+      std::max(std::min(d.k, kBlocksPerWorker * parallel_max_threads()),
+               (d.k + block_rows - 1) / block_rows);
+  parallel_for(blocks, [&](long long b) {
+    const int r0 = static_cast<int>(d.k * b / blocks);
+    const int r1 = static_cast<int>(d.k * (b + 1) / blocks);
+    conv_b_rows(l, input.flat().data(), d.k, r0, r1 - r0, 0, d.n,
+                m.data() + static_cast<std::size_t>(r0) * d.n, d.n);
   });
   return m;
 }

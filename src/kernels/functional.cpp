@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -75,12 +76,13 @@ struct EpilogueChain {
 /// How one GEMM's tiles run in one executor call, resolved once per GEMM:
 /// the packed panels (invalid: each tile stages its own micro-panels), the
 /// call's micro-kernel, the vector row store (null: the scalar per-element
-/// store) and the decoded epilogue chain.
+/// store), the decoded epilogue chain and whether the tile stores stream.
 struct PackedDispatch {
   PackedGemm pack;
   SimdMicroKernelFn kernel = nullptr;
   SimdEpilogueRowFn store_row = nullptr;
   EpilogueChain epilogue;
+  bool stream = false;
 };
 
 /// The ISA every tile of one call runs under, read once per call: the
@@ -91,6 +93,22 @@ SimdIsa call_isa() {
   return simd_micro_kernel(isa) != nullptr ? isa : SimdIsa::kScalar;
 }
 
+/// The streaming rule (DESIGN.md §9): `g`'s tile stores bypass the cache
+/// when its C is at least kStreamStoreBytes, goes through the vector row
+/// store in fp32 with no column permutation, starts every row on a cache
+/// line, and `isa` has streaming stores. Under it every full-width chunk a
+/// tile stores is vector-aligned: tile columns start at multiples of 16.
+bool streams_c(const GemmOperands& g, const PackedDispatch& d, SimdIsa isa) {
+  const GemmDims& dims = g.dims;
+  return (isa == SimdIsa::kAvx2 || isa == SimdIsa::kAvx512) &&
+         d.store_row != nullptr && g.precision == Precision::kFp32 &&
+         !d.epilogue.colperm &&
+         reinterpret_cast<std::uintptr_t>(g.c) % kCacheLineBytes == 0 &&
+         dims.n * sizeof(float) % kCacheLineBytes == 0 &&
+         static_cast<std::size_t>(dims.m) * dims.n * sizeof(float) >=
+             kStreamStoreBytes;
+}
+
 /// The unpacked dispatch of `g` under `isa`: its tiles stage their own
 /// micro-panels for the ISA's micro-kernel.
 PackedDispatch staged_dispatch(const GemmOperands& g, SimdIsa isa) {
@@ -98,6 +116,7 @@ PackedDispatch staged_dispatch(const GemmOperands& g, SimdIsa isa) {
   d.kernel = simd_micro_kernel(isa);
   d.store_row = simd_epilogue_row(isa);
   d.epilogue = EpilogueChain(g.epilogue);
+  d.stream = streams_c(g, d, isa);
   return d;
 }
 
@@ -348,7 +367,8 @@ void check_epilogue_beta(const GemmOperands& g, float beta, std::size_t i) {
 /// vector row kernel — a plain tile is its empty chain, and a row
 /// permutation only relocates whole rows; fp16 rows, column permutations
 /// and builds without a vector unit take the scalar per-element chain. The
-/// two are bit-identical.
+/// two are bit-identical, and so is a streamed store (streams_c), which
+/// changes only the cache policy of the vector kernel's stores.
 void store_tile(const TilingStrategy& s, const GemmOperands& g,
                 const PackedDispatch& d, int ty, int tx, float alpha,
                 float beta, const float* acc) {
@@ -381,6 +401,8 @@ void store_tile(const TilingStrategy& s, const GemmOperands& g,
     r.beta = beta;
     r.nops = chain.nops;
     std::copy_n(chain.ops, chain.nops, r.ops);
+    r.stream = d.stream;
+    if (d.stream) CTB_TEL_COUNT("exec.store.streamed", 1);
     d.store_row(r);
     return;
   }

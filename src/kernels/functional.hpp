@@ -115,6 +115,14 @@ struct GemmOperands {
 static_assert(std::is_trivially_copyable_v<GemmOperands>,
               "operands are plain data: nothing in them runs code");
 
+/// A GEMM's tile stores stream past the cache (non-temporal stores, one
+/// fence per tile; DESIGN.md §9) when its C holds at least this many bytes,
+/// is fp32 on the vector row store with no column permutation, starts every
+/// row on a cache line (C line-aligned, N a multiple of 16) and the call
+/// runs under AVX2 or AVX-512. Only the stores' cache policy changes, never
+/// a value; exec.store.streamed counts the tiles.
+inline constexpr std::size_t kStreamStoreBytes = std::size_t{1} << 20;
+
 /// Executes one C tile (ty, tx) of `g` under `strategy` in the staged mode:
 /// the tile packs its own micro-panels, runs the active ISA's micro-kernel
 /// over them, and applies the tile store. Audits `g` (audit_operands) and

@@ -74,7 +74,10 @@ using SimdMicroKernelFn = void (*)(const float* a_panel, const float* b_panel,
 /// permutation ids. A plain store is the empty chain. `n` may be any
 /// length: the ragged tail is handled with masked partial loads/stores, so
 /// edge tiles never fall back to the scalar path. fp32 only — fp16 rounds
-/// after every op and stays scalar.
+/// after every op and stays scalar. With `stream` set, the AVX2 and AVX-512
+/// kernels write every full-width chunk with a non-temporal store, which
+/// needs each chunk vector-aligned (the caller's streaming rule guarantees
+/// it), and end the call with one store fence; values are unchanged.
 struct EpilogueRowArgs {
   const float* acc = nullptr;  ///< row-major tile accumulator
   int acc_stride = 0;          ///< floats between accumulator rows
@@ -90,6 +93,7 @@ struct EpilogueRowArgs {
   float beta = 0.0f;  ///< prior scale; C is read when nonzero
   int ops[4] = {0, 0, 0, 0};  ///< op ids in chain order
   int nops = 0;
+  bool stream = false;  ///< full chunks bypass the cache (AVX2, AVX-512)
 };
 
 /// Vectorized store of a tile's rows; bit-identical to the scalar

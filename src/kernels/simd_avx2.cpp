@@ -6,7 +6,13 @@
 
 #if defined(CTB_SIMD_ENABLED) && (defined(__x86_64__) || defined(_M_X64))
 
+#include <immintrin.h>
+
 #define CTB_SIMD_W 8
+// The streamed tile store (DESIGN.md §9): one non-temporal store per
+// 32-byte-aligned chunk, one store fence per tile.
+#define CTB_SIMD_STREAM_STORE(p, v) _mm256_stream_ps((p), (v))
+#define CTB_SIMD_STREAM_FENCE() _mm_sfence()
 #include "kernels/simd_kernels.inl"
 
 namespace ctb::simd_detail {

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <new>
 #include <span>
 #include <vector>
 
@@ -50,7 +51,36 @@ class MatrixView {
   std::size_t ld_ = 0;
 };
 
-/// Owning row-major matrix.
+/// Bytes of one cache line: Matrix storage starts on one.
+inline constexpr std::size_t kCacheLineBytes = 64;
+
+/// Allocator of Matrix storage: every buffer starts on a cache line. glibc
+/// returns large blocks at 16 mod 64, so without it no row of a matrix
+/// whose rows are whole lines would start on a line, and the executor's
+/// streamed tile store (DESIGN.md §9) needs every C row to.
+template <typename T>
+struct LineAlignedAllocator {
+  using value_type = T;
+
+  LineAlignedAllocator() = default;
+  template <typename U>
+  LineAlignedAllocator(const LineAlignedAllocator<U>&) noexcept {}
+
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(
+        ::operator new(n * sizeof(T), std::align_val_t{kCacheLineBytes}));
+  }
+  void deallocate(T* p, std::size_t) noexcept {
+    ::operator delete(p, std::align_val_t{kCacheLineBytes});
+  }
+
+  friend bool operator==(const LineAlignedAllocator&,
+                         const LineAlignedAllocator&) {
+    return true;
+  }
+};
+
+/// Owning row-major matrix; its data() starts on a cache line.
 template <typename T>
 class Matrix {
  public:
@@ -93,7 +123,7 @@ class Matrix {
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  std::vector<T> data_;
+  std::vector<T, LineAlignedAllocator<T>> data_;
 };
 
 using Matrixf = Matrix<float>;

@@ -104,10 +104,8 @@ PlanSummary PlanService::plan_full_with_retries(
       last_error = e.what();
     }
   }
-  throw PlanServiceError(
-      PlanServiceError::Kind::kPlannerFailed,
-      "plan service: full planner failed after " +
-          std::to_string(kAttempts) + " attempts: " + last_error);
+  throw CheckError("plan service: full planner failed after " +
+                   std::to_string(kAttempts) + " attempts: " + last_error);
 }
 
 std::shared_ptr<const PlanSummary> PlanService::make_fallback(
@@ -245,10 +243,9 @@ ServedPlan PlanService::serve_fallback(std::uint64_t sig,
   try {
     fallback = make_fallback(dims, epilogues);
   } catch (const std::exception& e) {
-    throw PlanServiceError(PlanServiceError::Kind::kFallbackFailed,
-                           "plan service: " + why +
-                               " and fallback planning failed (" + e.what() +
-                               ")");
+    throw PlanServiceError("plan service: " + why +
+                           " and fallback planning failed (" + e.what() +
+                           ")");
   }
   // Cache the fallback as a degraded entry, so a later hit upgrades it,
   // unless another requester installed something meanwhile.

@@ -48,18 +48,7 @@ namespace ctb::service {
 /// existing catch sites treat it as the typed, clean failure it is.
 class PlanServiceError : public CheckError {
  public:
-  enum class Kind {
-    kPlannerFailed,   ///< full planner exhausted its retry budget
-    kFallbackFailed,  ///< the fallback path failed as well
-  };
-
-  PlanServiceError(Kind kind, const std::string& what)
-      : CheckError(what), kind_(kind) {}
-
-  Kind kind() const { return kind_; }
-
- private:
-  Kind kind_;
+  using CheckError::CheckError;
 };
 
 /// Failed full-planning attempts are retried kMaxRetries times (so

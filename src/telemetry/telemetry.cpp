@@ -49,6 +49,7 @@ constexpr const char* kCoreCounters[] = {
     "exec.fallback",
     "exec.epilogue.fused",
     "exec.epilogue.ops",
+    "exec.store.streamed",
     "exec.c.passes",
     "exec.dispatch.specialized",
     "exec.dispatch.generic",

@@ -1,13 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <functional>
 #include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "kernels/functional.hpp"
+#include "kernels/simd.hpp"
 #include "linalg/gemm_ref.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace ctb {
 namespace {
@@ -318,6 +324,191 @@ TEST(RunBatchedPlan, ForeignGemmIndexThrows) {
   Matrixf a = rand_mat(16, 8, rng), b = rand_mat(8, 16, rng), c(16, 16);
   std::vector<GemmOperands> ops = {operands(a, b, c)};
   EXPECT_THROW(run_batched_plan(plan, ops, 1.0f, 0.0f), CheckError);
+}
+
+// ---------------------------------------------------- streamed stores --
+//
+// A GEMM's tile stores stream past the cache (DESIGN.md §9) only under AVX2
+// and AVX-512, for an fp32 C of at least kStreamStoreBytes on the vector row
+// store whose rows all start on a cache line. Only the stores' cache policy
+// changes, so every case matches reference_gemm bit for bit, streamed or
+// not; exec.store.streamed tells which streamed.
+
+// The ISAs this host can execute: scalar, plus every vector level up to
+// detected_simd_isa() that has a micro-kernel.
+std::vector<SimdIsa> runnable_isas() {
+  std::vector<SimdIsa> isas{SimdIsa::kScalar};
+  for (SimdIsa isa : {SimdIsa::kNeon, SimdIsa::kAvx2, SimdIsa::kAvx512})
+    if (static_cast<int>(isa) <= static_cast<int>(detected_simd_isa()) &&
+        simd_micro_kernel(isa) != nullptr)
+      isas.push_back(isa);
+  return isas;
+}
+
+constexpr int kStreamM = 256, kStreamN = 1040, kStreamK = 72;
+static_assert(sizeof(float) * kStreamM * kStreamN >= kStreamStoreBytes,
+              "the streaming GEMM's C must reach the threshold");
+static_assert(sizeof(float) * kStreamM * 1008 < kStreamStoreBytes,
+              "the small GEMM's C must stay below the threshold");
+
+enum class StreamVariant { kPlain, kBiasRelu, kResidual, kRowPerm, kBeta };
+
+/// exec.store.streamed over one call of `run`, or -1 without telemetry.
+long long streamed_tiles_of(const std::function<void()>& run) {
+#ifdef CTB_TELEMETRY_ENABLED
+  telemetry::reset();
+  telemetry::set_enabled(true);
+  run();
+  long long streamed = -1;
+  for (const auto& c : telemetry::snapshot().counters)
+    if (c.name == "exec.store.streamed") streamed = c.value;
+  telemetry::set_enabled(false);
+  telemetry::reset();
+  return streamed;
+#else
+  run();
+  return -1;
+#endif
+}
+
+/// An m x n x kStreamK GEMM whose C sits `offset` floats past a
+/// cache line and is followed by one canary float: a store past C's last
+/// element changes the canary even where a sanitizer does not instrument
+/// the streaming intrinsics. The reference is computed once; run() repeats
+/// the GEMM from the same initial C under each ISA.
+class StreamCase {
+ public:
+  StreamCase(int m, int n, StreamVariant v, std::size_t offset,
+             Precision precision)
+      : offset_(offset), cells_(static_cast<std::size_t>(m) * n) {
+    Rng rng(1400);
+    a_ = rand_mat(m, kStreamK, rng);
+    b_ = rand_mat(kStreamK, n, rng);
+    init_.resize(offset_ + cells_ + 1);
+    for (float& x : init_) x = rng.uniform_float(-1.0f, 1.0f);
+    init_.back() = std::bit_cast<float>(kCanary);
+    g_.a = a_.data();
+    g_.b = b_.data();
+    g_.dims = {m, n, kStreamK};
+    g_.precision = precision;
+    EpilogueArgs& ea = g_.epilogue_args;
+    switch (v) {
+      case StreamVariant::kPlain:
+        break;
+      case StreamVariant::kBiasRelu:
+        for (int i = 0; i < m; ++i) bias_.push_back(rng.uniform_float(-1, 1));
+        g_.epilogue = epilogue_push(epilogue_push(0, EpilogueOp::kBias),
+                                    EpilogueOp::kRelu);
+        ea.bias = bias_.data();
+        ea.bias_len = m;
+        break;
+      case StreamVariant::kResidual:
+        for (std::size_t i = 0; i < cells_; ++i)
+          residual_.push_back(rng.uniform_float(-1, 1));
+        g_.epilogue = epilogue_push(0, EpilogueOp::kResidual);
+        ea.residual = residual_.data();
+        ea.residual_rows = m;
+        ea.residual_cols = n;
+        break;
+      case StreamVariant::kRowPerm:
+        // Row i lands on row 37 i mod m: odd, so a bijection for m = 2^p.
+        for (int i = 0; i < m; ++i) row_perm_.push_back(37 * i % m);
+        g_.epilogue = epilogue_push(0, EpilogueOp::kRowPerm);
+        ea.row_perm = row_perm_.data();
+        ea.row_perm_len = m;
+        break;
+      case StreamVariant::kBeta:
+        alpha_ = 1.25f;
+        beta_ = 0.5f;
+        break;
+    }
+    ref_ = init_;
+    GemmOperands r = g_;
+    r.c = ref_.data() + offset_;
+    reference_gemm(r, alpha_, beta_);
+  }
+
+  /// Runs the GEMM under `isa` through run_single_gemm, expects C and the
+  /// canary to equal the reference bit for bit, and returns
+  /// exec.store.streamed.
+  long long run(SimdIsa isa, const std::string& what) {
+    const auto& s = batched_strategy(TileShape::kLarge, ThreadVariant::k256);
+    c_ = init_;
+    GemmOperands g = g_;
+    g.c = c_.data() + offset_;
+    ScopedSimdIsa scoped(isa);
+    const long long streamed =
+        streamed_tiles_of([&] { run_single_gemm(s, g, alpha_, beta_); });
+    EXPECT_EQ(std::memcmp(c_.data() + offset_, ref_.data() + offset_,
+                          cells_ * sizeof(float)),
+              0)
+        << what << ": C differs from reference_gemm";
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(c_.back()), kCanary)
+        << what << ": the float past C was written";
+    return streamed;
+  }
+
+  /// Tiles run_single_gemm runs.
+  long long tiles() const {
+    const auto& s = batched_strategy(TileShape::kLarge, ThreadVariant::k256);
+    return static_cast<long long>((g_.dims.m + s.by - 1) / s.by) *
+           ((g_.dims.n + s.bx - 1) / s.bx);
+  }
+
+ private:
+  static constexpr std::uint32_t kCanary = 0x7fc0beefu;
+  using LineBuffer = std::vector<float, LineAlignedAllocator<float>>;
+
+  std::size_t offset_, cells_;
+  Matrixf a_, b_;
+  LineBuffer init_, ref_, c_;  // offset_ floats, C, the canary
+  std::vector<float> bias_, residual_;
+  std::vector<int> row_perm_;
+  GemmOperands g_;
+  float alpha_ = 1.0f, beta_ = 0.0f;
+};
+
+TEST(StreamedStore, LargeAlignedCStreamsUnderVectorIsasBitExact) {
+  for (StreamVariant v :
+       {StreamVariant::kPlain, StreamVariant::kBiasRelu,
+        StreamVariant::kResidual, StreamVariant::kRowPerm,
+        StreamVariant::kBeta}) {
+    StreamCase sc(kStreamM, kStreamN, v, 0, Precision::kFp32);
+    for (SimdIsa isa : runnable_isas()) {
+      const std::string what = std::string(simd_isa_name(isa)) +
+                               " variant " +
+                               std::to_string(static_cast<int>(v));
+      const long long streamed = sc.run(isa, what);
+      if (streamed < 0) continue;  // telemetry compiled out
+      const bool streams = isa == SimdIsa::kAvx2 || isa == SimdIsa::kAvx512;
+      EXPECT_EQ(streamed, streams ? sc.tiles() : 0) << what;
+    }
+  }
+}
+
+TEST(StreamedStore, MisalignedSmallOrFp16CNeverStreamsBitExact) {
+  struct NoStream {
+    int n;
+    std::size_t offset;
+    Precision precision;
+    const char* name;
+  };
+  for (const NoStream& c : {
+           NoStream{kStreamN, 1, Precision::kFp32, "C one float past a line"},
+           NoStream{1030, 0, Precision::kFp32, "rows not whole lines"},
+           NoStream{1008, 0, Precision::kFp32, "C below the threshold"},
+           NoStream{kStreamN, 0, Precision::kFp16, "fp16"},
+       }) {
+    StreamCase sc(kStreamM, c.n, StreamVariant::kPlain, c.offset,
+                  c.precision);
+    for (SimdIsa isa : runnable_isas()) {
+      const std::string what = std::string(simd_isa_name(isa)) + ' ' + c.name;
+      const long long streamed = sc.run(isa, what);
+      if (streamed >= 0) {
+        EXPECT_EQ(streamed, 0) << what;
+      }
+    }
+  }
 }
 
 }  // namespace

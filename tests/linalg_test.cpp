@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "linalg/gemm_ref.hpp"
 #include "linalg/matrix.hpp"
@@ -64,6 +66,29 @@ TEST(Matrix, FillRandomIsDeterministic) {
   fill_random(a, r1);
   fill_random(b, r2);
   EXPECT_TRUE(a == b);
+}
+
+// Matrix storage starts on a cache line whatever the allocator underneath
+// returns, so a matrix whose rows are whole lines can take the executor's
+// streamed tile store (DESIGN.md §9); copies and moves keep that.
+TEST(Matrix, DataIsCacheLineAligned) {
+  const auto aligned = [](const Matrixf& m) {
+    return reinterpret_cast<std::uintptr_t>(m.data()) % kCacheLineBytes == 0;
+  };
+  for (const std::size_t cols : {1u, 3u, 16u, 1040u}) {
+    Matrixf m(256, cols, 1.0f);
+    EXPECT_TRUE(aligned(m)) << cols;
+    const Matrixf copy = m;
+    EXPECT_TRUE(aligned(copy)) << cols;
+    EXPECT_EQ(copy, m);
+    Matrixf assigned(2, 2);
+    assigned = m;
+    EXPECT_TRUE(aligned(assigned)) << cols;
+    const float* storage = m.data();
+    const Matrixf moved = std::move(m);
+    EXPECT_EQ(moved.data(), storage) << cols;
+    EXPECT_TRUE(aligned(moved)) << cols;
+  }
 }
 
 // ------------------------------------------------------------------ gemm --

@@ -5,6 +5,9 @@
 // the property DESIGN.md §6 documents and this test enforces.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "core/api.hpp"
@@ -254,6 +257,59 @@ TEST(ParallelBatchedPlan, Fp16BitExact) {
         run_batched_plan(summary.plan, bc.ops, 1.0f, 0.0f);
       },
       "plan fp16");
+}
+
+// ------------------------------------------------------ streamed stores --
+
+// The default plan of a batch whose first two GEMMs' C stream past the cache
+// (at least kStreamStoreBytes, rows on cache lines; DESIGN.md §9) beside one
+// that does not writes the same bits at 1, 2 and 4 workers under the active
+// ISA (CI reruns this binary under every ISA), and the float after each C
+// stays untouched: sanitizers may not see a streamed store overrun.
+TEST(ParallelStreamedStore, SameBitsAtOneTwoAndFourWorkers) {
+  using LineBuffer = std::vector<float, LineAlignedAllocator<float>>;
+  constexpr std::uint32_t kCanary = 0x7fc0beefu;
+  const std::vector<GemmDims> dims = {
+      {256, 1040, 72}, {256, 3136, 32}, {100, 40, 77}};
+  ASSERT_GE(sizeof(float) * dims[0].m * dims[0].n, kStreamStoreBytes);
+  const PlanSummary summary = BatchedGemmPlanner{}.plan(dims);
+  Rng rng(93);
+  std::vector<Matrixf> a, b;
+  for (const GemmDims& d : dims) {
+    a.push_back(rand_mat(d.m, d.k, rng));
+    b.push_back(rand_mat(d.k, d.n, rng));
+  }
+  std::vector<std::vector<LineBuffer>> runs;
+  for (const int threads : {1, 2, 4}) {
+    Rng c_rng(94);
+    std::vector<LineBuffer> c;
+    for (const GemmDims& d : dims) {
+      c.emplace_back(static_cast<std::size_t>(d.m) * d.n + 1);
+      for (float& x : c.back()) x = c_rng.uniform_float(-1.0f, 1.0f);
+      c.back().back() = std::bit_cast<float>(kCanary);
+    }
+    std::vector<GemmOperands> ops(dims.size());
+    for (std::size_t i = 0; i < dims.size(); ++i) {
+      ops[i].a = a[i].data();
+      ops[i].b = b[i].data();
+      ops[i].c = c[i].data();
+      ops[i].dims = dims[i];
+    }
+    {
+      ScopedParallelThreads guard(threads);
+      run_batched_plan(summary.plan, ops, 1.5f, 0.5f);
+    }
+    for (std::size_t i = 0; i < dims.size(); ++i)
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(c[i].back()), kCanary)
+          << threads << " workers, gemm " << i << ": the float past C";
+    runs.push_back(std::move(c));
+  }
+  for (std::size_t t = 1; t < runs.size(); ++t)
+    for (std::size_t i = 0; i < dims.size(); ++i)
+      EXPECT_EQ(std::memcmp(runs[0][i].data(), runs[t][i].data(),
+                            runs[0][i].size() * sizeof(float)),
+                0)
+          << "run " << t << " gemm " << i << " differs from 1 worker";
 }
 
 // Errors raised inside worker threads must surface on the caller, exactly

