@@ -169,13 +169,13 @@ class CsvSink {
 /// Turns telemetry on for a figure sweep when CTB_BENCH_TELEMETRY names a
 /// directory; on destruction drops <dir>/<name>.metrics.json and
 /// <dir>/<name>.trace.json (the sweep's spans, as far as the flight rings
-/// still hold them). A no-op (and zero files) when the variable is unset or
-/// telemetry is compiled out, so default bench runs are unaffected.
+/// still hold them). A no-op (and zero files) when the variable is unset,
+/// so default bench runs are unaffected.
 class TelemetryScope {
  public:
   explicit TelemetryScope(std::string name) : name_(std::move(name)) {
     const char* dir = std::getenv("CTB_BENCH_TELEMETRY");
-    if (dir != nullptr && *dir != '\0' && telemetry::snapshot().compiled_in) {
+    if (dir != nullptr && *dir != '\0') {
       dir_ = dir;
       telemetry::reset();
       telemetry::flight_clear();
@@ -548,9 +548,8 @@ inline perfreport::WorkloadResult run_perf_workload(const BenchWorkload& w,
   const telemetry::MetricsSnapshot after = telemetry::snapshot();
 
   out.timing = perfreport::TimingStats::from_samples(std::move(samples));
-  if (after.compiled_in)
-    perfreport::harvest_deterministic_metrics(telemetry::delta(before, after),
-                                              out);
+  perfreport::harvest_deterministic_metrics(telemetry::delta(before, after),
+                                            out);
   // Outside the snapshot window: the simulator's own telemetry is not part
   // of the workload's counters.
   const GpuArch& arch = gpu_arch(GpuModel::kV100);
@@ -614,9 +613,8 @@ inline perfreport::WorkloadResult run_replay_workload(const BenchWorkload& w,
 
   out.timing = perfreport::TimingStats::from_samples(std::move(samples));
   out.lookup = perfreport::LatencyStats::from_samples(std::move(lookup_us));
-  if (after.compiled_in)
-    perfreport::harvest_deterministic_metrics(telemetry::delta(before, after),
-                                              out);
+  perfreport::harvest_deterministic_metrics(telemetry::delta(before, after),
+                                            out);
   return out;
 }
 
@@ -633,9 +631,8 @@ inline perfreport::PerfReport run_perf_suite(
   report.tag = tag;
   report.repeats = repeats;
   report.created_unix = static_cast<std::int64_t>(std::time(nullptr));
-  report.telemetry_compiled_in = telemetry::snapshot().compiled_in;
   report.simd_isa = simd_isa_name(active_simd_isa());
-  const bool was_enabled = telemetry::snapshot().enabled;
+  const bool was_enabled = telemetry::enabled();
   telemetry::set_enabled(true);
   for (const BenchWorkload& w : workloads) {
     report.workloads.push_back(w.replay_requests > 0
@@ -645,8 +642,7 @@ inline perfreport::PerfReport run_perf_suite(
       const perfreport::WorkloadResult& r = report.workloads.back();
       char line[160];
       if (r.lookup.count > 0) {
-        // Hit rate from the harvested service counters when telemetry is
-        // compiled in; the latency percentiles are always available.
+        // Hit rate from the harvested service counters.
         std::int64_t hits = 0, misses = 0;
         for (const auto& c : r.counters) {
           if (c.name == "service.hit") hits = c.value;

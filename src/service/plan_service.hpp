@@ -23,8 +23,8 @@
 // validate_plan against its batch, and executes through the ordinary
 // validate/audit/execute path, so served results are bit-exact with direct
 // planning. State transitions are counted under the service.* telemetry
-// taxonomy and mirrored in an always-on ServiceStats (available even when
-// telemetry is compiled out).
+// taxonomy and mirrored in a per-service ServiceStats, which counts even
+// while telemetry is disabled at runtime.
 #pragma once
 
 #include <atomic>
@@ -99,7 +99,6 @@ struct ServedPlan {
   /// .hpp): the id every span, histogram exemplar, and flight-recorder
   /// event emitted while serving carries. Callers executing the plan can
   /// re-install it (ScopedTraceContext) so execution joins the same trail.
-  /// 0 when telemetry is compiled out.
   std::uint64_t trace_id = 0;
 
   /// True when this response carries the fallback plan, not the full one.
@@ -125,8 +124,9 @@ struct PlanServiceConfig {
   PlanCache::PlannerFn planner_fn;
 };
 
-/// Always-on mirror of the service.* telemetry counters, so tests and
-/// callers can observe the state machine even under -DCTB_TELEMETRY=OFF.
+/// Per-service mirror of the service.* telemetry counters: it counts even
+/// while telemetry is disabled at runtime, and one service's stats never
+/// mix with another's, so tests and callers can observe its state machine.
 struct ServiceStats {
   std::int64_t admitted = 0;     ///< responses served (any state)
   std::int64_t hits = 0;         ///< lookups that found a cache entry

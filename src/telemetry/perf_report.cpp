@@ -251,8 +251,6 @@ void write_perf_report_json(std::ostream& os, const PerfReport& report) {
   write_escaped(os, sorted.suite);
   os << ",\n  \"repeats\": " << sorted.repeats << ",\n";
   os << "  \"created_unix\": " << sorted.created_unix << ",\n";
-  os << "  \"telemetry_compiled_in\": "
-     << (sorted.telemetry_compiled_in ? "true" : "false") << ",\n";
   os << "  \"simd_isa\": ";
   write_escaped(os, sorted.simd_isa);
   os << ",\n";
@@ -335,7 +333,6 @@ namespace {
 struct JsonValue {
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
   Type type = Type::kNull;
-  bool boolean = false;
   std::string text;  // number token or decoded string
   std::vector<JsonValue> array;
   std::vector<std::pair<std::string, JsonValue>> object;
@@ -392,25 +389,20 @@ class JsonParser {
         v.text = parse_string();
         return v;
       }
-      case 't': return parse_literal("true", /*boolean=*/true);
-      case 'f': return parse_literal("false", /*boolean=*/false);
-      case 'n': {
-        JsonValue v = parse_literal("null", false);
-        v.type = JsonValue::Type::kNull;
-        return v;
-      }
+      case 't': return parse_literal("true", JsonValue::Type::kBool);
+      case 'f': return parse_literal("false", JsonValue::Type::kBool);
+      case 'n': return parse_literal("null", JsonValue::Type::kNull);
       default: return parse_number();
     }
   }
 
-  JsonValue parse_literal(const char* word, bool boolean) {
+  JsonValue parse_literal(const char* word, JsonValue::Type type) {
     for (const char* p = word; *p != '\0'; ++p) {
       if (pos_ >= text_.size() || text_[pos_] != *p) fail("bad literal");
       ++pos_;
     }
     JsonValue v;
-    v.type = JsonValue::Type::kBool;
-    v.boolean = boolean;
+    v.type = type;
     return v;
   }
 
@@ -571,9 +563,6 @@ PerfReport load_perf_report(std::istream& is) {
   report.created_unix = as_int(
       require(root, "created_unix", JsonValue::Type::kNumber, "report"),
       "created_unix");
-  report.telemetry_compiled_in =
-      require(root, "telemetry_compiled_in", JsonValue::Type::kBool, "report")
-          .boolean;
   report.simd_isa =
       require(root, "simd_isa", JsonValue::Type::kString, "report").text;
 
@@ -760,8 +749,6 @@ CompareResult compare_reports(const PerfReport& baseline,
   CompareResult res;
   res.baseline_simd_isa = baseline.simd_isa;
   res.current_simd_isa = current.simd_isa;
-  const bool gate_counters =
-      baseline.telemetry_compiled_in && current.telemetry_compiled_in;
   const bool gate_simd = res.simd_isa_matches();
 
   double log_sum = 0.0;
@@ -797,8 +784,7 @@ CompareResult compare_reports(const PerfReport& baseline,
     }
 
     d.name = base->name;
-    if (gate_counters)
-      diff_counters(*base, *cur, gate_simd, d.counter_mismatches);
+    diff_counters(*base, *cur, gate_simd, d.counter_mismatches);
     diff_sim(base->sim, cur->sim, d.counter_mismatches);
     if (base->timing.median_us > 0.0 && cur->timing.median_us > 0.0) {
       d.time_ratio = cur->timing.median_us / base->timing.median_us;

@@ -72,7 +72,10 @@ namespace ctb::perfreport {
 /// gated allowlist along with the plan service's membership filter and
 /// deadline worker. Every service probe is now a PlanCache::lookup, so
 /// cache.miss counts service misses too.
-inline constexpr int kSchemaVersion = 12;
+/// v13: removed the report-level flag that said whether the producing build
+/// compiled telemetry in, along with the build that compiled it out; every
+/// report carries counters, and compare_reports always gates them.
+inline constexpr int kSchemaVersion = 13;
 
 /// Wall-clock statistics over one workload's k repeats. Median-of-k with
 /// interquartile range: the median resists the reference container's timing
@@ -156,9 +159,6 @@ struct PerfReport {
   /// recording order regardless of how files were named or copied around.
   /// 0 = unknown (never gated by compare_reports).
   std::int64_t created_unix = 0;
-  /// False when the producing binary was built with -DCTB_TELEMETRY=OFF;
-  /// counters are then empty and compare_reports skips counter gating.
-  bool telemetry_compiled_in = true;
   /// simd_isa_name(active_simd_isa()) of the producing run. The exec.simd.*
   /// dispatch counters are deterministic per ISA but differ across hosts
   /// with different vector units, so compare_reports only gates them when
@@ -252,9 +252,7 @@ struct CompareResult {
 /// repeats — a mismatch there means the suite definition or run
 /// configuration changed, which invalidates the baseline), compares the
 /// "sim" objects at their serialized precision, and classifies timing
-/// deltas against the noise band. Counter gating is skipped when either
-/// report was produced without compiled-in telemetry; the simulated clock
-/// does not depend on telemetry and is always gated.
+/// deltas against the noise band.
 CompareResult compare_reports(const PerfReport& baseline,
                               const PerfReport& current,
                               const CompareOptions& opts = {});

@@ -1,18 +1,14 @@
 #include "telemetry/telemetry.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
-#include <istream>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <ostream>
 
 #include "telemetry/trace.hpp"
-
-#ifdef CTB_TELEMETRY_ENABLED
-#include <chrono>
-#include <memory>
-#include <mutex>
-#endif
 
 namespace ctb::telemetry {
 
@@ -112,12 +108,6 @@ void write_json_escaped(std::ostream& os, const std::string& s) {
   os << '"';
 }
 
-}  // namespace
-
-#ifdef CTB_TELEMETRY_ENABLED
-
-namespace {
-
 struct Registry {
   std::atomic<bool> enabled{false};
   std::chrono::steady_clock::time_point epoch =
@@ -208,7 +198,6 @@ double now_us() {
 MetricsSnapshot snapshot() {
   Registry& r = registry();
   MetricsSnapshot snap;
-  snap.compiled_in = true;
   snap.enabled = enabled();
   const std::lock_guard<std::mutex> lock(r.mu);
   snap.counters.reserve(r.counters.size());
@@ -256,16 +245,6 @@ void reset() {
   }
 }
 
-#else  // !CTB_TELEMETRY_ENABLED
-
-MetricsSnapshot snapshot() { return {}; }
-void reset() {}
-
-#endif  // CTB_TELEMETRY_ENABLED
-
-// ---- Sample-level helpers and exporters (shared between the real and the
-// stub build: an empty snapshot serializes to a valid, empty document). ----
-
 double HistogramSample::percentile(double p) const {
   if (count <= 0) return 0.0;
   if (p <= 0.0) return static_cast<double>(min);
@@ -293,7 +272,6 @@ double HistogramSample::percentile(double p) const {
 MetricsSnapshot delta(const MetricsSnapshot& before,
                       const MetricsSnapshot& after) {
   MetricsSnapshot d;
-  d.compiled_in = after.compiled_in;
   d.enabled = after.enabled;
 
   auto counter_before = [&](const std::string& name) -> std::int64_t {
@@ -391,81 +369,6 @@ void write_metrics_json(std::ostream& os, const MetricsSnapshot& snap) {
     os << "]}";
   }
   os << "\n}\n}\n";
-}
-
-// ---- OpenMetrics/Prometheus text exposition (DESIGN.md §13) ----
-
-namespace {
-
-// Prometheus metric names allow [a-zA-Z0-9_:]; the canonical dotted names
-// mangle dots and dashes to underscores. The mangling is lossy (dots and
-// dashes collide), so every sample also carries the dotted original in a
-// name="..." label — that label, not the family name, is what round-trips.
-std::string openmetrics_family(const std::string& name) {
-  std::string out = "ctb_";
-  for (char c : name)
-    out += (c == '.' || c == '-') ? '_' : c;
-  return out;
-}
-
-// Upper bound of power-of-two bucket b, as an OpenMetrics `le` label value.
-std::string bucket_le(std::size_t b) {
-  if (b >= 62) return "+Inf";
-  return std::to_string(std::int64_t{1} << b);
-}
-
-}  // namespace
-
-void write_openmetrics(std::ostream& os, const MetricsSnapshot& snap) {
-  for (const CounterSample& c : snap.counters) {
-    const std::string fam = openmetrics_family(c.name);
-    os << "# TYPE " << fam << " counter\n";
-    os << fam << "_total{name=\"" << c.name << "\"} " << c.value << "\n";
-  }
-  for (const HistogramSample& h : snap.histograms) {
-    const std::string fam = openmetrics_family(h.name);
-    os << "# TYPE " << fam << " histogram\n";
-    auto exemplar_for = [&](std::size_t b) -> const HistogramSample::Exemplar* {
-      for (const HistogramSample::Exemplar& e : h.exemplars)
-        if (static_cast<std::size_t>(e.bucket) == b) return &e;
-      return nullptr;
-    };
-    std::int64_t cum = 0;
-    for (std::size_t b = 0; b < h.buckets.size(); ++b) {
-      cum += h.buckets[b];
-      os << fam << "_bucket{name=\"" << h.name << "\",le=\"" << bucket_le(b)
-         << "\"} " << cum;
-      if (const HistogramSample::Exemplar* e = exemplar_for(b))
-        os << " # {trace_id=\"" << trace_id_hex(e->trace) << "\"} "
-           << e->value;
-      os << "\n";
-    }
-    os << fam << "_bucket{name=\"" << h.name << "\",le=\"+Inf\"} " << h.count
-       << "\n";
-    os << fam << "_sum{name=\"" << h.name << "\"} " << h.sum << "\n";
-    os << fam << "_count{name=\"" << h.name << "\"} " << h.count << "\n";
-  }
-  os << "# EOF\n";
-}
-
-std::vector<CounterSample> read_openmetrics_counters(std::istream& is) {
-  std::vector<CounterSample> out;
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    const std::size_t brace = line.find("_total{name=\"");
-    if (brace == std::string::npos) continue;
-    const std::size_t name_begin = brace + 13;
-    const std::size_t name_end = line.find('"', name_begin);
-    if (name_end == std::string::npos) continue;
-    const std::size_t value_begin = line.find("} ", name_end);
-    if (value_begin == std::string::npos) continue;
-    CounterSample c;
-    c.name = line.substr(name_begin, name_end - name_begin);
-    c.value = std::strtoll(line.c_str() + value_begin + 2, nullptr, 10);
-    out.push_back(std::move(c));
-  }
-  return out;
 }
 
 }  // namespace ctb::telemetry

@@ -2,14 +2,9 @@
 // plan pipeline (DESIGN.md §8 documents the taxonomy and the overhead
 // contract).
 //
-// Three cost tiers:
-//   * CTB_TELEMETRY=OFF (CMake)  — the macros below expand to nothing and
-//     the inline stubs in this header carry no atomics and perform no
-//     allocations; instrumented code compiles exactly as if the macros were
-//     deleted. The snapshot/export entry points still link (they return an
-//     empty snapshot) so tools build unchanged.
-//   * compiled in, runtime-disabled (the default) — every instrumentation
-//     site costs one relaxed atomic load and a predictable branch.
+// Two cost tiers, switched at runtime:
+//   * disabled (the default) — every instrumentation site costs one relaxed
+//     atomic load and a predictable branch.
 //   * enabled (set_enabled(true) or CTB_TELEMETRY=1 in the environment) —
 //     counters are relaxed atomic adds; a span costs two steady_clock reads,
 //     one histogram record and one flight-recorder event (trace.hpp), safe
@@ -23,14 +18,11 @@
 // nothing fired.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
-
-#ifdef CTB_TELEMETRY_ENABLED
-#include <atomic>
-#endif
 
 namespace ctb::telemetry {
 
@@ -75,14 +67,15 @@ struct HistogramSample {
 
 /// Point-in-time copy of everything the registry holds.
 struct MetricsSnapshot {
-  bool compiled_in = false;
+  /// Always true: telemetry is always compiled in. Kept for the readers
+  /// that still record it (perfbench's provenance block).
+  bool compiled_in = true;
   bool enabled = false;
   std::vector<CounterSample> counters;    // sorted by name
   std::vector<HistogramSample> histograms;  // sorted by name
 };
 
-/// Copies the current registry state. Always safe to call (returns an empty
-/// snapshot when telemetry is compiled out).
+/// Copies the current registry state. Safe to call from any thread.
 MetricsSnapshot snapshot();
 
 /// What happened between two snapshots of the same registry: counter values
@@ -98,7 +91,7 @@ MetricsSnapshot delta(const MetricsSnapshot& before,
                       const MetricsSnapshot& after);
 
 /// Zeroes every counter and histogram, keeping registrations. Tests isolate
-/// themselves with this; no-op when compiled out.
+/// themselves with this.
 void reset();
 
 /// JSON object {"version","enabled","counters","histograms"} where
@@ -106,23 +99,6 @@ void reset();
 /// per-bucket trace exemplars (schema version 4); span durations are the
 /// `<name>_ns` histograms. Schema in DESIGN.md §8.
 void write_metrics_json(std::ostream& os, const MetricsSnapshot& snap);
-
-/// OpenMetrics/Prometheus text exposition of the snapshot: every counter as
-/// a `ctb_<mangled>_total` sample and every histogram as the standard
-/// _bucket/_sum/_count family, each carrying the canonical dotted name in a
-/// name="..." label (dots/dashes mangle to underscores, so the label is the
-/// round-trip source of truth). Bucket samples append OpenMetrics exemplars
-/// (`# {trace_id="<hex>"} <value>`) where one was recorded. Ends with
-/// `# EOF`. DESIGN.md §13 documents the mapping.
-void write_openmetrics(std::ostream& os, const MetricsSnapshot& snap);
-
-/// Parses the counter samples back out of an OpenMetrics exposition written
-/// by write_openmetrics (the `_total{name="..."}` lines), in file order.
-/// Tolerant of unrelated lines; used by tests to prove the export
-/// round-trips the taxonomy and by ctb_trace to ingest metrics files.
-std::vector<CounterSample> read_openmetrics_counters(std::istream& is);
-
-#ifdef CTB_TELEMETRY_ENABLED
 
 /// Runtime master switch; relaxed-atomic read, safe from any thread.
 bool enabled();
@@ -207,48 +183,10 @@ class ScopedSpan {
   double start_us_ = 0;
 };
 
-#else  // !CTB_TELEMETRY_ENABLED — no-op stubs: no atomics, no allocations.
-
-constexpr bool enabled() { return false; }
-inline void set_enabled(bool) {}
-
-struct Counter {
-  void add(std::int64_t) {}
-  static constexpr std::int64_t value() { return 0; }
-};
-
-struct Histogram {
-  void record(std::int64_t) {}
-  static constexpr std::int64_t count() { return 0; }
-  static constexpr std::int64_t sum() { return 0; }
-};
-
-inline Counter& counter(const char*) {
-  static Counter stub;
-  return stub;
-}
-inline Histogram& histogram(const char*) {
-  static Histogram stub;
-  return stub;
-}
-constexpr double now_us() { return 0.0; }
-
-class ScopedSpan {
- public:
-  ScopedSpan(const char*, Histogram&) {}
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-};
-
-#endif  // CTB_TELEMETRY_ENABLED
-
 }  // namespace ctb::telemetry
 
 // Instrumentation macros. CTB_TEL_COUNT and CTB_TEL_HIST are statements and
-// CTB_TEL_SPAN is a pair of declarations; under CTB_TELEMETRY=OFF they all
-// vanish.
-#ifdef CTB_TELEMETRY_ENABLED
-
+// CTB_TEL_SPAN is a pair of declarations.
 #define CTB_TEL_CONCAT_INNER(a, b) a##b
 #define CTB_TEL_CONCAT(a, b) CTB_TEL_CONCAT_INNER(a, b)
 
@@ -280,17 +218,3 @@ class ScopedSpan {
     if (::ctb::telemetry::enabled())                          \
       ctb_tel_h_.record(static_cast<std::int64_t>(value));    \
   } while (0)
-
-#else
-
-#define CTB_TEL_SPAN(name) \
-  do {                     \
-  } while (0)
-#define CTB_TEL_COUNT(name, delta) \
-  do {                             \
-  } while (0)
-#define CTB_TEL_HIST(name, value) \
-  do {                            \
-  } while (0)
-
-#endif  // CTB_TELEMETRY_ENABLED

@@ -1,17 +1,14 @@
 #include "telemetry/trace.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <ostream>
-
-#include "telemetry/telemetry.hpp"
-
-#ifdef CTB_TELEMETRY_ENABLED
 #include <atomic>
+#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <mutex>
-#endif
+#include <ostream>
+
+#include "telemetry/telemetry.hpp"
 
 namespace ctb::telemetry {
 
@@ -113,8 +110,6 @@ void write_chrome_trace(std::ostream& os,
   append_chrome_trace_events(os, events, 0);
   os << "\n]}\n";
 }
-
-#ifdef CTB_TELEMETRY_ENABLED
 
 namespace {
 
@@ -320,7 +315,5 @@ std::string flight_autodump(const char* reason_literal) {
   write_flight_json(os, flight_events());
   return path;
 }
-
-#endif  // CTB_TELEMETRY_ENABLED
 
 }  // namespace ctb::telemetry

@@ -13,18 +13,14 @@
 // lock-free ring of recent structured events (plan decisions, degraded
 // serves, quarantine transitions, validate/audit rejections, fallback
 // activations, executor runs, and the stage spans of telemetry.hpp). Its
-// decision events are *always on* while compiled in — they do not consult
-// set_enabled(), because their whole purpose is to still hold the last
-// moments when something fails unexpectedly; spans share the ring only
-// while telemetry is enabled. Each record is a handful of relaxed atomic
-// stores (O(ns)); readers never block writers. Dumps happen on demand
+// decision events are *always on* — they do not consult set_enabled(),
+// because their whole purpose is to still hold the last moments when
+// something fails unexpectedly; spans share the ring only while telemetry
+// is enabled. Each record is a handful of relaxed atomic stores (O(ns));
+// readers never block writers. Dumps happen on demand
 // (flight_events / write_flight_json / write_chrome_trace) and
 // automatically on guard rejections and service quarantines when
 // CTB_FLIGHT_DUMP_DIR names a directory.
-//
-// Under -DCTB_TELEMETRY=OFF everything here compiles out to no-op stubs,
-// exactly like telemetry.hpp: trace ids are 0, rings do not exist, and the
-// exporters emit valid empty documents so tools still build.
 #pragma once
 
 #include <cstdint>
@@ -82,7 +78,7 @@ std::string trace_id_hex(std::uint64_t id);
 std::uint64_t parse_trace_id(const std::string& hex);
 
 /// JSON flight dump: {"version":1,"events":[...]} with one event per line,
-/// ordered by t_us. Works in every build (empty list -> empty document).
+/// ordered by t_us (an empty list is an empty document).
 void write_flight_json(std::ostream& os,
                        const std::vector<FlightEventView>& events);
 
@@ -98,8 +94,6 @@ void append_chrome_trace_events(std::ostream& os,
 /// Standalone chrome://tracing file of the events' spans.
 void write_chrome_trace(std::ostream& os,
                         const std::vector<FlightEventView>& events);
-
-#ifdef CTB_TELEMETRY_ENABLED
 
 /// Mints a fresh nonzero trace id: a splitmix64-mixed process-wide sequence
 /// number, so ids are unique, well-distributed, and deterministic given
@@ -134,7 +128,7 @@ class ScopedTraceContext {
 
 /// Records one event into the calling thread's ring, stamped with the
 /// current trace (id 0 when none). `detail` must be a string literal.
-/// Always on while compiled in; a handful of relaxed atomic stores.
+/// Always on; a handful of relaxed atomic stores.
 void flight_record(FlightKind kind, const char* detail_literal,
                    std::int64_t a0 = 0, std::int64_t a1 = 0);
 
@@ -152,36 +146,9 @@ void flight_clear();
 /// returns "". Called on guard rejections and service quarantines.
 std::string flight_autodump(const char* reason_literal);
 
-#else  // !CTB_TELEMETRY_ENABLED — no-op stubs, mirroring telemetry.hpp.
-
-constexpr std::uint64_t make_trace_id() { return 0; }
-inline TraceContext current_trace() { return {}; }
-
-class ScopedTraceContext {
- public:
-  explicit ScopedTraceContext(TraceContext) {}
-  ScopedTraceContext(const char*, std::int32_t) {}
-  ScopedTraceContext(const ScopedTraceContext&) = delete;
-  ScopedTraceContext& operator=(const ScopedTraceContext&) = delete;
-};
-
-inline void flight_record(FlightKind, const char*, std::int64_t = 0,
-                          std::int64_t = 0) {}
-inline std::vector<FlightEventView> flight_events() { return {}; }
-inline void flight_clear() {}
-inline std::string flight_autodump(const char*) { return {}; }
-
-#endif  // CTB_TELEMETRY_ENABLED
-
 }  // namespace ctb::telemetry
 
-/// Statement macro for flight events; vanishes under CTB_TELEMETRY=OFF.
-#ifdef CTB_TELEMETRY_ENABLED
+/// Statement macro for flight events.
 #define CTB_TEL_FLIGHT(kind, detail, a0, a1)                          \
   ::ctb::telemetry::flight_record(::ctb::telemetry::FlightKind::kind, \
                                   detail, a0, a1)
-#else
-#define CTB_TEL_FLIGHT(kind, detail, a0, a1) \
-  do {                                       \
-  } while (0)
-#endif

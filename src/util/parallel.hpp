@@ -1,7 +1,7 @@
 // Host parallel-for used by every layer (functional executors, dnn loops,
-// bench sweeps). One idiom everywhere: OpenMP when the build enables it
-// (CTB_ENABLE_OPENMP=ON and the toolchain provides it), a plain serial loop
-// otherwise — callers never touch OpenMP pragmas directly.
+// bench sweeps). One idiom everywhere: OpenMP when CMake finds it
+// (CTB_HAVE_OPENMP), a plain serial loop otherwise — callers never touch
+// OpenMP pragmas directly.
 //
 // Contract:
 //   - `parallel_for(n, f)` invokes f(i) exactly once for every i in [0, n).

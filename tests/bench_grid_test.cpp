@@ -125,7 +125,7 @@ TEST(CsvSink, NoopWithoutEnvAndWritesHeaderPlusRowsWithIt) {
   std::remove(path.c_str());
 }
 
-TEST(TelemetryScope, WritesMetricsAndTraceWhenCompiledIn) {
+TEST(TelemetryScope, WritesMetricsAndTraceWhenDirIsSet) {
   unsetenv("CTB_BENCH_TELEMETRY");
   { TelemetryScope inert("grid_test_inert"); }
 
@@ -141,19 +141,14 @@ TEST(TelemetryScope, WritesMetricsAndTraceWhenCompiledIn) {
   const std::string metrics_path = dir + "/grid_test.metrics.json";
   const std::string trace_path = dir + "/grid_test.trace.json";
   std::ifstream metrics(metrics_path), trace(trace_path);
-  if (telemetry::snapshot().compiled_in) {
-    ASSERT_TRUE(metrics.good());
-    ASSERT_TRUE(trace.good());
-    std::stringstream ss;
-    ss << metrics.rdbuf();
-    EXPECT_NE(ss.str().find("\"test.grid.scope\":1"), std::string::npos)
-        << ss.str();
-    std::remove(metrics_path.c_str());
-    std::remove(trace_path.c_str());
-  } else {
-    EXPECT_FALSE(metrics.good());
-    EXPECT_FALSE(trace.good());
-  }
+  ASSERT_TRUE(metrics.good());
+  ASSERT_TRUE(trace.good());
+  std::stringstream ss;
+  ss << metrics.rdbuf();
+  EXPECT_NE(ss.str().find("\"test.grid.scope\":1"), std::string::npos)
+      << ss.str();
+  std::remove(metrics_path.c_str());
+  std::remove(trace_path.c_str());
 }
 
 }  // namespace

@@ -353,9 +353,9 @@ static_assert(sizeof(float) * kStreamM * 1008 < kStreamStoreBytes,
 
 enum class StreamVariant { kPlain, kBiasRelu, kResidual, kRowPerm, kBeta };
 
-/// exec.store.streamed over one call of `run`, or -1 without telemetry.
+/// exec.store.streamed over one call of `run`; -1 when the counter is
+/// missing from the snapshot.
 long long streamed_tiles_of(const std::function<void()>& run) {
-#ifdef CTB_TELEMETRY_ENABLED
   telemetry::reset();
   telemetry::set_enabled(true);
   run();
@@ -365,10 +365,6 @@ long long streamed_tiles_of(const std::function<void()>& run) {
   telemetry::set_enabled(false);
   telemetry::reset();
   return streamed;
-#else
-  run();
-  return -1;
-#endif
 }
 
 /// An m x n x kStreamK GEMM whose C sits `offset` floats past a
@@ -479,7 +475,6 @@ TEST(StreamedStore, LargeAlignedCStreamsUnderVectorIsasBitExact) {
                                " variant " +
                                std::to_string(static_cast<int>(v));
       const long long streamed = sc.run(isa, what);
-      if (streamed < 0) continue;  // telemetry compiled out
       const bool streams = isa == SimdIsa::kAvx2 || isa == SimdIsa::kAvx512;
       EXPECT_EQ(streamed, streams ? sc.tiles() : 0) << what;
     }
@@ -503,10 +498,7 @@ TEST(StreamedStore, MisalignedSmallOrFp16CNeverStreamsBitExact) {
                   c.precision);
     for (SimdIsa isa : runnable_isas()) {
       const std::string what = std::string(simd_isa_name(isa)) + ' ' + c.name;
-      const long long streamed = sc.run(isa, what);
-      if (streamed >= 0) {
-        EXPECT_EQ(streamed, 0) << what;
-      }
+      EXPECT_EQ(sc.run(isa, what), 0) << what;
     }
   }
 }

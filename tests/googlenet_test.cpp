@@ -197,7 +197,6 @@ TEST(InceptionForward, RealInception3aShapes) {
 
 // --------------------------------------------------- grouped conv dispatch --
 
-#ifdef CTB_TELEMETRY_ENABLED
 std::int64_t counter_value(const telemetry::MetricsSnapshot& snap,
                            const std::string& name) {
   for (const auto& c : snap.counters)
@@ -205,7 +204,6 @@ std::int64_t counter_value(const telemetry::MetricsSnapshot& snap,
   ADD_FAILURE() << "counter " << name << " missing from snapshot";
   return -1;
 }
-#endif
 
 TEST(GroupedConv, SharedInputIsLoweredAndPackedOnce) {
   // Inception 3a stage 1's three 1x1 branch convs over the module input,
@@ -247,18 +245,14 @@ TEST(GroupedConv, SharedInputIsLoweredAndPackedOnce) {
       group[i].relu = true;
     }
     Run r;
-#ifdef CTB_TELEMETRY_ENABLED
     telemetry::reset();
     telemetry::set_enabled(true);
-#endif
     r.out = grouped_conv_forward(group);
-#ifdef CTB_TELEMETRY_ENABLED
     const auto snap = telemetry::snapshot();
     r.pack_bytes = counter_value(snap, "exec.pack.bytes");
     r.pack_reuse = counter_value(snap, "exec.pack.reuse");
     telemetry::set_enabled(false);
     telemetry::reset();
-#endif
     return r;
   };
   const Run shared = run(true);
@@ -272,10 +266,8 @@ TEST(GroupedConv, SharedInputIsLoweredAndPackedOnce) {
               0)
         << shapes[i]->name;
   }
-#ifdef CTB_TELEMETRY_ENABLED
   EXPECT_LT(shared.pack_bytes, separate.pack_bytes);
   EXPECT_GT(shared.pack_reuse, separate.pack_reuse);
-#endif
 }
 
 }  // namespace

@@ -110,7 +110,6 @@ struct GemmCase {
   }
 };
 
-#ifdef CTB_TELEMETRY_ENABLED
 std::int64_t counter_value(const telemetry::MetricsSnapshot& snap,
                            const std::string& name) {
   for (const auto& c : snap.counters)
@@ -118,7 +117,6 @@ std::int64_t counter_value(const telemetry::MetricsSnapshot& snap,
   ADD_FAILURE() << "counter " << name << " missing from snapshot";
   return -1;
 }
-#endif
 
 // Ragged dims relative to a strategy: interior tiles plus an edge tile in
 // every direction, K not a multiple of BK.
@@ -161,7 +159,6 @@ void expect_paths_agree(MakeCase&& make, const TilingStrategy& s, float alpha,
                        what + " vs reference_gemm");
 }
 
-#ifdef CTB_TELEMETRY_ENABLED
 // The exec.dispatch.* and exec.simd.* counters, which partition a call's
 // tiles by path and by ISA.
 const char* const kDispatchCounters[] = {
@@ -178,22 +175,17 @@ Counts packed_counts(long long tiles, SimdIsa isa) {
   c[std::string("exec.simd.") + simd_isa_name(isa)] = tiles;
   return c;
 }
-#endif
 
 // Runs `s` over ragged dims, checks C bitwise against reference_gemm, and
-// checks the dispatch counts the call added against packed_counts
-// (telemetry builds).
+// checks the dispatch counts the call added against packed_counts.
 void expect_packs_under(const TilingStrategy& s, SimdIsa isa,
                         const std::string& what) {
   const GemmDims d = ragged_dims(s);
   GemmCase run(d, Op::kN, Op::kT, Precision::kFp32, 1500);
   GemmCase reference(d, Op::kN, Op::kT, Precision::kFp32, 1500);
-#ifdef CTB_TELEMETRY_ENABLED
   telemetry::reset();
   telemetry::set_enabled(true);
-#endif
   run_single_gemm(s, run.ops, 1.25f, 0.5f);
-#ifdef CTB_TELEMETRY_ENABLED
   const auto snap = telemetry::snapshot();
   Counts got;
   for (const char* name : kDispatchCounters)
@@ -201,9 +193,6 @@ void expect_packs_under(const TilingStrategy& s, SimdIsa isa,
   telemetry::set_enabled(false);
   telemetry::reset();
   EXPECT_EQ(got, packed_counts(s.tiles_for(d.m, d.n), isa)) << what;
-#else
-  (void)isa;
-#endif
   reference_gemm(reference.ops, 1.25f, 0.5f);
   expect_bitwise_equal(run.c, reference.c, what);
 }
@@ -823,12 +812,9 @@ TEST(PackSharing, DistinctPanelSetsPackedOnceBitExact) {
         const std::string what = sc.name + "/" + simd_isa_name(isa) +
                                  "/threads" + std::to_string(threads);
         SharedBCase packed(sc.dims, sc.op_a, sc.op_b, 1100);
-#ifdef CTB_TELEMETRY_ENABLED
         telemetry::reset();
         telemetry::set_enabled(true);
-#endif
         run_batched_plan(plan, packed.ops, 1.5f, 0.0f);
-#ifdef CTB_TELEMETRY_ENABLED
         const auto snap = telemetry::snapshot();
         EXPECT_EQ(counter_value(snap, "exec.pack.panels"), panels) << what;
         EXPECT_EQ(counter_value(snap, "exec.pack.bytes"), bytes) << what;
@@ -839,9 +825,6 @@ TEST(PackSharing, DistinctPanelSetsPackedOnceBitExact) {
             << what;
         telemetry::set_enabled(false);
         telemetry::reset();
-#else
-        (void)reads;
-#endif
         for (std::size_t i = 0; i < sc.dims.size(); ++i)
           expect_bitwise_equal(packed.c[i], staged.c[i],
                                what + "/gemm" + std::to_string(i));
@@ -894,12 +877,9 @@ TEST(PackSharing, SharedOperandsPackOnceAcrossStrategies) {
     std::vector<Matrixf> got;
     got.reserve(dims.size());
     const std::vector<GemmOperands> ops = make(got);
-#ifdef CTB_TELEMETRY_ENABLED
     telemetry::reset();
     telemetry::set_enabled(true);
-#endif
     run_batched_plan(plan, ops, 1.0f, 0.0f);
-#ifdef CTB_TELEMETRY_ENABLED
     // x: 196 micro-panels; the filters: 4 + 6 + 1, w[0] packed once. Each
     // micro-panel is 32 steps of 128 floats.
     const std::int64_t panels = 196 + 4 + 6 + 1;
@@ -912,7 +892,6 @@ TEST(PackSharing, SharedOperandsPackOnceAcrossStrategies) {
         << what;
     telemetry::set_enabled(false);
     telemetry::reset();
-#endif
     for (std::size_t i = 0; i < dims.size(); ++i)
       expect_bitwise_equal(got[i], want[i],
                            what + "/gemm" + std::to_string(i));
@@ -949,8 +928,6 @@ TEST(PackArena, ConcurrentCallsUseSeparateArenas) {
                              "thread" + std::to_string(t) + "/" +
                                  cases[i].name + "/gemm" + std::to_string(g));
 }
-
-#ifdef CTB_TELEMETRY_ENABLED
 
 // Dispatch and pack counters: a packed run counts every tile as
 // specialized plus the packed panels/bytes/reuse (packing_test's
@@ -1031,8 +1008,6 @@ TEST(Microkernel, SimdCountersPartitionTilesByIsa) {
   telemetry::set_enabled(false);
   telemetry::reset();
 }
-
-#endif  // CTB_TELEMETRY_ENABLED
 
 }  // namespace
 }  // namespace ctb

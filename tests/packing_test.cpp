@@ -90,7 +90,6 @@ std::vector<SimdIsa> runnable_isas() {
   return isas;
 }
 
-#ifdef CTB_TELEMETRY_ENABLED
 std::int64_t counter_value(const telemetry::MetricsSnapshot& snap,
                            const std::string& name) {
   for (const auto& c : snap.counters)
@@ -122,7 +121,6 @@ TEST(PackPerCall, EveryRunChargesTheSamePackBytes) {
               static_cast<std::int64_t>(pack_footprint_bytes(d)))
         << "run " << iter;
 }
-#endif
 
 // ------------------------------------------------- the call's budget ------
 // A GEMM past kPackCallBudgetBytes runs staged: each of its tiles packs its
@@ -180,12 +178,9 @@ TEST(PackCallBudget, OverBudgetGemmRunsStaged) {
     ScopedSimdIsa guard(isa);
     const std::string what = std::string("alone/") + simd_isa_name(isa);
     reset();
-#ifdef CTB_TELEMETRY_ENABLED
     telemetry::reset();
     telemetry::set_enabled(true);
-#endif
     run_single_gemm(s, ops[0], kA, kB);
-#ifdef CTB_TELEMETRY_ENABLED
     const auto snap = telemetry::snapshot();
     EXPECT_EQ(counter_value(snap, "exec.pack.bytes"), 0) << what;
     EXPECT_EQ(counter_value(snap, "exec.dispatch.specialized"), 0) << what;
@@ -196,7 +191,6 @@ TEST(PackCallBudget, OverBudgetGemmRunsStaged) {
         << what;
     telemetry::set_enabled(false);
     telemetry::reset();
-#endif
     expect_outputs(1, what);
   }
 
@@ -210,12 +204,9 @@ TEST(PackCallBudget, OverBudgetGemmRunsStaged) {
     run_batched_plan(split, {ops.data(), 1}, kA, kB);
     expect_outputs(1, "split" + t);
     reset();
-#ifdef CTB_TELEMETRY_ENABLED
     telemetry::reset();
     telemetry::set_enabled(true);
-#endif
     run_batched_plan(beside, ops, kA, kB);
-#ifdef CTB_TELEMETRY_ENABLED
     const auto snap = telemetry::snapshot();
     EXPECT_EQ(counter_value(snap, "exec.pack.bytes"),
               static_cast<std::int64_t>(pack_footprint_bytes(dims[1]) +
@@ -227,7 +218,6 @@ TEST(PackCallBudget, OverBudgetGemmRunsStaged) {
         << t;
     telemetry::set_enabled(false);
     telemetry::reset();
-#endif
     expect_outputs(dims.size(), "beside-packed" + t);
   }
 }
@@ -251,16 +241,12 @@ TEST(PackPerCall, SplitKSlicesSharePackedPanels) {
   auto split_case = make_batch(dims, 80);
   const std::vector<GemmOperands> split_ops = ops_of(split_case);
   for (int iter = 0; iter < 2; ++iter) {
-#ifdef CTB_TELEMETRY_ENABLED
     EXPECT_EQ(pack_bytes_of([&] {
                 run_batched_plan(split_plan, split_ops, 1.0f, 0.5f);
               }),
               static_cast<std::int64_t>(pack_footprint_bytes(dims[0]) +
                                         pack_footprint_bytes(dims[1])))
         << "run " << iter;
-#else
-    run_batched_plan(split_plan, split_ops, 1.0f, 0.5f);
-#endif
   }
   auto unsplit_case = make_batch(dims, 80);
   const std::vector<GemmOperands> unsplit_ops = ops_of(unsplit_case);

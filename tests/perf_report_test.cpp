@@ -114,14 +114,11 @@ TEST(PerfReportJson, RejectsMalformedInput) {
       "[1,2,3]\n",                      // wrong top-level type
       "{\"schema_version\": 1}\n",      // missing fields
       "{\"schema_version\": 99, \"tag\": \"t\", \"suite\": \"s\","
-      " \"repeats\": 1, \"telemetry_compiled_in\": true,"
-      " \"workloads\": []}\n",          // unsupported version
+      " \"repeats\": 1, \"workloads\": []}\n",  // unsupported version
       "{\"schema_version\": 1, \"tag\": 3, \"suite\": \"s\","
-      " \"repeats\": 1, \"telemetry_compiled_in\": true,"
-      " \"workloads\": []}\n",          // wrong field type
+      " \"repeats\": 1, \"workloads\": []}\n",  // wrong field type
       "{\"schema_version\": 1, \"tag\": \"t\", \"suite\": \"s\","
-      " \"repeats\": 1, \"telemetry_compiled_in\": true,"
-      " \"workloads\": []} trailing\n",  // trailing garbage
+      " \"repeats\": 1, \"workloads\": []} trailing\n",  // trailing garbage
   };
   for (const char* text : bad) {
     std::istringstream is(text);
@@ -152,8 +149,7 @@ TEST(PerfReportJson, RejectsSchemaV1Artifacts) {
   // must be regenerated knowingly, not silently compared.
   std::istringstream is(
       "{\"schema_version\": 1, \"tag\": \"old\", \"suite\": \"quick\","
-      " \"repeats\": 5, \"telemetry_compiled_in\": true,"
-      " \"workloads\": []}\n");
+      " \"repeats\": 5, \"workloads\": []}\n");
   EXPECT_THROW(perfreport::load_perf_report(is), perfreport::PerfReportError);
 }
 
@@ -283,12 +279,6 @@ TEST(PerfReportCompare, SimTimingChangeHardFails) {
   EXPECT_TRUE(perfreport::compare_reports(baseline, current).hard_fail());
   current.workloads[0].sim.vbatch_us = 66.8601;
   EXPECT_FALSE(perfreport::compare_reports(baseline, current).hard_fail());
-
-  // Reports built without telemetry skip counter gating, never the sim.
-  current = baseline;
-  current.telemetry_compiled_in = false;
-  current.workloads[0].sim.plan_us = 80.0;
-  EXPECT_TRUE(perfreport::compare_reports(baseline, current).hard_fail());
 }
 
 TEST(PerfReportCompare, IdenticalReportsMatch) {
@@ -416,13 +406,46 @@ TEST(PerfReportCompare, SimdCountersGateOnlyWhenIsasMatch) {
   EXPECT_TRUE(cmp.simd_isa_matches());
 }
 
-TEST(PerfReportCompare, CounterGatingSkippedWithoutTelemetry) {
+// Counters always gate, and a counter present on one side only is itself a
+// mismatch, named with "(absent)" on the side that lacks it.
+TEST(PerfReportCompare, CounterOnOneSideOnlyHardFails) {
   const PerfReport baseline = make_report({make_workload("w", 100.0, 12, 0)});
   PerfReport current = make_report({make_workload("w", 100.0, 0, 12)});
-  current.telemetry_compiled_in = false;  // e.g. a -DCTB_TELEMETRY=OFF build
-  const CompareResult cmp = perfreport::compare_reports(baseline, current);
-  EXPECT_FALSE(cmp.hard_fail());
-  EXPECT_EQ(cmp.workloads[0].cls, DeltaClass::kMatch);
+  CompareResult cmp = perfreport::compare_reports(baseline, current);
+  EXPECT_TRUE(cmp.hard_fail());
+  EXPECT_EQ(cmp.workloads[0].cls, DeltaClass::kCounterRegression);
+
+  using Mismatches = std::vector<std::string>;
+  // Only in the baseline.
+  current = baseline;
+  current.workloads[0].counters.pop_back();  // exec.tiles
+  cmp = perfreport::compare_reports(baseline, current);
+  EXPECT_TRUE(cmp.hard_fail());
+  EXPECT_EQ(cmp.workloads[0].cls, DeltaClass::kCounterRegression);
+  EXPECT_EQ(cmp.workloads[0].counter_mismatches,
+            Mismatches{"exec.tiles: 12 -> (absent)"});
+
+  // Only in the current report (inserted at its sorted position).
+  current = baseline;
+  std::vector<telemetry::CounterSample>& counters =
+      current.workloads[0].counters;
+  counters.insert(counters.begin() + 2, {"exec.fallback", 5});
+  cmp = perfreport::compare_reports(baseline, current);
+  EXPECT_TRUE(cmp.hard_fail());
+  EXPECT_EQ(cmp.workloads[0].counter_mismatches,
+            Mismatches{"exec.fallback: (absent) -> 5"});
+
+  // A current workload with no counters at all: every baseline counter is
+  // missing from it.
+  current = baseline;
+  current.workloads[0].counters.clear();
+  cmp = perfreport::compare_reports(baseline, current);
+  EXPECT_TRUE(cmp.hard_fail());
+  EXPECT_EQ(cmp.counter_regressions, 1);
+  EXPECT_EQ(cmp.workloads[0].counter_mismatches,
+            (Mismatches{"exec.dispatch.generic: 0 -> (absent)",
+                        "exec.dispatch.specialized: 12 -> (absent)",
+                        "exec.tiles: 12 -> (absent)"}));
 }
 
 TEST(PerfReportCompare, PrintedSummaryCarriesVerdict) {
@@ -511,15 +534,12 @@ TEST(PerfSuite, RerunHasBitIdenticalCountersAndNeverGates) {
   EXPECT_EQ(os.str(), os2.str());
 }
 
-#ifdef CTB_TELEMETRY_ENABLED
-
 // The harvest allowlist: every deterministic counter appears (zero-filled if
 // the path never ran), timing-derived metrics stay out, and a live suite
 // run populates the execution counters.
 TEST(PerfSuite, HarvestCarriesFullDeterministicTaxonomy) {
   const std::vector<bench::BenchWorkload> suite = small_suite();
   const PerfReport report = bench::run_perf_suite(suite, "small", "t", 1);
-  ASSERT_TRUE(report.telemetry_compiled_in);
   for (const WorkloadResult& w : report.workloads) {
     ASSERT_EQ(w.counters.size(),
               perfreport::deterministic_counter_names().size());
@@ -548,8 +568,6 @@ TEST(PerfSuite, HarvestCarriesFullDeterministicTaxonomy) {
     }
   }
 }
-
-#endif  // CTB_TELEMETRY_ENABLED
 
 }  // namespace
 }  // namespace ctb

@@ -41,12 +41,6 @@ using service::VirtualClock;
 using telemetry::FlightEventView;
 using telemetry::FlightKind;
 
-#ifdef CTB_TELEMETRY_ENABLED
-constexpr bool kTelemetryCompiledIn = true;
-#else
-constexpr bool kTelemetryCompiledIn = false;
-#endif
-
 const int kBiasRelu =
     epilogue_push(epilogue_push(0, EpilogueOp::kBias), EpilogueOp::kRelu);
 
@@ -56,8 +50,8 @@ std::vector<GemmDims> small_batch(int seed) {
 }
 
 // Every flight event recorded under one trace id, across all threads. The
-// flight recorder is always on while compiled in, so chaos tests can assert
-// that degraded/quarantined responses left a correlated trail without any
+// flight recorder is always on, so chaos tests can assert that
+// degraded/quarantined responses left a correlated trail without any
 // telemetry setup.
 std::vector<FlightEventView> trail_of(std::uint64_t id) {
   std::vector<FlightEventView> trail;
@@ -237,21 +231,17 @@ TEST(PlanService, RepeatedFailuresQuarantineThenReleaseRecovers) {
   EXPECT_EQ(svc.stats().quarantined, 1);
   EXPECT_EQ(calls->load(), kQuarantineThreshold * kAttempts);
   EXPECT_EQ(svc.stats().retried, kQuarantineThreshold * kMaxRetries);
-  if (kTelemetryCompiledIn) {
-    ASSERT_NE(crossing.trace_id, 0u);
-    const auto trail = trail_of(crossing.trace_id);
-    EXPECT_TRUE(trail_has(trail, FlightKind::kServe, "degraded"));
-    EXPECT_TRUE(trail_has(trail, FlightKind::kQuarantine));
-  }
+  ASSERT_NE(crossing.trace_id, 0u);
+  const auto trail = trail_of(crossing.trace_id);
+  EXPECT_TRUE(trail_has(trail, FlightKind::kServe, "degraded"));
+  EXPECT_TRUE(trail_has(trail, FlightKind::kQuarantine));
 
   // Quarantined serving never invokes the full planner again.
   const int calls_before = calls->load();
   const ServedPlan held = svc.get(batch);
   EXPECT_EQ(held.state, ServeState::kQuarantined);
-  if (kTelemetryCompiledIn) {
-    EXPECT_TRUE(
-        trail_has(trail_of(held.trace_id), FlightKind::kServe, "quarantined"));
-  }
+  EXPECT_TRUE(
+      trail_has(trail_of(held.trace_id), FlightKind::kServe, "quarantined"));
   EXPECT_EQ(svc.get(batch).state, ServeState::kQuarantined);
   EXPECT_EQ(calls->load(), calls_before);
 
@@ -259,10 +249,8 @@ TEST(PlanService, RepeatedFailuresQuarantineThenReleaseRecovers) {
   // upgrades the entry and the one after that is an ordinary hit.
   broken->store(false);
   EXPECT_EQ(svc.release_quarantined(), 1u);
-  if (kTelemetryCompiledIn) {
-    EXPECT_TRUE(trail_has(telemetry::flight_events(),
-                          FlightKind::kQuarantineRelease));
-  }
+  EXPECT_TRUE(trail_has(telemetry::flight_events(),
+                        FlightKind::kQuarantineRelease));
   EXPECT_FALSE(svc.is_quarantined(batch));
   const ServedPlan upgraded = svc.get(batch);
   EXPECT_EQ(upgraded.state, ServeState::kUpgraded);
@@ -460,7 +448,6 @@ TEST_F(FailpointTest, QuarantinedMissServesFallbackWithoutPlanning) {
 }
 
 TEST_F(FailpointTest, ChaosQuarantineLeavesAFlightDumpForTheTrace) {
-  if (!kTelemetryCompiledIn) GTEST_SKIP() << "built with -DCTB_TELEMETRY=OFF";
   namespace fs = std::filesystem;
   const fs::path dir =
       fs::temp_directory_path() / "ctb_plan_service_flight_dump_test";

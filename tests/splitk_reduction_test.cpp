@@ -484,14 +484,12 @@ std::vector<SimdIsa> runnable_isas() {
   return isas;
 }
 
-#ifdef CTB_TELEMETRY_ENABLED
 std::int64_t counter_value(const std::string& name) {
   for (const auto& c : telemetry::snapshot().counters)
     if (c.name == name) return c.value;
   ADD_FAILURE() << "counter " << name << " missing from snapshot";
   return -1;
 }
-#endif
 
 class SplitKPlacement : public ::testing::TestWithParam<Placement> {};
 
@@ -516,18 +514,14 @@ TEST_P(SplitKPlacement, MatchesUnsplitAndReferenceBitExact) {
                                " threads=" + std::to_string(threads);
       auto got = make_batch(kPlacementDims, 71);
       ScopedParallelThreads guard(threads);
-#ifdef CTB_TELEMETRY_ENABLED
       telemetry::reset();
       telemetry::set_enabled(true);
-#endif
       run_batched_plan(plan, got.ops, 1.5f, -0.5f);
-#ifdef CTB_TELEMETRY_ENABLED
       EXPECT_EQ(counter_value("exec.splitk.tiles"), kPlacementSlices) << what;
       EXPECT_EQ(counter_value("exec.splitk.groups"), kPlacementSplitTiles)
           << what;
       telemetry::set_enabled(false);
       telemetry::reset();
-#endif
       for (std::size_t i = 0; i < kPlacementDims.size(); ++i) {
         const std::string gemm = what + " gemm " + std::to_string(i);
         expect_bitwise_equal(want.c[i], got.c[i], "unsplit " + gemm);

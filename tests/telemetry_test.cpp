@@ -2,9 +2,6 @@
 // recording (flight events plus `<name>_ns` histograms) and nesting, the
 // JSON / chrome-trace export schemas, and race-cleanliness of concurrent
 // instrumentation under parallel_for (the TSan CI leg runs this binary).
-// The export and snapshot entry points are also exercised in the
-// compiled-out configuration, where they must degrade to
-// empty-but-well-formed output.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -59,18 +56,22 @@ std::int64_t counter_value(const telemetry::MetricsSnapshot& snap,
   return -1;
 }
 
-// The macros must behave as single statements in every build configuration.
+// The statement macros must behave as single statements.
 TEST(TelemetryMacros, AreDanglingElseSafe) {
-  if (telemetry::snapshot().compiled_in)
+  if (telemetry::enabled())
     CTB_TEL_COUNT("test.macro.then", 1);
   else
     CTB_TEL_COUNT("test.macro.else", 1);
   for (int i = 0; i < 2; ++i) CTB_TEL_HIST("test.macro.hist", i);
+  if (telemetry::enabled())
+    CTB_TEL_FLIGHT(kExec, "test.macro.then", 0, 0);
+  else
+    CTB_TEL_FLIGHT(kExec, "test.macro.else", 0, 0);
   CTB_TEL_SPAN("test.macro.span");
 }
 
 TEST(TelemetryExport, EmptySnapshotIsWellFormedJson) {
-  const telemetry::MetricsSnapshot snap;  // compiled_in == false
+  const telemetry::MetricsSnapshot snap;  // no metrics at all
   std::ostringstream metrics, trace;
   telemetry::write_metrics_json(metrics, snap);
   telemetry::write_chrome_trace(trace, {});
@@ -79,20 +80,6 @@ TEST(TelemetryExport, EmptySnapshotIsWellFormedJson) {
   EXPECT_NE(metrics.str().find("\"version\":4"), std::string::npos);
   EXPECT_NE(trace.str().find("\"traceEvents\""), std::string::npos);
 }
-
-TEST(TelemetryExport, EmptySnapshotOpenMetricsIsTerminated) {
-  const telemetry::MetricsSnapshot snap;  // compiled_in == false
-  std::ostringstream om;
-  telemetry::write_openmetrics(om, snap);
-  const std::string text = om.str();
-  // An empty document is still a valid OpenMetrics exposition: no families,
-  // one EOF marker at the very end.
-  EXPECT_EQ(text, "# EOF\n");
-  std::istringstream is(text);
-  EXPECT_TRUE(telemetry::read_openmetrics_counters(is).empty());
-}
-
-#ifdef CTB_TELEMETRY_ENABLED
 
 class TelemetryTest : public ::testing::Test {
  protected:
@@ -377,6 +364,12 @@ TEST_F(TelemetryTest, MetricsJsonSchema) {
   telemetry::counter("test.json").add(2);
   telemetry::histogram("test.json.h").record(3);
   { CTB_TEL_SPAN("test.json.span"); }
+  std::uint64_t id = 0;
+  {
+    const telemetry::ScopedTraceContext scope("test", 1);
+    id = telemetry::current_trace().id;
+    telemetry::histogram("test.json.ex").record(97);  // bucket 7
+  }
   std::ostringstream os;
   telemetry::write_metrics_json(os, telemetry::snapshot());
   const std::string json = os.str();
@@ -395,6 +388,16 @@ TEST_F(TelemetryTest, MetricsJsonSchema) {
         "\"exec.simd.neon\":0", "\"exec.simd.avx2\":0",
         "\"exec.simd.avx512\":0"})
     EXPECT_NE(json.find(needle), std::string::npos) << needle << "\n" << json;
+  // An exemplar names its recording trace in the 16-hex-digit wire format
+  // ctb_trace resolves against flight dumps.
+  EXPECT_NE(json.find("\"test.json.ex\":{\"count\":1,\"sum\":97,"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"exemplars\":[{\"bucket\":7,\"value\":97,"
+                      "\"trace\":\"" +
+                      telemetry::trace_id_hex(id) + "\"}]}"),
+            std::string::npos)
+      << json;
   // v4 has no separate span section: durations are histograms.
   EXPECT_EQ(json.find("\"spans\""), std::string::npos) << json;
 }
@@ -504,71 +507,6 @@ TEST_F(TelemetryTest, DeltaKeepsOnlyExemplarsFromActiveWindowBuckets) {
   EXPECT_EQ(s->exemplars[0].bucket, 10);
   EXPECT_EQ(s->exemplars[0].value, 1000);
 }
-
-TEST_F(TelemetryTest, OpenMetricsRoundTripsTheCounterTaxonomy) {
-  telemetry::counter("test.om").add(42);
-  {
-    const telemetry::ScopedTraceContext scope("test", 1);
-    telemetry::histogram("test.om.h").record(97);
-  }
-  const auto snap = telemetry::snapshot();
-  std::ostringstream os;
-  telemetry::write_openmetrics(os, snap);
-  const std::string text = os.str();
-  // Family names are underscore-mangled; the dotted original rides in the
-  // name label, and the document is EOF-terminated.
-  EXPECT_NE(text.find("# TYPE ctb_test_om counter"), std::string::npos)
-      << text;
-  EXPECT_NE(text.find("ctb_test_om_total{name=\"test.om\"} 42"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("# TYPE ctb_test_om_h histogram"), std::string::npos);
-  EXPECT_NE(text.find("_bucket{name=\"test.om.h\",le=\"128\"}"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("le=\"+Inf\""), std::string::npos);
-  EXPECT_NE(text.find("ctb_test_om_h_sum{name=\"test.om.h\"} 97"),
-            std::string::npos);
-  EXPECT_NE(text.find("ctb_test_om_h_count{name=\"test.om.h\"} 1"),
-            std::string::npos);
-  // The tail bucket carries the exemplar with the recording trace id.
-  EXPECT_NE(text.find("# {trace_id=\""), std::string::npos) << text;
-  EXPECT_EQ(text.substr(text.size() - 6), "# EOF\n");
-
-  // Round trip: every counter in the snapshot comes back by its dotted
-  // name with its exact value.
-  std::istringstream is(text);
-  const auto parsed = telemetry::read_openmetrics_counters(is);
-  ASSERT_EQ(parsed.size(), snap.counters.size());
-  for (std::size_t i = 0; i < parsed.size(); ++i) {
-    EXPECT_EQ(parsed[i].name, snap.counters[i].name);
-    EXPECT_EQ(parsed[i].value, snap.counters[i].value);
-  }
-  // The canonical taxonomy is present by dotted name.
-  bool saw_hit = false;
-  for (const auto& c : parsed)
-    if (c.name == "cache.hit") saw_hit = true;
-  EXPECT_TRUE(saw_hit);
-}
-
-#else  // !CTB_TELEMETRY_ENABLED
-
-TEST(TelemetryCompiledOut, StubsAreInertAndSnapshotsEmpty) {
-  telemetry::set_enabled(true);  // must be a no-op
-  EXPECT_FALSE(telemetry::enabled());
-  telemetry::counter("test.off").add(5);
-  telemetry::histogram("test.off.h").record(5);
-  { CTB_TEL_SPAN("test.off.span"); }
-  CTB_TEL_COUNT("test.off.macro", 1);
-  const auto snap = telemetry::snapshot();
-  EXPECT_FALSE(snap.compiled_in);
-  EXPECT_FALSE(snap.enabled);
-  EXPECT_TRUE(snap.counters.empty());
-  EXPECT_TRUE(snap.histograms.empty());
-  EXPECT_TRUE(telemetry::flight_events().empty());
-}
-
-#endif  // CTB_TELEMETRY_ENABLED
 
 }  // namespace
 }  // namespace ctb

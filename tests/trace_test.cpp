@@ -3,8 +3,7 @@
 // clear, concurrent dump-while-record — the TSan CI leg runs this binary),
 // env-gated autodumps, and the end-to-end contract that one request's
 // planner, cache, and executor flight events — stage spans included —
-// share one trace id. The compiled-out configuration pins the stub
-// behavior instead.
+// share one trace id.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -48,8 +47,6 @@ TEST(FlightJson, EmptyEventListIsValidDocument) {
   telemetry::write_flight_json(os, {});
   EXPECT_EQ(os.str(), "{\n\"version\":1,\n\"events\":[\n]\n}\n");
 }
-
-#ifdef CTB_TELEMETRY_ENABLED
 
 class TraceTest : public ::testing::Test {
  protected:
@@ -127,7 +124,7 @@ TEST_F(TraceTest, FlightRecordCapturesTraceAndArgs) {
   EXPECT_GT(trail[0].t_us, 0.0);
 }
 
-TEST_F(TraceTest, RecorderIsAlwaysOnWhileCompiledIn) {
+TEST_F(TraceTest, RecorderIsAlwaysOn) {
   // The flight recorder must still capture when metrics are disabled —
   // postmortems are most valuable exactly when nobody opted in.
   telemetry::set_enabled(false);
@@ -336,33 +333,6 @@ TEST_F(TraceTest, StageSpansJoinTheRequestTrail) {
     for (const auto& e : events)
       EXPECT_TRUE(inside(e, run) || inside(e, plan)) << name;
 }
-
-#else  // !CTB_TELEMETRY_ENABLED
-
-TEST(TraceCompiledOut, StubsAreInert) {
-  EXPECT_EQ(telemetry::make_trace_id(), 0u);
-  EXPECT_FALSE(telemetry::current_trace().active());
-  {
-    const telemetry::ScopedTraceContext scope("test", 1);
-    EXPECT_FALSE(telemetry::current_trace().active());
-  }
-  telemetry::flight_record(telemetry::FlightKind::kExec, "off", 1, 2);
-  CTB_TEL_FLIGHT(kExec, "off.macro", 1, 2);
-  EXPECT_TRUE(telemetry::flight_events().empty());
-  telemetry::flight_clear();
-  EXPECT_EQ(telemetry::flight_autodump("off"), "");
-  // The shared codecs and writers still work so tools build and run.
-  EXPECT_EQ(telemetry::parse_trace_id(telemetry::trace_id_hex(42)), 42u);
-}
-
-TEST(TraceCompiledOut, MacroIsDanglingElseSafe) {
-  if (telemetry::flight_events().empty())
-    CTB_TEL_FLIGHT(kExec, "then", 0, 0);
-  else
-    CTB_TEL_FLIGHT(kExec, "else", 0, 0);
-}
-
-#endif  // CTB_TELEMETRY_ENABLED
 
 }  // namespace
 }  // namespace ctb

@@ -144,9 +144,8 @@ int run(int argc, char** argv) {
                "per-workload GFLOP/s-over-runs table (no suite is run)");
   flags.define("trace-dir", "",
                "directory to write observability artifacts into after the "
-               "run: metrics.json (with exemplars), metrics.prom "
-               "(OpenMetrics), flight.json (flight-recorder dump) — feed "
-               "them to ctb_trace");
+               "run: metrics.json (with exemplars) and flight.json "
+               "(flight-recorder dump) — feed them to ctb_trace");
   flags.parse(argc, argv);
 
   const std::string fold_dir = flags.get("fold");
@@ -181,9 +180,6 @@ int run(int argc, char** argv) {
             << " workloads, " << repeats << " repeats each)\n";
   const ctb::perfreport::PerfReport report =
       ctb::bench::run_perf_suite(suite, suite_name, tag, repeats, &std::cout);
-  if (!report.telemetry_compiled_in)
-    std::cout << "note: telemetry compiled out — the report carries timing "
-                 "only, and comparisons will not gate on counters\n";
 
   {
     std::ofstream os(out_path);
@@ -196,9 +192,9 @@ int run(int argc, char** argv) {
   std::cout << "report written to " << out_path << "\n";
 
   // --trace-dir: drop the whole-run observability bundle next to the perf
-  // report. The flight recorder is always on while compiled in, so
-  // flight.json holds the last events of every thread even though the
-  // suite runner restored the telemetry enabled-flag above.
+  // report. The flight recorder is always on, so flight.json holds the last
+  // events of every thread even though the suite runner restored the
+  // telemetry enabled-flag above.
   const std::string trace_dir = flags.get("trace-dir");
   if (!trace_dir.empty()) {
     std::error_code ec;
@@ -225,10 +221,6 @@ int run(int argc, char** argv) {
         write_artifact("metrics.json",
                        [&](std::ostream& os) {
                          ctb::telemetry::write_metrics_json(os, snap);
-                       }) &&
-        write_artifact("metrics.prom",
-                       [&](std::ostream& os) {
-                         ctb::telemetry::write_openmetrics(os, snap);
                        }) &&
         write_artifact("flight.json", [&](std::ostream& os) {
           ctb::telemetry::write_flight_json(

@@ -1,8 +1,8 @@
 // ctb_trace — offline reader for the observability artifacts the rest of
 // the stack emits (DESIGN.md §13): flight-recorder dumps (flight.json /
-// ctb_flight_*.json), metrics.json (schema v4, with histogram exemplars),
-// and metrics.prom (OpenMetrics). Input files are positional and
-// autodetected by content, so a whole --trace-dir can be passed at once:
+// ctb_flight_*.json) and metrics.json (schema v4, with histogram
+// exemplars). Input files are positional and autodetected by content, so a
+// whole --trace-dir can be passed at once:
 //
 //   ctb_trace trace/flight.json trace/metrics.json       # per-trace summary
 //   ctb_trace --trace 9e3779b97f4a7c15 trace/*.json      # one trace's trail
@@ -15,7 +15,7 @@
 // request, the flight trail shows what it did.
 //
 // The parsers are deliberately tolerant line scanners over the formats our
-// own exporters write (one event / histogram / sample per line) — they skip
+// own exporters write (one event / histogram per line) — they skip
 // anything they do not recognize instead of aborting, so a dump truncated
 // by a crash still yields its intact prefix.
 #include <algorithm>
@@ -129,34 +129,6 @@ void parse_metrics_json_line(const std::string& line, Loaded& out) {
   }
 }
 
-/// OpenMetrics exemplar line:
-/// ctb_x_bucket{name="service.lookup_us",le="128"} 5 # {trace_id="<hex>"} 97
-void parse_openmetrics_line(const std::string& line, Loaded& out) {
-  const std::size_t ex_at = line.find("# {trace_id=\"");
-  if (ex_at == std::string::npos) return;
-  // The dotted histogram name rides in the name="..." label (the family
-  // name is the lossy underscore mangling).
-  const std::size_t name_at = line.find("name=\"");
-  if (name_at == std::string::npos) return;
-  const std::size_t name_end = line.find('"', name_at + 6);
-  if (name_end == std::string::npos) return;
-  const std::string hist = line.substr(name_at + 6, name_end - name_at - 6);
-  const std::size_t hex0 = ex_at + 13;
-  const std::size_t hex1 = line.find('"', hex0);
-  if (hex1 == std::string::npos) return;
-  const std::uint64_t trace =
-      ctb::telemetry::parse_trace_id(line.substr(hex0, hex1 - hex0));
-  if (trace == 0) return;
-  const std::size_t val_at = line.find("} ", hex1);
-  if (val_at == std::string::npos) return;
-  try {
-    out.exemplars.push_back(
-        {hist, static_cast<long long>(std::stod(line.substr(val_at + 2))),
-         trace});
-  } catch (const std::exception&) {
-  }
-}
-
 /// Reads one artifact, autodetecting its format per line. A file yielding
 /// neither events nor exemplars is reported (it is probably not ours).
 bool load_file(const std::string& path, Loaded& out, std::ostream& err) {
@@ -173,8 +145,6 @@ bool load_file(const std::string& path, Loaded& out, std::ostream& err) {
     if (line.find("\"t_us\":") != std::string::npos &&
         parse_flight_line(line, ev)) {
       out.events.push_back(std::move(ev));
-    } else if (line.find("# {trace_id=\"") != std::string::npos) {
-      parse_openmetrics_line(line, out);
     } else {
       parse_metrics_json_line(line, out);
     }
@@ -235,13 +205,14 @@ int run(int argc, char** argv) {
                "fallback)");
   flags.define("top-latency", "0",
                "rank the lookup-latency exemplars by value and resolve each "
-               "one's flight trail (needs metrics.* and ideally flight.json)");
+               "one's flight trail (needs metrics.json and ideally "
+               "flight.json)");
   const std::vector<std::string> inputs = flags.parse(argc, argv);
 
   if (inputs.empty()) {
     std::cerr << "error: no input files\n"
               << flags.usage("ctb_trace")
-              << "  positional: flight dumps, metrics.json, metrics.prom\n";
+              << "  positional: flight dumps, metrics.json\n";
     return 2;
   }
   const std::string only = flags.get("only");
@@ -294,7 +265,7 @@ int run(int argc, char** argv) {
         ranked.push_back(&ex);
     if (ranked.empty()) {
       std::cerr << "error: no lookup-latency exemplars loaded (pass "
-                   "metrics.json or metrics.prom from a replay run)\n";
+                   "metrics.json from a replay run)\n";
       return 1;
     }
     std::stable_sort(ranked.begin(), ranked.end(),

@@ -12,24 +12,16 @@ execute_process(
 if(NOT bench_rc EQUAL 0)
   message(FATAL_ERROR "replay run failed (${bench_rc}):\n${bench_out}${bench_err}")
 endif()
-foreach(artifact metrics.json metrics.prom flight.json)
+foreach(artifact metrics.json flight.json)
   if(NOT EXISTS ${WORK_DIR}/tracecheck/${artifact})
     message(FATAL_ERROR "--trace-dir did not write ${artifact}")
   endif()
 endforeach()
 
-# The OpenMetrics document must be terminated in every build; the
-# metric families and exemplars only exist with compiled-in telemetry.
-file(READ ${WORK_DIR}/tracecheck/metrics.prom prom)
-if(NOT prom MATCHES "# EOF")
-  message(FATAL_ERROR "metrics.prom is not a terminated OpenMetrics document")
-endif()
-
 # The summary view must load whatever was written cleanly.
 execute_process(
   COMMAND ${CTB_TRACE} ${WORK_DIR}/tracecheck/flight.json
           ${WORK_DIR}/tracecheck/metrics.json
-          ${WORK_DIR}/tracecheck/metrics.prom
   RESULT_VARIABLE sum_rc
   OUTPUT_VARIABLE sum_out
   ERROR_VARIABLE sum_err)
@@ -41,16 +33,17 @@ if(NOT sum_out MATCHES "traces")
   message(FATAL_ERROR "ctb_trace summary output malformed:\n${sum_out}")
 endif()
 
-if(bench_out MATCHES "telemetry compiled out")
-  message(STATUS "trace workflow: telemetry compiled out, contents not asserted")
-  return()
+# metrics.json writes one histogram per line: the lookup-latency histogram
+# must be there, and its exemplar list must not be empty.
+file(READ ${WORK_DIR}/tracecheck/metrics.json metrics)
+string(REGEX MATCH "\"service\\.lookup_us\":{[^\n]*" lookup_hist
+       "${metrics}")
+if(NOT lookup_hist)
+  message(FATAL_ERROR "metrics.json missing the lookup-latency histogram")
 endif()
-
-if(NOT prom MATCHES "ctb_service_lookup_us_count")
-  message(FATAL_ERROR "metrics.prom missing the lookup-latency histogram")
-endif()
-if(NOT prom MATCHES "trace_id=")
-  message(FATAL_ERROR "metrics.prom carries no exemplars")
+if(NOT lookup_hist MATCHES "\"exemplars\":\\[{\"bucket\":")
+  message(FATAL_ERROR "metrics.json's service.lookup_us carries no "
+                      "exemplars:\n${lookup_hist}")
 endif()
 
 # Stage spans are flight events in the request's trail: the dump holds a
