@@ -226,7 +226,7 @@ struct BenchWorkload {
   /// Index skew of the request stream: 1 = uniform over the pool, 2 =
   /// quadratic hot-set bias (front of the pool dominates).
   int replay_skew = 1;
-  std::vector<std::vector<GemmDims>> replay_pool;
+  std::vector<std::vector<GemmDims>> replay_pool{};
   /// Fused-epilogue A/B pair: kFused runs every GEMM with a bias+ReLU
   /// chain applied inside the tile store; kUnfused runs the plain GEMM
   /// then the same chain as two separate elementwise passes over each C.

@@ -249,12 +249,15 @@ PlanSummary BatchedGemmPlanner::plan(std::span<const GemmDims> dims,
   return summary;
 }
 
+/// Upper bound on K slices per tile: split-K candidates sweep powers of two
+/// (2, 4, ..., kMaxSplitK).
+constexpr int kMaxSplitK = 8;
+
 double BatchedGemmPlanner::consider_splitk(
     PlanSummary& summary, std::span<const Tile> tiles, int threads,
     const BatchingConfig& batching_config, std::span<const GemmDims> dims,
     double plan_us) const {
-  if (config_.splitk == SplitKMode::kOff || config_.max_splitk < 2)
-    return plan_us;
+  if (config_.splitk == SplitKMode::kOff) return plan_us;
   // TLP-scarcity trigger: a plan already launching at least half the TLP
   // threshold's worth of threads fills the machine, so extra split-K blocks
   // would only add the slices' workspace traffic. Mirrors the batching
@@ -273,7 +276,7 @@ double BatchedGemmPlanner::consider_splitk(
   BatchPlan best_split;
   double best_split_us = 0.0;
   std::size_t last_size = tiles.size();
-  for (int slices = 2; slices <= config_.max_splitk; slices *= 2) {
+  for (int slices = 2; slices <= kMaxSplitK; slices *= 2) {
     const std::vector<Tile> split = split_tiles_k(tiles, slices);
     // Sizes stop growing once every tile is down to one BK step per slice;
     // nothing new to evaluate past that point.

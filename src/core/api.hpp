@@ -80,9 +80,6 @@ struct PlannerConfig {
   /// bit-identical to the unsplit plan (see run_batched_plan). Candidate
   /// split plans are sim-compared against the unsplit plan via time_plan.
   SplitKMode splitk = SplitKMode::kAuto;
-  /// Upper bound on K slices per tile; candidates sweep powers of two
-  /// (2, 4, ..., max_splitk).
-  int max_splitk = 8;
 };
 
 /// The configuration the plan service degrades to when the full planner
@@ -210,9 +207,9 @@ struct GemmEntry {
   /// Fused epilogue chain applied inside the tile store (core/epilogue.hpp);
   /// 0 means plain GEMM. Operands for the chain's ops live in
   /// `epilogue_args` and must satisfy audit_operands (present, correctly
-  /// sized, perms bijective). beta must be 0 when the chain permutes.
+  /// sized).
   int epilogue = 0;
-  EpilogueArgs epilogue_args;
+  EpilogueArgs epilogue_args{};
 };
 
 /// Transpose-aware batched GEMM; each entry may use its own op pair.

@@ -73,9 +73,6 @@ const char* to_string(EpilogueOp op) {
     case EpilogueOp::kNone: return "none";
     case EpilogueOp::kBias: return "bias";
     case EpilogueOp::kRelu: return "relu";
-    case EpilogueOp::kResidual: return "residual";
-    case EpilogueOp::kRowPerm: return "rowperm";
-    case EpilogueOp::kColPerm: return "colperm";
   }
   return "?";
 }

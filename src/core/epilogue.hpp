@@ -3,10 +3,10 @@
 // The paper's aux-array interface describes *where* each tile's output goes;
 // this module describes *what happens to it* on the way out. A plan may carry
 // one epilogue spec per GEMM — a short, ordered chain of elementwise ops
-// (bias add, ReLU, residual add) and destination permutations (row/col) that
-// the executors apply inside the tile store, after the tile's whole K chain.
-// Fusing the epilogue into the store removes the separate read+write pass
-// over C that the dnn layers otherwise pay per elementwise op.
+// (bias add, ReLU) that the executors apply inside the tile store, after the
+// tile's whole K chain. Fusing the epilogue into the store removes the
+// separate read+write pass over C that the dnn layers otherwise pay per
+// elementwise op.
 //
 // Encoding: a spec is a single non-negative int holding up to kMaxEpilogueOps
 // op ids, one per nibble, applied lowest nibble first. The encoding is
@@ -17,19 +17,14 @@
 //
 // Value semantics (the single source of truth; reference_gemm and every
 // executor implement exactly this):
-//   v = alpha * acc  +  (beta != 0 ? beta * C[logical] : 0)   // fp16: rounded
+//   v = alpha * acc  +  (beta != 0 ? beta * C[gi][gj] : 0)   // fp16: rounded
 //   for each op in chain order:
 //     kBias:     v += args.bias[gi]          (one value per C row)
 //     kRelu:     v = v > 0.0f ? v : 0.0f
-//     kResidual: v += args.residual[gi*n+gj]
 //     (fp16: v rounds to binary16 after the base value and after every
-//      value op — the fused chain emulates a sequence of half-precision
-//      stores, so it stays bit-identical to the unfused multi-pass form)
-//   kRowPerm / kColPerm change only the *destination*: the value computed at
-//   logical (gi, gj) is stored at (row_perm[gi], col_perm[gj]). Permutations
-//   must be bijective so parallel tiles still write disjoint C regions, and
-//   the executors reject beta != 0 for permuted stores (the read side of a
-//   general scatter is not expressible as a tile-local chain).
+//      op — the fused chain emulates a sequence of half-precision stores,
+//      so it stays bit-identical to the unfused multi-pass form)
+//   C[gi][gj] = v
 #pragma once
 
 #include <cstddef>
@@ -41,17 +36,17 @@ namespace ctb {
 
 /// Epilogue op ids, one per nibble of a packed spec. Values are part of the
 /// ctb-batchplan-v3 serialization format — append only, never renumber.
+/// Ids 3, 4 and 5 are retired and stay reserved, so a serialized id never
+/// changes meaning: every entry point rejects them as malformed, and a new
+/// op takes id 6 or above.
 enum class EpilogueOp : int {
-  kNone = 0,      ///< chain terminator / empty spec
-  kBias = 1,      ///< v += bias[row]
-  kRelu = 2,      ///< v = max(v, 0)
-  kResidual = 3,  ///< v += residual[row*n+col]
-  kRowPerm = 4,   ///< destination row = row_perm[row]
-  kColPerm = 5,   ///< destination col = col_perm[col]
+  kNone = 0,  ///< chain terminator / empty spec
+  kBias = 1,  ///< v += bias[row]
+  kRelu = 2,  ///< v = max(v, 0)
 };
 
 /// Number of distinct op ids (valid ids are 1..kNumEpilogueOps).
-inline constexpr int kNumEpilogueOps = 5;
+inline constexpr int kNumEpilogueOps = 2;
 
 /// Ops per spec: one nibble each in a packed int, lowest nibble first.
 inline constexpr int kMaxEpilogueOps = 4;
@@ -96,13 +91,6 @@ std::string epilogue_to_string(int spec);
 struct EpilogueArgs {
   const float* bias = nullptr;  ///< kBias: one value per C row
   int bias_len = 0;             ///< must equal dims.m
-  const float* residual = nullptr;  ///< kResidual: row-major m x n
-  int residual_rows = 0;            ///< must equal dims.m
-  int residual_cols = 0;            ///< must equal dims.n
-  const int* row_perm = nullptr;  ///< kRowPerm: bijection on [0, m)
-  int row_perm_len = 0;           ///< must equal dims.m
-  const int* col_perm = nullptr;  ///< kColPerm: bijection on [0, n)
-  int col_perm_len = 0;           ///< must equal dims.n
 };
 
 }  // namespace ctb

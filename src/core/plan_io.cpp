@@ -146,7 +146,6 @@ std::uint64_t batch_signature(std::span<const GemmDims> dims,
   mix(static_cast<std::uint64_t>(config.tlp_threshold));
   mix(static_cast<std::uint64_t>(config.theta));
   mix(static_cast<std::uint64_t>(config.splitk));
-  mix(static_cast<std::uint64_t>(config.max_splitk));
   for (const auto& d : dims) {
     mix(static_cast<std::uint64_t>(d.m));
     mix(static_cast<std::uint64_t>(d.n));

@@ -59,16 +59,13 @@ void check_geometry(const TilingStrategy& s) {
 struct EpilogueChain {
   int nops = 0;
   int ops[kMaxEpilogueOps] = {};  ///< EpilogueOp values in chain order
-  bool bias = false, residual = false, rowperm = false, colperm = false;
+  bool bias = false;
 
   explicit EpilogueChain(int spec = 0) : nops(epilogue_num_ops(spec)) {
     for (int o = 0; o < nops; ++o) {
       const EpilogueOp op = epilogue_op_at(spec, o);
       ops[o] = static_cast<int>(op);
       bias = bias || op == EpilogueOp::kBias;
-      residual = residual || op == EpilogueOp::kResidual;
-      rowperm = rowperm || op == EpilogueOp::kRowPerm;
-      colperm = colperm || op == EpilogueOp::kColPerm;
     }
   }
 };
@@ -95,14 +92,13 @@ SimdIsa call_isa() {
 
 /// The streaming rule (DESIGN.md §9): `g`'s tile stores bypass the cache
 /// when its C is at least kStreamStoreBytes, goes through the vector row
-/// store in fp32 with no column permutation, starts every row on a cache
-/// line, and `isa` has streaming stores. Under it every full-width chunk a
-/// tile stores is vector-aligned: tile columns start at multiples of 16.
+/// store in fp32, starts every row on a cache line, and `isa` has
+/// streaming stores. Under it every full-width chunk a tile stores is
+/// vector-aligned: tile columns start at multiples of 16.
 bool streams_c(const GemmOperands& g, const PackedDispatch& d, SimdIsa isa) {
   const GemmDims& dims = g.dims;
   return (isa == SimdIsa::kAvx2 || isa == SimdIsa::kAvx512) &&
          d.store_row != nullptr && g.precision == Precision::kFp32 &&
-         !d.epilogue.colperm &&
          reinterpret_cast<std::uintptr_t>(g.c) % kCacheLineBytes == 0 &&
          dims.n * sizeof(float) % kCacheLineBytes == 0 &&
          static_cast<std::size_t>(dims.m) * dims.n * sizeof(float) >=
@@ -323,52 +319,29 @@ void accumulate_tile(const TilingStrategy& s, const GemmOperands& g,
   }
 }
 
-/// Scalar application of the value-op chain to one element's base value at
-/// logical (gi, gj). fp16 rounds after every value op — the fused chain
-/// emulates a sequence of binary16 stores, so it stays bit-identical to
-/// running the same ops as separate passes over a half-precision C.
+/// Scalar application of the op chain to one element's base value in C row
+/// `gi`. fp16 rounds after every op — the fused chain emulates a sequence
+/// of binary16 stores, so it stays bit-identical to running the same ops
+/// as separate passes over a half-precision C.
 float apply_epilogue_value(float v, const EpilogueChain& chain,
-                           const EpilogueArgs& ea, bool fp16, int gi, int gj,
-                           int n) {
+                           const EpilogueArgs& ea, bool fp16, int gi) {
   for (int o = 0; o < chain.nops; ++o) {
-    switch (static_cast<EpilogueOp>(chain.ops[o])) {
-      case EpilogueOp::kBias:
-        v += ea.bias[gi];
-        break;
-      case EpilogueOp::kRelu:
-        v = v > 0.0f ? v : 0.0f;
-        break;
-      case EpilogueOp::kResidual:
-        v += ea.residual[static_cast<std::size_t>(gi) * n + gj];
-        break;
-      default:
-        continue;  // permutations affect addressing, not the value
-    }
+    if (static_cast<EpilogueOp>(chain.ops[o]) == EpilogueOp::kBias)
+      v += ea.bias[gi];
+    else
+      v = v > 0.0f ? v : 0.0f;
     if (fp16) v = round_to_half(v);
   }
   return v;
 }
 
-/// A permuted destination cannot express the beta prior read as a
-/// tile-local chain (the prior lives at the scatter target, which another
-/// tile may own); the executors reject the combination up front.
-void check_epilogue_beta(const GemmOperands& g, float beta, std::size_t i) {
-  CTB_CHECK_MSG(beta == 0.0f ||
-                    (!epilogue_has_op(g.epilogue, EpilogueOp::kRowPerm) &&
-                     !epilogue_has_op(g.epilogue, EpilogueOp::kColPerm)),
-                "GEMM " << i
-                        << ": beta != 0 with a permuted epilogue store");
-}
-
 /// The one tile store: C = alpha * acc + beta * C over the tile's in-range
 /// rows and columns (beta == 0 never reads C; fp16 rounds the result), then
-/// the fused epilogue chain, if any, into the (possibly permuted)
-/// destination. fp32 rows without a column permutation go through the
-/// vector row kernel — a plain tile is its empty chain, and a row
-/// permutation only relocates whole rows; fp16 rows, column permutations
-/// and builds without a vector unit take the scalar per-element chain. The
-/// two are bit-identical, and so is a streamed store (streams_c), which
-/// changes only the cache policy of the vector kernel's stores.
+/// the fused epilogue chain, if any. fp32 rows go through the vector row
+/// kernel — a plain tile is its empty chain; fp16 rows and builds without
+/// a vector unit take the scalar per-element chain. The two are
+/// bit-identical, and so is a streamed store (streams_c), which changes
+/// only the cache policy of the vector kernel's stores.
 void store_tile(const TilingStrategy& s, const GemmOperands& g,
                 const PackedDispatch& d, int ty, int tx, float alpha,
                 float beta, const float* acc) {
@@ -385,7 +358,7 @@ void store_tile(const TilingStrategy& s, const GemmOperands& g,
     CTB_TEL_COUNT("exec.epilogue.ops", chain.nops);
   }
 
-  if (!fp16 && !chain.colperm && d.store_row != nullptr) {
+  if (!fp16 && d.store_row != nullptr) {
     EpilogueRowArgs r;
     r.acc = acc;
     r.acc_stride = s.bx;
@@ -394,8 +367,6 @@ void store_tile(const TilingStrategy& s, const GemmOperands& g,
     r.n = cols;
     r.c = g.c + col0;
     r.ldc = dims.n;
-    if (chain.rowperm) r.row_perm = ea.row_perm;
-    if (chain.residual) r.residual = ea.residual + col0;
     if (chain.bias) r.bias = ea.bias;
     r.alpha = alpha;
     r.beta = beta;
@@ -409,14 +380,10 @@ void store_tile(const TilingStrategy& s, const GemmOperands& g,
 
   for (int i = 0; i < rows; ++i) {
     const int gi = row0 + i;
-    const int di = chain.rowperm ? ea.row_perm[gi] : gi;
     const float* arow = acc + static_cast<std::size_t>(i) * s.bx;
-    float* crow = g.c + static_cast<std::size_t>(di) * dims.n;
+    float* crow = g.c + static_cast<std::size_t>(gi) * dims.n + col0;
     for (int j = 0; j < cols; ++j) {
-      const int gj = col0 + j;
-      // check_epilogue_beta rejected beta != 0 for permuted stores, so the
-      // prior read below always hits the logical == destination cell.
-      float* cell = crow + (chain.colperm ? ea.col_perm[gj] : gj);
+      float* cell = crow + j;
       float v;
       if (fp16) {
         const float prior = beta == 0.0f ? 0.0f : beta * round_to_half(*cell);
@@ -425,9 +392,8 @@ void store_tile(const TilingStrategy& s, const GemmOperands& g,
         const float prior = beta == 0.0f ? 0.0f : beta * *cell;
         v = alpha * arow[j] + prior;
       }
-      *cell = chain.nops == 0
-                  ? v
-                  : apply_epilogue_value(v, chain, ea, fp16, gi, gj, dims.n);
+      *cell = chain.nops == 0 ? v
+                              : apply_epilogue_value(v, chain, ea, fp16, gi);
     }
   }
 }
@@ -511,7 +477,6 @@ void execute_tile(const TilingStrategy& s, const GemmOperands& g, int ty,
                     static_cast<long long>(ty) * s.by < g.dims.m &&
                     static_cast<long long>(tx) * s.bx < g.dims.n,
                 "tile (" << ty << "," << tx << ") outside GEMM");
-  check_epilogue_beta(g, beta, 0);
   run_tile(s, g, staged_dispatch(g, call_isa()), ty, tx, alpha, beta);
 }
 
@@ -524,8 +489,6 @@ void run_vbatch(const TilingStrategy& s, std::span<const GemmOperands> batch,
                 float alpha, float beta) {
   check_geometry(s);
   audit_operands(batch);
-  for (std::size_t z = 0; z < batch.size(); ++z)
-    check_epilogue_beta(batch[z], beta, z);
   // MAGMA vbatch as a plan (paper §6): one uniform strategy and one tile
   // per block, every tile of every GEMM. The grid's bubble blocks are a
   // timing artefact that work_vbatch models; they would execute nothing.
@@ -548,29 +511,6 @@ void run_vbatch(const TilingStrategy& s, std::span<const GemmOperands> batch,
 
 namespace {
 
-/// Validates one permutation operand: present, sized to its axis, every
-/// entry in range, and bijective (no two sources map to one destination —
-/// the property that keeps parallel tiles writing disjoint C regions).
-void audit_perm(const int* perm, int len, int extent, const char* axis,
-                std::size_t i) {
-  CTB_CHECK_MSG(perm != nullptr && len == extent,
-                "GEMM " << i << ' ' << axis << "-permutation: need "
-                        << extent << " entries, have "
-                        << (perm != nullptr ? len : 0));
-  std::vector<char> seen(static_cast<std::size_t>(extent), 0);
-  for (int v = 0; v < extent; ++v) {
-    const int p = perm[v];
-    CTB_CHECK_MSG(p >= 0 && p < extent,
-                  "GEMM " << i << ' ' << axis << "-permutation entry " << v
-                          << " = " << p << " out of range [0," << extent
-                          << ")");
-    CTB_CHECK_MSG(!seen[static_cast<std::size_t>(p)],
-                  "GEMM " << i << ' ' << axis
-                          << "-permutation maps two sources to " << p);
-    seen[static_cast<std::size_t>(p)] = 1;
-  }
-}
-
 /// The audit of a conv B: a geometry a convolution can run with, read
 /// untransposed, whose filter taps and output pixels tile K and N exactly
 /// (whole channels, whole images).
@@ -591,49 +531,19 @@ void audit_lowering(const GemmOperands& g, std::size_t i) {
                         << " pixels");
 }
 
-/// Epilogue half of the operand audit: the spec is a canonical chain, every
-/// op it names has its operand present with the exact extent, and each
-/// permutation axis appears at most once (a repeated axis would make the
-/// destination ambiguous). Runs before any matrix element is touched.
+/// Epilogue half of the operand audit: the spec is a canonical chain, and
+/// a chain with a bias has its operand present with the exact extent. Runs
+/// before any matrix element is touched.
 void audit_epilogue(const GemmOperands& g, std::size_t i) {
   const int spec = g.epilogue;
   CTB_CHECK_MSG(epilogue_packed_valid(spec),
                 "GEMM " << i << " has malformed epilogue spec " << spec);
-  if (spec == 0) return;
   const EpilogueArgs& ea = g.epilogue_args;
-  const auto& d = g.dims;
-  int rowperms = 0, colperms = 0;
-  const int nops = epilogue_num_ops(spec);
-  for (int o = 0; o < nops; ++o) {
-    switch (epilogue_op_at(spec, o)) {
-      case EpilogueOp::kBias:
-        CTB_CHECK_MSG(ea.bias != nullptr && ea.bias_len == d.m,
-                      "GEMM " << i << " bias operand: need " << d.m
-                              << " values, have "
-                              << (ea.bias != nullptr ? ea.bias_len : 0));
-        break;
-      case EpilogueOp::kResidual:
-        CTB_CHECK_MSG(ea.residual != nullptr && ea.residual_rows == d.m &&
-                          ea.residual_cols == d.n,
-                      "GEMM " << i << " residual operand: need " << d.m
-                              << 'x' << d.n << ", have "
-                              << ea.residual_rows << 'x'
-                              << ea.residual_cols);
-        break;
-      case EpilogueOp::kRowPerm:
-        ++rowperms;
-        break;
-      case EpilogueOp::kColPerm:
-        ++colperms;
-        break;
-      default:
-        break;
-    }
-  }
-  CTB_CHECK_MSG(rowperms <= 1 && colperms <= 1,
-                "GEMM " << i << " epilogue repeats a permutation axis");
-  if (rowperms > 0) audit_perm(ea.row_perm, ea.row_perm_len, d.m, "row", i);
-  if (colperms > 0) audit_perm(ea.col_perm, ea.col_perm_len, d.n, "col", i);
+  if (epilogue_has_op(spec, EpilogueOp::kBias))
+    CTB_CHECK_MSG(ea.bias != nullptr && ea.bias_len == g.dims.m,
+                  "GEMM " << i << " bias operand: need " << g.dims.m
+                          << " values, have "
+                          << (ea.bias != nullptr ? ea.bias_len : 0));
 }
 
 }  // namespace
@@ -677,14 +587,11 @@ void reference_gemm(const GemmOperands& g, float alpha, float beta) {
   const bool fp16 = g.precision == Precision::kFp16;
   const EpilogueChain chain(g.epilogue);
   const EpilogueArgs& ea = g.epilogue_args;
-  check_epilogue_beta(g, beta, 0);
   for (int i = 0; i < d.m; ++i) {
     for (int j = 0; j < d.n; ++j) {
       float acc = 0.0f;
       for (int k = 0; k < d.k; ++k)
         acc += staged_a_value(g, i, k) * staged_b_value(g, k, j);
-      // The beta prior reads the logical cell; under a permutation beta is
-      // rejected above, so logical == destination whenever it is read.
       float* cell = &g.c[static_cast<std::size_t>(i) * d.n + j];
       float v;
       if (fp16) {
@@ -695,14 +602,8 @@ void reference_gemm(const GemmOperands& g, float alpha, float beta) {
         const float prior = beta == 0.0f ? 0.0f : beta * *cell;
         v = alpha * acc + prior;
       }
-      if (chain.nops > 0) {
-        v = apply_epilogue_value(v, chain, ea, fp16, i, j, d.n);
-        const int di = chain.rowperm ? ea.row_perm[i] : i;
-        const int dj = chain.colperm ? ea.col_perm[j] : j;
-        g.c[static_cast<std::size_t>(di) * d.n + dj] = v;
-      } else {
-        *cell = v;
-      }
+      *cell = chain.nops == 0 ? v
+                              : apply_epilogue_value(v, chain, ea, fp16, i);
     }
   }
 }
@@ -725,8 +626,6 @@ void run_batched_plan(const BatchPlan& plan,
     telemetry::flight_autodump("audit_reject");
     throw;
   }
-  for (std::size_t i = 0; i < batch.size(); ++i)
-    check_epilogue_beta(batch[i], beta, i);
   CTB_TEL_FLIGHT(kExec, "run_batched_plan", plan.num_blocks(),
                  plan.num_tiles());
   CTB_TEL_COUNT("exec.plan_runs", 1);

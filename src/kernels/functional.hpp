@@ -108,8 +108,8 @@ struct GemmOperands {
   /// entry must match this spec; audit_plan_operands enforces the
   /// agreement.
   int epilogue = 0;
-  /// Operands for the ops named by `epilogue`; audited for presence, extent,
-  /// and (for permutations) bijectivity before any matrix memory is touched.
+  /// Operands for the ops named by `epilogue`; audited for presence and
+  /// extent before any matrix memory is touched.
   EpilogueArgs epilogue_args;
 };
 static_assert(std::is_trivially_copyable_v<GemmOperands>,
@@ -117,10 +117,10 @@ static_assert(std::is_trivially_copyable_v<GemmOperands>,
 
 /// A GEMM's tile stores stream past the cache (non-temporal stores, one
 /// fence per tile; DESIGN.md §9) when its C holds at least this many bytes,
-/// is fp32 on the vector row store with no column permutation, starts every
-/// row on a cache line (C line-aligned, N a multiple of 16) and the call
-/// runs under AVX2 or AVX-512. Only the stores' cache policy changes, never
-/// a value; exec.store.streamed counts the tiles.
+/// is fp32 on the vector row store, starts every row on a cache line (C
+/// line-aligned, N a multiple of 16) and the call runs under AVX2 or
+/// AVX-512. Only the stores' cache policy changes, never a value;
+/// exec.store.streamed counts the tiles.
 inline constexpr std::size_t kStreamStoreBytes = std::size_t{1} << 20;
 
 /// Executes one C tile (ty, tx) of `g` under `strategy` in the staged mode:
@@ -147,11 +147,9 @@ void run_vbatch(const TilingStrategy& strategy,
 /// Audits the operand array alone: every GEMM has valid dims and A, B and C
 /// pointers; an active lowering has a geometry ConvLowering::valid accepts,
 /// kN B, a kernel^2 that divides K and an out_h * out_w that divides N;
-/// any fused-epilogue spec is a canonical chain whose operands are present
-/// with the right extents (bias_len == m, residual m x n, permutations
-/// bijective on their axis, at most one permutation per axis). Throws
-/// CheckError naming the offending batch index, before any matrix element
-/// is touched.
+/// any fused-epilogue spec is a canonical chain, and a chain with a bias
+/// has its bias present with bias_len == m. Throws CheckError naming the
+/// offending batch index, before any matrix element is touched.
 void audit_operands(std::span<const GemmOperands> batch);
 
 /// Full pre-execution audit: audit_operands, then validate_plan against the

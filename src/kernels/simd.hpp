@@ -62,33 +62,29 @@ using SimdMicroKernelFn = void (*)(const float* a_panel, const float* b_panel,
 
 /// One tile's rows of store work (DESIGN.md §9, §12): C = alpha * acc +
 /// beta * C, then the fused epilogue chain, for `rows` C rows starting at
-/// logical row `row0`, `n` columns each. Tile row i reads accumulator row
-/// `acc + i * acc_stride`; its logical row gi = row0 + i lands at
-/// `c + di * ldc`, where di = row_perm[gi] under a row permutation and gi
-/// otherwise, and reads residual row `residual + gi * ldc` and bias
-/// `bias[gi]`. `c` and `residual` point at the tile's first column of
-/// matrix row 0. `ops` holds the packed chain's op ids in order (the
-/// integer values of ctb::EpilogueOp, epilogue.hpp — kept as plain ints so
-/// this header stays dependency-free); the kernel applies the value ops
-/// (bias=1, relu=2, residual=3) per vector chunk in chain order and ignores
-/// permutation ids. A plain store is the empty chain. `n` may be any
-/// length: the ragged tail is handled with masked partial loads/stores, so
-/// edge tiles never fall back to the scalar path. fp32 only — fp16 rounds
-/// after every op and stays scalar. With `stream` set, the AVX2 and AVX-512
-/// kernels write every full-width chunk with a non-temporal store, which
-/// needs each chunk vector-aligned (the caller's streaming rule guarantees
-/// it), and end the call with one store fence; values are unchanged.
+/// matrix row `row0`, `n` columns each. Tile row i reads accumulator row
+/// `acc + i * acc_stride` and bias `bias[row0 + i]`, and lands at
+/// `c + (row0 + i) * ldc`; `c` points at the tile's first column of matrix
+/// row 0. `ops` holds the packed chain's op ids in order (the integer
+/// values of ctb::EpilogueOp, epilogue.hpp — kept as plain ints so this
+/// header stays dependency-free); the kernel applies them (bias=1, relu=2)
+/// per vector chunk in chain order. A plain store is the empty chain. `n`
+/// may be any length: the ragged tail is handled with masked partial
+/// loads/stores, so edge tiles never fall back to the scalar path. fp32
+/// only — fp16 rounds after every op and stays scalar. With `stream` set,
+/// the AVX2 and AVX-512 kernels write every full-width chunk with a
+/// non-temporal store, which needs each chunk vector-aligned (the caller's
+/// streaming rule guarantees it), and end the call with one store fence;
+/// values are unchanged.
 struct EpilogueRowArgs {
   const float* acc = nullptr;  ///< row-major tile accumulator
   int acc_stride = 0;          ///< floats between accumulator rows
   int rows = 0;                ///< C rows to store
-  int row0 = 0;                ///< logical C row of tile row 0
+  int row0 = 0;                ///< matrix row of tile row 0
   int n = 0;                   ///< valid columns in every row
   float* c = nullptr;          ///< C at (row 0, the tile's first column)
-  int ldc = 0;                 ///< floats between C (and residual) rows
-  const int* row_perm = nullptr;    ///< destination rows (kRowPerm only)
-  const float* residual = nullptr;  ///< like `c` (kResidual ops only)
-  const float* bias = nullptr;      ///< one value per C row (kBias only)
+  int ldc = 0;                 ///< floats between C rows
+  const float* bias = nullptr;  ///< one value per C row (kBias only)
   float alpha = 1.0f;
   float beta = 0.0f;  ///< prior scale; C is read when nonzero
   int ops[4] = {0, 0, 0, 0};  ///< op ids in chain order

@@ -531,8 +531,13 @@ std::int64_t as_int(const JsonValue& v, const char* what) {
   return out;
 }
 
-double as_double(const JsonValue& v) {
-  return std::strtod(v.text.c_str(), nullptr);
+double as_double(const JsonValue& v, const char* what) {
+  char* end = nullptr;
+  const double out = std::strtod(v.text.c_str(), &end);
+  if (end == v.text.c_str() || *end != '\0')
+    throw PerfReportError(std::string("perf report JSON: \"") + what +
+                          "\" is not a number: " + v.text);
+  return out;
 }
 
 }  // namespace
@@ -578,35 +583,37 @@ PerfReport load_perf_report(std::istream& is) {
         "repeats"));
     const JsonValue& jt =
         require(jw, "timing", JsonValue::Type::kObject, "workload");
-    w.timing.median_us =
-        as_double(require(jt, "median_us", JsonValue::Type::kNumber, "timing"));
-    w.timing.iqr_us =
-        as_double(require(jt, "iqr_us", JsonValue::Type::kNumber, "timing"));
-    w.timing.min_us =
-        as_double(require(jt, "min_us", JsonValue::Type::kNumber, "timing"));
-    w.timing.max_us =
-        as_double(require(jt, "max_us", JsonValue::Type::kNumber, "timing"));
+    w.timing.median_us = as_double(
+        require(jt, "median_us", JsonValue::Type::kNumber, "timing"),
+        "median_us");
+    w.timing.iqr_us = as_double(
+        require(jt, "iqr_us", JsonValue::Type::kNumber, "timing"), "iqr_us");
+    w.timing.min_us = as_double(
+        require(jt, "min_us", JsonValue::Type::kNumber, "timing"), "min_us");
+    w.timing.max_us = as_double(
+        require(jt, "max_us", JsonValue::Type::kNumber, "timing"), "max_us");
     if (const JsonValue* jl = jw.find("lookup")) {
       if (jl->type != JsonValue::Type::kObject)
         throw PerfReportError("perf report JSON: \"lookup\" must be an object");
       w.lookup.count = as_int(
           require(*jl, "count", JsonValue::Type::kNumber, "lookup"), "count");
       w.lookup.p50_us = as_double(
-          require(*jl, "p50_us", JsonValue::Type::kNumber, "lookup"));
+          require(*jl, "p50_us", JsonValue::Type::kNumber, "lookup"), "p50_us");
       w.lookup.p95_us = as_double(
-          require(*jl, "p95_us", JsonValue::Type::kNumber, "lookup"));
+          require(*jl, "p95_us", JsonValue::Type::kNumber, "lookup"), "p95_us");
       w.lookup.p99_us = as_double(
-          require(*jl, "p99_us", JsonValue::Type::kNumber, "lookup"));
+          require(*jl, "p99_us", JsonValue::Type::kNumber, "lookup"), "p99_us");
     }
     if (const JsonValue* js = jw.find("sim")) {
       if (js->type != JsonValue::Type::kObject)
         throw PerfReportError("perf report JSON: \"sim\" must be an object");
       w.sim.plan_us = as_double(
-          require(*js, "plan_us", JsonValue::Type::kNumber, "sim"));
+          require(*js, "plan_us", JsonValue::Type::kNumber, "sim"), "plan_us");
       w.sim.vbatch_us = as_double(
-          require(*js, "vbatch_us", JsonValue::Type::kNumber, "sim"));
+          require(*js, "vbatch_us", JsonValue::Type::kNumber, "sim"),
+          "vbatch_us");
       w.sim.speedup = as_double(
-          require(*js, "speedup", JsonValue::Type::kNumber, "sim"));
+          require(*js, "speedup", JsonValue::Type::kNumber, "sim"), "speedup");
     }
     const JsonValue& jc =
         require(jw, "counters", JsonValue::Type::kArray, "workload");

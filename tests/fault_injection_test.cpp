@@ -98,14 +98,13 @@ const std::vector<PlanCase>& plan_cases() {
     add_split("splitk-ragged", {{64, 64, 96}, {40, 24, 100}}, 3, 2);
     add_split("splitk-uniform",
               std::vector<GemmDims>(4, GemmDims{32, 32, 64}), 2, 3);
-    // Fused-epilogue fixture (value ops only, so nonzero beta stays legal
-    // in the happy-path tests): the epilogue fault classes need the
-    // per-GEMM spec array to corrupt.
+    // Fused-epilogue fixture: the epilogue fault classes need the per-GEMM
+    // spec array to corrupt.
     const int bias_relu =
         epilogue_push(epilogue_push(0, EpilogueOp::kBias), EpilogueOp::kRelu);
     add("epilogue-ragged", ragged, BatchingPolicy::kThresholdOnly,
         {bias_relu, epilogue_push(0, EpilogueOp::kRelu), 0,
-         epilogue_push(0, EpilogueOp::kResidual)});
+         epilogue_push(0, EpilogueOp::kBias)});
     return out;
   }();
   return cases;
@@ -114,11 +113,11 @@ const std::vector<PlanCase>& plan_cases() {
 /// Random A/B plus sentinel-filled C for every GEMM of a batch. The
 /// matrices live in vectors sized up front, so the operand pointers stay
 /// stable. When per-GEMM epilogue specs are given, matching operands
-/// (random bias/residual buffers) are allocated and attached so the
-/// workspace agrees with an epilogue-carrying plan.
+/// (random bias buffers) are allocated and attached so the workspace agrees
+/// with an epilogue-carrying plan.
 struct Workspace {
   std::vector<Matrixf> a, b, c;
-  std::vector<std::vector<float>> bias, residual;
+  std::vector<std::vector<float>> bias;
   std::vector<GemmOperands> ops;
 
   Workspace(std::span<const GemmDims> dims, std::uint64_t seed,
@@ -128,7 +127,6 @@ struct Workspace {
     b.reserve(dims.size());
     c.reserve(dims.size());
     bias.resize(dims.size());
-    residual.resize(dims.size());
     for (const auto& d : dims) {
       a.push_back(rand_mat(d.m, d.k, rng));
       b.push_back(rand_mat(d.k, d.n, rng));
@@ -145,14 +143,6 @@ struct Workspace {
           v = static_cast<float>(rng.uniform_int(-64, 64)) / 16.0f;
         ops[i].epilogue_args.bias = bias[i].data();
         ops[i].epilogue_args.bias_len = d.m;
-      }
-      if (epilogue_has_op(epilogues[i], EpilogueOp::kResidual)) {
-        residual[i].resize(st(d.m) * st(d.n));
-        for (float& v : residual[i])
-          v = static_cast<float>(rng.uniform_int(-64, 64)) / 16.0f;
-        ops[i].epilogue_args.residual = residual[i].data();
-        ops[i].epilogue_args.residual_rows = d.m;
-        ops[i].epilogue_args.residual_cols = d.n;
       }
     }
   }
@@ -319,83 +309,101 @@ TEST(FaultInjection, StaleDimsRejectedAgainstOperands) {
 
 TEST(FaultInjection, EpilogueOperandFaultsRejectedBeforeMemoryAccess) {
   // Healthy epilogue-carrying plan, corrupted *operands*: every fault in
-  // the chain's argument block (missing buffer, wrong extent, out-of-range
-  // or non-bijective permutation, spec disagreement, illegal beta) must
-  // throw before any element of C is written.
+  // the chain's argument block (missing buffer, wrong extent, spec
+  // disagreement) must throw before any element of C is written.
   const std::vector<GemmDims> dims = {{24, 40, 32}, {48, 16, 64}};
   const int bias_relu =
       epilogue_push(epilogue_push(0, EpilogueOp::kBias), EpilogueOp::kRelu);
-  const int row_perm = epilogue_push(0, EpilogueOp::kRowPerm);
-  const std::vector<int> specs = {bias_relu, row_perm};
+  const std::vector<int> specs = {bias_relu,
+                                  epilogue_push(0, EpilogueOp::kRelu)};
   PlannerConfig config;
   config.policy = BatchingPolicy::kThresholdOnly;
   const BatchedGemmPlanner planner(config);
   const BatchPlan plan = planner.plan(dims, specs).plan;
   validate_plan(plan, dims);
 
-  // Reversal permutation for GEMM 1's rows, plus a mutable copy the faults
-  // below can scribble on.
-  std::vector<int> perm(st(dims[1].m));
-  for (std::size_t i = 0; i < perm.size(); ++i)
-    perm[i] = static_cast<int>(perm.size() - 1 - i);
-
-  auto fresh = [&](std::vector<int>& p) {
-    Workspace ws(dims, 59, kSentinel, specs);
-    ws.ops[1].epilogue_args.row_perm = p.data();
-    ws.ops[1].epilogue_args.row_perm_len = static_cast<int>(p.size());
-    return ws;
-  };
+  auto fresh = [&] { return Workspace(dims, 59, kSentinel, specs); };
   {  // Baseline sanity: the healthy workspace executes.
-    Workspace ws = fresh(perm);
-    run_batched_plan(plan, ws.ops, 1.0f, 0.0f);
+    Workspace ws = fresh();
+    run_batched_plan(plan, ws.ops, 1.0f, 0.5f);
     EXPECT_FALSE(ws.c_untouched());
   }
   {  // Bias buffer missing.
-    Workspace ws = fresh(perm);
+    Workspace ws = fresh();
     ws.ops[0].epilogue_args.bias = nullptr;
     EXPECT_THROW(run_batched_plan(plan, ws.ops, 1.0f, 0.0f), CheckError);
     EXPECT_TRUE(ws.c_untouched());
   }
   {  // Bias length disagrees with M.
-    Workspace ws = fresh(perm);
+    Workspace ws = fresh();
     ws.ops[0].epilogue_args.bias_len = dims[0].m - 1;
     EXPECT_THROW(run_batched_plan(plan, ws.ops, 1.0f, 0.0f), CheckError);
     EXPECT_TRUE(ws.c_untouched());
   }
-  {  // Permutation entry out of range.
-    std::vector<int> bad = perm;
-    bad[0] = dims[1].m;  // one past the row extent
-    Workspace ws = fresh(bad);
-    EXPECT_THROW(run_batched_plan(plan, ws.ops, 1.0f, 0.0f), CheckError);
-    EXPECT_TRUE(ws.c_untouched());
-    bad[0] = -1;
-    Workspace ws2 = fresh(bad);
-    EXPECT_THROW(run_batched_plan(plan, ws2.ops, 1.0f, 0.0f), CheckError);
-    EXPECT_TRUE(ws2.c_untouched());
-  }
-  {  // Permutation not bijective (duplicate destination).
-    std::vector<int> bad = perm;
-    bad[0] = bad[1];
-    Workspace ws = fresh(bad);
-    EXPECT_THROW(run_batched_plan(plan, ws.ops, 1.0f, 0.0f), CheckError);
-    EXPECT_TRUE(ws.c_untouched());
-  }
-  {  // Permutation length disagrees with M.
-    Workspace ws = fresh(perm);
-    ws.ops[1].epilogue_args.row_perm_len = dims[1].m - 1;
-    EXPECT_THROW(run_batched_plan(plan, ws.ops, 1.0f, 0.0f), CheckError);
-    EXPECT_TRUE(ws.c_untouched());
-  }
   {  // Operand spec disagrees with the plan's aux array.
-    Workspace ws = fresh(perm);
+    Workspace ws = fresh();
     ws.ops[0].epilogue = epilogue_push(0, EpilogueOp::kRelu);
     EXPECT_THROW(run_batched_plan(plan, ws.ops, 1.0f, 0.0f), CheckError);
     EXPECT_TRUE(ws.c_untouched());
   }
-  {  // beta != 0 under a destination permutation.
-    Workspace ws = fresh(perm);
-    EXPECT_THROW(run_batched_plan(plan, ws.ops, 1.0f, 0.5f), CheckError);
-    EXPECT_TRUE(ws.c_untouched());
+}
+
+TEST(FaultInjection, RetiredEpilogueIdsRejectedEverywhere) {
+  // Ids 3, 4 and 5 are reserved (epilogue.hpp): alone or after a bias, every
+  // entry point must reject them before it plans, caches, loads or touches
+  // C.
+  const std::vector<GemmDims> dims = {{24, 40, 32}, {48, 16, 64}};
+  const int bias = epilogue_push(0, EpilogueOp::kBias);
+  const std::vector<int> healthy = {bias,
+                                    epilogue_push(bias, EpilogueOp::kRelu)};
+  PlannerConfig config;
+  config.policy = BatchingPolicy::kThresholdOnly;
+  const BatchedGemmPlanner planner(config);
+  const BatchPlan plan = planner.plan(dims, healthy).plan;
+  std::stringstream healthy_text;
+  save_plan(healthy_text, plan);
+  const std::string v3 = healthy_text.str();
+  ASSERT_EQ(v3.rfind("ctb-batchplan-v3", 0), 0u);
+  const std::string array = "epilogue " + std::to_string(dims.size()) + ' ' +
+                            std::to_string(healthy[0]) + ' ' +
+                            std::to_string(healthy[1]);
+  ASSERT_NE(v3.find(array), std::string::npos);
+
+  for (const int id : {3, 4, 5}) {
+    EXPECT_THROW(epilogue_push(0, static_cast<EpilogueOp>(id)), CheckError);
+    EXPECT_THROW(epilogue_push(bias, static_cast<EpilogueOp>(id)), CheckError);
+    for (const int spec : {id, bias | (id << 4)}) {
+      SCOPED_TRACE("spec " + std::to_string(spec));
+      EXPECT_FALSE(epilogue_packed_valid(spec));
+      const std::vector<int> specs = {healthy[0], spec};
+
+      EXPECT_THROW(planner.plan(dims, specs), CheckError);
+      PlanCache cache(config);
+      EXPECT_THROW(cache.plan(dims, specs), CheckError);
+      EXPECT_EQ(cache.size(), 0u);
+      service::PlanService svc;
+      EXPECT_THROW(svc.get(dims, specs), CheckError);
+      EXPECT_EQ(svc.size(), 0u);
+
+      std::string text = v3;
+      text.replace(text.find(array), array.size(),
+                   "epilogue " + std::to_string(dims.size()) + ' ' +
+                       std::to_string(healthy[0]) + ' ' +
+                       std::to_string(spec));
+      std::stringstream ss(text);
+      EXPECT_THROW(load_plan(ss), PlanIoError);
+
+      // The healthy plan meets operands that carry the retired spec, and
+      // a plan that carries it meets the same operands.
+      Workspace ws(dims, 61, kSentinel, specs);
+      EXPECT_THROW(audit_operands(ws.ops), CheckError);
+      EXPECT_THROW(run_batched_plan(plan, ws.ops, 1.0f, 0.0f), CheckError);
+      BatchPlan retired = plan;
+      retired.epilogue_of_gemm[1] = spec;
+      EXPECT_THROW(run_batched_plan(retired, ws.ops, 1.0f, 0.0f),
+                   CheckError);
+      EXPECT_TRUE(ws.c_untouched());
+    }
   }
 }
 

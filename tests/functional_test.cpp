@@ -351,7 +351,7 @@ static_assert(sizeof(float) * kStreamM * kStreamN >= kStreamStoreBytes,
 static_assert(sizeof(float) * kStreamM * 1008 < kStreamStoreBytes,
               "the small GEMM's C must stay below the threshold");
 
-enum class StreamVariant { kPlain, kBiasRelu, kResidual, kRowPerm, kBeta };
+enum class StreamVariant { kPlain, kBiasRelu, kBeta };
 
 /// exec.store.streamed over one call of `run`; -1 when the counter is
 /// missing from the snapshot.
@@ -398,21 +398,6 @@ class StreamCase {
         ea.bias = bias_.data();
         ea.bias_len = m;
         break;
-      case StreamVariant::kResidual:
-        for (std::size_t i = 0; i < cells_; ++i)
-          residual_.push_back(rng.uniform_float(-1, 1));
-        g_.epilogue = epilogue_push(0, EpilogueOp::kResidual);
-        ea.residual = residual_.data();
-        ea.residual_rows = m;
-        ea.residual_cols = n;
-        break;
-      case StreamVariant::kRowPerm:
-        // Row i lands on row 37 i mod m: odd, so a bijection for m = 2^p.
-        for (int i = 0; i < m; ++i) row_perm_.push_back(37 * i % m);
-        g_.epilogue = epilogue_push(0, EpilogueOp::kRowPerm);
-        ea.row_perm = row_perm_.data();
-        ea.row_perm_len = m;
-        break;
       case StreamVariant::kBeta:
         alpha_ = 1.25f;
         beta_ = 0.5f;
@@ -458,17 +443,14 @@ class StreamCase {
   std::size_t offset_, cells_;
   Matrixf a_, b_;
   LineBuffer init_, ref_, c_;  // offset_ floats, C, the canary
-  std::vector<float> bias_, residual_;
-  std::vector<int> row_perm_;
+  std::vector<float> bias_;
   GemmOperands g_;
   float alpha_ = 1.0f, beta_ = 0.0f;
 };
 
 TEST(StreamedStore, LargeAlignedCStreamsUnderVectorIsasBitExact) {
-  for (StreamVariant v :
-       {StreamVariant::kPlain, StreamVariant::kBiasRelu,
-        StreamVariant::kResidual, StreamVariant::kRowPerm,
-        StreamVariant::kBeta}) {
+  for (StreamVariant v : {StreamVariant::kPlain, StreamVariant::kBiasRelu,
+                          StreamVariant::kBeta}) {
     StreamCase sc(kStreamM, kStreamN, v, 0, Precision::kFp32);
     for (SimdIsa isa : runnable_isas()) {
       const std::string what = std::string(simd_isa_name(isa)) +

@@ -112,11 +112,8 @@ TEST(PerfReportJson, RejectsMalformedInput) {
       "",                               // empty
       "{",                              // truncated
       "[1,2,3]\n",                      // wrong top-level type
-      "{\"schema_version\": 1}\n",      // missing fields
       "{\"schema_version\": 99, \"tag\": \"t\", \"suite\": \"s\","
       " \"repeats\": 1, \"workloads\": []}\n",  // unsupported version
-      "{\"schema_version\": 1, \"tag\": 3, \"suite\": \"s\","
-      " \"repeats\": 1, \"workloads\": []}\n",  // wrong field type
       "{\"schema_version\": 1, \"tag\": \"t\", \"suite\": \"s\","
       " \"repeats\": 1, \"workloads\": []} trailing\n",  // trailing garbage
   };
@@ -124,6 +121,48 @@ TEST(PerfReportJson, RejectsMalformedInput) {
     std::istringstream is(text);
     EXPECT_THROW(perfreport::load_perf_report(is), perfreport::PerfReportError)
         << text;
+  }
+
+  // Field-level faults carry the current schema version, so the loader gets
+  // past the version check and must reject the field itself, by name.
+  const std::string version =
+      "{\"schema_version\": " + std::to_string(perfreport::kSchemaVersion);
+  WorkloadResult w = make_workload("w", 10.0, 1, 0);
+  w.sim = {79.0, 150.0, 1.899};
+  std::ostringstream os;
+  perfreport::write_perf_report_json(os, make_report({w}));
+  const std::string valid = os.str();
+  const std::string plan_us = "\"plan_us\": 79.000";
+  ASSERT_NE(valid.find(plan_us), std::string::npos);
+  auto with_plan_us = [&](const std::string& number) {
+    std::string text = valid;
+    text.replace(text.find(plan_us), plan_us.size(),
+                 "\"plan_us\": " + number);
+    return text;
+  };
+
+  struct Bad {
+    std::string text;
+    const char* field;
+  };
+  const Bad cases[] = {
+      {version + "}\n", "\"tag\""},  // missing fields
+      {version + ", \"tag\": 3, \"suite\": \"s\", \"repeats\": 1,"
+                 " \"workloads\": []}\n",
+       "\"tag\""},  // wrong field type
+      {with_plan_us("79.000.5"), "\"plan_us\""},
+      {with_plan_us("1.2.3"), "\"plan_us\""},
+      {with_plan_us("1e"), "\"plan_us\""},
+  };
+  for (const Bad& c : cases) {
+    std::istringstream is(c.text);
+    try {
+      perfreport::load_perf_report(is);
+      ADD_FAILURE() << "loaded: " << c.text;
+    } catch (const perfreport::PerfReportError& e) {
+      EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -306,9 +345,15 @@ TEST(PerfReportCompare, TimingDeltasClassifyAgainstNoiseBand) {
   EXPECT_EQ(cmp.timing_regressions, 1);
   EXPECT_EQ(cmp.timing_improvements, 1);
   for (const auto& d : cmp.workloads) {
-    if (d.name == "noisy") EXPECT_EQ(d.cls, DeltaClass::kNoise);
-    if (d.name == "slow") EXPECT_EQ(d.cls, DeltaClass::kTimingRegression);
-    if (d.name == "fast") EXPECT_EQ(d.cls, DeltaClass::kTimingImprovement);
+    if (d.name == "noisy") {
+      EXPECT_EQ(d.cls, DeltaClass::kNoise);
+    }
+    if (d.name == "slow") {
+      EXPECT_EQ(d.cls, DeltaClass::kTimingRegression);
+    }
+    if (d.name == "fast") {
+      EXPECT_EQ(d.cls, DeltaClass::kTimingImprovement);
+    }
   }
   // Geomean of {1.3, 2.0, 0.4}.
   EXPECT_NEAR(cmp.geomean_time_ratio, std::cbrt(1.3 * 2.0 * 0.4), 1e-9);

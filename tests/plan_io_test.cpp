@@ -295,10 +295,10 @@ TEST(PlanCache, RejectsDegenerateDims) {
 // ------------------------------------------------------ v3 epilogues --
 
 std::vector<int> sample_epilogues() {
-  // bias+relu, none, residual — one fused chain per sample_batch() GEMM.
+  // bias+relu, none, relu — one fused chain per sample_batch() GEMM.
   return {epilogue_push(epilogue_push(0, EpilogueOp::kBias),
                         EpilogueOp::kRelu),
-          0, epilogue_push(0, EpilogueOp::kResidual)};
+          0, epilogue_push(0, EpilogueOp::kRelu)};
 }
 
 TEST(PlanIo, V3RoundTripWithEpilogues) {

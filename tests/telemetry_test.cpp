@@ -149,8 +149,11 @@ TEST_F(TelemetryTest, DisabledSitesRegisterButDoNotCount) {
   const auto snap = telemetry::snapshot();
   EXPECT_FALSE(snap.enabled);
   EXPECT_EQ(counter_value(snap, "test.disabled.counter"), 0);
-  for (const auto& h : snap.histograms)
-    if (h.name == "test.disabled.hist") EXPECT_EQ(h.count, 0);
+  for (const auto& h : snap.histograms) {
+    if (h.name == "test.disabled.hist") {
+      EXPECT_EQ(h.count, 0);
+    }
+  }
 }
 
 TEST_F(TelemetryTest, HistogramBucketsMinMaxSum) {
