@@ -206,8 +206,8 @@ class TelemetryScope {
 
 /// One canonical workload of a perf suite: a batch of GEMM dims executed
 /// functionally (host matrices, real executors) either through the planner
-/// under `policy`, or — when `fixed_strategy_id` >= 0 — through a hand-built
-/// one-tile-per-block plan pinned to that Table-2 strategy, so each
+/// under `policy`, or — when `fixed_strategy_id` >= 0 — through the
+/// uniform_plan of that Table-2 strategy (one tile per block), so each
 /// strategy's packed tile grid has a workload exercising exactly it.
 struct BenchWorkload {
   std::string name;
@@ -515,12 +515,7 @@ inline perfreport::WorkloadResult run_perf_workload(const BenchWorkload& w,
   };
   BatchPlan ran;  // the plan every repeat executed, for the sim object
   if (w.fixed_strategy_id >= 0) {
-    const TilingStrategy& s = batched_strategy_by_id(w.fixed_strategy_id);
-    const std::vector<const TilingStrategy*> strategies(w.dims.size(), &s);
-    std::vector<std::vector<Tile>> blocks;
-    for (const Tile& t : enumerate_tiles(w.dims, strategies))
-      blocks.push_back({t});
-    ran = build_plan(blocks, s.threads);
+    ran = uniform_plan(w.dims, batched_strategy_by_id(w.fixed_strategy_id));
     for (int r = 0; r < repeats; ++r) {
       // Each repeat is one "request": a fresh trace id ties this repeat's
       // executor flight events together in dumps (replay workloads get

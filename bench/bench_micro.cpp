@@ -94,7 +94,8 @@ BENCHMARK(BM_FunctionalTileGemm)->Arg(1)->Arg(5)->Arg(11);
 // Table-2 strategy id (DenseRange 0-11), over the full tile grid of a
 // Fig. 8-style M=N=K=256 GEMM: staged (execute_tile per tile, each tile
 // packing its own micro-panels a chunk of K at a time) vs dispatched
-// (run_single_gemm, which packs each operand once per call). Both run the
+// (execute_plan over the GEMM's uniform_plan, which packs each operand once
+// per call). Both run the
 // active ISA's micro-kernel serially over the identical grid, so the ratio
 // is what per-call packing saves over per-tile staging; on a shared host
 // expect +/-50% run-to-run noise, so compare medians of repeated runs.
@@ -129,8 +130,9 @@ void BM_ExecuteTileStaged(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecuteTileStaged)->DenseRange(0, 11);
 
-// The B side: the same grid through run_single_gemm, which packs both
-// operands and then runs every tile's dispatched accumulate -> store, under
+// The B side: the same grid through execute_plan, which audits the plan,
+// packs both operands and then runs every tile's dispatched accumulate ->
+// store, under
 // the ISA of arg 1 (0 scalar, 1 neon, 2 avx2, 3 avx512; ISAs the host
 // cannot run are skipped) — that ISA's micro-kernel over every tile's
 // 16x16 micro-tiles. Packing is inside the timed loop, as in every
@@ -148,9 +150,10 @@ void BM_ExecuteTileDispatched(benchmark::State& state) {
   }
   const GemmDims d{256, 256, 256};
   MicroAbFixture f(d);
+  const BatchPlan plan = uniform_plan({&d, 1}, s);
   ScopedParallelThreads serial(1);
   for (auto _ : state) {
-    run_single_gemm(s, f.g, 1.0f, 0.0f);
+    execute_plan(plan, {&f.g, 1}, 1.0f, 0.0f);
     benchmark::DoNotOptimize(f.c.data());
   }
   state.SetItemsProcessed(state.iterations() * d.flops());
@@ -324,7 +327,7 @@ void BM_RunBatchedPlanThreads(benchmark::State& state) {
   const ExecutorFixture& f = executor_fixture();
   ScopedParallelThreads guard(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    run_batched_plan(f.summary.plan, f.ops, 1.0f, 0.0f);
+    execute_plan(f.summary.plan, f.ops, 1.0f, 0.0f);
     benchmark::DoNotOptimize(const_cast<Matrixf&>(f.c.front()).data());
   }
   state.SetItemsProcessed(state.iterations() * f.flops);
@@ -365,7 +368,7 @@ void BM_RunSplitPlan(benchmark::State& state) {
   }
   ScopedParallelThreads serial(1);
   for (auto _ : state) {
-    run_batched_plan(plan, ops, 1.0f, 0.0f);
+    execute_plan(plan, ops, 1.0f, 0.0f);
     benchmark::DoNotOptimize(gemms.front().c.data());
   }
   state.SetItemsProcessed(state.iterations() * flops);
@@ -402,7 +405,7 @@ void BM_RunLargeOutput(benchmark::State& state) {
   const PlanSummary summary = BatchedGemmPlanner{}.plan(dims);
   ScopedParallelThreads serial(1);
   for (auto _ : state) {
-    run_batched_plan(summary.plan, ops, 1.0f, 0.0f);
+    execute_plan(summary.plan, ops, 1.0f, 0.0f);
     benchmark::DoNotOptimize(dx.front().data());
     benchmark::ClobberMemory();
   }
@@ -411,13 +414,15 @@ void BM_RunLargeOutput(benchmark::State& state) {
 }
 BENCHMARK(BM_RunLargeOutput)->Unit(benchmark::kMillisecond);
 
-// Same batch through the vbatch executor (bubble blocks included).
+// Same batch as the vbatch grid: every GEMM under the 64x64 tile, one tile
+// per block.
 void BM_RunVbatchThreads(benchmark::State& state) {
   const ExecutorFixture& f = executor_fixture();
-  const auto& s = single_gemm_strategy(TileShape::kLarge);
+  const BatchPlan plan = uniform_plan(
+      f.dims, batched_strategy(TileShape::kLarge, ThreadVariant::k256));
   ScopedParallelThreads guard(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    run_vbatch(s, f.ops, 1.0f, 0.0f);
+    execute_plan(plan, f.ops, 1.0f, 0.0f);
     benchmark::DoNotOptimize(const_cast<Matrixf&>(f.c.front()).data());
   }
   state.SetItemsProcessed(state.iterations() * f.flops);
@@ -440,9 +445,10 @@ void BM_RunSingleGemmExecutor(benchmark::State& state) {
   fill_random(a, rng);
   fill_random(b, rng);
   const GemmOperands g = operands(a, b, c);
-  const auto& s = batched_strategy(TileShape::kLarge, ThreadVariant::k256);
+  const BatchPlan plan = uniform_plan(
+      {&d, 1}, batched_strategy(TileShape::kLarge, ThreadVariant::k256));
   for (auto _ : state) {
-    run_single_gemm(s, g, 1.0f, 0.0f);
+    execute_plan(plan, {&g, 1}, 1.0f, 0.0f);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * d.flops());

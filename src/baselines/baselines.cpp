@@ -62,13 +62,6 @@ BaselineResult run_default_timed(const GpuArch& arch,
   return r;
 }
 
-void run_default_functional(const GpuArch& arch,
-                            std::span<const GemmOperands> batch, float alpha,
-                            float beta) {
-  for (const auto& g : batch)
-    run_single_gemm(single_gemm_heuristic(g.dims, arch), g, alpha, beta);
-}
-
 BaselineResult run_cke_timed(const GpuArch& arch,
                              std::span<const GemmDims> batch,
                              int num_streams) {
@@ -95,47 +88,6 @@ BaselineResult run_samesize_batched_timed(const GpuArch& arch,
   return r;
 }
 
-void run_samesize_batched_functional(const GpuArch& arch,
-                                     std::span<const GemmOperands> batch,
-                                     float alpha, float beta) {
-  std::vector<GemmDims> dims;
-  dims.reserve(batch.size());
-  for (const auto& g : batch) dims.push_back(g.dims);
-  check_same_size(dims);
-  run_vbatch(single_gemm_heuristic(dims.front(), arch), batch, alpha, beta);
-}
-
-void run_strided_batched_functional(const GpuArch& arch, const float* a,
-                                    const float* b, float* c,
-                                    const GemmDims& dims,
-                                    std::int64_t stride_a,
-                                    std::int64_t stride_b,
-                                    std::int64_t stride_c, int batch,
-                                    float alpha, float beta) {
-  CTB_CHECK(a != nullptr && b != nullptr && c != nullptr);
-  CTB_CHECK(dims.valid() && batch >= 1);
-  // A and B strides of 0 broadcast one operand across the batch (as the
-  // cuBLAS API allows); C must not alias between GEMMs.
-  CTB_CHECK_MSG(stride_a >= 0 && stride_b >= 0, "negative operand stride");
-  CTB_CHECK_MSG(stride_c >= 1LL * dims.m * dims.n,
-                "C stride must not alias consecutive GEMMs");
-  std::vector<GemmOperands> ops(static_cast<std::size_t>(batch));
-  for (int i = 0; i < batch; ++i) {
-    GemmOperands& g = ops[static_cast<std::size_t>(i)];
-    g.dims = dims;
-    g.a = a + static_cast<std::size_t>(i) * stride_a;
-    g.b = b + static_cast<std::size_t>(i) * stride_b;
-    g.c = c + static_cast<std::size_t>(i) * stride_c;
-  }
-  run_vbatch(single_gemm_heuristic(dims, arch), ops, alpha, beta);
-}
-
-BaselineResult run_strided_batched_timed(const GpuArch& arch,
-                                         const GemmDims& dims, int batch) {
-  const std::vector<GemmDims> all(static_cast<std::size_t>(batch), dims);
-  return run_samesize_batched_timed(arch, all);
-}
-
 BaselineResult run_magma_timed(const GpuArch& arch,
                                std::span<const GemmDims> batch) {
   CTB_CHECK(!batch.empty());
@@ -150,16 +102,6 @@ BaselineResult run_magma_timed(const GpuArch& arch,
   r.sim = simulate_kernel(arch, work);
   r.time_us = r.sim.makespan_us + arch.kernel_launch_us;
   return r;
-}
-
-void run_magma_functional(const GpuArch& arch,
-                          std::span<const GemmOperands> batch, float alpha,
-                          float beta) {
-  (void)arch;
-  std::vector<GemmDims> dims;
-  dims.reserve(batch.size());
-  for (const auto& g : batch) dims.push_back(g.dims);
-  run_vbatch(magma_uniform_strategy(dims), batch, alpha, beta);
 }
 
 }  // namespace ctb

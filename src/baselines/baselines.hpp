@@ -1,8 +1,9 @@
 // Baseline batched-GEMM executions the paper compares against (Sections 3
-// and 7, artifact appendix): default per-kernel execution, concurrent kernel
-// execution over streams, cuBLAS-style same-size batching, and MAGMA-style
-// vbatch. Each baseline has a timed path (through the simulator) and a
-// functional path (bit-exact results) driven by the same tiling decisions.
+// and 7, artifact appendix), timed through the simulator: default per-kernel
+// execution, concurrent kernel execution over streams, cuBLAS-style
+// same-size batching, and MAGMA-style vbatch. On the host every baseline's
+// grid is a plan: the vbatch kernel is
+// execute_plan(uniform_plan(dims, magma_uniform_strategy(dims)), ...).
 #pragma once
 
 #include <span>
@@ -10,7 +11,6 @@
 #include "core/tiling_strategy.hpp"
 #include "gpusim/arch.hpp"
 #include "gpusim/sm_engine.hpp"
-#include "kernels/functional.hpp"
 #include "linalg/gemm_ref.hpp"
 
 namespace ctb {
@@ -30,9 +30,6 @@ const TilingStrategy& single_gemm_heuristic(const GemmDims& dims,
 /// Default execution: one kernel per GEMM, back to back in one stream.
 BaselineResult run_default_timed(const GpuArch& arch,
                                  std::span<const GemmDims> batch);
-void run_default_functional(const GpuArch& arch,
-                            std::span<const GemmOperands> batch, float alpha,
-                            float beta);
 
 /// Concurrent kernel execution: the same per-GEMM kernels spread over
 /// `num_streams` CUDA streams.
@@ -45,29 +42,10 @@ BaselineResult run_cke_timed(const GpuArch& arch,
 /// mixed sizes — exactly the API restriction the paper calls out.
 BaselineResult run_samesize_batched_timed(const GpuArch& arch,
                                           std::span<const GemmDims> batch);
-void run_samesize_batched_functional(const GpuArch& arch,
-                                     std::span<const GemmOperands> batch,
-                                     float alpha, float beta);
-
-/// cublasSgemmStridedBatched-style API: one base pointer per operand and a
-/// fixed element stride between consecutive GEMMs (the common layout for
-/// batched tensors). Same same-size restriction as the pointer-array API.
-void run_strided_batched_functional(const GpuArch& arch, const float* a,
-                                    const float* b, float* c,
-                                    const GemmDims& dims,
-                                    std::int64_t stride_a,
-                                    std::int64_t stride_b,
-                                    std::int64_t stride_c, int batch,
-                                    float alpha, float beta);
-BaselineResult run_strided_batched_timed(const GpuArch& arch,
-                                         const GemmDims& dims, int batch);
 
 /// MAGMA-style vbatch: one kernel, gridDim.z = batch, one uniform tiling
 /// strategy, bubble blocks padding the grid to the largest GEMM.
 BaselineResult run_magma_timed(const GpuArch& arch,
                                std::span<const GemmDims> batch);
-void run_magma_functional(const GpuArch& arch,
-                          std::span<const GemmOperands> batch, float alpha,
-                          float beta);
 
 }  // namespace ctb

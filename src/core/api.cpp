@@ -188,9 +188,7 @@ void BatchedGemmPlanner::plan_auto_offline(
   if (config_.splitk != SplitKMode::kForce) {
     BatchPlan none = batch_none(tiles, threads);
     const TilingStrategy& u = magma_uniform_strategy(dims);
-    const std::vector<const TilingStrategy*> uniform_tiling(dims.size(), &u);
-    BatchPlan uniform =
-        batch_none(enumerate_tiles(dims, uniform_tiling), u.threads);
+    BatchPlan uniform = uniform_plan(dims, u);
     const bool none_new = none != thr && none != bin;
     const bool uniform_new =
         uniform != thr && uniform != bin && uniform != none;
@@ -210,9 +208,9 @@ void BatchedGemmPlanner::plan_auto_offline(
       winner = kUniformWins;
       summary.heuristic = BatchingHeuristic::kNone;
       summary.plan = std::move(uniform);
-      summary.tiling.per_gemm = uniform_tiling;
+      summary.tiling.per_gemm.assign(dims.size(), &u);
       summary.tiling.variant = static_cast<ThreadVariant>(u.threads);
-      summary.tiling.tlp = batch_tlp(dims, uniform_tiling);
+      summary.tiling.tlp = batch_tlp(dims, summary.tiling.per_gemm);
     }
   }
   switch (winner) {
@@ -316,40 +314,6 @@ TimedResult time_plan(const GpuArch& arch, const BatchPlan& plan,
   result.sim = simulate_kernel(arch, work);
   result.time_us = result.sim.makespan_us + arch.kernel_launch_us;
   return result;
-}
-
-void execute_plan(const BatchPlan& plan, std::span<const GemmOperands> batch,
-                  float alpha, float beta) {
-  run_batched_plan(plan, batch, alpha, beta);
-}
-
-ExecutionReport try_execute_plan(const BatchPlan& plan,
-                                 std::span<const GemmOperands> batch,
-                                 float alpha, float beta) {
-  // Operand problems throw through: with no trustworthy buffers there is
-  // nothing correct to fall back to.
-  audit_operands(batch);
-  ExecutionReport report;
-  try {
-    std::vector<GemmDims> dims(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) dims[i] = batch[i].dims;
-    validate_plan(plan, dims);
-  } catch (const CheckError& e) {
-    report.fell_back = true;
-    report.reason = e.what();
-    CTB_WARN("plan rejected, degrading to reference GEMM: " << e.what());
-    CTB_TEL_COUNT("exec.fallback", 1);
-    CTB_TEL_FLIGHT(kGuardReject, "validate_plan",
-                   static_cast<std::int64_t>(batch.size()), 0);
-    CTB_TEL_FLIGHT(kFallback, "reference_gemm",
-                   static_cast<std::int64_t>(batch.size()), 0);
-    telemetry::flight_autodump("guard_reject");
-    CTB_TEL_SPAN("exec.reference_fallback");
-    for (const GemmOperands& g : batch) reference_gemm(g, alpha, beta);
-    return report;
-  }
-  run_batched_plan(plan, batch, alpha, beta);
-  return report;
 }
 
 BatchedGemmResult batched_gemm(std::span<const Matrixf* const> a,

@@ -77,7 +77,7 @@ struct PlannerConfig {
   /// each tile's K loop may be partitioned into BK-aligned slices that the
   /// simulated device runs as extra blocks. The host runs a split tile's
   /// slices as one carried chain at its first slice, so results are
-  /// bit-identical to the unsplit plan (see run_batched_plan). Candidate
+  /// bit-identical to the unsplit plan (see execute_plan). Candidate
   /// split plans are sim-compared against the unsplit plan via time_plan.
   SplitKMode splitk = SplitKMode::kAuto;
 };
@@ -152,30 +152,10 @@ TimedResult time_plan(const GpuArch& arch, const BatchPlan& plan,
                       std::span<const GemmDims> dims,
                       Precision precision = Precision::kFp32);
 
-/// Functional execution: computes C = alpha*A*B + beta*C for every GEMM in
-/// the batch, following the plan block by block. Audits the operands and
-/// validates the plan against the dims they carry first; throws CheckError
-/// before any matrix element is read or written if either is inconsistent.
-void execute_plan(const BatchPlan& plan, std::span<const GemmOperands> batch,
-                  float alpha, float beta);
-
-/// What try_execute_plan did: fell_back is false on the plan path, true on
-/// the reference path, and reason carries the validation failure verbatim.
-struct ExecutionReport {
-  bool fell_back = false;
-  std::string reason;
-};
-
-/// Graceful degradation entry for serving loops. Audits the operands, then
-/// validates the plan against them; on success executes the plan exactly
-/// like execute_plan (bit-identical C). If *plan validation* fails, logs
-/// the structured reason at warn level and computes every GEMM through
-/// reference_gemm instead — slow but bit-exact, and C is untouched until
-/// the fallback runs. Broken operands (null pointers, degenerate dims)
-/// still throw: there is nothing correct to fall back to.
-ExecutionReport try_execute_plan(const BatchPlan& plan,
-                                 std::span<const GemmOperands> batch,
-                                 float alpha, float beta);
+// Functional execution is execute_plan (kernels/functional.hpp, included
+// above): it audits the operands and validates the plan against the dims
+// they carry, and throws CheckError before any matrix element is touched if
+// either is inconsistent.
 
 /// One-call host convenience: plans, validates, functionally executes, and
 /// times the batch. a/b/c are parallel arrays of host matrices.

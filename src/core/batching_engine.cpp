@@ -27,6 +27,14 @@ BatchPlan batch_none(std::span<const Tile> tiles, int block_threads) {
   return build_plan(blocks, block_threads);
 }
 
+BatchPlan uniform_plan(std::span<const GemmDims> dims,
+                       const TilingStrategy& s) {
+  CTB_CHECK_MSG(s.id >= 0, "strategy " << s.name()
+                                       << " is not a Table-2 strategy");
+  const std::vector<const TilingStrategy*> strategies(dims.size(), &s);
+  return batch_none(enumerate_tiles(dims, strategies), s.threads);
+}
+
 BatchPlan batch_threshold(std::span<const Tile> tiles, int block_threads,
                           const BatchingConfig& config) {
   CTB_CHECK(config.theta > 0);

@@ -39,6 +39,14 @@ const char* to_string(BatchingHeuristic h);
 /// Section 7.1 evaluates this alone).
 BatchPlan batch_none(std::span<const Tile> tiles, int block_threads);
 
+/// Every GEMM under one Table-2 strategy `s`, one tile per block, tiles in
+/// enumerate_tiles order: the MAGMA vbatch grid (paper §6), and for a single
+/// GEMM the one-tile-per-block kernel of Fig. 2. Its bubble blocks are a
+/// timing artefact that work_vbatch models. Throws CheckError when `s` is
+/// not a Table-2 strategy (id < 0), since a plan names strategies by id.
+BatchPlan uniform_plan(std::span<const GemmDims> dims,
+                       const TilingStrategy& s);
+
 /// Threshold batching (TLP priority).
 BatchPlan batch_threshold(std::span<const Tile> tiles, int block_threads,
                           const BatchingConfig& config = {});

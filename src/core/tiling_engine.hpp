@@ -51,8 +51,9 @@ TilingResult select_tiling(std::span<const GemmDims> dims,
 std::vector<const TilingStrategy*> feasible_strategies(const GemmDims& dims,
                                                        ThreadVariant variant);
 
-/// The tiling strategy MAGMA-style vbatch uses: a single uniform Table-1
-/// strategy for the whole batch, chosen with the single-GEMM mindset of
+/// The tiling strategy MAGMA-style vbatch uses: a single uniform 256-thread
+/// Table-2 strategy (small, medium or large) for the whole batch, chosen
+/// with the single-GEMM mindset of
 /// maximizing data reuse for the largest GEMM — ignoring how many GEMMs are
 /// batched (the coordination gap the paper's Fig. 8 measures).
 const TilingStrategy& magma_uniform_strategy(std::span<const GemmDims> dims);

@@ -1,7 +1,6 @@
 #include "dnn/conv.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "dnn/im2col.hpp"
@@ -124,50 +123,6 @@ void add_bias_inplace(Tensor4& t, std::span<const float> bias) {
       for (int y = 0; y < t.h(); ++y)
         for (int x = 0; x < t.w(); ++x)
           t.at(n, c, y, x) += bias[static_cast<std::size_t>(c)];
-}
-
-Tensor4 lrn_across_channels(const Tensor4& input, int window, float alpha,
-                            float beta, float k) {
-  CTB_CHECK(window >= 1);
-  Tensor4 out(input.n(), input.c(), input.h(), input.w());
-  const int half = window / 2;
-  parallel_for(static_cast<long long>(input.n()) * input.c(),
-               [&](long long plane) {
-    const int n = static_cast<int>(plane / input.c());
-    const int c = static_cast<int>(plane % input.c());
-    {
-      const int lo = std::max(0, c - half);
-      const int hi = std::min(input.c() - 1, c + half);
-      for (int y = 0; y < input.h(); ++y) {
-        for (int x = 0; x < input.w(); ++x) {
-          float sum_sq = 0.0f;
-          for (int cc = lo; cc <= hi; ++cc) {
-            const float v = input.at(n, cc, y, x);
-            sum_sq += v * v;
-          }
-          const float scale =
-              std::pow(k + alpha / static_cast<float>(window) * sum_sq,
-                       beta);
-          out.at(n, c, y, x) = input.at(n, c, y, x) / scale;
-        }
-      }
-    }
-  });
-  return out;
-}
-
-std::vector<float> softmax(std::span<const float> logits) {
-  CTB_CHECK(!logits.empty());
-  float max_logit = logits[0];
-  for (float v : logits) max_logit = std::max(max_logit, v);
-  std::vector<float> out(logits.size());
-  float sum = 0.0f;
-  for (std::size_t i = 0; i < logits.size(); ++i) {
-    out[i] = std::exp(logits[i] - max_logit);
-    sum += out[i];
-  }
-  for (float& v : out) v /= sum;
-  return out;
 }
 
 Tensor4 avg_pool(const Tensor4& input, int window, int stride, int pad) {

@@ -9,7 +9,6 @@
 
 #include <span>
 #include <string>
-#include <vector>
 
 #include "dnn/tensor.hpp"
 #include "kernels/functional.hpp"
@@ -68,15 +67,6 @@ void relu_inplace(Tensor4& t);
 
 /// Adds a per-output-channel bias in place.
 void add_bias_inplace(Tensor4& t, std::span<const float> bias);
-
-/// Local response normalization across channels (GoogleNet uses n=5,
-/// alpha=1e-4, beta=0.75, k=1): out = in / (k + alpha/n * sum window)^beta.
-Tensor4 lrn_across_channels(const Tensor4& input, int window = 5,
-                            float alpha = 1e-4f, float beta = 0.75f,
-                            float k = 1.0f);
-
-/// Numerically-stable softmax over a logit vector (classifier head).
-std::vector<float> softmax(std::span<const float> logits);
 
 /// 2D max pooling with square window.
 Tensor4 max_pool(const Tensor4& input, int window, int stride, int pad);

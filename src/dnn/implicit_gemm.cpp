@@ -1,5 +1,6 @@
 #include "dnn/implicit_gemm.hpp"
 
+#include "core/batching_engine.hpp"
 #include "core/tiling_engine.hpp"
 #include "dnn/im2col.hpp"
 #include "util/assert.hpp"
@@ -36,9 +37,9 @@ Tensor4 conv_forward_implicit(const ConvShape& shape, const Tensor4& input,
   const GemmOperands g = implicit_conv_operands(shape, input, filters, out);
   // Use the same strategy the tiling engine would choose for this GEMM
   // alone, so results are comparable with the explicit path.
-  const TilingResult tiling =
-      select_tiling(std::span<const GemmDims>(&d, 1), TilingConfig{});
-  run_single_gemm(*tiling.per_gemm[0], g, 1.0f, 0.0f);
+  const std::span<const GemmDims> dims(&d, 1);
+  const TilingResult tiling = select_tiling(dims, TilingConfig{});
+  execute_plan(uniform_plan(dims, *tiling.per_gemm[0]), {&g, 1}, 1.0f, 0.0f);
   return col2im_output(shape, input.n(), out);
 }
 

@@ -425,48 +425,6 @@ void run_tile(const TilingStrategy& s, const GemmOperands& g,
   return n;
 }
 
-/// The one executor (Fig. 7): runs every block of `plan` over `batch`,
-/// GEMM z under `*strategy[z]` (null for a GEMM the plan never names; the
-/// sweep reads these, not plan.strategy_of_tile). Blocks run concurrently —
-/// the plan covers each C tile once, so no two blocks touch the same tile —
-/// while each block's tile chain stays serial, exactly like persistent
-/// thread blocks on the device.
-///
-/// Split-K: the slices of a split C tile form one carried chain, and
-/// float addition is not associative, so they cannot run apart and be
-/// summed. The tile's slice that starts at 0 runs the whole chain and
-/// stores (validate_plan guarantees each C tile exactly one such slice);
-/// its later slices run nothing. Each C tile thus keeps one owner, one
-/// ascending (k0, p) chain and one store, with no atomics: the bits equal
-/// the unsplit plan's at any thread count.
-void sweep(const BatchPlan& plan, std::span<const GemmOperands> batch,
-           std::span<const TilingStrategy* const> strategy, float alpha,
-           float beta) {
-  CTB_TEL_COUNT("exec.flops", flops_of(batch));
-  CTB_TEL_COUNT("exec.c.passes", batch.size());
-  if (plan.has_split()) {
-    CTB_TEL_COUNT("exec.splitk.tiles", partial_k_tiles(plan, batch, false));
-    CTB_TEL_COUNT("exec.splitk.groups", partial_k_tiles(plan, batch, true));
-  }
-  const CallPacks packs = [&] {
-    CTB_TEL_SPAN("exec.pack");
-    return CallPacks(plan, batch, strategy);
-  }();
-
-  CTB_TEL_SPAN("exec.sweep");
-  parallel_for(plan.num_blocks(), [&](long long b) {
-    const auto [begin, end] = plan.block_tiles(static_cast<int>(b));
-    for (int t = begin; t < end; ++t) {
-      const auto ti = static_cast<std::size_t>(t);
-      // A later slice: its tile's chain runs at the slice starting at 0.
-      if (plan.has_split() && plan.k_begin[ti] != 0) continue;
-      const auto z = static_cast<std::size_t>(plan.gemm_of_tile[ti]);
-      run_tile(*strategy[z], batch[z], packs[z], plan.y_coord[ti],
-               plan.x_coord[ti], alpha, beta);
-    }
-  });
-}
-
 }  // namespace
 
 void execute_tile(const TilingStrategy& s, const GemmOperands& g, int ty,
@@ -478,35 +436,6 @@ void execute_tile(const TilingStrategy& s, const GemmOperands& g, int ty,
                     static_cast<long long>(tx) * s.bx < g.dims.n,
                 "tile (" << ty << "," << tx << ") outside GEMM");
   run_tile(s, g, staged_dispatch(g, call_isa()), ty, tx, alpha, beta);
-}
-
-void run_single_gemm(const TilingStrategy& s, const GemmOperands& g,
-                     float alpha, float beta) {
-  run_vbatch(s, {&g, 1}, alpha, beta);
-}
-
-void run_vbatch(const TilingStrategy& s, std::span<const GemmOperands> batch,
-                float alpha, float beta) {
-  check_geometry(s);
-  audit_operands(batch);
-  // MAGMA vbatch as a plan (paper §6): one uniform strategy and one tile
-  // per block, every tile of every GEMM. The grid's bubble blocks are a
-  // timing artefact that work_vbatch models; they would execute nothing.
-  BatchPlan grid;
-  grid.tile_offsets.push_back(0);
-  for (std::size_t z = 0; z < batch.size(); ++z) {
-    const int ty_count = (batch[z].dims.m + s.by - 1) / s.by;
-    const int tx_count = (batch[z].dims.n + s.bx - 1) / s.bx;
-    for (int ty = 0; ty < ty_count; ++ty)
-      for (int tx = 0; tx < tx_count; ++tx) {
-        grid.gemm_of_tile.push_back(static_cast<int>(z));
-        grid.y_coord.push_back(ty);
-        grid.x_coord.push_back(tx);
-        grid.tile_offsets.push_back(grid.num_tiles());
-      }
-  }
-  const std::vector<const TilingStrategy*> strategy(batch.size(), &s);
-  sweep(grid, batch, strategy, alpha, beta);
 }
 
 namespace {
@@ -608,10 +537,9 @@ void reference_gemm(const GemmOperands& g, float alpha, float beta) {
   }
 }
 
-void run_batched_plan(const BatchPlan& plan,
-                      std::span<const GemmOperands> batch, float alpha,
-                      float beta) {
-  CTB_TEL_SPAN("exec.run_batched_plan");
+void execute_plan(const BatchPlan& plan, std::span<const GemmOperands> batch,
+                  float alpha, float beta) {
+  CTB_TEL_SPAN("exec.execute_plan");
   try {
     CTB_TEL_SPAN("exec.audit");
     audit_plan_operands(plan, batch);
@@ -619,18 +547,23 @@ void run_batched_plan(const BatchPlan& plan,
     // An audit rejection is a postmortem moment: the plan passed validation
     // but its aux arrays do not fit these operands. Leave a flight trail
     // (and persist it when a dump directory is configured) before the
-    // exception unwinds to the caller's fallback.
+    // exception unwinds to the caller.
     CTB_TEL_FLIGHT(kGuardReject, "audit_plan_operands",
                    static_cast<std::int64_t>(batch.size()),
                    plan.num_tiles());
     telemetry::flight_autodump("audit_reject");
     throw;
   }
-  CTB_TEL_FLIGHT(kExec, "run_batched_plan", plan.num_blocks(),
-                 plan.num_tiles());
+  CTB_TEL_FLIGHT(kExec, "execute_plan", plan.num_blocks(), plan.num_tiles());
   CTB_TEL_COUNT("exec.plan_runs", 1);
   CTB_TEL_COUNT("exec.blocks", plan.num_blocks());
   CTB_TEL_COUNT("exec.tiles", plan.num_tiles());
+  CTB_TEL_COUNT("exec.flops", flops_of(batch));
+  CTB_TEL_COUNT("exec.c.passes", batch.size());
+  if (plan.has_split()) {
+    CTB_TEL_COUNT("exec.splitk.tiles", partial_k_tiles(plan, batch, false));
+    CTB_TEL_COUNT("exec.splitk.groups", partial_k_tiles(plan, batch, true));
+  }
 
   // A validated plan tiles each GEMM with one Table-2 strategy (which always
   // passes check_geometry), though strategies vary across GEMMs; GEMMs the
@@ -639,7 +572,34 @@ void run_batched_plan(const BatchPlan& plan,
   for (std::size_t t = 0; t < plan.gemm_of_tile.size(); ++t)
     strategy[static_cast<std::size_t>(plan.gemm_of_tile[t])] =
         &batched_strategy_by_id(plan.strategy_of_tile[t]);
-  sweep(plan, batch, strategy, alpha, beta);
+  const CallPacks packs = [&] {
+    CTB_TEL_SPAN("exec.pack");
+    return CallPacks(plan, batch, strategy);
+  }();
+
+  // Blocks run concurrently — the plan covers each C tile once, so no two
+  // blocks touch the same tile — while each block's tile chain stays
+  // serial, exactly like persistent thread blocks on the device.
+  //
+  // Split-K: the slices of a split C tile form one carried chain, and float
+  // addition is not associative, so they cannot run apart and be summed.
+  // The tile's slice that starts at 0 runs the whole chain and stores
+  // (validate_plan guarantees each C tile exactly one such slice); its later
+  // slices run nothing. Each C tile thus keeps one owner, one ascending
+  // (k0, p) chain and one store, with no atomics: the bits equal the unsplit
+  // plan's at any thread count.
+  CTB_TEL_SPAN("exec.sweep");
+  parallel_for(plan.num_blocks(), [&](long long b) {
+    const auto [begin, end] = plan.block_tiles(static_cast<int>(b));
+    for (int t = begin; t < end; ++t) {
+      const auto ti = static_cast<std::size_t>(t);
+      // A later slice: its tile's chain runs at the slice starting at 0.
+      if (plan.has_split() && plan.k_begin[ti] != 0) continue;
+      const auto z = static_cast<std::size_t>(plan.gemm_of_tile[ti]);
+      run_tile(*strategy[z], batch[z], packs[z], plan.y_coord[ti],
+               plan.x_coord[ti], alpha, beta);
+    }
+  });
 }
 
 GemmOperands operands(const Matrixf& a, const Matrixf& b, Matrixf& c) {

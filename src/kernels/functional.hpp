@@ -1,12 +1,14 @@
 // Functional executors for the simulated device kernels.
 //
 // These run the paper's code skeletons on the CPU, thread block by thread
-// block. There is one executor: the persistent-threads block sweep of
-// Fig. 7 driven by the five auxiliary arrays. The MAGMA vbatch kernel is a
-// plan with one uniform strategy and one tile per block (paper §6), and the
-// single-GEMM kernel of Fig. 2 is vbatch over one GEMM. Double buffering
-// changes only timing, not values, so the functional path uses single
-// buffers; the timing model accounts for the pipeline.
+// block. There is one executor, execute_plan: the persistent-threads block
+// sweep of Fig. 7 driven by the five auxiliary arrays. The MAGMA vbatch
+// kernel and the single-GEMM kernel of Fig. 2 are plans too, with one
+// uniform strategy and one tile per block (paper §6; uniform_plan in
+// core/batching_engine.hpp). execute_tile runs one tile of a caller-built
+// strategy. Double buffering changes only timing, not values, so the
+// functional path uses single buffers; the timing model accounts for the
+// pipeline.
 //
 // Every tile runs one pipeline: the active ISA's one micro-kernel
 // (simd.hpp) accumulates its K chain over its 16x16 micro-tiles into a
@@ -25,9 +27,8 @@
 //
 // Execution is block-parallel on the host: blocks fan out over
 // ctb::parallel_for (OpenMP, serial fallback). This is safe and bit-exact
-// because blocks write disjoint C tiles — complete single coverage is
-// guaranteed by validate_plan, and by construction for the vbatch grid —
-// while each block's tile chain and per-element FMA order stay serial. A
+// because blocks write disjoint C tiles — validate_plan guarantees complete
+// single coverage — while each block's tile chain and per-element FMA order stay serial. A
 // split-K tile runs its slices as one chain at the slice that starts at 0
 // and skips the others, so it too has one owner and one store.
 // set_parallel_threads(1) forces the serial path; parallel_exec_test
@@ -132,18 +133,6 @@ inline constexpr std::size_t kStreamStoreBytes = std::size_t{1} << 20;
 void execute_tile(const TilingStrategy& strategy, const GemmOperands& g,
                   int ty, int tx, float alpha, float beta);
 
-/// Fig. 2: classic one-tile-per-block single GEMM — run_vbatch over one
-/// GEMM.
-void run_single_gemm(const TilingStrategy& strategy, const GemmOperands& g,
-                     float alpha, float beta);
-
-/// MAGMA vbatch: one uniform strategy, one tile per block, every tile of
-/// every GEMM. The device grid's bubble blocks (sized by the largest GEMM)
-/// are modelled by work_vbatch and execute nothing here. Audits the
-/// operands and the strategy geometry first.
-void run_vbatch(const TilingStrategy& strategy,
-                std::span<const GemmOperands> batch, float alpha, float beta);
-
 /// Audits the operand array alone: every GEMM has valid dims and A, B and C
 /// pointers; an active lowering has a geometry ConvLowering::valid accepts,
 /// kN B, a kernel^2 that divides K and an out_h * out_w that divides N;
@@ -160,8 +149,8 @@ void audit_operands(std::span<const GemmOperands> batch);
 void audit_plan_operands(const BatchPlan& plan,
                          std::span<const GemmOperands> batch);
 
-/// Reference execution of one GEMM — the graceful-degradation path and the
-/// oracle for the fused epilogue. A naive triple loop over the staged
+/// Reference execution of one GEMM — the executor's oracle, fused epilogue
+/// included. A naive triple loop over the staged
 /// operand values (staged_a_value / staged_b_value: transpose, lowering and
 /// fp16 rounding resolved per element) with the same ascending-k
 /// accumulation and alpha/beta epilogue as gemm_naive / gemm_naive_fp16, so
@@ -171,13 +160,14 @@ void audit_plan_operands(const BatchPlan& plan,
 /// reference too.
 void reference_gemm(const GemmOperands& g, float alpha, float beta);
 
-/// Fig. 7: persistent-threads batched kernel driven by the plan's aux
-/// arrays. `batch` is indexed by the plan's GEMM ids. Runs
-/// audit_plan_operands first, so a corrupt plan or operand array throws
-/// before any memory access.
-void run_batched_plan(const BatchPlan& plan,
-                      std::span<const GemmOperands> batch, float alpha,
-                      float beta);
+/// The one executor (Fig. 7): computes C = alpha * op(A) * op(B) + beta * C
+/// for every GEMM of `batch` (indexed by the plan's GEMM ids), block by
+/// block, each GEMM under the Table-2 strategy its tiles name in
+/// plan.strategy_of_tile. Runs audit_plan_operands first, so a corrupt plan
+/// or operand array throws CheckError before any matrix element is read or
+/// written.
+void execute_plan(const BatchPlan& plan, std::span<const GemmOperands> batch,
+                  float alpha, float beta);
 
 /// Convenience: wraps host matrices as device operands (they share storage
 /// in the simulator). Shapes are validated.

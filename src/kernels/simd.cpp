@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -33,10 +34,17 @@ SimdIsa clamp_to_detected(SimdIsa isa) {
   return static_cast<int>(isa) > static_cast<int>(det) ? det : isa;
 }
 
+/// CTB_SIMD_ISA clamped to the detected ISA; unset or empty keeps the
+/// detected one, and so does a value that names no ISA, with one warning
+/// (a typo must not quietly run the scalar kernel).
 SimdIsa initial_active_isa() {
   const char* env = std::getenv("CTB_SIMD_ISA");
-  if (env != nullptr && *env != '\0')
-    return clamp_to_detected(parse_simd_isa(env));
+  if (env == nullptr || *env == '\0') return detected_simd_isa();
+  if (SimdIsa isa{}; parse_simd_isa(env, isa)) return clamp_to_detected(isa);
+  std::fprintf(stderr,
+               "warning: CTB_SIMD_ISA='%s' is not scalar, neon, avx2 or "
+               "avx512; running the detected %s\n",
+               env, simd_isa_name(detected_simd_isa()));
   return detected_simd_isa();
 }
 
@@ -74,12 +82,15 @@ const char* simd_isa_name(SimdIsa isa) {
   return "scalar";
 }
 
-SimdIsa parse_simd_isa(const char* name) {
-  if (name == nullptr) return SimdIsa::kScalar;
-  if (std::strcmp(name, "neon") == 0) return SimdIsa::kNeon;
-  if (std::strcmp(name, "avx2") == 0) return SimdIsa::kAvx2;
-  if (std::strcmp(name, "avx512") == 0) return SimdIsa::kAvx512;
-  return SimdIsa::kScalar;
+bool parse_simd_isa(const char* name, SimdIsa& isa) {
+  if (name == nullptr) return false;
+  for (const SimdIsa known : {SimdIsa::kScalar, SimdIsa::kNeon,
+                              SimdIsa::kAvx2, SimdIsa::kAvx512})
+    if (std::strcmp(name, simd_isa_name(known)) == 0) {
+      isa = known;
+      return true;
+    }
+  return false;
 }
 
 namespace {

@@ -127,9 +127,11 @@ void set_simd_isa(SimdIsa isa);
 /// headers, and perf-report fields.
 const char* simd_isa_name(SimdIsa isa);
 
-/// Parses a simd_isa_name string (as in CTB_SIMD_ISA); returns kScalar for
-/// anything unrecognized.
-SimdIsa parse_simd_isa(const char* name);
+/// Parses a simd_isa_name string (as in CTB_SIMD_ISA): for exactly
+/// "scalar", "neon", "avx2" or "avx512" sets `isa` and returns true; for
+/// anything else (another case or spelling, empty, null) returns false and
+/// leaves `isa` alone.
+bool parse_simd_isa(const char* name, SimdIsa& isa);
 
 /// The `isa` micro-kernel: the plain C++ kernel for kScalar, the vector
 /// kernel for a vector ISA, or nullptr when that ISA is unavailable on this

@@ -80,7 +80,6 @@ const std::vector<std::string>& deterministic_counter_names() {
       "exec.dispatch.specialized",
       "exec.epilogue.fused",
       "exec.epilogue.ops",
-      "exec.fallback",
       "exec.flops",
       "exec.pack.bytes",
       "exec.pack.panels",

@@ -75,7 +75,10 @@ namespace ctb::perfreport {
 /// v13: removed the report-level flag that said whether the producing build
 /// compiled telemetry in, along with the build that compiled it out; every
 /// report carries counters, and compare_reports always gates them.
-inline constexpr int kSchemaVersion = 13;
+/// v14: removed the reference-GEMM fallback's counter from the gated
+/// allowlist along with the entry point that counted it (it read 0 on
+/// every workload).
+inline constexpr int kSchemaVersion = 14;
 
 /// Wall-clock statistics over one workload's k repeats. Median-of-k with
 /// interquartile range: the median resists the reference container's timing

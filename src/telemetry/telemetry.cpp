@@ -42,7 +42,6 @@ constexpr const char* kCoreCounters[] = {
     "exec.blocks",
     "exec.tiles",
     "exec.flops",
-    "exec.fallback",
     "exec.epilogue.fused",
     "exec.epilogue.ops",
     "exec.store.streamed",

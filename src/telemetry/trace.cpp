@@ -30,8 +30,6 @@ const char* to_string(FlightKind kind) {
       return "quarantine.release";
     case FlightKind::kGuardReject:
       return "guard.reject";
-    case FlightKind::kFallback:
-      return "fallback";
     case FlightKind::kExec:
       return "exec";
     case FlightKind::kUpgrade:

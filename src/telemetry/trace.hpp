@@ -51,7 +51,6 @@ enum class FlightKind : std::int32_t {
   kQuarantine,          ///< signature quarantined; a0 = failure count
   kQuarantineRelease,   ///< quarantine lifted
   kGuardReject,         ///< validate/audit rejected a plan; detail = which
-  kFallback,            ///< reference-GEMM fallback activated
   kExec,                ///< executor ran a plan; a0=blocks a1=tiles
   kUpgrade,             ///< degraded entry replaced by a full plan
   kSpan,                ///< a stage closed; detail = name, a0 = ns, t_us = end

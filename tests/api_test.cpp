@@ -305,5 +305,18 @@ TEST(PolicyNames, AllDistinct) {
   EXPECT_EQ(names.size(), 5u);
 }
 
+// When auto-offline keeps its uniform candidate, the plan is exactly the
+// vbatch grid uniform_plan builds (inception 3b's stage-1 dispatch is one
+// such batch).
+TEST(AutoOffline, UniformWinnerIsUniformPlan) {
+  std::vector<GemmDims> dims;
+  for (const ConvShape* s : googlenet_inception_modules().at(1).stage1())
+    dims.push_back(s->gemm_dims(1));
+  const PlanSummary summary = BatchedGemmPlanner{}.plan(dims);
+  const TilingStrategy& u = magma_uniform_strategy(dims);
+  ASSERT_EQ(summary.tiling.per_gemm.front(), &u) << "uniform did not win";
+  EXPECT_TRUE(summary.plan == uniform_plan(dims, u));
+}
+
 }  // namespace
 }  // namespace ctb

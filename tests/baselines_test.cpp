@@ -9,40 +9,6 @@ namespace {
 
 const GpuArch& v100() { return gpu_arch(GpuModel::kV100); }
 
-Matrixf rand_mat(int r, int c, Rng& rng) {
-  Matrixf m(static_cast<std::size_t>(r), static_cast<std::size_t>(c));
-  fill_random(m, rng);
-  return m;
-}
-
-struct HostBatch {
-  std::vector<Matrixf> a, b, c, ref;
-  std::vector<GemmOperands> ops;
-  std::vector<GemmDims> dims;
-};
-
-HostBatch make_batch(const std::vector<GemmDims>& dims, std::uint64_t seed) {
-  HostBatch hb;
-  hb.dims = dims;
-  Rng rng(seed);
-  for (const auto& d : dims) {
-    hb.a.push_back(rand_mat(d.m, d.k, rng));
-    hb.b.push_back(rand_mat(d.k, d.n, rng));
-    hb.c.push_back(rand_mat(d.m, d.n, rng));
-    hb.ref.push_back(hb.c.back());
-  }
-  for (std::size_t i = 0; i < dims.size(); ++i)
-    hb.ops.push_back(operands(hb.a[i], hb.b[i], hb.c[i]));
-  return hb;
-}
-
-void check_against_reference(HostBatch& hb, float alpha, float beta) {
-  for (std::size_t i = 0; i < hb.dims.size(); ++i) {
-    gemm_naive(hb.a[i], hb.b[i], hb.ref[i], alpha, beta);
-    EXPECT_TRUE(allclose(hb.c[i], hb.ref[i])) << "gemm " << i;
-  }
-}
-
 // --------------------------------------------------- single-GEMM heuristic --
 
 TEST(SingleGemmHeuristic, HugeMatrixGetsHugeTile) {
@@ -69,12 +35,6 @@ TEST(SingleGemmHeuristic, MidMatrixBalances) {
 }
 
 // ----------------------------------------------------------------- default --
-
-TEST(DefaultBaseline, FunctionalCorrectness) {
-  HostBatch hb = make_batch({{16, 32, 128}, {64, 48, 64}, {64, 64, 128}}, 1);
-  run_default_functional(v100(), hb.ops, 2.0f, 0.5f);
-  check_against_reference(hb, 2.0f, 0.5f);
-}
 
 TEST(DefaultBaseline, TimeIncludesPerKernelLaunch) {
   const std::vector<GemmDims> dims(10, GemmDims{16, 16, 16});
@@ -120,96 +80,10 @@ TEST(SameSizeBatched, RejectsMixedSizes) {
   EXPECT_THROW(run_samesize_batched_timed(v100(), dims), CheckError);
 }
 
-TEST(SameSizeBatched, FunctionalCorrectness) {
-  HostBatch hb = make_batch(std::vector<GemmDims>(6, GemmDims{48, 40, 56}), 2);
-  run_samesize_batched_functional(v100(), hb.ops, 1.0f, 0.0f);
-  check_against_reference(hb, 1.0f, 0.0f);
-}
-
 TEST(SameSizeBatched, BeatsDefaultForManySmallGemms) {
   const std::vector<GemmDims> dims(64, GemmDims{32, 32, 64});
   EXPECT_LT(run_samesize_batched_timed(v100(), dims).time_us,
             run_default_timed(v100(), dims).time_us);
-}
-
-// --------------------------------------------------------- strided batched --
-
-TEST(StridedBatched, FunctionalCorrectness) {
-  const GemmDims d{24, 20, 16};
-  const int batch = 5;
-  Rng rng(10);
-  const std::int64_t sa = 1LL * d.m * d.k;
-  const std::int64_t sb = 1LL * d.k * d.n;
-  const std::int64_t sc = 1LL * d.m * d.n;
-  std::vector<float> a(static_cast<std::size_t>(sa * batch));
-  std::vector<float> b(static_cast<std::size_t>(sb * batch));
-  std::vector<float> c(static_cast<std::size_t>(sc * batch), 0.0f);
-  for (float& x : a) x = rng.uniform_float(-1, 1);
-  for (float& x : b) x = rng.uniform_float(-1, 1);
-  run_strided_batched_functional(v100(), a.data(), b.data(), c.data(), d,
-                                 sa, sb, sc, batch, 1.0f, 0.0f);
-  for (int i = 0; i < batch; ++i) {
-    Matrixf ma(static_cast<std::size_t>(d.m), static_cast<std::size_t>(d.k));
-    Matrixf mb(static_cast<std::size_t>(d.k), static_cast<std::size_t>(d.n));
-    Matrixf ref(static_cast<std::size_t>(d.m),
-                static_cast<std::size_t>(d.n));
-    std::copy_n(a.data() + i * sa, sa, ma.data());
-    std::copy_n(b.data() + i * sb, sb, mb.data());
-    gemm_naive(ma, mb, ref, 1.0f, 0.0f);
-    for (int e = 0; e < sc; ++e)
-      ASSERT_NEAR(c[static_cast<std::size_t>(i * sc + e)],
-                  ref.data()[e], 1e-3f)
-          << "gemm " << i;
-  }
-}
-
-TEST(StridedBatched, ZeroStrideBroadcastsOperand) {
-  // stride_a == 0 reuses one A for every GEMM (the cuBLAS convention).
-  const GemmDims d{8, 8, 8};
-  Rng rng(11);
-  Matrixf a(8, 8);
-  fill_random(a, rng);
-  const std::int64_t sb = 64, sc = 64;
-  std::vector<float> b(128), c(128, 0.0f);
-  for (float& x : b) x = rng.uniform_float(-1, 1);
-  run_strided_batched_functional(v100(), a.data(), b.data(), c.data(), d, 0,
-                                 sb, sc, 2, 1.0f, 0.0f);
-  // Both outputs used the same A.
-  Matrixf mb0(8, 8), mb1(8, 8), r0(8, 8), r1(8, 8);
-  std::copy_n(b.data(), 64, mb0.data());
-  std::copy_n(b.data() + 64, 64, mb1.data());
-  gemm_naive(a, mb0, r0, 1.0f, 0.0f);
-  gemm_naive(a, mb1, r1, 1.0f, 0.0f);
-  for (int e = 0; e < 64; ++e) {
-    ASSERT_NEAR(c[static_cast<std::size_t>(e)], r0.data()[e], 1e-3f);
-    ASSERT_NEAR(c[static_cast<std::size_t>(64 + e)], r1.data()[e], 1e-3f);
-  }
-}
-
-TEST(StridedBatched, AliasingCStrideThrows) {
-  const GemmDims d{8, 8, 8};
-  std::vector<float> a(64), b(64), c(64);
-  EXPECT_THROW(run_strided_batched_functional(v100(), a.data(), b.data(),
-                                              c.data(), d, 64, 64, 32, 2,
-                                              1.0f, 0.0f),
-               CheckError);
-}
-
-TEST(StridedBatched, TimedMatchesSameSize) {
-  const GemmDims d{32, 32, 64};
-  EXPECT_DOUBLE_EQ(
-      run_strided_batched_timed(v100(), d, 8).time_us,
-      run_samesize_batched_timed(v100(), std::vector<GemmDims>(8, d))
-          .time_us);
-}
-
-// ------------------------------------------------------------------- magma --
-
-TEST(MagmaBaseline, FunctionalCorrectnessMixedSizes) {
-  HostBatch hb =
-      make_batch({{16, 32, 128}, {64, 48, 64}, {64, 64, 128}, {8, 8, 8}}, 3);
-  run_magma_functional(v100(), hb.ops, 1.5f, -0.5f);
-  check_against_reference(hb, 1.5f, -0.5f);
 }
 
 TEST(MagmaBaseline, SingleKernelLaunchOverheadOnly) {

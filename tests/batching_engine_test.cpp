@@ -4,6 +4,7 @@
 
 #include "core/batching_engine.hpp"
 #include "core/tiling_engine.hpp"
+#include "kernels/functional.hpp"
 #include "util/assert.hpp"
 
 namespace ctb {
@@ -306,6 +307,58 @@ TEST(BatchPlan, PaperFigure6Layout) {
   const auto [b2begin, b2end] = plan.block_tiles(2);
   EXPECT_EQ(b2end - b2begin, 2);
   EXPECT_EQ(plan.gemm_of_tile[static_cast<std::size_t>(b2begin)], 1);
+}
+
+// uniform_plan is the vbatch grid: for every Table-2 strategy over a ragged
+// batch it passes validate_plan, puts one tile per block in enumerate_tiles
+// order, and executes bit for bit like reference_gemm.
+TEST(UniformPlan, OneTilePerBlockInEnumerationOrderAndBitExact) {
+  const std::vector<GemmDims> dims = {
+      {40, 72, 24}, {128, 16, 9}, {5, 130, 33}, {96, 96, 8}, {17, 23, 64}};
+  for (const TilingStrategy& s : batched_strategies()) {
+    SCOPED_TRACE(s.name());
+    const BatchPlan plan = uniform_plan(dims, s);
+    EXPECT_NO_THROW(validate_plan(plan, dims));
+    EXPECT_EQ(plan.block_threads, s.threads);
+    const std::vector<const TilingStrategy*> strategies(dims.size(), &s);
+    const std::vector<Tile> tiles = enumerate_tiles(dims, strategies);
+    ASSERT_EQ(plan.num_tiles(), static_cast<int>(tiles.size()));
+    ASSERT_EQ(plan.num_blocks(), plan.num_tiles());
+    for (int t = 0; t < plan.num_tiles(); ++t) {
+      const auto ti = static_cast<std::size_t>(t);
+      EXPECT_EQ(plan.block_tiles(t), std::make_pair(t, t + 1));
+      EXPECT_EQ(plan.gemm_of_tile[ti], tiles[ti].gemm);
+      EXPECT_EQ(plan.y_coord[ti], tiles[ti].ty);
+      EXPECT_EQ(plan.x_coord[ti], tiles[ti].tx);
+      EXPECT_EQ(plan.strategy_of_tile[ti], s.id);
+    }
+
+    Rng rng(static_cast<std::uint64_t>(s.id) + 7);
+    std::vector<Matrixf> a, b, c, want;
+    for (const GemmDims& d : dims) {
+      a.emplace_back(static_cast<std::size_t>(d.m), static_cast<std::size_t>(d.k));
+      b.emplace_back(static_cast<std::size_t>(d.k), static_cast<std::size_t>(d.n));
+      c.emplace_back(static_cast<std::size_t>(d.m), static_cast<std::size_t>(d.n));
+      fill_random(a.back(), rng);
+      fill_random(b.back(), rng);
+      fill_random(c.back(), rng);
+      want.push_back(c.back());
+    }
+    std::vector<GemmOperands> ops;
+    for (std::size_t i = 0; i < dims.size(); ++i) {
+      ops.push_back(operands(a[i], b[i], c[i]));
+      reference_gemm(operands(a[i], b[i], want[i]), 1.25f, 0.5f);
+    }
+    execute_plan(plan, ops, 1.25f, 0.5f);
+    for (std::size_t i = 0; i < dims.size(); ++i)
+      EXPECT_TRUE(c[i] == want[i]) << "gemm " << i;
+  }
+}
+
+TEST(UniformPlan, RejectsTable1Strategies) {
+  const std::vector<GemmDims> dims = {{32, 32, 32}};
+  for (const TilingStrategy& s : single_gemm_strategies())
+    EXPECT_THROW(uniform_plan(dims, s), CheckError) << s.name();
 }
 
 }  // namespace

@@ -466,40 +466,6 @@ TEST(AddBias, SizeMismatchThrows) {
   EXPECT_THROW(add_bias_inplace(t, bias), CheckError);
 }
 
-TEST(Lrn, IdentityWhenInputZero) {
-  Tensor4 t(1, 4, 2, 2);
-  const Tensor4 out = lrn_across_channels(t);
-  for (float v : out.flat()) EXPECT_EQ(v, 0.0f);
-}
-
-TEST(Lrn, NormalizesLargeActivations) {
-  Tensor4 t(1, 5, 1, 1);
-  for (int c = 0; c < 5; ++c) t.at(0, c, 0, 0) = 100.0f;
-  const Tensor4 out = lrn_across_channels(t, 5, 1e-4f, 0.75f, 1.0f);
-  // scale = (1 + 1e-4/5 * 5*1e4)^0.75 = 2^0.75 ~ 1.68: output < input.
-  EXPECT_LT(out.at(0, 2, 0, 0), 100.0f);
-  EXPECT_GT(out.at(0, 2, 0, 0), 0.0f);
-  // Edge channels see fewer neighbours, so they are damped less.
-  EXPECT_GT(out.at(0, 0, 0, 0), out.at(0, 2, 0, 0));
-}
-
-TEST(Softmax, SumsToOneAndOrdersPreserved) {
-  const std::vector<float> logits = {1.0f, 3.0f, 2.0f};
-  const auto p = softmax(logits);
-  float sum = 0;
-  for (float v : p) sum += v;
-  EXPECT_NEAR(sum, 1.0f, 1e-6f);
-  EXPECT_GT(p[1], p[2]);
-  EXPECT_GT(p[2], p[0]);
-}
-
-TEST(Softmax, StableForHugeLogits) {
-  const std::vector<float> logits = {1000.0f, 1000.0f};
-  const auto p = softmax(logits);
-  EXPECT_NEAR(p[0], 0.5f, 1e-6f);
-  EXPECT_FALSE(std::isnan(p[0]));
-}
-
 TEST(ConcatChannels, StacksInOrder) {
   Tensor4 a(1, 1, 2, 2), b(1, 2, 2, 2);
   a.flat()[0] = 1.0f;

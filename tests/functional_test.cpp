@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -14,9 +16,35 @@
 #include "kernels/simd.hpp"
 #include "linalg/gemm_ref.hpp"
 #include "telemetry/telemetry.hpp"
+#include "core/batching_engine.hpp"
 
 namespace ctb {
 namespace {
+
+/// Runs `batch` through the one executor as the uniform grid (one tile per
+/// block) of the Table-2 strategy `s` names by id, or of the one with the
+/// same BY x BX when `s` is a Table-1 strategy (on the host only the tile
+/// shape matters), carrying the operands' epilogues in the plan.
+void run_uniform(const TilingStrategy& s, std::span<const GemmOperands> batch,
+                 float alpha, float beta) {
+  std::vector<GemmDims> dims;
+  std::vector<int> epilogues;
+  for (const GemmOperands& g : batch) {
+    dims.push_back(g.dims);
+    epilogues.push_back(g.epilogue);
+  }
+  BatchPlan plan =
+      uniform_plan(dims, s.id >= 0 ? batched_strategy_by_id(s.id)
+                                   : batched_strategy(s.shape,
+                                                      ThreadVariant::k256));
+  plan.epilogue_of_gemm = epilogues;
+  execute_plan(plan, batch, alpha, beta);
+}
+
+void run_uniform(const TilingStrategy& s, const GemmOperands& g, float alpha,
+                 float beta) {
+  run_uniform(s, {&g, 1}, alpha, beta);
+}
 
 struct Case {
   int m, n, k;
@@ -41,7 +69,7 @@ void expect_matches_reference(const TilingStrategy& s, const Case& tc,
 
   Matrixf c_dev = c_init;
   const GemmOperands g = operands(a, b, c_dev);
-  run_single_gemm(s, g, tc.alpha, tc.beta);
+  run_uniform(s, g, tc.alpha, tc.beta);
   EXPECT_TRUE(allclose(c_dev, c_ref))
       << s.name() << " m=" << tc.m << " n=" << tc.n << " k=" << tc.k
       << " max_diff=" << max_abs_diff(c_dev, c_ref);
@@ -105,7 +133,7 @@ TEST(Functional, BetaZeroOverwritesNaN) {
   Matrixf c(16, 16);
   c.fill(std::numeric_limits<float>::quiet_NaN());
   const GemmOperands g = operands(a, b, c);
-  run_single_gemm(s, g, 1.0f, 0.0f);
+  run_uniform(s, g, 1.0f, 0.0f);
   for (float v : c.flat()) EXPECT_FALSE(std::isnan(v));
 }
 
@@ -139,8 +167,9 @@ TEST(Functional, ExecuteTileNegativeCoordinatesThrow) {
 
 // A caller-built strategy must stay inside the geometry of Tables 1 and 2
 // (BY, BX multiples of 16 up to 128, BK <= 8, sub_x <= 8) with sub-tiles
-// covering its tile; anything else is rejected by every entry point before
-// C is touched. A 24x24 tile with 3x3 sub-tiles fits every limit but is not
+// covering its tile; anything else is rejected before C is touched.
+// execute_tile is the one entry point that takes a caller-built strategy
+// (a plan names Table-2 strategies by id). A 24x24 tile with 3x3 sub-tiles fits every limit but is not
 // a whole grid of 16x16 micro-tiles.
 TEST(Functional, OversizedStrategyGeometryThrows) {
   TilingStrategy tall = batched_strategy(TileShape::kHuge, ThreadVariant::k256);
@@ -167,8 +196,6 @@ TEST(Functional, OversizedStrategyGeometryThrows) {
   for (const TilingStrategy& s : {tall, deep, wide_sub, uncovered, off_grid}) {
     Matrixf c = c_init;
     const GemmOperands g = operands(a, b, c);
-    EXPECT_THROW(run_single_gemm(s, g, 1.0f, 0.0f), CheckError) << s.name();
-    EXPECT_THROW(run_vbatch(s, {&g, 1}, 1.0f, 0.0f), CheckError) << s.name();
     EXPECT_THROW(execute_tile(s, g, 0, 0, 1.0f, 0.0f), CheckError)
         << s.name();
     for (std::size_t i = 0; i < c.flat().size(); ++i)
@@ -176,7 +203,7 @@ TEST(Functional, OversizedStrategyGeometryThrows) {
   }
 }
 
-// Both grid entry points audit their operands like run_batched_plan: a bias
+// Uniform grids audit their operands like every plan: a bias
 // epilogue shorter than M, or a missing A, throws before any tile runs.
 TEST(Functional, GridEntryPointsAuditOperands) {
   const auto& s = single_gemm_strategy(TileShape::kSmall);
@@ -193,8 +220,8 @@ TEST(Functional, GridEntryPointsAuditOperands) {
   GemmOperands null_a = operands(a, b, c);
   null_a.a = nullptr;
   for (const GemmOperands& g : {short_bias, null_a}) {
-    EXPECT_THROW(run_single_gemm(s, g, 1.0f, 0.0f), CheckError);
-    EXPECT_THROW(run_vbatch(s, {&g, 1}, 1.0f, 0.0f), CheckError);
+    EXPECT_THROW(run_uniform(s, g, 1.0f, 0.0f), CheckError);
+    EXPECT_THROW(run_uniform(s, {&g, 1}, 1.0f, 0.0f), CheckError);
   }
   for (std::size_t i = 0; i < c.flat().size(); ++i)
     ASSERT_EQ(c.flat()[i], c_init.flat()[i]) << "C written at " << i;
@@ -246,14 +273,14 @@ TEST(Functional, ConvLoweringAuditedBeforeMemoryAccess) {
   fault("transposed", [](GemmOperands& g) { g.op_b = Op::kT; });
   for (const auto& [what, g] : faults) {
     EXPECT_THROW(audit_operands({&g, 1}), CheckError) << what;
-    EXPECT_THROW(run_single_gemm(s, g, 1.0f, 0.0f), CheckError) << what;
-    EXPECT_THROW(run_vbatch(s, {&g, 1}, 1.0f, 0.0f), CheckError) << what;
+    EXPECT_THROW(run_uniform(s, g, 1.0f, 0.0f), CheckError) << what;
+    EXPECT_THROW(run_uniform(s, {&g, 1}, 1.0f, 0.0f), CheckError) << what;
     EXPECT_THROW(execute_tile(s, g, 0, 0, 1.0f, 0.0f), CheckError) << what;
     EXPECT_THROW(reference_gemm(g, 1.0f, 0.0f), CheckError) << what;
     for (std::size_t i = 0; i < c.flat().size(); ++i)
       ASSERT_EQ(c.flat()[i], c_init.flat()[i]) << what << " wrote C";
   }
-  run_single_gemm(s, good, 1.0f, 0.0f);
+  run_uniform(s, good, 1.0f, 0.0f);
   for (std::size_t i = 0; i < c.flat().size(); ++i)
     ASSERT_EQ(c.flat()[i], want.flat()[i]) << "the healthy lowering at " << i;
 }
@@ -280,7 +307,7 @@ TEST(Vbatch, MixedSizesMatchReference) {
   std::vector<GemmOperands> ops;
   for (std::size_t i = 0; i < dims.size(); ++i)
     ops.push_back(operands(as[i], bs[i], cs[i]));
-  run_vbatch(s, ops, 1.25f, 0.5f);
+  run_uniform(s, ops, 1.25f, 0.5f);
   for (std::size_t i = 0; i < dims.size(); ++i) {
     gemm_naive(as[i], bs[i], refs[i], 1.25f, 0.5f);
     EXPECT_TRUE(allclose(cs[i], refs[i])) << "gemm " << i;
@@ -303,7 +330,7 @@ TEST(Vbatch, UniformLargeTileOnSmallGemms) {
   std::vector<GemmOperands> ops;
   for (std::size_t i = 0; i < dims.size(); ++i)
     ops.push_back(operands(as[i], bs[i], cs[i]));
-  run_vbatch(s, ops, 1.0f, 0.0f);
+  run_uniform(s, ops, 1.0f, 0.0f);
   for (std::size_t i = 0; i < dims.size(); ++i) {
     gemm_naive(as[i], bs[i], refs[i], 1.0f, 0.0f);
     EXPECT_TRUE(allclose(cs[i], refs[i])) << "gemm " << i;
@@ -323,7 +350,7 @@ TEST(RunBatchedPlan, ForeignGemmIndexThrows) {
   Rng rng(1300);
   Matrixf a = rand_mat(16, 8, rng), b = rand_mat(8, 16, rng), c(16, 16);
   std::vector<GemmOperands> ops = {operands(a, b, c)};
-  EXPECT_THROW(run_batched_plan(plan, ops, 1.0f, 0.0f), CheckError);
+  EXPECT_THROW(execute_plan(plan, ops, 1.0f, 0.0f), CheckError);
 }
 
 // ---------------------------------------------------- streamed stores --
@@ -409,7 +436,7 @@ class StreamCase {
     reference_gemm(r, alpha_, beta_);
   }
 
-  /// Runs the GEMM under `isa` through run_single_gemm, expects C and the
+  /// Runs the GEMM under `isa` through its uniform plan, expects C and the
   /// canary to equal the reference bit for bit, and returns
   /// exec.store.streamed.
   long long run(SimdIsa isa, const std::string& what) {
@@ -419,7 +446,7 @@ class StreamCase {
     g.c = c_.data() + offset_;
     ScopedSimdIsa scoped(isa);
     const long long streamed =
-        streamed_tiles_of([&] { run_single_gemm(s, g, alpha_, beta_); });
+        streamed_tiles_of([&] { run_uniform(s, g, alpha_, beta_); });
     EXPECT_EQ(std::memcmp(c_.data() + offset_, ref_.data() + offset_,
                           cells_ * sizeof(float)),
               0)
@@ -429,7 +456,7 @@ class StreamCase {
     return streamed;
   }
 
-  /// Tiles run_single_gemm runs.
+  /// Tiles the uniform plan runs.
   long long tiles() const {
     const auto& s = batched_strategy(TileShape::kLarge, ThreadVariant::k256);
     return static_cast<long long>((g_.dims.m + s.by - 1) / s.by) *

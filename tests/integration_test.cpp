@@ -3,14 +3,43 @@
 // correctness against the host reference, and cross-executor agreement.
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "baselines/baselines.hpp"
 #include "core/api.hpp"
 #include "core/rf_policy.hpp"
 #include "kernels/work_builder.hpp"
 #include "linalg/gemm_ref.hpp"
+#include "core/batching_engine.hpp"
 
 namespace ctb {
 namespace {
+
+/// Runs `batch` through the one executor as the uniform grid (one tile per
+/// block) of the Table-2 strategy `s` names by id, or of the one with the
+/// same BY x BX when `s` is a Table-1 strategy (on the host only the tile
+/// shape matters), carrying the operands' epilogues in the plan.
+void run_uniform(const TilingStrategy& s, std::span<const GemmOperands> batch,
+                 float alpha, float beta) {
+  std::vector<GemmDims> dims;
+  std::vector<int> epilogues;
+  for (const GemmOperands& g : batch) {
+    dims.push_back(g.dims);
+    epilogues.push_back(g.epilogue);
+  }
+  BatchPlan plan =
+      uniform_plan(dims, s.id >= 0 ? batched_strategy_by_id(s.id)
+                                   : batched_strategy(s.shape,
+                                                      ThreadVariant::k256));
+  plan.epilogue_of_gemm = epilogues;
+  execute_plan(plan, batch, alpha, beta);
+}
+
+void run_uniform(const TilingStrategy& s, const GemmOperands& g, float alpha,
+                 float beta) {
+  run_uniform(s, {&g, 1}, alpha, beta);
+}
 
 Matrixf rand_mat(int r, int c, Rng& rng) {
   Matrixf m(static_cast<std::size_t>(r), static_cast<std::size_t>(c));
@@ -185,12 +214,12 @@ TEST(Integration, AllExecutorsAgreeBitExactly) {
   Matrixf c1 = c0;
   {
     const GemmOperands g = operands(a, b, c1);
-    run_single_gemm(s, g, 1.0f, 0.5f);
+    run_uniform(s, g, 1.0f, 0.5f);
   }
   Matrixf c2 = c0;
   {
     std::vector<GemmOperands> ops = {operands(a, b, c2)};
-    run_vbatch(s, ops, 1.0f, 0.5f);
+    run_uniform(s, ops, 1.0f, 0.5f);
   }
   Matrixf c3 = c0;
   {
@@ -198,7 +227,7 @@ TEST(Integration, AllExecutorsAgreeBitExactly) {
     const auto tiles = enumerate_tiles(dims, strategies);
     const BatchPlan plan = batch_binary(tiles, 256, BatchingConfig{});
     std::vector<GemmOperands> ops = {operands(a, b, c3)};
-    run_batched_plan(plan, ops, 1.0f, 0.5f);
+    execute_plan(plan, ops, 1.0f, 0.5f);
   }
   EXPECT_EQ(max_abs_diff(c1, c2), 0.0f);
   EXPECT_EQ(max_abs_diff(c1, c3), 0.0f);

@@ -10,6 +10,8 @@
 // calls reuse, or run concurrently on, per-thread pack arenas.
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -25,9 +27,35 @@
 #include "kernels/simd.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/parallel.hpp"
+#include "core/batching_engine.hpp"
 
 namespace ctb {
 namespace {
+
+/// Runs `batch` through the one executor as the uniform grid (one tile per
+/// block) of the Table-2 strategy `s` names by id, or of the one with the
+/// same BY x BX when `s` is a Table-1 strategy (on the host only the tile
+/// shape matters), carrying the operands' epilogues in the plan.
+void run_uniform(const TilingStrategy& s, std::span<const GemmOperands> batch,
+                 float alpha, float beta) {
+  std::vector<GemmDims> dims;
+  std::vector<int> epilogues;
+  for (const GemmOperands& g : batch) {
+    dims.push_back(g.dims);
+    epilogues.push_back(g.epilogue);
+  }
+  BatchPlan plan =
+      uniform_plan(dims, s.id >= 0 ? batched_strategy_by_id(s.id)
+                                   : batched_strategy(s.shape,
+                                                      ThreadVariant::k256));
+  plan.epilogue_of_gemm = epilogues;
+  execute_plan(plan, batch, alpha, beta);
+}
+
+void run_uniform(const TilingStrategy& s, const GemmOperands& g, float alpha,
+                 float beta) {
+  run_uniform(s, {&g, 1}, alpha, beta);
+}
 
 Matrixf rand_mat(int r, int c, Rng& rng) {
   Matrixf m(static_cast<std::size_t>(r), static_cast<std::size_t>(c));
@@ -141,7 +169,7 @@ void execute_every_tile(const TilingStrategy& s, const GemmOperands& g,
       execute_tile(s, g, ty, tx, alpha, beta);
 }
 
-// Runs one GEMM three ways on fresh copies — run_single_gemm (packed per
+// Runs one GEMM three ways on fresh copies — its uniform plan (packed per
 // call), execute_tile over every tile (staged per tile) and reference_gemm —
 // and asserts bitwise-identical C. Every mode ends in the same tile store,
 // so the reference arm is the one that checks the store.
@@ -149,7 +177,7 @@ template <typename MakeCase>
 void expect_paths_agree(MakeCase&& make, const TilingStrategy& s, float alpha,
                         float beta, const std::string& what) {
   auto packed_case = make();
-  run_single_gemm(s, packed_case.ops, alpha, beta);
+  run_uniform(s, packed_case.ops, alpha, beta);
   auto staged_case = make();
   execute_every_tile(s, staged_case.ops, alpha, beta);
   auto reference_case = make();
@@ -185,7 +213,7 @@ void expect_packs_under(const TilingStrategy& s, SimdIsa isa,
   GemmCase reference(d, Op::kN, Op::kT, Precision::kFp32, 1500);
   telemetry::reset();
   telemetry::set_enabled(true);
-  run_single_gemm(s, run.ops, 1.25f, 0.5f);
+  run_uniform(s, run.ops, 1.25f, 0.5f);
   const auto snap = telemetry::snapshot();
   Counts got;
   for (const char* name : kDispatchCounters)
@@ -457,7 +485,7 @@ TEST(Microkernel, VbatchPackedMatchesStaged) {
   for (auto shape : {TileShape::kSmall, TileShape::kLarge}) {
     const TilingStrategy& s = single_gemm_strategy(shape);
     auto packed_case = BatchCase(ragged_batch(), 500);
-    run_vbatch(s, packed_case.ops, 1.0f, 0.5f);
+    run_uniform(s, packed_case.ops, 1.0f, 0.5f);
     const std::vector<const TilingStrategy*> uniform(ragged_batch().size(),
                                                      &s);
     expect_batch_matches_staged(packed_case, ragged_batch(), 500, uniform,
@@ -478,7 +506,7 @@ TEST(Microkernel, BatchedPlanPackedMatchesStaged) {
     const PlanSummary summary = planner.plan(ragged_batch());
 
     auto packed_case = BatchCase(ragged_batch(), 600);
-    run_batched_plan(summary.plan, packed_case.ops, 1.5f, 0.25f);
+    execute_plan(summary.plan, packed_case.ops, 1.5f, 0.25f);
     expect_batch_matches_staged(
         packed_case, ragged_batch(), 600,
         plan_strategies(summary.plan, ragged_batch().size()), 1.5f, 0.25f,
@@ -494,12 +522,12 @@ TEST(Microkernel, SpecializedParallelMatchesSerial) {
   GemmCase serial_case(d, Op::kN, Op::kN, Precision::kFp32, 700);
   {
     ScopedParallelThreads guard(1);
-    run_single_gemm(s, serial_case.ops, 1.0f, 0.0f);
+    run_uniform(s, serial_case.ops, 1.0f, 0.0f);
   }
   GemmCase parallel_case(d, Op::kN, Op::kN, Precision::kFp32, 700);
   {
     ScopedParallelThreads guard(4);
-    run_single_gemm(s, parallel_case.ops, 1.0f, 0.0f);
+    run_uniform(s, parallel_case.ops, 1.0f, 0.0f);
   }
   expect_bitwise_equal(serial_case.c, parallel_case.c, "parallel");
 }
@@ -513,12 +541,12 @@ TEST(Microkernel, ParallelPackingBitExact) {
   auto serial_vbatch = BatchCase(ragged_batch(), 900);
   {
     ScopedParallelThreads guard(1);
-    run_vbatch(s, serial_vbatch.ops, 1.0f, 0.5f);
+    run_uniform(s, serial_vbatch.ops, 1.0f, 0.5f);
   }
   auto parallel_vbatch = BatchCase(ragged_batch(), 900);
   {
     ScopedParallelThreads guard(4);
-    run_vbatch(s, parallel_vbatch.ops, 1.0f, 0.5f);
+    run_uniform(s, parallel_vbatch.ops, 1.0f, 0.5f);
   }
   for (std::size_t i = 0; i < serial_vbatch.gemms.size(); ++i)
     expect_bitwise_equal(serial_vbatch.gemms[i].c, parallel_vbatch.gemms[i].c,
@@ -531,12 +559,12 @@ TEST(Microkernel, ParallelPackingBitExact) {
   auto serial_plan = BatchCase(ragged_batch(), 901);
   {
     ScopedParallelThreads guard(1);
-    run_batched_plan(summary.plan, serial_plan.ops, 1.5f, 0.25f);
+    execute_plan(summary.plan, serial_plan.ops, 1.5f, 0.25f);
   }
   auto parallel_plan = BatchCase(ragged_batch(), 901);
   {
     ScopedParallelThreads guard(4);
-    run_batched_plan(summary.plan, parallel_plan.ops, 1.5f, 0.25f);
+    execute_plan(summary.plan, parallel_plan.ops, 1.5f, 0.25f);
   }
   for (std::size_t i = 0; i < serial_plan.gemms.size(); ++i)
     expect_bitwise_equal(serial_plan.gemms[i].c, parallel_plan.gemms[i].c,
@@ -655,12 +683,12 @@ TEST(SimdDispatch, VectorIsaMatchesScalarIsaAtAnyThreadCount) {
         GemmCase vec_case(d, Op::kN, Op::kT, Precision::kFp32, 1000);
         {
           ScopedSimdIsa guard(isa);
-          run_single_gemm(s, vec_case.ops, 1.0f, 0.5f);
+          run_uniform(s, vec_case.ops, 1.0f, 0.5f);
         }
         GemmCase scalar_case(d, Op::kN, Op::kT, Precision::kFp32, 1000);
         {
           ScopedSimdIsa guard(SimdIsa::kScalar);
-          run_single_gemm(s, scalar_case.ops, 1.0f, 0.5f);
+          run_uniform(s, scalar_case.ops, 1.0f, 0.5f);
         }
         expect_bitwise_equal(vec_case.c, scalar_case.c,
                              s.name() + "/" + simd_isa_name(isa) +
@@ -679,7 +707,7 @@ TEST(SimdDispatch, BatchedExecutorsBitExactUnderVectorIsa) {
   ScopedSimdIsa guard(detected_simd_isa());
   const TilingStrategy& s = single_gemm_strategy(TileShape::kLarge);
   auto packed_case = BatchCase(ragged_batch(), 500);
-  run_vbatch(s, packed_case.ops, 1.0f, 0.5f);
+  run_uniform(s, packed_case.ops, 1.0f, 0.5f);
   const std::vector<const TilingStrategy*> uniform(ragged_batch().size(), &s);
   expect_batch_matches_staged(packed_case, ragged_batch(), 500, uniform, 1.0f,
                               0.5f, "simd-vbatch");
@@ -689,7 +717,7 @@ TEST(SimdDispatch, BatchedExecutorsBitExactUnderVectorIsa) {
   const BatchedGemmPlanner planner(config);
   const PlanSummary summary = planner.plan(ragged_batch());
   auto packed_plan = BatchCase(ragged_batch(), 600);
-  run_batched_plan(summary.plan, packed_plan.ops, 1.5f, 0.25f);
+  execute_plan(summary.plan, packed_plan.ops, 1.5f, 0.25f);
   expect_batch_matches_staged(
       packed_plan, ragged_batch(), 600,
       plan_strategies(summary.plan, ragged_batch().size()), 1.5f, 0.25f,
@@ -814,7 +842,7 @@ TEST(PackSharing, DistinctPanelSetsPackedOnceBitExact) {
         SharedBCase packed(sc.dims, sc.op_a, sc.op_b, 1100);
         telemetry::reset();
         telemetry::set_enabled(true);
-        run_batched_plan(plan, packed.ops, 1.5f, 0.0f);
+        execute_plan(plan, packed.ops, 1.5f, 0.0f);
         const auto snap = telemetry::snapshot();
         EXPECT_EQ(counter_value(snap, "exec.pack.panels"), panels) << what;
         EXPECT_EQ(counter_value(snap, "exec.pack.bytes"), bytes) << what;
@@ -829,7 +857,7 @@ TEST(PackSharing, DistinctPanelSetsPackedOnceBitExact) {
           expect_bitwise_equal(packed.c[i], staged.c[i],
                                what + "/gemm" + std::to_string(i));
         // A second call repacks into the reused arena: same bits again.
-        run_batched_plan(plan, packed.ops, 1.5f, 0.0f);
+        execute_plan(plan, packed.ops, 1.5f, 0.0f);
         for (std::size_t i = 0; i < sc.dims.size(); ++i)
           expect_bitwise_equal(packed.c[i], staged.c[i],
                                what + "/rerun/gemm" + std::to_string(i));
@@ -879,7 +907,7 @@ TEST(PackSharing, SharedOperandsPackOnceAcrossStrategies) {
     const std::vector<GemmOperands> ops = make(got);
     telemetry::reset();
     telemetry::set_enabled(true);
-    run_batched_plan(plan, ops, 1.0f, 0.0f);
+    execute_plan(plan, ops, 1.0f, 0.0f);
     // x: 196 micro-panels; the filters: 4 + 6 + 1, w[0] packed once. Each
     // micro-panel is 32 steps of 128 floats.
     const std::int64_t panels = 196 + 4 + 6 + 1;
@@ -911,7 +939,7 @@ TEST(PackArena, ConcurrentCallsUseSeparateArenas) {
     for (std::size_t i = 0; i < cases.size(); ++i) {
       out.emplace_back(cases[i].dims, cases[i].op_a, cases[i].op_b,
                        seed + i);
-      run_batched_plan(plans[i], out.back().ops, 1.0f, 0.0f);
+      execute_plan(plans[i], out.back().ops, 1.0f, 0.0f);
     }
   };
   std::vector<SharedBCase> ref[2], got[2];
@@ -939,7 +967,7 @@ TEST(Microkernel, DispatchCountersTrackPaths) {
   telemetry::set_enabled(true);
   {
     GemmCase gc(d, Op::kN, Op::kN, Precision::kFp32, 900);
-    run_single_gemm(s, gc.ops, 1.0f, 0.0f);
+    run_uniform(s, gc.ops, 1.0f, 0.0f);
   }
   auto snap = telemetry::snapshot();
   EXPECT_EQ(counter_value(snap, "exec.dispatch.specialized"), 6);
@@ -964,7 +992,7 @@ TEST(Microkernel, SimdCountersPartitionTilesByIsa) {
   telemetry::set_enabled(true);
   {
     GemmCase gc(d, Op::kN, Op::kN, Precision::kFp32, 900);
-    run_single_gemm(s, gc.ops, 1.0f, 0.0f);
+    run_uniform(s, gc.ops, 1.0f, 0.0f);
   }
   auto snap = telemetry::snapshot();
   std::int64_t total = 0;
@@ -985,7 +1013,7 @@ TEST(Microkernel, SimdCountersPartitionTilesByIsa) {
   {
     ScopedSimdIsa guard(SimdIsa::kScalar);
     GemmCase gc(d, Op::kN, Op::kN, Precision::kFp32, 900);
-    run_single_gemm(s, gc.ops, 1.0f, 0.0f);
+    run_uniform(s, gc.ops, 1.0f, 0.0f);
   }
   snap = telemetry::snapshot();
   EXPECT_EQ(counter_value(snap, "exec.simd.scalar"), 6);
@@ -998,7 +1026,7 @@ TEST(Microkernel, SimdCountersPartitionTilesByIsa) {
     ScopedSimdIsa guard(isa);
     GemmCase gc(over_budget_dims(3, 5), Op::kN, Op::kN, Precision::kFp32,
                  901);
-    run_single_gemm(s, gc.ops, 1.0f, 0.0f);
+    run_uniform(s, gc.ops, 1.0f, 0.0f);
     snap = telemetry::snapshot();
     EXPECT_EQ(counter_value(snap, "exec.dispatch.generic"), 1);
     EXPECT_EQ(counter_value(snap, std::string("exec.simd.") +
@@ -1007,6 +1035,24 @@ TEST(Microkernel, SimdCountersPartitionTilesByIsa) {
   }
   telemetry::set_enabled(false);
   telemetry::reset();
+}
+
+// CTB_SIMD_ISA names an ISA exactly; any other spelling is rejected, so a
+// typo keeps the detected ISA (with a warning) instead of running scalar.
+TEST(SimdIsaName, ParserAcceptsExactlyTheFourNames) {
+  for (const SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kNeon, SimdIsa::kAvx2,
+                            SimdIsa::kAvx512}) {
+    SimdIsa parsed = isa == SimdIsa::kScalar ? SimdIsa::kAvx2 : SimdIsa::kScalar;
+    EXPECT_TRUE(parse_simd_isa(simd_isa_name(isa), parsed));
+    EXPECT_EQ(parsed, isa);
+  }
+  for (const char* bad : {"AVX512", "avx-512", "", "Scalar", "avx"}) {
+    SimdIsa parsed = SimdIsa::kNeon;
+    EXPECT_FALSE(parse_simd_isa(bad, parsed)) << '\'' << bad << '\'';
+    EXPECT_EQ(parsed, SimdIsa::kNeon) << bad;
+  }
+  SimdIsa parsed = SimdIsa::kNeon;
+  EXPECT_FALSE(parse_simd_isa(nullptr, parsed));
 }
 
 }  // namespace

@@ -23,9 +23,35 @@
 #include "kernels/simd.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/parallel.hpp"
+#include "core/batching_engine.hpp"
 
 namespace ctb {
 namespace {
+
+/// Runs `batch` through the one executor as the uniform grid (one tile per
+/// block) of the Table-2 strategy `s` names by id, or of the one with the
+/// same BY x BX when `s` is a Table-1 strategy (on the host only the tile
+/// shape matters), carrying the operands' epilogues in the plan.
+void run_uniform(const TilingStrategy& s, std::span<const GemmOperands> batch,
+                 float alpha, float beta) {
+  std::vector<GemmDims> dims;
+  std::vector<int> epilogues;
+  for (const GemmOperands& g : batch) {
+    dims.push_back(g.dims);
+    epilogues.push_back(g.epilogue);
+  }
+  BatchPlan plan =
+      uniform_plan(dims, s.id >= 0 ? batched_strategy_by_id(s.id)
+                                   : batched_strategy(s.shape,
+                                                      ThreadVariant::k256));
+  plan.epilogue_of_gemm = epilogues;
+  execute_plan(plan, batch, alpha, beta);
+}
+
+void run_uniform(const TilingStrategy& s, const GemmOperands& g, float alpha,
+                 float beta) {
+  run_uniform(s, {&g, 1}, alpha, beta);
+}
 
 Matrixf rand_mat(int r, int c, Rng& rng) {
   Matrixf m(static_cast<std::size_t>(r), static_cast<std::size_t>(c));
@@ -117,7 +143,7 @@ TEST(PackPerCall, EveryRunChargesTheSamePackBytes) {
   const GemmDims d{128, 128, 64};
   GemmCase gc(d, 40);
   for (int iter = 0; iter < 3; ++iter)
-    EXPECT_EQ(pack_bytes_of([&] { run_single_gemm(s, gc.ops, 1.0f, 0.0f); }),
+    EXPECT_EQ(pack_bytes_of([&] { run_uniform(s, gc.ops, 1.0f, 0.0f); }),
               static_cast<std::int64_t>(pack_footprint_bytes(d)))
         << "run " << iter;
 }
@@ -180,7 +206,7 @@ TEST(PackCallBudget, OverBudgetGemmRunsStaged) {
     reset();
     telemetry::reset();
     telemetry::set_enabled(true);
-    run_single_gemm(s, ops[0], kA, kB);
+    run_uniform(s, ops[0], kA, kB);
     const auto snap = telemetry::snapshot();
     EXPECT_EQ(counter_value(snap, "exec.pack.bytes"), 0) << what;
     EXPECT_EQ(counter_value(snap, "exec.dispatch.specialized"), 0) << what;
@@ -198,15 +224,15 @@ TEST(PackCallBudget, OverBudgetGemmRunsStaged) {
     ScopedParallelThreads par(threads);
     const std::string t = "/threads" + std::to_string(threads);
     reset();
-    run_single_gemm(s, ops[0], kA, kB);
+    run_uniform(s, ops[0], kA, kB);
     expect_outputs(1, "alone" + t);
     reset();
-    run_batched_plan(split, {ops.data(), 1}, kA, kB);
+    execute_plan(split, {ops.data(), 1}, kA, kB);
     expect_outputs(1, "split" + t);
     reset();
     telemetry::reset();
     telemetry::set_enabled(true);
-    run_batched_plan(beside, ops, kA, kB);
+    execute_plan(beside, ops, kA, kB);
     const auto snap = telemetry::snapshot();
     EXPECT_EQ(counter_value(snap, "exec.pack.bytes"),
               static_cast<std::int64_t>(pack_footprint_bytes(dims[1]) +
@@ -242,7 +268,7 @@ TEST(PackPerCall, SplitKSlicesSharePackedPanels) {
   const std::vector<GemmOperands> split_ops = ops_of(split_case);
   for (int iter = 0; iter < 2; ++iter) {
     EXPECT_EQ(pack_bytes_of([&] {
-                run_batched_plan(split_plan, split_ops, 1.0f, 0.5f);
+                execute_plan(split_plan, split_ops, 1.0f, 0.5f);
               }),
               static_cast<std::int64_t>(pack_footprint_bytes(dims[0]) +
                                         pack_footprint_bytes(dims[1])))
@@ -250,8 +276,8 @@ TEST(PackPerCall, SplitKSlicesSharePackedPanels) {
   }
   auto unsplit_case = make_batch(dims, 80);
   const std::vector<GemmOperands> unsplit_ops = ops_of(unsplit_case);
-  run_batched_plan(unsplit_plan, unsplit_ops, 1.0f, 0.5f);
-  run_batched_plan(unsplit_plan, unsplit_ops, 1.0f, 0.5f);
+  execute_plan(unsplit_plan, unsplit_ops, 1.0f, 0.5f);
+  execute_plan(unsplit_plan, unsplit_ops, 1.0f, 0.5f);
   for (std::size_t i = 0; i < dims.size(); ++i)
     expect_bitwise_equal(split_case[i].c, unsplit_case[i].c,
                          "splitk-vs-unsplit/gemm" + std::to_string(i));
@@ -304,9 +330,9 @@ TEST(PanelLifetime, MutationBetweenCallsRunSingleGemm) {
   expect_second_call_sees_mutation(
       {{128, 64, 32}},
       [&](std::span<const GemmOperands> ops) {
-        run_single_gemm(s, ops[0], kAlpha, 0.0f);
+        run_uniform(s, ops[0], kAlpha, 0.0f);
       },
-      "run_single_gemm");
+      "uniform_plan/single");
 }
 
 TEST(PanelLifetime, MutationBetweenCallsRunVbatch) {
@@ -314,9 +340,9 @@ TEST(PanelLifetime, MutationBetweenCallsRunVbatch) {
   expect_second_call_sees_mutation(
       kMutationBatch,
       [&](std::span<const GemmOperands> ops) {
-        run_vbatch(s, ops, kAlpha, 0.0f);
+        run_uniform(s, ops, kAlpha, 0.0f);
       },
-      "run_vbatch");
+      "uniform_plan");
 }
 
 TEST(PanelLifetime, MutationBetweenCallsRunBatchedPlan) {
@@ -331,9 +357,9 @@ TEST(PanelLifetime, MutationBetweenCallsRunBatchedPlan) {
     expect_second_call_sees_mutation(
         kMutationBatch,
         [&](std::span<const GemmOperands> ops) {
-          run_batched_plan(*plan, ops, kAlpha, 0.0f);
+          execute_plan(*plan, ops, kAlpha, 0.0f);
         },
-        plan->has_split() ? "run_batched_plan/split" : "run_batched_plan");
+        plan->has_split() ? "execute_plan/split" : "execute_plan");
 }
 
 TEST(PanelLifetime, MutationBetweenCallsExecutePlan) {

@@ -5,6 +5,8 @@
 // the property DESIGN.md §6 documents and this test enforces.
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -15,9 +17,35 @@
 #include "dnn/implicit_gemm.hpp"
 #include "kernels/functional.hpp"
 #include "util/parallel.hpp"
+#include "core/batching_engine.hpp"
 
 namespace ctb {
 namespace {
+
+/// Runs `batch` through the one executor as the uniform grid (one tile per
+/// block) of the Table-2 strategy `s` names by id, or of the one with the
+/// same BY x BX when `s` is a Table-1 strategy (on the host only the tile
+/// shape matters), carrying the operands' epilogues in the plan.
+void run_uniform(const TilingStrategy& s, std::span<const GemmOperands> batch,
+                 float alpha, float beta) {
+  std::vector<GemmDims> dims;
+  std::vector<int> epilogues;
+  for (const GemmOperands& g : batch) {
+    dims.push_back(g.dims);
+    epilogues.push_back(g.epilogue);
+  }
+  BatchPlan plan =
+      uniform_plan(dims, s.id >= 0 ? batched_strategy_by_id(s.id)
+                                   : batched_strategy(s.shape,
+                                                      ThreadVariant::k256));
+  plan.epilogue_of_gemm = epilogues;
+  execute_plan(plan, batch, alpha, beta);
+}
+
+void run_uniform(const TilingStrategy& s, const GemmOperands& g, float alpha,
+                 float beta) {
+  run_uniform(s, {&g, 1}, alpha, beta);
+}
 
 // Worker count for the parallel leg. More workers than the single hardware
 // core is fine — oversubscription still exercises concurrent block order.
@@ -101,7 +129,7 @@ TEST_P(ParallelSingleGemm, AllStrategiesBitExact) {
       {2 * s.by + 3, 3 * s.bx + 5, 37}};
   expect_parallel_matches_serial(
       [&] { return make_batch(dims, 42); },
-      [&](BatchCase& bc) { run_single_gemm(s, bc.ops[0], 1.5f, -0.5f); },
+      [&](BatchCase& bc) { run_uniform(s, bc.ops[0], 1.5f, -0.5f); },
       "single_gemm " + s.name());
 }
 
@@ -127,13 +155,13 @@ TEST(ParallelSingleGemm, TransposeVariantsBitExact) {
       TCase serial = make();
       {
         ScopedParallelThreads guard(1);
-        run_single_gemm(s, operands(serial.a, serial.b, serial.c, op_a, op_b),
+        run_uniform(s, operands(serial.a, serial.b, serial.c, op_a, op_b),
                         1.0f, 0.25f);
       }
       TCase parallel = make();
       {
         ScopedParallelThreads guard(kParallelThreads);
-        run_single_gemm(
+        run_uniform(
             s, operands(parallel.a, parallel.b, parallel.c, op_a, op_b),
             1.0f, 0.25f);
       }
@@ -150,7 +178,7 @@ TEST(ParallelSingleGemm, Fp16BitExact) {
   const std::vector<GemmDims> dims = {{90, 130, 48}};
   expect_parallel_matches_serial(
       [&] { return make_batch(dims, 99, Precision::kFp16); },
-      [&](BatchCase& bc) { run_single_gemm(s, bc.ops[0], 1.0f, 0.5f); },
+      [&](BatchCase& bc) { run_uniform(s, bc.ops[0], 1.0f, 0.5f); },
       "single_gemm fp16");
 }
 
@@ -160,7 +188,7 @@ TEST(ParallelVbatch, MixedSizesBitExact) {
   const auto& s = single_gemm_strategy(TileShape::kMedium);
   expect_parallel_matches_serial(
       [&] { return make_batch(ragged_batch(), 123); },
-      [&](BatchCase& bc) { run_vbatch(s, bc.ops, 1.25f, 0.5f); },
+      [&](BatchCase& bc) { run_uniform(s, bc.ops, 1.25f, 0.5f); },
       "vbatch");
 }
 
@@ -177,7 +205,7 @@ void expect_policy_bit_exact(BatchingPolicy policy,
   expect_parallel_matches_serial(
       [&] { return make_batch(ragged_batch(), 7); },
       [&](BatchCase& bc) {
-        run_batched_plan(summary.plan, bc.ops, 2.0f, -1.0f);
+        execute_plan(summary.plan, bc.ops, 2.0f, -1.0f);
       },
       std::string("plan policy=") + to_string(policy));
 }
@@ -217,14 +245,14 @@ TEST(ParallelBatchedPlan, AutoOfflineCandidatePlansBitExact) {
     expect_parallel_matches_serial(
         [&] { return make_batch(*dims, 21); },
         [&](BatchCase& bc) {
-          run_batched_plan(summary.plan, bc.ops, 1.5f, 0.5f);
+          execute_plan(summary.plan, bc.ops, 1.5f, 0.5f);
         },
         what);
 
     BatchCase chosen = make_batch(*dims, 21);
-    run_batched_plan(summary.plan, chosen.ops, 1.5f, 0.5f);
+    execute_plan(summary.plan, chosen.ops, 1.5f, 0.5f);
     BatchCase heuristic = make_batch(*dims, 21);
-    run_batched_plan(BatchedGemmPlanner(threshold).plan(*dims).plan,
+    execute_plan(BatchedGemmPlanner(threshold).plan(*dims).plan,
                      heuristic.ops, 1.5f, 0.5f);
     for (std::size_t i = 0; i < dims->size(); ++i)
       expect_bitwise_equal(heuristic.c[i], chosen.c[i],
@@ -254,7 +282,7 @@ TEST(ParallelBatchedPlan, Fp16BitExact) {
   expect_parallel_matches_serial(
       [&] { return make_batch(ragged_batch(), 13, Precision::kFp16); },
       [&](BatchCase& bc) {
-        run_batched_plan(summary.plan, bc.ops, 1.0f, 0.0f);
+        execute_plan(summary.plan, bc.ops, 1.0f, 0.0f);
       },
       "plan fp16");
 }
@@ -297,7 +325,7 @@ TEST(ParallelStreamedStore, SameBitsAtOneTwoAndFourWorkers) {
     }
     {
       ScopedParallelThreads guard(threads);
-      run_batched_plan(summary.plan, ops, 1.5f, 0.5f);
+      execute_plan(summary.plan, ops, 1.5f, 0.5f);
     }
     for (std::size_t i = 0; i < dims.size(); ++i)
       EXPECT_EQ(std::bit_cast<std::uint32_t>(c[i].back()), kCanary)
@@ -326,7 +354,7 @@ TEST(ParallelBatchedPlan, ForeignGemmIndexThrowsUnderParallelism) {
   Matrixf a = rand_mat(16, 8, rng), b = rand_mat(8, 16, rng), c(16, 16);
   std::vector<GemmOperands> ops = {operands(a, b, c)};
   ScopedParallelThreads guard(kParallelThreads);
-  EXPECT_THROW(run_batched_plan(plan, ops, 1.0f, 0.0f), CheckError);
+  EXPECT_THROW(execute_plan(plan, ops, 1.0f, 0.0f), CheckError);
 }
 
 // ------------------------------------------------------ implicit conv GEMM --

@@ -474,11 +474,11 @@ TEST(PerfReportCompare, CounterOnOneSideOnlyHardFails) {
   current = baseline;
   std::vector<telemetry::CounterSample>& counters =
       current.workloads[0].counters;
-  counters.insert(counters.begin() + 2, {"exec.fallback", 5});
+  counters.insert(counters.begin() + 2, {"exec.flops", 5});
   cmp = perfreport::compare_reports(baseline, current);
   EXPECT_TRUE(cmp.hard_fail());
   EXPECT_EQ(cmp.workloads[0].counter_mismatches,
-            Mismatches{"exec.fallback: (absent) -> 5"});
+            Mismatches{"exec.flops: (absent) -> 5"});
 
   // A current workload with no counters at all: every baseline counter is
   // missing from it.
@@ -604,7 +604,6 @@ TEST(PerfSuite, HarvestCarriesFullDeterministicTaxonomy) {
       EXPECT_EQ(h.name.find("_ns"), std::string::npos) << h.name;
     EXPECT_EQ(counter("exec.flops"), w.flops * w.repeats) << w.name;
     EXPECT_GT(counter("exec.tiles"), 0) << w.name;
-    EXPECT_EQ(counter("exec.fallback"), 0) << w.name;
     if (w.name.rfind("tile/", 0) != 0) {
       // Planner-policy workloads plan through a fresh PlanCache: exactly
       // one miss, repeats-1 hits.

@@ -321,7 +321,7 @@ void run_policy_property(BatchingPolicy policy) {
       expect_no_slower_than_candidates(planner, summary.plan, pc.dims, what);
 
     CaseStorage plan_run = materialize(pc);
-    run_batched_plan(summary.plan, plan_run.ops, pc.alpha, pc.beta);
+    execute_plan(summary.plan, plan_run.ops, pc.alpha, pc.beta);
     CaseStorage ref_run = materialize(pc);
     for (std::size_t i = 0; i < ref_run.ops.size(); ++i)
       reference_gemm(ref_run.ops[i], pc.alpha, pc.beta);
@@ -373,7 +373,7 @@ TEST(PlanProperty, ForcedSplitKPartitionsAndBitExact) {
     if (summary.plan.has_split()) ++split_plans;
 
     CaseStorage plan_run = materialize(pc);
-    run_batched_plan(summary.plan, plan_run.ops, pc.alpha, pc.beta);
+    execute_plan(summary.plan, plan_run.ops, pc.alpha, pc.beta);
     CaseStorage ref_run = materialize(pc);
     for (std::size_t i = 0; i < ref_run.ops.size(); ++i)
       reference_gemm(ref_run.ops[i], pc.alpha, pc.beta);
@@ -424,7 +424,7 @@ TEST(PlanProperty, ShuffledHandBuiltSplitPlansBitExact) {
     if (plan.has_split()) ++split_plans;
 
     CaseStorage plan_run = materialize(pc);
-    run_batched_plan(plan, plan_run.ops, pc.alpha, pc.beta);
+    execute_plan(plan, plan_run.ops, pc.alpha, pc.beta);
     CaseStorage ref_run = materialize(pc);
     for (std::size_t i = 0; i < ref_run.ops.size(); ++i)
       reference_gemm(ref_run.ops[i], pc.alpha, pc.beta);
@@ -472,7 +472,7 @@ TEST(PlanProperty, ServiceDegradedThenUpgradedBitExact) {
     check_plan_properties(degraded.summary->plan, pc.dims, what + " degraded");
     {
       CaseStorage plan_run = materialize(pc);
-      run_batched_plan(degraded.summary->plan, plan_run.ops, pc.alpha,
+      execute_plan(degraded.summary->plan, plan_run.ops, pc.alpha,
                        pc.beta);
       CaseStorage ref_run = materialize(pc);
       for (std::size_t i = 0; i < ref_run.ops.size(); ++i)
@@ -488,7 +488,7 @@ TEST(PlanProperty, ServiceDegradedThenUpgradedBitExact) {
     check_plan_properties(upgraded.summary->plan, pc.dims, what + " upgraded");
     {
       CaseStorage plan_run = materialize(pc);
-      run_batched_plan(upgraded.summary->plan, plan_run.ops, pc.alpha,
+      execute_plan(upgraded.summary->plan, plan_run.ops, pc.alpha,
                        pc.beta);
       CaseStorage ref_run = materialize(pc);
       for (std::size_t i = 0; i < ref_run.ops.size(); ++i)
@@ -548,7 +548,7 @@ TEST(PlanProperty, RandomEpiloguesBitExactAcrossSplitKThreadsIsa) {
         for (const SimdIsa isa : isas) {
           ScopedSimdIsa isa_guard(isa);
           CaseStorage plan_run = materialize(pc);
-          run_batched_plan(summary.plan, plan_run.ops, pc.alpha, pc.beta);
+          execute_plan(summary.plan, plan_run.ops, pc.alpha, pc.beta);
           for (std::size_t i = 0; i < pc.dims.size(); ++i)
             expect_bitwise_equal(
                 ref_run.c[i], plan_run.c[i],

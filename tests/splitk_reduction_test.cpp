@@ -72,7 +72,7 @@ BatchCase make_batch(std::span<const GemmDims> dims, std::uint64_t seed,
 /// Hand-built plans over one uniform strategy: every tile in its own block,
 /// optionally split into `slices` K ranges. Deterministic and independent of
 /// the planner, so the executor contract is tested in isolation.
-BatchPlan uniform_plan(std::span<const GemmDims> dims,
+BatchPlan one_tile_plan(std::span<const GemmDims> dims,
                        const TilingStrategy& s, int slices) {
   const std::vector<const TilingStrategy*> strategies(dims.size(), &s);
   std::vector<Tile> tiles = enumerate_tiles(dims, strategies);
@@ -92,15 +92,15 @@ TEST(SplitKSingleGemm, ThreadAndSliceSweepBitExact) {
   auto reference = make_batch(dims, 42);
   {
     ScopedParallelThreads guard(1);
-    run_batched_plan(uniform_plan(dims, s, 1), reference.ops, 1.5f, -0.5f);
+    execute_plan(one_tile_plan(dims, s, 1), reference.ops, 1.5f, -0.5f);
   }
   for (int slices : kSliceCounts) {
-    const BatchPlan split = uniform_plan(dims, s, slices);
+    const BatchPlan split = one_tile_plan(dims, s, slices);
     ASSERT_TRUE(split.has_split());
     for (int threads : kThreadCounts) {
       auto split_case = make_batch(dims, 42);
       ScopedParallelThreads guard(threads);
-      run_batched_plan(split, split_case.ops, 1.5f, -0.5f);
+      execute_plan(split, split_case.ops, 1.5f, -0.5f);
       expect_bitwise_equal(reference.c[0], split_case.c[0],
                            "single splitk=" + std::to_string(slices) +
                                " threads=" + std::to_string(threads));
@@ -117,12 +117,12 @@ TEST_P(SplitKAllStrategies, SingleGemmBitExact) {
   auto reference = make_batch(dims, 51);
   {
     ScopedParallelThreads guard(1);
-    run_batched_plan(uniform_plan(dims, s, 1), reference.ops, 1.0f, 0.25f);
+    execute_plan(one_tile_plan(dims, s, 1), reference.ops, 1.0f, 0.25f);
   }
   auto split = make_batch(dims, 51);
   {
     ScopedParallelThreads guard(4);
-    run_batched_plan(uniform_plan(dims, s, 4), split.ops, 1.0f, 0.25f);
+    execute_plan(one_tile_plan(dims, s, 4), split.ops, 1.0f, 0.25f);
   }
   expect_bitwise_equal(reference.c[0], split.c[0],
                        "all-strategies " + s.name());
@@ -136,13 +136,13 @@ TEST(SplitKSingleGemm, Fp16BitExact) {
   auto reference = make_batch(dims, 99, Precision::kFp16);
   {
     ScopedParallelThreads guard(1);
-    run_batched_plan(uniform_plan(dims, s, 1), reference.ops, 1.0f, 0.5f);
+    execute_plan(one_tile_plan(dims, s, 1), reference.ops, 1.0f, 0.5f);
   }
-  const BatchPlan split = uniform_plan(dims, s, 4);
+  const BatchPlan split = one_tile_plan(dims, s, 4);
   for (int threads : kThreadCounts) {
     auto split_case = make_batch(dims, 99, Precision::kFp16);
     ScopedParallelThreads guard(threads);
-    run_batched_plan(split, split_case.ops, 1.0f, 0.5f);
+    execute_plan(split, split_case.ops, 1.0f, 0.5f);
     expect_bitwise_equal(reference.c[0], split_case.c[0],
                          "fp16 threads=" + std::to_string(threads));
   }
@@ -152,8 +152,8 @@ TEST(SplitKSingleGemm, TransposeVariantsBitExact) {
   const auto& s = batched_strategy(TileShape::kMedium, ThreadVariant::k256);
   const int m = 70, n = 45, k = 100;
   const std::vector<GemmDims> dims = {{m, n, k}};
-  const BatchPlan unsplit = uniform_plan(dims, s, 1);
-  const BatchPlan split = uniform_plan(dims, s, 4);
+  const BatchPlan unsplit = one_tile_plan(dims, s, 1);
+  const BatchPlan split = one_tile_plan(dims, s, 4);
   for (const Op op_a : {Op::kN, Op::kT}) {
     for (const Op op_b : {Op::kN, Op::kT}) {
       const int ar = op_a == Op::kN ? m : k;
@@ -173,14 +173,14 @@ TEST(SplitKSingleGemm, TransposeVariantsBitExact) {
         ScopedParallelThreads guard(1);
         const GemmOperands g =
             operands(reference.a, reference.b, reference.c, op_a, op_b);
-        run_batched_plan(unsplit, {&g, 1}, 1.0f, 0.25f);
+        execute_plan(unsplit, {&g, 1}, 1.0f, 0.25f);
       }
       for (int threads : kThreadCounts) {
         TCase split_case = make();
         ScopedParallelThreads guard(threads);
         const GemmOperands g =
             operands(split_case.a, split_case.b, split_case.c, op_a, op_b);
-        run_batched_plan(split, {&g, 1}, 1.0f, 0.25f);
+        execute_plan(split, {&g, 1}, 1.0f, 0.25f);
         expect_bitwise_equal(reference.c, split_case.c,
                              std::string("transpose op_a=") +
                                  (op_a == Op::kT ? "T" : "N") + " op_b=" +
@@ -219,16 +219,16 @@ TEST(SplitKSingleGemm, ConvLoweringBitExact) {
     ScopedParallelThreads guard(1);
     const GemmOperands g =
         implicit_conv_operands(shape, input, filters, reference_out);
-    run_batched_plan(uniform_plan(dims, s, 1), {&g, 1}, 1.0f, 0.0f);
+    execute_plan(one_tile_plan(dims, s, 1), {&g, 1}, 1.0f, 0.0f);
   }
-  const BatchPlan split = uniform_plan(dims, s, 3);
+  const BatchPlan split = one_tile_plan(dims, s, 3);
   for (int threads : kThreadCounts) {
     Matrixf split_out(static_cast<std::size_t>(dims[0].m),
                       static_cast<std::size_t>(dims[0].n));
     ScopedParallelThreads guard(threads);
     const GemmOperands g =
         implicit_conv_operands(shape, input, filters, split_out);
-    run_batched_plan(split, {&g, 1}, 1.0f, 0.0f);
+    execute_plan(split, {&g, 1}, 1.0f, 0.0f);
     expect_bitwise_equal(reference_out, split_out,
                          "conv threads=" + std::to_string(threads));
   }
@@ -244,13 +244,13 @@ TEST(SplitKVbatch, MixedSizesBitExact) {
   auto reference = make_batch(dims, 123);
   {
     ScopedParallelThreads guard(1);
-    run_batched_plan(uniform_plan(dims, s, 1), reference.ops, 1.25f, 0.5f);
+    execute_plan(one_tile_plan(dims, s, 1), reference.ops, 1.25f, 0.5f);
   }
-  const BatchPlan split = uniform_plan(dims, s, 4);
+  const BatchPlan split = one_tile_plan(dims, s, 4);
   for (int threads : kThreadCounts) {
     auto split_case = make_batch(dims, 123);
     ScopedParallelThreads guard(threads);
-    run_batched_plan(split, split_case.ops, 1.25f, 0.5f);
+    execute_plan(split, split_case.ops, 1.25f, 0.5f);
     for (std::size_t i = 0; i < dims.size(); ++i)
       expect_bitwise_equal(reference.c[i], split_case.c[i],
                            "vbatch gemm " + std::to_string(i) + " threads=" +
@@ -263,8 +263,8 @@ TEST(SplitKVbatch, MixedSizesBitExact) {
 TEST(SplitKBatchedPlan, HandBuiltPlanBitExact) {
   const auto& s = batched_strategy(TileShape::kMedium, ThreadVariant::k256);
   const std::vector<GemmDims> dims = {{70, 45, 77}, {64, 64, 160}, {33, 33, 24}};
-  const BatchPlan unsplit = uniform_plan(dims, s, 1);
-  const BatchPlan split = uniform_plan(dims, s, 4);
+  const BatchPlan unsplit = one_tile_plan(dims, s, 1);
+  const BatchPlan split = one_tile_plan(dims, s, 4);
   ASSERT_TRUE(split.has_split());
   ASSERT_GT(split.num_blocks(), unsplit.num_blocks());
   validate_plan(split, dims);
@@ -273,12 +273,12 @@ TEST(SplitKBatchedPlan, HandBuiltPlanBitExact) {
     auto reference = make_batch(dims, 7, precision);
     {
       ScopedParallelThreads guard(1);
-      run_batched_plan(unsplit, reference.ops, 2.0f, -1.0f);
+      execute_plan(unsplit, reference.ops, 2.0f, -1.0f);
     }
     for (int threads : kThreadCounts) {
       auto split_case = make_batch(dims, 7, precision);
       ScopedParallelThreads guard(threads);
-      run_batched_plan(split, split_case.ops, 2.0f, -1.0f);
+      execute_plan(split, split_case.ops, 2.0f, -1.0f);
       for (std::size_t i = 0; i < dims.size(); ++i)
         expect_bitwise_equal(
             reference.c[i], split_case.c[i],
@@ -309,12 +309,12 @@ TEST(SplitKBatchedPlan, PlannerForcedSplitBitExact) {
   auto reference = make_batch(dims, 91);
   {
     ScopedParallelThreads guard(1);
-    run_batched_plan(unsplit.plan, reference.ops, 1.0f, 0.5f);
+    execute_plan(unsplit.plan, reference.ops, 1.0f, 0.5f);
   }
   for (int threads : kThreadCounts) {
     auto split_case = make_batch(dims, 91);
     ScopedParallelThreads guard(threads);
-    run_batched_plan(split.plan, split_case.ops, 1.0f, 0.5f);
+    execute_plan(split.plan, split_case.ops, 1.0f, 0.5f);
     for (std::size_t i = 0; i < dims.size(); ++i)
       expect_bitwise_equal(reference.c[i], split_case.c[i],
                            "planner-force gemm " + std::to_string(i) +
@@ -341,7 +341,7 @@ TEST(SplitKBatchedPlan, AutoTriggerRespectsTlpScarcity) {
   auto planned = make_batch(scarce, 17);
   {
     ScopedParallelThreads guard(4);
-    run_batched_plan(summary.plan, planned.ops, 1.0f, 0.0f);
+    execute_plan(summary.plan, planned.ops, 1.0f, 0.0f);
   }
   expect_bitwise_equal(reference.c[0], planned.c[0], "auto-trigger");
 }
@@ -351,8 +351,8 @@ TEST(SplitKBatchedPlan, AutoTriggerRespectsTlpScarcity) {
 TEST(SplitKSimd, IsaSweepBitExact) {
   const auto& s = batched_strategy(TileShape::kMedium, ThreadVariant::k256);
   const std::vector<GemmDims> dims = {{70, 45, 96}, {64, 64, 160}};
-  const BatchPlan unsplit = uniform_plan(dims, s, 1);
-  const BatchPlan split = uniform_plan(dims, s, 4);
+  const BatchPlan unsplit = one_tile_plan(dims, s, 1);
+  const BatchPlan split = one_tile_plan(dims, s, 4);
 
   // Sweep every ISA up to the host's capability: requesting more clamps, so
   // each scope below genuinely dispatches a different micro-kernel.
@@ -366,12 +366,12 @@ TEST(SplitKSimd, IsaSweepBitExact) {
     auto reference = make_batch(dims, 29);
     {
       ScopedParallelThreads guard(1);
-      run_batched_plan(unsplit, reference.ops, 1.5f, 0.25f);
+      execute_plan(unsplit, reference.ops, 1.5f, 0.25f);
     }
     for (int threads : kThreadCounts) {
       auto split_case = make_batch(dims, 29);
       ScopedParallelThreads guard(threads);
-      run_batched_plan(split, split_case.ops, 1.5f, 0.25f);
+      execute_plan(split, split_case.ops, 1.5f, 0.25f);
       for (std::size_t i = 0; i < dims.size(); ++i)
         expect_bitwise_equal(
             reference.c[i], split_case.c[i],
@@ -391,13 +391,13 @@ TEST(SplitKSimd, BestIsaSplitMatchesScalarUnsplit) {
   {
     ScopedSimdIsa isa_guard(SimdIsa::kScalar);
     ScopedParallelThreads guard(1);
-    run_batched_plan(uniform_plan(dims, s, 1), reference.ops, 1.0f, 0.0f);
+    execute_plan(one_tile_plan(dims, s, 1), reference.ops, 1.0f, 0.0f);
   }
   auto split = make_batch(dims, 67);
   {
     ScopedSimdIsa isa_guard(detected_simd_isa());
     ScopedParallelThreads guard(8);
-    run_batched_plan(uniform_plan(dims, s, 8), split.ops, 1.0f, 0.0f);
+    execute_plan(one_tile_plan(dims, s, 8), split.ops, 1.0f, 0.0f);
   }
   expect_bitwise_equal(reference.c[0], split.c[0], "best-isa-vs-scalar");
 }
@@ -498,7 +498,7 @@ TEST_P(SplitKPlacement, MatchesUnsplitAndReferenceBitExact) {
   const BatchPlan plan = placed_plan(GetParam(), s);
   validate_plan(plan, kPlacementDims);
   ASSERT_EQ(plan.num_tiles(), kPlacementSlices + 1);
-  const BatchPlan unsplit = uniform_plan(kPlacementDims, s, 1);
+  const BatchPlan unsplit = one_tile_plan(kPlacementDims, s, 1);
   auto reference = make_batch(kPlacementDims, 71);
   for (const GemmOperands& g : reference.ops) reference_gemm(g, 1.5f, -0.5f);
 
@@ -507,7 +507,7 @@ TEST_P(SplitKPlacement, MatchesUnsplitAndReferenceBitExact) {
     auto want = make_batch(kPlacementDims, 71);
     {
       ScopedParallelThreads guard(1);
-      run_batched_plan(unsplit, want.ops, 1.5f, -0.5f);
+      execute_plan(unsplit, want.ops, 1.5f, -0.5f);
     }
     for (int threads : {1, 4}) {
       const std::string what = std::string("isa=") + simd_isa_name(isa) +
@@ -516,7 +516,7 @@ TEST_P(SplitKPlacement, MatchesUnsplitAndReferenceBitExact) {
       ScopedParallelThreads guard(threads);
       telemetry::reset();
       telemetry::set_enabled(true);
-      run_batched_plan(plan, got.ops, 1.5f, -0.5f);
+      execute_plan(plan, got.ops, 1.5f, -0.5f);
       EXPECT_EQ(counter_value("exec.splitk.tiles"), kPlacementSlices) << what;
       EXPECT_EQ(counter_value("exec.splitk.groups"), kPlacementSplitTiles)
           << what;

@@ -122,7 +122,6 @@ TEST_F(TelemetryTest, CountersAccumulateAndSnapshot) {
   // appear in every snapshot even before their code path runs.
   EXPECT_EQ(counter_value(snap, "cache.hit"), 0);
   EXPECT_EQ(counter_value(snap, "cache.miss"), 0);
-  EXPECT_EQ(counter_value(snap, "exec.fallback"), 0);
   EXPECT_EQ(counter_value(snap, "exec.dispatch.specialized"), 0);
   EXPECT_EQ(counter_value(snap, "exec.dispatch.generic"), 0);
   EXPECT_EQ(counter_value(snap, "exec.pack.panels"), 0);
@@ -384,7 +383,7 @@ TEST_F(TelemetryTest, MetricsJsonSchema) {
         "\"exemplars\":[",
         "\"p50\":3", "\"p95\":3", "\"p99\":3",
         "\"test.json.span_ns\":{\"count\":1,",
-        "\"cache.hit\":0", "\"cache.miss\":0", "\"exec.fallback\":0",
+        "\"cache.hit\":0", "\"cache.miss\":0",
         "\"exec.dispatch.specialized\":0", "\"exec.dispatch.generic\":0",
         "\"exec.pack.panels\":0", "\"exec.pack.bytes\":0",
         "\"exec.pack.reuse\":0", "\"exec.simd.scalar\":0",

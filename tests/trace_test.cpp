@@ -129,7 +129,7 @@ TEST_F(TraceTest, RecorderIsAlwaysOn) {
   // postmortems are most valuable exactly when nobody opted in.
   telemetry::set_enabled(false);
   const telemetry::ScopedTraceContext scope("test", 1);
-  telemetry::flight_record(telemetry::FlightKind::kFallback, "off", 0, 0);
+  telemetry::flight_record(telemetry::FlightKind::kGuardReject, "off", 0, 0);
   EXPECT_EQ(trail_of(telemetry::current_trace().id).size(), 1u);
 }
 
@@ -310,7 +310,7 @@ TEST_F(TraceTest, StageSpansJoinTheRequestTrail) {
   for (const auto& e : trail_of(id))
     if (e.kind == telemetry::FlightKind::kSpan) spans[e.detail].push_back(e);
   for (const char* stage :
-       {"exec.run_batched_plan", "exec.audit", "exec.pack", "exec.sweep"})
+       {"exec.execute_plan", "exec.audit", "exec.pack", "exec.sweep"})
     ASSERT_EQ(spans[stage].size(), 1u) << stage;
   ASSERT_EQ(spans["plan.total"].size(), 1u);
   std::size_t exec_spans = 0;
@@ -327,7 +327,7 @@ TEST_F(TraceTest, StageSpansJoinTheRequestTrail) {
                     const telemetry::FlightEventView& outer) {
     return begin_us(e) >= begin_us(outer) - 1e-3 && e.t_us <= outer.t_us;
   };
-  const telemetry::FlightEventView run = spans["exec.run_batched_plan"][0];
+  const telemetry::FlightEventView run = spans["exec.execute_plan"][0];
   const telemetry::FlightEventView plan = spans["plan.total"][0];
   for (const auto& [name, events] : spans)
     for (const auto& e : events)

@@ -1,11 +1,40 @@
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "core/api.hpp"
 #include "kernels/functional.hpp"
 #include "linalg/gemm_ref.hpp"
+#include "core/batching_engine.hpp"
 
 namespace ctb {
 namespace {
+
+/// Runs `batch` through the one executor as the uniform grid (one tile per
+/// block) of the Table-2 strategy `s` names by id, or of the one with the
+/// same BY x BX when `s` is a Table-1 strategy (on the host only the tile
+/// shape matters), carrying the operands' epilogues in the plan.
+void run_uniform(const TilingStrategy& s, std::span<const GemmOperands> batch,
+                 float alpha, float beta) {
+  std::vector<GemmDims> dims;
+  std::vector<int> epilogues;
+  for (const GemmOperands& g : batch) {
+    dims.push_back(g.dims);
+    epilogues.push_back(g.epilogue);
+  }
+  BatchPlan plan =
+      uniform_plan(dims, s.id >= 0 ? batched_strategy_by_id(s.id)
+                                   : batched_strategy(s.shape,
+                                                      ThreadVariant::k256));
+  plan.epilogue_of_gemm = epilogues;
+  execute_plan(plan, batch, alpha, beta);
+}
+
+void run_uniform(const TilingStrategy& s, const GemmOperands& g, float alpha,
+                 float beta) {
+  run_uniform(s, {&g, 1}, alpha, beta);
+}
 
 Matrixf rand_mat(int r, int c, Rng& rng) {
   Matrixf m(static_cast<std::size_t>(r), static_cast<std::size_t>(c));
@@ -78,7 +107,7 @@ TEST_P(FunctionalTranspose, KernelMatchesReferenceAllStrategies) {
     const TilingStrategy& s = batched_strategy_by_id(id);
     Matrixf c(static_cast<std::size_t>(d.m), static_cast<std::size_t>(d.n));
     const GemmOperands g = operands(a_store, b_store, c, op_a, op_b);
-    run_single_gemm(s, g, 1.0f, 0.0f);
+    run_uniform(s, g, 1.0f, 0.0f);
     EXPECT_TRUE(allclose(c, ref))
         << s.name() << " ops " << to_string(op_a) << to_string(op_b);
   }

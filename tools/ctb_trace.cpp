@@ -168,7 +168,7 @@ bool is_degraded(const std::vector<const Event*>& trail) {
 
 bool is_rejected(const std::vector<const Event*>& trail) {
   for (const Event* e : trail)
-    if (e->kind == "guard.reject" || e->kind == "fallback") return true;
+    if (e->kind == "guard.reject") return true;
   return false;
 }
 
@@ -201,8 +201,7 @@ int run(int argc, char** argv) {
   flags.define("trace", "", "print the full event trail of one trace id");
   flags.define("only", "",
                "restrict the summary to flagged traces: degraded "
-               "(quarantine / degraded serve) | rejected (guard rejection / "
-               "fallback)");
+               "(quarantine / degraded serve) | rejected (guard rejection)");
   flags.define("top-latency", "0",
                "rank the lookup-latency exemplars by value and resolve each "
                "one's flight trail (needs metrics.json and ideally "
