@@ -307,7 +307,7 @@ inline std::vector<BenchWorkload> perf_quick_suite() {
   // per GEMM, once fused into the tile store and once as separate passes.
   // exec.flops is identical; the fused side's exec.c.passes collapses from
   // 3 per GEMM per repeat (store + bias + relu) to 1 and exec.epilogue.*
-  // turn nonzero — the C-traffic reduction the aux-array epilogue buys.
+  // turn nonzero — the C-traffic reduction the fused epilogue buys.
   {
     BenchWorkload unfused;
     unfused.name = "epilogue/bias-relu/unfused";
@@ -461,10 +461,9 @@ inline perfreport::WorkloadResult run_perf_workload(const BenchWorkload& w,
   // Epilogue A/B workloads carry one bias vector per GEMM (deterministic
   // from the workload seed; generated after a/b so plain workloads' operand
   // contents are untouched). The fused side attaches the chain to the
-  // operands and the plan; the unfused side applies the identical chain as
-  // separate passes inside the timed region below.
+  // operands; the unfused side applies the identical chain as separate
+  // passes inside the timed region below.
   std::vector<std::vector<float>> biases;
-  std::vector<int> epilogues;
   if (w.epilogue_mode != BenchWorkload::EpilogueMode::kNone) {
     biases.resize(w.dims.size());
     for (std::size_t i = 0; i < w.dims.size(); ++i) {
@@ -476,7 +475,6 @@ inline perfreport::WorkloadResult run_perf_workload(const BenchWorkload& w,
       int spec = 0;
       spec = epilogue_push(spec, EpilogueOp::kBias);
       spec = epilogue_push(spec, EpilogueOp::kRelu);
-      epilogues.assign(w.dims.size(), spec);
       for (std::size_t i = 0; i < w.dims.size(); ++i) {
         ops[i].epilogue = spec;
         ops[i].epilogue_args.bias = biases[i].data();
@@ -535,7 +533,7 @@ inline perfreport::WorkloadResult run_perf_workload(const BenchWorkload& w,
       // 2..k read cache.hit -> exec, each under its own id.
       const telemetry::ScopedTraceContext trace_scope(
           "bench", static_cast<std::int32_t>(w.dims.size()));
-      const BatchPlan& plan = cache.plan(w.dims, epilogues).plan;
+      const BatchPlan& plan = cache.plan(w.dims).plan;
       timed_execute(plan);
       if (r == 0) ran = plan;
     }

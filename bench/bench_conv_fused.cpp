@@ -1,5 +1,5 @@
 // Fused conv+bias+activation dispatch vs the unfused pipeline (Fig.-10
-// companion for the epilogue aux array).
+// companion for the fused epilogues).
 //
 // Per layer group (GoogleNet inception-3a stage 1 and the SqueezeNet fire
 // expand fans), the same convolutions run twice over identical inputs:

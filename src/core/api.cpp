@@ -238,15 +238,6 @@ void BatchedGemmPlanner::plan_auto_offline(
                  summary.plan.num_tiles());
 }
 
-PlanSummary BatchedGemmPlanner::plan(std::span<const GemmDims> dims,
-                                     std::span<const int> epilogues) const {
-  epilogues = normalize_epilogues(epilogues, dims.size());
-  PlanSummary summary = plan(dims);
-  if (!epilogues.empty())
-    summary.plan.epilogue_of_gemm.assign(epilogues.begin(), epilogues.end());
-  return summary;
-}
-
 /// Upper bound on K slices per tile: split-K candidates sweep powers of two
 /// (2, 4, ..., kMaxSplitK).
 constexpr int kMaxSplitK = 8;
@@ -338,7 +329,6 @@ BatchedGemmResult batched_gemm(std::span<const GemmEntry> entries,
 
   std::vector<GemmDims> dims(entries.size());
   std::vector<GemmOperands> ops(entries.size());
-  std::vector<int> epilogues(entries.size(), 0);
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const GemmEntry& e = entries[i];
     CTB_CHECK_MSG(e.a != nullptr && e.b != nullptr && e.c != nullptr,
@@ -347,7 +337,6 @@ BatchedGemmResult batched_gemm(std::span<const GemmEntry> entries,
     ops[i].precision = config.precision;
     ops[i].epilogue = e.epilogue;
     ops[i].epilogue_args = e.epilogue_args;
-    epilogues[i] = e.epilogue;
     dims[i] = ops[i].dims;
     CTB_CHECK_MSG(dims[i].valid(), "GEMM " << i << " has degenerate dims "
                                            << dims[i].m << 'x' << dims[i].n
@@ -356,7 +345,7 @@ BatchedGemmResult batched_gemm(std::span<const GemmEntry> entries,
 
   const BatchedGemmPlanner planner(config);
   BatchedGemmResult result;
-  result.summary = planner.plan(dims, epilogues);
+  result.summary = planner.plan(dims);
   execute_plan(result.summary.plan, ops, alpha, beta);
   result.timing = time_plan(planner.arch(), result.summary.plan, dims,
                             config.precision);

@@ -107,14 +107,6 @@ class BatchedGemmPlanner {
   /// policy. The returned plan passes validate_plan().
   PlanSummary plan(std::span<const GemmDims> dims) const;
 
-  /// Like plan(dims) but the returned plan carries per-GEMM fused-epilogue
-  /// specs (parallel to `dims`; empty or all-zero means none, and yields a
-  /// plan identical to the two-arg form). Tiling, batching, and split-K
-  /// decisions are epilogue-independent — the chain only changes the tile
-  /// store — so epilogues ride along as a sixth aux array.
-  PlanSummary plan(std::span<const GemmDims> dims,
-                   std::span<const int> epilogues) const;
-
   const PlannerConfig& config() const { return config_; }
   const GpuArch& arch() const { return arch_; }
 

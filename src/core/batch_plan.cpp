@@ -191,33 +191,10 @@ void validate_plan_structure(const BatchPlan& plan) {
                             << " not aligned to BK=" << s.bk);
     }
   }
-
-  // Epilogue specs: every entry a canonical packed chain, and the array
-  // covers every GEMM id the tiles reference (batch-size agreement is
-  // checked against dims in validate_plan).
-  if (plan.has_epilogue()) {
-    for (std::size_t g = 0; g < plan.epilogue_of_gemm.size(); ++g)
-      CTB_CHECK_MSG(epilogue_packed_valid(plan.epilogue_of_gemm[g]),
-                    "GEMM " << g << " has malformed epilogue spec "
-                            << plan.epilogue_of_gemm[g]);
-    for (int t = 0; t < plan.num_tiles(); ++t)
-      CTB_CHECK_MSG(plan.gemm_of_tile[static_cast<std::size_t>(t)] <
-                        static_cast<int>(plan.epilogue_of_gemm.size()),
-                    "tile " << t << " references GEMM "
-                            << plan.gemm_of_tile[static_cast<std::size_t>(t)]
-                            << " past the " << plan.epilogue_of_gemm.size()
-                            << "-entry epilogue array");
-  }
 }
 
 void validate_plan(const BatchPlan& plan, std::span<const GemmDims> dims) {
   validate_plan_structure(plan);
-
-  if (plan.has_epilogue())
-    CTB_CHECK_MSG(plan.epilogue_of_gemm.size() == dims.size(),
-                  "epilogue array holds " << plan.epilogue_of_gemm.size()
-                                          << " entries for " << dims.size()
-                                          << " GEMMs");
 
   // Per tile: GEMM id in range, one consistent strategy per GEMM,
   // coordinates inside the GEMM's tile grid, K range inside K.
@@ -399,11 +376,6 @@ std::string to_string(const BatchPlan& plan) {
     for (int v : plan.k_begin) os << v << ' ';
     os << "\n  K_End:    ";
     for (int v : plan.k_end) os << v << ' ';
-  }
-  if (plan.has_epilogue()) {
-    os << "\n  Epilogue: ";
-    for (int v : plan.epilogue_of_gemm)
-      os << epilogue_to_string(v) << ' ';
   }
   os << '\n';
   return os.str();

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "core/epilogue.hpp"
 #include "core/tiling_strategy.hpp"
 #include "linalg/gemm_ref.hpp"
 
@@ -41,13 +40,9 @@ struct Tile {
 ///                                 tile executes the half-open K range
 ///                                 [k_begin, k_end) of its GEMM. Empty for
 ///                                 legacy unsplit plans.
-///   epilogue_of_gemm ("Epilogue") — optional per-GEMM fused epilogue spec
-///                                 (epilogue.hpp packed chains), sized to the
-///                                 batch when present. Indexed by GEMM id,
-///                                 not tile id: every tile of a GEMM shares
-///                                 one epilogue, applied inside the tile
-///                                 store after the tile's whole K chain.
-///                                 Empty for epilogue-free plans.
+/// A plan is scheduling only: what a GEMM's tile store does to its output
+/// (a fused epilogue chain) travels with the operands, so plain and fused
+/// batches of the same shapes share one plan.
 struct BatchPlan {
   std::vector<int> tile_offsets;
   std::vector<int> gemm_of_tile;
@@ -56,7 +51,6 @@ struct BatchPlan {
   std::vector<int> x_coord;
   std::vector<int> k_begin;
   std::vector<int> k_end;
-  std::vector<int> epilogue_of_gemm;
 
   /// Unified block size shared by all blocks (128 or 256).
   int block_threads = 256;
@@ -80,15 +74,6 @@ struct BatchPlan {
   }
   /// True when the plan carries the split-K aux arrays.
   bool has_split() const { return !k_begin.empty(); }
-  /// True when the plan carries per-GEMM epilogue specs.
-  bool has_epilogue() const { return !epilogue_of_gemm.empty(); }
-  /// Packed epilogue spec of GEMM g; 0 (no epilogue) when the array is
-  /// absent or g falls outside it (a degraded plan may cover fewer GEMMs).
-  int gemm_epilogue(int g) const {
-    return g >= 0 && g < static_cast<int>(epilogue_of_gemm.size())
-               ? epilogue_of_gemm[static_cast<std::size_t>(g)]
-               : 0;
-  }
   /// K range of tile t given its GEMM's K extent; {0, K} for unsplit plans.
   std::pair<int, int> tile_k_range(int t, int K) const {
     if (!has_split()) return {0, K};
@@ -126,11 +111,9 @@ std::vector<Tile> split_tiles_k(std::span<const Tile> tiles, int slices);
 /// unified thread structure, and the static launch footprint covers the
 /// strategies present without being overflow-adjacent garbage. Split-K
 /// plans additionally need both K-range arrays sized to the tile count,
-/// every range non-empty with a non-negative BK-aligned start. Epilogue
-/// specs, when present, must all be canonical packed chains
-/// (epilogue_packed_valid) and the array must cover every GEMM id the tiles
-/// reference. Throws CheckError on the first violation. load_plan runs this
-/// before returning, so a deserialized plan is always structurally sound.
+/// every range non-empty with a non-negative BK-aligned start. Throws
+/// CheckError on the first violation. load_plan runs this before returning,
+/// so a deserialized plan is always structurally sound.
 void validate_plan_structure(const BatchPlan& plan);
 
 /// Checks every invariant of a plan against the batch it claims to cover:

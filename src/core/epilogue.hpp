@@ -1,19 +1,20 @@
 // Per-GEMM fused epilogue descriptors (DESIGN.md §12).
 //
 // The paper's aux-array interface describes *where* each tile's output goes;
-// this module describes *what happens to it* on the way out. A plan may carry
-// one epilogue spec per GEMM — a short, ordered chain of elementwise ops
-// (bias add, ReLU) that the executors apply inside the tile store, after the
-// tile's whole K chain. Fusing the epilogue into the store removes the
-// separate read+write pass over C that the dnn layers otherwise pay per
-// elementwise op.
+// this module describes *what happens to it* on the way out. Each GEMM's
+// operands (GemmOperands::epilogue) may carry one epilogue spec — a short,
+// ordered chain of elementwise ops (bias add, ReLU) that the executor applies
+// inside the tile store, after the tile's whole K chain. Fusing the epilogue
+// into the store removes the separate read+write pass over C that the dnn
+// layers otherwise pay per elementwise op. The chain never reaches the plan:
+// tiling, batching and split-K do not depend on it, so plain and fused
+// batches of the same shapes share one plan.
 //
 // Encoding: a spec is a single non-negative int holding up to kMaxEpilogueOps
 // op ids, one per nibble, applied lowest nibble first. The encoding is
 // canonical — a zero nibble terminates the chain and no nonzero nibble may
-// follow it — so equal chains always compare equal as ints and the spec can
-// ride through batch_signature, plan serialization, and cache keys as plain
-// data. 0 means "no epilogue" and is byte-identical to today's store path.
+// follow it — so equal chains always compare equal as ints. 0 means "no
+// epilogue" and is byte-identical to the plain store path.
 //
 // Value semantics (the single source of truth; reference_gemm and every
 // executor implement exactly this):
@@ -27,16 +28,13 @@
 //   C[gi][gj] = v
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string>
 
 namespace ctb {
 
-/// Epilogue op ids, one per nibble of a packed spec. Values are part of the
-/// ctb-batchplan-v3 serialization format — append only, never renumber.
-/// Ids 3, 4 and 5 are retired and stay reserved, so a serialized id never
+/// Epilogue op ids, one per nibble of a packed spec — append only, never
+/// renumber. Ids 3, 4 and 5 are retired and stay reserved, so an id never
 /// changes meaning: every entry point rejects them as malformed, and a new
 /// op takes id 6 or above.
 enum class EpilogueOp : int {
@@ -62,14 +60,6 @@ EpilogueOp epilogue_op_at(int spec, int i);
 /// the nibble area, every nibble a valid op id or zero, and no nonzero
 /// nibble after a zero one (zero-terminated).
 bool epilogue_packed_valid(int spec);
-
-/// The one normalization of a batch's per-GEMM epilogue stream, shared by
-/// every planning and serving entry point: an all-zero stream becomes empty
-/// (so it plans, caches and hashes exactly like no stream); otherwise the
-/// stream must hold one spec per GEMM and every spec must pass
-/// epilogue_packed_valid, else CheckError. Returns the normalized view.
-std::span<const int> normalize_epilogues(std::span<const int> epilogues,
-                                         std::size_t gemms);
 
 /// Appends `op` to the chain; CTB_CHECKs the spec is canonical with a free
 /// slot and `op` is a real op id.

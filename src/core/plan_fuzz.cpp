@@ -24,8 +24,7 @@ const std::vector<PlanFault>& all_plan_faults() {
       PlanFault::kRegsOverflow,         PlanFault::kSplitOverlap,
       PlanFault::kSplitGap,             PlanFault::kSplitEndPastK,
       PlanFault::kSplitZeroLength,      PlanFault::kSplitUnaligned,
-      PlanFault::kSplitTruncated,       PlanFault::kEpilogueBadOpId,
-      PlanFault::kEpilogueNonCanonical, PlanFault::kEpilogueArrayMismatch,
+      PlanFault::kSplitTruncated,
   };
   return faults;
 }
@@ -64,10 +63,6 @@ const char* to_string(PlanFault fault) {
     case PlanFault::kSplitZeroLength: return "split-zero-length";
     case PlanFault::kSplitUnaligned: return "split-unaligned";
     case PlanFault::kSplitTruncated: return "split-truncated";
-    case PlanFault::kEpilogueBadOpId: return "epilogue-bad-op-id";
-    case PlanFault::kEpilogueNonCanonical: return "epilogue-non-canonical";
-    case PlanFault::kEpilogueArrayMismatch:
-      return "epilogue-array-mismatch";
   }
   return "?";
 }
@@ -402,62 +397,6 @@ std::vector<FaultedPlan> inject_plan_fault(const BatchPlan& plan,
         add(std::move(q), "dropped the last K-range end only");
       }
       break;
-    case PlanFault::kEpilogueBadOpId:
-      if (plan.has_epilogue()) {
-        // Overwrite the first spec with an op id one past the enum, and
-        // append the same bad id to the first non-full chain — both leave
-        // every other nibble well-formed, so only per-nibble validation
-        // can catch them.
-        BatchPlan p = plan;
-        p.epilogue_of_gemm[0] = kNumEpilogueOps + 1;
-        add(std::move(p), "epilogue spec of GEMM 0 set to an unknown op id");
-        for (std::size_t g = 0; g < plan.epilogue_of_gemm.size(); ++g) {
-          const int spec = plan.epilogue_of_gemm[g];
-          const int nops = epilogue_num_ops(spec);
-          if (spec != 0 && nops < kMaxEpilogueOps) {
-            BatchPlan q = plan;
-            q.epilogue_of_gemm[g] = spec | ((kNumEpilogueOps + 1)
-                                            << (4 * nops));
-            add(std::move(q), "unknown op id appended to the chain of GEMM " +
-                                  std::to_string(g));
-            break;
-          }
-        }
-      }
-      break;
-    case PlanFault::kEpilogueNonCanonical:
-      if (plan.has_epilogue()) {
-        // A nonzero nibble after the zero terminator (0x20 decodes as "no
-        // ops" but compares unequal to 0), garbage above the nibble area,
-        // and a negative spec.
-        BatchPlan p = plan;
-        p.epilogue_of_gemm[0] = 0x20;
-        add(std::move(p),
-            "epilogue spec of GEMM 0 holds an op past the terminator");
-        BatchPlan q = plan;
-        q.epilogue_of_gemm[0] = 1 << (4 * kMaxEpilogueOps);
-        add(std::move(q),
-            "epilogue spec of GEMM 0 set above the nibble area");
-        BatchPlan r = plan;
-        r.epilogue_of_gemm[0] = -1;
-        add(std::move(r), "epilogue spec of GEMM 0 set negative");
-      }
-      break;
-    case PlanFault::kEpilogueArrayMismatch: {
-      if (!plan.has_epilogue()) break;
-      // Truncate only when the remainder still carries a nonzero spec —
-      // an emptied or all-zero array is a *valid* plain plan, not a fault.
-      BatchPlan p = plan;
-      p.epilogue_of_gemm.pop_back();
-      bool any = false;
-      for (int v : p.epilogue_of_gemm) any = any || v != 0;
-      if (any)
-        add(std::move(p), "dropped the last epilogue spec");
-      BatchPlan q = plan;
-      q.epilogue_of_gemm.push_back(0);
-      add(std::move(q), "appended a spec past the batch");
-      break;
-    }
   }
   return out;
 }

@@ -60,12 +60,6 @@ enum class PlanFault : int {
   kSplitZeroLength,  ///< a later entry (k_begin > 0) with an empty range.
   kSplitUnaligned,   ///< k_begin knocked off the BK grid.
   kSplitTruncated,   ///< K-range arrays shorter than the tile count.
-  // Epilogue-array corruption (apply to epilogue-carrying plans only:
-  // every class returns no variants for a plan without the array).
-  kEpilogueBadOpId,        ///< nibble holds an op id past the enum.
-  kEpilogueNonCanonical,   ///< nonzero nibble after the terminator,
-                           ///< garbage above the nibble area, negative spec.
-  kEpilogueArrayMismatch,  ///< array length disagrees with the batch size.
 };
 
 /// All corruption classes, enumeration order.

@@ -14,14 +14,11 @@ namespace ctb {
 
 namespace {
 // v1 carries the five aux arrays of Fig. 6; v2 appends the split-K K-range
-// pair; v3 appends the per-GEMM epilogue array (and always carries the
-// K-range pair, possibly empty, so the array order is fixed). Plans without
-// the optional arrays are still written in the oldest format that can
-// express them, so their serialized form is byte-identical to every
-// earlier release.
+// pair. Unsplit plans are written as v1, so their serialized form is
+// byte-identical to every earlier release. Any other version, v3 (which
+// once appended a per-GEMM epilogue array) included, is rejected.
 constexpr const char* kMagicV1 = "ctb-batchplan-v1";
 constexpr const char* kMagicV2 = "ctb-batchplan-v2";
-constexpr const char* kMagicV3 = "ctb-batchplan-v3";
 constexpr const char* kMagicPrefix = "ctb-batchplan-";
 // Cap on declared element counts, applied before any allocation: a plan
 // with 2^26 tiles would be hundreds of MiB of text, far beyond any real
@@ -66,10 +63,7 @@ std::vector<int> read_array(std::istream& is, const char* name) {
 }  // namespace
 
 void save_plan(std::ostream& os, const BatchPlan& plan) {
-  const char* magic = plan.has_epilogue() ? kMagicV3
-                      : plan.has_split()  ? kMagicV2
-                                          : kMagicV1;
-  os << magic << '\n';
+  os << (plan.has_split() ? kMagicV2 : kMagicV1) << '\n';
   os << plan.block_threads << ' ' << plan.smem_bytes << ' '
      << plan.regs_per_thread << '\n';
   write_array(os, "tile", plan.tile_offsets);
@@ -77,17 +71,16 @@ void save_plan(std::ostream& os, const BatchPlan& plan) {
   write_array(os, "strategy", plan.strategy_of_tile);
   write_array(os, "y", plan.y_coord);
   write_array(os, "x", plan.x_coord);
-  if (plan.has_split() || plan.has_epilogue()) {
+  if (plan.has_split()) {
     write_array(os, "kbegin", plan.k_begin);
     write_array(os, "kend", plan.k_end);
   }
-  if (plan.has_epilogue()) write_array(os, "epilogue", plan.epilogue_of_gemm);
 }
 
 BatchPlan load_plan(std::istream& is) {
   std::string magic;
   if (!(is >> magic)) throw PlanIoError("empty stream", "header");
-  if (magic != kMagicV1 && magic != kMagicV2 && magic != kMagicV3) {
+  if (magic != kMagicV1 && magic != kMagicV2) {
     if (magic.rfind(kMagicPrefix, 0) == 0)
       throw PlanIoError("unsupported plan version '" + magic + "'",
                         "header");
@@ -105,16 +98,11 @@ BatchPlan load_plan(std::istream& is) {
   plan.strategy_of_tile = read_array(is, "strategy");
   plan.y_coord = read_array(is, "y");
   plan.x_coord = read_array(is, "x");
-  if (magic == kMagicV2 || magic == kMagicV3) {
+  if (magic == kMagicV2) {
     plan.k_begin = read_array(is, "kbegin");
     plan.k_end = read_array(is, "kend");
-    if (magic == kMagicV2 && plan.k_begin.empty())
+    if (plan.k_begin.empty())
       throw PlanIoError("v2 plan without K ranges", "kbegin");
-  }
-  if (magic == kMagicV3) {
-    plan.epilogue_of_gemm = read_array(is, "epilogue");
-    if (plan.epilogue_of_gemm.empty())
-      throw PlanIoError("v3 plan without epilogues", "epilogue");
   }
   std::string rest;
   if (is >> rest)
@@ -129,12 +117,6 @@ BatchPlan load_plan(std::istream& is) {
 
 std::uint64_t batch_signature(std::span<const GemmDims> dims,
                               const PlannerConfig& config) {
-  return batch_signature(dims, config, {});
-}
-
-std::uint64_t batch_signature(std::span<const GemmDims> dims,
-                              const PlannerConfig& config,
-                              std::span<const int> epilogues) {
   // FNV-1a over the shape stream plus the planning knobs.
   std::uint64_t h = 0xcbf29ce484222325ULL;
   auto mix = [&h](std::uint64_t v) {
@@ -151,17 +133,6 @@ std::uint64_t batch_signature(std::span<const GemmDims> dims,
     mix(static_cast<std::uint64_t>(d.n));
     mix(static_cast<std::uint64_t>(d.k));
   }
-  // Epilogue chains change what the plan executes, so they are part of the
-  // reuse key. An all-zero stream IS the plain batch and must hash like one
-  // (every entry point normalizes the same way); for a real chain the count
-  // is mixed first so an empty epilogue stream stays distinguishable from
-  // shapes that happen to collide with spec values.
-  bool any_epilogue = false;
-  for (int e : epilogues) any_epilogue = any_epilogue || e != 0;
-  if (any_epilogue) {
-    mix(static_cast<std::uint64_t>(epilogues.size()));
-    for (int e : epilogues) mix(static_cast<std::uint64_t>(e));
-  }
   return h;
 }
 
@@ -176,19 +147,12 @@ void PlanCache::clear() {
 }
 
 const PlanSummary& PlanCache::plan(std::span<const GemmDims> dims) {
-  return plan(dims, {});
-}
-
-const PlanSummary& PlanCache::plan(std::span<const GemmDims> dims,
-                                   std::span<const int> epilogues) {
   CTB_CHECK_MSG(!dims.empty(), "cannot plan an empty batch");
   for (std::size_t i = 0; i < dims.size(); ++i)
     CTB_CHECK_MSG(dims[i].valid(), "GEMM " << i << " has degenerate dims "
                                            << dims[i].m << 'x' << dims[i].n
                                            << 'x' << dims[i].k);
-  epilogues = normalize_epilogues(epilogues, dims.size());
-  const std::uint64_t key =
-      batch_signature(dims, planner_.config(), epilogues);
+  const std::uint64_t key = batch_signature(dims, planner_.config());
   auto it = cache_.find(key);
   if (it != cache_.end()) {
     ++hits_;
@@ -203,11 +167,6 @@ const PlanSummary& PlanCache::plan(std::span<const GemmDims> dims,
   CTB_TEL_SPAN("cache.plan_miss");
   PlanSummary summary =
       planner_fn_ ? planner_fn_(dims) : planner_.plan(dims);
-  // Epilogues ride along as a per-GEMM aux array: batching and split-K
-  // decisions are epilogue-independent, so an injected test planner's
-  // result gains them the same way the real planner's does.
-  if (!epilogues.empty())
-    summary.plan.epilogue_of_gemm.assign(epilogues.begin(), epilogues.end());
   validate_plan(summary.plan, dims);
   ++misses_;
   CTB_TEL_COUNT("cache.miss", 1);

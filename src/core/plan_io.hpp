@@ -48,16 +48,11 @@ void save_plan(std::ostream& os, const BatchPlan& plan);
 BatchPlan load_plan(std::istream& is);
 
 /// Stable 64-bit signature of a batch + planning configuration; plans are
-/// reusable exactly when the signature matches.
+/// reusable exactly when the signature matches. Fused-epilogue chains are
+/// not part of it: they travel with the operands, and plain and fused
+/// batches of the same shapes run the same plan.
 std::uint64_t batch_signature(std::span<const GemmDims> dims,
                               const PlannerConfig& config);
-
-/// Signature of a batch with per-GEMM fused-epilogue specs (parallel to
-/// `dims`; an empty span means none and hashes identically to the two-arg
-/// form). Epilogues are execution semantics, so they are part of the key.
-std::uint64_t batch_signature(std::span<const GemmDims> dims,
-                              const PlannerConfig& config,
-                              std::span<const int> epilogues);
 
 /// Memoizes planner decisions for repeated batch shapes. Not thread-safe;
 /// use one cache per planning thread (ctb::service::PlanService wraps one
@@ -78,13 +73,6 @@ class PlanCache {
   /// validation) nothing is cached and no statistics change, so retrying the
   /// same batch after a transient failure behaves as a fresh miss.
   const PlanSummary& plan(std::span<const GemmDims> dims);
-
-  /// Like plan(dims) but the returned plan carries per-GEMM fused-epilogue
-  /// specs (parallel to `dims`; all-zero or empty means none). Epilogues
-  /// are part of the cache key, so the same shapes with different chains
-  /// are distinct entries.
-  const PlanSummary& plan(std::span<const GemmDims> dims,
-                          std::span<const int> epilogues);
 
   /// Lookup by precomputed signature, counting a hit or a miss (stats and
   /// cache.hit/cache.miss telemetry); nullptr on miss. The service layer

@@ -15,7 +15,6 @@ std::vector<Tensor4> grouped_conv_forward(std::span<const GroupedConv> convs,
   std::vector<Matrixf> outs(n);
   std::vector<GemmOperands> ops(n);
   std::vector<GemmDims> dims(n);
-  std::vector<int> epilogues(n, 0);
   long long fused_ops = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const GroupedConv& gc = convs[i];
@@ -41,7 +40,6 @@ std::vector<Tensor4> grouped_conv_forward(std::span<const GroupedConv> convs,
       g.epilogue_args.bias_len = static_cast<int>(gc.bias.size());
     }
     if (gc.relu) g.epilogue = epilogue_push(g.epilogue, EpilogueOp::kRelu);
-    epilogues[i] = g.epilogue;
     fused_ops += epilogue_num_ops(g.epilogue);
   }
   CTB_TEL_COUNT("plan.grouped.dispatches", 1);
@@ -49,8 +47,7 @@ std::vector<Tensor4> grouped_conv_forward(std::span<const GroupedConv> convs,
   CTB_TEL_COUNT("plan.grouped.fused_ops", fused_ops);
   // Convs that lower one input with one geometry read one B: their panel
   // keys are equal, so the executor packs that B once for all of them.
-  const PlanSummary summary =
-      BatchedGemmPlanner(config).plan(dims, epilogues);
+  const PlanSummary summary = BatchedGemmPlanner(config).plan(dims);
   execute_plan(summary.plan, ops, 1.0f, 0.0f);
 
   std::vector<Tensor4> tensors;

@@ -3,7 +3,7 @@
 // conv+bias+activation layer — executed as ONE planned batched-GEMM kernel
 // with the per-layer epilogues (bias add, ReLU) fused into the tile store.
 //
-// This is the dnn-side consumer of the framework's epilogue aux array
+// This is the dnn-side consumer of the framework's fused epilogues
 // (core/epilogue.hpp): instead of GEMM -> col2im -> bias pass -> relu pass
 // (three full sweeps over each output), the grouped dispatch runs one GEMM
 // whose stores apply the chain, then a single col2im reshape. No column
@@ -37,8 +37,8 @@ struct GroupedConv {
   bool relu = false;
 };
 
-/// Builds every conv's implicit-GEMM operands at `config.precision`, plans
-/// the group with its epilogues, executes it as one batched GEMM, and
+/// Builds every conv's implicit-GEMM operands, with their epilogues, at
+/// `config.precision`, plans the group, executes it as one batched GEMM, and
 /// reshapes each output back to NCHW. Convs over one input tensor with one
 /// geometry (extents, kernel, stride, pad) read one B, which the executor
 /// packs once. Counts the dispatch under plan.grouped.* telemetry.

@@ -497,17 +497,6 @@ void audit_plan_operands(const BatchPlan& plan,
   std::vector<GemmDims> dims(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) dims[i] = batch[i].dims;
   validate_plan(plan, dims);
-  // The plan's per-GEMM epilogue record must agree with what the operands
-  // carry — a stale fused plan meeting a reshaped (or de-fused) batch is
-  // rejected here, exactly like a dims mismatch.
-  for (std::size_t i = 0; i < batch.size(); ++i)
-    CTB_CHECK_MSG(plan.gemm_epilogue(static_cast<int>(i)) ==
-                      batch[i].epilogue,
-                  "GEMM " << i << " epilogue mismatch: plan has "
-                          << epilogue_to_string(
-                                 plan.gemm_epilogue(static_cast<int>(i)))
-                          << ", operands carry "
-                          << epilogue_to_string(batch[i].epilogue));
 }
 
 void reference_gemm(const GemmOperands& g, float alpha, float beta) {

@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "core/batch_plan.hpp"
+#include "core/epilogue.hpp"
 #include "core/tiling_strategy.hpp"
 #include "linalg/gemm_ref.hpp"
 
@@ -105,9 +106,8 @@ struct GemmOperands {
   /// Packed fused-epilogue chain (epilogue.hpp), applied inside the tile
   /// store — after the tile's whole K chain, split or not — instead of a
   /// separate elementwise pass over C. 0 = none (byte-identical to the
-  /// plain store). For plan-driven execution the plan's epilogue_of_gemm
-  /// entry must match this spec; audit_plan_operands enforces the
-  /// agreement.
+  /// plain store). This is the chain's one record: plans carry none, so
+  /// any plan for these dims runs it.
   int epilogue = 0;
   /// Operands for the ops named by `epilogue`; audited for presence and
   /// extent before any matrix memory is touched.

@@ -65,18 +65,13 @@ void PlanService::backoff(std::int64_t us) {
 // Planning primitives
 // ---------------------------------------------------------------------------
 
-PlanSummary PlanService::plan_full(std::span<const GemmDims> dims,
-                                   std::span<const int> epilogues) {
+PlanSummary PlanService::plan_full(std::span<const GemmDims> dims) {
   FailAction fp = consume_failpoint("service.planner.throw");
   if (fp == FailAction::kThrow)
     throw CheckError("injected failpoint: service.planner.throw");
   if (fp == FailAction::kBadAlloc) throw std::bad_alloc();
   PlanSummary summary =
       config_.planner_fn ? config_.planner_fn(dims) : full_planner_.plan(dims);
-  // Epilogues ride along as a per-GEMM aux array regardless of which planner
-  // produced the plan (the injected test planner included).
-  if (!epilogues.empty())
-    summary.plan.epilogue_of_gemm.assign(epilogues.begin(), epilogues.end());
   fp = consume_failpoint("service.planner.corrupt");
   if (fp == FailAction::kCorrupt && !summary.plan.gemm_of_tile.empty()) {
     // Truncate one aux array: validate_plan cannot miss the length mismatch,
@@ -87,7 +82,7 @@ PlanSummary PlanService::plan_full(std::span<const GemmDims> dims,
 }
 
 PlanSummary PlanService::plan_full_with_retries(
-    std::span<const GemmDims> dims, std::span<const int> epilogues) {
+    std::span<const GemmDims> dims) {
   std::string last_error;
   constexpr int kAttempts = kMaxRetries + 1;
   for (int attempt = 0; attempt < kAttempts; ++attempt) {
@@ -97,7 +92,7 @@ PlanSummary PlanService::plan_full_with_retries(
       backoff(kBackoffBaseUs << (attempt - 1));
     }
     try {
-      PlanSummary summary = plan_full(dims, epilogues);
+      PlanSummary summary = plan_full(dims);
       validate_plan(summary.plan, dims);
       return summary;
     } catch (const std::exception& e) {
@@ -109,12 +104,12 @@ PlanSummary PlanService::plan_full_with_retries(
 }
 
 std::shared_ptr<const PlanSummary> PlanService::make_fallback(
-    std::span<const GemmDims> dims, std::span<const int> epilogues) {
+    std::span<const GemmDims> dims) {
   const FailAction fp = consume_failpoint("service.fallback.alloc");
   if (fp == FailAction::kBadAlloc) throw std::bad_alloc();
   if (fp == FailAction::kThrow)
     throw CheckError("injected failpoint: service.fallback.alloc");
-  PlanSummary summary = fallback_planner_.plan(dims, epilogues);
+  PlanSummary summary = fallback_planner_.plan(dims);
   validate_plan(summary.plan, dims);
   return std::make_shared<const PlanSummary>(std::move(summary));
 }
@@ -156,18 +151,17 @@ void PlanService::record_failure(std::uint64_t sig, Shard& sh) {
 // Serving
 // ---------------------------------------------------------------------------
 
-ServedPlan PlanService::get(std::span<const GemmDims> dims) {
-  return get(dims, {});
+ServedPlan PlanService::get(std::span<const GemmDims> dims,
+                            std::span<const int> /*epilogues*/) {
+  return get(dims);
 }
 
-ServedPlan PlanService::get(std::span<const GemmDims> dims,
-                            std::span<const int> epilogues) {
+ServedPlan PlanService::get(std::span<const GemmDims> dims) {
   CTB_CHECK_MSG(!dims.empty(), "cannot serve an empty batch");
   for (std::size_t i = 0; i < dims.size(); ++i)
     CTB_CHECK_MSG(dims[i].valid(), "GEMM " << i << " has degenerate dims "
                                            << dims[i].m << 'x' << dims[i].n
                                            << 'x' << dims[i].k);
-  epilogues = normalize_epilogues(epilogues, dims.size());
   // Request-scoped trace: adopt the caller's context when one is active
   // (explicit propagation), otherwise mint a fresh id for this lookup.
   // Everything downstream — planner spans, cache flight events, the
@@ -175,9 +169,8 @@ ServedPlan PlanService::get(std::span<const GemmDims> dims,
   const telemetry::ScopedTraceContext trace_scope(
       "service", static_cast<std::int32_t>(dims.size()));
   const std::int64_t t0 = steady_now_us();
-  const std::uint64_t sig =
-      batch_signature(dims, config_.planner, epilogues);
-  ServedPlan served = serve(sig, dims, epilogues);
+  const std::uint64_t sig = batch_signature(dims, config_.planner);
+  ServedPlan served = serve(sig, dims);
   served.trace_id = telemetry::current_trace().id;
   stats_.admitted.fetch_add(1, std::memory_order_relaxed);
   CTB_TEL_COUNT("service.admitted", 1);
@@ -189,8 +182,7 @@ ServedPlan PlanService::get(std::span<const GemmDims> dims,
 }
 
 ServedPlan PlanService::serve(std::uint64_t sig,
-                              std::span<const GemmDims> dims,
-                              std::span<const int> epilogues) {
+                              std::span<const GemmDims> dims) {
   Shard& sh = shard_for(sig);
   std::shared_ptr<const PlanSummary> cached;
   Meta meta;
@@ -203,32 +195,31 @@ ServedPlan PlanService::serve(std::uint64_t sig,
   if (!cached) {
     stats_.misses.fetch_add(1, std::memory_order_relaxed);
     CTB_TEL_COUNT("service.miss", 1);
-    return admit_cold(sig, dims, epilogues, sh, meta.quarantined);
+    return admit_cold(sig, dims, sh, meta.quarantined);
   }
   stats_.hits.fetch_add(1, std::memory_order_relaxed);
   CTB_TEL_COUNT("service.hit", 1);
   if (meta.quarantined)
     return count_degraded(std::move(cached), ServeState::kQuarantined);
   if (!meta.degraded) return {std::move(cached), ServeState::kHit};
-  return upgrade_inline(sig, dims, epilogues, sh, std::move(cached));
+  return upgrade_inline(sig, dims, sh, std::move(cached));
 }
 
 ServedPlan PlanService::admit_cold(std::uint64_t sig,
-                                   std::span<const GemmDims> dims,
-                                   std::span<const int> epilogues,
-                                   Shard& sh, bool quarantined) {
+                                   std::span<const GemmDims> dims, Shard& sh,
+                                   bool quarantined) {
   // A quarantined signature without an entry (every fallback attempt so far
   // failed too) is served the fallback without touching the full planner,
   // exactly like a quarantined hit.
   if (quarantined)
-    return serve_fallback(sig, dims, epilogues, sh, ServeState::kQuarantined,
+    return serve_fallback(sig, dims, sh, ServeState::kQuarantined,
                           "signature quarantined");
   try {
-    return {install_full(sig, sh, plan_full_with_retries(dims, epilogues)),
+    return {install_full(sig, sh, plan_full_with_retries(dims)),
             ServeState::kPlanned};
   } catch (const std::exception& e) {
     record_failure(sig, sh);
-    return serve_fallback(sig, dims, epilogues, sh, ServeState::kDegraded,
+    return serve_fallback(sig, dims, sh, ServeState::kDegraded,
                           "full planner failed (" + std::string(e.what()) +
                               ")");
   }
@@ -236,12 +227,11 @@ ServedPlan PlanService::admit_cold(std::uint64_t sig,
 
 ServedPlan PlanService::serve_fallback(std::uint64_t sig,
                                        std::span<const GemmDims> dims,
-                                       std::span<const int> epilogues,
                                        Shard& sh, ServeState state,
                                        const std::string& why) {
   std::shared_ptr<const PlanSummary> fallback;
   try {
-    fallback = make_fallback(dims, epilogues);
+    fallback = make_fallback(dims);
   } catch (const std::exception& e) {
     throw PlanServiceError("plan service: " + why +
                            " and fallback planning failed (" + e.what() +
@@ -260,12 +250,11 @@ ServedPlan PlanService::serve_fallback(std::uint64_t sig,
 }
 
 ServedPlan PlanService::upgrade_inline(
-    std::uint64_t sig, std::span<const GemmDims> dims,
-    std::span<const int> epilogues, Shard& sh,
+    std::uint64_t sig, std::span<const GemmDims> dims, Shard& sh,
     std::shared_ptr<const PlanSummary> fallback) {
   try {
     std::shared_ptr<const PlanSummary> upgraded =
-        install_full(sig, sh, plan_full_with_retries(dims, epilogues));
+        install_full(sig, sh, plan_full_with_retries(dims));
     stats_.upgraded.fetch_add(1, std::memory_order_relaxed);
     CTB_TEL_COUNT("service.upgraded", 1);
     CTB_TEL_FLIGHT(kUpgrade, "degraded entry replaced", 0, 0);
@@ -316,10 +305,8 @@ ServiceStats PlanService::stats() const {
   return s;
 }
 
-bool PlanService::is_quarantined(std::span<const GemmDims> dims,
-                                 std::span<const int> epilogues) const {
-  const std::uint64_t sig = batch_signature(
-      dims, config_.planner, normalize_epilogues(epilogues, dims.size()));
+bool PlanService::is_quarantined(std::span<const GemmDims> dims) const {
+  const std::uint64_t sig = batch_signature(dims, config_.planner);
   Shard& sh = shard_for(sig);
   std::lock_guard<std::mutex> lock(sh.mu);
   auto it = sh.meta.find(sig);

@@ -154,13 +154,9 @@ class PlanService {
   /// PlanServiceError when both the full planner and the fallback failed.
   ServedPlan get(std::span<const GemmDims> dims);
 
-  /// Like get(dims) but every served plan — hit, fresh, degraded, or
-  /// upgraded — carries the per-GEMM fused-epilogue specs (parallel to
-  /// `dims`; empty or all-zero means none and serves identically to the
-  /// plain form). Epilogues are part of the signature, so the same shapes
-  /// with different chains are distinct cache entries, and a degraded
-  /// fallback plan carries the chain too: fused execution never silently
-  /// drops an epilogue on the degraded path.
+  /// Forwards to get(dims), ignoring `epilogues`: a plan carries no
+  /// fused-epilogue chain (the operands do). perfbench's workloads still
+  /// call this form; delete it once they call get(dims).
   ServedPlan get(std::span<const GemmDims> dims,
                  std::span<const int> epilogues);
 
@@ -172,10 +168,8 @@ class PlanService {
 
   ServiceStats stats() const;
 
-  /// Whether the batch's signature — shapes plus epilogue stream, hashed
-  /// exactly as get() hashes them — is quarantined.
-  bool is_quarantined(std::span<const GemmDims> dims,
-                      std::span<const int> epilogues = {}) const;
+  /// Whether the batch's signature is quarantined.
+  bool is_quarantined(std::span<const GemmDims> dims) const;
 
   /// Lifts quarantine everywhere (operator action after a planner fix):
   /// quarantined signatures keep their fallback entries but become eligible
@@ -203,28 +197,22 @@ class PlanService {
 
   void backoff(std::int64_t us);
 
-  // Every serving step carries the batch's epilogue stream alongside its
-  // dims (empty span = none) so degraded and upgraded plans both keep it.
-  ServedPlan serve(std::uint64_t sig, std::span<const GemmDims> dims,
-                   std::span<const int> epilogues);
+  ServedPlan serve(std::uint64_t sig, std::span<const GemmDims> dims);
   ServedPlan admit_cold(std::uint64_t sig, std::span<const GemmDims> dims,
-                        std::span<const int> epilogues, Shard& sh,
-                        bool quarantined);
+                        Shard& sh, bool quarantined);
   ServedPlan serve_fallback(std::uint64_t sig, std::span<const GemmDims> dims,
-                            std::span<const int> epilogues, Shard& sh,
-                            ServeState state, const std::string& why);
+                            Shard& sh, ServeState state,
+                            const std::string& why);
   ServedPlan upgrade_inline(std::uint64_t sig, std::span<const GemmDims> dims,
-                            std::span<const int> epilogues, Shard& sh,
+                            Shard& sh,
                             std::shared_ptr<const PlanSummary> fallback);
   ServedPlan count_degraded(std::shared_ptr<const PlanSummary> plan,
                             ServeState state);
 
-  PlanSummary plan_full(std::span<const GemmDims> dims,
-                        std::span<const int> epilogues);
-  PlanSummary plan_full_with_retries(std::span<const GemmDims> dims,
-                                     std::span<const int> epilogues);
+  PlanSummary plan_full(std::span<const GemmDims> dims);
+  PlanSummary plan_full_with_retries(std::span<const GemmDims> dims);
   std::shared_ptr<const PlanSummary> make_fallback(
-      std::span<const GemmDims> dims, std::span<const int> epilogues);
+      std::span<const GemmDims> dims);
   std::shared_ptr<const PlanSummary> install_full(std::uint64_t sig,
                                                   Shard& sh,
                                                   PlanSummary summary);

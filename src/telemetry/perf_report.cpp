@@ -205,28 +205,6 @@ void sort_workloads(PerfReport& report) {
 
 namespace {
 
-void write_escaped(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char ch : s) {
-    switch (ch) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          os << buf;
-        } else {
-          os << ch;
-        }
-    }
-  }
-  os << '"';
-}
-
 // Fixed three decimals: microsecond timings round-trip byte-identically
 // through the parser (%.3f of the parsed value reproduces the bytes).
 std::string fixed3(double v) {
@@ -245,13 +223,13 @@ void write_perf_report_json(std::ostream& os, const PerfReport& report) {
   os << "{\n";
   os << "  \"schema_version\": " << sorted.schema_version << ",\n";
   os << "  \"tag\": ";
-  write_escaped(os, sorted.tag);
+  telemetry::write_json_escaped(os, sorted.tag);
   os << ",\n  \"suite\": ";
-  write_escaped(os, sorted.suite);
+  telemetry::write_json_escaped(os, sorted.suite);
   os << ",\n  \"repeats\": " << sorted.repeats << ",\n";
   os << "  \"created_unix\": " << sorted.created_unix << ",\n";
   os << "  \"simd_isa\": ";
-  write_escaped(os, sorted.simd_isa);
+  telemetry::write_json_escaped(os, sorted.simd_isa);
   os << ",\n";
   os << "  \"workloads\": [";
   bool first_w = true;
@@ -259,7 +237,7 @@ void write_perf_report_json(std::ostream& os, const PerfReport& report) {
     os << (first_w ? "\n" : ",\n");
     first_w = false;
     os << "    {\n      \"name\": ";
-    write_escaped(os, w.name);
+    telemetry::write_json_escaped(os, w.name);
     os << ",\n      \"flops\": " << w.flops;
     os << ",\n      \"repeats\": " << w.repeats;
     os << ",\n      \"timing\": {\"median_us\": ";
@@ -296,7 +274,7 @@ void write_perf_report_json(std::ostream& os, const PerfReport& report) {
       os << (first ? "\n" : ",\n");
       first = false;
       os << "        {\"name\": ";
-      write_escaped(os, c.name);
+      telemetry::write_json_escaped(os, c.name);
       os << ", \"value\": " << c.value << "}";
     }
     os << (w.counters.empty() ? "]" : "\n      ]");
@@ -306,7 +284,7 @@ void write_perf_report_json(std::ostream& os, const PerfReport& report) {
       os << (first ? "\n" : ",\n");
       first = false;
       os << "        {\"name\": ";
-      write_escaped(os, h.name);
+      telemetry::write_json_escaped(os, h.name);
       os << ", \"count\": " << h.count << ", \"sum\": " << h.sum
          << ", \"p50\": " << h.p50 << ", \"p95\": " << h.p95
          << ", \"p99\": " << h.p99 << "}";

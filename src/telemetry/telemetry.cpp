@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -83,29 +84,6 @@ constexpr const char* kCoreHistograms[] = {
     "sim.resident_blocks",
     "sim.hide_pct",
 };
-
-void write_json_escaped(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20)
-          os << ' ';  // control characters never appear in metric names
-        else
-          os << c;
-    }
-  }
-  os << '"';
-}
 
 struct Registry {
   std::atomic<bool> enabled{false};
@@ -330,6 +308,28 @@ MetricsSnapshot delta(const MetricsSnapshot& before,
     d.histograms.push_back(std::move(out));
   }
   return d;
+}
+
+void write_json_escaped(std::ostream& os, const std::string& s) {
+  os << '"';
+  for (char ch : s) {
+    switch (ch) {
+      case '"': os << "\\\""; break;
+      case '\\': os << "\\\\"; break;
+      case '\n': os << "\\n"; break;
+      case '\t': os << "\\t"; break;
+      case '\r': os << "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(ch) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
+          os << buf;
+        } else {
+          os << ch;
+        }
+    }
+  }
+  os << '"';
 }
 
 void write_metrics_json(std::ostream& os, const MetricsSnapshot& snap) {

@@ -100,6 +100,12 @@ void reset();
 /// `<name>_ns` histograms. Schema in DESIGN.md §8.
 void write_metrics_json(std::ostream& os, const MetricsSnapshot& snap);
 
+/// Writes `s` as a quoted JSON string: '"' and '\\' escaped, \n, \t and \r
+/// by name, other control characters as \u00XX. The one escaper of the
+/// JSON artifacts (metrics.json and the perf reports, whose loader reads
+/// every escape it writes back).
+void write_json_escaped(std::ostream& os, const std::string& s);
+
 /// Runtime master switch; relaxed-atomic read, safe from any thread.
 bool enabled();
 void set_enabled(bool on);

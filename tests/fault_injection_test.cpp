@@ -55,9 +55,7 @@ const std::vector<PlanCase>& plan_cases() {
       pc.name = std::move(name);
       pc.dims = std::move(dims);
       pc.epilogues = std::move(epilogues);
-      pc.plan = pc.epilogues.empty()
-                    ? planner.plan(pc.dims).plan
-                    : planner.plan(pc.dims, pc.epilogues).plan;
+      pc.plan = planner.plan(pc.dims).plan;
       validate_plan(pc.plan, pc.dims);  // fixtures start healthy
       out.push_back(std::move(pc));
     };
@@ -96,8 +94,8 @@ const std::vector<PlanCase>& plan_cases() {
     add_split("splitk-ragged", {{64, 64, 96}, {40, 24, 100}}, 3, 2);
     add_split("splitk-uniform",
               std::vector<GemmDims>(4, GemmDims{32, 32, 64}), 2, 3);
-    // Fused-epilogue fixture: the epilogue fault classes need the per-GEMM
-    // spec array to corrupt.
+    // Fused-operand fixture: corrupted plans meet operands that carry
+    // epilogue chains and bias buffers.
     const int bias_relu =
         epilogue_push(epilogue_push(0, EpilogueOp::kBias), EpilogueOp::kRelu);
     add("epilogue-ragged", ragged, BatchingPolicy::kThresholdOnly,
@@ -110,9 +108,8 @@ const std::vector<PlanCase>& plan_cases() {
 
 /// Random A/B plus sentinel-filled C for every GEMM of a batch. The
 /// matrices live in vectors sized up front, so the operand pointers stay
-/// stable. When per-GEMM epilogue specs are given, matching operands
-/// (random bias buffers) are allocated and attached so the workspace agrees
-/// with an epilogue-carrying plan.
+/// stable. When per-GEMM epilogue specs are given, they are attached to the
+/// operands together with random bias buffers for the chains that add one.
 struct Workspace {
   std::vector<Matrixf> a, b, c;
   std::vector<std::vector<float>> bias;
@@ -237,19 +234,19 @@ TEST(FaultInjection, StaleDimsRejectedAgainstOperands) {
 }
 
 TEST(FaultInjection, EpilogueOperandFaultsRejectedBeforeMemoryAccess) {
-  // Healthy epilogue-carrying plan, corrupted *operands*: every fault in
-  // the chain's argument block (missing buffer, wrong extent, spec
-  // disagreement) must throw before any element of C is written.
+  // Healthy plan, corrupted *operands*: every fault in a GEMM's chain or its
+  // argument block (missing buffer, wrong extent, malformed spec) must throw
+  // from execute_plan and execute_tile before any element of C is written.
   const std::vector<GemmDims> dims = {{24, 40, 32}, {48, 16, 64}};
-  const int bias_relu =
-      epilogue_push(epilogue_push(0, EpilogueOp::kBias), EpilogueOp::kRelu);
+  const int bias = epilogue_push(0, EpilogueOp::kBias);
+  const int bias_relu = epilogue_push(bias, EpilogueOp::kRelu);
   const std::vector<int> specs = {bias_relu,
                                   epilogue_push(0, EpilogueOp::kRelu)};
   PlannerConfig config;
   config.policy = BatchingPolicy::kThresholdOnly;
-  const BatchedGemmPlanner planner(config);
-  const BatchPlan plan = planner.plan(dims, specs).plan;
+  const BatchPlan plan = BatchedGemmPlanner(config).plan(dims).plan;
   validate_plan(plan, dims);
+  const TilingStrategy& tile = batched_strategy_by_id(plan.strategy_of_tile[0]);
 
   auto fresh = [&] { return Workspace(dims, 59, kSentinel, specs); };
   {  // Baseline sanity: the healthy workspace executes.
@@ -257,46 +254,44 @@ TEST(FaultInjection, EpilogueOperandFaultsRejectedBeforeMemoryAccess) {
     execute_plan(plan, ws.ops, 1.0f, 0.5f);
     EXPECT_FALSE(ws.c_untouched());
   }
-  {  // Bias buffer missing.
+  auto expect_rejected = [&](const std::string& what, auto corrupt) {
+    SCOPED_TRACE(what);
     Workspace ws = fresh();
-    ws.ops[0].epilogue_args.bias = nullptr;
+    corrupt(ws.ops[0]);
     EXPECT_THROW(execute_plan(plan, ws.ops, 1.0f, 0.0f), CheckError);
+    EXPECT_THROW(execute_tile(tile, ws.ops[0], 0, 0, 1.0f, 0.0f),
+                 CheckError);
     EXPECT_TRUE(ws.c_untouched());
+  };
+  expect_rejected("bias buffer missing",
+                  [](GemmOperands& g) { g.epilogue_args.bias = nullptr; });
+  expect_rejected("bias length disagrees with M", [&](GemmOperands& g) {
+    g.epilogue_args.bias_len = dims[0].m - 1;
+  });
+  // Ids past every op ever assigned (6 is the next free one), alone and
+  // after a bias; an op after the terminator (0x20 decodes as "no ops" but
+  // is not canonical); garbage above the nibble area; a negative spec.
+  for (const int unknown : {6, 0xF}) {
+    expect_rejected("unknown op id " + std::to_string(unknown),
+                    [&](GemmOperands& g) { g.epilogue = unknown; });
+    expect_rejected("unknown op id after a bias", [&](GemmOperands& g) {
+      g.epilogue = bias | (unknown << 4);
+    });
   }
-  {  // Bias length disagrees with M.
-    Workspace ws = fresh();
-    ws.ops[0].epilogue_args.bias_len = dims[0].m - 1;
-    EXPECT_THROW(execute_plan(plan, ws.ops, 1.0f, 0.0f), CheckError);
-    EXPECT_TRUE(ws.c_untouched());
-  }
-  {  // Operand spec disagrees with the plan's aux array.
-    Workspace ws = fresh();
-    ws.ops[0].epilogue = epilogue_push(0, EpilogueOp::kRelu);
-    EXPECT_THROW(execute_plan(plan, ws.ops, 1.0f, 0.0f), CheckError);
-    EXPECT_TRUE(ws.c_untouched());
-  }
+  for (const int spec : {0x20, 1 << 16, -1})
+    expect_rejected("non-canonical spec " + std::to_string(spec),
+                    [&](GemmOperands& g) { g.epilogue = spec; });
 }
 
 TEST(FaultInjection, RetiredEpilogueIdsRejectedEverywhere) {
   // Ids 3, 4 and 5 are reserved (epilogue.hpp): alone or after a bias, every
-  // entry point must reject them before it plans, caches, loads or touches
-  // C.
+  // entry point that takes a spec must reject them before it touches C.
   const std::vector<GemmDims> dims = {{24, 40, 32}, {48, 16, 64}};
   const int bias = epilogue_push(0, EpilogueOp::kBias);
-  const std::vector<int> healthy = {bias,
-                                    epilogue_push(bias, EpilogueOp::kRelu)};
   PlannerConfig config;
   config.policy = BatchingPolicy::kThresholdOnly;
-  const BatchedGemmPlanner planner(config);
-  const BatchPlan plan = planner.plan(dims, healthy).plan;
-  std::stringstream healthy_text;
-  save_plan(healthy_text, plan);
-  const std::string v3 = healthy_text.str();
-  ASSERT_EQ(v3.rfind("ctb-batchplan-v3", 0), 0u);
-  const std::string array = "epilogue " + std::to_string(dims.size()) + ' ' +
-                            std::to_string(healthy[0]) + ' ' +
-                            std::to_string(healthy[1]);
-  ASSERT_NE(v3.find(array), std::string::npos);
+  const BatchPlan plan = BatchedGemmPlanner(config).plan(dims).plan;
+  const TilingStrategy& tile = batched_strategy_by_id(plan.strategy_of_tile[0]);
 
   for (const int id : {3, 4, 5}) {
     EXPECT_THROW(epilogue_push(0, static_cast<EpilogueOp>(id)), CheckError);
@@ -304,32 +299,19 @@ TEST(FaultInjection, RetiredEpilogueIdsRejectedEverywhere) {
     for (const int spec : {id, bias | (id << 4)}) {
       SCOPED_TRACE("spec " + std::to_string(spec));
       EXPECT_FALSE(epilogue_packed_valid(spec));
-      const std::vector<int> specs = {healthy[0], spec};
-
-      EXPECT_THROW(planner.plan(dims, specs), CheckError);
-      PlanCache cache(config);
-      EXPECT_THROW(cache.plan(dims, specs), CheckError);
-      EXPECT_EQ(cache.size(), 0u);
-      service::PlanService svc;
-      EXPECT_THROW(svc.get(dims, specs), CheckError);
-      EXPECT_EQ(svc.size(), 0u);
-
-      std::string text = v3;
-      text.replace(text.find(array), array.size(),
-                   "epilogue " + std::to_string(dims.size()) + ' ' +
-                       std::to_string(healthy[0]) + ' ' +
-                       std::to_string(spec));
-      std::stringstream ss(text);
-      EXPECT_THROW(load_plan(ss), PlanIoError);
-
-      // The healthy plan meets operands that carry the retired spec, and
-      // a plan that carries it meets the same operands.
+      const std::vector<int> specs = {bias, spec};
       Workspace ws(dims, 61, kSentinel, specs);
       EXPECT_THROW(audit_operands(ws.ops), CheckError);
       EXPECT_THROW(execute_plan(plan, ws.ops, 1.0f, 0.0f), CheckError);
-      BatchPlan retired = plan;
-      retired.epilogue_of_gemm[1] = spec;
-      EXPECT_THROW(execute_plan(retired, ws.ops, 1.0f, 0.0f),
+      EXPECT_THROW(execute_tile(tile, ws.ops[1], 0, 0, 1.0f, 0.0f),
+                   CheckError);
+      EXPECT_THROW(reference_gemm(ws.ops[1], 1.0f, 0.0f), CheckError);
+      GemmEntry entry;
+      entry.a = &ws.a[1];
+      entry.b = &ws.b[1];
+      entry.c = &ws.c[1];
+      entry.epilogue = spec;
+      EXPECT_THROW(batched_gemm({&entry, 1}, 1.0f, 0.0f, config),
                    CheckError);
       EXPECT_TRUE(ws.c_untouched());
     }

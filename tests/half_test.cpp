@@ -1,43 +1,15 @@
 #include <gtest/gtest.h>
 
-#include <span>
-#include <vector>
-
 #include <cmath>
 #include <limits>
 
 #include "core/api.hpp"
 #include "kernels/work_builder.hpp"
 #include "linalg/half.hpp"
-#include "core/batching_engine.hpp"
+#include "run_uniform.hpp"
 
 namespace ctb {
 namespace {
-
-/// Runs `batch` through the one executor as the uniform grid (one tile per
-/// block) of the Table-2 strategy `s` names by id, or of the one with the
-/// same BY x BX when `s` is a Table-1 strategy (on the host only the tile
-/// shape matters), carrying the operands' epilogues in the plan.
-void run_uniform(const TilingStrategy& s, std::span<const GemmOperands> batch,
-                 float alpha, float beta) {
-  std::vector<GemmDims> dims;
-  std::vector<int> epilogues;
-  for (const GemmOperands& g : batch) {
-    dims.push_back(g.dims);
-    epilogues.push_back(g.epilogue);
-  }
-  BatchPlan plan =
-      uniform_plan(dims, s.id >= 0 ? batched_strategy_by_id(s.id)
-                                   : batched_strategy(s.shape,
-                                                      ThreadVariant::k256));
-  plan.epilogue_of_gemm = epilogues;
-  execute_plan(plan, batch, alpha, beta);
-}
-
-void run_uniform(const TilingStrategy& s, const GemmOperands& g, float alpha,
-                 float beta) {
-  run_uniform(s, {&g, 1}, alpha, beta);
-}
 
 // ---------------------------------------------------------- conversions --
 

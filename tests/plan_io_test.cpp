@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <sstream>
 
 #include "core/plan_io.hpp"
@@ -292,95 +291,26 @@ TEST(PlanCache, RejectsDegenerateDims) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-// ------------------------------------------------------ v3 epilogues --
-
-std::vector<int> sample_epilogues() {
-  // bias+relu, none, relu — one fused chain per sample_batch() GEMM.
-  return {epilogue_push(epilogue_push(0, EpilogueOp::kBias),
-                        EpilogueOp::kRelu),
-          0, epilogue_push(0, EpilogueOp::kRelu)};
-}
-
-TEST(PlanIo, V3RoundTripWithEpilogues) {
-  const BatchedGemmPlanner planner{PlannerConfig{}};
-  const auto dims = sample_batch();
-  const auto epilogues = sample_epilogues();
-  const PlanSummary s = planner.plan(dims, epilogues);
-  ASSERT_TRUE(s.plan.has_epilogue());
-
-  std::stringstream ss;
-  save_plan(ss, s.plan);
-  EXPECT_EQ(ss.str().rfind("ctb-batchplan-v3", 0), 0u);
-  const BatchPlan loaded = load_plan(ss);
-  EXPECT_EQ(loaded.epilogue_of_gemm, s.plan.epilogue_of_gemm);
-  EXPECT_NO_THROW(validate_plan(loaded, dims));
-
-  // Byte-stable: re-serializing the loaded plan reproduces the stream.
-  std::stringstream again;
-  save_plan(again, loaded);
-  EXPECT_EQ(again.str(), ss.str());
-}
-
-TEST(PlanIo, EpilogueFreePlanKeepsPreV3Bytes) {
-  // A plan without epilogues must serialize exactly as before the format
-  // grew the epilogue array — old readers keep working on new writers.
+// ctb-batchplan-v3 is no version load_plan reads: a v3 stream is rejected
+// at the header, whatever arrays follow it.
+TEST(PlanIo, V3StreamRejectedAtHeader) {
   const PlanSummary s = plan_sample();
-  std::stringstream ss;
-  save_plan(ss, s.plan);
-  EXPECT_EQ(ss.str().find("ctb-batchplan-v3"), std::string::npos);
-  EXPECT_EQ(ss.str().find("epilogue"), std::string::npos);
-}
-
-TEST(PlanIo, V3HeaderRequiresEpilogueArray) {
-  // v3 is a known version: a v3 stream that carries no epilogue array is
-  // malformed (it should have been written as v1/v2).
-  const PlanSummary s = plan_sample();
-  std::stringstream plain;
-  save_plan(plain, s.plan);
-  std::string text = plain.str();
-  text.replace(0, std::string("ctb-batchplan-v1").size(),
-               "ctb-batchplan-v3");
+  std::stringstream v1;
+  save_plan(v1, s.plan);
+  std::string text = v1.str();
+  const std::string magic = "ctb-batchplan-v1";
+  ASSERT_EQ(text.rfind(magic, 0), 0u);
+  text.replace(0, magic.size(), "ctb-batchplan-v3");
+  text += "kbegin 0\nkend 0\nepilogue 3 33 0 2\n";
   std::stringstream ss(text);
-  EXPECT_THROW(load_plan(ss), PlanIoError);
-}
-
-TEST(BatchSignature, EpiloguesChangeTheKey) {
-  const PlannerConfig config;
-  const auto dims = sample_batch();
-  const auto epilogues = sample_epilogues();
-  const std::uint64_t plain = batch_signature(dims, config);
-  const std::uint64_t fused = batch_signature(dims, config, epilogues);
-  EXPECT_NE(plain, fused);
-
-  // An all-zero stream is the plain batch, whatever its length.
-  const std::vector<int> zeros(dims.size(), 0);
-  EXPECT_EQ(batch_signature(dims, config, zeros), plain);
-  EXPECT_EQ(batch_signature(dims, config, {}), plain);
-
-  // Chain placement matters: the same specs on different GEMMs differ.
-  std::vector<int> rotated = epilogues;
-  std::rotate(rotated.begin(), rotated.begin() + 1, rotated.end());
-  EXPECT_NE(batch_signature(dims, config, rotated), fused);
-}
-
-TEST(PlanCache, EpiloguesArePartOfTheKey) {
-  PlanCache cache;
-  const auto dims = sample_batch();
-  const auto epilogues = sample_epilogues();
-  const PlanSummary& plain = cache.plan(dims);
-  EXPECT_FALSE(plain.plan.has_epilogue());
-  const PlanSummary& fused = cache.plan(dims, epilogues);
-  ASSERT_TRUE(fused.plan.has_epilogue());
-  EXPECT_EQ(fused.plan.epilogue_of_gemm, epilogues);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.misses(), 2);
-
-  // Repeats hit their own entries; the all-zero stream hits the plain one.
-  cache.plan(dims, epilogues);
-  const std::vector<int> zeros(dims.size(), 0);
-  cache.plan(dims, zeros);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.hits(), 2);
+  try {
+    load_plan(ss);
+    FAIL() << "expected PlanIoError";
+  } catch (const PlanIoError& e) {
+    EXPECT_EQ(e.where(), "header");
+    EXPECT_NE(std::string(e.what()).find("unsupported plan version"),
+              std::string::npos);
+  }
 }
 
 }  // namespace

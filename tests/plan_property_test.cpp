@@ -527,15 +527,11 @@ TEST(PlanProperty, RandomEpiloguesBitExactAcrossSplitKThreadsIsa) {
           std::string("epilogue splitk=") +
           (splitk == SplitKMode::kForce ? "force" : "off") +
           " iter=" + std::to_string(iter);
-      const PlanSummary summary = planner.plan(pc.dims, pc.epilogue);
+      const PlanSummary summary = planner.plan(pc.dims);
       check_plan_properties(summary.plan, pc.dims, what);
       ASSERT_NO_THROW(validate_plan(summary.plan, pc.dims)) << what;
-      for (int i = 0; i < static_cast<int>(pc.dims.size()); ++i)
-        ASSERT_EQ(summary.plan.gemm_epilogue(i),
-                  summary.plan.has_epilogue() ? pc.epilogue[
-                      static_cast<std::size_t>(i)] : 0)
-            << what << " gemm " << i;
-      if (summary.plan.has_epilogue()) {
+      if (std::any_of(pc.epilogue.begin(), pc.epilogue.end(),
+                      [](int spec) { return spec != 0; })) {
         ++fused_cases;
         fused_with_beta += pc.beta != 0.0f;
       }
@@ -558,8 +554,8 @@ TEST(PlanProperty, RandomEpiloguesBitExactAcrossSplitKThreadsIsa) {
       }
     }
   }
-  // The generator must actually exercise fused plans, not degenerate to
-  // plain batches, and fused plans must meet nonzero beta.
+  // The generator must actually exercise fused chains, not degenerate to
+  // plain batches, and fused batches must meet nonzero beta.
   EXPECT_GT(fused_cases, 30);
   EXPECT_GT(fused_with_beta, 0);
 }

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -133,40 +134,63 @@ TEST(PlanService, DegenerateInputsThrowCheckError) {
   EXPECT_THROW(svc.get(bad), CheckError);
 }
 
-// The planner, the plan cache and the service share one epilogue-stream
-// normalization: a short stream and a malformed spec are rejected alike,
-// and an all-zero stream is the plain batch (same signature, same plan).
-TEST(PlanService, EpilogueStreamsNormalizeAlikeAtEveryEntryPoint) {
+// A plan is scheduling only: the one plan the planner, the plan cache and
+// the service hand out for a batch runs its plain and its bias+ReLU operands
+// alike, each bit-exact to reference_gemm, and the cache and the service
+// keep one entry for both.
+TEST(PlanService, PlainAndFusedOperandsShareOnePlan) {
   const auto batch = small_batch(4);
-  const std::vector<int> short_stream{kBiasRelu};
-  const std::vector<int> malformed{0x10, 0};  // an op after the terminator
-  const std::vector<int> zeros(batch.size(), 0);
+  const std::vector<int> fused(batch.size(), kBiasRelu);
   PlanServiceConfig cfg;
-  const BatchedGemmPlanner planner(cfg.planner);
   PlanCache cache(cfg.planner);
   PlanService svc(cfg);
-  for (const std::vector<int>* bad : {&short_stream, &malformed}) {
-    EXPECT_THROW(planner.plan(batch, *bad), CheckError);
-    EXPECT_THROW(cache.plan(batch, *bad), CheckError);
-    EXPECT_THROW(svc.get(batch, *bad), CheckError);
-  }
-
-  EXPECT_EQ(batch_signature(batch, cfg.planner, zeros),
-            batch_signature(batch, cfg.planner));
-  auto bytes = [](const BatchPlan& plan) {
-    std::ostringstream os;
-    save_plan(os, plan);
-    return os.str();
-  };
-  EXPECT_EQ(bytes(planner.plan(batch, zeros).plan),
-            bytes(planner.plan(batch).plan));
-  const std::string plain_bytes = bytes(cache.plan(batch).plan);
-  EXPECT_EQ(bytes(cache.plan(batch, zeros).plan), plain_bytes);
+  const BatchPlan plan = cache.plan(batch).plan;
+  EXPECT_EQ(plan, BatchedGemmPlanner(cfg.planner).plan(batch).plan);
+  cache.plan(batch);
+  EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.misses(), 1);
   const ServedPlan plain = svc.get(batch);
-  const ServedPlan zeroed = svc.get(batch, zeros);
-  EXPECT_EQ(zeroed.state, ServeState::kHit);
-  EXPECT_EQ(zeroed.summary.get(), plain.summary.get());
+  const ServedPlan with_chains = svc.get(batch, fused);
+  EXPECT_EQ(with_chains.state, ServeState::kHit);
+  EXPECT_EQ(with_chains.summary.get(), plain.summary.get());
+  EXPECT_EQ(svc.size(), 1u);
+  EXPECT_EQ(plain.summary->plan, plan);
+
+  for (const int spec : {0, kBiasRelu}) {
+    SCOPED_TRACE(epilogue_to_string(spec));
+    Rng rng(31);
+    std::vector<Matrixf> a, b, c;
+    std::vector<std::vector<float>> bias;
+    for (const GemmDims& d : batch) {
+      const auto m = static_cast<std::size_t>(d.m);
+      const auto n = static_cast<std::size_t>(d.n);
+      const auto k = static_cast<std::size_t>(d.k);
+      a.emplace_back(m, k);
+      b.emplace_back(k, n);
+      c.emplace_back(m, n);
+      for (Matrixf* x : {&a.back(), &b.back(), &c.back()}) fill_random(*x, rng);
+      bias.emplace_back(m);
+      for (float& v : bias.back())
+        v = static_cast<float>(rng.uniform_int(-64, 64)) / 16.0f;
+    }
+    std::vector<Matrixf> c_ref = c;
+    std::vector<GemmOperands> ops, ref;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      ops.push_back(operands(a[i], b[i], c[i]));
+      ops.back().epilogue = spec;
+      ops.back().epilogue_args = {bias[i].data(), batch[i].m};
+      ref.push_back(ops.back());
+      ref.back().c = c_ref[i].data();
+    }
+    execute_plan(plan, ops, 1.0f, 0.5f);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      reference_gemm(ref[i], 1.0f, 0.5f);
+      EXPECT_EQ(std::memcmp(c[i].data(), c_ref[i].data(),
+                            c[i].flat().size() * sizeof(float)),
+                0)
+          << "gemm " << i;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -380,8 +404,9 @@ TEST_F(FailpointTest, ScopedFailpointDisarmsOnExit) {
   EXPECT_EQ(service::consume_failpoint("svc.scoped"), FailAction::kOff);
 }
 
-// is_quarantined hashes a batch's epilogue stream exactly as get() does, so
-// a quarantined fused batch reads as quarantined until released.
+// Quarantine is keyed by shapes alone: a batch quarantined through the
+// get(dims, epilogues) form reads as quarantined, and is served as such,
+// through get(dims) until released.
 TEST_F(FailpointTest, QuarantinedFusedBatchReadsQuarantined) {
   PlanService svc;
   const auto batch = small_batch(12);
@@ -391,15 +416,15 @@ TEST_F(FailpointTest, QuarantinedFusedBatchReadsQuarantined) {
                                     {FailAction::kThrow, -1});
     for (int episode = 1; episode < kQuarantineThreshold; ++episode) {
       EXPECT_EQ(svc.get(batch, epilogues).state, ServeState::kDegraded);
-      EXPECT_FALSE(svc.is_quarantined(batch, epilogues));
+      EXPECT_FALSE(svc.is_quarantined(batch));
     }
     EXPECT_EQ(svc.get(batch, epilogues).state, ServeState::kDegraded);
   }
   EXPECT_EQ(svc.stats().quarantined, 1);
-  EXPECT_TRUE(svc.is_quarantined(batch, epilogues));
-  EXPECT_EQ(svc.get(batch, epilogues).state, ServeState::kQuarantined);
+  EXPECT_TRUE(svc.is_quarantined(batch));
+  EXPECT_EQ(svc.get(batch).state, ServeState::kQuarantined);
   EXPECT_EQ(svc.release_quarantined(), 1u);
-  EXPECT_FALSE(svc.is_quarantined(batch, epilogues));
+  EXPECT_FALSE(svc.is_quarantined(batch));
 }
 
 // A signature can be quarantined without a cache entry: when the fallback

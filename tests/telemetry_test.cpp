@@ -81,6 +81,14 @@ TEST(TelemetryExport, EmptySnapshotIsWellFormedJson) {
   EXPECT_NE(trace.str().find("\"traceEvents\""), std::string::npos);
 }
 
+// One escaper writes every JSON artifact: control characters come out as
+// escapes the perf-report loader reads back, never as raw bytes.
+TEST(TelemetryExport, JsonEscaperEscapesControlCharacters) {
+  std::ostringstream os;
+  telemetry::write_json_escaped(os, "q\"b\\n\nt\tr\r\x01");
+  EXPECT_EQ(os.str(), R"("q\"b\\n\nt\tr\r\u0001")");
+}
+
 class TelemetryTest : public ::testing::Test {
  protected:
   void SetUp() override {
