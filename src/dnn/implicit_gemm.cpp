@@ -1,8 +1,5 @@
 #include "dnn/implicit_gemm.hpp"
 
-#include "core/batching_engine.hpp"
-#include "core/tiling_engine.hpp"
-#include "dnn/im2col.hpp"
 #include "util/assert.hpp"
 
 namespace ctb {
@@ -27,20 +24,6 @@ GemmOperands implicit_conv_operands(const ConvShape& shape,
   g.c = out.data();
   g.lowering = shape.lowering();
   return g;
-}
-
-Tensor4 conv_forward_implicit(const ConvShape& shape, const Tensor4& input,
-                              const Matrixf& filters) {
-  check_conv_shape(shape);
-  const GemmDims d = shape.gemm_dims(input.n());
-  Matrixf out(static_cast<std::size_t>(d.m), static_cast<std::size_t>(d.n));
-  const GemmOperands g = implicit_conv_operands(shape, input, filters, out);
-  // Use the same strategy the tiling engine would choose for this GEMM
-  // alone, so results are comparable with the explicit path.
-  const std::span<const GemmDims> dims(&d, 1);
-  const TilingResult tiling = select_tiling(dims, TilingConfig{});
-  execute_plan(uniform_plan(dims, *tiling.per_gemm[0]), {&g, 1}, 1.0f, 0.0f);
-  return col2im_output(shape, input.n(), out);
 }
 
 double im2col_materialization_us(const GpuArch& arch, const ConvShape& shape,

@@ -8,8 +8,8 @@
 // copies B straight from the input rows with im2col's own routine,
 // conv_b_rows. This saves the im2col materialization pass — one full write
 // + read of the K x N column matrix — and B operands over one input with one
-// geometry share a panel set like any other operand. Batches of convs run
-// through grouped_conv_forward (dnn/grouped.hpp).
+// geometry share a panel set like any other operand. Convs run, alone or
+// batched, through grouped_conv_forward (dnn/grouped.hpp).
 #pragma once
 
 #include "core/api.hpp"
@@ -24,11 +24,6 @@ namespace ctb {
 GemmOperands implicit_conv_operands(const ConvShape& shape,
                                     const Tensor4& input,
                                     const Matrixf& filters, Matrixf& out);
-
-/// Single implicit-GEMM convolution (functional); numerically identical to
-/// conv_forward_gemm for the same tiling strategy.
-Tensor4 conv_forward_implicit(const ConvShape& shape, const Tensor4& input,
-                              const Matrixf& filters);
 
 /// Modeled cost of materializing the im2col matrix for one conv (the pass
 /// implicit GEMM avoids): writing and re-reading K x N floats through DRAM.

@@ -1,7 +1,6 @@
 #include "linalg/gemm_ref.hpp"
 
 #include "linalg/half.hpp"
-#include "util/parallel.hpp"
 
 #include <algorithm>
 
@@ -78,29 +77,6 @@ void gemm_blocked(const MatrixView<const float>& a,
       }
     }
   }
-}
-
-void gemm_parallel(const MatrixView<const float>& a,
-                   const MatrixView<const float>& b, MatrixView<float> c,
-                   float alpha, float beta) {
-  check_shapes(a, b, c);
-  scale_c(c, beta);
-  const std::size_t m = c.rows(), n = c.cols(), k = a.cols();
-  const auto row_blocks =
-      static_cast<long long>((m + kBlockM - 1) / kBlockM);
-  // Row blocks own disjoint C rows, so they fan out over the shared
-  // parallel_for wrapper (which also honors the runtime thread override).
-  parallel_for(row_blocks, [&](long long bi) {
-    const std::size_t i0 = static_cast<std::size_t>(bi) * kBlockM;
-    const std::size_t mi = std::min(kBlockM, m - i0);
-    for (std::size_t k0 = 0; k0 < k; k0 += kBlockK) {
-      const std::size_t kk = std::min(kBlockK, k - k0);
-      for (std::size_t j0 = 0; j0 < n; j0 += kBlockN) {
-        const std::size_t nj = std::min(kBlockN, n - j0);
-        block_kernel(a, b, c, alpha, i0, j0, k0, mi, nj, kk);
-      }
-    }
-  });
 }
 
 const char* to_string(Op op) { return op == Op::kN ? "N" : "T"; }
@@ -182,10 +158,6 @@ void gemm_naive(const Matrixf& a, const Matrixf& b, Matrixf& c, float alpha,
 void gemm_blocked(const Matrixf& a, const Matrixf& b, Matrixf& c, float alpha,
                   float beta) {
   dispatch([](auto&&... xs) { gemm_blocked(xs...); }, a, b, c, alpha, beta);
-}
-void gemm_parallel(const Matrixf& a, const Matrixf& b, Matrixf& c,
-                   float alpha, float beta) {
-  dispatch([](auto&&... xs) { gemm_parallel(xs...); }, a, b, c, alpha, beta);
 }
 
 }  // namespace ctb

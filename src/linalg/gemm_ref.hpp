@@ -1,9 +1,8 @@
 // Reference host GEMM implementations: C = alpha * A * B + beta * C.
 //
 // These are the correctness oracle for the simulated device kernels and the
-// building block of the DNN substrate's shape checks. Three variants:
-// a transparent naive triple loop, a cache-blocked version, and an
-// OpenMP-parallel blocked version for large test cases.
+// building block of the DNN substrate's shape checks. Two variants: a
+// transparent naive triple loop and a cache-blocked version.
 #pragma once
 
 #include "linalg/matrix.hpp"
@@ -44,11 +43,6 @@ void gemm_blocked(const MatrixView<const float>& a,
                   const MatrixView<const float>& b, MatrixView<float> c,
                   float alpha, float beta);
 
-/// OpenMP-parallel blocked GEMM (falls back to blocked without OpenMP).
-void gemm_parallel(const MatrixView<const float>& a,
-                   const MatrixView<const float>& b, MatrixView<float> c,
-                   float alpha, float beta);
-
 /// Reference GEMM with tensor-core FP16 semantics: A and B values rounded
 /// to binary16, accumulation in FP32, each C result rounded to binary16.
 void gemm_naive_fp16(const Matrixf& a, const Matrixf& b, Matrixf& c,
@@ -69,7 +63,5 @@ void gemm_naive(const Matrixf& a, const Matrixf& b, Matrixf& c, float alpha,
                 float beta);
 void gemm_blocked(const Matrixf& a, const Matrixf& b, Matrixf& c, float alpha,
                   float beta);
-void gemm_parallel(const Matrixf& a, const Matrixf& b, Matrixf& c,
-                   float alpha, float beta);
 
 }  // namespace ctb

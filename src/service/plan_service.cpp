@@ -2,12 +2,10 @@
 
 #include <chrono>
 #include <exception>
-#include <new>
 #include <string>
 #include <thread>
 #include <utility>
 
-#include "service/failpoint.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace.hpp"
 
@@ -65,22 +63,6 @@ void PlanService::backoff(std::int64_t us) {
 // Planning primitives
 // ---------------------------------------------------------------------------
 
-PlanSummary PlanService::plan_full(std::span<const GemmDims> dims) {
-  FailAction fp = consume_failpoint("service.planner.throw");
-  if (fp == FailAction::kThrow)
-    throw CheckError("injected failpoint: service.planner.throw");
-  if (fp == FailAction::kBadAlloc) throw std::bad_alloc();
-  PlanSummary summary =
-      config_.planner_fn ? config_.planner_fn(dims) : full_planner_.plan(dims);
-  fp = consume_failpoint("service.planner.corrupt");
-  if (fp == FailAction::kCorrupt && !summary.plan.gemm_of_tile.empty()) {
-    // Truncate one aux array: validate_plan cannot miss the length mismatch,
-    // so this models a planner emitting a structurally broken plan.
-    summary.plan.gemm_of_tile.pop_back();
-  }
-  return summary;
-}
-
 PlanSummary PlanService::plan_full_with_retries(
     std::span<const GemmDims> dims) {
   std::string last_error;
@@ -92,7 +74,8 @@ PlanSummary PlanService::plan_full_with_retries(
       backoff(kBackoffBaseUs << (attempt - 1));
     }
     try {
-      PlanSummary summary = plan_full(dims);
+      PlanSummary summary = config_.planner_fn ? config_.planner_fn(dims)
+                                               : full_planner_.plan(dims);
       validate_plan(summary.plan, dims);
       return summary;
     } catch (const std::exception& e) {
@@ -105,11 +88,8 @@ PlanSummary PlanService::plan_full_with_retries(
 
 std::shared_ptr<const PlanSummary> PlanService::make_fallback(
     std::span<const GemmDims> dims) {
-  const FailAction fp = consume_failpoint("service.fallback.alloc");
-  if (fp == FailAction::kBadAlloc) throw std::bad_alloc();
-  if (fp == FailAction::kThrow)
-    throw CheckError("injected failpoint: service.fallback.alloc");
-  PlanSummary summary = fallback_planner_.plan(dims);
+  PlanSummary summary = config_.fallback_fn ? config_.fallback_fn(dims)
+                                            : fallback_planner_.plan(dims);
   validate_plan(summary.plan, dims);
   return std::make_shared<const PlanSummary>(std::move(summary));
 }

@@ -16,8 +16,9 @@
 //     plans repeatedly fail, so one poisoned shape is served the fallback
 //     plan instead of re-running a failing planner on every request;
 //   * a virtual clock hook making every backoff reproducible in tests, and
-//     failpoints (service/failpoint.hpp) at the planner and fallback
-//     boundaries for chaos drills.
+//     one fault-injection seam for chaos tests: the config's planner_fn and
+//     fallback_fn replace the full and the fallback planner of one service,
+//     so injected faults never reach another service in the process.
 //
 // Every plan handed out — hit, fresh, degraded, or upgraded — has passed
 // validate_plan against its batch, and executes through the ordinary
@@ -119,9 +120,12 @@ struct PlanServiceConfig {
   /// clock. Must outlive the service.
   VirtualClock* clock = nullptr;
   /// Test injection for the full planner (same contract as
-  /// PlanCache::PlannerFn); the fallback planner is never replaced, so a
-  /// degraded answer is always a genuinely planned one.
+  /// PlanCache::PlannerFn); nullptr = the planner built from `planner`.
   PlanCache::PlannerFn planner_fn;
+  /// Test injection for the fallback planner; nullptr = the
+  /// degraded_fallback_config planner. A plan it returns is validated like
+  /// the real fallback's, so a degraded answer is always a valid plan.
+  PlanCache::PlannerFn fallback_fn;
 };
 
 /// Per-service mirror of the service.* telemetry counters: it counts even
@@ -209,7 +213,6 @@ class PlanService {
   ServedPlan count_degraded(std::shared_ptr<const PlanSummary> plan,
                             ServeState state);
 
-  PlanSummary plan_full(std::span<const GemmDims> dims);
   PlanSummary plan_full_with_retries(std::span<const GemmDims> dims);
   std::shared_ptr<const PlanSummary> make_fallback(
       std::span<const GemmDims> dims);

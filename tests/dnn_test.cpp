@@ -7,6 +7,7 @@
 #include <string>
 
 #include "dnn/conv.hpp"
+#include "dnn/grouped.hpp"
 #include "dnn/im2col.hpp"
 #include "dnn/implicit_gemm.hpp"
 #include "dnn/tensor.hpp"
@@ -320,8 +321,8 @@ TEST_P(DegenerateConvShape, ImplicitOperandsThrow) {
   Matrixf out(static_cast<std::size_t>(s.out_c), 9);
   expect_shape_rejected(
       [&] { (void)implicit_conv_operands(s, input, filters, out); });
-  expect_shape_rejected(
-      [&] { (void)conv_forward_implicit(s, input, filters); });
+  const GroupedConv conv{&s, &input, &filters, {}, false};
+  expect_shape_rejected([&] { (void)grouped_conv_forward({&conv, 1}); });
 }
 
 TEST_P(DegenerateConvShape, DirectConvThrows) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,8 +19,8 @@
 #include "core/plan_fuzz.hpp"
 #include "core/plan_io.hpp"
 #include "kernels/functional.hpp"
-#include "service/failpoint.hpp"
 #include "service/plan_service.hpp"
+#include "failing_planner.hpp"
 
 namespace ctb {
 namespace {
@@ -326,13 +327,11 @@ TEST(FaultInjection, RetiredEpilogueIdsRejectedEverywhere) {
 // CI repeats this suite under ASan+UBSan.
 // ---------------------------------------------------------------------------
 
-using service::FailAction;
 using service::kMaxRetries;
 using service::kQuarantineThreshold;
 using service::PlanService;
 using service::PlanServiceConfig;
 using service::PlanServiceError;
-using service::ScopedFailpoint;
 using service::ServedPlan;
 using service::ServeState;
 
@@ -358,17 +357,20 @@ void expect_served_plan_bit_exact(const ServedPlan& served,
 TEST(ServiceChaos, PlannerThrowingMidFlight) {
   const std::vector<GemmDims> dims = {{16, 32, 48}, {100, 50, 60}};
   {
-    PlanService svc;
-    ScopedFailpoint transient("service.planner.throw", {FailAction::kThrow, 1});
+    PlanServiceConfig cfg;
+    cfg.planner_fn = failing_planner(cfg.planner, fault_budget(1),
+                                     CheckError("transient planner fault"));
+    PlanService svc(cfg);
     const ServedPlan served = svc.get(dims);
     EXPECT_EQ(served.state, ServeState::kPlanned);
     EXPECT_EQ(svc.stats().retried, 1);
     expect_served_plan_bit_exact(served, dims, 67);
   }
   {
-    PlanService svc;
-    ScopedFailpoint persistent("service.planner.throw",
-                               {FailAction::kThrow, -1});
+    PlanServiceConfig cfg;
+    cfg.planner_fn = failing_planner(cfg.planner, fault_budget(kUntilLifted),
+                                     CheckError("planner down"));
+    PlanService svc(cfg);
     const ServedPlan served = svc.get(dims);
     EXPECT_EQ(served.state, ServeState::kDegraded);
     expect_served_plan_bit_exact(served, dims, 71);
@@ -376,19 +378,23 @@ TEST(ServiceChaos, PlannerThrowingMidFlight) {
 }
 
 // Chaos class 2: allocation failure while computing the fallback, with the
-// full planner down too. The only correct outcome is the typed error — and
-// the service must serve normally once the faults lift (no wedged state).
+// full planner failing to allocate too. The only correct outcome is the
+// typed error — and the service must serve normally once the faults lift
+// (no wedged state).
 TEST(ServiceChaos, AllocationFailureDuringFallback) {
-  PlanService svc;
+  PlanServiceConfig cfg;
+  const FaultBudget planner_oom = fault_budget(kUntilLifted);
+  const FaultBudget fallback_oom = fault_budget(kUntilLifted);
+  cfg.planner_fn = failing_planner(cfg.planner, planner_oom, std::bad_alloc());
+  cfg.fallback_fn = failing_planner(degraded_fallback_config(cfg.planner),
+                                    fallback_oom, std::bad_alloc());
+  PlanService svc(cfg);
   const std::vector<GemmDims> dims = {{64, 64, 32}, {40, 24, 96}};
-  {
-    ScopedFailpoint down("service.planner.throw", {FailAction::kThrow, -1});
-    ScopedFailpoint oom("service.fallback.alloc",
-                        {FailAction::kBadAlloc, -1});
-    EXPECT_THROW((void)svc.get(dims), PlanServiceError);
-    EXPECT_EQ(svc.size(), 0u);  // nothing half-cached
-  }
+  EXPECT_THROW((void)svc.get(dims), PlanServiceError);
+  EXPECT_EQ(svc.size(), 0u);  // nothing half-cached
   // Faults lifted: the same batch now plans normally on the first try.
+  planner_oom->store(0);
+  fallback_oom->store(0);
   const ServedPlan served = svc.get(dims);
   EXPECT_EQ(served.state, ServeState::kPlanned);
   expect_served_plan_bit_exact(served, dims, 73);
@@ -397,7 +403,7 @@ TEST(ServiceChaos, AllocationFailureDuringFallback) {
 // Chaos class 3: an injected PlannerFn emits structurally corrupt plans.
 // Validation inside the service must reject every one (the corrupt plan is
 // never served), degrade, quarantine after repeats, and recover after
-// release. The injection is a config-level PlannerFn, not a failpoint.
+// release.
 TEST(ServiceChaos, CorruptPlanFromInjectedPlannerFn) {
   PlanServiceConfig cfg;
   // Every attempt of the episodes up to quarantine is corrupt.

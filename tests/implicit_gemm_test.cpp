@@ -63,7 +63,8 @@ TEST_P(ImplicitVsExplicit, SameResultAsIm2colPath) {
   fill_random(input, rng);
   const Matrixf filters = random_filters(s, rng);
   const Tensor4 explicit_path = conv_forward_gemm(s, input, filters);
-  const Tensor4 implicit_path = conv_forward_implicit(s, input, filters);
+  const GroupedConv conv{&s, &input, &filters, {}, false};
+  const Tensor4 implicit_path = grouped_conv_forward({&conv, 1})[0];
   ASSERT_TRUE(explicit_path.same_shape(implicit_path));
   EXPECT_LT(max_abs_diff(explicit_path, implicit_path), 1e-4f);
 }

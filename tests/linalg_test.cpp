@@ -162,21 +162,6 @@ TEST_P(GemmVariants, BlockedMatchesNaive) {
   EXPECT_TRUE(allclose(c1, c2)) << "m=" << m << " n=" << n << " k=" << k;
 }
 
-TEST_P(GemmVariants, ParallelMatchesNaive) {
-  const auto [m, n, k] = GetParam();
-  Rng rng(static_cast<std::uint64_t>(m * 7 + n * 11 + k * 13));
-  Matrixf a(static_cast<std::size_t>(m), static_cast<std::size_t>(k));
-  Matrixf b(static_cast<std::size_t>(k), static_cast<std::size_t>(n));
-  Matrixf c0(static_cast<std::size_t>(m), static_cast<std::size_t>(n));
-  fill_random(a, rng);
-  fill_random(b, rng);
-  fill_random(c0, rng);
-  Matrixf c1 = c0, c2 = c0;
-  gemm_naive(a, b, c1, 1.0f, 1.0f);
-  gemm_parallel(a, b, c2, 1.0f, 1.0f);
-  EXPECT_TRUE(allclose(c1, c2));
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Shapes, GemmVariants,
     ::testing::Values(GemmShape{1, 1, 1}, GemmShape{3, 5, 7},

@@ -14,7 +14,7 @@
 
 #include "core/api.hpp"
 #include "core/rf_policy.hpp"
-#include "dnn/implicit_gemm.hpp"
+#include "dnn/grouped.hpp"
 #include "kernels/functional.hpp"
 #include "util/parallel.hpp"
 #include "run_uniform.hpp"
@@ -349,14 +349,15 @@ TEST(ParallelImplicitGemm, ConvLoweringBitExact) {
   fill_random(input, rng);
   const Matrixf filters = random_filters(shape, rng);
 
+  const GroupedConv conv{&shape, &input, &filters, {}, false};
   Tensor4 serial(1, 1, 1, 1), parallel(1, 1, 1, 1);
   {
     ScopedParallelThreads guard(1);
-    serial = conv_forward_implicit(shape, input, filters);
+    serial = grouped_conv_forward({&conv, 1})[0];
   }
   {
     ScopedParallelThreads guard(kParallelThreads);
-    parallel = conv_forward_implicit(shape, input, filters);
+    parallel = grouped_conv_forward({&conv, 1})[0];
   }
   const auto s = serial.flat();
   const auto p = parallel.flat();

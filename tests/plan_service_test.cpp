@@ -1,9 +1,10 @@
 // Chaos and correctness suite for ctb::service::PlanService (DESIGN.md §10):
 // inline serving, degraded-mode fallback and inline upgrade, deterministic
 // retry/backoff on the virtual clock, quarantine lifecycle, concurrent shard
-// hammering, and the failpoint registry itself. Execution-level
-// bit-exactness of degraded/upgraded plans is covered in plan_property_test
-// and fault_injection_test; this file owns the service state machine.
+// hammering, and fault injection that stays inside one service.
+// Execution-level bit-exactness of degraded/upgraded plans is covered in
+// plan_property_test and fault_injection_test; this file owns the service
+// state machine.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,25 +13,27 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <memory>
+#include <new>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/api.hpp"
 #include "core/epilogue.hpp"
 #include "core/plan_io.hpp"
 #include "kernels/functional.hpp"
-#include "service/failpoint.hpp"
 #include "service/plan_service.hpp"
 #include "telemetry/trace.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "failing_planner.hpp"
 
 namespace ctb {
 namespace {
 
-using service::FailAction;
 using service::kMaxRetries;
 using service::kQuarantineThreshold;
 using service::PlanService;
@@ -352,74 +355,26 @@ TEST(PlanCacheService, LookupPeekUpsertContract) {
 }
 
 // ---------------------------------------------------------------------------
-// Failpoint registry
+// Injected planner and fallback outages
 // ---------------------------------------------------------------------------
-
-class FailpointTest : public ::testing::Test {
- protected:
-  void SetUp() override { service::clear_failpoints(); }
-  void TearDown() override { service::clear_failpoints(); }
-};
-
-TEST_F(FailpointTest, ConsumeRespectsFireBudget) {
-  service::set_failpoint("svc.x", {FailAction::kThrow, 2});
-  EXPECT_EQ(service::consume_failpoint("svc.x"), FailAction::kThrow);
-  EXPECT_EQ(service::consume_failpoint("svc.x"), FailAction::kThrow);
-  EXPECT_EQ(service::consume_failpoint("svc.x"), FailAction::kOff);
-  EXPECT_EQ(service::failpoint_hits("svc.x"), 2);
-}
-
-TEST_F(FailpointTest, UnlimitedBudgetKeepsFiring) {
-  service::set_failpoint("svc.y", {FailAction::kBadAlloc, -1});
-  for (int i = 0; i < 5; ++i)
-    EXPECT_EQ(service::consume_failpoint("svc.y"), FailAction::kBadAlloc);
-  EXPECT_EQ(service::failpoint_hits("svc.y"), 5);
-  service::clear_failpoint("svc.y");
-  EXPECT_EQ(service::consume_failpoint("svc.y"), FailAction::kOff);
-  // clear_failpoint disarms but keeps the hit count for diagnostics.
-  EXPECT_EQ(service::failpoint_hits("svc.y"), 5);
-}
-
-TEST_F(FailpointTest, SpecStringParsesValidEntriesAndSkipsJunk) {
-  const int armed = service::load_failpoints_from_string(
-      "a=corrupt:1;b=throw,not-an-entry,=throw,c=bogus,d=badalloc,"
-      "e=throw:1:2,f=delay:500");
-  // a, b, d; junk, unknown actions and the old name=action:arg:count form
-  // are skipped.
-  EXPECT_EQ(armed, 3);
-  EXPECT_EQ(service::consume_failpoint("a"), FailAction::kCorrupt);
-  EXPECT_EQ(service::consume_failpoint("a"), FailAction::kOff);
-  EXPECT_EQ(service::consume_failpoint("b"), FailAction::kThrow);
-  EXPECT_EQ(service::consume_failpoint("c"), FailAction::kOff);
-  EXPECT_EQ(service::consume_failpoint("d"), FailAction::kBadAlloc);
-  EXPECT_EQ(service::consume_failpoint("e"), FailAction::kOff);
-  EXPECT_EQ(service::consume_failpoint("f"), FailAction::kOff);
-}
-
-TEST_F(FailpointTest, ScopedFailpointDisarmsOnExit) {
-  {
-    service::ScopedFailpoint scoped("svc.scoped", {FailAction::kCorrupt, -1});
-    EXPECT_EQ(service::consume_failpoint("svc.scoped"), FailAction::kCorrupt);
-  }
-  EXPECT_EQ(service::consume_failpoint("svc.scoped"), FailAction::kOff);
-}
 
 // Quarantine is keyed by shapes alone: a batch quarantined through the
 // get(dims, epilogues) form reads as quarantined, and is served as such,
 // through get(dims) until released.
-TEST_F(FailpointTest, QuarantinedFusedBatchReadsQuarantined) {
-  PlanService svc;
+TEST(PlanService, QuarantinedFusedBatchReadsQuarantined) {
+  PlanServiceConfig cfg;
+  const FaultBudget planner_down = fault_budget(kUntilLifted);
+  cfg.planner_fn =
+      failing_planner(cfg.planner, planner_down, CheckError("planner down"));
+  PlanService svc(cfg);
   const auto batch = small_batch(12);
   const std::vector<int> epilogues(batch.size(), kBiasRelu);
-  {
-    service::ScopedFailpoint broken("service.planner.throw",
-                                    {FailAction::kThrow, -1});
-    for (int episode = 1; episode < kQuarantineThreshold; ++episode) {
-      EXPECT_EQ(svc.get(batch, epilogues).state, ServeState::kDegraded);
-      EXPECT_FALSE(svc.is_quarantined(batch));
-    }
+  for (int episode = 1; episode < kQuarantineThreshold; ++episode) {
     EXPECT_EQ(svc.get(batch, epilogues).state, ServeState::kDegraded);
+    EXPECT_FALSE(svc.is_quarantined(batch));
   }
+  EXPECT_EQ(svc.get(batch, epilogues).state, ServeState::kDegraded);
+  planner_down->store(0);
   EXPECT_EQ(svc.stats().quarantined, 1);
   EXPECT_TRUE(svc.is_quarantined(batch));
   EXPECT_EQ(svc.get(batch).state, ServeState::kQuarantined);
@@ -432,7 +387,7 @@ TEST_F(FailpointTest, QuarantinedFusedBatchReadsQuarantined) {
 // fallback works again, the quarantined miss is served the fallback without
 // another full-planner call, and the entry is cached as degraded so that
 // release_quarantined() lets a later hit upgrade it.
-TEST_F(FailpointTest, QuarantinedMissServesFallbackWithoutPlanning) {
+TEST(PlanService, QuarantinedMissServesFallbackWithoutPlanning) {
   PlanServiceConfig cfg;
   auto broken = std::make_shared<std::atomic<bool>>(true);
   auto calls = std::make_shared<std::atomic<int>>(0);
@@ -443,15 +398,15 @@ TEST_F(FailpointTest, QuarantinedMissServesFallbackWithoutPlanning) {
     if (broken->load()) throw CheckError("planner down");
     return planner.plan(dims);
   };
+  const FaultBudget fallback_oom = fault_budget(kUntilLifted);
+  cfg.fallback_fn = failing_planner(degraded_fallback_config(cfg.planner),
+                                    fallback_oom, std::bad_alloc());
   PlanService svc(cfg);
   const auto batch = small_batch(13);
-  {
-    service::ScopedFailpoint oom("service.fallback.alloc",
-                                 {FailAction::kBadAlloc, -1});
-    for (int episode = 0; episode < kQuarantineThreshold; ++episode) {
-      EXPECT_THROW((void)svc.get(batch), PlanServiceError);
-    }
+  for (int episode = 0; episode < kQuarantineThreshold; ++episode) {
+    EXPECT_THROW((void)svc.get(batch), PlanServiceError);
   }
+  fallback_oom->store(0);
   EXPECT_TRUE(svc.is_quarantined(batch));
   EXPECT_EQ(svc.size(), 0u);
   EXPECT_EQ(calls->load(), kQuarantineThreshold * kAttempts);
@@ -472,7 +427,51 @@ TEST_F(FailpointTest, QuarantinedMissServesFallbackWithoutPlanning) {
   EXPECT_EQ(svc.get(batch).state, ServeState::kHit);
 }
 
-TEST_F(FailpointTest, ChaosQuarantineLeavesAFlightDumpForTheTrace) {
+// Injection is per service: two services serve the same batch from
+// concurrent threads, and the one whose planner and fallback both fail
+// throws on every request while the other plans once and then hits.
+TEST(PlanService, InjectedFaultsStayInTheirService) {
+  constexpr int kRequests = kQuarantineThreshold + 1;
+  VirtualClock clock;
+  PlanServiceConfig broken_cfg;
+  broken_cfg.clock = &clock;
+  broken_cfg.planner_fn = failing_planner(
+      broken_cfg.planner, fault_budget(kUntilLifted), std::bad_alloc());
+  broken_cfg.fallback_fn =
+      failing_planner(degraded_fallback_config(broken_cfg.planner),
+                      fault_budget(kUntilLifted), std::bad_alloc());
+  PlanService broken(broken_cfg);
+  PlanService healthy;
+  const auto batch = small_batch(14);
+
+  std::vector<ServeState> healthy_states;
+  std::latch start(2);
+  std::thread faulty_client([&] {
+    start.arrive_and_wait();
+    for (int i = 0; i < kRequests; ++i)
+      EXPECT_THROW((void)broken.get(batch), PlanServiceError);
+  });
+  std::thread healthy_client([&] {
+    start.arrive_and_wait();
+    for (int i = 0; i < kRequests; ++i)
+      healthy_states.push_back(healthy.get(batch).state);
+  });
+  faulty_client.join();
+  healthy_client.join();
+
+  EXPECT_EQ(broken.size(), 0u);
+  EXPECT_TRUE(broken.is_quarantined(batch));
+  ASSERT_EQ(healthy_states.size(), static_cast<std::size_t>(kRequests));
+  EXPECT_EQ(healthy_states[0], ServeState::kPlanned);
+  for (int i = 1; i < kRequests; ++i)
+    EXPECT_EQ(healthy_states[static_cast<std::size_t>(i)], ServeState::kHit);
+  const service::ServiceStats stats = healthy.stats();
+  EXPECT_EQ(stats.degraded, 0);
+  EXPECT_EQ(stats.retried, 0);
+  EXPECT_FALSE(healthy.is_quarantined(batch));
+}
+
+TEST(PlanService, ChaosQuarantineLeavesAFlightDumpForTheTrace) {
   namespace fs = std::filesystem;
   const fs::path dir =
       fs::temp_directory_path() / "ctb_plan_service_flight_dump_test";
@@ -484,9 +483,9 @@ TEST_F(FailpointTest, ChaosQuarantineLeavesAFlightDumpForTheTrace) {
   VirtualClock clock;
   PlanServiceConfig cfg;
   cfg.clock = &clock;
+  cfg.planner_fn = failing_planner(cfg.planner, fault_budget(kUntilLifted),
+                                   CheckError("planner down"));
   PlanService svc(cfg);
-  service::ScopedFailpoint broken("service.planner.throw",
-                                  {FailAction::kThrow, -1});
   const auto batch = small_batch(11);
 
   // The whole episode runs under one explicitly-propagated trace, the way a
